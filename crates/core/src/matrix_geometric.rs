@@ -5,9 +5,10 @@
 //! `Q0 + R·Q1 + R²·Q2 = 0`; then `v_{j+1} = v_j·R` for `j ≥ N` and the boundary vectors
 //! follow from the level-`0..N` balance equations.  The paper's reference [6]
 //! (Mitrani & Chakka 1995) compares the two methods; here the matrix-geometric solver
-//! acts as an *independent cross-check* of the spectral expansion — the two must agree
-//! to within numerical accuracy on every probability, which the integration tests
-//! verify.
+//! acts as a *cross-check* of the spectral expansion.  The two obtain `R` independently
+//! — logarithmic reduction here, `U⁻¹·Z·U` from the eigenpairs there — and then run
+//! the same boundary elimination over levels `0..N`, so they must agree to within
+//! numerical accuracy on every probability, which the integration tests verify.
 //!
 //! `R` is computed by **Latouche–Ramaswamy logarithmic reduction**: the first-passage
 //! matrix `G` (minimal solution of `Q2 + Q1·G + Q0·G² = 0`) is built by a doubling
@@ -259,91 +260,7 @@ impl MatrixGeometricSolver {
         let servers = qbd.servers();
         let (r, reduction_depth) = self.rate_matrix_with_depth(&qbd)?;
 
-        // Boundary equations for levels 0..N with v_{N+1} = v_N·R substituted into the
-        // level-N equation; one equation is replaced by pinning a reference state.
-        // The pin mode (largest stationary environment probability) is λ-independent
-        // and precomputed — class-aware — in the skeleton.
-        let pin_mode = qbd.skeleton().pin_mode();
-
-        // The whole boundary system is real (the QBD generator blocks and `R` are
-        // real), so it runs on the all-real block-tridiagonal elimination — same
-        // block structure as the former complex formulation at a quarter of the
-        // arithmetic.  The diagonal `−B` and `−Cᵀ` couplings additionally trigger
-        // the solver's O(s²) diagonal-block Schur fast path.
-        let block_rows = servers + 1;
-        let mut system = RealBlockTridiagonal::new(block_rows, s)?;
-        let b = qbd.b();
-        let c_full = qbd.c();
-        // C is diagonal, so R·C is a column scaling — no dense product needed.
-        let c_diag = c_full.diagonal();
-        let mut r_c = r.clone();
-        r_c.scale_columns(&c_diag)?;
-        // The level-local coefficient `(Dᴬ + B + C_j − A)ᵀ` varies between levels
-        // only on its diagonal (every `C_j` is diagonal and `C_0 = 0`): build the
-        // `C`-free transpose once and refresh the diagonal per level with the exact
-        // operation order of `local_matrix`, so each block stays bit-identical to
-        // the former per-level construction at a fraction of its allocation and
-        // memory traffic (three full `s × s` passes per level down to one copy).
-        let base_t = qbd.local_matrix(0).transpose();
-        let da = qbd.da();
-        let a = qbd.a();
-        for j in 0..block_rows {
-            let mut rhs = vec![0.0; s];
-            if j > 0 {
-                // B = λI is diagonal and symmetric: Bᵀ = B, coefficient −B,
-                // handed to the solver packed (s numbers, not an s × s block).
-                let mut lower = b.diagonal();
-                for v in lower.iter_mut() {
-                    *v *= -1.0;
-                }
-                system.set_lower_diagonal(j, lower)?;
-            }
-            let mut diag = base_t.clone();
-            let cj = qbd.c_level(j.min(servers));
-            for i in 0..s {
-                // urs-analyze: allow(slice_index, reason = "indexes the s x s QBD blocks sized at build time")
-                diag[(i, i)] = ((da[(i, i)] + b[(i, i)]) + cj[(i, i)]) - a[(i, i)];
-            }
-            if j == servers {
-                // Level N: v_N·(Dᴬ+B+C−A) − v_N·R·C  ⇒ coefficient (local(N) − R·C)ᵀ.
-                for row in 0..s {
-                    for col in 0..s {
-                        // urs-analyze: allow(slice_index, reason = "indexes the s x s QBD blocks sized at build time")
-                        diag[(row, col)] -= r_c[(col, row)];
-                    }
-                }
-            }
-            if j + 1 < block_rows {
-                // `C_{j+1}ᵀ = C_{j+1}` is diagonal, handed to the solver packed;
-                // the pin replaces the level-0 equation, so its coupling column
-                // (row `pin_mode` of `−C₁ᵀ`) is zeroed before the sign flip.
-                let mut upper =
-                    if j < servers { qbd.c_level(j + 1).diagonal() } else { c_full.diagonal() };
-                if j == 0 {
-                    // urs-analyze: allow(slice_index, reason = "indexes the s x s QBD blocks sized at build time")
-                    upper[pin_mode] = 0.0;
-                }
-                for v in upper.iter_mut() {
-                    *v *= -1.0;
-                }
-                system.set_upper_diagonal(j, upper)?;
-            }
-            if j == 0 {
-                for col in 0..s {
-                    // urs-analyze: allow(slice_index, reason = "indexes the s x s QBD blocks sized at build time")
-                    diag[(pin_mode, col)] = if col == pin_mode { 1.0 } else { 0.0 };
-                }
-                // urs-analyze: allow(slice_index, reason = "indexes the s x s QBD blocks sized at build time")
-                rhs[pin_mode] = 1.0;
-            }
-            system.set_diagonal(j, diag)?;
-            system.set_rhs(j, rhs)?;
-        }
-        let mut levels = match system.solve_with(&self.pool) {
-            Ok(x) => x,
-            Err(LinalgError::Singular { .. }) => system.solve_dense()?,
-            Err(e) => return Err(e.into()),
-        };
+        let mut levels = solve_boundary(&qbd, &r, &self.pool)?;
 
         // Normalisation: Σ_{j<N} v_j·1 + v_N·(I−R)⁻¹·1 = 1.  The inverse of `I − R`
         // is reused by every tail query of the solution, so it is materialised once
@@ -403,6 +320,87 @@ impl QueueSolver for MatrixGeometricSolver {
 
     fn solve(&self, config: &SystemConfig) -> Result<Box<dyn QueueSolution>> {
         Ok(Box::new(self.solve_detailed(config)?))
+    }
+}
+
+/// Solves the boundary balance equations of levels `0..=N` once the repeating levels
+/// are summarised by a rate matrix `R` (`v_{j+1} = v_j·R` for `j ≥ N`), returning the
+/// un-normalised `v_0..=v_N`.
+///
+/// This is the boundary of *both* exact solvers: the matrix-geometric method obtains
+/// `R` by logarithmic reduction, spectral expansion as `U⁻¹·Z·U` from its eigenpairs.
+/// Substituting `v_{N+1} = v_N·R` into the level-`N` equation leaves a real
+/// block-tridiagonal system whose couplings `−B = −λI` and `−C_j` are diagonal, so it
+/// runs on the packed-coupling [`RealBlockTridiagonal`] elimination, with a dense
+/// solve as the fallback for a singular pivot block.  Any single balance equation is
+/// redundant, so the level-0 equation of the skeleton's pin mode (largest stationary
+/// environment probability) is replaced by `v_0[pin] = 1`; the caller normalises.
+pub(crate) fn solve_boundary(
+    qbd: &QbdMatrices,
+    r: &Matrix,
+    pool: &ThreadPool,
+) -> Result<Vec<Vec<f64>>> {
+    let s = qbd.order();
+    let servers = qbd.servers();
+    let pin_mode = qbd.skeleton().pin_mode();
+    let lambda = qbd.arrival_rate();
+    let (a, da) = (qbd.a(), qbd.da());
+    let block_rows = servers + 1;
+    let mut system = RealBlockTridiagonal::new(block_rows, s)?;
+    // C is diagonal, so R·C is a column scaling — no dense product needed.
+    let mut r_c = r.clone();
+    r_c.scale_columns(qbd.c())?;
+    // The level-local coefficient `(Dᴬ + B + C_j − A)ᵀ` varies between levels only on
+    // its diagonal: build the off-diagonal `−Aᵀ` once and write the diagonal per level.
+    let base_t = a.transpose().map(|x| 0.0 - x);
+    for j in 0..block_rows {
+        let mut rhs = vec![0.0; s];
+        if j > 0 {
+            // B = λI: the coupling −Bᵀ is handed to the solver packed.
+            system.set_lower_diagonal(j, vec![-lambda; s])?;
+        }
+        let mut diag = base_t.clone();
+        for (i, (d, c)) in da.iter().zip(qbd.c_level(j)).enumerate() {
+            // urs-analyze: allow(slice_index, reason = "indexes the s x s QBD blocks sized at build time")
+            diag[(i, i)] = ((d + lambda) + c) - a[(i, i)];
+        }
+        if j == servers {
+            // Level N: v_N·(Dᴬ+B+C−A) − v_N·R·C  ⇒ coefficient (local(N) − R·C)ᵀ.
+            for row in 0..s {
+                for col in 0..s {
+                    // urs-analyze: allow(slice_index, reason = "indexes the s x s QBD blocks sized at build time")
+                    diag[(row, col)] -= r_c[(col, row)];
+                }
+            }
+        } else {
+            // `C_{j+1}ᵀ = C_{j+1}` is diagonal, handed to the solver packed; the pin
+            // replaces the level-0 equation, so its coupling column (row `pin_mode` of
+            // `−C₁ᵀ`) is zeroed before the sign flip.
+            let mut upper = qbd.c_level(j + 1).to_vec();
+            if j == 0 {
+                // urs-analyze: allow(slice_index, reason = "indexes the s x s QBD blocks sized at build time")
+                upper[pin_mode] = 0.0;
+            }
+            for v in upper.iter_mut() {
+                *v *= -1.0;
+            }
+            system.set_upper_diagonal(j, upper)?;
+        }
+        if j == 0 {
+            for col in 0..s {
+                // urs-analyze: allow(slice_index, reason = "indexes the s x s QBD blocks sized at build time")
+                diag[(pin_mode, col)] = if col == pin_mode { 1.0 } else { 0.0 };
+            }
+            // urs-analyze: allow(slice_index, reason = "indexes the s x s QBD blocks sized at build time")
+            rhs[pin_mode] = 1.0;
+        }
+        system.set_diagonal(j, diag)?;
+        system.set_rhs(j, rhs)?;
+    }
+    match system.solve_with(pool) {
+        Ok(levels) => Ok(levels),
+        Err(LinalgError::Singular { .. }) => Ok(system.solve_dense()?),
+        Err(e) => Err(e.into()),
     }
 }
 
@@ -560,6 +558,29 @@ mod tests {
                 (mg.level_probability(level) - spectral.level_probability(level)).abs() < 1e-9,
                 "level {level}"
             );
+        }
+    }
+
+    #[test]
+    fn shared_boundary_pins_the_reference_state_and_balances_every_level() {
+        let config = paper_config(4, 3.0);
+        let qbd = QbdMatrices::new(&config).unwrap();
+        let r = MatrixGeometricSolver::default().rate_matrix(&qbd).unwrap();
+        let levels = solve_boundary(&qbd, &r, &ThreadPool::serial()).unwrap();
+        assert_eq!(levels.len(), qbd.servers() + 1);
+        assert_eq!(levels[0][qbd.skeleton().pin_mode()], 1.0);
+        // Balance of level j < N: v_{j−1}·λ + v_{j+1}·C_{j+1} = v_j·(Dᴬ + λ + C_j − A),
+        // checked off the pinned equation.
+        let lambda = qbd.arrival_rate();
+        for j in 1..qbd.servers() {
+            let mode_changes = qbd.a().vecmat(&levels[j]).unwrap();
+            for i in 0..qbd.order() {
+                let inflow = levels[j - 1][i] * lambda
+                    + levels[j + 1][i] * qbd.c_level(j + 1)[i]
+                    + mode_changes[i];
+                let out = levels[j][i] * (qbd.da()[i] + lambda + qbd.c_level(j)[i]);
+                assert!((inflow - out).abs() < 1e-9 * out.abs().max(1.0), "level {j}, mode {i}");
+            }
         }
     }
 

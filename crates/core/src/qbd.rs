@@ -22,7 +22,11 @@
 //! [`QbdSkeleton`] captures that λ-independent part so that parameter sweeps varying
 //! only λ (the load sweep of Figure 8, for instance) can build it once — typically
 //! via [`SolverCache`](crate::SolverCache) — and stamp out a [`QbdMatrices`] per grid
-//! point for the price of one diagonal matrix.
+//! point for the price of one number.
+//!
+//! Every block except `A` is diagonal, and is stored as its diagonal: `Dᴬ` and the
+//! `C_j` are `Vec<f64>`, `B` is the scalar `λ`.  The dense coefficients `Q0`, `Q1`,
+//! `Q2` are materialised only on request.
 
 use std::sync::Arc;
 
@@ -36,6 +40,9 @@ use crate::{ModelError, Result};
 /// mode-change matrix `A` with its row-sum diagonal `Dᴬ`, and the level-dependent
 /// departure matrices `C_0 … C_N`.
 ///
+/// `A` is the only dense `s × s` block; `Dᴬ` and every `C_j` are diagonal and held
+/// as vectors, so a skeleton occupies `O(s² + N·s)` numbers.
+///
 /// A skeleton is immutable once built and is shared behind an [`Arc`], so one build
 /// can serve every arrival rate of a sweep — and every worker thread of a
 /// [`ThreadPool`](crate::ThreadPool) — simultaneously.
@@ -45,24 +52,21 @@ pub struct QbdSkeleton {
     classes: Vec<ServerClass>,
     servers: usize,
     a: Matrix,
-    da: Matrix,
-    /// `A − Dᴬ − C`: the arrival-free part of `Q1`, precomputed once.
-    q1_base: Matrix,
-    /// `C_j` for `j = 0..=N`; `C_N` is the repeating-level `C`.  For the homogeneous
-    /// model `C_j = diag(min(x_i, j)·µ)`; with server classes the diagonal entries are
-    /// the greedy fastest-first allocation of `j` jobs to the operative servers.
-    c_levels: Vec<Matrix>,
+    /// The diagonal of `Dᴬ`: the row sums of `A`.
+    da: Vec<f64>,
+    /// The diagonals of `C_j` for `j = 0..=N`; `C_N` is the repeating-level `C`.  For
+    /// the homogeneous model `C_j = diag(min(x_i, j)·µ)`; with server classes the
+    /// entries are the greedy fastest-first allocation of `j` jobs to the operative
+    /// servers.
+    c_levels: Vec<Vec<f64>>,
     /// Mode with the largest stationary environment probability; used by the spectral
     /// solver to pin one balance equation (λ-independent, so computed once here).
     pin_mode: usize,
     /// Union `(kl, ku)` bandwidth of the repeating-level coefficients `Q0`, `Q1`,
-    /// `Q2`: `Q0`/`Q2` are diagonal and `B` only touches the diagonal of `Q1`, so
-    /// this is the bandwidth of `q1_base` — λ-independent, computed once here so
-    /// every solver can route to the structured kernels without rescanning.
+    /// `Q2`: only `A` contributes off-diagonal entries, so this is the bandwidth of
+    /// `A` — λ-independent, computed once here so every solver can route to the
+    /// structured kernels without rescanning.
     q1_bandwidths: (usize, usize),
-    /// Number of structurally nonzero entries of `Q1` (the pattern of
-    /// `A − Dᴬ − C` united with the full diagonal contributed by `−B`).
-    q1_nonzeros: usize,
 }
 
 impl QbdSkeleton {
@@ -147,26 +151,11 @@ impl QbdSkeleton {
                 }
             }
         }
-        let da = Matrix::from_diagonal(&a.row_sums());
-        let c_levels: Vec<Matrix> = (0..=servers)
-            .map(|level| {
-                Matrix::from_diagonal(
-                    &(0..s).map(|i| departure_rate(&modes, classes, i, level)).collect::<Vec<_>>(),
-                )
-            })
+        let da = a.row_sums();
+        let c_levels: Vec<Vec<f64>> = (0..=servers)
+            .map(|level| (0..s).map(|i| departure_rate(&modes, classes, i, level)).collect())
             .collect();
-        let q1_base = &(&a - &da) - &c_levels[servers];
-        let q1_bandwidths = BandedMatrix::bandwidths_of(&q1_base);
-        let mut q1_nonzeros = 0;
-        for i in 0..s {
-            for j in 0..s {
-                // urs-analyze: allow(float_cmp, reason = "structural-pattern census: exact zero means the entry is absent for every λ")
-                // urs-analyze: allow(slice_index, reason = "scans the validated s x s generator block")
-                if i == j || q1_base[(i, j)] != 0.0 {
-                    q1_nonzeros += 1;
-                }
-            }
-        }
+        let q1_bandwidths = BandedMatrix::bandwidths_of(&a);
         let pin_mode = modes
             .stationary_distribution_classes(classes)
             .iter()
@@ -180,11 +169,9 @@ impl QbdSkeleton {
             servers,
             a,
             da,
-            q1_base,
             c_levels,
             pin_mode,
             q1_bandwidths,
-            q1_nonzeros,
         })
     }
 
@@ -219,22 +206,22 @@ impl QbdSkeleton {
         &self.a
     }
 
-    /// Diagonal matrix `Dᴬ` of row sums of `A`.
-    pub fn da(&self) -> &Matrix {
+    /// The diagonal of `Dᴬ`: the row sums of `A`.
+    pub fn da(&self) -> &[f64] {
         &self.da
     }
 
-    /// Departure matrix `C` for levels `j ≥ N`.
-    pub fn c(&self) -> &Matrix {
-        &self.c_levels[self.servers]
+    /// The diagonal of the departure matrix `C` for levels `j ≥ N`.
+    pub fn c(&self) -> &[f64] {
+        self.c_level(self.servers)
     }
 
-    /// Level-dependent departure matrix `C_j` by reference: `diag(min(x_i, j)·µ)` for
-    /// a single class, the greedy fastest-first allocation rate in general.
+    /// The diagonal of the level-dependent departure matrix `C_j`: `min(x_i, j)·µ`
+    /// for a single class, the greedy fastest-first allocation rate in general.
     ///
-    /// For `j ≥ N` this equals [`c`](Self::c); `C_0` is the zero matrix.
-    pub fn c_at(&self, level: usize) -> &Matrix {
-        &self.c_levels[level.min(self.servers)]
+    /// For `j ≥ N` this equals [`c`](Self::c); `C_0` is zero.
+    pub fn c_level(&self, level: usize) -> &[f64] {
+        self.c_levels.get(level.min(self.servers)).map(Vec::as_slice).unwrap_or_default()
     }
 
     /// Index of the mode with the largest stationary environment probability.
@@ -249,14 +236,6 @@ impl QbdSkeleton {
     /// `kl = ku = O(N)` against an order of `s = O(N²)`.
     pub fn q1_bandwidths(&self) -> (usize, usize) {
         self.q1_bandwidths
-    }
-
-    /// Fraction of structurally nonzero entries in `Q1` (pattern of `A − Dᴬ − C`
-    /// united with the diagonal); a cheap sparsity report for observability and
-    /// crossover decisions.
-    pub fn q1_density(&self) -> f64 {
-        let s = self.order();
-        self.q1_nonzeros as f64 / (s * s) as f64
     }
 
     /// `true` when the solvers should route repeating-level factorisations through
@@ -288,7 +267,7 @@ fn departure_rate(modes: &ModeSpace, classes: &[ServerClass], mode: usize, level
 }
 
 /// The generator matrices of the queue's quasi-birth-death representation: a shared
-/// [`QbdSkeleton`] plus the arrival matrix `B = λI`.
+/// [`QbdSkeleton`] plus the arrival rate `λ` of the arrival matrix `B = λI`.
 ///
 /// # Example
 ///
@@ -306,7 +285,6 @@ fn departure_rate(modes: &ModeSpace, classes: &[ServerClass], mode: usize, level
 pub struct QbdMatrices {
     skeleton: Arc<QbdSkeleton>,
     arrival_rate: f64,
-    b: Matrix,
 }
 
 impl QbdMatrices {
@@ -323,11 +301,10 @@ impl QbdMatrices {
 
     /// Stamps out the matrices for a given arrival rate from a prebuilt skeleton.
     ///
-    /// This is the cheap path used by [`SolverCache`](crate::SolverCache): only the
-    /// diagonal matrix `B = λI` is allocated.
+    /// This is the cheap path used by [`SolverCache`](crate::SolverCache): nothing
+    /// is allocated.
     pub fn with_skeleton(skeleton: Arc<QbdSkeleton>, arrival_rate: f64) -> Self {
-        let b = Matrix::identity(skeleton.order()).scale(arrival_rate);
-        QbdMatrices { skeleton, arrival_rate, b }
+        QbdMatrices { skeleton, arrival_rate }
     }
 
     /// The λ-independent skeleton the matrices were stamped from.
@@ -350,7 +327,7 @@ impl QbdMatrices {
         self.skeleton.servers()
     }
 
-    /// Arrival rate `λ`.
+    /// Arrival rate `λ`, the diagonal of `B = λI`.
     pub fn arrival_rate(&self) -> f64 {
         self.arrival_rate
     }
@@ -360,56 +337,36 @@ impl QbdMatrices {
         self.skeleton.a()
     }
 
-    /// Diagonal matrix `Dᴬ` of row sums of `A`.
-    pub fn da(&self) -> &Matrix {
+    /// The diagonal of `Dᴬ`: the row sums of `A`.
+    pub fn da(&self) -> &[f64] {
         self.skeleton.da()
     }
 
-    /// Arrival matrix `B = λI`.
-    pub fn b(&self) -> &Matrix {
-        &self.b
-    }
-
-    /// Departure matrix `C` for levels `j ≥ N`.
-    pub fn c(&self) -> &Matrix {
+    /// The diagonal of the departure matrix `C` for levels `j ≥ N`.
+    pub fn c(&self) -> &[f64] {
         self.skeleton.c()
     }
 
-    /// Level-dependent departure matrix `C_j`: `diag(min(x_i, j)·µ)` for a single
-    /// class, the greedy fastest-first allocation rate in general.
-    ///
-    /// For `j ≥ N` this equals [`c`](Self::c); `C_0` is the zero matrix.  The matrices
-    /// are precomputed in the skeleton; this accessor clones, use
-    /// [`c_level`](Self::c_level) to borrow.
-    pub fn c_at(&self, level: usize) -> Matrix {
-        self.skeleton.c_at(level).clone()
+    /// The diagonal of the level-dependent departure matrix `C_j` (see
+    /// [`QbdSkeleton::c_level`]).
+    pub fn c_level(&self, level: usize) -> &[f64] {
+        self.skeleton.c_level(level)
     }
 
-    /// Level-dependent departure matrix `C_j` by reference.
-    pub fn c_level(&self, level: usize) -> &Matrix {
-        self.skeleton.c_at(level)
-    }
-
-    /// `Q0 = B`, the coefficient of `z⁰` in the characteristic matrix polynomial.
+    /// `Q0 = B = λI`, the coefficient of `z⁰` in the characteristic matrix polynomial.
     pub fn q0(&self) -> Matrix {
-        self.b.clone()
+        Matrix::from_diagonal(&vec![self.arrival_rate; self.order()])
     }
 
     /// `Q1 = A − Dᴬ − B − C`, the coefficient of `z¹`.
     pub fn q1(&self) -> Matrix {
-        &self.skeleton.q1_base - &self.b
+        let lambda = self.arrival_rate;
+        self.a_with_diagonal(|a, da, c| ((a - da) - c) - lambda)
     }
 
     /// `Q2 = C`, the coefficient of `z²`.
     pub fn q2(&self) -> Matrix {
-        self.skeleton.c().clone()
-    }
-
-    /// The "local" balance matrix at a given level, `Dᴬ + B + C_j − A`, which multiplies
-    /// `v_j` in the level-`j` balance equation written as
-    /// `v_j·(Dᴬ+B+C_j−A) = v_{j−1}·B + v_{j+1}·C_{j+1}`.
-    pub fn local_matrix(&self, level: usize) -> Matrix {
-        &(&(self.skeleton.da() + &self.b) + self.skeleton.c_at(level)) - self.skeleton.a()
+        Matrix::from_diagonal(self.c())
     }
 
     /// Union `(kl, ku)` bandwidth of `Q0`/`Q1`/`Q2` (see
@@ -428,7 +385,20 @@ impl QbdMatrices {
     /// is the multinomial distribution exposed by
     /// [`ModeSpace::stationary_distribution`].
     pub fn environment_generator(&self) -> Matrix {
-        self.skeleton.a() - self.skeleton.da()
+        self.a_with_diagonal(|a, da, _| a - da)
+    }
+
+    /// `A` with each diagonal entry `a_ii` replaced by `f(a_ii, Dᴬ_ii, C_ii)`: the
+    /// generator blocks differ from `A` only on the diagonal.
+    fn a_with_diagonal(&self, f: impl Fn(f64, f64, f64) -> f64) -> Matrix {
+        let mut m = self.a().clone();
+        let rows = m.as_mut_slice().chunks_exact_mut(self.order());
+        for (i, (row, (da, c))) in rows.zip(self.da().iter().zip(self.c())).enumerate() {
+            if let Some(x) = row.get_mut(i) {
+                *x = f(*x, *da, *c);
+            }
+        }
+        m
     }
 }
 
@@ -452,13 +422,13 @@ mod tests {
         for i in 0..s {
             assert_eq!(qbd.a()[(i, i)], 0.0);
         }
-        // B = λI.
-        for i in 0..s {
-            assert_eq!(qbd.b()[(i, i)], 2.0);
-        }
+        // Q0 = B = λI.
+        assert_eq!(qbd.arrival_rate(), 2.0);
+        assert!(qbd.q0().approx_eq(&Matrix::identity(s).scale(2.0), 0.0));
         // DA is the diagonal of row sums.
-        for (i, sum) in qbd.a().row_sums().iter().enumerate() {
-            assert!((qbd.da()[(i, i)] - sum).abs() < 1e-12);
+        assert_eq!(qbd.da().len(), s);
+        for (da, sum) in qbd.da().iter().zip(qbd.a().row_sums()) {
+            assert!((da - sum).abs() < 1e-12);
         }
     }
 
@@ -493,18 +463,18 @@ mod tests {
         let qbd = QbdMatrices::new(&paper_config(3, 2.0)).unwrap();
         let s = qbd.order();
         // C_0 = 0.
-        assert!(qbd.c_at(0).max_abs() < 1e-15);
+        assert!(qbd.c_level(0).iter().all(|&c| c == 0.0));
         // C_j for j >= N equals C.
-        assert!(qbd.c_at(3).approx_eq(qbd.c(), 1e-15));
-        assert!(qbd.c_at(7).approx_eq(qbd.c(), 1e-15));
+        assert_eq!(qbd.c_level(3), qbd.c());
+        assert_eq!(qbd.c_level(7), qbd.c());
         // C_1 is capped at one server's worth of service.
         for i in 0..s {
             let expected = qbd.modes().operative_count(i).min(1) as f64;
-            assert!((qbd.c_at(1)[(i, i)] - expected).abs() < 1e-12);
+            assert!((qbd.c_level(1)[i] - expected).abs() < 1e-12);
         }
         // C has min(x_i, N)·µ = x_i·µ on the diagonal.
         for i in 0..s {
-            assert!((qbd.c()[(i, i)] - qbd.modes().operative_count(i) as f64).abs() < 1e-12);
+            assert!((qbd.c()[i] - qbd.modes().operative_count(i) as f64).abs() < 1e-12);
         }
     }
 
@@ -519,9 +489,41 @@ mod tests {
         for i in 0..s {
             assert!(sum.row(i).iter().sum::<f64>().abs() < 1e-10, "row {i} not conservative");
         }
-        // local_matrix(N) = DA + B + C - A = -(Q1)
-        let local = qbd.local_matrix(2);
-        assert!(local.approx_eq(&q1.scale(-1.0), 1e-12));
+        // Q1 = A − DA − B − C: A off the diagonal, −(DA + λ + C) on it.
+        for i in 0..s {
+            for j in 0..s {
+                let expected =
+                    if i == j { -(qbd.da()[i] + 1.5 + qbd.c()[i]) } else { qbd.a()[(i, j)] };
+                assert!((q1[(i, j)] - expected).abs() < 1e-12, "Q1[{i}, {j}]");
+            }
+        }
+    }
+
+    #[test]
+    fn coefficients_rebuild_bitwise_from_the_diagonal_blocks() {
+        // Q1 = A − Dᴬ − C − B and the environment generator A − Dᴬ, assembled from
+        // dense diagonal matrices: the vector-backed accessors must agree bit for bit.
+        let config = SystemConfig::heterogeneous(
+            2.5,
+            vec![
+                ServerClass::new(2, 1.5, ServerLifecycle::paper_fitted().unwrap()).unwrap(),
+                ServerClass::new(2, 1.0, ServerLifecycle::exponential(0.1, 1.0).unwrap()).unwrap(),
+            ],
+        )
+        .unwrap();
+        let qbd = QbdMatrices::new(&config).unwrap();
+        let s = qbd.order();
+        assert_eq!(qbd.da().len(), s);
+        for level in 0..=qbd.servers() + 1 {
+            assert_eq!(qbd.c_level(level).len(), s);
+        }
+        let da = Matrix::from_diagonal(qbd.da());
+        let b = Matrix::identity(s).scale(2.5);
+        let dense_q1 = &(&(qbd.a() - &da) - &Matrix::from_diagonal(qbd.c())) - &b;
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&qbd.q1()), bits(&dense_q1));
+        assert_eq!(bits(&qbd.q0()), bits(&b));
+        assert_eq!(bits(&qbd.environment_generator()), bits(&(qbd.a() - &da)));
     }
 
     #[test]
@@ -531,7 +533,6 @@ mod tests {
         let (kl, ku) = qbd.q1_bandwidths();
         assert_eq!((kl, ku), BandedMatrix::bandwidths_of(&qbd.q1()));
         assert!(!qbd.banded_recommended());
-        assert!(qbd.skeleton().q1_density() > 0.0 && qbd.skeleton().q1_density() <= 1.0);
         // Q0 and Q2 are diagonal, so the union bandwidth is Q1's own.
         assert_eq!(BandedMatrix::bandwidths_of(&qbd.q0()), (0, 0));
         assert_eq!(BandedMatrix::bandwidths_of(&qbd.q2()), (0, 0));

@@ -58,7 +58,7 @@ use std::f64::consts::PI;
 use std::sync::Arc;
 
 use urs_linalg::{
-    banded_profitable, BandedMatrix, CBandedLu, CBandedMatrix, CluDecomposition, Complex, Matrix,
+    banded_profitable, CBandedLu, CBandedMatrix, CMatrix, CluDecomposition, Complex, Matrix,
     Workspace,
 };
 
@@ -343,7 +343,8 @@ impl ResponseOptions {
 }
 
 /// The assembled per-configuration transform skeleton: the real parts of the resolvent
-/// bases, the diagonal coupling rates and the truncated arrival-state distribution.
+/// bases (one shared `−A` plus a diagonal per level), the diagonal coupling rates and
+/// the truncated arrival-state distribution.
 ///
 /// Everything here is λ-and-lifecycle-specific but *inversion-independent*, which is
 /// why [`SolverCache`] memoises values of this type: every CDF or percentile query
@@ -353,10 +354,11 @@ pub struct ResponseTransform {
     order: usize,
     servers: usize,
     mean_response_time: f64,
-    /// `Dᴬ + C_{a+1} − A` for `a = 0..N−1`: the boundary resolvent bases.
-    boundary_bases: Vec<Matrix>,
-    /// `Dᴬ + C_N − A`: the base shared by every repeating level `a ≥ N`.
-    repeat_base: Matrix,
+    /// `−A`: the off-diagonal part of every resolvent base `Dᴬ + C_{a+1} − A`.
+    neg_a: Matrix,
+    /// The diagonals `Dᴬ + C_{a+1}` of the resolvent bases for `a = 0..N−1`; the
+    /// last, `Dᴬ + C_N`, is also the base shared by every repeating level `a ≥ N`.
+    base_diagonals: Vec<Vec<f64>>,
     /// `diag(C_a)` for `a = 0..=N`: departure rates of the jobs ahead.
     ahead_rates: Vec<Vec<f64>>,
     /// `diag(C_{a+1} − C_a)` for `a = 0..N−1`: the tagged job's completion rates.
@@ -387,17 +389,14 @@ impl ResponseTransform {
             });
         }
         let servers = skeleton.servers();
-        let diagonal =
-            |m: &Matrix| -> Vec<f64> { (0..order).map(|i| m.get(i, i).unwrap_or(0.0)).collect() };
-        let mut boundary_bases = Vec::with_capacity(servers);
-        for a in 0..servers {
-            let shifted = skeleton.da() + skeleton.c_at(a + 1);
-            boundary_bases.push(&shifted - skeleton.a());
-        }
-        let repeat_sum = skeleton.da() + skeleton.c();
-        let repeat_base = &repeat_sum - skeleton.a();
+        let neg_a = skeleton.a().map(|a| 0.0 - a);
+        let base_diagonals: Vec<Vec<f64>> = (1..=servers)
+            .map(|level| {
+                skeleton.da().iter().zip(skeleton.c_level(level)).map(|(d, c)| d + c).collect()
+            })
+            .collect();
         let ahead_rates: Vec<Vec<f64>> =
-            (0..=servers).map(|a| diagonal(skeleton.c_at(a))).collect();
+            (0..=servers).map(|level| skeleton.c_level(level).to_vec()).collect();
         let completions: Vec<Vec<f64>> = ahead_rates
             .windows(2)
             .map(|pair| match pair {
@@ -409,22 +408,17 @@ impl ResponseTransform {
         // even when the boundary already holds nearly all the mass.
         let (arrival_levels, residual_mass) =
             solution.arrival_state_distribution(tail_epsilon, servers + 1)?;
-        let mut bandwidths = BandedMatrix::bandwidths_of(&repeat_base);
-        for base in &boundary_bases {
-            let (l, u) = BandedMatrix::bandwidths_of(base);
-            bandwidths = (bandwidths.0.max(l), bandwidths.1.max(u));
-        }
         Ok(ResponseTransform {
             order,
             servers,
             mean_response_time: solution.mean_response_time(),
-            boundary_bases,
-            repeat_base,
+            neg_a,
+            base_diagonals,
             ahead_rates,
             completions,
             arrival_levels,
             residual_mass,
-            bandwidths,
+            bandwidths: skeleton.q1_bandwidths(),
         })
     }
 
@@ -495,7 +489,7 @@ impl ResponseTransform {
         let mut phi = workspace.complex_buffer(order);
         let mut rhs = workspace.complex_buffer(order);
         let mut total = Complex::ZERO;
-        for (a, base) in self.boundary_bases.iter().enumerate() {
+        for (a, base) in self.base_diagonals.iter().enumerate() {
             let ahead: &[f64] = self.ahead_rates.get(a).map(Vec::as_slice).unwrap_or_default();
             let completions: &[f64] =
                 self.completions.get(a).map(Vec::as_slice).unwrap_or_default();
@@ -505,15 +499,13 @@ impl ResponseTransform {
                 *slot = *prev * *rate + Complex::from_real(*completion);
             }
             if use_banded {
-                let resolvent = shifted_banded(base, s, kl, ku);
+                let resolvent = self.shifted_banded(base, s);
                 let lu = CBandedLu::new_allow_singular_pooled(&resolvent, workspace)?;
                 let solved = lu.solve_into(&rhs, &mut phi);
                 lu.recycle(workspace);
                 solved?;
             } else {
-                let mut shifted = workspace.complex_matrix(order, order);
-                shifted.copy_from_real(base)?;
-                shifted.shift_diagonal(s)?;
+                let shifted = self.shifted_dense(base, s, workspace)?;
                 let lu = CluDecomposition::from_matrix_with(shifted, pool)?;
                 lu.solve_into(&rhs, &mut phi)?;
                 workspace.release_complex_matrix(lu.into_matrix());
@@ -526,12 +518,13 @@ impl ResponseTransform {
             std::mem::swap(&mut phi_prev, &mut phi);
         }
         if self.arrival_levels.len() > self.servers {
-            let service = self
-                .ahead_rates
-                .get(self.servers)
-                .ok_or(ModelError::Internal("transform is missing the repeating-level rates"))?;
+            let (Some(service), Some(repeat_base)) =
+                (self.ahead_rates.get(self.servers), self.base_diagonals.last())
+            else {
+                return Err(ModelError::Internal("transform is missing the repeating-level rates"));
+            };
             if use_banded {
-                let resolvent = shifted_banded(&self.repeat_base, s, kl, ku);
+                let resolvent = self.shifted_banded(repeat_base, s);
                 let lu = CBandedLu::new_allow_singular_pooled(&resolvent, workspace)?;
                 let mut solved = Ok(());
                 for level in self.servers..self.arrival_levels.len() {
@@ -552,9 +545,7 @@ impl ResponseTransform {
                 lu.recycle(workspace);
                 solved?;
             } else {
-                let mut shifted = workspace.complex_matrix(order, order);
-                shifted.copy_from_real(&self.repeat_base)?;
-                shifted.shift_diagonal(s)?;
+                let shifted = self.shifted_dense(repeat_base, s, workspace)?;
                 let lu = CluDecomposition::from_matrix_with(shifted, pool)?;
                 for level in self.servers..self.arrival_levels.len() {
                     for i in 0..order {
@@ -599,20 +590,37 @@ impl ResponseTransform {
         }
         Ok((cdf, density))
     }
-}
 
-/// Evaluates `s·I + base` straight into packed banded storage, element-for-element
-/// identical to the dense `copy_from_real` + `shift_diagonal` route.
-fn shifted_banded(base: &Matrix, s: Complex, kl: usize, ku: usize) -> CBandedMatrix {
-    CBandedMatrix::from_fn(base.rows(), kl, ku, |i, j| {
-        // urs-analyze: allow(slice_index, reason = "bounded by the phase order and level count fixed at construction")
-        let v = Complex::from_real(base[(i, j)]);
-        if i == j {
-            v + s
-        } else {
-            v
+    /// The resolvent `s·I + diag(diagonal) − A` in a workspace-pooled dense matrix.
+    fn shifted_dense(
+        &self,
+        diagonal: &[f64],
+        s: Complex,
+        workspace: &mut Workspace,
+    ) -> Result<CMatrix> {
+        let mut shifted = workspace.complex_matrix(self.order, self.order);
+        shifted.copy_from_real(&self.neg_a)?;
+        for (i, &d) in diagonal.iter().enumerate() {
+            // urs-analyze: allow(slice_index, reason = "bounded by the phase order and level count fixed at construction")
+            shifted[(i, i)] = Complex::from_real(d) + s;
         }
-    })
+        Ok(shifted)
+    }
+
+    /// The same resolvent evaluated straight into packed banded storage,
+    /// element-for-element identical to [`shifted_dense`](Self::shifted_dense).
+    fn shifted_banded(&self, diagonal: &[f64], s: Complex) -> CBandedMatrix {
+        let (kl, ku) = self.bandwidths;
+        CBandedMatrix::from_fn(self.order, kl, ku, |i, j| {
+            if i == j {
+                // urs-analyze: allow(slice_index, reason = "bounded by the phase order and level count fixed at construction")
+                Complex::from_real(diagonal[i]) + s
+            } else {
+                // urs-analyze: allow(slice_index, reason = "bounded by the phase order and level count fixed at construction")
+                Complex::from_real(self.neg_a[(i, j)])
+            }
+        })
+    }
 }
 
 /// The analytic response-time distribution of one system configuration.

@@ -12,21 +12,26 @@
 //!
 //! * the eigenvalues come from the companion linearisation in
 //!   [`urs_linalg::QuadraticEigenProblem`] (Francis QR under the hood);
-//! * the boundary equations are assembled as a complex block-tridiagonal system with
-//!   `N+1` block rows (the last block holds the `γ` coefficients) and solved by block
-//!   elimination with a dense fallback;
-//! * instead of replacing an equation by the normalisation condition (which would
-//!   destroy the banded structure), one balance equation is replaced by pinning the
-//!   probability of a well-chosen reference state to 1; the whole solution is rescaled
-//!   afterwards.  Any single balance equation is redundant, so this is exact.
+//! * the eigenpairs determine the rate matrix of the repeating levels,
+//!   `R = U⁻¹·Z·U` with `U` the matrix whose rows are the `u_k` and
+//!   `Z = diag(z_k)`: one complex LU of `U`.  `R` is real in exact arithmetic; its
+//!   imaginary residue is checked against
+//!   [`reality_tolerance`](SpectralOptions::reality_tolerance);
+//! * the boundary levels `0..N` are then eliminated in real arithmetic by the
+//!   boundary solve shared with the
+//!   [`MatrixGeometricSolver`](crate::MatrixGeometricSolver), so the two exact
+//!   solvers differ only in how they obtain `R`;
+//! * the same LU of `U` yields the coefficients `γ` from `γ·U = v_N`, so the
+//!   expansion is anchored at level `N`: `v_j = Σ_k γ_k·u_k·z_k^(j−N)` for `j ≥ N`.
 
 use std::sync::Arc;
 
-use urs_linalg::{BlockTridiagonal, CMatrix, Complex, LinalgError, Matrix};
+use urs_linalg::{CMatrix, CluDecomposition, Complex, Workspace};
 
 use crate::cache::SolverCache;
 use crate::config::SystemConfig;
 use crate::error::ModelError;
+use crate::matrix_geometric::solve_boundary;
 use crate::parallel::ThreadPool;
 use crate::qbd::QbdMatrices;
 use crate::solution::{QueueSolution, QueueSolver};
@@ -103,8 +108,8 @@ impl SpectralExpansionSolver {
         self
     }
 
-    /// Runs the solver's internal kernels — eigenvector extraction, the boundary
-    /// block-tridiagonal elimination, and the dense multiplies feeding it — on `pool`.
+    /// Runs the solver's internal kernels — eigenvector extraction, the LU of the
+    /// eigenvector matrix and the boundary block-tridiagonal elimination — on `pool`.
     ///
     /// Every parallel path preserves the serial accumulation order, so the solution
     /// is bit-identical to the default serial solver at any thread count.
@@ -159,7 +164,9 @@ impl SpectralExpansionSolver {
         // reused and only the missing eigenvectors are extracted.  Both producers
         // compute the same deterministic quantities from the same skeleton, so the
         // cached and freshly factorised paths are bit-identical.
-        let problem = urs_linalg::QuadraticEigenProblem::new(qbd.q0(), qbd.q1(), qbd.q2())?;
+        let q1 = qbd.q1();
+        let scale = q1.max_abs().max(1.0);
+        let problem = urs_linalg::QuadraticEigenProblem::new(qbd.q0(), q1, qbd.q2())?;
         let cached_entry = match &self.cache {
             Some(cache) => cache
                 .lookup_eigensystem(config, self.options.unit_disk_margin)?
@@ -188,7 +195,6 @@ impl SpectralExpansionSolver {
             )));
         }
         inside.sort_by(|a, b| order(&a.0, &b.0));
-        let scale = qbd.q1().max_abs().max(1.0);
         // Each eigenvector extraction is independent, so the sorted list fans out
         // across the pool.  When the QBD blocks are banded-profitable the extraction
         // is shifted inverse iteration on one packed banded LU of Q(z)ᵀ per
@@ -231,14 +237,45 @@ impl SpectralExpansionSolver {
             )?;
         }
 
-        // 2. Boundary equations: block-tridiagonal system over v_0..v_{N-1} and γ.
-        // The pin mode (largest stationary environment probability) is λ-independent
-        // and precomputed in the skeleton.
-        let pin_mode = qbd.skeleton().pin_mode();
-        let boundary = solve_boundary(qbd, &eigenvalues, &eigenvectors, pin_mode, &self.pool)?;
+        // 2. R = U⁻¹·Z·U (u_k R = z_k u_k row by row), then the boundary elimination
+        // shared with the matrix-geometric solver.
+        let u = CMatrix::from_vec(s, s, eigenvectors.concat())?;
+        let z_u: Vec<Complex> = eigenvalues
+            .iter()
+            .zip(&eigenvectors)
+            .flat_map(|(z, u_k)| u_k.iter().map(move |x| *z * *x))
+            .collect();
+        let z_u = CMatrix::from_vec(s, s, z_u)?;
+        let u_lu = CluDecomposition::new_with(&u, &self.pool)?;
+        let mut r = CMatrix::zeros(s, s);
+        u_lu.solve_matrix_into(&z_u, &mut r)?;
+        let r_residue = r.max_imag_abs() / r.max_abs().max(1.0);
+        if r_residue > self.options.reality_tolerance {
+            return Err(ModelError::SpectralFailure(format!(
+                "rate matrix U⁻¹·Z·U retains imaginary residue {r_residue:.3e}"
+            )));
+        }
+        let mut levels = solve_boundary(qbd, &r.real_part(), &self.pool)?;
 
-        // 3. Assemble the solution and normalise.
-        SpectralSolution::assemble(config, qbd, eigenvalues, eigenvectors, boundary, self.options)
+        // 3. The expansion coefficients from γ·U = v_N, on the same factors.
+        let v_n = levels.pop().ok_or(ModelError::Internal("boundary solve returned no levels"))?;
+        let v_n = CMatrix::from_vec(1, s, v_n.into_iter().map(Complex::from_real).collect())?;
+        let mut gamma = CMatrix::zeros(1, s);
+        u_lu.solve_right_matrix_into(&v_n, &mut gamma, &mut Workspace::new())?;
+
+        // 4. Fold the coefficients into the eigenvectors, w_k = γ_k·u_k, then
+        // assemble the solution and normalise.
+        let terms = eigenvalues
+            .iter()
+            .zip(&eigenvectors)
+            .zip(gamma.as_slice())
+            .map(|((z, u), gamma)| {
+                let weighted_vector: Vec<Complex> = u.iter().map(|c| *c * *gamma).collect();
+                let weighted_sum = weighted_vector.iter().copied().sum();
+                SpectralTerm { z: *z, weighted_vector, weighted_sum }
+            })
+            .collect();
+        SpectralSolution::assemble(config, qbd, levels, terms, r_residue, self.options)
     }
 }
 
@@ -250,124 +287,6 @@ impl QueueSolver for SpectralExpansionSolver {
     fn solve(&self, config: &SystemConfig) -> Result<Box<dyn QueueSolution>> {
         Ok(Box::new(self.solve_detailed(config)?))
     }
-}
-
-/// Raw (un-normalised) boundary unknowns: `v_0..v_{N-1}` followed by the coefficient
-/// vector `γ`.
-struct BoundaryUnknowns {
-    levels: Vec<Vec<Complex>>,
-    gamma: Vec<Complex>,
-}
-
-/// Builds and solves the boundary block-tridiagonal system.
-fn solve_boundary(
-    qbd: &QbdMatrices,
-    eigenvalues: &[Complex],
-    eigenvectors: &[Vec<Complex>],
-    pin_mode: usize,
-    pool: &ThreadPool,
-) -> Result<BoundaryUnknowns> {
-    let s = qbd.order();
-    let servers = qbd.servers();
-    let block_rows = servers + 1;
-
-    // U_mat(j): s×s complex matrix whose k-th row is u_k · z_k^j.
-    let u_mat = |level: u32| -> CMatrix {
-        CMatrix::from_fn(s, s, |k, i| eigenvectors[k][i] * eigenvalues[k].powi(level))
-    };
-    // C is diagonal, so every U·C product below is a column scaling (`O(s²)`)
-    // instead of a dense complex matmul (`O(s³)`).
-    let c_diag = qbd.c().diagonal();
-    let u_mat_c = |level: u32| -> Result<CMatrix> {
-        let mut m = u_mat(level);
-        m.scale_columns_real(&c_diag)?;
-        Ok(m)
-    };
-
-    let b = qbd.b();
-    let to_cmatrix = CMatrix::from_real;
-
-    let mut system = BlockTridiagonal::new(block_rows, s)?;
-
-    for j in 0..block_rows {
-        if j < servers {
-            // Plain boundary level j: diagonal block (Dᴬ+B+C_j−A)ᵀ.
-            let mut diag_t = transpose_to_cmatrix(&qbd.local_matrix(j));
-            let mut rhs = vec![Complex::ZERO; s];
-            // Sub-diagonal block −Bᵀ (B is diagonal, so transpose is itself).
-            if j > 0 {
-                system.set_lower(j, &to_cmatrix(b) * Complex::from_real(-1.0))?;
-            }
-            // Super-diagonal: −C_{j+1}ᵀ towards v_{j+1}, or towards γ when j = N−1.
-            if j + 1 < servers {
-                system.set_upper(
-                    j,
-                    &transpose_to_cmatrix(qbd.c_level(j + 1)) * Complex::from_real(-1.0),
-                )?;
-            } else {
-                // Coupling to γ through v_N = γ·U_mat(N):  −(U_mat(N)·C)ᵀ.
-                let coupling = u_mat_c(servers as u32)?;
-                system.set_upper(j, &coupling.transpose() * Complex::from_real(-1.0))?;
-            }
-            if j == 0 {
-                // Replace the balance equation of the pin state by  v_0[pin] = 1.
-                for col in 0..s {
-                    diag_t[(pin_mode, col)] =
-                        if col == pin_mode { Complex::ONE } else { Complex::ZERO };
-                }
-                if servers > 1 {
-                    // Zero the pin row of the super-diagonal block as well.
-                    let mut upper = transpose_to_cmatrix(qbd.c_level(1));
-                    for col in 0..s {
-                        upper[(pin_mode, col)] = Complex::ZERO;
-                    }
-                    system.set_upper(0, &upper * Complex::from_real(-1.0))?;
-                    // set_upper(0) may have been set above for the γ coupling when N = 1;
-                    // here servers > 1 so this is the plain −C_1ᵀ block with a zeroed row.
-                } else {
-                    // N = 1: the super-diagonal couples to γ; zero its pin row too.
-                    let coupling = u_mat_c(1)?;
-                    let mut upper = coupling.transpose();
-                    for col in 0..s {
-                        upper[(pin_mode, col)] = Complex::ZERO;
-                    }
-                    system.set_upper(0, &upper * Complex::from_real(-1.0))?;
-                }
-                rhs[pin_mode] = Complex::ONE;
-            }
-            system.set_diagonal(j, diag_t)?;
-            system.set_rhs(j, rhs)?;
-        } else {
-            // Level N: −v_{N−1}·B + γ·[U_N·(Dᴬ+B+C−A) − U_{N+1}·C] = 0.
-            system.set_lower(j, &to_cmatrix(b) * Complex::from_real(-1.0))?;
-            let mut term1 = CMatrix::zeros(s, s);
-            term1.gemm_with(
-                Complex::ONE,
-                &u_mat(servers as u32),
-                &to_cmatrix(&qbd.local_matrix(servers)),
-                Complex::ZERO,
-                pool,
-            )?;
-            let term2 = u_mat_c(servers as u32 + 1)?;
-            let diag = (&term1 - &term2).transpose();
-            system.set_diagonal(j, diag)?;
-            system.set_rhs(j, vec![Complex::ZERO; s])?;
-        }
-    }
-
-    let solution = match system.solve_with(pool) {
-        Ok(x) => x,
-        Err(LinalgError::Singular { .. }) => system.solve_dense()?,
-        Err(e) => return Err(e.into()),
-    };
-    let gamma = solution[servers].clone();
-    let levels = solution[..servers].to_vec();
-    Ok(BoundaryUnknowns { levels, gamma })
-}
-
-/// Transposes a real matrix into a complex one.
-fn transpose_to_cmatrix(m: &Matrix) -> CMatrix {
-    CMatrix::from_fn(m.cols(), m.rows(), |i, j| Complex::from_real(m[(j, i)]))
 }
 
 /// One term of the spectral expansion: the eigenvalue `z_k` together with the
@@ -393,83 +312,56 @@ pub struct SpectralSolution {
 }
 
 impl SpectralSolution {
+    /// Normalises the boundary levels `v_0..v_{N−1}` together with the tail
+    /// `v_j = Σ_k w_k·z_k^(j−N)`, `j ≥ N`.
     fn assemble(
         config: &SystemConfig,
         qbd: &QbdMatrices,
-        eigenvalues: Vec<Complex>,
-        eigenvectors: Vec<Vec<Complex>>,
-        boundary: BoundaryUnknowns,
+        mut boundary: Vec<Vec<f64>>,
+        mut terms: Vec<SpectralTerm>,
+        r_residue: f64,
         options: SpectralOptions,
     ) -> Result<Self> {
         let s = qbd.order();
         let servers = qbd.servers();
 
-        // Fold the coefficients γ_k into the eigenvectors.
-        let mut terms: Vec<SpectralTerm> = eigenvalues
-            .iter()
-            .zip(&eigenvectors)
-            .zip(&boundary.gamma)
-            .map(|((z, u), gamma)| {
-                let weighted_vector: Vec<Complex> = u.iter().map(|c| *c * *gamma).collect();
-                let weighted_sum = weighted_vector.iter().copied().sum();
-                SpectralTerm { z: *z, weighted_vector, weighted_sum }
-            })
-            .collect();
-
-        // Total (un-normalised) probability mass.
-        let boundary_mass: Complex =
-            boundary.levels.iter().map(|v| v.iter().copied().sum::<Complex>()).sum();
-        let tail_mass: Complex = terms
-            .iter()
-            .map(|t| t.weighted_sum * t.z.powi(servers as u32) / (Complex::ONE - t.z))
-            .sum();
-        let total = boundary_mass + tail_mass;
+        // Total (un-normalised) probability mass: Σ_{j≥N} v_j·1 = Σ_k w_k·1/(1 − z_k).
+        let boundary_mass: f64 = boundary.iter().map(|v| v.iter().sum::<f64>()).sum();
+        let tail_mass: Complex = terms.iter().map(|t| t.weighted_sum / (Complex::ONE - t.z)).sum();
+        let total = tail_mass + boundary_mass;
         if total.abs() < 1e-300 {
             return Err(ModelError::SpectralFailure(
                 "total probability mass vanished during normalisation".into(),
             ));
         }
-        let max_imag = (total.im / total.abs()).abs();
-
-        // Normalise: divide every unknown by the total mass.
-        let boundary_real: Vec<Vec<f64>> =
-            boundary.levels.iter().map(|v| v.iter().map(|c| (*c / total).re).collect()).collect();
-        for term in &mut terms {
-            for w in &mut term.weighted_vector {
-                *w /= total;
-            }
-            term.weighted_sum /= total;
-        }
-
-        // Track how far from real the normalised solution is.
-        let mut max_imaginary_residue = max_imag;
-        for (level, complex_level) in boundary.levels.iter().enumerate() {
-            for c in complex_level {
-                let normalised = *c / total;
-                let residue = normalised.im.abs();
-                if residue > max_imaginary_residue {
-                    max_imaginary_residue = residue;
-                }
-            }
-            let _ = level;
-        }
+        let max_imaginary_residue = r_residue.max((total.im / total.abs()).abs());
         if max_imaginary_residue > options.reality_tolerance {
             return Err(ModelError::SpectralFailure(format!(
                 "probabilities retain imaginary residue {max_imaginary_residue:.3e}"
             )));
         }
 
+        // Normalise every unknown by the (real) total mass.
+        let total = total.re;
+        for p in boundary.iter_mut().flatten() {
+            *p /= total;
+        }
+        for term in &mut terms {
+            for w in &mut term.weighted_vector {
+                *w = *w / total;
+            }
+            term.weighted_sum = term.weighted_sum / total;
+        }
+
         // Mean queue length:
-        //   L = Σ_{j<N} j·(v_j·1) + Σ_k w_k_sum · z^N (N − (N−1)z) / (1−z)².
+        //   L = Σ_{j<N} j·(v_j·1) + Σ_k w_k_sum · (N − (N−1)z) / (1−z)².
         let boundary_part: f64 =
-            boundary_real.iter().enumerate().map(|(j, v)| j as f64 * v.iter().sum::<f64>()).sum();
+            boundary.iter().enumerate().map(|(j, v)| j as f64 * v.iter().sum::<f64>()).sum();
         let tail_part: Complex = terms
             .iter()
             .map(|t| {
                 let one_minus = Complex::ONE - t.z;
-                t.weighted_sum
-                    * t.z.powi(servers as u32)
-                    * (Complex::from_real(servers as f64) - t.z * (servers as f64 - 1.0))
+                t.weighted_sum * (Complex::from_real(servers as f64) - t.z * (servers as f64 - 1.0))
                     / (one_minus * one_minus)
             })
             .sum();
@@ -479,7 +371,7 @@ impl SpectralSolution {
             servers,
             arrival_rate: config.arrival_rate(),
             mode_count: s,
-            boundary: boundary_real,
+            boundary,
             terms,
             mean_queue_length,
             max_imaginary_residue,
@@ -498,8 +390,8 @@ impl SpectralSolution {
         self.terms.last().map(|t| t.z.re).unwrap_or(0.0)
     }
 
-    /// The largest imaginary residue observed when converting the (theoretically real)
-    /// probabilities from complex arithmetic; a solver-quality diagnostic.
+    /// The largest imaginary residue observed in the (theoretically real) rate matrix
+    /// `U⁻¹·Z·U` and total probability mass; a solver-quality diagnostic.
     pub fn max_imaginary_residue(&self) -> f64 {
         self.max_imaginary_residue
     }
@@ -531,7 +423,8 @@ impl QueueSolution for SpectralSolution {
         if level < self.servers {
             self.boundary[level][mode]
         } else {
-            self.terms.iter().map(|t| (t.weighted_vector[mode] * t.z.powi(level as u32)).re).sum()
+            let power = (level - self.servers) as u32;
+            self.terms.iter().map(|t| (t.weighted_vector[mode] * t.z.powi(power)).re).sum()
         }
     }
 
@@ -542,11 +435,7 @@ impl QueueSolution for SpectralSolution {
                 let tail: f64 = self
                     .terms
                     .iter()
-                    .map(|t| {
-                        (t.weighted_vector[mode] * t.z.powi(self.servers as u32)
-                            / (Complex::ONE - t.z))
-                            .re
-                    })
+                    .map(|t| (t.weighted_vector[mode] / (Complex::ONE - t.z)).re)
                     .sum();
                 boundary + tail
             })
@@ -559,10 +448,11 @@ impl QueueSolution for SpectralSolution {
 
     fn tail_probability(&self, level: usize) -> f64 {
         if level + 1 >= self.servers {
-            // P(Z > level) = Σ_k w_sum z^{level+1}/(1−z)
+            // P(Z > level) = Σ_k w_sum z^{level+1−N}/(1−z)
+            let power = (level + 1 - self.servers) as u32;
             self.terms
                 .iter()
-                .map(|t| (t.weighted_sum * t.z.powi(level as u32 + 1) / (Complex::ONE - t.z)).re)
+                .map(|t| (t.weighted_sum * t.z.powi(power) / (Complex::ONE - t.z)).re)
                 .sum()
         } else {
             let below: f64 = (0..=level).map(|j| self.level_probability(j)).sum();

@@ -141,7 +141,7 @@ impl TruncatedCtmcSolver {
                 // Departures: the skeleton's level-dependent C matrices already
                 // encode the (class-aware, fastest-first) allocation of jobs to
                 // servers.
-                let rate = c_level[(mode, mode)];
+                let rate = c_level[mode];
                 if rate > 0.0 {
                     outgoing[mode].push((state(mode, level - 1), rate));
                     exit_rate[mode] += rate;

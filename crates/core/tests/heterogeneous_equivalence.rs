@@ -14,9 +14,10 @@
 use std::sync::Arc;
 
 use urs_core::{
-    consistency_violations, sweeps::queue_length_vs_load, GeometricApproximation,
+    consistency_violations, sweeps::queue_length_vs_load_with, GeometricApproximation,
     MatrixGeometricSolver, ModeSpace, QbdMatrices, QueueSolution, ServerClass, ServerLifecycle,
-    SolverCache, SpectralExpansionSolver, SystemConfig, TruncatedCtmcSolver, TruncatedOptions,
+    SolverCache, SpectralExpansionSolver, SystemConfig, ThreadPool, TruncatedCtmcSolver,
+    TruncatedOptions,
 };
 
 fn paper_lifecycle() -> ServerLifecycle {
@@ -196,14 +197,8 @@ fn faster_servers_first_beats_reversed_class_order() {
     // Mean departure rate at level 1 (one job) differs: canonical serves it at the
     // fast rate in every mode where a fast server is up.
     let canonical_qbd = QbdMatrices::new(&canonical).unwrap();
-    let mut canonical_total = 0.0;
-    let mut reversed_total = 0.0;
-    for i in 0..qbd.order() {
-        reversed_total += qbd.c_level(1)[(i, i)];
-    }
-    for i in 0..canonical_qbd.order() {
-        canonical_total += canonical_qbd.c_level(1)[(i, i)];
-    }
+    let canonical_total: f64 = canonical_qbd.c_level(1).iter().sum();
+    let reversed_total: f64 = qbd.c_level(1).iter().sum();
     assert!(
         canonical_total > reversed_total,
         "fastest-first must serve a lone job faster: {canonical_total} vs {reversed_total}"
@@ -220,7 +215,12 @@ fn shared_cache_eliminates_the_duplicated_eigensolve() {
     let approx = GeometricApproximation::default().with_cache(Arc::clone(&cache));
     let base = SystemConfig::new(5, 3.0, 1.0, paper_lifecycle()).unwrap();
     let utilisations = [0.80, 0.85, 0.90, 0.95];
-    let points = queue_length_vs_load(&spectral, &approx, &base, &utilisations).unwrap();
+    // A serial sweep: the cache checks, builds and then inserts, so concurrent
+    // workers may each miss the same skeleton; the counts below are exact only
+    // when the grid points run one after another.
+    let points =
+        queue_length_vs_load_with(&spectral, &approx, &base, &utilisations, &ThreadPool::serial())
+            .unwrap();
     assert_eq!(points.len(), 4);
 
     let stats = cache.stats();

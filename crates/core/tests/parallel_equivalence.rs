@@ -19,7 +19,7 @@ use urs_core::{
 };
 use urs_dist::HyperExponential;
 use urs_linalg::{
-    BlockTridiagonal, CMatrix, CluDecomposition, Complex, LuDecomposition, Matrix, Workspace,
+    CMatrix, CluDecomposition, Complex, LuDecomposition, Matrix, RealBlockTridiagonal, Workspace,
 };
 
 fn paper_base(servers: usize, lambda: f64, repair_rate: f64) -> SystemConfig {
@@ -324,35 +324,31 @@ fn complex_blocked_lu_is_bit_identical_across_the_thread_matrix() {
 
 #[test]
 fn block_tridiagonal_solve_is_bit_identical_across_the_thread_matrix() {
-    // Block size 40 puts the per-block gemm and right-solve work past the
-    // parallel cut-over, so the pooled path genuinely fans out.
+    // Block size 40 puts the per-block right-solve and LU work past the parallel
+    // cut-over, so the pooled path genuinely fans out; the couplings are packed
+    // diagonals, the shape of the QBD boundary.
     let (rows, s) = (4, 40);
-    let mut system = BlockTridiagonal::new(rows, s).unwrap();
+    let mut system = RealBlockTridiagonal::new(rows, s).unwrap();
+    let diagonal = |seed: u64| {
+        let mut state = seed;
+        (0..s).map(|_| lcg(&mut state)).collect::<Vec<f64>>()
+    };
     for i in 0..rows {
-        system.set_diagonal(i, dominant_cmatrix(s, 100 + i as u64)).unwrap();
+        system.set_diagonal(i, dominant_matrix(s, 100 + i as u64)).unwrap();
         if i > 0 {
-            system.set_lower(i, random_cmatrix(s, s, 200 + i as u64)).unwrap();
+            system.set_lower_diagonal(i, diagonal(200 + i as u64)).unwrap();
         }
         if i + 1 < rows {
-            system.set_upper(i, random_cmatrix(s, s, 300 + i as u64)).unwrap();
+            system.set_upper_diagonal(i, diagonal(300 + i as u64)).unwrap();
         }
-        let mut state = 400 + i as u64;
-        let rhs: Vec<Complex> =
-            (0..s).map(|_| Complex::new(lcg(&mut state), lcg(&mut state))).collect();
-        system.set_rhs(i, rhs).unwrap();
+        system.set_rhs(i, diagonal(400 + i as u64)).unwrap();
     }
     let serial = system.solve().unwrap();
     for threads in THREAD_MATRIX {
         let parallel = system.solve_with(&ThreadPool::new(threads)).unwrap();
         assert_eq!(serial.len(), parallel.len());
         for (xs, ys) in serial.iter().zip(&parallel) {
-            for (x, y) in xs.iter().zip(ys) {
-                assert_eq!(
-                    (x.re.to_bits(), x.im.to_bits()),
-                    (y.re.to_bits(), y.im.to_bits()),
-                    "{threads} threads changed the block-tridiagonal solve",
-                );
-            }
+            assert_eq!(vec_bits(xs), vec_bits(ys), "{threads} threads changed the block solve");
         }
     }
 }

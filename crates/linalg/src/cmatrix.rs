@@ -269,29 +269,6 @@ impl CMatrix {
         Ok(())
     }
 
-    /// Scales column `j` by the real factor `diag[j]`, in place — right-multiplication
-    /// by a real diagonal matrix in `O(n²)`.  Used for products with the diagonal QBD
-    /// blocks `B = λI` and `C`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `diag.len() != self.cols()`.
-    pub fn scale_columns_real(&mut self, diag: &[f64]) -> Result<()> {
-        if diag.len() != self.cols {
-            return Err(LinalgError::DimensionMismatch {
-                operation: "complex column scaling by diagonal",
-                left: self.shape(),
-                right: (diag.len(), diag.len()),
-            });
-        }
-        for row in self.data.chunks_exact_mut(self.cols) {
-            for (x, &d) in row.iter_mut().zip(diag) {
-                *x *= d;
-            }
-        }
-        Ok(())
-    }
-
     /// Row-vector–matrix product `v * self`.
     ///
     /// # Errors

@@ -13,8 +13,8 @@
 //!   reduction and the Francis implicit double-shift QR iteration ([`eigenvalues`]),
 //! * eigenvalues of quadratic matrix polynomials `Q0 + Q1 z + Q2 z^2` through
 //!   companion linearisation ([`QuadraticEigenProblem`]),
-//! * complex and real block-tridiagonal solvers used for the boundary equations of
-//!   quasi-birth-death processes ([`BlockTridiagonal`], [`RealBlockTridiagonal`]),
+//! * a real block-tridiagonal solver with diagonal couplings for the boundary
+//!   equations of quasi-birth-death processes ([`RealBlockTridiagonal`]),
 //! * packed band storage with banded matvec/gemm and banded LU, real and complex
 //!   ([`BandedMatrix`]/[`BandedLu`], [`CBandedMatrix`]/[`CBandedLu`]), bit-identical
 //!   to the dense kernels on the same nonzero pattern, with the
@@ -38,7 +38,7 @@
 //! This crate is the numerical engine behind the paper's Section 3: the quadratic
 //! eigenproblem of the characteristic polynomial `Q(z)` (§3.1, spectral expansion)
 //! lives in [`QuadraticEigenProblem`], and the boundary balance equations are solved
-//! through [`BlockTridiagonal`].  Everything here is immutable once constructed and
+//! through [`RealBlockTridiagonal`].  Everything here is immutable once constructed and
 //! safe to share across the worker threads of `urs_core`'s parallel sweeps.
 //!
 //! | API | Role in the reproduction |
@@ -49,7 +49,7 @@
 //! | [`ThreadPool`] + the `*_with` kernels | row-banded parallel gemm, trailing-update LU and right-solves; panels and pivoting stay serial, bands are disjoint, accumulation order is fixed — the pool changes wall time, never bits (pinned by the `parallel_equivalence` and `properties` suites) |
 //! | [`BandedMatrix`]/[`BandedLu`], [`CBandedMatrix`]/[`CBandedLu`] | packed storage for the QBD generator bands (§3's `Q(z)` blocks have bandwidth `N + 1` inside `s = (N+1)(N+2)/2` modes); banded matvec/gemm/LU/solves bit-identical to dense on the same pattern, gated by [`banded_profitable`] |
 //! | [`QuadraticEigenProblem::left_eigenvector`] | eigenvector extraction by shifted inverse iteration on one banded LU of `Q(z)ᵀ` per eigenvalue (dense null-space fallback), replacing the `O(s⁴)` per-eigenvalue Gaussian null-space sweep |
-//! | [`RealBlockTridiagonal`] | all-real boundary elimination for the matrix-geometric method (`B = λI` keeps the boundary blocks real) |
+//! | [`RealBlockTridiagonal`] | the boundary elimination shared by both exact solvers once the repeating levels are summarised by a real rate matrix `R`; the couplings `B = λI` and `C_j` are packed diagonals, so each Schur update is an `O(s²)` column scaling |
 //!
 //! # Example
 //!
@@ -85,7 +85,7 @@ pub mod eigen;
 pub mod parallel;
 
 pub use banded::{BandedLu, BandedMatrix};
-pub use blocktri::{BlockTridiagonal, RealBlockTridiagonal};
+pub use blocktri::RealBlockTridiagonal;
 pub use cbanded::{CBandedLu, CBandedMatrix};
 pub use clu::CluDecomposition;
 pub use cmatrix::CMatrix;
