@@ -285,9 +285,10 @@ fn bench_sweeps(c: &mut Criterion) {
     });
 
     // Re-running a cost sweep with a different cost model re-solves the identical
-    // configurations: with a shared cache the second sweep is answered from memory.
+    // configurations: with a shared cache the second sweep is answered from the
+    // matrix-geometric solution memo.
     group.bench_function("cost_resweep_uncached", |b| {
-        let solver = SpectralExpansionSolver::default();
+        let solver = MatrixGeometricSolver::default();
         b.iter(|| {
             for cost in [CostModel::new(4.0, 1.0).unwrap(), CostModel::new(2.0, 1.0).unwrap()] {
                 CostSweep::evaluate_with(
@@ -303,7 +304,7 @@ fn bench_sweeps(c: &mut Criterion) {
     });
     group.bench_function("cost_resweep_cached", |b| {
         b.iter(|| {
-            let solver = SpectralExpansionSolver::default().with_cache(SolverCache::shared());
+            let solver = MatrixGeometricSolver::default().with_cache(SolverCache::shared());
             for cost in [CostModel::new(4.0, 1.0).unwrap(), CostModel::new(2.0, 1.0).unwrap()] {
                 CostSweep::evaluate_with(
                     &solver,
@@ -322,8 +323,8 @@ fn bench_sweeps(c: &mut Criterion) {
 /// The fleet-mix search of `urs_core::mix` under its two execution strategies on the
 /// identical candidate space: the all-exact exhaustive path versus approximation
 /// screening with exact verification of the shortlist.  Screening trades one cheap
-/// approximate solve per candidate for restricting the expensive spectral solves to
-/// the slack-band shortlist; the gap widens with the candidate space, so the full
+/// approximate solve per candidate for restricting the exact matrix-geometric solves
+/// to the slack-band shortlist; the gap widens with the candidate space, so the full
 /// run uses a three-class fleet (285 compositions, ≤ 32 verified) while the smoke
 /// run shrinks to a CI-sized two-class space.
 fn bench_mix(c: &mut Criterion) {

@@ -73,12 +73,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stats = cache.stats();
     println!(
         "screened optimum:   {} fast + {} steady (C = {:.4}; {} candidates verified, \
-         {} eigensystem reuses)",
+         {} skeleton reuses)",
         screened_best.counts()[0],
         screened_best.counts()[1],
         screened_best.cost(),
         screened.ranked().len(),
-        stats.eigen_hits
+        stats.skeleton_hits
     );
     if screened_best.counts() != best.counts() {
         return Err("screened optimum diverged from the exhaustive optimum".into());

@@ -1,4 +1,4 @@
-//! Keyed caching of the expensive, reusable pieces of the spectral solution.
+//! Keyed caching of the expensive, reusable pieces of the exact solutions.
 //!
 //! Profiling the sweeps behind the paper's Figures 5–9 shows that every grid point
 //! used to rebuild three kinds of state from scratch:
@@ -10,9 +10,10 @@
 //! 2. the **quadratic eigensystem** of `Q(z)` — which the spectral solver *and* the
 //!    geometric approximation each need for the same `(skeleton, λ)`, so Figures 8
 //!    and 9 used to pay the companion-matrix QR factorisation twice per grid point;
-//! 3. the **full spectral solution**, which is repeated verbatim whenever the same
-//!    configuration is solved twice (re-running a cost sweep with a different cost
-//!    model, comparing solvers on the same grid, interactive exploration).
+//! 3. the **full matrix-geometric solution** — the exact answer the query engine
+//!    serves — which is repeated verbatim whenever the same configuration is solved
+//!    twice (re-running a cost sweep with a different cost model, a percentile query
+//!    after a solve, interactive exploration).  Hits hand out the stored [`Arc`].
 //!
 //! [`SolverCache`] memoises all three levels — plus a fourth, the response-time
 //! transform skeletons of [`response`](crate::response) — behind `f64`-bit-exact
@@ -39,11 +40,11 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use urs_core::{ServerLifecycle, SolverCache, SpectralExpansionSolver, SystemConfig};
+//! use urs_core::{MatrixGeometricSolver, ServerLifecycle, SolverCache, SystemConfig};
 //!
 //! # fn main() -> Result<(), urs_core::ModelError> {
 //! let cache = SolverCache::shared();
-//! let solver = SpectralExpansionSolver::default().with_cache(Arc::clone(&cache));
+//! let solver = MatrixGeometricSolver::default().with_cache(Arc::clone(&cache));
 //! let base = SystemConfig::new(10, 8.0, 1.0, ServerLifecycle::paper_fitted()?)?;
 //!
 //! // Two arrival rates, same (N, µ, lifecycle): the skeleton is built once.
@@ -53,8 +54,10 @@
 //! assert_eq!(cache.stats().skeleton_hits, 1);
 //!
 //! // Solving the identical configuration again is a pure cache hit.
-//! solver.solve_detailed(&base)?;
-//! assert_eq!(cache.stats().solution_hits, 1);
+//! let first = solver.solve_shared(&base)?;
+//! let again = solver.solve_shared(&base)?;
+//! assert!(Arc::ptr_eq(&first, &again));
+//! assert_eq!(cache.stats().solution_hits, 2);
 //! # Ok(())
 //! # }
 //! ```
@@ -69,9 +72,9 @@ use urs_linalg::Complex;
 
 use crate::config::{canonical_bits, ServerClass, SystemConfig};
 use crate::error::ModelError;
+use crate::matrix_geometric::{MatrixGeometricOptions, MatrixGeometricSolution};
 use crate::qbd::QbdSkeleton;
 use crate::response::ResponseTransform;
-use crate::spectral::{SpectralOptions, SpectralSolution};
 use crate::Result;
 
 /// Default capacity of the skeleton map (skeletons are the largest entries).
@@ -172,29 +175,28 @@ impl SkeletonKey {
     }
 }
 
-/// Key of a complete spectral solution: skeleton key plus arrival rate and solver
-/// options (solutions depend on the tolerances through the failure conditions).
+/// Key of a complete matrix-geometric solution: skeleton key plus arrival rate and
+/// solver options (the tolerance moves where the reduction stops, the iteration
+/// budget whether it fails).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 struct SolutionKey {
     skeleton: SkeletonKey,
     arrival_rate: u64,
-    options: [u64; 3],
+    tolerance: u64,
+    max_iterations: usize,
 }
 
 impl SolutionKey {
-    fn new(config: &SystemConfig, options: &SpectralOptions) -> Result<Self> {
-        // Exhaustive destructuring: adding a field to SpectralOptions must break this
-        // line rather than silently conflating solutions computed under different
+    fn new(config: &SystemConfig, options: &MatrixGeometricOptions) -> Result<Self> {
+        // Exhaustive destructuring: adding a field to MatrixGeometricOptions must break
+        // this line rather than silently conflating solutions computed under different
         // options.
-        let SpectralOptions { unit_disk_margin, reality_tolerance, residual_tolerance } = *options;
+        let MatrixGeometricOptions { tolerance, max_iterations } = *options;
         Ok(SolutionKey {
             skeleton: SkeletonKey::new(config)?,
             arrival_rate: key_bits("arrival_rate", config.arrival_rate())?,
-            options: [
-                key_bits("unit_disk_margin", unit_disk_margin)?,
-                key_bits("reality_tolerance", reality_tolerance)?,
-                key_bits("residual_tolerance", residual_tolerance)?,
-            ],
+            tolerance: key_bits("tolerance", tolerance)?,
+            max_iterations,
         })
     }
 }
@@ -217,12 +219,11 @@ impl EigenKey {
     }
 }
 
-/// Key of a cached response-time transform skeleton: the underlying spectral solution
-/// key plus the tail-truncation threshold (the transform stores the arrival-state
-/// distribution truncated at that mass, so different thresholds yield different —
-/// if numerically close — transforms).  The inversion options are deliberately *not*
-/// part of the key: they affect only how the transform is evaluated, never its
-/// contents.
+/// Key of a cached response-time transform skeleton: the underlying solution key plus
+/// the tail-truncation threshold (the transform stores the arrival-state distribution
+/// truncated at that mass, so different thresholds yield different — if numerically
+/// close — transforms).  The inversion options are deliberately *not* part of the
+/// key: they affect only how the transform is evaluated, never its contents.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 struct TransformKey {
     solution: SolutionKey,
@@ -230,7 +231,11 @@ struct TransformKey {
 }
 
 impl TransformKey {
-    fn new(config: &SystemConfig, options: &SpectralOptions, tail_epsilon: f64) -> Result<Self> {
+    fn new(
+        config: &SystemConfig,
+        options: &MatrixGeometricOptions,
+        tail_epsilon: f64,
+    ) -> Result<Self> {
         Ok(TransformKey {
             solution: SolutionKey::new(config, options)?,
             tail_epsilon: key_bits("tail_epsilon", tail_epsilon)?,
@@ -496,17 +501,15 @@ pub struct CacheStats {
     pub skeleton_hits: u64,
     /// Skeleton lookups that had to build the skeleton.
     pub skeleton_misses: u64,
-    /// Full-solution lookups answered from the cache.
+    /// Matrix-geometric solution lookups answered from the cache.
     pub solution_hits: u64,
-    /// Full-solution lookups that had to run the solver.
+    /// Matrix-geometric solution lookups that had to run the solver.
     pub solution_misses: u64,
     /// Eigensystem lookups answered from the cache: one solver reusing the other's
     /// factorisation for the same `(skeleton, λ, margin)`.  The geometric
     /// approximation reads the complete system the spectral solver published; the
     /// spectral solver reads the eigen*values* (plus the dominant eigenvector) the
-    /// approximation published — e.g. a mix search screening with the approximation
-    /// and then verifying the top candidates exactly — and extracts only the missing
-    /// eigenvectors.
+    /// approximation published and extracts only the missing eigenvectors.
     pub eigen_hits: u64,
     /// Eigensystem lookups that had to solve the quadratic eigenproblem.
     pub eigen_misses: u64,
@@ -597,7 +600,7 @@ impl CacheStats {
 pub struct CacheOccupancy {
     /// Cached QBD skeletons.
     pub skeletons: usize,
-    /// Cached complete spectral solutions.
+    /// Cached complete matrix-geometric solutions.
     pub solutions: usize,
     /// Cached unit-disk eigensystems.
     pub eigensystems: usize,
@@ -612,14 +615,16 @@ impl CacheOccupancy {
     }
 }
 
-/// A thread-safe, size-capped LRU cache of QBD skeletons, quadratic eigensystems and
-/// complete spectral solutions.
+/// A thread-safe, size-capped LRU cache of QBD skeletons, quadratic eigensystems,
+/// complete matrix-geometric solutions and response-time transforms.
 ///
-/// Attach one to a [`SpectralExpansionSolver`](crate::SpectralExpansionSolver) with
-/// [`with_cache`](crate::SpectralExpansionSolver::with_cache) and to a
-/// [`GeometricApproximation`](crate::GeometricApproximation) with
-/// [`with_cache`](crate::GeometricApproximation::with_cache); sharing *one* cache
-/// between both solvers lets the approximation reuse the eigensystem the spectral
+/// The [`Engine`](crate::Engine) attaches its one cache to a
+/// [`MatrixGeometricSolver`](crate::MatrixGeometricSolver) with
+/// [`with_cache`](crate::MatrixGeometricSolver::with_cache), which reuses skeletons
+/// and memoises whole solutions.  The eigensystem level serves the spectral pair:
+/// attach the cache to a [`SpectralExpansionSolver`](crate::SpectralExpansionSolver)
+/// and a [`GeometricApproximation`](crate::GeometricApproximation) with their
+/// `with_cache` methods and the approximation reuses the eigensystem the spectral
 /// solver just factorised for the identical configuration (Figures 8 and 9 compare
 /// the two on the same grids).  See the example above in the module docs.
 ///
@@ -636,7 +641,7 @@ impl CacheOccupancy {
 #[derive(Debug)]
 pub struct SolverCache {
     skeletons: ShardedLru<SkeletonKey, Arc<QbdSkeleton>>,
-    solutions: ShardedLru<SolutionKey, Arc<SpectralSolution>>,
+    solutions: ShardedLru<SolutionKey, Arc<MatrixGeometricSolution>>,
     eigensystems: ShardedLru<EigenKey, Arc<EigenEntry>>,
     transforms: ShardedLru<TransformKey, Arc<ResponseTransform>>,
     skeleton_hits: AtomicU64,
@@ -769,8 +774,8 @@ impl SolverCache {
     pub(crate) fn lookup_solution(
         &self,
         config: &SystemConfig,
-        options: &SpectralOptions,
-    ) -> Result<Option<Arc<SpectralSolution>>> {
+        options: &MatrixGeometricOptions,
+    ) -> Result<Option<Arc<MatrixGeometricSolution>>> {
         let key = SolutionKey::new(config, options)?;
         let found = self.solutions.get(&key);
         match &found {
@@ -784,11 +789,11 @@ impl SolverCache {
     pub(crate) fn store_solution(
         &self,
         config: &SystemConfig,
-        options: &SpectralOptions,
-        solution: SpectralSolution,
+        options: &MatrixGeometricOptions,
+        solution: Arc<MatrixGeometricSolution>,
     ) -> Result<()> {
         let key = SolutionKey::new(config, options)?;
-        let evicted = self.solutions.insert(key, Arc::new(solution));
+        let evicted = self.solutions.insert(key, solution);
         Self::record_eviction(&self.solution_evictions, &self.solution_eviction_age, evicted);
         Ok(())
     }
@@ -832,11 +837,11 @@ impl SolverCache {
         Ok(())
     }
 
-    /// Looks up a response-time transform for `(config, spectral options, tail ε)`.
+    /// Looks up a response-time transform for `(config, solver options, tail ε)`.
     pub(crate) fn lookup_transform(
         &self,
         config: &SystemConfig,
-        options: &SpectralOptions,
+        options: &MatrixGeometricOptions,
         tail_epsilon: f64,
     ) -> Result<Option<Arc<ResponseTransform>>> {
         let key = TransformKey::new(config, options, tail_epsilon)?;
@@ -852,7 +857,7 @@ impl SolverCache {
     pub(crate) fn store_transform(
         &self,
         config: &SystemConfig,
-        options: &SpectralOptions,
+        options: &MatrixGeometricOptions,
         tail_epsilon: f64,
         transform: Arc<ResponseTransform>,
     ) -> Result<()> {
@@ -916,8 +921,8 @@ impl SolverCache {
 mod tests {
     use super::*;
     use crate::config::ServerLifecycle;
+    use crate::matrix_geometric::MatrixGeometricSolver;
     use crate::solution::QueueSolution as _;
-    use crate::spectral::SpectralExpansionSolver;
 
     fn config(servers: usize, lambda: f64) -> SystemConfig {
         SystemConfig::new(servers, lambda, 1.0, ServerLifecycle::paper_fitted().unwrap()).unwrap()
@@ -949,12 +954,14 @@ mod tests {
     #[test]
     fn solutions_are_memoised_bit_identically() {
         let cache = SolverCache::shared();
-        let solver = SpectralExpansionSolver::default().with_cache(Arc::clone(&cache));
+        let solver = MatrixGeometricSolver::default().with_cache(Arc::clone(&cache));
         let cfg = config(4, 2.5);
         let fresh = solver.solve_detailed(&cfg).unwrap();
         let cached = solver.solve_detailed(&cfg).unwrap();
         assert_eq!(fresh.mean_queue_length().to_bits(), cached.mean_queue_length().to_bits());
-        assert_eq!(fresh.boundary_levels(), cached.boundary_levels());
+        for level in 0..=cfg.servers() + 2 {
+            assert_eq!(fresh.level_vector(level), cached.level_vector(level));
+        }
         let stats = cache.stats();
         assert_eq!(stats.solution_hits, 1);
         assert_eq!(stats.solution_misses, 1);
@@ -1022,7 +1029,7 @@ mod tests {
         // A NaN smuggled in through the solver options must be rejected, not admitted
         // as a key that can never be found again.
         let cache = SolverCache::new();
-        let bad_options = SpectralOptions { reality_tolerance: f64::NAN, ..Default::default() };
+        let bad_options = MatrixGeometricOptions { tolerance: f64::NAN, ..Default::default() };
         assert!(cache.lookup_solution(&config(2, 1.0), &bad_options).is_err());
         assert!(cache.lookup_eigensystem(&config(2, 1.0), f64::NAN).is_err());
     }
@@ -1051,10 +1058,10 @@ mod tests {
     #[test]
     fn lru_capacity_bounds_the_solution_map() {
         let cache = SolverCache::with_layout(4, 2, 4, 4, 1);
-        let options = SpectralOptions::default();
+        let options = MatrixGeometricOptions::default();
         for lambda in [1.0, 1.25, 1.5, 1.75, 2.0] {
             let cfg = config(3, lambda);
-            let solution = SpectralExpansionSolver::default().solve_detailed(&cfg).unwrap();
+            let solution = MatrixGeometricSolver::default().solve_shared(&cfg).unwrap();
             cache.store_solution(&cfg, &options, solution).unwrap();
         }
         assert_eq!(cache.len().solutions, 2, "solution map must stay at its capacity");

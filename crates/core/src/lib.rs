@@ -6,11 +6,13 @@
 //! periods and hyperexponentially distributed inoperative periods, modelled as a
 //! Markov-modulated queue and solved
 //!
-//! * **exactly**, by the method of spectral expansion ([`SpectralExpansionSolver`]),
+//! * **exactly**, by the method of spectral expansion ([`SpectralExpansionSolver`])
+//!   and by the matrix-geometric method ([`MatrixGeometricSolver`]) — the faster of
+//!   the two, which the query [`Engine`] serves, with spectral expansion certifying
+//!   it,
 //! * **approximately**, by the heavy-traffic geometric approximation
 //!   ([`GeometricApproximation`]),
-//! * and, as independent cross-checks, by the matrix-geometric method
-//!   ([`MatrixGeometricSolver`]) and by brute-force solution of a truncated chain
+//! * and, as an independent cross-check, by brute-force solution of a truncated chain
 //!   ([`TruncatedCtmcSolver`]).
 //!
 //! On top of the solvers sit the analyses of the paper's Section 4: the cost model
@@ -61,10 +63,11 @@
 //!   pinned bit-identical across thread counts by the `parallel_equivalence`
 //!   thread-matrix suite.
 //! * [`SolverCache`] — a shared, thread-safe, size-capped LRU cache of λ-independent
-//!   QBD skeletons, unit-disk eigensystems and complete spectral solutions, attached
-//!   via [`SpectralExpansionSolver::with_cache`] and
-//!   [`GeometricApproximation::with_cache`]; sharing one cache between the two
-//!   solvers factorises each `(skeleton, λ)` eigenproblem once, not twice.  Each
+//!   QBD skeletons, unit-disk eigensystems, complete matrix-geometric solutions and
+//!   response-time transforms.  [`MatrixGeometricSolver::with_cache`] reuses
+//!   skeletons and memoises solutions; [`SpectralExpansionSolver::with_cache`] and
+//!   [`GeometricApproximation::with_cache`] share skeletons and eigensystems, so the
+//!   two factorise each `(skeleton, λ)` eigenproblem once, not twice.  Each
 //!   level is split into independently locked shards (deterministic FNV-1a shard
 //!   assignment), poisoned shards recover by clearing rather than propagating, and
 //!   [`CacheStats::levels`] reports per-level hit rates and eviction ages.

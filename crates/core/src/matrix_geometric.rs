@@ -4,11 +4,14 @@
 //! matrix-geometric method: find the minimal non-negative solution `R` of
 //! `Q0 + R·Q1 + R²·Q2 = 0`; then `v_{j+1} = v_j·R` for `j ≥ N` and the boundary vectors
 //! follow from the level-`0..N` balance equations.  The paper's reference [6]
-//! (Mitrani & Chakka 1995) compares the two methods; here the matrix-geometric solver
-//! acts as a *cross-check* of the spectral expansion.  The two obtain `R` independently
-//! — logarithmic reduction here, `U⁻¹·Z·U` from the eigenpairs there — and then run
-//! the same boundary elimination over levels `0..N`, so they must agree to within
-//! numerical accuracy on every probability, which the integration tests verify.
+//! (Mitrani & Chakka 1995) compares the two methods.  Here the matrix-geometric solver
+//! is the exact path of the query [`Engine`](crate::Engine) — a whole solve takes
+//! about 2.5× less time than one through the companion-matrix QR of the spectral
+//! expansion — and the spectral expansion, the paper's own method, is its certifier.
+//! The two obtain `R` independently — logarithmic reduction here, `U⁻¹·Z·U` from the
+//! eigenpairs there — and then run the same boundary elimination over levels `0..N`,
+//! so they must agree to within numerical accuracy on every probability, which the
+//! integration tests verify.
 //!
 //! `R` is computed by **Latouche–Ramaswamy logarithmic reduction**: the first-passage
 //! matrix `G` (minimal solution of `Q2 + Q1·G + Q0·G² = 0`) is built by a doubling
@@ -18,18 +21,23 @@
 //! reference implementation [`MatrixGeometricSolver::rate_matrix_fixed_point`].  All
 //! inner products run on the in-place [`gemm`](Matrix::gemm)/LU-solve kernels of
 //! `urs-linalg` with a single [`Workspace`], so the iteration allocates nothing and
-//! no explicit matrix inverse is ever formed.
+//! no explicit matrix inverse is ever formed — neither there nor in the solution,
+//! which keeps only `R`, the boundary levels and two vectors derived from one LU of
+//! `I − R`.
+
+use std::sync::Arc;
 
 use urs_linalg::{
     banded_profitable, BandedLu, BandedMatrix, LinalgError, LuDecomposition, Matrix,
     RealBlockTridiagonal, Workspace,
 };
 
+use crate::cache::SolverCache;
 use crate::config::SystemConfig;
 use crate::error::ModelError;
 use crate::parallel::ThreadPool;
 use crate::qbd::QbdMatrices;
-use crate::solution::{QueueSolution, QueueSolver};
+use crate::solution::{arrival_truncation_stalled, QueueSolution, QueueSolver, MAX_ARRIVAL_LEVELS};
 use crate::Result;
 
 /// Options for the `R`-matrix computation.
@@ -64,15 +72,20 @@ impl Default for MatrixGeometricOptions {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Attach a shared [`SolverCache`] with [`with_cache`](Self::with_cache) to reuse the
+/// λ-independent QBD skeleton across arrival rates and to memoise whole solutions:
+/// a repeated configuration is answered with the stored [`Arc`], bit-identically.
+#[derive(Debug, Clone)]
 pub struct MatrixGeometricSolver {
     options: MatrixGeometricOptions,
+    cache: Option<Arc<SolverCache>>,
     pool: ThreadPool,
 }
 
 impl Default for MatrixGeometricSolver {
-    /// Default options and a serial pool (parallelism is strictly opt-in via
-    /// [`with_pool`](Self::with_pool)).
+    /// Default options, no cache, and a serial pool (parallelism is strictly opt-in
+    /// via [`with_pool`](Self::with_pool)).
     fn default() -> Self {
         MatrixGeometricSolver::new(MatrixGeometricOptions::default())
     }
@@ -81,7 +94,15 @@ impl Default for MatrixGeometricSolver {
 impl MatrixGeometricSolver {
     /// Creates a solver with explicit iteration options.
     pub fn new(options: MatrixGeometricOptions) -> Self {
-        MatrixGeometricSolver { options, pool: ThreadPool::serial() }
+        MatrixGeometricSolver { options, cache: None, pool: ThreadPool::serial() }
+    }
+
+    /// Attaches a cache of QBD skeletons and complete solutions, keyed by skeleton,
+    /// λ and these options.  The same cache can be shared by several solvers and by
+    /// every thread of a parallel sweep.
+    pub fn with_cache(mut self, cache: Arc<SolverCache>) -> Self {
+        self.cache = Some(cache);
+        self
     }
 
     /// Runs the solver's dense kernels — the `gemm` products and blocked-LU trailing
@@ -160,10 +181,7 @@ impl MatrixGeometricSolver {
             u.gemm_with(1.0, &l, &h, 1.0, &self.pool)?;
             let mut eye_minus_u = ws.real_matrix(s, s);
             eye_minus_u.copy_from(&u)?;
-            eye_minus_u.scale_mut(-1.0);
-            for i in 0..s {
-                eye_minus_u[(i, i)] += 1.0;
-            }
+            identity_minus(&mut eye_minus_u);
             let iu_lu = LuDecomposition::from_matrix_with(eye_minus_u, &self.pool)?;
             // H ← (I−U)⁻¹·H², L ← (I−U)⁻¹·L².
             m.gemm_with(1.0, &h, &h, 0.0, &self.pool)?;
@@ -246,7 +264,9 @@ impl MatrixGeometricSolver {
         })
     }
 
-    /// Solves the model, returning the concrete [`MatrixGeometricSolution`].
+    /// Solves the model, returning the concrete [`MatrixGeometricSolution`].  With a
+    /// cache attached this is [`solve_shared`](Self::solve_shared) plus a copy of the
+    /// memoised solution.
     ///
     /// # Errors
     ///
@@ -254,51 +274,78 @@ impl MatrixGeometricSolver {
     /// [`ModelError::NoConvergence`] if the `R` computation stalls, or a
     /// linear-algebra error from the boundary solve.
     pub fn solve_detailed(&self, config: &SystemConfig) -> Result<MatrixGeometricSolution> {
+        Ok(Arc::unwrap_or_clone(self.solve_shared(config)?))
+    }
+
+    /// Solves the model behind an [`Arc`]: with a cache attached, a repeated
+    /// configuration returns the memoised solution itself rather than a copy.
+    ///
+    /// # Errors
+    ///
+    /// As [`solve_detailed`](Self::solve_detailed), plus rejection of parameters
+    /// that cannot form a sound cache key (non-finite values).
+    pub fn solve_shared(&self, config: &SystemConfig) -> Result<Arc<MatrixGeometricSolution>> {
         config.ensure_stable()?;
-        let qbd = QbdMatrices::new(config)?;
+        let Some(cache) = &self.cache else {
+            return Ok(Arc::new(self.solve_qbd(config, &QbdMatrices::new(config)?)?));
+        };
+        if let Some(hit) = cache.lookup_solution(config, &self.options)? {
+            return Ok(hit);
+        }
+        let qbd = QbdMatrices::with_skeleton(cache.skeleton(config)?, config.arrival_rate());
+        let solution = Arc::new(self.solve_qbd(config, &qbd)?);
+        cache.store_solution(config, &self.options, Arc::clone(&solution))?;
+        Ok(solution)
+    }
+
+    /// Runs the method on prebuilt QBD matrices, bypassing the cache (the caller has
+    /// already checked stability).
+    pub(crate) fn solve_qbd(
+        &self,
+        config: &SystemConfig,
+        qbd: &QbdMatrices,
+    ) -> Result<MatrixGeometricSolution> {
         let s = qbd.order();
         let servers = qbd.servers();
-        let (r, reduction_depth) = self.rate_matrix_with_depth(&qbd)?;
+        let (r, reduction_depth) = self.rate_matrix_with_depth(qbd)?;
+        let mut levels = solve_boundary(qbd, &r, &self.pool)?;
 
-        let mut levels = solve_boundary(&qbd, &r, &self.pool)?;
-
-        // Normalisation: Σ_{j<N} v_j·1 + v_N·(I−R)⁻¹·1 = 1.  The inverse of `I − R`
-        // is reused by every tail query of the solution, so it is materialised once
-        // here — through LU solves, not an adjugate-style explicit inversion.
+        // Every tail quantity is a solve against one LU of `I − R`; the inverse itself
+        // is never formed.  `y = (I−R)⁻¹·1` weighs a level vector by the mass of
+        // everything from that level on.
         let mut i_minus_r = r.clone();
-        i_minus_r.scale_mut(-1.0);
-        for i in 0..s {
-            i_minus_r[(i, i)] += 1.0;
-        }
-        let i_minus_r_inv = LuDecomposition::from_matrix_with(i_minus_r, &self.pool)?.inverse()?;
-        let v_n = levels[servers].clone();
-        let boundary_mass: f64 = levels[..servers].iter().map(|v| v.iter().sum::<f64>()).sum();
-        let tail_mass: f64 = i_minus_r_inv.vecmat(&v_n)?.iter().sum();
-        let total = boundary_mass + tail_mass;
+        identity_minus(&mut i_minus_r);
+        let i_minus_r = LuDecomposition::from_matrix_with(i_minus_r, &self.pool)?;
+        let tail_weights = i_minus_r.solve(&vec![1.0; s])?;
+
+        // Normalisation: Σ_{j<N} v_j·1 + v_N·y = 1.
+        let mut v_n =
+            levels.pop().ok_or(ModelError::Internal("boundary solve returned no levels"))?;
+        let boundary_mass: f64 = levels.iter().map(|v| v.iter().sum::<f64>()).sum();
+        let total = boundary_mass + dot(&v_n, &tail_weights);
         if total.abs() < 1e-300 {
             return Err(ModelError::SpectralFailure(
                 "matrix-geometric normalisation mass vanished".into(),
             ));
         }
-        for level in &mut levels {
-            for p in level.iter_mut() {
-                *p /= total;
-            }
+        for p in levels.iter_mut().flatten().chain(&mut v_n) {
+            *p /= total;
         }
 
-        // Mean queue length: Σ_{j<N} j·v_j·1 + v_N·[N(I−R)⁻¹ + R(I−R)⁻²]·1.
-        let boundary_part: f64 = levels[..servers]
-            .iter()
-            .enumerate()
-            .map(|(j, v)| j as f64 * v.iter().sum::<f64>())
-            .sum();
-        let v_n: Vec<f64> = levels[servers].clone();
-        let mut weighted = i_minus_r_inv.clone();
-        weighted.scale_mut(servers as f64);
-        let sq = i_minus_r_inv.matmul(&i_minus_r_inv)?;
-        weighted.gemm(1.0, &r, &sq, 1.0)?;
-        let tail_part: f64 = weighted.vecmat(&v_n)?.iter().sum();
-        let mean_queue_length = boundary_part + tail_part;
+        // Mean queue length: Σ_{j<N} j·v_j·1 + N·(v_N·y) + (v_N·R)·((I−R)⁻¹·y), since
+        // Σ_{k≥0} k·R^k = R·(I−R)⁻².
+        let boundary_part: f64 =
+            levels.iter().enumerate().map(|(j, v)| j as f64 * v.iter().sum::<f64>()).sum();
+        let squared_weights = i_minus_r.solve(&tail_weights)?;
+        let mean_queue_length = boundary_part
+            + servers as f64 * dot(&v_n, &tail_weights)
+            + dot(&r.vecmat(&v_n)?, &squared_weights);
+
+        // The tail's mode marginal, the row v_N·(I−R)⁻¹: one right solve.
+        let v_n_row = Matrix::from_vec(1, s, v_n.clone())?;
+        let mut tail_marginal = Matrix::zeros(1, s);
+        i_minus_r.solve_right_matrix_into(&v_n_row, &mut tail_marginal, &mut Workspace::new())?;
+        levels.push(v_n);
 
         Ok(MatrixGeometricSolution {
             arrival_rate: config.arrival_rate(),
@@ -306,7 +353,8 @@ impl MatrixGeometricSolver {
             mode_count: s,
             levels,
             rate_matrix: r,
-            i_minus_r_inv,
+            tail_weights,
+            tail_marginal: tail_marginal.into_vec(),
             mean_queue_length,
             reduction_depth,
         })
@@ -319,8 +367,24 @@ impl QueueSolver for MatrixGeometricSolver {
     }
 
     fn solve(&self, config: &SystemConfig) -> Result<Box<dyn QueueSolution>> {
-        Ok(Box::new(self.solve_detailed(config)?))
+        Ok(Box::new(self.solve_shared(config)?))
     }
+}
+
+/// Overwrites the square matrix `m` with `I − m`.
+fn identity_minus(m: &mut Matrix) {
+    let n = m.cols();
+    m.scale_mut(-1.0);
+    for (i, row) in m.as_mut_slice().chunks_exact_mut(n).enumerate() {
+        if let Some(diagonal) = row.get_mut(i) {
+            *diagonal += 1.0;
+        }
+    }
+}
+
+/// `a·b` for two vectors of the solver's mode dimension.
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 /// Solves the boundary balance equations of levels `0..=N` once the repeating levels
@@ -414,7 +478,10 @@ pub struct MatrixGeometricSolution {
     /// `v_0 ..= v_N`.
     levels: Vec<Vec<f64>>,
     rate_matrix: Matrix,
-    i_minus_r_inv: Matrix,
+    /// `y = (I−R)⁻¹·1`: `v_j·y` is the mass of every level from `j` on (`j ≥ N`).
+    tail_weights: Vec<f64>,
+    /// `v_N·(I−R)⁻¹`: the mode marginal of the levels `j ≥ N`.
+    tail_marginal: Vec<f64>,
     mean_queue_length: f64,
     /// Number of logarithmic-reduction doublings that produced `R`.
     reduction_depth: usize,
@@ -437,10 +504,10 @@ impl MatrixGeometricSolution {
 
     /// Probability vector of level `j` (computed through `v_N·R^{j−N}` for `j > N`).
     pub fn level_vector(&self, level: usize) -> Vec<f64> {
-        if level <= self.servers {
-            return self.levels[level].clone();
+        if let Some(v) = self.levels.get(level) {
+            return v.clone();
         }
-        let mut v = self.levels[self.servers].clone();
+        let mut v = self.levels.last().cloned().unwrap_or_default();
         for _ in self.servers..level {
             // urs-analyze: allow(no_panic, reason = "R is square with the solver's own mode dimension; the trait method returns a plain Vec")
             v = self.rate_matrix.vecmat(&v).expect("rate matrix dimensions match by construction");
@@ -459,25 +526,21 @@ impl QueueSolution for MatrixGeometricSolution {
     }
 
     fn state_probability(&self, mode: usize, level: usize) -> f64 {
-        if mode >= self.mode_count {
-            return 0.0;
+        let probability = |v: &[f64]| v.get(mode).copied().unwrap_or(0.0);
+        match self.levels.get(level) {
+            Some(v) => probability(v),
+            None => probability(&self.level_vector(level)),
         }
-        self.level_vector(level)[mode]
     }
 
     fn mode_marginal(&self) -> Vec<f64> {
         let mut marginal = vec![0.0; self.mode_count];
-        for v in &self.levels[..self.servers] {
+        for v in self.levels.iter().take(self.servers) {
             for (m, p) in marginal.iter_mut().zip(v) {
                 *m += p;
             }
         }
-        let tail = self
-            .i_minus_r_inv
-            .vecmat(&self.levels[self.servers])
-            // urs-analyze: allow(no_panic, reason = "(I-R)^-1 and the boundary level share the solver's mode dimension; the trait method returns a plain Vec")
-            .expect("dimensions match by construction");
-        for (m, p) in marginal.iter_mut().zip(tail) {
+        for (m, p) in marginal.iter_mut().zip(&self.tail_marginal) {
             *m += p;
         }
         marginal
@@ -489,14 +552,42 @@ impl QueueSolution for MatrixGeometricSolution {
 
     fn tail_probability(&self, level: usize) -> f64 {
         if level + 1 >= self.servers {
-            // P(Z > level) = v_N R^{level+1-N} (I-R)^{-1} · 1
-            let v = self.level_vector(level + 1);
-            // urs-analyze: allow(no_panic, reason = "(I-R)^-1 and level vectors share the solver's mode dimension; the trait method returns a plain f64")
-            self.i_minus_r_inv.vecmat(&v).expect("dimensions match by construction").iter().sum()
+            // P(Z > level) = v_{level+1}·(I−R)⁻¹·1
+            dot(&self.level_vector(level + 1), &self.tail_weights)
         } else {
             let below: f64 = (0..=level).map(|j| self.level_probability(j)).sum();
             (1.0 - below).max(0.0)
         }
+    }
+
+    /// The trait's truncation, walking the levels once: `v ← v·R` per level instead
+    /// of recomputing `v_N·R^{j−N}` for every state and tail query.  Bit-identical to
+    /// the default, which performs the same products in the same order.
+    fn arrival_state_distribution(
+        &self,
+        epsilon: f64,
+        min_levels: usize,
+    ) -> Result<(Vec<Vec<f64>>, f64)> {
+        let mut levels = Vec::new();
+        let mut below = 0.0;
+        let mut current = self.levels.first().cloned().unwrap_or_default();
+        for level in 0..MAX_ARRIVAL_LEVELS {
+            let next = match self.levels.get(level + 1) {
+                Some(v) => v.clone(),
+                None => self.rate_matrix.vecmat(&current)?,
+            };
+            let residual = if level + 1 >= self.servers {
+                dot(&next, &self.tail_weights)
+            } else {
+                below += current.iter().sum::<f64>();
+                (1.0 - below).max(0.0)
+            };
+            levels.push(std::mem::replace(&mut current, next));
+            if level + 1 >= min_levels && residual <= epsilon {
+                return Ok((levels, residual.max(0.0)));
+            }
+        }
+        Err(arrival_truncation_stalled())
     }
 }
 
@@ -598,6 +689,77 @@ mod tests {
             MatrixGeometricSolver::default().solve_detailed(&paper_config(2, 9.0)),
             Err(ModelError::Unstable { .. })
         ));
+    }
+
+    /// Forwards only the required methods, so every default of the trait runs.
+    #[derive(Debug)]
+    struct DefaultsOnly<'a>(&'a MatrixGeometricSolution);
+
+    impl QueueSolution for DefaultsOnly<'_> {
+        fn mode_count(&self) -> usize {
+            self.0.mode_count()
+        }
+        fn arrival_rate(&self) -> f64 {
+            self.0.arrival_rate()
+        }
+        fn state_probability(&self, mode: usize, level: usize) -> f64 {
+            self.0.state_probability(mode, level)
+        }
+        fn mode_marginal(&self) -> Vec<f64> {
+            self.0.mode_marginal()
+        }
+        fn mean_queue_length(&self) -> f64 {
+            self.0.mean_queue_length()
+        }
+        fn tail_probability(&self, level: usize) -> f64 {
+            self.0.tail_probability(level)
+        }
+    }
+
+    #[test]
+    fn level_walk_is_bit_identical_to_the_trait_default() {
+        let hyperexponential = ServerLifecycle::new(
+            urs_dist::HyperExponential::new(&[0.7246, 0.2754], &[0.1663, 0.0091]).unwrap(),
+            urs_dist::HyperExponential::new(&[0.9303, 0.0697], &[25.0043, 1.6346]).unwrap(),
+        );
+        let configs =
+            [paper_config(3, 2.0), SystemConfig::new(5, 3.0, 1.0, hyperexponential).unwrap()];
+        for config in configs {
+            let solution = MatrixGeometricSolver::default().solve_detailed(&config).unwrap();
+            // The response-time truncation, and a loose one that stops inside the
+            // boundary levels, where the tail is `1 − Σ` rather than `v·y`.
+            for (epsilon, min_levels) in [(1e-12, config.servers() + 1), (1.0, 2)] {
+                let (walked, walked_residual) =
+                    solution.arrival_state_distribution(epsilon, min_levels).unwrap();
+                let (default, default_residual) = DefaultsOnly(&solution)
+                    .arrival_state_distribution(epsilon, min_levels)
+                    .unwrap();
+                assert_eq!(walked.len(), default.len());
+                for (a, b) in walked.iter().zip(&default) {
+                    let a: Vec<u64> = a.iter().map(|x| x.to_bits()).collect();
+                    let b: Vec<u64> = b.iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(a, b);
+                }
+                assert_eq!(walked_residual.to_bits(), default_residual.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn cached_hits_share_the_stored_solution() {
+        let cache = SolverCache::shared();
+        let solver = MatrixGeometricSolver::default().with_cache(Arc::clone(&cache));
+        let config = paper_config(3, 2.0);
+        let first = solver.solve_shared(&config).unwrap();
+        let again = solver.solve_shared(&config).unwrap();
+        assert!(Arc::ptr_eq(&first, &again), "a hit must hand out the memoised Arc");
+        // Other options are another question, with an entry of their own.
+        let looser = MatrixGeometricOptions { tolerance: 1e-10, ..Default::default() };
+        let other = MatrixGeometricSolver::new(looser).with_cache(Arc::clone(&cache));
+        assert!(!Arc::ptr_eq(&first, &other.solve_shared(&config).unwrap()));
+        let stats = cache.stats();
+        assert_eq!((stats.solution_hits, stats.solution_misses), (1, 2));
+        assert_eq!(cache.len().solutions, 2);
     }
 
     #[test]

@@ -8,16 +8,16 @@
 //! over that space under fleet-size and hardware-budget bounds:
 //!
 //! * **small spaces** are enumerated exhaustively and every stable composition is
-//!   solved exactly by spectral expansion;
+//!   solved exactly by the [`MatrixGeometricSolver`];
 //! * **large spaces** are screened first with the cheap [`GeometricApproximation`],
 //!   and only the shortlisted candidates — everything within a relative slack band of
 //!   the approximate best, bounded by [`MixSearchOptions`] — are verified exactly.
 //!   Screening and verification share one [`SolverCache`], so the exact pass reuses
-//!   the QBD skeletons and unit-disk eigensystems the approximation already
-//!   factorised instead of repeating them.  Screening is a heuristic: the
-//!   approximation's error is load-dependent, and a mix whose approximate cost lies
-//!   far outside the slack band is never verified — [`MixSearch::run_exhaustive`] is
-//!   the exact reference when certainty matters more than time.
+//!   the QBD skeletons the approximation already built instead of repeating them.
+//!   Screening is a heuristic: the approximation's error is load-dependent, and a
+//!   mix whose approximate cost lies far outside the slack band is never verified —
+//!   [`MixSearch::run_exhaustive`] is the exact reference when certainty matters
+//!   more than time.
 //!
 //! Candidates are evaluated in parallel on a [`ThreadPool`], and the winner is chosen
 //! deterministically: lowest cost, then lowest fleet size, then lexicographically
@@ -51,9 +51,9 @@ use crate::cache::SolverCache;
 use crate::config::{ServerClass, SystemConfig};
 use crate::cost::ClassCostModel;
 use crate::error::ModelError;
+use crate::matrix_geometric::MatrixGeometricSolver;
 use crate::parallel::ThreadPool;
 use crate::solution::QueueSolution as _;
-use crate::spectral::SpectralExpansionSolver;
 use crate::Result;
 
 /// Feasibility bounds of a mix search: fleet-size limits and an optional hardware
@@ -514,9 +514,9 @@ impl MixSearch {
         qualified.clamp(floor, ceiling)
     }
 
-    /// A cache for one run: the attached one, or a private cache whose skeleton and
-    /// eigensystem capacities cover the candidate space, so the exact verification
-    /// pass still finds what the screening pass factorised.
+    /// A cache for one run: the attached one, or a private cache whose capacities
+    /// cover the candidate space, so the exact verification pass still finds the
+    /// skeletons the screening pass built.
     fn run_cache(&self, candidates: usize) -> Arc<SolverCache> {
         match &self.cache {
             Some(cache) => Arc::clone(cache),
@@ -538,9 +538,9 @@ impl MixSearch {
         // instead of a repeat.  The per-solve lookup overhead is a few mutex
         // acquisitions against solves that cost milliseconds.
         let cache = self.run_cache(mixes.len());
-        let solver = SpectralExpansionSolver::default().with_cache(cache);
+        let solver = MatrixGeometricSolver::default().with_cache(cache);
         let solve = |config: &SystemConfig| -> Result<f64> {
-            Ok(solver.solve_detailed(config)?.mean_queue_length())
+            Ok(solver.solve_shared(config)?.mean_queue_length())
         };
         let outcomes = pool.try_par_map(&mixes, |counts| self.evaluate(counts, &solve))?;
         Ok(assemble(outcomes, mixes.len(), false, None))
@@ -579,11 +579,11 @@ impl MixSearch {
         ranked.truncate(self.shortlist_len(&ranked));
 
         // Verification: solve the shortlisted compositions exactly.  The shared
-        // cache hands the spectral solver the skeletons and eigensystems the
-        // screening pass already built for exactly these configurations.
-        let solver = SpectralExpansionSolver::default().with_cache(cache);
+        // cache hands the matrix-geometric solver the skeletons the screening pass
+        // already built for exactly these configurations.
+        let solver = MatrixGeometricSolver::default().with_cache(cache);
         let solve = |config: &SystemConfig| -> Result<f64> {
-            Ok(solver.solve_detailed(config)?.mean_queue_length())
+            Ok(solver.solve_shared(config)?.mean_queue_length())
         };
         let shortlist: Vec<Vec<usize>> = ranked.into_iter().map(|c| c.counts).collect();
         let outcomes = pool.try_par_map(&shortlist, |counts| self.evaluate(counts, &solve))?;

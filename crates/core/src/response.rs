@@ -65,10 +65,10 @@ use urs_linalg::{
 use crate::cache::SolverCache;
 use crate::config::SystemConfig;
 use crate::error::ModelError;
+use crate::matrix_geometric::{MatrixGeometricOptions, MatrixGeometricSolver};
 use crate::parallel::ThreadPool;
-use crate::qbd::QbdSkeleton;
+use crate::qbd::{QbdMatrices, QbdSkeleton};
 use crate::solution::QueueSolution;
-use crate::spectral::{SpectralExpansionSolver, SpectralOptions};
 use crate::Result;
 
 /// The numerical Laplace-inversion method to apply.
@@ -282,8 +282,8 @@ where
 }
 
 /// Options of the response-time analysis: the inversion quadratures, the runtime
-/// certification tolerances, the stationary-tail truncation and the spectral-solver
-/// options used to obtain the arrival-state distribution.
+/// certification tolerances, the stationary-tail truncation and the options of the
+/// matrix-geometric solve that yields the arrival-state distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResponseOptions {
     /// Quadrature parameters of both inversion methods.
@@ -298,8 +298,8 @@ pub struct ResponseOptions {
     /// Stationary tail mass at which the arrival-state distribution is truncated;
     /// also the bound on the resulting transform error (|φ| ≤ 1 on `Re s ≥ 0`).
     pub tail_epsilon: f64,
-    /// Options of the spectral solve producing the stationary distribution.
-    pub spectral: SpectralOptions,
+    /// Options of the matrix-geometric solve producing the stationary distribution.
+    pub matrix_geometric: MatrixGeometricOptions,
 }
 
 impl Default for ResponseOptions {
@@ -309,7 +309,7 @@ impl Default for ResponseOptions {
             agreement_tolerance: 1e-7,
             percentile_tolerance: 1e-10,
             tail_epsilon: 1e-12,
-            spectral: SpectralOptions::default(),
+            matrix_geometric: MatrixGeometricOptions::default(),
         }
     }
 }
@@ -374,7 +374,7 @@ pub struct ResponseTransform {
 
 impl ResponseTransform {
     /// Assembles the transform from a QBD skeleton and any stationary solution of the
-    /// same model (spectral or matrix-geometric).
+    /// same model (matrix-geometric or spectral).
     pub(crate) fn assemble(
         skeleton: &QbdSkeleton,
         solution: &dyn QueueSolution,
@@ -643,7 +643,8 @@ pub struct ResponseAnalysis {
 }
 
 impl ResponseAnalysis {
-    /// Analyses `config` with default options, solving it spectrally.
+    /// Analyses `config` with default options, solving it with the
+    /// [`MatrixGeometricSolver`].
     ///
     /// # Errors
     ///
@@ -678,8 +679,8 @@ impl ResponseAnalysis {
     }
 
     /// Builds the analysis from an externally computed stationary solution — any
-    /// [`QueueSolution`] of the same model, e.g. from the matrix-geometric solver —
-    /// instead of solving spectrally.
+    /// [`QueueSolution`] of the same model, e.g. from the spectral expansion —
+    /// instead of solving it with the [`MatrixGeometricSolver`].
     ///
     /// # Errors
     ///
@@ -726,16 +727,17 @@ impl ResponseAnalysis {
     ) -> Result<Self> {
         Self::validate_config(config)?;
         options.validate()?;
+        let solver_options = &options.matrix_geometric;
         let transform = match cache {
             Some(cache) => {
                 if let Some(hit) =
-                    cache.lookup_transform(config, &options.spectral, options.tail_epsilon)?
+                    cache.lookup_transform(config, solver_options, options.tail_epsilon)?
                 {
                     hit
                 } else {
-                    let solver = SpectralExpansionSolver::new(options.spectral)
-                        .with_cache(Arc::clone(cache));
-                    let solution = solver.solve_detailed(config)?;
+                    let solver =
+                        MatrixGeometricSolver::new(*solver_options).with_cache(Arc::clone(cache));
+                    let solution = solver.solve_shared(config)?;
                     let skeleton = cache.skeleton(config)?;
                     let transform = Arc::new(ResponseTransform::assemble(
                         &skeleton,
@@ -744,7 +746,7 @@ impl ResponseAnalysis {
                     )?);
                     cache.store_transform(
                         config,
-                        &options.spectral,
+                        solver_options,
                         options.tail_epsilon,
                         Arc::clone(&transform),
                     )?;
@@ -752,10 +754,14 @@ impl ResponseAnalysis {
                 }
             }
             None => {
-                let solver = SpectralExpansionSolver::new(options.spectral);
-                let solution = solver.solve_detailed(config)?;
-                let skeleton = QbdSkeleton::for_classes(config.classes())?;
-                Arc::new(ResponseTransform::assemble(&skeleton, &solution, options.tail_epsilon)?)
+                let qbd = QbdMatrices::new(config)?;
+                let solution =
+                    MatrixGeometricSolver::new(*solver_options).solve_qbd(config, &qbd)?;
+                Arc::new(ResponseTransform::assemble(
+                    qbd.skeleton(),
+                    &solution,
+                    options.tail_epsilon,
+                )?)
             }
         };
         Ok(ResponseAnalysis { transform, options, pool: ThreadPool::serial() })
@@ -995,8 +1001,8 @@ impl ResponseAnalysis {
 mod tests {
     use super::*;
     use crate::config::ServerLifecycle;
-    use crate::matrix_geometric::MatrixGeometricSolver;
     use crate::solution::QueueSolver;
+    use crate::spectral::SpectralExpansionSolver;
 
     const METHODS: [InversionMethod; 2] =
         [InversionMethod::EulerSummation, InversionMethod::FixedTalbot];
@@ -1186,9 +1192,9 @@ mod tests {
     fn matrix_geometric_solution_yields_the_same_distribution() {
         let config =
             SystemConfig::new(4, 3.0, 1.0, ServerLifecycle::paper_fitted().unwrap()).unwrap();
-        let spectral = ResponseAnalysis::new(&config).unwrap();
-        let solution = MatrixGeometricSolver::default().solve(&config).unwrap();
-        let geometric =
+        let geometric = ResponseAnalysis::new(&config).unwrap();
+        let solution = SpectralExpansionSolver::default().solve(&config).unwrap();
+        let spectral =
             ResponseAnalysis::from_solution(&config, solution.as_ref(), ResponseOptions::default())
                 .unwrap();
         for t in [0.5, 1.5, 4.0] {

@@ -8,9 +8,23 @@
 //! solver, and [`QueueSolver`] abstracts over the solution methods themselves.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::config::SystemConfig;
+use crate::error::ModelError;
 use crate::Result;
+
+/// Level budget of [`QueueSolution::arrival_state_distribution`]: a tail still above
+/// `epsilon` after this many levels is reported as non-convergence.
+pub(crate) const MAX_ARRIVAL_LEVELS: usize = 1_000_000;
+
+/// The error of an arrival-state truncation that exhausted [`MAX_ARRIVAL_LEVELS`].
+pub(crate) fn arrival_truncation_stalled() -> ModelError {
+    ModelError::NoConvergence {
+        algorithm: "arrival-state tail truncation",
+        iterations: MAX_ARRIVAL_LEVELS,
+    }
+}
 
 /// A steady-state solution of the multi-server breakdown queue.
 ///
@@ -77,22 +91,69 @@ pub trait QueueSolution: fmt::Debug {
         epsilon: f64,
         min_levels: usize,
     ) -> Result<(Vec<Vec<f64>>, f64)> {
-        const MAX_LEVELS: usize = 1_000_000;
         let modes = self.mode_count();
         let mut levels = Vec::new();
-        let mut residual = 1.0;
-        for level in 0..MAX_LEVELS {
+        for level in 0..MAX_ARRIVAL_LEVELS {
             levels.push((0..modes).map(|m| self.state_probability(m, level)).collect());
-            residual = self.tail_probability(level);
+            let residual = self.tail_probability(level);
             if level + 1 >= min_levels && residual <= epsilon {
                 return Ok((levels, residual.max(0.0)));
             }
         }
-        let _ = residual;
-        Err(crate::ModelError::NoConvergence {
-            algorithm: "arrival-state tail truncation",
-            iterations: MAX_LEVELS,
-        })
+        Err(arrival_truncation_stalled())
+    }
+}
+
+/// A shared solution — the form the [`SolverCache`](crate::SolverCache) memo hands
+/// out — answers every query through the solution it wraps, overridden default
+/// methods included.
+impl<T: QueueSolution + ?Sized> QueueSolution for Arc<T> {
+    fn mode_count(&self) -> usize {
+        (**self).mode_count()
+    }
+
+    fn arrival_rate(&self) -> f64 {
+        (**self).arrival_rate()
+    }
+
+    fn state_probability(&self, mode: usize, level: usize) -> f64 {
+        (**self).state_probability(mode, level)
+    }
+
+    fn level_probability(&self, level: usize) -> f64 {
+        (**self).level_probability(level)
+    }
+
+    fn mode_marginal(&self) -> Vec<f64> {
+        (**self).mode_marginal()
+    }
+
+    fn mean_queue_length(&self) -> f64 {
+        (**self).mean_queue_length()
+    }
+
+    fn tail_probability(&self, level: usize) -> f64 {
+        (**self).tail_probability(level)
+    }
+
+    fn mean_response_time(&self) -> f64 {
+        (**self).mean_response_time()
+    }
+
+    fn queue_length_distribution(&self, max_level: usize) -> Vec<f64> {
+        (**self).queue_length_distribution(max_level)
+    }
+
+    fn empty_probability(&self) -> f64 {
+        (**self).empty_probability()
+    }
+
+    fn arrival_state_distribution(
+        &self,
+        epsilon: f64,
+        min_levels: usize,
+    ) -> Result<(Vec<Vec<f64>>, f64)> {
+        (**self).arrival_state_distribution(epsilon, min_levels)
     }
 }
 

@@ -78,8 +78,10 @@ impl Default for SpectralOptions {
 ///
 /// For parameter sweeps, attach a shared [`SolverCache`] with
 /// [`with_cache`](Self::with_cache): grid points that differ only in the arrival rate
-/// then reuse the λ-independent QBD skeleton, and repeated configurations are answered
-/// from the cache outright — bit-identically in both cases.
+/// then reuse the λ-independent QBD skeleton, and a cache-sharing
+/// [`GeometricApproximation`](crate::GeometricApproximation) reuses the eigensystem —
+/// bit-identically in both cases.  Whole solutions are memoised only for the
+/// [`MatrixGeometricSolver`](crate::MatrixGeometricSolver), the engine's exact path.
 #[derive(Debug, Clone)]
 pub struct SpectralExpansionSolver {
     options: SpectralOptions,
@@ -101,8 +103,8 @@ impl SpectralExpansionSolver {
         SpectralExpansionSolver { options, cache: None, pool: ThreadPool::serial() }
     }
 
-    /// Attaches a cache of QBD skeletons and complete solutions.  The same cache can
-    /// be shared by several solvers and by every thread of a parallel sweep.
+    /// Attaches a cache of QBD skeletons and unit-disk eigensystems.  The same cache
+    /// can be shared by several solvers and by every thread of a parallel sweep.
     pub fn with_cache(mut self, cache: Arc<SolverCache>) -> Self {
         self.cache = Some(cache);
         self
@@ -134,22 +136,13 @@ impl SpectralExpansionSolver {
     /// situation the paper's geometric approximation is designed for).
     pub fn solve_detailed(&self, config: &SystemConfig) -> Result<SpectralSolution> {
         config.ensure_stable()?;
-        match &self.cache {
+        let qbd = match &self.cache {
             Some(cache) => {
-                if let Some(hit) = cache.lookup_solution(config, &self.options)? {
-                    return Ok((*hit).clone());
-                }
-                let qbd =
-                    QbdMatrices::with_skeleton(cache.skeleton(config)?, config.arrival_rate());
-                let solution = self.solve_qbd(config, &qbd)?;
-                cache.store_solution(config, &self.options, solution.clone())?;
-                Ok(solution)
+                QbdMatrices::with_skeleton(cache.skeleton(config)?, config.arrival_rate())
             }
-            None => {
-                let qbd = QbdMatrices::new(config)?;
-                self.solve_qbd(config, &qbd)
-            }
-        }
+            None => QbdMatrices::new(config)?,
+        };
+        self.solve_qbd(config, &qbd)
     }
 
     /// Runs the spectral expansion on prebuilt QBD matrices.

@@ -6,8 +6,8 @@
 use std::sync::Arc;
 
 use urs_core::{
-    ClassCostModel, CostModel, CostSweep, MixBounds, MixSearch, MixSearchOptions,
-    ProvisioningSweep, QueueSolver, ServerClass, ServerLifecycle, SolverCache,
+    ClassCostModel, CostModel, CostSweep, MatrixGeometricSolver, MixBounds, MixSearch,
+    MixSearchOptions, ProvisioningSweep, QueueSolver, ServerClass, ServerLifecycle, SolverCache,
     SpectralExpansionSolver, SystemConfig,
 };
 
@@ -30,9 +30,10 @@ fn two_class_search(arrival_rate: f64, max_servers: usize) -> MixSearch {
 }
 
 /// Brute force reference: solve every feasible composition exactly with a fresh
-/// solver and pick the minimum by (cost, fleet size, lexicographic counts).
+/// solver of the search's own exact method and pick the minimum by (cost, fleet
+/// size, lexicographic counts).
 fn brute_force_optimum(search: &MixSearch) -> (Vec<usize>, f64) {
-    let solver = SpectralExpansionSolver::default();
+    let solver = MatrixGeometricSolver::default();
     let mut best: Option<(Vec<usize>, f64, usize)> = None;
     for counts in search.candidate_mixes().unwrap() {
         let classes: Vec<ServerClass> = search
@@ -117,14 +118,17 @@ fn screening_reuses_the_cached_factorisations_for_verification() {
     let search = two_class_search(2.5, 6)
         .with_cache(Arc::clone(&cache))
         .with_options(MixSearchOptions { exhaustive_limit: 0, ..Default::default() });
-    search.run().unwrap();
+    let result = search.run().unwrap();
     let stats = cache.stats();
     // Every composition the verification pass touched had already been screened, so
-    // the exact pass found its skeletons and eigensystems in the shared cache instead
-    // of rebuilding them.
-    assert!(stats.eigen_hits >= 1, "stats: {stats:?}");
+    // the exact pass found its skeleton in the shared cache instead of rebuilding it:
+    // each verification solve (one solution miss) is exactly one skeleton hit, and
+    // the screening pass, which sees every composition once, contributes none.
     assert!(stats.skeleton_hits >= 1, "stats: {stats:?}");
+    assert_eq!(stats.solution_misses, result.ranked().len() as u64, "stats: {stats:?}");
+    assert_eq!(stats.skeleton_hits, stats.solution_misses, "stats: {stats:?}");
     assert_eq!(stats.eigen_evictions, 0, "the run cache must hold the whole space");
+    assert_eq!(stats.skeleton_evictions, 0, "the run cache must hold the whole space");
 }
 
 #[test]
@@ -204,7 +208,7 @@ fn homogeneous_class_cost_model_reproduces_the_flat_cost_sweep() {
     let base = SystemConfig::new(5, 4.0, 1.0, lifecycle.clone()).unwrap();
     let flat = CostModel::paper_figure5();
     let sweep =
-        CostSweep::evaluate(&SpectralExpansionSolver::default(), &base, &flat, 5..=10).unwrap();
+        CostSweep::evaluate(&MatrixGeometricSolver::default(), &base, &flat, 5..=10).unwrap();
     let sweep_best = sweep.optimum().unwrap();
 
     let search = MixSearch::new(

@@ -110,22 +110,43 @@ fn provisioning_sweep_is_thread_count_invariant() {
 
 #[test]
 fn cached_solver_is_bit_identical_to_uncached() {
+    // Spectral expansion caches skeletons and eigensystems; the matrix-geometric
+    // solver caches skeletons and memoises whole solutions.
     let plain = SpectralExpansionSolver::default();
     let cached = SpectralExpansionSolver::default().with_cache(SolverCache::shared());
+    let mg_plain = MatrixGeometricSolver::default();
+    let mg_cache = SolverCache::shared();
+    let mg_cached = MatrixGeometricSolver::default().with_cache(Arc::clone(&mg_cache));
     let base = paper_base(4, 2.5, 25.0);
     for lambda in [1.0, 2.5, 3.5] {
         let config = base.with_arrival_rate(lambda).unwrap();
         let expected = plain.solve_detailed(&config).unwrap();
+        let mg_expected = mg_plain.solve_detailed(&config).unwrap();
         // First call populates the cache (skeleton reused after λ = 1.0), the second is
-        // answered from the solution cache; both must match the uncached bits.
+        // answered from the eigensystem (spectral) or solution (matrix-geometric)
+        // cache; both must match the uncached bits.
         for _ in 0..2 {
             let got = cached.solve_detailed(&config).unwrap();
             assert_eq!(expected.mean_queue_length().to_bits(), got.mean_queue_length().to_bits());
             assert_eq!(expected.boundary_levels(), got.boundary_levels());
             assert_eq!(expected.eigenvalues(), got.eigenvalues());
+            let got = mg_cached.solve_detailed(&config).unwrap();
+            assert_eq!(
+                mg_expected.mean_queue_length().to_bits(),
+                got.mean_queue_length().to_bits()
+            );
+            assert_eq!(bits(mg_expected.rate_matrix()), bits(got.rate_matrix()));
+            for level in 0..=config.servers() + 3 {
+                assert_eq!(
+                    vec_bits(&mg_expected.level_vector(level)),
+                    vec_bits(&got.level_vector(level))
+                );
+            }
         }
     }
     let stats = cached.cache().unwrap().stats();
+    assert_eq!(stats.skeleton_misses, 1, "one lifecycle, one skeleton build");
+    let stats = mg_cache.stats();
     assert_eq!(stats.skeleton_misses, 1, "one lifecycle, one skeleton build");
     assert_eq!(stats.solution_hits, 3);
 }
@@ -150,8 +171,8 @@ fn cached_sweep_matches_uncached_sweep() {
 #[test]
 fn shared_cache_works_across_solvers_and_threads() {
     let cache = SolverCache::shared();
-    let solver_a = SpectralExpansionSolver::default().with_cache(Arc::clone(&cache));
-    let solver_b = SpectralExpansionSolver::default().with_cache(Arc::clone(&cache));
+    let solver_a = MatrixGeometricSolver::default().with_cache(Arc::clone(&cache));
+    let solver_b = MatrixGeometricSolver::default().with_cache(Arc::clone(&cache));
     let base = paper_base(6, 4.0, 25.0);
     let grid: Vec<f64> = (0..8).map(|i| 0.80 + i as f64 * 0.02).collect();
     let a = queue_length_vs_load_with(
@@ -380,6 +401,8 @@ fn matrix_geometric_solver_is_bit_identical_across_the_thread_matrix() {
         assert_eq!(serial.mean_queue_length().to_bits(), got.mean_queue_length().to_bits());
         assert_eq!(bits(serial.rate_matrix()), bits(got.rate_matrix()));
         assert_eq!(serial.reduction_depth(), got.reduction_depth());
+        assert_eq!(vec_bits(&serial.mode_marginal()), vec_bits(&got.mode_marginal()));
+        assert_eq!(serial.tail_probability(12).to_bits(), got.tail_probability(12).to_bits());
         for level in [0, 1, 7, 20] {
             assert_eq!(
                 vec_bits(&serial.level_vector(level)),

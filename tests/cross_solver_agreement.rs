@@ -5,11 +5,13 @@
 //! polynomial versus logarithmic reduction — and share only the boundary elimination
 //! that follows; the brute-force truncated CTMC shares nothing with either beyond the
 //! generator matrices.  Agreement across all three is strong evidence that each of
-//! them is implemented correctly.
+//! them is implemented correctly.  The query engine serves the matrix-geometric
+//! answers, so its queries are certified here against the spectral expansion too.
 
 use unreliable_servers::core::{
-    consistency_violations, MatrixGeometricSolver, QueueSolver, ServerClass, ServerLifecycle,
-    SpectralExpansionSolver, SystemConfig, TruncatedCtmcSolver, TruncatedOptions,
+    consistency_violations, CostModel, Engine, MatrixGeometricSolver, Query, QueryResult,
+    QueueSolver, ResponseAnalysis, ResponseOptions, ServerClass, ServerLifecycle, SolverCache,
+    SpectralExpansionSolver, SystemConfig, ThreadPool, TruncatedCtmcSolver, TruncatedOptions,
 };
 use unreliable_servers::dist::HyperExponential;
 
@@ -134,4 +136,102 @@ fn larger_systems_remain_solvable_and_consistent() {
             < 1e-6
     );
     assert!(consistency_violations(spectral.as_ref(), 80, 1e-6).is_empty());
+}
+
+fn relative_gap(got: f64, want: f64) -> f64 {
+    (got - want).abs() / want.abs()
+}
+
+/// The spectral mean queue length of `config` scaled to `servers`.
+fn spectral_mean(config: &SystemConfig, servers: usize) -> f64 {
+    let scaled = config.with_total_servers(servers).unwrap();
+    SpectralExpansionSolver::default().solve(&scaled).unwrap().mean_queue_length()
+}
+
+#[test]
+fn engine_answers_agree_with_spectral_expansion() {
+    let paper = ServerLifecycle::paper_fitted().unwrap();
+    let hyperexponential = ServerLifecycle::new(
+        HyperExponential::new(&[0.7246, 0.2754], &[0.1663, 0.0091]).unwrap(),
+        HyperExponential::new(&[0.9303, 0.0697], &[25.0043, 1.6346]).unwrap(),
+    );
+    let mixed_fleet = vec![
+        ServerClass::new(2, 1.5, paper.clone()).unwrap(),
+        ServerClass::new(2, 1.0, ServerLifecycle::exponential(0.1, 1.0).unwrap()).unwrap(),
+    ];
+    let configs = [
+        ("paper lifecycle, N = 3", SystemConfig::new(3, 2.0, 1.0, paper.clone()).unwrap()),
+        ("paper lifecycle, N = 6", SystemConfig::new(6, 4.2, 1.0, paper.clone()).unwrap()),
+        ("paper lifecycle, N = 12", SystemConfig::new(12, 8.5, 1.0, paper).unwrap()),
+        ("hyperexponential lifecycle", SystemConfig::new(4, 2.8, 1.0, hyperexponential).unwrap()),
+        ("two-class mixed fleet", SystemConfig::heterogeneous(3.0, mixed_fleet).unwrap()),
+    ];
+    let engine = Engine::with_parts(SolverCache::shared(), ThreadPool::serial());
+    let tolerance = 1e-10;
+    for (name, config) in configs {
+        let servers = config.servers();
+        let execute = |query: Query| engine.execute(&query).unwrap();
+
+        let QueryResult::Solution(solution) = execute(Query::Solve { config: config.clone() })
+        else {
+            panic!("{name}: expected a solution")
+        };
+        let gap = relative_gap(solution.mean_queue_length, spectral_mean(&config, servers));
+        assert!(gap < tolerance, "{name}: solve L off by {gap:e}");
+
+        let (min_servers, max_servers) = (servers, servers + 2);
+        let QueryResult::CostSweep(sweep) = execute(Query::CostSweep {
+            config: config.clone(),
+            cost: CostModel::paper_figure5(),
+            min_servers,
+            max_servers,
+        }) else {
+            panic!("{name}: expected a cost sweep")
+        };
+        assert_eq!(sweep.points().len(), 3, "{name}: every count is stable");
+        for point in sweep.points() {
+            let gap = relative_gap(point.mean_queue_length, spectral_mean(&config, point.servers));
+            assert!(
+                gap < tolerance,
+                "{name}: cost sweep L at N = {} off by {gap:e}",
+                point.servers
+            );
+        }
+
+        let QueryResult::Provisioning(sweep) =
+            execute(Query::Provisioning { config: config.clone(), min_servers, max_servers })
+        else {
+            panic!("{name}: expected a provisioning sweep")
+        };
+        assert_eq!(sweep.points().len(), 3, "{name}: every count is stable");
+        for point in sweep.points() {
+            let gap = relative_gap(point.mean_queue_length, spectral_mean(&config, point.servers));
+            assert!(
+                gap < tolerance,
+                "{name}: provisioning L at N = {} off by {gap:e}",
+                point.servers
+            );
+        }
+
+        // The response-time transform requires identical servers (see `response`).
+        if !config.is_homogeneous() {
+            continue;
+        }
+        let fractions = vec![0.5, 0.9, 0.99];
+        let QueryResult::Percentiles(report) =
+            execute(Query::Percentiles { config: config.clone(), fractions: fractions.clone() })
+        else {
+            panic!("{name}: expected percentiles")
+        };
+        let spectral = SpectralExpansionSolver::default().solve(&config).unwrap();
+        let reference =
+            ResponseAnalysis::from_solution(&config, spectral.as_ref(), ResponseOptions::default())
+                .unwrap()
+                .response_time_percentiles(&fractions)
+                .unwrap();
+        for ((fraction, got), want) in fractions.iter().zip(&report.percentiles).zip(&reference) {
+            let gap = relative_gap(*got, *want);
+            assert!(gap < 1e-8, "{name}: P{} off by {gap:e}", 100.0 * fraction);
+        }
+    }
 }
