@@ -323,8 +323,9 @@ fn bench_sweeps(c: &mut Criterion) {
 /// The fleet-mix search of `urs_core::mix` under its two execution strategies on the
 /// identical candidate space: the all-exact exhaustive path versus approximation
 /// screening with exact verification of the shortlist.  Screening trades one cheap
-/// approximate solve per candidate for restricting the exact matrix-geometric solves
-/// to the slack-band shortlist; the gap widens with the candidate space, so the full
+/// approximate solve per candidate — a bracket search for the decay rate over
+/// unpivoted banded LUs, no eigensolve — for restricting the exact matrix-geometric
+/// solves to the slack-band shortlist; the gap widens with the candidate space, so the full
 /// run uses a three-class fleet (285 compositions, ≤ 32 verified) while the smoke
 /// run shrinks to a CI-sized two-class space.
 fn bench_mix(c: &mut Criterion) {

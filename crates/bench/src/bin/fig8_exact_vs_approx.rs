@@ -16,9 +16,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (0..if smoke() { 3 } else { 11 }).map(|i| 0.89 + i as f64 * 0.01).collect();
     utilisations.push(0.995);
     // Only λ varies along this sweep, and the cache is shared between the two solvers:
-    // the QBD skeleton is built once for the whole grid and the geometric
-    // approximation reuses the eigensystem the exact solver factorised at each point
-    // instead of solving the quadratic eigenproblem a second time.
+    // the QBD skeleton is built once for the whole grid and both solvers reuse it at
+    // every point.
     let cache = SolverCache::shared();
     let points = queue_length_vs_load(
         &SpectralExpansionSolver::default().with_cache(cache.clone()),
@@ -37,9 +36,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let stats = cache.stats();
     println!(
-        "\ncache: {} skeleton build(s), {} eigensystem reuse(s) across {} grid points",
+        "\ncache: {} skeleton build(s), {} skeleton reuse(s) across {} grid points",
         stats.skeleton_misses,
-        stats.eigen_hits,
+        stats.skeleton_hits,
         points.len()
     );
     println!("Paper: the approximation becomes more accurate as the load increases.");

@@ -11,8 +11,8 @@ use urs_core::{GeometricApproximation, ProvisioningSweep, SolverCache, SpectralE
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let base = system(8, 7.5, figure5_lifecycle());
     // The two sweeps visit the same (N, λ) grid, so sharing one cache lets the
-    // approximation pass reuse every eigensystem the exact pass factorised — the
-    // quadratic eigenproblem is solved once, not twice, per server count.
+    // approximation pass reuse every QBD skeleton the exact pass built — each
+    // skeleton is built once, not twice, per server count.
     let cache = SolverCache::shared();
     let exact = ProvisioningSweep::evaluate(
         &SpectralExpansionSolver::default().with_cache(cache.clone()),
@@ -42,8 +42,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let stats = cache.stats();
     println!(
-        "cache: {} eigensystem reuse(s) across {} server counts",
-        stats.eigen_hits,
+        "cache: {} skeleton reuse(s) across {} server counts",
+        stats.skeleton_hits,
         exact.points().len()
     );
     Ok(())

@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fragile = ServerClass::new(1, 1.5, fragile_lifecycle.clone())?;
 
     // One cache for both sweeps (and the cross-check below): the approximation reuses
-    // every eigensystem the exact pass factorises instead of re-solving it.
+    // every QBD skeleton the exact pass builds instead of rebuilding it.
     let cache = SolverCache::shared();
     let exact = queue_length_vs_class_mix(
         &SpectralExpansionSolver::default().with_cache(cache.clone()),
@@ -77,9 +77,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .mean_queue_length();
     let stats = cache.stats();
     println!(
-        "\ncache: {} skeleton build(s), {} eigensystem reuse(s) across {} mixes",
+        "\ncache: {} skeleton build(s), {} skeleton reuse(s) across {} mixes",
         stats.skeleton_misses,
-        stats.eigen_hits,
+        stats.skeleton_hits,
         exact.len()
     );
     // Build the simulated classes from the *same* ServerClass objects as the analytic

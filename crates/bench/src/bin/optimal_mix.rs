@@ -9,7 +9,9 @@
 //! fleet-size bound, with and without a hardware budget.  Both search strategies are
 //! run and compared: exhaustive exact evaluation, and approximation screening with
 //! exact verification of the shortlist (sharing one `SolverCache`, so verification
-//! reuses the skeletons and eigensystems screening already factorised).
+//! reuses the skeletons screening already built).  Screening finds each
+//! composition's decay rate by a bracket search over real LU factorisations, not an
+//! eigensolve, so it costs a fraction of an exact solve.
 //!
 //! Run with `URS_SMOKE=1` for a CI-sized instance.
 

@@ -4,7 +4,7 @@
 //! of QBD skeletons, cost/provisioning sweeps, percentiles) through one
 //! [`urs_server::Server`] twice:
 //!
-//! * **cold** — a fresh server, every skeleton/eigensystem/solution computed;
+//! * **cold** — a fresh server, every skeleton/solution/transform computed;
 //! * **warm** — the same server again, so the shared cache answers most of the work.
 //!
 //! Reports queries/sec for both passes, per-query latency quantiles, and the

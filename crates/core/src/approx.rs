@@ -2,10 +2,10 @@
 //!
 //! The exact spectral expansion keeps all `s` eigenvalues inside the unit disk.  The
 //! approximation discards every term except the one belonging to the eigenvalue with
-//! the largest modulus, `z_s` (always real and positive), yielding
+//! the largest modulus, `z_s = η` (always real and positive), yielding
 //!
 //! ```text
-//! v_j ≈ u_s/(u_s·1) · (1 − z_s) · z_s^j ,    j = 0, 1, …
+//! v_j ≈ u/(u·1) · (1 − η) · η^j ,    j = 0, 1, …
 //! ```
 //!
 //! i.e. a geometric queue-length distribution that is *independent* of the operational
@@ -13,79 +13,72 @@
 //! the ill-conditioning that affects the exact solution for large `N`, and is
 //! asymptotically exact in heavy traffic (Mitrani 2005) — exactly the behaviour
 //! reproduced in Figure 8.
+//!
+//! # Finding η without the eigensystem
+//!
+//! One root and one vector do not need the full quadratic eigensolve.  With `Q0 = λI`
+//! and `Q2 = C` diagonal, `K(z) = Q0/z + Q1 + z·Q2` is, for `z > 0`, a Z-matrix whose
+//! off-diagonal part `A` is constant — only the diagonal
+//! `−K(z)ᵢᵢ = Dᴬᵢ + (1 − z)(Cᵢ − λ/z)` moves with `z`.  `η` is Neuts' caudal
+//! characteristic (*Matrix-Geometric Solutions in Stochastic Models*, 1981): `−K(z)` is
+//! a nonsingular M-matrix exactly on `η < z < 1`.  A Z-matrix is a nonsingular M-matrix
+//! iff every pivot of its *unpivoted* LU is positive (Berman & Plemmons, 1979), so
+//! [`BandedMatrix::m_matrix_lu`] is an exact predicate that brackets `η`, at
+//! `O(s·kl·ku)` per evaluation inside the band of `A`.  Just below `η` only the last
+//! pivot turns non-positive, so once both ends of the bracket carry a last pivot the
+//! search refines it by a safeguarded secant (Illinois regula falsi) on that pivot,
+//! falling back to bisection, until the bracket is a few ulps wide.
+//!
+//! The mode vector comes from the factors at the M-matrix end of the bracket:
+//! `u = e_sᵀ·L⁻¹` satisfies `u·(−K) = (0, …, 0, U_ss)` with `U_ss → 0`, and because
+//! `L⁻¹ ≥ 0` for an M-matrix factor it is non-negative by construction.
 
 use std::sync::Arc;
 
-use urs_linalg::Complex;
+use urs_linalg::{BandedMatrix, MMatrixLu, Workspace, ZMatrixLu};
 
-use crate::cache::{EigenEntry, SolverCache};
+use crate::cache::SolverCache;
 use crate::config::SystemConfig;
 use crate::error::ModelError;
-use crate::qbd::QbdMatrices;
+use crate::qbd::QbdSkeleton;
 use crate::solution::{QueueSolution, QueueSolver};
 use crate::Result;
+
+/// Width, in units of `f64::EPSILON·η`, below which the root bracket has converged.
+const BRACKET_ULPS: f64 = 4.0;
+
+/// Most unpivoted factorisations one root search may spend.  Bisection alone
+/// narrows `(0, 1)` to a few ulps of `η` in about `50 + log₂(1/η)` steps; the
+/// secant usually needs about 20.
+const MAX_SEARCH_STEPS: usize = 128;
 
 /// The geometric approximation solver.
 ///
 /// # Example
 ///
 /// ```
-/// use urs_core::{GeometricApproximation, QueueSolver, ServerLifecycle, SystemConfig};
+/// use urs_core::{GeometricApproximation, QueueSolution, ServerLifecycle, SystemConfig};
 ///
 /// # fn main() -> Result<(), urs_core::ModelError> {
 /// let config = SystemConfig::new(10, 9.5, 1.0, ServerLifecycle::paper_fitted()?)?;
-/// let approx = GeometricApproximation::default().solve(&config)?;
+/// let approx = GeometricApproximation::default().solve_detailed(&config)?;
 /// assert!(approx.mean_queue_length() > 9.0);
+/// assert!(approx.decay_rate() > 0.0 && approx.decay_rate() < 1.0);
 /// # Ok(())
 /// # }
 /// ```
 ///
-/// When the approximation is compared against the exact solution on the same grid
-/// (Figures 8 and 9), attach the *same* [`SolverCache`] to both solvers with
-/// [`with_cache`](Self::with_cache): the approximation then reuses the eigensystem
-/// the spectral solver factorised for the identical `(skeleton, λ)` instead of
-/// re-solving the quadratic eigenproblem.
-#[derive(Debug, Clone)]
+/// When the approximation runs next to an exact solver on the same grid (Figures 8
+/// and 9, or the screening pass of a [`MixSearch`](crate::MixSearch)), attach the
+/// *same* [`SolverCache`] to both with [`with_cache`](Self::with_cache): they then
+/// build each λ-independent QBD skeleton once between them.
+#[derive(Debug, Clone, Default)]
 pub struct GeometricApproximation {
-    /// Margin used to separate eigenvalues inside the unit disk from the one at 1.
-    unit_disk_margin: f64,
     cache: Option<Arc<SolverCache>>,
 }
 
-impl Default for GeometricApproximation {
-    fn default() -> Self {
-        GeometricApproximation { unit_disk_margin: 1e-9, cache: None }
-    }
-}
-
 impl GeometricApproximation {
-    /// Creates the approximation with an explicit unit-disk classification margin.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidParameter`] when the margin is not positive and
-    /// finite (mirroring the validation of
-    /// [`SpectralOptions`](crate::SpectralOptions) keys — a non-positive margin would
-    /// misclassify the eigenvalue at 1 as "inside the unit disk").
-    pub fn with_margin(unit_disk_margin: f64) -> Result<Self> {
-        if !(unit_disk_margin.is_finite() && unit_disk_margin > 0.0) {
-            return Err(ModelError::InvalidParameter {
-                name: "unit_disk_margin",
-                value: unit_disk_margin,
-                constraint: "must be finite and positive",
-            });
-        }
-        Ok(GeometricApproximation { unit_disk_margin, cache: None })
-    }
-
-    /// The unit-disk classification margin in use.
-    pub fn margin(&self) -> f64 {
-        self.unit_disk_margin
-    }
-
-    /// Attaches a [`SolverCache`]; share it with a
-    /// [`SpectralExpansionSolver`](crate::SpectralExpansionSolver) so the two solvers
-    /// factorise each `(skeleton, λ)` eigenproblem once between them.
+    /// Attaches a [`SolverCache`]; the approximation reuses its QBD skeletons.
     pub fn with_cache(mut self, cache: Arc<SolverCache>) -> Self {
         self.cache = Some(cache);
         self
@@ -101,113 +94,179 @@ impl GeometricApproximation {
     /// # Errors
     ///
     /// Returns [`ModelError::Unstable`] for non-ergodic configurations and
-    /// [`ModelError::SpectralFailure`] if no admissible dominant eigenvalue is found.
+    /// [`ModelError::NoConvergence`] if the root search does not close its bracket
+    /// within its step budget.
     pub fn solve_detailed(&self, config: &SystemConfig) -> Result<GeometricSolution> {
         config.ensure_stable()?;
-        let margin = self.unit_disk_margin;
-        let Some(cache) = &self.cache else {
-            let qbd = QbdMatrices::new(config)?;
-            let problem = urs_linalg::QuadraticEigenProblem::new(qbd.q0(), qbd.q1(), qbd.q2())?;
-            let inside: Vec<Complex> =
-                problem.eigenvalues_inside_unit_disk(margin)?.iter().map(|e| e.z).collect();
-            let dominant = dominant_index(&inside)?;
-            let u = problem.left_eigenvector(inside[dominant])?;
-            return assemble_solution(config, inside[dominant], &u);
+        let skeleton = match &self.cache {
+            Some(cache) => cache.skeleton(config)?,
+            None => Arc::new(QbdSkeleton::for_classes(config.classes())?),
         };
-        if let Some(entry) = cache.lookup_eigensystem(config, margin)? {
-            let dominant = dominant_index(&entry.eigenvalues)?;
-            let z = entry.eigenvalues[dominant];
-            let u = match &entry.eigenvectors[dominant] {
-                Some(u) => u.clone(),
-                None => {
-                    // Entry produced without this eigenvector (both current producers
-                    // do store it, but a partial entry is legal) — one linear solve,
-                    // no repeated eigenvalue factorisation, and the enriched entry is
-                    // written back so the solve happens at most once per key.
-                    let qbd =
-                        QbdMatrices::with_skeleton(cache.skeleton(config)?, config.arrival_rate());
-                    let u = urs_linalg::QuadraticEigenProblem::new(qbd.q0(), qbd.q1(), qbd.q2())?
-                        .left_eigenvector(z)?;
-                    let mut enriched = (*entry).clone();
-                    enriched.eigenvectors[dominant] = Some(u.clone());
-                    cache.store_eigensystem(config, margin, enriched)?;
-                    u
-                }
-            };
-            return assemble_solution(config, z, &u);
+        let root = DominantRoot::search(&skeleton, config.arrival_rate())?;
+        let mut mode_distribution = root.vector;
+        // The last entry is 1 and none is negative, so the sum is at least 1.
+        let sum: f64 = mode_distribution.iter().sum();
+        for p in &mut mode_distribution {
+            *p /= sum;
         }
-        // Miss: factorise once and publish the eigenvalues plus the dominant
-        // eigenvector so later solves (either solver) can reuse them.
-        let qbd = QbdMatrices::with_skeleton(cache.skeleton(config)?, config.arrival_rate());
-        let problem = urs_linalg::QuadraticEigenProblem::new(qbd.q0(), qbd.q1(), qbd.q2())?;
-        let inside: Vec<Complex> =
-            problem.eigenvalues_inside_unit_disk(margin)?.iter().map(|e| e.z).collect();
-        let dominant = dominant_index(&inside)?;
-        let u = problem.left_eigenvector(inside[dominant])?;
-        let eigenvectors =
-            (0..inside.len()).map(|i| if i == dominant { Some(u.clone()) } else { None }).collect();
-        cache.store_eigensystem(
-            config,
-            margin,
-            EigenEntry { eigenvalues: inside.clone(), eigenvectors },
-        )?;
-        assemble_solution(config, inside[dominant], &u)
-    }
-}
-
-/// Index of the dominant admissible eigenvalue: the largest real positive one.
-///
-/// # Errors
-///
-/// Returns [`ModelError::SpectralFailure`] when no real positive eigenvalue exists.
-fn dominant_index(eigenvalues: &[Complex]) -> Result<usize> {
-    eigenvalues
-        .iter()
-        .enumerate()
-        .filter(|(_, z)| z.im.abs() < 1e-8 && z.re > 0.0)
-        .max_by(|(_, a), (_, b)| a.re.total_cmp(&b.re))
-        .map(|(i, _)| i)
-        .ok_or_else(|| {
-            ModelError::SpectralFailure(
-                "no real positive eigenvalue found inside the unit disk".into(),
-            )
+        Ok(GeometricSolution {
+            arrival_rate: config.arrival_rate(),
+            decay_rate: root.eta,
+            mode_distribution,
+            search_steps: root.steps,
         })
+    }
 }
 
-/// Normalises the dominant left eigenvector into a probability vector over the modes
-/// and assembles the geometric solution.
-fn assemble_solution(
-    config: &SystemConfig,
-    dominant: Complex,
-    u: &[Complex],
-) -> Result<GeometricSolution> {
-    // The eigenvector of a real eigenvalue can be taken real; normalise it to a
-    // probability vector over the modes.
-    let mut real_u: Vec<f64> = u.iter().map(|c| c.re).collect();
-    let sum: f64 = real_u.iter().sum();
-    if sum.abs() < 1e-300 {
-        return Err(ModelError::SpectralFailure(
-            "dominant eigenvector has vanishing component sum".into(),
-        ));
+/// The dominant root `η` of `det Q(z)` in `(0, 1)` with its (unnormalised, non-negative)
+/// left null vector, and the number of factorisations the search spent.
+struct DominantRoot {
+    eta: f64,
+    vector: Vec<f64>,
+    steps: usize,
+}
+
+/// The matrix family `−K(z)` of a skeleton at one arrival rate: the constant
+/// off-diagonal band `−A` and the diagonal `Dᴬ + (1 − z)(C − λ/z)`, rewritten per step.
+struct CaudalFamily<'a> {
+    minus_k: BandedMatrix,
+    da: &'a [f64],
+    c: &'a [f64],
+    lambda: f64,
+    ws: Workspace,
+    steps: usize,
+}
+
+impl<'a> CaudalFamily<'a> {
+    fn new(skeleton: &'a QbdSkeleton, lambda: f64) -> Self {
+        let (kl, ku) = skeleton.q1_bandwidths();
+        let a = skeleton.a();
+        let minus_k = BandedMatrix::from_fn(skeleton.order(), kl, ku, |i, j| {
+            if i == j {
+                0.0
+            } else {
+                -a.get(i, j).unwrap_or(0.0)
+            }
+        });
+        CaudalFamily {
+            minus_k,
+            da: skeleton.da(),
+            c: skeleton.c(),
+            lambda,
+            ws: Workspace::new(),
+            steps: 0,
+        }
     }
-    for value in &mut real_u {
-        *value /= sum;
+
+    /// The unpivoted elimination of `−K(z)`: factors when it is a nonsingular
+    /// M-matrix, the first non-positive pivot otherwise.
+    fn factor_at(&mut self, z: f64) -> Result<ZMatrixLu> {
+        self.steps += 1;
+        let lambda = self.lambda;
+        let diagonal = self.da.iter().zip(self.c).map(|(da, c)| da + (1.0 - z) * (c - lambda / z));
+        self.minus_k.set_diagonal(diagonal);
+        Ok(self.minus_k.m_matrix_lu(&mut self.ws)?)
     }
-    // The stationary mode distribution is non-negative; flip sign conventions if
-    // necessary and reject genuinely mixed-sign vectors.
-    if real_u.iter().any(|p| *p < -1e-8) {
-        return Err(ModelError::SpectralFailure(
-            "dominant eigenvector is not a non-negative vector".into(),
-        ));
+}
+
+/// One end of the root bracket: its abscissa, the secant variable there when known,
+/// and the Illinois weight halving a value the regula falsi keeps retaining.
+#[derive(Debug, Clone, Copy)]
+struct BracketEnd {
+    z: f64,
+    value: Option<f64>,
+    weight: f64,
+}
+
+impl BracketEnd {
+    fn new(z: f64, value: Option<f64>) -> Self {
+        BracketEnd { z, value, weight: 1.0 }
     }
-    for value in &mut real_u {
-        *value = value.max(0.0);
+
+    fn weighted(&self) -> Option<f64> {
+        self.value.map(|v| v * self.weight)
     }
-    Ok(GeometricSolution {
-        arrival_rate: config.arrival_rate(),
-        decay_rate: dominant.re,
-        mode_distribution: real_u,
-    })
+}
+
+impl DominantRoot {
+    /// Brackets `η` between a point where `−K(z)` is not a nonsingular M-matrix (`lo`)
+    /// and one where it is (`hi`), starting from `(0, 1)` — see the module docs.
+    ///
+    /// The secant runs on the last pivot scaled by `z/(1 − z)`: that removes the
+    /// pivot's second zero at `z = 1` and its `1/z` pole, leaving a near-linear
+    /// function with a simple root at `η` (exactly `µz − λ` for a single mode).
+    fn search(skeleton: &QbdSkeleton, lambda: f64) -> Result<Self> {
+        let s = skeleton.order();
+        let mut family = CaudalFamily::new(skeleton, lambda);
+        let scaled = |z: f64, pivot: f64| pivot * z / (1.0 - z);
+        let mut lo = BracketEnd::new(0.0, None);
+        let mut hi = BracketEnd::new(1.0, None);
+        let mut hi_lu: Option<MMatrixLu> = None;
+        // The M-matrix point `hi` replaced, for a secant through two points above η
+        // while `lo` has no value yet.
+        let mut previous_hi: Option<(f64, f64)> = None;
+        let mut moved_hi_last: Option<bool> = None;
+        // Bracket widths before the last three steps: a secant that has not halved
+        // the bracket over three steps hands the next step to bisection.
+        let mut widths = [1.0_f64; 3];
+        loop {
+            let width = hi.z - lo.z;
+            let tolerance = BRACKET_ULPS * f64::EPSILON * hi.z;
+            if let Some(lu) = &hi_lu {
+                if width <= tolerance {
+                    let mut vector = vec![0.0; s];
+                    lu.last_row_of_l_inverse_into(&mut vector)?;
+                    return Ok(DominantRoot { eta: hi.z, vector, steps: family.steps });
+                }
+            }
+            if family.steps >= MAX_SEARCH_STEPS {
+                return Err(ModelError::NoConvergence {
+                    algorithm: "dominant-root bracket search",
+                    iterations: family.steps,
+                });
+            }
+            let [three_steps_ago, two_steps_ago, one_step_ago] = widths;
+            let stalled = width > 0.5 * three_steps_ago;
+            widths = [two_steps_ago, one_step_ago, width];
+            // Regula falsi across the bracket once both ends carry a value; until `lo`
+            // does, the secant through the last two M-matrix points (unweighted).
+            let secant = match (lo.weighted(), hi.weighted(), hi.value, previous_hi) {
+                _ if stalled => None,
+                (Some(f_lo), Some(f_hi), _, _) => Some(hi.z - f_hi * width / (f_hi - f_lo)),
+                (None, _, Some(f_hi), Some((z_prev, f_prev))) => {
+                    Some(hi.z - f_hi * (hi.z - z_prev) / (f_hi - f_prev))
+                }
+                _ => None,
+            };
+            // Every secant probe stays half a tolerance inside the bracket, so a
+            // secant converging from one side still closes the other.
+            let margin = 0.5 * tolerance;
+            let z = match secant {
+                Some(z) if z > lo.z && z < hi.z => z.max(lo.z + margin).min(hi.z - margin),
+                _ => lo.z + 0.5 * width,
+            };
+            match family.factor_at(z)? {
+                ZMatrixLu::MMatrix(lu) => {
+                    previous_hi = hi.value.map(|v| (hi.z, v));
+                    hi = BracketEnd::new(z, Some(scaled(z, lu.last_pivot())));
+                    if moved_hi_last == Some(true) {
+                        lo.weight *= 0.5;
+                    }
+                    moved_hi_last = Some(true);
+                    if let Some(old) = hi_lu.replace(lu) {
+                        old.recycle(&mut family.ws);
+                    }
+                }
+                ZMatrixLu::NonPositivePivot { index, value } => {
+                    lo = BracketEnd::new(z, (index + 1 == s).then(|| scaled(z, value)));
+                    if moved_hi_last == Some(false) {
+                        hi.weight *= 0.5;
+                    }
+                    moved_hi_last = Some(false);
+                }
+            }
+        }
+    }
 }
 
 impl QueueSolver for GeometricApproximation {
@@ -221,18 +280,30 @@ impl QueueSolver for GeometricApproximation {
 }
 
 /// The approximate solution: a geometric queue-length distribution with decay rate
-/// `z_s`, independent of the operational mode.
+/// `η`, independent of the operational mode.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GeometricSolution {
     arrival_rate: f64,
     decay_rate: f64,
     mode_distribution: Vec<f64>,
+    search_steps: usize,
 }
 
 impl GeometricSolution {
-    /// The dominant eigenvalue `z_s` (the geometric decay rate of the queue length).
+    /// The dominant eigenvalue `η` (the geometric decay rate of the queue length).
     pub fn decay_rate(&self) -> f64 {
         self.decay_rate
+    }
+
+    /// How many unpivoted factorisations of `−K(z)` the root search evaluated — a
+    /// deterministic work counter, identical on every run and thread count.
+    pub fn search_steps(&self) -> usize {
+        self.search_steps
+    }
+
+    /// `η^exponent`; exponents past `powi`'s `i32` range carry no mass.
+    fn decay_power(&self, exponent: usize) -> f64 {
+        i32::try_from(exponent).map_or(0.0, |e| self.decay_rate.powi(e))
     }
 }
 
@@ -246,14 +317,13 @@ impl QueueSolution for GeometricSolution {
     }
 
     fn state_probability(&self, mode: usize, level: usize) -> f64 {
-        if mode >= self.mode_distribution.len() {
-            return 0.0;
-        }
-        self.mode_distribution[mode] * (1.0 - self.decay_rate) * self.decay_rate.powi(level as i32)
+        self.mode_distribution
+            .get(mode)
+            .map_or(0.0, |p| p * (1.0 - self.decay_rate) * self.decay_power(level))
     }
 
     fn level_probability(&self, level: usize) -> f64 {
-        (1.0 - self.decay_rate) * self.decay_rate.powi(level as i32)
+        (1.0 - self.decay_rate) * self.decay_power(level)
     }
 
     fn mode_marginal(&self) -> Vec<f64> {
@@ -265,7 +335,7 @@ impl QueueSolution for GeometricSolution {
     }
 
     fn tail_probability(&self, level: usize) -> f64 {
-        self.decay_rate.powi(level as i32 + 1)
+        level.checked_add(1).map_or(0.0, |exponent| self.decay_power(exponent))
     }
 }
 
@@ -341,6 +411,38 @@ mod tests {
             GeometricApproximation::default().solve_detailed(&config),
             Err(ModelError::Unstable { .. })
         ));
+    }
+
+    #[test]
+    fn levels_past_the_exponent_range_carry_no_mass() {
+        let solution =
+            GeometricApproximation::default().solve_detailed(&paper_config(4, 3.0)).unwrap();
+        let far = [i32::MAX as usize + 1, u32::MAX as usize + 5, usize::MAX];
+        let mut previous_tail = solution.tail_probability(i32::MAX as usize - 1);
+        for level in far {
+            let tail = solution.tail_probability(level);
+            assert!(tail.is_finite() && (0.0..=1.0).contains(&tail), "tail at {level}: {tail}");
+            assert!(tail <= previous_tail, "tail must not grow at {level}: {tail}");
+            previous_tail = tail;
+            let p = solution.level_probability(level);
+            assert!(p.is_finite() && (0.0..=1.0).contains(&p), "level {level}: {p}");
+            for mode in 0..solution.mode_count() {
+                let q = solution.state_probability(mode, level);
+                assert!(q.is_finite() && (0.0..=1.0).contains(&q), "state ({mode}, {level}): {q}");
+            }
+        }
+        // Level i32::MAX is the first whose tail exponent does not fit, and must
+        // neither overflow nor wrap.
+        assert_eq!(solution.tail_probability(i32::MAX as usize), 0.0);
+    }
+
+    #[test]
+    fn search_steps_count_the_factorisations() {
+        let config = paper_config(6, 5.0);
+        let first = GeometricApproximation::default().solve_detailed(&config).unwrap();
+        let again = GeometricApproximation::default().solve_detailed(&config).unwrap();
+        assert_eq!(first.search_steps(), again.search_steps());
+        assert!(first.search_steps() > 1 && first.search_steps() <= MAX_SEARCH_STEPS);
     }
 
     #[test]

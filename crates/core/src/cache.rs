@@ -1,23 +1,20 @@
 //! Keyed caching of the expensive, reusable pieces of the exact solutions.
 //!
 //! Profiling the sweeps behind the paper's Figures 5–9 shows that every grid point
-//! used to rebuild three kinds of state from scratch:
+//! used to rebuild two kinds of state from scratch:
 //!
 //! 1. the **QBD skeleton** — the mode enumeration and the generator blocks `A`, `Dᴬ`,
 //!    `C_0..C_N` — which depends only on the server classes (`N`, `µ`, lifecycle per
 //!    class) and not on the arrival rate, so a load sweep (Figure 8) rebuilds the
-//!    identical skeleton at every point;
-//! 2. the **quadratic eigensystem** of `Q(z)` — which the spectral solver *and* the
-//!    geometric approximation each need for the same `(skeleton, λ)`, so Figures 8
-//!    and 9 used to pay the companion-matrix QR factorisation twice per grid point;
-//! 3. the **full matrix-geometric solution** — the exact answer the query engine
+//!    identical skeleton at every point, and every solver that looks at the same
+//!    fleet (the exact solvers, the geometric approximation) needs the same one;
+//! 2. the **full matrix-geometric solution** — the exact answer the query engine
 //!    serves — which is repeated verbatim whenever the same configuration is solved
 //!    twice (re-running a cost sweep with a different cost model, a percentile query
 //!    after a solve, interactive exploration).  Hits hand out the stored [`Arc`].
 //!
-//! [`SolverCache`] memoises all three levels — plus a fourth, the response-time
-//! transform skeletons of [`response`](crate::response) — behind `f64`-bit-exact
-//! keys.  Key
+//! [`SolverCache`] memoises both — plus a third level, the response-time transform
+//! skeletons of [`response`](crate::response) — behind `f64`-bit-exact keys.  Key
 //! construction normalises signed zero (`-0.0` and `0.0` hash identically) and
 //! rejects non-finite values, so NaN can never be admitted as a silently-unequal
 //! cache key.  The cache is `Sync` — each level is split into independently locked
@@ -68,7 +65,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use urs_dist::HyperExponential;
-use urs_linalg::Complex;
 
 use crate::config::{canonical_bits, ServerClass, SystemConfig};
 use crate::error::ModelError;
@@ -81,8 +77,6 @@ use crate::Result;
 const DEFAULT_SKELETON_CAPACITY: usize = 64;
 /// Default capacity of the full-solution map.
 const DEFAULT_SOLUTION_CAPACITY: usize = 4096;
-/// Default capacity of the eigensystem map.
-const DEFAULT_EIGEN_CAPACITY: usize = 1024;
 /// Default capacity of the response-transform map (transforms hold the truncated
 /// arrival distribution, so they are skeleton-sized entries).
 const DEFAULT_TRANSFORM_CAPACITY: usize = 64;
@@ -95,8 +89,8 @@ pub(crate) fn digest_of<K: Hash>(key: &K) -> u64 {
 }
 
 /// Deterministic digest of the λ-independent skeleton identity of a configuration:
-/// two configurations with equal digests share their QBD skeleton (and therefore
-/// their eigensystem lookups), which is what makes their queries batchable.
+/// two configurations with equal digests share their QBD skeleton, which is what
+/// makes their queries batchable.
 ///
 /// # Errors
 ///
@@ -201,24 +195,6 @@ impl SolutionKey {
     }
 }
 
-/// Key of a cached eigensystem: `(skeleton, λ, unit-disk margin)`.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-struct EigenKey {
-    skeleton: SkeletonKey,
-    arrival_rate: u64,
-    margin: u64,
-}
-
-impl EigenKey {
-    fn new(config: &SystemConfig, margin: f64) -> Result<Self> {
-        Ok(EigenKey {
-            skeleton: SkeletonKey::new(config)?,
-            arrival_rate: key_bits("arrival_rate", config.arrival_rate())?,
-            margin: key_bits("unit_disk_margin", margin)?,
-        })
-    }
-}
-
 /// Key of a cached response-time transform skeleton: the underlying solution key plus
 /// the tail-truncation threshold (the transform stores the arrival-state distribution
 /// truncated at that mass, so different thresholds yield different — if numerically
@@ -241,18 +217,6 @@ impl TransformKey {
             tail_epsilon: key_bits("tail_epsilon", tail_epsilon)?,
         })
     }
-}
-
-/// The eigensystem of the characteristic matrix polynomial `Q(z)` restricted to the
-/// open unit disk, shared between the spectral solver (producer of the full system)
-/// and the geometric approximation (consumer of the dominant pair).
-#[derive(Debug, Clone)]
-pub(crate) struct EigenEntry {
-    /// Eigenvalues strictly inside the unit disk.
-    pub eigenvalues: Vec<Complex>,
-    /// Left eigenvectors aligned with `eigenvalues`; `None` where the producer did
-    /// not need that eigenvector (the approximation stores only the dominant one).
-    pub eigenvectors: Vec<Option<Vec<Complex>>>,
 }
 
 /// Number of lock shards per cache level.  Each shard is an independent
@@ -454,7 +418,7 @@ impl<K: Ord + Clone + Hash, V: Clone> ShardedLru<K, V> {
 /// metrics endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheLevelStats {
-    /// Level name: `"skeletons"`, `"solutions"`, `"eigensystems"` or `"transforms"`.
+    /// Level name: `"skeletons"`, `"solutions"` or `"transforms"`.
     pub level: &'static str,
     /// Lookups answered from the cache.
     pub hits: u64,
@@ -505,14 +469,6 @@ pub struct CacheStats {
     pub solution_hits: u64,
     /// Matrix-geometric solution lookups that had to run the solver.
     pub solution_misses: u64,
-    /// Eigensystem lookups answered from the cache: one solver reusing the other's
-    /// factorisation for the same `(skeleton, λ, margin)`.  The geometric
-    /// approximation reads the complete system the spectral solver published; the
-    /// spectral solver reads the eigen*values* (plus the dominant eigenvector) the
-    /// approximation published and extracts only the missing eigenvectors.
-    pub eigen_hits: u64,
-    /// Eigensystem lookups that had to solve the quadratic eigenproblem.
-    pub eigen_misses: u64,
     /// Response-transform lookups answered from the cache: repeated percentile or CDF
     /// queries against the same configuration (an SLA sweep evaluating P90/P95/P99,
     /// say) skip both the stationary solve and the transform assembly.
@@ -523,16 +479,12 @@ pub struct CacheStats {
     pub skeleton_evictions: u64,
     /// Solutions evicted by the LRU policy.
     pub solution_evictions: u64,
-    /// Eigensystems evicted by the LRU policy.
-    pub eigen_evictions: u64,
     /// Response transforms evicted by the LRU policy.
     pub transform_evictions: u64,
     /// Cumulative recency age of evicted skeletons (see [`CacheLevelStats::eviction_age_total`]).
     pub skeleton_eviction_age: u64,
     /// Cumulative recency age of evicted solutions.
     pub solution_eviction_age: u64,
-    /// Cumulative recency age of evicted eigensystems.
-    pub eigen_eviction_age: u64,
     /// Cumulative recency age of evicted response transforms.
     pub transform_eviction_age: u64,
     /// Shards cleared after a worker panicked while holding their lock
@@ -541,10 +493,10 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// The per-level view: `[skeletons, solutions, eigensystems, transforms]`, each
-    /// with its hit rate and eviction-age diagnostics — the shape a serving
-    /// process's `stats` endpoint reports.
-    pub fn levels(&self) -> [CacheLevelStats; 4] {
+    /// The per-level view: `[skeletons, solutions, transforms]`, each with its hit
+    /// rate and eviction-age diagnostics — the shape a serving process's `stats`
+    /// endpoint reports.
+    pub fn levels(&self) -> [CacheLevelStats; 3] {
         [
             CacheLevelStats {
                 level: "skeletons",
@@ -561,13 +513,6 @@ impl CacheStats {
                 eviction_age_total: self.solution_eviction_age,
             },
             CacheLevelStats {
-                level: "eigensystems",
-                hits: self.eigen_hits,
-                misses: self.eigen_misses,
-                evictions: self.eigen_evictions,
-                eviction_age_total: self.eigen_eviction_age,
-            },
-            CacheLevelStats {
                 level: "transforms",
                 hits: self.transform_hits,
                 misses: self.transform_misses,
@@ -577,14 +522,10 @@ impl CacheStats {
         ]
     }
 
-    /// Overall hit rate across all four levels (`0.0` before the first lookup).
+    /// Overall hit rate across all three levels (`0.0` before the first lookup).
     pub fn total_hit_rate(&self) -> f64 {
-        let hits = self.skeleton_hits + self.solution_hits + self.eigen_hits + self.transform_hits;
-        let lookups = hits
-            + self.skeleton_misses
-            + self.solution_misses
-            + self.eigen_misses
-            + self.transform_misses;
+        let hits = self.skeleton_hits + self.solution_hits + self.transform_hits;
+        let lookups = hits + self.skeleton_misses + self.solution_misses + self.transform_misses;
         if lookups == 0 {
             return 0.0;
         }
@@ -602,31 +543,29 @@ pub struct CacheOccupancy {
     pub skeletons: usize,
     /// Cached complete matrix-geometric solutions.
     pub solutions: usize,
-    /// Cached unit-disk eigensystems.
-    pub eigensystems: usize,
     /// Cached response-time transforms.
     pub transforms: usize,
 }
 
 impl CacheOccupancy {
-    /// Total entries across all four levels.
+    /// Total entries across all three levels.
     pub fn total(&self) -> usize {
-        self.skeletons + self.solutions + self.eigensystems + self.transforms
+        self.skeletons + self.solutions + self.transforms
     }
 }
 
-/// A thread-safe, size-capped LRU cache of QBD skeletons, quadratic eigensystems,
-/// complete matrix-geometric solutions and response-time transforms.
+/// A thread-safe, size-capped LRU cache of QBD skeletons, complete matrix-geometric
+/// solutions and response-time transforms.
 ///
 /// The [`Engine`](crate::Engine) attaches its one cache to a
 /// [`MatrixGeometricSolver`](crate::MatrixGeometricSolver) with
 /// [`with_cache`](crate::MatrixGeometricSolver::with_cache), which reuses skeletons
-/// and memoises whole solutions.  The eigensystem level serves the spectral pair:
-/// attach the cache to a [`SpectralExpansionSolver`](crate::SpectralExpansionSolver)
-/// and a [`GeometricApproximation`](crate::GeometricApproximation) with their
-/// `with_cache` methods and the approximation reuses the eigensystem the spectral
-/// solver just factorised for the identical configuration (Figures 8 and 9 compare
-/// the two on the same grids).  See the example above in the module docs.
+/// and memoises whole solutions.  A
+/// [`SpectralExpansionSolver`](crate::SpectralExpansionSolver) or a
+/// [`GeometricApproximation`](crate::GeometricApproximation) attached with its
+/// `with_cache` method reuses the skeletons, so solvers compared on the same grid
+/// (Figures 8 and 9) build each one once between them.  See the example above in
+/// the module docs.
 ///
 /// # Sharding and poisoning
 ///
@@ -642,23 +581,18 @@ impl CacheOccupancy {
 pub struct SolverCache {
     skeletons: ShardedLru<SkeletonKey, Arc<QbdSkeleton>>,
     solutions: ShardedLru<SolutionKey, Arc<MatrixGeometricSolution>>,
-    eigensystems: ShardedLru<EigenKey, Arc<EigenEntry>>,
     transforms: ShardedLru<TransformKey, Arc<ResponseTransform>>,
     skeleton_hits: AtomicU64,
     skeleton_misses: AtomicU64,
     solution_hits: AtomicU64,
     solution_misses: AtomicU64,
-    eigen_hits: AtomicU64,
-    eigen_misses: AtomicU64,
     transform_hits: AtomicU64,
     transform_misses: AtomicU64,
     skeleton_evictions: AtomicU64,
     solution_evictions: AtomicU64,
-    eigen_evictions: AtomicU64,
     transform_evictions: AtomicU64,
     skeleton_eviction_age: AtomicU64,
     solution_eviction_age: AtomicU64,
-    eigen_eviction_age: AtomicU64,
     transform_eviction_age: AtomicU64,
 }
 
@@ -670,63 +604,41 @@ impl Default for SolverCache {
 
 impl SolverCache {
     /// Creates an empty cache with the default capacities (64 skeletons, 4096
-    /// solutions, 1024 eigensystems, 64 response transforms — ample for every sweep
-    /// in this repository).
+    /// solutions, 64 response transforms — ample for every sweep in this repository).
     pub fn new() -> Self {
-        SolverCache::with_capacities(
-            DEFAULT_SKELETON_CAPACITY,
-            DEFAULT_SOLUTION_CAPACITY,
-            DEFAULT_EIGEN_CAPACITY,
-        )
+        SolverCache::with_capacities(DEFAULT_SKELETON_CAPACITY, DEFAULT_SOLUTION_CAPACITY)
     }
 
     /// Creates an empty cache with explicit LRU capacities (each clamped to at least
-    /// one) for skeletons, solutions and eigensystems respectively.  The
-    /// response-transform map keeps its default capacity; transforms are rebuilt
-    /// cheaply from cached solutions, so a dedicated knob has not been needed.
+    /// one) for skeletons and solutions respectively.  The response-transform map
+    /// keeps its default capacity; transforms are rebuilt cheaply from cached
+    /// solutions, so a dedicated knob has not been needed.
     ///
     /// Each capacity is split across the level's lock shards, so the bound is
     /// enforced per shard (a level holds at most `capacity` entries, with eviction
     /// decisions local to each shard).
-    pub fn with_capacities(skeletons: usize, solutions: usize, eigensystems: usize) -> Self {
-        SolverCache::with_layout(
-            skeletons,
-            solutions,
-            eigensystems,
-            DEFAULT_TRANSFORM_CAPACITY,
-            DEFAULT_SHARDS,
-        )
+    pub fn with_capacities(skeletons: usize, solutions: usize) -> Self {
+        SolverCache::with_layout(skeletons, solutions, DEFAULT_TRANSFORM_CAPACITY, DEFAULT_SHARDS)
     }
 
     /// Full layout control: per-level capacities plus the shard count (tests use a
     /// single shard to pin exact global-LRU eviction order).
-    fn with_layout(
-        skeletons: usize,
-        solutions: usize,
-        eigensystems: usize,
-        transforms: usize,
-        shards: usize,
-    ) -> Self {
+    fn with_layout(skeletons: usize, solutions: usize, transforms: usize, shards: usize) -> Self {
         SolverCache {
             skeletons: ShardedLru::new(skeletons, shards),
             solutions: ShardedLru::new(solutions, shards),
-            eigensystems: ShardedLru::new(eigensystems, shards),
             transforms: ShardedLru::new(transforms, shards),
             skeleton_hits: AtomicU64::new(0),
             skeleton_misses: AtomicU64::new(0),
             solution_hits: AtomicU64::new(0),
             solution_misses: AtomicU64::new(0),
-            eigen_hits: AtomicU64::new(0),
-            eigen_misses: AtomicU64::new(0),
             transform_hits: AtomicU64::new(0),
             transform_misses: AtomicU64::new(0),
             skeleton_evictions: AtomicU64::new(0),
             solution_evictions: AtomicU64::new(0),
-            eigen_evictions: AtomicU64::new(0),
             transform_evictions: AtomicU64::new(0),
             skeleton_eviction_age: AtomicU64::new(0),
             solution_eviction_age: AtomicU64::new(0),
-            eigen_eviction_age: AtomicU64::new(0),
             transform_eviction_age: AtomicU64::new(0),
         }
     }
@@ -798,45 +710,6 @@ impl SolverCache {
         Ok(())
     }
 
-    /// Looks up the unit-disk eigensystem for `(skeleton, λ, margin)`.
-    pub(crate) fn lookup_eigensystem(
-        &self,
-        config: &SystemConfig,
-        margin: f64,
-    ) -> Result<Option<Arc<EigenEntry>>> {
-        let key = EigenKey::new(config, margin)?;
-        let found = self.eigensystems.get(&key);
-        match &found {
-            Some(_) => self.eigen_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.eigen_misses.fetch_add(1, Ordering::Relaxed),
-        };
-        Ok(found)
-    }
-
-    /// Stores a freshly computed eigensystem.  Entries with more eigenvectors win:
-    /// a full entry (from the spectral solver) is never replaced by a dominant-only
-    /// entry (from the approximation) racing on the same key.
-    pub(crate) fn store_eigensystem(
-        &self,
-        config: &SystemConfig,
-        margin: f64,
-        entry: EigenEntry,
-    ) -> Result<()> {
-        let key = EigenKey::new(config, margin)?;
-        let index = self.eigensystems.shard_index(&key);
-        let evicted = self.eigensystems.with_shard_at(index, |map| {
-            if let Some(existing) = map.get(&key) {
-                let existing_vectors = existing.eigenvectors.iter().flatten().count();
-                if existing_vectors >= entry.eigenvectors.iter().flatten().count() {
-                    return None;
-                }
-            }
-            map.insert(key.clone(), Arc::new(entry))
-        });
-        Self::record_eviction(&self.eigen_evictions, &self.eigen_eviction_age, evicted);
-        Ok(())
-    }
-
     /// Looks up a response-time transform for `(config, solver options, tail ε)`.
     pub(crate) fn lookup_transform(
         &self,
@@ -874,21 +747,16 @@ impl SolverCache {
             skeleton_misses: self.skeleton_misses.load(Ordering::Relaxed),
             solution_hits: self.solution_hits.load(Ordering::Relaxed),
             solution_misses: self.solution_misses.load(Ordering::Relaxed),
-            eigen_hits: self.eigen_hits.load(Ordering::Relaxed),
-            eigen_misses: self.eigen_misses.load(Ordering::Relaxed),
             transform_hits: self.transform_hits.load(Ordering::Relaxed),
             transform_misses: self.transform_misses.load(Ordering::Relaxed),
             skeleton_evictions: self.skeleton_evictions.load(Ordering::Relaxed),
             solution_evictions: self.solution_evictions.load(Ordering::Relaxed),
-            eigen_evictions: self.eigen_evictions.load(Ordering::Relaxed),
             transform_evictions: self.transform_evictions.load(Ordering::Relaxed),
             skeleton_eviction_age: self.skeleton_eviction_age.load(Ordering::Relaxed),
             solution_eviction_age: self.solution_eviction_age.load(Ordering::Relaxed),
-            eigen_eviction_age: self.eigen_eviction_age.load(Ordering::Relaxed),
             transform_eviction_age: self.transform_eviction_age.load(Ordering::Relaxed),
             poison_recoveries: self.skeletons.poison_recoveries()
                 + self.solutions.poison_recoveries()
-                + self.eigensystems.poison_recoveries()
                 + self.transforms.poison_recoveries(),
         }
     }
@@ -898,7 +766,6 @@ impl SolverCache {
         CacheOccupancy {
             skeletons: self.skeletons.len(),
             solutions: self.solutions.len(),
-            eigensystems: self.eigensystems.len(),
             transforms: self.transforms.len(),
         }
     }
@@ -912,7 +779,6 @@ impl SolverCache {
     pub fn clear(&self) {
         self.skeletons.clear();
         self.solutions.clear();
-        self.eigensystems.clear();
         self.transforms.clear();
     }
 }
@@ -1000,7 +866,7 @@ mod tests {
             .map(|&n| config(n, 1.0 + n as f64 / 10.0))
             .collect();
         let run = || {
-            let cache = SolverCache::with_capacities(3, 4, 4);
+            let cache = SolverCache::with_capacities(3, 4);
             for cfg in &workload {
                 cache.skeleton(cfg).unwrap();
             }
@@ -1031,14 +897,15 @@ mod tests {
         let cache = SolverCache::new();
         let bad_options = MatrixGeometricOptions { tolerance: f64::NAN, ..Default::default() };
         assert!(cache.lookup_solution(&config(2, 1.0), &bad_options).is_err());
-        assert!(cache.lookup_eigensystem(&config(2, 1.0), f64::NAN).is_err());
+        let bad_epsilon = cache.lookup_transform(&config(2, 1.0), &Default::default(), f64::NAN);
+        assert!(bad_epsilon.is_err());
     }
 
     #[test]
     fn lru_evicts_the_least_recently_used_skeleton() {
         // A single shard pins the exact global-LRU eviction order; with several
         // shards the order is only approximate (per shard).
-        let cache = SolverCache::with_layout(2, 4, 4, 4, 1);
+        let cache = SolverCache::with_layout(2, 4, 4, 1);
         let a = config(2, 1.0);
         let b = config(3, 1.0);
         let c = config(4, 1.0);
@@ -1057,7 +924,7 @@ mod tests {
 
     #[test]
     fn lru_capacity_bounds_the_solution_map() {
-        let cache = SolverCache::with_layout(4, 2, 4, 4, 1);
+        let cache = SolverCache::with_layout(4, 2, 4, 1);
         let options = MatrixGeometricOptions::default();
         for lambda in [1.0, 1.25, 1.5, 1.75, 2.0] {
             let cfg = config(3, lambda);
@@ -1106,8 +973,8 @@ mod tests {
         // shard in every process — eviction behaviour and statistics depend on it.
         let configs: Vec<SystemConfig> =
             (2..10).map(|n| config(n, 1.0 + n as f64 * 0.25)).collect();
-        let first = SolverCache::with_capacities(4, 8, 8);
-        let second = SolverCache::with_capacities(4, 8, 8);
+        let first = SolverCache::with_capacities(4, 8);
+        let second = SolverCache::with_capacities(4, 8);
         for cfg in &configs {
             first.skeleton(cfg).unwrap();
             second.skeleton(cfg).unwrap();
@@ -1121,7 +988,7 @@ mod tests {
         // 16 distinct skeleton keys against a capacity-4 level: whatever the shard
         // layout, the level never exceeds its requested capacity by more than the
         // per-shard rounding slack and evictions account for the remainder.
-        let cache = SolverCache::with_capacities(4, 64, 64);
+        let cache = SolverCache::with_capacities(4, 64);
         for n in 2..18 {
             cache.skeleton(&config(n, 1.0)).unwrap();
         }
@@ -1174,9 +1041,8 @@ mod tests {
 
     #[test]
     fn occupancy_totals_the_levels() {
-        let occupancy =
-            CacheOccupancy { skeletons: 1, solutions: 2, eigensystems: 3, transforms: 4 };
-        assert_eq!(occupancy.total(), 10);
+        let occupancy = CacheOccupancy { skeletons: 1, solutions: 2, transforms: 4 };
+        assert_eq!(occupancy.total(), 7);
         let cache = SolverCache::new();
         assert!(cache.is_empty());
         cache.skeleton(&config(2, 1.0)).unwrap();

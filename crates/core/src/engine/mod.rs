@@ -3,7 +3,7 @@
 //!
 //! Everything below `urs_core` used to be reachable only as a *batch API*: a binary
 //! constructs a solver, calls a sweep, exits, and the memoised skeletons,
-//! eigensystems and response transforms die with the process.  This module
+//! solutions and response transforms die with the process.  This module
 //! restructures that path into **query → plan → execute**:
 //!
 //! * [`Query`] — every analysis of the paper as a plain value (solve, cost sweep,
@@ -11,7 +11,7 @@
 //!   newline-delimited JSON protocol served by `urs-server` and canonically hashable
 //!   via [`Query::canonical_key`];
 //! * [`plan`] — groups compatible queries (same QBD-skeleton identity) so a batch
-//!   shares skeleton/eigensystem/transform lookups and, for plain solves, one
+//!   shares skeleton/solution/transform lookups and, for plain solves, one
 //!   [`ThreadPool`] fan-out;
 //! * [`Engine`] — owns the shared [`SolverCache`] and pool, executes queries through
 //!   the same `exec` grid executors that back the legacy `*_with` entry points, so
@@ -809,7 +809,6 @@ impl QueryResult {
                     json::object([
                         ("skeletons", Value::Number(stats.occupancy.skeletons as f64)),
                         ("solutions", Value::Number(stats.occupancy.solutions as f64)),
-                        ("eigensystems", Value::Number(stats.occupancy.eigensystems as f64)),
                         ("transforms", Value::Number(stats.occupancy.transforms as f64)),
                     ]),
                 ),

@@ -62,12 +62,13 @@
 //!   Intra-solve parallelism is strictly opt-in (defaults stay serial) and is
 //!   pinned bit-identical across thread counts by the `parallel_equivalence`
 //!   thread-matrix suite.
-//! * [`SolverCache`] — a shared, thread-safe, size-capped LRU cache of λ-independent
-//!   QBD skeletons, unit-disk eigensystems, complete matrix-geometric solutions and
+//! * [`SolverCache`] — a shared, thread-safe, size-capped LRU cache with three
+//!   levels: λ-independent QBD skeletons, complete matrix-geometric solutions and
 //!   response-time transforms.  [`MatrixGeometricSolver::with_cache`] reuses
 //!   skeletons and memoises solutions; [`SpectralExpansionSolver::with_cache`] and
-//!   [`GeometricApproximation::with_cache`] share skeletons and eigensystems, so the
-//!   two factorise each `(skeleton, λ)` eigenproblem once, not twice.  Each
+//!   [`GeometricApproximation::with_cache`] reuse skeletons, so solvers compared on
+//!   one grid build each skeleton once between them.  (The approximation needs no
+//!   eigensystem: it brackets its decay rate with unpivoted real LUs.)  Each
 //!   level is split into independently locked shards (deterministic FNV-1a shard
 //!   assignment), poisoned shards recover by clearing rather than propagating, and
 //!   [`CacheStats::levels`] reports per-level hit rates and eviction ages.

@@ -12,8 +12,11 @@
 //! * **large spaces** are screened first with the cheap [`GeometricApproximation`],
 //!   and only the shortlisted candidates — everything within a relative slack band of
 //!   the approximate best, bounded by [`MixSearchOptions`] — are verified exactly.
-//!   Screening and verification share one [`SolverCache`], so the exact pass reuses
-//!   the QBD skeletons the approximation already built instead of repeating them.
+//!   Screening costs about 20 unpivoted banded LUs per composition (the
+//!   approximation brackets its decay rate rather than solving an eigenproblem), a
+//!   fraction of one exact solve.  Screening and verification share one
+//!   [`SolverCache`], so the exact pass reuses the QBD skeletons the approximation
+//!   already built instead of repeating them.
 //!   Screening is a heuristic: the approximation's error is load-dependent, and a
 //!   mix whose approximate cost lies far outside the slack band is never verified —
 //!   [`MixSearch::run_exhaustive`] is the exact reference when certainty matters
@@ -522,7 +525,7 @@ impl MixSearch {
             Some(cache) => Arc::clone(cache),
             None => {
                 let capacity = candidates.clamp(64, 4096);
-                Arc::new(SolverCache::with_capacities(capacity, capacity, capacity))
+                Arc::new(SolverCache::with_capacities(capacity, capacity))
             }
         }
     }

@@ -78,9 +78,9 @@ impl Default for SpectralOptions {
 ///
 /// For parameter sweeps, attach a shared [`SolverCache`] with
 /// [`with_cache`](Self::with_cache): grid points that differ only in the arrival rate
-/// then reuse the λ-independent QBD skeleton, and a cache-sharing
-/// [`GeometricApproximation`](crate::GeometricApproximation) reuses the eigensystem —
-/// bit-identically in both cases.  Whole solutions are memoised only for the
+/// then reuse the λ-independent QBD skeleton, bit-identically, and so does a
+/// cache-sharing [`GeometricApproximation`](crate::GeometricApproximation).  Whole
+/// solutions are memoised only for the
 /// [`MatrixGeometricSolver`](crate::MatrixGeometricSolver), the engine's exact path.
 #[derive(Debug, Clone)]
 pub struct SpectralExpansionSolver {
@@ -103,8 +103,8 @@ impl SpectralExpansionSolver {
         SpectralExpansionSolver { options, cache: None, pool: ThreadPool::serial() }
     }
 
-    /// Attaches a cache of QBD skeletons and unit-disk eigensystems.  The same cache
-    /// can be shared by several solvers and by every thread of a parallel sweep.
+    /// Attaches a cache whose QBD skeletons the solver reuses.  The same cache can be
+    /// shared by several solvers and by every thread of a parallel sweep.
     pub fn with_cache(mut self, cache: Arc<SolverCache>) -> Self {
         self.cache = Some(cache);
         self
@@ -149,59 +149,36 @@ impl SpectralExpansionSolver {
     fn solve_qbd(&self, config: &SystemConfig, qbd: &QbdMatrices) -> Result<SpectralSolution> {
         let s = qbd.order();
 
-        // 1. Eigenvalues and left eigenvectors of Q(z) inside the unit disk.  A
-        // cache-sharing GeometricApproximation may already have factorised this
-        // (skeleton, λ, margin) — e.g. during the screening pass of a mix search whose
-        // top candidates are then verified exactly — in which case the cached
-        // eigenvalues (and any cached eigenvectors, typically the dominant one) are
-        // reused and only the missing eigenvectors are extracted.  Both producers
-        // compute the same deterministic quantities from the same skeleton, so the
-        // cached and freshly factorised paths are bit-identical.
+        // 1. Eigenvalues and left eigenvectors of Q(z) inside the unit disk.
         let q1 = qbd.q1();
         let scale = q1.max_abs().max(1.0);
         let problem = urs_linalg::QuadraticEigenProblem::new(qbd.q0(), q1, qbd.q2())?;
-        let cached_entry = match &self.cache {
-            Some(cache) => cache
-                .lookup_eigensystem(config, self.options.unit_disk_margin)?
-                .filter(|entry| entry.eigenvalues.len() == s),
-            None => None,
-        };
         // Deterministic order: by modulus, then by real/imaginary part.
         let order = |a: &Complex, b: &Complex| {
             a.abs().total_cmp(&b.abs()).then(a.re.total_cmp(&b.re)).then(a.im.total_cmp(&b.im))
         };
-        // The eigenvalue list paired with any already-extracted left eigenvectors.
-        let mut inside: Vec<(Complex, Option<Vec<Complex>>)> = match cached_entry {
-            Some(entry) => {
-                entry.eigenvalues.iter().copied().zip(entry.eigenvectors.iter().cloned()).collect()
-            }
-            None => problem
-                .eigenvalues_inside_unit_disk(self.options.unit_disk_margin)?
-                .iter()
-                .map(|e| (e.z, None))
-                .collect(),
-        };
+        let mut inside: Vec<Complex> = problem
+            .eigenvalues_inside_unit_disk(self.options.unit_disk_margin)?
+            .iter()
+            .map(|e| e.z)
+            .collect();
         if inside.len() != s {
             return Err(ModelError::SpectralFailure(format!(
                 "expected {s} eigenvalues strictly inside the unit disk, found {}",
                 inside.len()
             )));
         }
-        inside.sort_by(|a, b| order(&a.0, &b.0));
+        inside.sort_by(order);
         // Each eigenvector extraction is independent, so the sorted list fans out
         // across the pool.  When the QBD blocks are banded-profitable the extraction
         // is shifted inverse iteration on one packed banded LU of Q(z)ᵀ per
         // eigenvalue (O(s·b²) instead of the dense O(s³) null-space path, which
-        // remains the certified fallback); both routes are deterministic, so cached
-        // vectors from either agree bitwise with a fresh solve.  `try_par_map`
-        // reports the smallest-indexed failure, which is exactly the one a serial
-        // loop over the same sorted order would have hit first.
+        // remains the certified fallback).  `try_par_map` reports the
+        // smallest-indexed failure, which is exactly the one a serial loop over the
+        // same sorted order would have hit first.
         let extracted: Vec<(Complex, Vec<Complex>)> =
-            self.pool.try_par_map(&inside, |(z, cached_u)| -> Result<(Complex, Vec<Complex>)> {
-                let u = match cached_u {
-                    Some(u) => u.clone(),
-                    None => problem.left_eigenvector(*z)?,
-                };
+            self.pool.try_par_map(&inside, |z| -> Result<(Complex, Vec<Complex>)> {
+                let u = problem.left_eigenvector(*z)?;
                 let residual = problem.residual(*z, &u)?;
                 if residual > self.options.residual_tolerance * scale {
                     return Err(ModelError::SpectralFailure(format!(
@@ -215,19 +192,6 @@ impl SpectralExpansionSolver {
         for (z, u) in extracted {
             eigenvalues.push(z);
             eigenvectors.push(u);
-        }
-        // Publish the factorised eigensystem so a cache-sharing
-        // GeometricApproximation solving the same (skeleton, λ) does not repeat the
-        // quadratic eigensolve (Figures 8 and 9 compare the two per grid point).
-        if let Some(cache) = &self.cache {
-            cache.store_eigensystem(
-                config,
-                self.options.unit_disk_margin,
-                crate::cache::EigenEntry {
-                    eigenvalues: eigenvalues.clone(),
-                    eigenvectors: eigenvectors.iter().cloned().map(Some).collect(),
-                },
-            )?;
         }
 
         // 2. R = U⁻¹·Z·U (u_k R = z_k u_k row by row), then the boundary elimination
@@ -416,7 +380,8 @@ impl QueueSolution for SpectralSolution {
         if level < self.servers {
             self.boundary[level][mode]
         } else {
-            let power = (level - self.servers) as u32;
+            // Levels past `powi`'s `u32` exponent range carry no mass.
+            let Ok(power) = u32::try_from(level - self.servers) else { return 0.0 };
             self.terms.iter().map(|t| (t.weighted_vector[mode] * t.z.powi(power)).re).sum()
         }
     }
@@ -440,9 +405,10 @@ impl QueueSolution for SpectralSolution {
     }
 
     fn tail_probability(&self, level: usize) -> f64 {
-        if level + 1 >= self.servers {
-            // P(Z > level) = Σ_k w_sum z^{level+1−N}/(1−z)
-            let power = (level + 1 - self.servers) as u32;
+        let last_boundary = self.servers.saturating_sub(1);
+        if level >= last_boundary {
+            // P(Z > level) = Σ_k w_sum z^{level+1−N}/(1−z); no mass past `u32` powers.
+            let Ok(power) = u32::try_from(level - last_boundary) else { return 0.0 };
             self.terms
                 .iter()
                 .map(|t| (t.weighted_sum * t.z.powi(power) / (Complex::ONE - t.z)).re)
@@ -554,6 +520,28 @@ mod tests {
     fn little_law_holds() {
         let solution = solve(5, 3.5, ServerLifecycle::paper_fitted().unwrap());
         assert!((solution.mean_response_time() - solution.mean_queue_length() / 3.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn levels_past_the_exponent_range_carry_no_mass() {
+        let solution = solve(4, 3.0, ServerLifecycle::paper_fitted().unwrap());
+        let far = [i32::MAX as usize + 1, u32::MAX as usize + 5, usize::MAX];
+        let mut previous_tail = solution.tail_probability(1000);
+        for level in far {
+            let tail = solution.tail_probability(level);
+            assert!(tail.is_finite() && (0.0..=1.0).contains(&tail), "tail at {level}: {tail}");
+            assert!(tail <= previous_tail, "tail must not grow at {level}: {tail}");
+            previous_tail = tail;
+            let p = solution.level_probability(level);
+            assert!(p.is_finite() && (0.0..=1.0).contains(&p), "level {level}: {p}");
+            for mode in 0..solution.mode_count() {
+                let q = solution.state_probability(mode, level);
+                assert!(q.is_finite() && (0.0..=1.0).contains(&q), "state ({mode}, {level}): {q}");
+            }
+        }
+        // Level 2³² + 4 must not wrap onto level 4.
+        assert!(solution.tail_probability(u32::MAX as usize + 5) < 1e-300);
+        assert!(solution.tail_probability(4) > 0.1);
     }
 
     #[test]

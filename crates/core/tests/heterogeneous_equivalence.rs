@@ -8,7 +8,7 @@
 //!    matrix-geometric vs truncated CTMC) and with the product-form environment
 //!    distribution.
 //! 3. Sharing one [`SolverCache`] between the spectral solver and the geometric
-//!    approximation must eliminate the duplicated quadratic eigensolve (the fig8/fig9
+//!    approximation must build each QBD skeleton once between them (the fig8/fig9
 //!    pattern), bit-identically.
 
 use std::sync::Arc;
@@ -207,7 +207,7 @@ fn faster_servers_first_beats_reversed_class_order() {
 }
 
 #[test]
-fn shared_cache_eliminates_the_duplicated_eigensolve() {
+fn shared_cache_builds_one_skeleton_for_both_solvers() {
     // The fig8 pattern: one cache shared by the exact solver and the approximation
     // over a λ-only load sweep.
     let cache = SolverCache::shared();
@@ -224,14 +224,10 @@ fn shared_cache_eliminates_the_duplicated_eigensolve() {
     assert_eq!(points.len(), 4);
 
     let stats = cache.stats();
-    // The spectral solver (which now also *consumes* eigensystem entries, for the
-    // screen-then-verify pattern of the mix search) missed once per grid point and
-    // published its factorisation; the approximation then found every one of them.
-    // Four misses and four hits for four points means zero duplicated eigensolves.
-    assert_eq!(stats.eigen_misses, 4, "stats: {stats:?}");
-    assert_eq!(stats.eigen_hits, 4, "stats: {stats:?}");
-    // And the skeleton was built exactly once for the whole sweep.
+    // Two solvers at four grid points make eight skeleton lookups: the first builds
+    // the skeleton and the other seven — the approximation's four included — find it.
     assert_eq!(stats.skeleton_misses, 1, "stats: {stats:?}");
+    assert_eq!(stats.skeleton_hits, 7, "stats: {stats:?}");
 
     // Bit-identical to the uncached approximation at every grid point.
     for point in &points {
@@ -241,36 +237,40 @@ fn shared_cache_eliminates_the_duplicated_eigensolve() {
         assert_eq!(cached.decay_rate().to_bits(), uncached.decay_rate().to_bits());
         assert_eq!(cached.mean_queue_length().to_bits(), uncached.mean_queue_length().to_bits());
     }
+    assert_eq!(cache.stats().skeleton_hits, 11, "each re-solve is one more skeleton hit");
 }
 
 #[test]
-fn approximation_populates_the_eigen_cache_for_itself() {
+fn approximation_reuses_its_cached_skeleton() {
     // Approximation-first order (the fig9 pattern run in reverse): the first solve
-    // misses and stores, the second hits its own entry.
+    // builds the skeleton, the second finds it and reproduces the fresh solve.
     let cache = SolverCache::shared();
     let approx = GeometricApproximation::default().with_cache(Arc::clone(&cache));
     let config = SystemConfig::new(4, 2.5, 1.0, paper_lifecycle()).unwrap();
     let first = approx.solve_detailed(&config).unwrap();
     let second = approx.solve_detailed(&config).unwrap();
-    assert_eq!(first.decay_rate().to_bits(), second.decay_rate().to_bits());
     let stats = cache.stats();
-    assert_eq!((stats.eigen_misses, stats.eigen_hits), (1, 1), "stats: {stats:?}");
+    assert_eq!((stats.skeleton_misses, stats.skeleton_hits), (1, 1), "stats: {stats:?}");
+    let fresh = GeometricApproximation::default().solve_detailed(&config).unwrap();
+    assert_eq!(first, fresh);
+    assert_eq!(second, fresh);
+    assert_eq!(second.decay_rate().to_bits(), fresh.decay_rate().to_bits());
 }
 
 #[test]
-fn spectral_consumes_the_approximations_eigensystem_bit_identically() {
+fn spectral_reuses_the_approximations_skeleton_bit_identically() {
     // Approximation-first order — the screening pass of a mix search.  The spectral
-    // verification must reuse the cached eigenvalues (one eigen hit, no second
-    // quadratic eigensolve) and still produce the bit-identical solution.
+    // verification must find the skeleton the approximation built (one skeleton hit,
+    // no second build) and still produce the bit-identical solution.
     let cache = SolverCache::shared();
     let approx = GeometricApproximation::default().with_cache(Arc::clone(&cache));
     let spectral = SpectralExpansionSolver::default().with_cache(Arc::clone(&cache));
     let config = SystemConfig::new(4, 3.1, 1.0, paper_lifecycle()).unwrap();
     approx.solve_detailed(&config).unwrap();
-    assert_eq!(cache.stats().eigen_misses, 1);
+    assert_eq!(cache.stats().skeleton_misses, 1);
     let cached = spectral.solve_detailed(&config).unwrap();
     let stats = cache.stats();
-    assert_eq!((stats.eigen_misses, stats.eigen_hits), (1, 1), "stats: {stats:?}");
+    assert_eq!((stats.skeleton_misses, stats.skeleton_hits), (1, 1), "stats: {stats:?}");
     let fresh = SpectralExpansionSolver::default().solve_detailed(&config).unwrap();
     assert_eq!(cached.mean_queue_length().to_bits(), fresh.mean_queue_length().to_bits());
     assert_eq!(cached.boundary_levels(), fresh.boundary_levels());
@@ -278,12 +278,19 @@ fn spectral_consumes_the_approximations_eigensystem_bit_identically() {
 }
 
 #[test]
-fn with_margin_rejects_invalid_margins() {
-    assert!(GeometricApproximation::with_margin(1e-9).is_ok());
-    assert!((GeometricApproximation::with_margin(1e-6).unwrap().margin() - 1e-6).abs() == 0.0);
-    assert!((GeometricApproximation::default().margin() - 1e-9).abs() == 0.0);
-    for bad in [0.0, -1e-9, f64::NAN, f64::INFINITY] {
-        assert!(GeometricApproximation::with_margin(bad).is_err(), "margin {bad} must be rejected");
+fn approximation_holds_at_near_saturation() {
+    // ρ = 0.999: the root search must still close its bracket strictly inside (0, 1)
+    // and return a probability vector over the modes.
+    for config in [SystemConfig::new(6, 1.0, 1.0, paper_lifecycle()).unwrap(), mixed_config(1.0)] {
+        let config = config.with_arrival_rate(0.999 * config.effective_capacity()).unwrap();
+        let solution = GeometricApproximation::default().solve_detailed(&config).unwrap();
+        let eta = solution.decay_rate();
+        assert!(eta > 0.0 && eta < 1.0, "η = {eta}");
+        let marginal = solution.mode_marginal();
+        assert_eq!(marginal.len(), config.environment_states());
+        assert!(marginal.iter().all(|p| *p >= 0.0), "{marginal:?}");
+        assert!((marginal.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        assert!(solution.mean_queue_length() > 100.0, "L = {}", solution.mean_queue_length());
     }
 }
 

@@ -110,8 +110,8 @@ fn provisioning_sweep_is_thread_count_invariant() {
 
 #[test]
 fn cached_solver_is_bit_identical_to_uncached() {
-    // Spectral expansion caches skeletons and eigensystems; the matrix-geometric
-    // solver caches skeletons and memoises whole solutions.
+    // Spectral expansion caches skeletons; the matrix-geometric solver caches
+    // skeletons and memoises whole solutions.
     let plain = SpectralExpansionSolver::default();
     let cached = SpectralExpansionSolver::default().with_cache(SolverCache::shared());
     let mg_plain = MatrixGeometricSolver::default();
@@ -122,9 +122,9 @@ fn cached_solver_is_bit_identical_to_uncached() {
         let config = base.with_arrival_rate(lambda).unwrap();
         let expected = plain.solve_detailed(&config).unwrap();
         let mg_expected = mg_plain.solve_detailed(&config).unwrap();
-        // First call populates the cache (skeleton reused after λ = 1.0), the second is
-        // answered from the eigensystem (spectral) or solution (matrix-geometric)
-        // cache; both must match the uncached bits.
+        // First call populates the cache (skeleton reused after λ = 1.0), the second
+        // reuses the skeleton (spectral) or is answered from the solution memo
+        // (matrix-geometric); both must match the uncached bits.
         for _ in 0..2 {
             let got = cached.solve_detailed(&config).unwrap();
             assert_eq!(expected.mean_queue_length().to_bits(), got.mean_queue_length().to_bits());

@@ -338,6 +338,185 @@ impl BandedMatrix {
     pub fn lu(&self) -> Result<BandedLu> {
         BandedLu::new(self)
     }
+
+    /// Writes `values` onto the main diagonal in order, leaving the off-diagonal
+    /// band untouched — the per-step update of a matrix family whose off-diagonal
+    /// part is constant.  Values beyond the dimension are ignored; a shorter
+    /// sequence leaves the remaining diagonal entries as they were.
+    pub fn set_diagonal(&mut self, values: impl IntoIterator<Item = f64>) {
+        let (w, kl) = (self.width(), self.kl);
+        for (row, value) in self.data.chunks_exact_mut(w).zip(values) {
+            if let Some(x) = row.get_mut(kl) {
+                *x = value;
+            }
+        }
+    }
+
+    /// The nonsingular M-matrix test for a Z-matrix (every off-diagonal entry
+    /// `≤ 0`): an *unpivoted* LU, which succeeds with all pivots positive exactly
+    /// when the matrix is a nonsingular M-matrix (Berman & Plemmons, *Nonnegative
+    /// Matrices in the Mathematical Sciences*, 1979, ch. 6).
+    ///
+    /// Without pivoting the factors stay inside the band — `L` has `kl`
+    /// subdiagonals, `U` has `ku` superdiagonals — so the elimination costs
+    /// `O(n·kl·ku)` and its working storage is one band-sized buffer from `ws`.
+    /// Elimination stops at the first pivot that is not positive; that buffer is
+    /// then returned to `ws` and the pivot's index and value are reported.
+    /// Return the factors' storage with [`MMatrixLu::recycle`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::InvalidInput`] for empty input, non-finite entries
+    /// or a positive off-diagonal entry (not a Z-matrix, so the pivot signs would
+    /// say nothing).
+    pub fn m_matrix_lu(&self, ws: &mut Workspace) -> Result<ZMatrixLu> {
+        let n = self.n;
+        if n == 0 {
+            return Err(LinalgError::InvalidInput("matrix must be non-empty".into()));
+        }
+        let (kl, ku, w) = (self.kl, self.ku, self.width());
+        for row in self.data.chunks_exact(w) {
+            for (offset, x) in row.iter().enumerate() {
+                if !x.is_finite() {
+                    return Err(LinalgError::InvalidInput(
+                        "matrix contains non-finite values".into(),
+                    ));
+                }
+                if offset != kl && *x > 0.0 {
+                    return Err(LinalgError::InvalidInput(
+                        "Z-matrix test needs every off-diagonal entry <= 0".into(),
+                    ));
+                }
+            }
+        }
+        let mut data = ws.real_buffer(n * w);
+        data.copy_from_slice(&self.data);
+        let d = data.as_mut_slice();
+        // Right-looking elimination without interchanges: row k + t meets
+        // column k at packed offset kl − t, and the pivot row's U-part spans
+        // offsets kl + 1 ..= kl + ku of row k.
+        // urs-analyze: begin(no_alloc)
+        for k in 0..n {
+            let bl = kl.min(n - 1 - k);
+            let u_extent = ku.min(n - 1 - k);
+            // urs-analyze: allow(slice_index, reason = "split after row k, k < n, so both halves are in range")
+            let (upper, lower) = d.split_at_mut((k + 1) * w);
+            // urs-analyze: allow(slice_index, reason = "row k of the working rows, each kl + ku + 1 wide")
+            let pivot_row = &upper[k * w..];
+            let pivot = pivot_row.get(kl).copied().unwrap_or(f64::NAN);
+            if pivot.is_nan() || pivot <= 0.0 {
+                ws.release_real_buffer(data);
+                return Ok(ZMatrixLu::NonPositivePivot { index: k, value: pivot });
+            }
+            // urs-analyze: allow(slice_index, reason = "U-part of row k: offsets kl+1 ..= kl+u_extent with u_extent ≤ ku")
+            let u_row = &pivot_row[kl + 1..kl + 1 + u_extent];
+            for (t, row) in lower.chunks_exact_mut(w).take(bl).enumerate() {
+                let off = kl - (t + 1);
+                let Some(entry) = row.get_mut(off) else { continue };
+                let factor = *entry / pivot;
+                *entry = factor;
+                // urs-analyze: allow(float_cmp, reason = "exact zero skips a no-op update")
+                if factor != 0.0 {
+                    // urs-analyze: allow(slice_index, reason = "window off+1 ..= off+u_extent ends at kl − t − 1 + u_extent ≤ kl + ku")
+                    for (x, &u) in row[off + 1..off + 1 + u_extent].iter_mut().zip(u_row) {
+                        *x -= factor * u;
+                    }
+                }
+            }
+        }
+        // urs-analyze: end(no_alloc)
+        Ok(ZMatrixLu::MMatrix(MMatrixLu { n, kl, w, data }))
+    }
+}
+
+/// Outcome of the unpivoted elimination [`BandedMatrix::m_matrix_lu`].
+#[derive(Debug)]
+pub enum ZMatrixLu {
+    /// Every pivot was positive: the matrix is a nonsingular M-matrix.
+    MMatrix(MMatrixLu),
+    /// Pivot `index` was the first that was not positive (`value ≤ 0` or NaN); the
+    /// leading `index × index` block is a nonsingular M-matrix, the matrix is not.
+    NonPositivePivot {
+        /// Zero-based index of the first non-positive pivot.
+        index: usize,
+        /// Its value.
+        value: f64,
+    },
+}
+
+/// The unpivoted factors `A = L·U` of a banded nonsingular M-matrix, `L` unit
+/// lower triangular with `L ≤ 0` off its diagonal, stored packed in the band of
+/// `A` (multipliers below the diagonal, `U` on and above it).
+#[derive(Debug, Clone)]
+pub struct MMatrixLu {
+    n: usize,
+    kl: usize,
+    /// Packed row width `kl + ku + 1`; the diagonal sits at offset `kl`.
+    w: usize,
+    data: Vec<f64>,
+}
+
+impl MMatrixLu {
+    /// Dimension of the factorised matrix.
+    pub fn dim(&self) -> usize {
+        self.n
+    }
+
+    /// The last pivot `U[n−1, n−1]`, the one that reaches zero first as an
+    /// M-matrix family approaches singularity.
+    pub fn last_pivot(&self) -> f64 {
+        self.data.get((self.n - 1) * self.w + self.kl).copied().unwrap_or(f64::NAN)
+    }
+
+    /// Writes the row vector `u = e_{n−1}ᵀ·L⁻¹` into `out`, allocation-free.
+    ///
+    /// `u·A = e_{n−1}ᵀ·U = (0, …, 0, U[n−1, n−1])`, so `u` is a left null vector
+    /// of `A − U[n−1, n−1]·e_{n−1}·e_{n−1}ᵀ` and approaches one of `A` as the last
+    /// pivot vanishes.  Its last entry is 1 and, because `L⁻¹ ≥ 0` for an M-matrix
+    /// factor, every entry is non-negative by construction.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] unless `out.len() == dim()`.
+    pub fn last_row_of_l_inverse_into(&self, out: &mut [f64]) -> Result<()> {
+        let n = self.n;
+        if out.len() != n {
+            return Err(LinalgError::DimensionMismatch {
+                operation: "last row of the inverse unit-lower factor",
+                left: (n, n),
+                right: (1, out.len()),
+            });
+        }
+        out.fill(0.0);
+        if let Some(last) = out.last_mut() {
+            *last = 1.0;
+        }
+        // Solve u·L = e_{n−1}ᵀ row by row from the bottom: once u_k is final,
+        // row k of L scatters −L[k, i]·u_k into every u_i with k − kl ≤ i < k.
+        // urs-analyze: begin(no_alloc)
+        for k in (1..n).rev() {
+            let (head, tail) = out.split_at_mut(k);
+            let Some(&uk) = tail.first() else { continue };
+            // urs-analyze: allow(float_cmp, reason = "exact zero skips a no-op scatter")
+            if uk == 0.0 {
+                continue;
+            }
+            let bl = self.kl.min(k);
+            let row_start = k * self.w + self.kl - bl;
+            let Some(multipliers) = self.data.get(row_start..row_start + bl) else { continue };
+            // urs-analyze: allow(slice_index, reason = "k − bl ≥ 0 and the slice ends at k = head.len()")
+            for (ui, &l) in head[k - bl..].iter_mut().zip(multipliers) {
+                *ui -= l * uk;
+            }
+        }
+        // urs-analyze: end(no_alloc)
+        Ok(())
+    }
+
+    /// Returns the working storage to `ws` for reuse.
+    pub fn recycle(self, ws: &mut Workspace) {
+        ws.release_real_buffer(self.data);
+    }
 }
 
 /// A banded LU factorisation `P·A = L·U` with partial pivoting, stored packed.
@@ -870,6 +1049,141 @@ mod tests {
         }
         lu.recycle(&mut ws);
         assert_eq!(ws.pooled(), 1);
+    }
+
+    /// `−K(z) = −(λI/z + Q1 + z·C)` of a small quasi-birth-death process: a
+    /// tridiagonal mode-change generator `A` and per-mode service rates `C`.
+    /// Returns the band (off-diagonals `−A`, diagonal filled per `z`) and the
+    /// dominant root `η` of `det(λI + Q1·z + C·z²)` from the companion QR.  The
+    /// environment's mean service capacity is about 1.43, so `λ < 1.43` keeps the
+    /// queue stable and `η` inside `(0, 1)`.
+    fn qbd_family(lambda: f64) -> (BandedMatrix, Vec<f64>, Vec<f64>, f64) {
+        use crate::quadratic::QuadraticEigenProblem;
+        let n = 5;
+        let a = BandedMatrix::from_fn(n, 1, 1, |i, j| {
+            if i == j {
+                0.0
+            } else if j > i {
+                0.3 + 0.1 * i as f64
+            } else {
+                0.5 + 0.05 * j as f64
+            }
+        });
+        let da: Vec<f64> = (0..n).map(|i| (0..n).map(|j| a.get(i, j)).sum()).collect();
+        let c: Vec<f64> = (0..n).map(|i| i as f64).collect();
+        let q1 = Matrix::from_fn(
+            n,
+            n,
+            |i, j| {
+                if i == j {
+                    -(da[i] + lambda + c[i])
+                } else {
+                    a.get(i, j)
+                }
+            },
+        );
+        let problem = QuadraticEigenProblem::new(
+            Matrix::identity(n).scale(lambda),
+            q1,
+            Matrix::from_diagonal(&c),
+        )
+        .unwrap();
+        let eta = problem
+            .eigenvalues_inside_unit_disk(1e-9)
+            .unwrap()
+            .iter()
+            .filter(|e| e.z.im.abs() < 1e-8 && e.z.re > 0.0)
+            .map(|e| e.z.re)
+            .fold(0.0, f64::max);
+        let mut minus_k = BandedMatrix::zeros(n, 1, 1);
+        for i in 0..n {
+            for j in i.saturating_sub(1)..(i + 2).min(n) {
+                if i != j {
+                    minus_k.set(i, j, -a.get(i, j));
+                }
+            }
+        }
+        (minus_k, da, c, eta)
+    }
+
+    #[test]
+    fn positive_pivots_bracket_the_dominant_root() {
+        let lambda = 1.0;
+        let (mut minus_k, da, c, eta) = qbd_family(lambda);
+        assert!(eta > 0.05 && eta < 0.999, "η = {eta}");
+        let mut ws = Workspace::new();
+        for step in 1..200 {
+            let z = step as f64 / 200.0;
+            if (z - eta).abs() < 1e-9 {
+                continue;
+            }
+            minus_k
+                .set_diagonal(da.iter().zip(&c).map(|(da, c)| da + (1.0 - z) * (c - lambda / z)));
+            let positive = match minus_k.m_matrix_lu(&mut ws).unwrap() {
+                ZMatrixLu::MMatrix(lu) => {
+                    assert!(lu.last_pivot() > 0.0);
+                    lu.recycle(&mut ws);
+                    true
+                }
+                ZMatrixLu::NonPositivePivot { value, .. } => {
+                    assert!(value <= 0.0);
+                    false
+                }
+            };
+            assert_eq!(positive, z > eta, "z = {z}, η = {eta}");
+        }
+        // The buffer of the last factorisation was recycled, not leaked.
+        assert_eq!(ws.pooled(), 1);
+    }
+
+    #[test]
+    fn last_row_of_l_inverse_is_a_non_negative_left_null_vector() {
+        let lambda = 1.0;
+        let (mut minus_k, da, c, eta) = qbd_family(lambda);
+        let z = eta * (1.0 + 1e-12);
+        minus_k.set_diagonal(da.iter().zip(&c).map(|(da, c)| da + (1.0 - z) * (c - lambda / z)));
+        let ZMatrixLu::MMatrix(lu) = minus_k.m_matrix_lu(&mut Workspace::new()).unwrap() else {
+            panic!("−K(z) must be an M-matrix just above η");
+        };
+        let mut u = vec![0.0; lu.dim()];
+        lu.last_row_of_l_inverse_into(&mut u).unwrap();
+        assert_eq!(u.last().copied(), Some(1.0));
+        assert!(u.iter().all(|x| *x >= 0.0), "{u:?}");
+        // u·(−K) = (0, …, 0, last pivot): check against the unfactored matrix.
+        let dense = minus_k.to_dense();
+        let n = u.len();
+        for j in 0..n {
+            let uk: f64 = (0..n).map(|i| u[i] * dense[(i, j)]).sum();
+            let want = if j + 1 == n { lu.last_pivot() } else { 0.0 };
+            assert!((uk - want).abs() < 1e-12, "column {j}: {uk} vs {want}");
+        }
+        assert!(lu.last_pivot().abs() < 1e-9);
+        assert!(lu.last_row_of_l_inverse_into(&mut [0.0; 2]).is_err());
+    }
+
+    #[test]
+    fn m_matrix_test_rejects_non_z_matrices() {
+        let mut ws = Workspace::new();
+        let positive_off_diagonal =
+            BandedMatrix::from_fn(3, 1, 1, |i, j| if i == j { 2.0 } else { 0.5 });
+        assert!(positive_off_diagonal.m_matrix_lu(&mut ws).is_err());
+        let mut non_finite = BandedMatrix::from_fn(3, 1, 1, |i, j| if i == j { 2.0 } else { -0.5 });
+        non_finite.set(1, 1, f64::NAN);
+        assert!(non_finite.m_matrix_lu(&mut ws).is_err());
+        assert!(BandedMatrix::zeros(0, 0, 0).m_matrix_lu(&mut ws).is_err());
+        // A singular M-matrix (zero row sums) stops at its last pivot.
+        let singular = BandedMatrix::from_fn(3, 1, 1, |i, j| match (i, j) {
+            (0, 0) | (2, 2) => 1.0,
+            (1, 1) => 2.0,
+            _ => -1.0,
+        });
+        match singular.m_matrix_lu(&mut ws).unwrap() {
+            ZMatrixLu::NonPositivePivot { index, value } => {
+                assert_eq!(index, 2);
+                assert!(value.abs() < 1e-15);
+            }
+            ZMatrixLu::MMatrix(_) => panic!("a singular matrix is not a nonsingular M-matrix"),
+        }
     }
 
     #[test]

@@ -84,7 +84,7 @@ mod workspace;
 pub mod eigen;
 pub mod parallel;
 
-pub use banded::{BandedLu, BandedMatrix};
+pub use banded::{BandedLu, BandedMatrix, MMatrixLu, ZMatrixLu};
 pub use blocktri::RealBlockTridiagonal;
 pub use cbanded::{CBandedLu, CBandedMatrix};
 pub use clu::CluDecomposition;

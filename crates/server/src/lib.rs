@@ -21,7 +21,7 @@
 //!   history and are excluded from the contract.
 //!
 //! Two cache layers serve a repeated query: the engine's [`SolverCache`]
-//! (skeletons, eigensystems, solutions, transforms) makes *related* queries cheap,
+//! (skeletons, solutions, transforms) makes *related* queries cheap,
 //! and the server's response memo answers an *exactly repeated* query — keyed by
 //! its canonical parameter digest, so whitespace and key order don't matter — from
 //! the stored bytes of its first response.  Memoisation cannot break replay: the

@@ -8,12 +8,17 @@
 //! them is implemented correctly.  The query engine serves the matrix-geometric
 //! answers, so its queries are certified here against the spectral expansion too.
 
+use std::sync::Arc;
+
 use unreliable_servers::core::{
-    consistency_violations, CostModel, Engine, MatrixGeometricSolver, Query, QueryResult,
-    QueueSolver, ResponseAnalysis, ResponseOptions, ServerClass, ServerLifecycle, SolverCache,
-    SpectralExpansionSolver, SystemConfig, ThreadPool, TruncatedCtmcSolver, TruncatedOptions,
+    consistency_violations, ClassCostModel, CostModel, Engine, GeometricApproximation,
+    GeometricSolution, MatrixGeometricSolver, MixBounds, MixCandidate, MixSearch, MixSearchOptions,
+    QbdMatrices, Query, QueryResult, QueueSolution, QueueSolver, ResponseAnalysis, ResponseOptions,
+    ServerClass, ServerLifecycle, SolverCache, SpectralExpansionSolver, SpectralOptions,
+    SystemConfig, ThreadPool, TruncatedCtmcSolver, TruncatedOptions,
 };
 use unreliable_servers::dist::HyperExponential;
+use unreliable_servers::linalg::QuadraticEigenProblem;
 
 fn configs_under_test() -> Vec<(&'static str, SystemConfig)> {
     let paper = ServerLifecycle::paper_fitted().unwrap();
@@ -233,5 +238,209 @@ fn engine_answers_agree_with_spectral_expansion() {
             let gap = relative_gap(*got, *want);
             assert!(gap < 1e-8, "{name}: P{} off by {gap:e}", 100.0 * fraction);
         }
+    }
+}
+
+/// The QR certificate of the geometric approximation: the dominant real eigenvalue of
+/// `Q(z)` inside the unit disk from the companion linearisation, and its left
+/// eigenvector normalised to a probability vector.
+fn qr_dominant_pair(config: &SystemConfig) -> (f64, Vec<f64>) {
+    let qbd = QbdMatrices::new(config).unwrap();
+    let problem = QuadraticEigenProblem::new(qbd.q0(), qbd.q1(), qbd.q2()).unwrap();
+    let margin = SpectralOptions::default().unit_disk_margin;
+    let eta = problem
+        .eigenvalues_inside_unit_disk(margin)
+        .unwrap()
+        .iter()
+        .map(|e| e.z)
+        .filter(|z| z.im.abs() < 1e-8 && z.re > 0.0)
+        .max_by(|a, b| a.re.total_cmp(&b.re))
+        .expect("an ergodic queue has a real dominant root");
+    let u: Vec<f64> = problem.left_eigenvector(eta).unwrap().iter().map(|c| c.re).collect();
+    let sum: f64 = u.iter().sum();
+    (eta.re, u.iter().map(|x| x / sum).collect())
+}
+
+/// The four server classes of the benchmark's `large-fleet` mix search: service rate
+/// `1 + 0.3j`, price `1 + 0.4j`, exponential lifecycle with breakdown rate
+/// `0.05 + 0.05j` and repair rate 1.
+fn large_fleet_classes() -> (Vec<ServerClass>, ClassCostModel) {
+    let classes = (0..4)
+        .map(|j| {
+            let j = f64::from(j);
+            let lifecycle = ServerLifecycle::exponential(0.05 + 0.05 * j, 1.0).unwrap();
+            ServerClass::new(1, 1.0 + 0.3 * j, lifecycle).unwrap()
+        })
+        .collect();
+    let cost = ClassCostModel::new(4.0, (0..4).map(|j| 1.0 + 0.4 * f64::from(j)).collect());
+    (classes, cost.unwrap())
+}
+
+/// Every case of the root-search certificate: the paper and a hyperexponential
+/// (mean 10, SCV 8) lifecycle at N = 1..16 and ρ ∈ {0.3, 0.7, 0.9, 0.99}, a two-class
+/// fleet and the four `large-fleet` classes together.
+fn certifier_cases() -> Vec<SystemConfig> {
+    let paper = ServerLifecycle::paper_fitted().unwrap();
+    let hyper = ServerLifecycle::with_exponential_repair(
+        HyperExponential::with_mean_and_scv(10.0, 8.0).unwrap(),
+        0.5,
+    )
+    .unwrap();
+    let at_utilisation = |config: SystemConfig, rho: f64| {
+        let lambda = rho * config.effective_capacity();
+        config.with_arrival_rate(lambda).unwrap()
+    };
+    let mut cases = Vec::new();
+    for lifecycle in [&paper, &hyper] {
+        for servers in 1..=16 {
+            for rho in [0.3, 0.7, 0.9, 0.99] {
+                let config = SystemConfig::new(servers, 1.0, 1.0, lifecycle.clone()).unwrap();
+                cases.push(at_utilisation(config, rho));
+            }
+        }
+    }
+    let two_class = SystemConfig::heterogeneous(
+        1.0,
+        vec![
+            ServerClass::new(2, 1.5, paper).unwrap(),
+            ServerClass::new(3, 1.0, ServerLifecycle::exponential(0.1, 1.0).unwrap()).unwrap(),
+        ],
+    )
+    .unwrap();
+    let (large_fleet, _) = large_fleet_classes();
+    let large_fleet = SystemConfig::heterogeneous(
+        1.0,
+        large_fleet.iter().zip([2, 2, 1, 2]).map(|(c, n)| c.with_count(n).unwrap()).collect(),
+    )
+    .unwrap();
+    for rho in [0.3, 0.7, 0.9, 0.99] {
+        cases.push(at_utilisation(two_class.clone(), rho));
+        cases.push(at_utilisation(large_fleet.clone(), rho));
+    }
+    cases
+}
+
+#[test]
+fn root_search_agrees_with_the_companion_qr() {
+    let cases = certifier_cases();
+    let cache = SolverCache::shared();
+    let approx = GeometricApproximation::default().with_cache(Arc::clone(&cache));
+    let solve_all = |threads: usize| -> Vec<GeometricSolution> {
+        ThreadPool::new(threads).try_par_map(&cases, |c| approx.solve_detailed(c)).unwrap()
+    };
+    let serial = solve_all(1);
+    let (mut worst_eta, mut worst_vector, mut most_steps) = (0.0_f64, 0.0_f64, 0);
+    for (config, solution) in cases.iter().zip(&serial) {
+        let (eta, u) = qr_dominant_pair(config);
+        let name = format!("N = {}, λ = {}", config.servers(), config.arrival_rate());
+        let eta_gap = (solution.decay_rate() - eta).abs() / eta;
+        assert!(eta_gap <= 1e-12, "{name}: η {} vs QR {eta} ({eta_gap:e})", solution.decay_rate());
+        let marginal = solution.mode_marginal();
+        assert_eq!(marginal.len(), u.len(), "{name}");
+        assert!(marginal.iter().all(|p| *p >= 0.0), "{name}: {marginal:?}");
+        let vector_gap = marginal.iter().zip(&u).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
+        assert!(vector_gap <= 1e-10, "{name}: mode vector off by {vector_gap:e}");
+        assert!(solution.search_steps() <= 64, "{name}: {} steps", solution.search_steps());
+        worst_eta = worst_eta.max(eta_gap);
+        worst_vector = worst_vector.max(vector_gap);
+        most_steps = most_steps.max(solution.search_steps());
+    }
+    let mean_steps =
+        serial.iter().map(|s| s.search_steps() as f64).sum::<f64>() / serial.len() as f64;
+    println!(
+        "{} cases: η ≤ {worst_eta:.1e} rel, mode vector ≤ {worst_vector:.1e}, \
+         steps ≤ {most_steps} (mean {mean_steps:.1})",
+        cases.len()
+    );
+    // The search is serial per configuration and deterministic: any pool, cached or
+    // not, reproduces it bit for bit, work counter included.
+    for threads in [2, 3, 8] {
+        assert_eq!(solve_all(threads), serial, "{threads} threads changed a solution");
+    }
+    let uncached = GeometricApproximation::default();
+    for (config, cached) in cases.iter().zip(&serial).step_by(7) {
+        assert_eq!(&uncached.solve_detailed(config).unwrap(), cached);
+    }
+}
+
+/// One verified composition: counts, exact mean queue length, cost.
+type Verified = (Vec<usize>, f64, f64);
+
+/// The screened mix search's result as QR-ranked screening would produce it: every
+/// stable composition ranked by the approximate cost from the companion-QR η, cut by
+/// the default slack band, verified by the matrix-geometric solver and sorted.
+fn qr_screened_ranking(search: &MixSearch, arrival_rate: f64) -> Vec<Verified> {
+    let options = MixSearchOptions::default();
+    let config_for = |counts: &[usize]| {
+        let classes = search
+            .classes()
+            .iter()
+            .zip(counts)
+            .filter(|(_, &n)| n > 0)
+            .map(|(c, &n)| c.with_count(n).unwrap())
+            .collect();
+        SystemConfig::heterogeneous(arrival_rate, classes).unwrap()
+    };
+    let order = |a: &Verified, b: &Verified| {
+        let servers = |c: &[usize]| c.iter().sum::<usize>();
+        a.2.total_cmp(&b.2).then(servers(&a.0).cmp(&servers(&b.0))).then(a.0.cmp(&b.0))
+    };
+    let mut screened: Vec<Verified> = search
+        .candidate_mixes()
+        .unwrap()
+        .into_iter()
+        .filter(|counts| config_for(counts).is_stable())
+        .map(|counts| {
+            let (eta, _) = qr_dominant_pair(&config_for(&counts));
+            let l = eta / (1.0 - eta);
+            let cost = search.cost_model().evaluate(l, &counts);
+            (counts, l, cost)
+        })
+        .filter(|(_, _, cost)| cost.is_finite())
+        .collect();
+    screened.sort_by(order);
+    let best = screened[0].2;
+    let cutoff = best + options.screen_slack * best.abs();
+    let qualified = screened.iter().take_while(|(_, _, cost)| *cost <= cutoff).count();
+    let floor = options.screen_top_k.min(screened.len());
+    screened.truncate(qualified.clamp(floor, options.screen_max_verified.max(floor)));
+    let solver = MatrixGeometricSolver::default();
+    let mut verified: Vec<Verified> = screened
+        .into_iter()
+        .map(|(counts, _, _)| {
+            let l = solver.solve(&config_for(&counts)).unwrap().mean_queue_length();
+            let cost = search.cost_model().evaluate(l, &counts);
+            (counts, l, cost)
+        })
+        .collect();
+    verified.sort_by(order);
+    verified
+}
+
+#[test]
+fn screened_mix_search_verifies_the_qr_shortlist() {
+    let (classes, cost) = large_fleet_classes();
+    let bits = |v: &Verified| (v.0.clone(), v.1.to_bits(), v.2.to_bits());
+    let candidate_bits = |c: &MixCandidate| {
+        (c.counts().to_vec(), c.mean_queue_length().to_bits(), c.cost().to_bits())
+    };
+    for arrival_rate in [3.5, 4.0, 4.5] {
+        let search = MixSearch::new(
+            arrival_rate,
+            classes.clone(),
+            cost.clone(),
+            MixBounds::up_to(7).unwrap(),
+        )
+        .unwrap();
+        let result = search.run().unwrap();
+        assert!(result.was_screened(), "λ = {arrival_rate}: {} candidates", result.candidates());
+        let reference = qr_screened_ranking(&search, arrival_rate);
+        let ranked: Vec<_> = result.ranked().iter().map(candidate_bits).collect();
+        assert_eq!(ranked, reference.iter().map(bits).collect::<Vec<_>>(), "λ = {arrival_rate}");
+        assert_eq!(
+            result.optimum().map(candidate_bits),
+            reference.first().map(bits),
+            "λ = {arrival_rate}"
+        );
     }
 }
