@@ -77,9 +77,10 @@ use crate::Result;
 const DEFAULT_SKELETON_CAPACITY: usize = 64;
 /// Default capacity of the full-solution map.
 const DEFAULT_SOLUTION_CAPACITY: usize = 4096;
-/// Default capacity of the response-transform map (transforms hold the truncated
-/// arrival distribution, so they are skeleton-sized entries).
-const DEFAULT_TRANSFORM_CAPACITY: usize = 64;
+/// Default capacity of the response-transform map.  A transform holds one `s × s`
+/// eigenbasis transfer per level up to `N`, up to `N` skeletons' worth, so 32 keep
+/// the level's footprint below what 64 single-block transforms took.
+const DEFAULT_TRANSFORM_CAPACITY: usize = 32;
 
 /// Deterministic digest of an arbitrary hashable key (FNV-1a over its `Hash`
 /// bytes) — the same stable hash that assigns cache shards, reused by the query
@@ -604,7 +605,7 @@ impl Default for SolverCache {
 
 impl SolverCache {
     /// Creates an empty cache with the default capacities (64 skeletons, 4096
-    /// solutions, 64 response transforms — ample for every sweep in this repository).
+    /// solutions, 32 response transforms — ample for every sweep in this repository).
     pub fn new() -> Self {
         SolverCache::with_capacities(DEFAULT_SKELETON_CAPACITY, DEFAULT_SOLUTION_CAPACITY)
     }

@@ -890,7 +890,8 @@ impl Engine {
             }
             Query::Percentiles { config, fractions } => {
                 let analysis =
-                    ResponseAnalysis::with_cache(config, ResponseOptions::default(), &self.cache)?;
+                    ResponseAnalysis::with_cache(config, ResponseOptions::default(), &self.cache)?
+                        .with_pool(self.pool.clone());
                 Ok(QueryResult::Percentiles(PercentileReport {
                     mean_response_time: analysis.mean_response_time(),
                     fractions: fractions.clone(),

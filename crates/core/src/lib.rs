@@ -55,10 +55,11 @@
 //!   input order, so parallel sweeps are bit-identical to serial ones.  All sweep
 //!   helpers fan out over it; pass [`ThreadPool::serial`] (or set `URS_THREADS=1`) to
 //!   force the serial path.  The same pool also parallelises *inside* a single
-//!   solve: [`SpectralExpansionSolver::with_pool`] extracts eigenvectors
-//!   concurrently, while [`MatrixGeometricSolver::with_pool`],
-//!   [`TruncatedCtmcSolver::with_pool`] and [`response::ResponseAnalysis::with_pool`]
-//!   hand the pool to `urs-linalg`'s row-banded gemm/LU/right-solve kernels.
+//!   solve: [`SpectralExpansionSolver::with_pool`] extracts eigenvectors and
+//!   [`response::ResponseAnalysis::with_pool`] evaluates quadrature nodes
+//!   concurrently, while [`MatrixGeometricSolver::with_pool`] and
+//!   [`TruncatedCtmcSolver::with_pool`] hand the pool to `urs-linalg`'s row-banded
+//!   gemm/LU/right-solve kernels.
 //!   Intra-solve parallelism is strictly opt-in (defaults stay serial) and is
 //!   pinned bit-identical across thread counts by the `parallel_equivalence`
 //!   thread-matrix suite.

@@ -546,6 +546,47 @@ mod tests {
         assert!(qbd.banded_recommended());
     }
 
+    /// The mode chain is reversible: with the product-form stationary distribution
+    /// `π`, every transition balances its reverse, `π_i·A_ij = π_j·A_ji`.  The
+    /// response-time transform symmetrises its resolvents on exactly this property.
+    #[test]
+    fn mode_chain_satisfies_detailed_balance() {
+        use crate::config::ServerClass;
+        use urs_dist::HyperExponential;
+        let paper = ServerLifecycle::paper_fitted().unwrap();
+        let h2h2 = ServerLifecycle::new(
+            HyperExponential::new(&[0.7246, 0.2754], &[0.1663, 0.0091]).unwrap(),
+            HyperExponential::new(&[0.9303, 0.0697], &[25.0043, 1.6346]).unwrap(),
+        );
+        let exponential = ServerLifecycle::exponential(0.1, 1.0).unwrap();
+        let fleets = [
+            vec![ServerClass::new(5, 1.0, exponential.clone()).unwrap()],
+            vec![ServerClass::new(6, 1.0, paper.clone()).unwrap()],
+            vec![ServerClass::new(4, 1.0, h2h2).unwrap()],
+            vec![
+                ServerClass::new(2, 1.5, paper).unwrap(),
+                ServerClass::new(3, 1.0, exponential).unwrap(),
+            ],
+        ];
+        for classes in fleets {
+            let skeleton = QbdSkeleton::for_classes(&classes).unwrap();
+            let pi = skeleton.modes().stationary_distribution_classes(&classes);
+            let a = skeleton.a();
+            let s = skeleton.order();
+            for i in 0..s {
+                for j in 0..i {
+                    let (flow, reverse) = (pi[i] * a[(i, j)], pi[j] * a[(j, i)]);
+                    let gap = (flow - reverse).abs();
+                    assert!(
+                        gap <= 1e-10 * flow.max(reverse),
+                        "{} classes, modes ({i}, {j}): {flow:e} vs {reverse:e}",
+                        classes.len()
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn environment_generator_stationary_distribution_matches_product_form() {
         let config = paper_config(4, 1.0);

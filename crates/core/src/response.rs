@@ -19,15 +19,35 @@
 //!
 //!    `diag(C_a)` is the departure rate of the jobs ahead of the tagged customer and
 //!    `diag(C_{a+1} − C_a)` the tagged customer's own completion rate (non-zero exactly
-//!    when a server is free for it).  Each evaluation is a sequence of complex
-//!    resolvent solves on the [`urs_linalg`] CMatrix/CLU kernels — routed through the
-//!    packed banded complex LU whenever the resolvent bandwidth clears the measured
-//!    crossover (the bases share the band pattern of `A`); the repeating levels
-//!    `a ≥ N` share a **single** LU factorisation, and all scratch memory comes from a
-//!    [`Workspace`] pool.  The unconditional transform is `W*(s) = Σ_{j,m} π(m,j)
-//!    φ_j[m]`, truncated where the stationary tail mass drops below
-//!    [`ResponseOptions::tail_epsilon`] (since `|φ| ≤ 1` for `Re s ≥ 0`, the truncation
-//!    error is bounded by that mass).
+//!    when a server is free for it).  The unconditional transform is
+//!    `W*(s) = Σ_{j,m} π(m,j) φ_j[m]`, truncated where the stationary tail mass drops
+//!    below [`ResponseOptions::tail_epsilon`] (since `|φ| ≤ 1` for `Re s ≥ 0`, the
+//!    truncation error is bounded by that mass).
+//!
+//!    **Every resolvent is symmetric in disguise.**  Each server alternates between
+//!    operative and inoperative phases, and the one-server phase chain is a star
+//!    (exponential repair) or a complete bipartite graph with product-form rates
+//!    (hyperexponential periods), so Kolmogorov's criterion makes it reversible.
+//!    Independent servers, and the lumping of exchangeable ones into occupancy counts,
+//!    keep it so: the mode chain `A` satisfies detailed balance `π_i·A_ij = π_j·A_ji`.
+//!    With `W = diag(√π)` every resolvent base is then similar to a real symmetric
+//!    matrix, `W·(Dᴬ + C − A)·W⁻¹ = diag(Dᴬ + C) − S` with `S_ij = √(A_ij·A_ji)`, and
+//!    has a real orthonormal eigenbasis `V` with eigenvalues `λ_k ≥ 0` (it is a
+//!    generator plus a non-negative diagonal).  Assembly computes the weights from
+//!    detailed balance along a spanning tree (an irreversible chain is an error),
+//!    diagonalises the `N` distinct bases once with [`urs_linalg::symmetric_eigen`],
+//!    and rewrites the recursion in the eigen-coordinates `χ_a = Vᵀ·W·φ_a`:
+//!
+//!    ```text
+//!    χ_a = (sI + Λ_a)⁻¹ · (V_aᵀ C_a V_{a−1} · χ_{a−1} + V_aᵀ W diag(C_{a+1} − C_a) 1)
+//!    W*(s) = Σ_a (V_aᵀ W⁻¹ π_a) · χ_a
+//!    ```
+//!
+//!    The transfer matrices `V_aᵀ C_a V_{a−1}`, the completion vectors and the
+//!    projected arrival levels are real and `s`-independent, so each evaluation costs
+//!    one real [`Matrix::gemm`] per level (real and imaginary parts side by side as a
+//!    2×s block) plus a diagonal complex scaling by `1/(s + λ_k)` — no factorisation
+//!    at any node, and one code path for every model size.
 //!
 //! 2. **Numerical inversion** by two *independent* methods: Euler summation on the
 //!    Bromwich line (Abate & Whitt, "Numerical inversion of Laplace transforms of
@@ -57,10 +77,7 @@
 use std::f64::consts::PI;
 use std::sync::Arc;
 
-use urs_linalg::{
-    banded_profitable, CBandedLu, CBandedMatrix, CMatrix, CluDecomposition, Complex, Matrix,
-    Workspace,
-};
+use urs_linalg::{symmetric_eigen, Complex, LinalgError, Matrix, Workspace};
 
 use crate::cache::SolverCache;
 use crate::config::SystemConfig;
@@ -342,9 +359,10 @@ impl ResponseOptions {
     }
 }
 
-/// The assembled per-configuration transform skeleton: the real parts of the resolvent
-/// bases (one shared `−A` plus a diagonal per level), the diagonal coupling rates and
-/// the truncated arrival-state distribution.
+/// The assembled per-configuration transform: the level recursion of the module docs
+/// in the eigenbases of the symmetrised resolvents — eigenvalues per distinct base,
+/// transfer matrices between consecutive bases, completion vectors and the projected
+/// arrival-state distribution, all real.
 ///
 /// Everything here is λ-and-lifecycle-specific but *inversion-independent*, which is
 /// why [`SolverCache`] memoises values of this type: every CDF or percentile query
@@ -354,22 +372,19 @@ pub struct ResponseTransform {
     order: usize,
     servers: usize,
     mean_response_time: f64,
-    /// `−A`: the off-diagonal part of every resolvent base `Dᴬ + C_{a+1} − A`.
-    neg_a: Matrix,
-    /// The diagonals `Dᴬ + C_{a+1}` of the resolvent bases for `a = 0..N−1`; the
-    /// last, `Dᴬ + C_N`, is also the base shared by every repeating level `a ≥ N`.
-    base_diagonals: Vec<Vec<f64>>,
-    /// `diag(C_a)` for `a = 0..=N`: departure rates of the jobs ahead.
-    ahead_rates: Vec<Vec<f64>>,
-    /// `diag(C_{a+1} − C_a)` for `a = 0..N−1`: the tagged job's completion rates.
-    completions: Vec<Vec<f64>>,
-    /// Truncated stationary distribution `π[level][mode]` seen at arrival (PASTA).
-    arrival_levels: Vec<Vec<f64>>,
+    /// Eigenvalues `λ_k` of the symmetrised base of levels `a = 0..N−1`, `s` per
+    /// level; the last base `Dᴬ + C_N − A` also serves every repeating level.
+    eigenvalues: Vec<f64>,
+    /// Transposed transfer matrices `(V_aᵀ C_a V_{a−1})ᵀ` for `a = 1..N−1`, then the
+    /// repeating-level one `(V_{N−1}ᵀ C_N V_{N−1})ᵀ`.
+    transfers: Vec<Matrix>,
+    /// `V_aᵀ W diag(C_{a+1} − C_a) 1` for `a = 0..N−1`, `s` per level: the tagged
+    /// job's completion rates in eigen-coordinates.
+    completions: Vec<f64>,
+    /// Row `a` is `V_aᵀ W⁻¹ π_a` for each retained level `a`: the truncated
+    /// arrival-state distribution (PASTA) projected onto the level's eigenbasis.
+    arrival_levels: Matrix,
     residual_mass: f64,
-    /// Union `(kl, ku)` bandwidth of every resolvent base (the pattern of `A` plus
-    /// the diagonal); when it clears the crossover, each resolvent factorisation
-    /// runs on the packed banded complex LU instead of the dense one.
-    bandwidths: (usize, usize),
 }
 
 impl ResponseTransform {
@@ -389,47 +404,73 @@ impl ResponseTransform {
             });
         }
         let servers = skeleton.servers();
-        let neg_a = skeleton.a().map(|a| 0.0 - a);
-        let base_diagonals: Vec<Vec<f64>> = (1..=servers)
-            .map(|level| {
-                skeleton.da().iter().zip(skeleton.c_level(level)).map(|(d, c)| d + c).collect()
-            })
-            .collect();
-        let ahead_rates: Vec<Vec<f64>> =
-            (0..=servers).map(|level| skeleton.c_level(level).to_vec()).collect();
-        let completions: Vec<Vec<f64>> = ahead_rates
-            .windows(2)
-            .map(|pair| match pair {
-                [current, next] => next.iter().zip(current).map(|(n, c)| n - c).collect(),
-                _ => Vec::new(),
-            })
-            .collect();
-        // Always keep at least one repeating level so the shared-LU path is exercised
-        // even when the boundary already holds nearly all the mass.
-        let (arrival_levels, residual_mass) =
+        let a = skeleton.a();
+        let weights = reversible_weights(a)?;
+        let rate = |i: usize, j: usize| a.get(i, j).unwrap_or(0.0);
+        // One symmetric eigensystem per distinct base `diag(Dᴬ + C_{a+1}) − S`.
+        let mut eigenvalues = Vec::with_capacity(servers * order);
+        let mut bases = Vec::with_capacity(servers);
+        for level in 1..=servers {
+            let (da, departures) = (skeleton.da(), skeleton.c_level(level));
+            let base = Matrix::from_fn(order, order, |i, j| match (da.get(i), departures.get(i)) {
+                (Some(d), Some(c)) if i == j => d + c - rate(i, i),
+                _ => -(rate(i, j) * rate(j, i)).sqrt(),
+            });
+            let eigen = symmetric_eigen(&base)?;
+            eigenvalues.extend(eigen.values);
+            bases.push(eigen.vectors);
+        }
+        let basis = |level: usize| bases.get(level.min(servers - 1));
+        let missing = || ModelError::Internal("transform is missing a level eigenbasis");
+        // Per level a < N: the completion vector `V_aᵀ W (C_{a+1} − C_a) 1` and the
+        // transposed transfer `V_aᵀ C_{a+1} V_{a+1}` into level a + 1; the last one,
+        // between two copies of the repeating base, serves every level from N on.
+        let mut transfers = Vec::with_capacity(servers);
+        let mut completions = Vec::with_capacity(servers * order);
+        for level in 0..servers {
+            let (Some(current), Some(next)) = (basis(level), basis(level + 1)) else {
+                return Err(missing());
+            };
+            let departures = skeleton.c_level(level + 1);
+            let weighted: Vec<f64> = departures
+                .iter()
+                .zip(skeleton.c_level(level))
+                .zip(&weights)
+                .map(|((after, before), w)| w * (after - before))
+                .collect();
+            completions.extend(current.vecmat(&weighted)?);
+            let mut left = current.transpose();
+            left.scale_columns(departures)?;
+            let mut transfer = Matrix::zeros(order, order);
+            transfer.gemm(1.0, &left, next, 0.0)?;
+            transfers.push(transfer);
+        }
+        // Always keep at least one repeating level so the shared repeating transfer is
+        // exercised even when the boundary already holds nearly all the mass.
+        let (levels, residual_mass) =
             solution.arrival_state_distribution(tail_epsilon, servers + 1)?;
+        let mut arrival_levels = Vec::with_capacity(levels.len() * order);
+        for (level, probabilities) in levels.iter().enumerate() {
+            let weighted: Vec<f64> =
+                probabilities.iter().zip(&weights).map(|(p, w)| p / w).collect();
+            arrival_levels.extend(basis(level).ok_or_else(missing)?.vecmat(&weighted)?);
+        }
+        let arrival_levels = Matrix::from_vec(levels.len(), order, arrival_levels)?;
         Ok(ResponseTransform {
             order,
             servers,
             mean_response_time: solution.mean_response_time(),
-            neg_a,
-            base_diagonals,
-            ahead_rates,
+            eigenvalues,
+            transfers,
             completions,
             arrival_levels,
             residual_mass,
-            bandwidths: skeleton.q1_bandwidths(),
         })
-    }
-
-    /// Number of operational modes of the underlying model.
-    pub fn order(&self) -> usize {
-        self.order
     }
 
     /// Number of stationary levels retained by the tail truncation.
     pub fn truncation_levels(&self) -> usize {
-        self.arrival_levels.len()
+        self.arrival_levels.rows()
     }
 
     /// Stationary mass beyond the truncation — the bound on the transform error.
@@ -446,181 +487,153 @@ impl ResponseTransform {
     /// Evaluates the unconditional response-time LST `W*(s) = E[e^{−sT}]` with
     /// scratch storage drawn from `workspace`.
     ///
-    /// One complex LU factorisation per boundary level plus a *single* factorisation
-    /// shared by all repeating levels; every matrix and vector is recycled through the
-    /// workspace pool, so repeated evaluations (one per quadrature node) allocate
-    /// nothing after the first.
+    /// The level recursion runs in the eigen-coordinates of the module docs: per
+    /// level one real product of the `2 × s` block `[Re χ; Im χ]` with the level's
+    /// transfer matrix, then a diagonal complex scaling by `1/(s + λ_k)`.  Every
+    /// buffer is recycled through the workspace pool, so repeated evaluations (one
+    /// per quadrature node) allocate nothing after the first.
     ///
     /// # Errors
     ///
-    /// [`ModelError::Linalg`] when `s` hits a singularity of a resolvent (only
-    /// possible in the left half-plane, where the Talbot contour roams).
+    /// [`ModelError::Linalg`] when `s` hits a singularity `s = −λ_k` of a resolvent
+    /// (only possible on the negative real axis, which no quadrature node visits).
     pub fn lst_with(&self, s: Complex, workspace: &mut Workspace) -> Result<Complex> {
-        self.lst_with_pool(s, workspace, &ThreadPool::serial())
+        let mut inverse = workspace.real_buffer(2 * self.eigenvalues.len());
+        let mut chi = workspace.real_matrix(2, self.order);
+        let mut next = workspace.real_matrix(2, self.order);
+        let result = self.recurse(s, &mut inverse, &mut chi, &mut next);
+        workspace.release_real_matrix(chi);
+        workspace.release_real_matrix(next);
+        workspace.release_real_buffer(inverse);
+        result
     }
 
-    /// [`lst_with`](Self::lst_with) with the per-level resolvent factorisations
-    /// running on `pool`.
-    ///
-    /// The level recurrence itself is sequential (`φ_a` feeds `φ_{a+1}`), so the
-    /// parallelism lives inside each complex LU factorisation; its banded trailing
-    /// updates preserve the serial accumulation order, making the transform value
-    /// bit-identical at any thread count.  When the resolvent bandwidth clears the
-    /// crossover ([`urs_linalg::banded_profitable`]), each factorisation runs on
-    /// the packed [`CBandedLu`] instead — always serial, so equally thread-count
-    /// independent, and bit-identical to the dense factorisation on the same
-    /// nonzero pattern.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`lst_with`](Self::lst_with), plus
-    /// [`LinalgError::WorkerPanic`](urs_linalg::LinalgError::WorkerPanic) if a worker
-    /// panicked.
-    pub fn lst_with_pool(
+    /// The level recursion behind [`lst_with`](Self::lst_with); `inverse` receives
+    /// `1/(s + λ_k)` for every distinct base as interleaved `(re, im)` pairs, and
+    /// `chi` and `next` are zeroed `2 × s` scratch blocks.
+    fn recurse(
         &self,
         s: Complex,
-        workspace: &mut Workspace,
-        pool: &ThreadPool,
+        inverse: &mut [f64],
+        chi: &mut Matrix,
+        next: &mut Matrix,
     ) -> Result<Complex> {
         let order = self.order;
-        let (kl, ku) = self.bandwidths;
-        let use_banded = banded_profitable(order, kl, ku);
-        let mut phi_prev = workspace.complex_buffer(order);
-        let mut phi = workspace.complex_buffer(order);
-        let mut rhs = workspace.complex_buffer(order);
+        for (k, (pair, &lambda)) in inverse.chunks_exact_mut(2).zip(&self.eigenvalues).enumerate() {
+            let shifted = s + lambda;
+            if shifted.abs() <= f64::EPSILON * (s.abs() + lambda.abs()) {
+                return Err(LinalgError::Singular { pivot: k % order }.into());
+            }
+            let value = shifted.recip();
+            pair.copy_from_slice(&[value.re, value.im]);
+        }
         let mut total = Complex::ZERO;
-        for (a, base) in self.base_diagonals.iter().enumerate() {
-            let ahead: &[f64] = self.ahead_rates.get(a).map(Vec::as_slice).unwrap_or_default();
-            let completions: &[f64] =
-                self.completions.get(a).map(Vec::as_slice).unwrap_or_default();
-            for (((slot, prev), rate), completion) in
-                rhs.iter_mut().zip(&phi_prev).zip(ahead).zip(completions)
-            {
-                *slot = *prev * *rate + Complex::from_real(*completion);
+        for (level, arrivals) in self.arrival_levels.as_slice().chunks_exact(order).enumerate() {
+            if level > 0 {
+                let transfer = self
+                    .transfers
+                    .get(level.min(self.servers) - 1)
+                    .ok_or(ModelError::Internal("transform is missing a transfer matrix"))?;
+                next.gemm(1.0, chi, transfer, 0.0)?;
+                std::mem::swap(chi, next);
             }
-            if use_banded {
-                let resolvent = self.shifted_banded(base, s);
-                let lu = CBandedLu::new_allow_singular_pooled(&resolvent, workspace)?;
-                let solved = lu.solve_into(&rhs, &mut phi);
-                lu.recycle(workspace);
-                solved?;
-            } else {
-                let shifted = self.shifted_dense(base, s, workspace)?;
-                let lu = CluDecomposition::from_matrix_with(shifted, pool)?;
-                lu.solve_into(&rhs, &mut phi)?;
-                workspace.release_complex_matrix(lu.into_matrix());
-            }
-            if let Some(level) = self.arrival_levels.get(a) {
-                for (p, value) in level.iter().zip(&phi) {
-                    total += *value * *p;
+            let (re, im) = chi.as_mut_slice().split_at_mut(order);
+            if let Some(completion) = self.completions.get(level * order..(level + 1) * order) {
+                for (x, c) in re.iter_mut().zip(completion) {
+                    *x += c;
                 }
             }
-            std::mem::swap(&mut phi_prev, &mut phi);
-        }
-        if self.arrival_levels.len() > self.servers {
-            let (Some(service), Some(repeat_base)) =
-                (self.ahead_rates.get(self.servers), self.base_diagonals.last())
-            else {
-                return Err(ModelError::Internal("transform is missing the repeating-level rates"));
-            };
-            if use_banded {
-                let resolvent = self.shifted_banded(repeat_base, s);
-                let lu = CBandedLu::new_allow_singular_pooled(&resolvent, workspace)?;
-                let mut solved = Ok(());
-                for level in self.servers..self.arrival_levels.len() {
-                    for i in 0..order {
-                        // urs-analyze: allow(slice_index, reason = "bounded by the phase order and level count fixed at construction")
-                        rhs[i] = phi_prev[i] * service[i];
-                    }
-                    solved = lu.solve_into(&rhs, &mut phi);
-                    if solved.is_err() {
-                        break;
-                    }
-                    // urs-analyze: allow(slice_index, reason = "bounded by the phase order and level count fixed at construction")
-                    for (p, value) in self.arrival_levels[level].iter().zip(&phi) {
-                        total += *value * *p;
-                    }
-                    std::mem::swap(&mut phi_prev, &mut phi);
-                }
-                lu.recycle(workspace);
-                solved?;
-            } else {
-                let shifted = self.shifted_dense(repeat_base, s, workspace)?;
-                let lu = CluDecomposition::from_matrix_with(shifted, pool)?;
-                for level in self.servers..self.arrival_levels.len() {
-                    for i in 0..order {
-                        // urs-analyze: allow(slice_index, reason = "bounded by the phase order and level count fixed at construction")
-                        rhs[i] = phi_prev[i] * service[i];
-                    }
-                    lu.solve_into(&rhs, &mut phi)?;
-                    // urs-analyze: allow(slice_index, reason = "bounded by the phase order and level count fixed at construction")
-                    for (p, value) in self.arrival_levels[level].iter().zip(&phi) {
-                        total += *value * *p;
-                    }
-                    std::mem::swap(&mut phi_prev, &mut phi);
-                }
-                workspace.release_complex_matrix(lu.into_matrix());
+            let base = level.min(self.servers - 1);
+            let scales = inverse.chunks_exact(2).skip(base * order);
+            for (((x, y), scale), p) in re.iter_mut().zip(im.iter_mut()).zip(scales).zip(arrivals) {
+                let &[scale_re, scale_im] = scale else { continue };
+                let value = Complex::new(*x, *y) * Complex::new(scale_re, scale_im);
+                *x = value.re;
+                *y = value.im;
+                total += value * *p;
             }
         }
-        workspace.release_complex_buffer(phi_prev);
-        workspace.release_complex_buffer(phi);
-        workspace.release_complex_buffer(rhs);
         Ok(total)
     }
 
     /// The raw (unclamped) CDF and density at `t`, sharing one transform evaluation
     /// per node: the CDF inverts `W*(s)/s` and the density `W*(s)` at identical
     /// nodes, so the Newton percentile iteration pays nothing extra for derivatives.
+    ///
+    /// The nodes fan out across `pool`, each evaluated whole by one worker with its
+    /// own workspace, and the weighted values are summed in node order — so the
+    /// result is bit-identical at any thread count.
     fn cdf_density_at(
         &self,
         t: f64,
         method: InversionMethod,
         options: &InversionOptions,
-        workspace: &mut Workspace,
         pool: &ThreadPool,
     ) -> Result<(f64, f64)> {
         validate_time(t)?;
+        let nodes = options.quadrature(method, t);
+        let mut values: Vec<Result<Complex>> = vec![Ok(Complex::ZERO); nodes.len()];
+        pool.par_chunks_mut_with(&mut values, 1, Workspace::new, |workspace, index, slot| {
+            if let (Some(value), Some(&(s, _))) = (slot.first_mut(), nodes.get(index)) {
+                *value = self.lst_with(s, workspace);
+            }
+        })?;
         let mut cdf = 0.0;
         let mut density = 0.0;
-        for (s, w) in options.quadrature(method, t) {
-            let value = self.lst_with_pool(s, workspace, pool)?;
-            let weighted = w * value;
+        for ((s, w), value) in nodes.into_iter().zip(values) {
+            let weighted = w * value?;
             cdf += (weighted * s.recip()).re;
             density += weighted.re;
         }
         Ok((cdf, density))
     }
+}
 
-    /// The resolvent `s·I + diag(diagonal) − A` in a workspace-pooled dense matrix.
-    fn shifted_dense(
-        &self,
-        diagonal: &[f64],
-        s: Complex,
-        workspace: &mut Workspace,
-    ) -> Result<CMatrix> {
-        let mut shifted = workspace.complex_matrix(self.order, self.order);
-        shifted.copy_from_real(&self.neg_a)?;
-        for (i, &d) in diagonal.iter().enumerate() {
-            // urs-analyze: allow(slice_index, reason = "bounded by the phase order and level count fixed at construction")
-            shifted[(i, i)] = Complex::from_real(d) + s;
-        }
-        Ok(shifted)
-    }
-
-    /// The same resolvent evaluated straight into packed banded storage,
-    /// element-for-element identical to [`shifted_dense`](Self::shifted_dense).
-    fn shifted_banded(&self, diagonal: &[f64], s: Complex) -> CBandedMatrix {
-        let (kl, ku) = self.bandwidths;
-        CBandedMatrix::from_fn(self.order, kl, ku, |i, j| {
-            if i == j {
-                // urs-analyze: allow(slice_index, reason = "bounded by the phase order and level count fixed at construction")
-                Complex::from_real(diagonal[i]) + s
-            } else {
-                // urs-analyze: allow(slice_index, reason = "bounded by the phase order and level count fixed at construction")
-                Complex::from_real(self.neg_a[(i, j)])
+/// The symmetrising weights `w = √π` of the mode chain `A`, normalised to a largest
+/// weight of 1: detailed balance `π_j = π_i·A_ij/A_ji` along a breadth-first spanning
+/// tree from mode 0, then verified on every transition.
+///
+/// # Errors
+///
+/// [`ModelError::InvalidParameter`] when the chain is reducible or not reversible —
+/// a transition without its reverse, or a cycle violating Kolmogorov's criterion.
+fn reversible_weights(a: &Matrix) -> Result<Vec<f64>> {
+    let order = a.rows();
+    let rate = |i: usize, j: usize| if i == j { 0.0 } else { a.get(i, j).unwrap_or(0.0) };
+    let irreversible = |value: f64| ModelError::InvalidParameter {
+        name: "mode_chain",
+        value,
+        constraint: "the response-time transform needs a reversible, irreducible mode chain",
+    };
+    // The tree is rooted at mode 0; zero marks a mode it has not reached yet.
+    let mut weights: Vec<f64> = (0..order).map(|i| if i == 0 { 1.0 } else { 0.0 }).collect();
+    let mut queue = std::collections::VecDeque::from([0usize]);
+    while let Some(i) = queue.pop_front() {
+        let w_i = weights.get(i).copied().unwrap_or(0.0);
+        for j in 0..order {
+            let (forward, back) = (rate(i, j), rate(j, i));
+            if let Some(w_j) = weights.get_mut(j).filter(|w| forward > 0.0 && **w <= 0.0) {
+                if back <= 0.0 {
+                    return Err(irreversible(forward));
+                }
+                *w_j = w_i * (forward / back).sqrt();
+                queue.push_back(j);
             }
-        })
+        }
     }
+    if weights.iter().any(|w| *w <= 0.0) {
+        return Err(irreversible(0.0));
+    }
+    for (i, w_i) in weights.iter().enumerate() {
+        for (j, w_j) in weights.iter().enumerate().take(i) {
+            let (flow, reverse) = (w_i * w_i * rate(i, j), w_j * w_j * rate(j, i));
+            if (flow - reverse).abs() > 1e-8 * flow.max(reverse) {
+                return Err(irreversible((flow - reverse) / flow.max(reverse)));
+            }
+        }
+    }
+    let largest = weights.iter().fold(0.0_f64, |m, w| m.max(*w));
+    Ok(weights.into_iter().map(|w| w / largest).collect())
 }
 
 /// The analytic response-time distribution of one system configuration.
@@ -699,10 +712,10 @@ impl ResponseAnalysis {
         Ok(ResponseAnalysis { transform, options, pool: ThreadPool::serial() })
     }
 
-    /// Runs every subsequent transform evaluation — the per-level resolvent
-    /// factorisations behind each CDF, density, and percentile query — on `pool`.
-    /// Values are bit-identical to the serial analysis at any thread count; see
-    /// [`ResponseTransform::lst_with_pool`].
+    /// Fans the quadrature nodes of every subsequent CDF, density and percentile
+    /// evaluation out across `pool`.  Each node is evaluated whole by one worker and
+    /// the weighted values are summed in node order, so results are bit-identical to
+    /// the serial analysis at any thread count.
     pub fn with_pool(mut self, pool: ThreadPool) -> Self {
         self.pool = pool;
         self
@@ -788,8 +801,7 @@ impl ResponseAnalysis {
     ///
     /// Propagates resolvent failures; `s` in the right half-plane always succeeds.
     pub fn lst(&self, s: Complex) -> Result<Complex> {
-        let mut workspace = Workspace::new();
-        self.transform.lst_with(s, &mut workspace)
+        self.transform.lst_with(s, &mut Workspace::new())
     }
 
     /// The CDF `P(T ≤ t)` of response time, **certified**: both inversion methods are
@@ -812,31 +824,19 @@ impl ResponseAnalysis {
                 Ok(0.0)
             };
         }
-        let mut workspace = Workspace::new();
-        self.certified_cdf(t, &mut workspace)
+        let (euler, _) = self.raw_cdf(t, InversionMethod::EulerSummation)?;
+        self.certify(t, euler)
     }
 
-    fn certified_cdf(&self, t: f64, workspace: &mut Workspace) -> Result<f64> {
-        let (euler, _) = self.transform.cdf_density_at(
-            t,
-            InversionMethod::EulerSummation,
-            &self.options.inversion,
-            workspace,
-            &self.pool,
-        )?;
-        self.certify(t, euler, workspace)
+    /// The raw CDF and density at `t` by `method`, on the analysis's pool.
+    fn raw_cdf(&self, t: f64, method: InversionMethod) -> Result<(f64, f64)> {
+        self.transform.cdf_density_at(t, method, &self.options.inversion, &self.pool)
     }
 
     /// Cross-checks an already-computed Euler CDF value against a fresh Talbot
     /// evaluation and returns the certified (clamped) value.
-    fn certify(&self, t: f64, euler: f64, workspace: &mut Workspace) -> Result<f64> {
-        let (talbot, _) = self.transform.cdf_density_at(
-            t,
-            InversionMethod::FixedTalbot,
-            &self.options.inversion,
-            workspace,
-            &self.pool,
-        )?;
+    fn certify(&self, t: f64, euler: f64) -> Result<f64> {
+        let (talbot, _) = self.raw_cdf(t, InversionMethod::FixedTalbot)?;
         if (euler - talbot).abs() > self.options.agreement_tolerance {
             return Err(ModelError::InversionDivergence {
                 time: t,
@@ -858,14 +858,7 @@ impl ResponseAnalysis {
         if t <= 0.0 {
             return Ok(0.0);
         }
-        let mut workspace = Workspace::new();
-        let (value, _) = self.transform.cdf_density_at(
-            t,
-            method,
-            &self.options.inversion,
-            &mut workspace,
-            &self.pool,
-        )?;
+        let (value, _) = self.raw_cdf(t, method)?;
         Ok(value.clamp(0.0, 1.0))
     }
 
@@ -880,8 +873,7 @@ impl ResponseAnalysis {
     /// [`ModelError::InversionDivergence`] from the final certification and
     /// [`ModelError::NoConvergence`] if bracketing or refinement stalls.
     pub fn response_time_percentile(&self, fraction: f64) -> Result<f64> {
-        let mut workspace = Workspace::new();
-        self.percentile_with(fraction, None, &mut workspace)
+        self.percentile_with(fraction, None)
     }
 
     /// Several percentiles in one call, ascending ones warm-starting from their
@@ -893,11 +885,10 @@ impl ResponseAnalysis {
     pub fn response_time_percentiles(&self, fractions: &[f64]) -> Result<Vec<f64>> {
         let mut order: Vec<(usize, f64)> = fractions.iter().copied().enumerate().collect();
         order.sort_by(|a, b| a.1.total_cmp(&b.1));
-        let mut workspace = Workspace::new();
         let mut results = vec![0.0; fractions.len()];
         let mut warm: Option<(f64, f64)> = None;
         for &(index, fraction) in &order {
-            let t = self.percentile_with(fraction, warm, &mut workspace)?;
+            let t = self.percentile_with(fraction, warm)?;
             if let Some(slot) = results.get_mut(index) {
                 *slot = t;
             }
@@ -906,12 +897,7 @@ impl ResponseAnalysis {
         Ok(results)
     }
 
-    fn percentile_with(
-        &self,
-        fraction: f64,
-        warm: Option<(f64, f64)>,
-        workspace: &mut Workspace,
-    ) -> Result<f64> {
+    fn percentile_with(&self, fraction: f64, warm: Option<(f64, f64)>) -> Result<f64> {
         if !(fraction > 0.0 && fraction < 1.0) {
             return Err(ModelError::InvalidParameter {
                 name: "fraction",
@@ -919,15 +905,7 @@ impl ResponseAnalysis {
                 constraint: "percentile fractions must lie strictly between 0 and 1",
             });
         }
-        let raw_cdf = |t: f64, ws: &mut Workspace| -> Result<(f64, f64)> {
-            self.transform.cdf_density_at(
-                t,
-                InversionMethod::EulerSummation,
-                &self.options.inversion,
-                ws,
-                &self.pool,
-            )
-        };
+        let raw_cdf = |t: f64| self.raw_cdf(t, InversionMethod::EulerSummation);
         // Bracket the root, starting from the warm point (a lower percentile of the
         // same distribution) or the mean response time.
         let (mut lo, mut f_lo) = match warm {
@@ -938,13 +916,13 @@ impl ResponseAnalysis {
         if hi.is_nan() || hi <= 0.0 {
             hi = 1.0;
         }
-        let (mut f_hi, _) = raw_cdf(hi, workspace)?;
+        let (mut f_hi, _) = raw_cdf(hi)?;
         let mut expansions = 0usize;
         while f_hi < fraction {
             lo = hi;
             f_lo = f_hi;
             hi *= 2.0;
-            let (value, _) = raw_cdf(hi, workspace)?;
+            let (value, _) = raw_cdf(hi)?;
             f_hi = value;
             expansions += 1;
             if expansions > 200 {
@@ -966,7 +944,7 @@ impl ResponseAnalysis {
         };
         let mut converged = false;
         for _ in 0..128 {
-            let (f, density) = raw_cdf(x, workspace)?;
+            let (f, density) = raw_cdf(x)?;
             if f >= fraction {
                 hi = x;
             } else {
@@ -991,8 +969,8 @@ impl ResponseAnalysis {
         }
         // Certify the answer: the Euler value at x must survive the Talbot
         // cross-check (and the clamp cannot move an interior CDF value).
-        let (euler, _) = raw_cdf(x, workspace)?;
-        self.certify(x, euler, workspace)?;
+        let (euler, _) = raw_cdf(x)?;
+        self.certify(x, euler)?;
         Ok(x)
     }
 }
@@ -1274,5 +1252,121 @@ mod tests {
         let a = tight.response_time_cdf(2.0).unwrap();
         let b = loose.response_time_cdf(2.0).unwrap();
         assert!((a - b).abs() < 1e-6);
+    }
+
+    /// Independent reference for [`ResponseTransform::lst_with`]: the level recursion
+    /// of the module docs in the original coordinates `φ_a`, each level's complex
+    /// resolvent solve done as the real `2s × 2s` system `[[Re, −Im], [Im, Re]]` on a
+    /// dense [`LuDecomposition`](urs_linalg::LuDecomposition).
+    fn reference_lst(skeleton: &QbdSkeleton, arrival_levels: &[Vec<f64>], s: Complex) -> Complex {
+        let order = skeleton.order();
+        let servers = skeleton.servers();
+        let a = skeleton.a();
+        let mut phi = vec![0.0; 2 * order];
+        let mut total = Complex::ZERO;
+        for (level, pi) in arrival_levels.iter().enumerate() {
+            let base = skeleton.c_level((level + 1).min(servers));
+            let ahead = skeleton.c_level(level.min(servers));
+            let embedding = Matrix::from_fn(2 * order, 2 * order, |i, j| {
+                let (bi, bj) = (i % order, j % order);
+                let re =
+                    if bi == bj { s.re + skeleton.da()[bi] + base[bi] } else { 0.0 } - a[(bi, bj)];
+                let im = if bi == bj { s.im } else { 0.0 };
+                match (i < order, j < order) {
+                    (true, false) => -im,
+                    (false, true) => im,
+                    _ => re,
+                }
+            });
+            let mut rhs: Vec<f64> =
+                phi.iter().enumerate().map(|(i, x)| ahead[i % order] * x).collect();
+            if level < servers {
+                for (m, r) in rhs.iter_mut().take(order).enumerate() {
+                    *r += base[m] - ahead[m];
+                }
+            }
+            phi = urs_linalg::LuDecomposition::new(&embedding).unwrap().solve(&rhs).unwrap();
+            for (m, p) in pi.iter().enumerate() {
+                total += Complex::new(phi[m], phi[m + order]) * *p;
+            }
+        }
+        total
+    }
+
+    #[test]
+    fn eigenbasis_transform_matches_the_embedded_level_solve() {
+        let paper = ServerLifecycle::paper_fitted().unwrap();
+        let exponential = ServerLifecycle::exponential(0.05, 1.0).unwrap();
+        let configs = [
+            SystemConfig::new(3, 2.0, 1.0, paper.clone()).unwrap(),
+            SystemConfig::new(5, 3.5, 1.0, paper).unwrap(),
+            SystemConfig::new(4, 2.8, 1.0, exponential).unwrap(),
+        ];
+        let tail_epsilon = ResponseOptions::default().tail_epsilon;
+        let inversion = InversionOptions::default();
+        for config in configs {
+            let qbd = QbdMatrices::new(&config).unwrap();
+            let solution = MatrixGeometricSolver::default().solve_qbd(&config, &qbd).unwrap();
+            let transform =
+                ResponseTransform::assemble(qbd.skeleton(), &solution, tail_epsilon).unwrap();
+            let (levels, _) =
+                solution.arrival_state_distribution(tail_epsilon, config.servers() + 1).unwrap();
+            let mean = transform.mean_response_time();
+            let mut workspace = Workspace::new();
+            let mut worst = 0.0_f64;
+            for t in [0.5 * mean, 2.0 * mean, 8.0 * mean] {
+                for method in METHODS {
+                    for (s, _) in inversion.quadrature(method, t) {
+                        let got = transform.lst_with(s, &mut workspace).unwrap();
+                        let want = reference_lst(qbd.skeleton(), &levels, s);
+                        worst = worst.max((got - want).abs() / want.abs());
+                    }
+                }
+            }
+            assert!(worst <= 1e-12, "N = {}: relative gap {worst:e}", config.servers());
+        }
+    }
+
+    #[test]
+    fn a_resolvent_singularity_is_an_error_not_a_nan() {
+        let config =
+            SystemConfig::new(3, 2.0, 1.0, ServerLifecycle::paper_fitted().unwrap()).unwrap();
+        let analysis = ResponseAnalysis::new(&config).unwrap();
+        for &lambda in &analysis.transform().eigenvalues {
+            let at_pole = analysis.lst(Complex::from_real(-lambda));
+            assert!(
+                matches!(
+                    at_pole,
+                    Err(ModelError::Linalg(urs_linalg::LinalgError::Singular { .. }))
+                ),
+                "s = −{lambda}: {at_pole:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn irreversible_mode_chains_are_rejected() {
+        // A 3-cycle 0 → 1 → 2 → 0 has no reverse transitions.
+        let cycle = Matrix::from_fn(3, 3, |i, j| if j == (i + 1) % 3 { 1.0 } else { 0.0 });
+        assert!(matches!(
+            reversible_weights(&cycle),
+            Err(ModelError::InvalidParameter { name: "mode_chain", .. })
+        ));
+        // Reverse rates that break Kolmogorov's criterion around the cycle.
+        let skewed = Matrix::from_fn(3, 3, |i, j| match (j + 3 - i) % 3 {
+            1 => 2.0,
+            2 => 1.0,
+            _ => 0.0,
+        });
+        assert!(reversible_weights(&skewed).is_err());
+        // A birth–death chain is reversible; its weights are √π up to scale.
+        let chain =
+            Matrix::from_rows(&[&[0.0, 2.0, 0.0][..], &[1.0, 0.0, 3.0][..], &[0.0, 1.5, 0.0][..]])
+                .unwrap();
+        let w = reversible_weights(&chain).unwrap();
+        let pi: Vec<f64> = w.iter().map(|x| x * x).collect();
+        assert!((pi[0] * 2.0 - pi[1] * 1.0).abs() < 1e-15);
+        assert!((pi[1] * 3.0 - pi[2] * 1.5).abs() < 1e-15);
+        assert_eq!(w.iter().fold(0.0_f64, |m, x| m.max(*x)), 1.0);
     }
 }

@@ -8,25 +8,38 @@
 //! boundary vectors `v_0 … v_{N−1}` and the expansion coefficients `γ_k` follow from
 //! the level-`0..N` balance equations plus normalisation.
 //!
+//! **The roots are real.**  The mode chain is reversible (see the
+//! [`response`](crate::response) module docs for the argument), so `Π·A` is symmetric
+//! with `Π = diag(π)`.  Conjugating by `Π^½` makes `Q1` symmetric while `Q0 = λI` and
+//! `Q2 = C` stay diagonal, and for the reversed polynomial `λμ² + Q1μ + C` the
+//! inequality `(xᵀQ1x)² ≥ 4λ|x|²·xᵀCx` (AM–GM, equality only at ρ = 1) makes the
+//! quadratic eigenproblem *hyperbolic* (Duffin 1955; Tisseur & Meerbergen, SIAM
+//! Review 2001): all `2s` eigenvalues are real and semisimple, and exactly `s` lie in
+//! `(0, 1)`.  The whole expansion therefore runs in real arithmetic.
+//!
 //! Implementation notes:
 //!
 //! * the eigenvalues come from the companion linearisation in
-//!   [`urs_linalg::QuadraticEigenProblem`] (Francis QR under the hood);
+//!   [`urs_linalg::QuadraticEigenProblem`] (Francis QR under the hood).  Each
+//!   in-disk root is taken as real; one whose `|Im z|/|z|` exceeds
+//!   [`reality_tolerance`](SpectralOptions::reality_tolerance) is a
+//!   [`ModelError::SpectralFailure`];
+//! * the left eigenvectors come from real shifted inverse iteration on one banded
+//!   LU of `Q(z)ᵀ` per root ([`QuadraticEigenProblem::real_left_eigenvector`]);
 //! * the eigenpairs determine the rate matrix of the repeating levels,
 //!   `R = U⁻¹·Z·U` with `U` the matrix whose rows are the `u_k` and
-//!   `Z = diag(z_k)`: one complex LU of `U`.  `R` is real in exact arithmetic; its
-//!   imaginary residue is checked against
-//!   [`reality_tolerance`](SpectralOptions::reality_tolerance);
-//! * the boundary levels `0..N` are then eliminated in real arithmetic by the
-//!   boundary solve shared with the
-//!   [`MatrixGeometricSolver`](crate::MatrixGeometricSolver), so the two exact
-//!   solvers differ only in how they obtain `R`;
+//!   `Z = diag(z_k)`: one real LU of `U`;
+//! * the boundary levels `0..N` are then eliminated by the boundary solve shared
+//!   with the [`MatrixGeometricSolver`](crate::MatrixGeometricSolver), so the two
+//!   exact solvers differ only in how they obtain `R`;
 //! * the same LU of `U` yields the coefficients `γ` from `γ·U = v_N`, so the
 //!   expansion is anchored at level `N`: `v_j = Σ_k γ_k·u_k·z_k^(j−N)` for `j ≥ N`.
+//!
+//! [`QuadraticEigenProblem::real_left_eigenvector`]: urs_linalg::QuadraticEigenProblem::real_left_eigenvector
 
 use std::sync::Arc;
 
-use urs_linalg::{CMatrix, CluDecomposition, Complex, Workspace};
+use urs_linalg::{LuDecomposition, Matrix, Workspace};
 
 use crate::cache::SolverCache;
 use crate::config::SystemConfig;
@@ -44,7 +57,8 @@ pub struct SpectralOptions {
     /// unit disk.  The margin guards against the eigenvalue at 1 (which always exists
     /// for the conservative generator) being misclassified due to rounding.
     pub unit_disk_margin: f64,
-    /// Maximum tolerated imaginary part (relative to 1) surviving in probabilities.
+    /// Maximum tolerated relative imaginary part `|Im z|/|z|` of an in-disk
+    /// eigenvalue before it counts as non-real.
     pub reality_tolerance: f64,
     /// Maximum tolerated eigen-residual `‖u Q(z)‖∞` relative to the matrix scale.
     pub residual_tolerance: f64,
@@ -149,75 +163,68 @@ impl SpectralExpansionSolver {
     fn solve_qbd(&self, config: &SystemConfig, qbd: &QbdMatrices) -> Result<SpectralSolution> {
         let s = qbd.order();
 
-        // 1. Eigenvalues and left eigenvectors of Q(z) inside the unit disk.
+        // 1. The (real) eigenvalues and left eigenvectors of Q(z) inside the unit disk.
         let q1 = qbd.q1();
         let scale = q1.max_abs().max(1.0);
         let problem = urs_linalg::QuadraticEigenProblem::new(qbd.q0(), q1, qbd.q2())?;
-        // Deterministic order: by modulus, then by real/imaginary part.
-        let order = |a: &Complex, b: &Complex| {
-            a.abs().total_cmp(&b.abs()).then(a.re.total_cmp(&b.re)).then(a.im.total_cmp(&b.im))
-        };
-        let mut inside: Vec<Complex> = problem
-            .eigenvalues_inside_unit_disk(self.options.unit_disk_margin)?
-            .iter()
-            .map(|e| e.z)
-            .collect();
+        let inside = problem.eigenvalues_inside_unit_disk(self.options.unit_disk_margin)?;
         if inside.len() != s {
             return Err(ModelError::SpectralFailure(format!(
                 "expected {s} eigenvalues strictly inside the unit disk, found {}",
                 inside.len()
             )));
         }
-        inside.sort_by(order);
+        let mut max_imaginary_residue = 0.0_f64;
+        let mut eigenvalues = Vec::with_capacity(s);
+        for e in &inside {
+            let residue = e.z.im.abs() / e.z.abs();
+            if residue.is_nan() || residue > self.options.reality_tolerance {
+                return Err(ModelError::SpectralFailure(format!(
+                    "eigenvalue {} of a reversible mode chain is not real",
+                    e.z
+                )));
+            }
+            max_imaginary_residue = max_imaginary_residue.max(residue);
+            eigenvalues.push(e.z.re);
+        }
+        // Deterministic order: by modulus, then by value.
+        eigenvalues.sort_by(|a, b| a.abs().total_cmp(&b.abs()).then(a.total_cmp(b)));
         // Each eigenvector extraction is independent, so the sorted list fans out
-        // across the pool.  When the QBD blocks are banded-profitable the extraction
-        // is shifted inverse iteration on one packed banded LU of Q(z)ᵀ per
-        // eigenvalue (O(s·b²) instead of the dense O(s³) null-space path, which
-        // remains the certified fallback).  `try_par_map` reports the
-        // smallest-indexed failure, which is exactly the one a serial loop over the
-        // same sorted order would have hit first.
-        let extracted: Vec<(Complex, Vec<Complex>)> =
-            self.pool.try_par_map(&inside, |z| -> Result<(Complex, Vec<Complex>)> {
-                let u = problem.left_eigenvector(*z)?;
-                let residual = problem.residual(*z, &u)?;
+        // across the pool.  `try_par_map` reports the smallest-indexed failure, which
+        // is exactly the one a serial loop over the same sorted order would have hit
+        // first.
+        let eigenvectors: Vec<Vec<f64>> =
+            self.pool.try_par_map(&eigenvalues, |&z| -> Result<Vec<f64>> {
+                let u = problem.real_left_eigenvector(z)?;
+                let residual = problem.real_residual(z, &u)?;
                 if residual > self.options.residual_tolerance * scale {
                     return Err(ModelError::SpectralFailure(format!(
                         "left eigenvector residual {residual:.3e} at z = {z} exceeds tolerance",
                     )));
                 }
-                Ok((*z, u))
+                Ok(u)
             })?;
-        let mut eigenvalues = Vec::with_capacity(s);
-        let mut eigenvectors: Vec<Vec<Complex>> = Vec::with_capacity(s);
-        for (z, u) in extracted {
-            eigenvalues.push(z);
-            eigenvectors.push(u);
-        }
 
         // 2. R = U⁻¹·Z·U (u_k R = z_k u_k row by row), then the boundary elimination
         // shared with the matrix-geometric solver.
-        let u = CMatrix::from_vec(s, s, eigenvectors.concat())?;
-        let z_u: Vec<Complex> = eigenvalues
+        let z_u: Vec<f64> = eigenvalues
             .iter()
             .zip(&eigenvectors)
-            .flat_map(|(z, u_k)| u_k.iter().map(move |x| *z * *x))
+            .flat_map(|(z, u_k)| u_k.iter().map(move |x| z * x))
             .collect();
-        let z_u = CMatrix::from_vec(s, s, z_u)?;
-        let u_lu = CluDecomposition::new_with(&u, &self.pool)?;
-        let mut r = CMatrix::zeros(s, s);
+        let z_u = Matrix::from_vec(s, s, z_u)?;
+        let u_lu = LuDecomposition::from_matrix_with(
+            Matrix::from_vec(s, s, eigenvectors.concat())?,
+            &self.pool,
+        )?;
+        let mut r = Matrix::zeros(s, s);
         u_lu.solve_matrix_into(&z_u, &mut r)?;
-        let r_residue = r.max_imag_abs() / r.max_abs().max(1.0);
-        if r_residue > self.options.reality_tolerance {
-            return Err(ModelError::SpectralFailure(format!(
-                "rate matrix U⁻¹·Z·U retains imaginary residue {r_residue:.3e}"
-            )));
-        }
-        let mut levels = solve_boundary(qbd, &r.real_part(), &self.pool)?;
+        let mut levels = solve_boundary(qbd, &r, &self.pool)?;
 
         // 3. The expansion coefficients from γ·U = v_N, on the same factors.
         let v_n = levels.pop().ok_or(ModelError::Internal("boundary solve returned no levels"))?;
-        let v_n = CMatrix::from_vec(1, s, v_n.into_iter().map(Complex::from_real).collect())?;
-        let mut gamma = CMatrix::zeros(1, s);
+        let v_n = Matrix::from_vec(1, s, v_n)?;
+        let mut gamma = Matrix::zeros(1, s);
         u_lu.solve_right_matrix_into(&v_n, &mut gamma, &mut Workspace::new())?;
 
         // 4. Fold the coefficients into the eigenvectors, w_k = γ_k·u_k, then
@@ -226,13 +233,13 @@ impl SpectralExpansionSolver {
             .iter()
             .zip(&eigenvectors)
             .zip(gamma.as_slice())
-            .map(|((z, u), gamma)| {
-                let weighted_vector: Vec<Complex> = u.iter().map(|c| *c * *gamma).collect();
-                let weighted_sum = weighted_vector.iter().copied().sum();
-                SpectralTerm { z: *z, weighted_vector, weighted_sum }
+            .map(|((&z, u), gamma)| {
+                let weighted_vector: Vec<f64> = u.iter().map(|c| c * gamma).collect();
+                let weighted_sum = weighted_vector.iter().sum();
+                SpectralTerm { z, weighted_vector, weighted_sum }
             })
             .collect();
-        SpectralSolution::assemble(config, qbd, levels, terms, r_residue, self.options)
+        SpectralSolution::assemble(config, qbd, levels, terms, max_imaginary_residue)
     }
 }
 
@@ -250,9 +257,22 @@ impl QueueSolver for SpectralExpansionSolver {
 /// coefficient-weighted eigenvector `w_k = γ_k·u_k` and its component sum.
 #[derive(Debug, Clone)]
 struct SpectralTerm {
-    z: Complex,
-    weighted_vector: Vec<Complex>,
-    weighted_sum: Complex,
+    z: f64,
+    weighted_vector: Vec<f64>,
+    weighted_sum: f64,
+}
+
+/// `base^exp` by repeated squaring; exact in the exponent for every `u32`.
+fn powu(mut base: f64, mut exp: u32) -> f64 {
+    let mut acc = 1.0;
+    while exp > 0 {
+        if exp & 1 == 1 {
+            acc *= base;
+        }
+        base *= base;
+        exp >>= 1;
+    }
+    acc
 }
 
 /// The exact steady-state solution produced by [`SpectralExpansionSolver`].
@@ -276,53 +296,45 @@ impl SpectralSolution {
         qbd: &QbdMatrices,
         mut boundary: Vec<Vec<f64>>,
         mut terms: Vec<SpectralTerm>,
-        r_residue: f64,
-        options: SpectralOptions,
+        max_imaginary_residue: f64,
     ) -> Result<Self> {
         let s = qbd.order();
         let servers = qbd.servers();
 
         // Total (un-normalised) probability mass: Σ_{j≥N} v_j·1 = Σ_k w_k·1/(1 − z_k).
         let boundary_mass: f64 = boundary.iter().map(|v| v.iter().sum::<f64>()).sum();
-        let tail_mass: Complex = terms.iter().map(|t| t.weighted_sum / (Complex::ONE - t.z)).sum();
+        let tail_mass: f64 = terms.iter().map(|t| t.weighted_sum / (1.0 - t.z)).sum();
         let total = tail_mass + boundary_mass;
         if total.abs() < 1e-300 {
             return Err(ModelError::SpectralFailure(
                 "total probability mass vanished during normalisation".into(),
             ));
         }
-        let max_imaginary_residue = r_residue.max((total.im / total.abs()).abs());
-        if max_imaginary_residue > options.reality_tolerance {
-            return Err(ModelError::SpectralFailure(format!(
-                "probabilities retain imaginary residue {max_imaginary_residue:.3e}"
-            )));
-        }
 
-        // Normalise every unknown by the (real) total mass.
-        let total = total.re;
+        // Normalise every unknown by the total mass.
         for p in boundary.iter_mut().flatten() {
             *p /= total;
         }
         for term in &mut terms {
             for w in &mut term.weighted_vector {
-                *w = *w / total;
+                *w /= total;
             }
-            term.weighted_sum = term.weighted_sum / total;
+            term.weighted_sum /= total;
         }
 
         // Mean queue length:
         //   L = Σ_{j<N} j·(v_j·1) + Σ_k w_k_sum · (N − (N−1)z) / (1−z)².
         let boundary_part: f64 =
             boundary.iter().enumerate().map(|(j, v)| j as f64 * v.iter().sum::<f64>()).sum();
-        let tail_part: Complex = terms
+        let tail_part: f64 = terms
             .iter()
             .map(|t| {
-                let one_minus = Complex::ONE - t.z;
-                t.weighted_sum * (Complex::from_real(servers as f64) - t.z * (servers as f64 - 1.0))
+                let one_minus = 1.0 - t.z;
+                t.weighted_sum * (servers as f64 - t.z * (servers as f64 - 1.0))
                     / (one_minus * one_minus)
             })
             .sum();
-        let mean_queue_length = boundary_part + tail_part.re;
+        let mean_queue_length = boundary_part + tail_part;
 
         Ok(SpectralSolution {
             servers,
@@ -336,19 +348,21 @@ impl SpectralSolution {
     }
 
     /// The eigenvalues `z_k` of the characteristic polynomial inside the unit disk,
-    /// sorted by increasing modulus.
-    pub fn eigenvalues(&self) -> Vec<Complex> {
+    /// sorted by increasing modulus.  They are real (see the module docs).
+    pub fn eigenvalues(&self) -> Vec<f64> {
         self.terms.iter().map(|t| t.z).collect()
     }
 
     /// The dominant (largest-modulus) eigenvalue; it is real and positive for an
     /// ergodic queue and governs the geometric tail decay.
     pub fn dominant_eigenvalue(&self) -> f64 {
-        self.terms.last().map(|t| t.z.re).unwrap_or(0.0)
+        self.terms.last().map(|t| t.z).unwrap_or(0.0)
     }
 
-    /// The largest imaginary residue observed in the (theoretically real) rate matrix
-    /// `U⁻¹·Z·U` and total probability mass; a solver-quality diagnostic.
+    /// The largest relative imaginary part `|Im z|/|z|` the companion QR reported
+    /// among the in-disk eigenvalues before they were taken as real; a
+    /// solver-quality diagnostic, bounded by
+    /// [`reality_tolerance`](SpectralOptions::reality_tolerance).
     pub fn max_imaginary_residue(&self) -> f64 {
         self.max_imaginary_residue
     }
@@ -380,9 +394,9 @@ impl QueueSolution for SpectralSolution {
         if level < self.servers {
             self.boundary[level][mode]
         } else {
-            // Levels past `powi`'s `u32` exponent range carry no mass.
+            // Levels past the `u32` exponent range carry no mass.
             let Ok(power) = u32::try_from(level - self.servers) else { return 0.0 };
-            self.terms.iter().map(|t| (t.weighted_vector[mode] * t.z.powi(power)).re).sum()
+            self.terms.iter().map(|t| t.weighted_vector[mode] * powu(t.z, power)).sum()
         }
     }
 
@@ -390,11 +404,8 @@ impl QueueSolution for SpectralSolution {
         (0..self.mode_count)
             .map(|mode| {
                 let boundary: f64 = self.boundary.iter().map(|v| v[mode]).sum();
-                let tail: f64 = self
-                    .terms
-                    .iter()
-                    .map(|t| (t.weighted_vector[mode] / (Complex::ONE - t.z)).re)
-                    .sum();
+                let tail: f64 =
+                    self.terms.iter().map(|t| t.weighted_vector[mode] / (1.0 - t.z)).sum();
                 boundary + tail
             })
             .collect()
@@ -409,10 +420,7 @@ impl QueueSolution for SpectralSolution {
         if level >= last_boundary {
             // P(Z > level) = Σ_k w_sum z^{level+1−N}/(1−z); no mass past `u32` powers.
             let Ok(power) = u32::try_from(level - last_boundary) else { return 0.0 };
-            self.terms
-                .iter()
-                .map(|t| (t.weighted_sum * t.z.powi(power) / (Complex::ONE - t.z)).re)
-                .sum()
+            self.terms.iter().map(|t| t.weighted_sum * powu(t.z, power) / (1.0 - t.z)).sum()
         } else {
             let below: f64 = (0..=level).map(|j| self.level_probability(j)).sum();
             (1.0 - below).max(0.0)

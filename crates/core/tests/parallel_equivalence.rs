@@ -18,9 +18,7 @@ use urs_core::{
     SystemConfig, ThreadPool, TruncatedCtmcSolver,
 };
 use urs_dist::HyperExponential;
-use urs_linalg::{
-    CMatrix, CluDecomposition, Complex, LuDecomposition, Matrix, RealBlockTridiagonal, Workspace,
-};
+use urs_linalg::{LuDecomposition, Matrix, RealBlockTridiagonal, Workspace};
 
 fn paper_base(servers: usize, lambda: f64, repair_rate: f64) -> SystemConfig {
     let operative = HyperExponential::with_mean_and_scv(34.62, 4.6).unwrap();
@@ -219,11 +217,6 @@ fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     Matrix::from_fn(rows, cols, |_, _| lcg(&mut state))
 }
 
-fn random_cmatrix(rows: usize, cols: usize, seed: u64) -> CMatrix {
-    let mut state = seed;
-    CMatrix::from_fn(rows, cols, |_, _| Complex::new(lcg(&mut state), lcg(&mut state)))
-}
-
 /// A diagonally dominant (hence comfortably non-singular) random matrix.
 fn dominant_matrix(n: usize, seed: u64) -> Matrix {
     let mut state = seed;
@@ -237,24 +230,8 @@ fn dominant_matrix(n: usize, seed: u64) -> Matrix {
     })
 }
 
-fn dominant_cmatrix(n: usize, seed: u64) -> CMatrix {
-    let mut state = seed;
-    CMatrix::from_fn(n, n, |i, j| {
-        let v = Complex::new(lcg(&mut state), lcg(&mut state));
-        if i == j {
-            v + Complex::from_real(n as f64)
-        } else {
-            v
-        }
-    })
-}
-
 fn bits(m: &Matrix) -> Vec<u64> {
     m.as_slice().iter().map(|x| x.to_bits()).collect()
-}
-
-fn cbits(m: &CMatrix) -> Vec<(u64, u64)> {
-    m.as_slice().iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
 }
 
 fn vec_bits(v: &[f64]) -> Vec<u64> {
@@ -279,23 +256,6 @@ fn gemm_is_bit_identical_across_the_thread_matrix() {
 }
 
 #[test]
-fn complex_gemm_is_bit_identical_across_the_thread_matrix() {
-    let a = random_cmatrix(53, 41, 31);
-    let b = random_cmatrix(41, 37, 32);
-    let initial = random_cmatrix(53, 37, 33);
-    let alpha = Complex::new(0.6, -0.2);
-    let beta = Complex::new(-0.3, 0.1);
-    let mut expected = initial.clone();
-    expected.gemm(alpha, &a, &b, beta).unwrap();
-    for threads in THREAD_MATRIX {
-        let pool = ThreadPool::new(threads);
-        let mut c = initial.clone();
-        c.gemm_with(alpha, &a, &b, beta, &pool).unwrap();
-        assert_eq!(cbits(&expected), cbits(&c), "{threads} threads changed complex gemm");
-    }
-}
-
-#[test]
 fn blocked_lu_is_bit_identical_across_the_thread_matrix() {
     // n = 137 crosses the 48-column panel boundary twice, with a ragged tail.
     let n = 137;
@@ -315,31 +275,6 @@ fn blocked_lu_is_bit_identical_across_the_thread_matrix() {
         let mut right = Matrix::zeros(64, n);
         lu.solve_right_matrix_into_with(&rhs, &mut right, &mut ws, &pool).unwrap();
         assert_eq!(bits(&serial_right), bits(&right), "{threads} threads changed the right-solve");
-    }
-}
-
-#[test]
-fn complex_blocked_lu_is_bit_identical_across_the_thread_matrix() {
-    // n = 61 crosses the complex 24-column panel boundary twice.
-    let n = 61;
-    let a = dominant_cmatrix(n, 41);
-    let rhs = random_cmatrix(40, n, 42);
-    let serial = CluDecomposition::from_matrix(a.clone()).unwrap();
-    let serial_packed = CluDecomposition::from_matrix(a.clone()).unwrap().into_matrix();
-    let mut ws = Workspace::new();
-    let mut serial_right = CMatrix::zeros(40, n);
-    serial.solve_right_matrix_into(&rhs, &mut serial_right, &mut ws).unwrap();
-    for threads in THREAD_MATRIX {
-        let pool = ThreadPool::new(threads);
-        let lu = CluDecomposition::from_matrix_with(a.clone(), &pool).unwrap();
-        let packed = CluDecomposition::from_matrix_with(a.clone(), &pool).unwrap().into_matrix();
-        assert_eq!(cbits(&serial_packed), cbits(&packed), "{threads} threads changed complex LU");
-        let (sd, pd) = (serial.determinant(), lu.determinant());
-        assert_eq!((sd.re.to_bits(), sd.im.to_bits()), (pd.re.to_bits(), pd.im.to_bits()));
-        assert_eq!(serial.smallest_pivot().to_bits(), lu.smallest_pivot().to_bits());
-        let mut right = CMatrix::zeros(40, n);
-        lu.solve_right_matrix_into_with(&rhs, &mut right, &mut ws, &pool).unwrap();
-        assert_eq!(cbits(&serial_right), cbits(&right), "{threads} threads changed right-solve");
     }
 }
 

@@ -773,14 +773,54 @@ impl BandedLu {
     /// [`LinalgError::DimensionMismatch`] on wrong lengths.
     pub fn solve_into(&self, b: &[f64], x: &mut [f64]) -> Result<()> {
         self.ensure_regular()?;
-        let n = self.n;
-        if b.len() != n || x.len() != n {
+        self.check_lengths(b.len(), x.len())?;
+        self.substitute(b, x, None);
+        Ok(())
+    }
+
+    /// Smallest pivot modulus of the factorisation; a small value indicates
+    /// (near) singularity.
+    pub fn smallest_pivot(&self) -> f64 {
+        let w = self.kl + self.bw + 1;
+        self.data
+            .chunks_exact(w)
+            .filter_map(|row| row.get(self.kl))
+            .fold(f64::INFINITY, |m, d| m.min(d.abs()))
+    }
+
+    /// Solves `(A with tiny pivots floored) x = b` — the inverse-iteration
+    /// kernel: `U` diagonals below `floor` in modulus are replaced by `floor`,
+    /// so the solve amplifies the null-space direction instead of overflowing.
+    /// Deterministic: the floor is applied per element by value.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] on wrong lengths or
+    /// [`LinalgError::InvalidInput`] for a non-positive floor.
+    pub fn solve_regularized_into(&self, b: &[f64], x: &mut [f64], floor: f64) -> Result<()> {
+        if floor.is_nan() || floor <= 0.0 {
+            return Err(LinalgError::InvalidInput("regularization floor must be positive".into()));
+        }
+        self.check_lengths(b.len(), x.len())?;
+        self.substitute(b, x, Some(floor));
+        Ok(())
+    }
+
+    fn check_lengths(&self, b: usize, x: usize) -> Result<()> {
+        if b != self.n || x != self.n {
             return Err(LinalgError::DimensionMismatch {
                 operation: "banded LU solve",
-                left: (n, n),
-                right: (b.len().max(x.len()), 1),
+                left: (self.n, self.n),
+                right: (b.max(x), 1),
             });
         }
+        Ok(())
+    }
+
+    /// Forward/backward substitution shared by the exact and regularized
+    /// solves; `floor` is `None` for the exact path.
+    fn substitute(&self, b: &[f64], x: &mut [f64], floor: Option<f64>) {
+        let n = self.n;
         let w = self.kl + self.bw + 1;
         let d = &self.data;
         x.copy_from_slice(b);
@@ -810,10 +850,16 @@ impl BandedLu {
                 sum -= u * xj;
             }
             // urs-analyze: allow(slice_index, reason = "band offset stays within (kl, ku) validated at construction; hot kernel path")
-            x[i] = sum / row[0];
+            let mut diag = row[0];
+            if let Some(f) = floor {
+                if diag.abs() < f {
+                    diag = f;
+                }
+            }
+            // urs-analyze: allow(slice_index, reason = "band offset stays within (kl, ku) validated at construction; hot kernel path")
+            x[i] = sum / diag;
         }
         // urs-analyze: end(no_alloc)
-        Ok(())
     }
 
     /// Solves `A X = B` into a caller-provided matrix (no allocation) with
@@ -1194,5 +1240,27 @@ mod tests {
         let mut y = [0.0; 3];
         assert!(a.matvec_into(&[1.0; 4], &mut y).is_err());
         assert!(BandedLu::new(&BandedMatrix::zeros(0, 0, 0)).is_err());
+    }
+
+    #[test]
+    fn regularized_solve_recovers_null_direction() {
+        // A genuinely near-singular tridiagonal: row 2 and column 2 are isolated
+        // and their shared diagonal entry is ~1e-14, so e_2 is nearly a null vector.
+        let n = 5;
+        let mut a = random_banded(n, 1, 1, 77);
+        a.set(2, 2, 1e-14);
+        for (i, j) in [(2, 1), (2, 3), (1, 2), (3, 2)] {
+            a.set(i, j, 0.0);
+        }
+        let lu = BandedLu::new_allow_singular(&a).unwrap();
+        assert!(lu.smallest_pivot() < 1e-10);
+        let ones = vec![1.0; n];
+        let mut x = vec![0.0; n];
+        lu.solve_regularized_into(&ones, &mut x, 1e-12).unwrap();
+        let max = x.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+        // The solution is dominated by the near-null direction.
+        assert!(max > 1e6, "max = {max}");
+        assert!(x.iter().all(|v| v.is_finite()));
+        assert!(lu.solve_regularized_into(&ones, &mut x, 0.0).is_err());
     }
 }

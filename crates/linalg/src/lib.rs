@@ -1,33 +1,39 @@
-//! Dense real and complex linear algebra for the `unreliable-servers` workspace.
+//! Real dense and banded linear algebra for the `unreliable-servers` workspace.
 //!
 //! The crates in this workspace reproduce the queueing analysis of Palmer & Mitrani,
 //! *Empirical and Analytical Evaluation of Systems with Multiple Unreliable Servers*
 //! (DSN 2006).  The spectral-expansion solution of a Markov-modulated queue needs a
 //! small but complete set of dense numerical kernels:
 //!
-//! * real matrices with LU factorisation, determinants, inverses and linear solves
-//!   ([`Matrix`], [`LuDecomposition`]),
-//! * complex matrices and complex LU factorisation with null-space extraction
-//!   ([`CMatrix`], [`CluDecomposition`]),
+//! * real matrices with LU factorisation, determinants, inverses, linear solves and
+//!   null-vector extraction ([`Matrix`], [`LuDecomposition`]),
 //! * eigenvalues of general real matrices via balancing, Householder Hessenberg
 //!   reduction and the Francis implicit double-shift QR iteration ([`eigenvalues`]),
+//!   and eigenpairs of real symmetric matrices by cyclic Jacobi ([`symmetric_eigen`]),
 //! * eigenvalues of quadratic matrix polynomials `Q0 + Q1 z + Q2 z^2` through
 //!   companion linearisation ([`QuadraticEigenProblem`]),
 //! * a real block-tridiagonal solver with diagonal couplings for the boundary
 //!   equations of quasi-birth-death processes ([`RealBlockTridiagonal`]),
-//! * packed band storage with banded matvec/gemm and banded LU, real and complex
-//!   ([`BandedMatrix`]/[`BandedLu`], [`CBandedMatrix`]/[`CBandedLu`]), bit-identical
-//!   to the dense kernels on the same nonzero pattern, with the
-//!   [`banded_profitable`] crossover rule deciding when solvers route through them,
+//! * packed band storage with banded matvec/gemm and banded LU
+//!   ([`BandedMatrix`]/[`BandedLu`]), bit-identical to the dense kernels on the same
+//!   nonzero pattern, with the [`banded_profitable`] crossover rule deciding when
+//!   solvers route through them,
 //! * allocation-free in-place kernels — `gemm`-style multiply-accumulate
-//!   ([`Matrix::gemm`], [`CMatrix::gemm`]), blocked LU with the `solve_*_into`
-//!   family — backed by a reusable [`Workspace`] scratch-buffer pool so the
-//!   solvers' hot loops allocate nothing,
+//!   ([`Matrix::gemm`]), blocked LU with the `solve_*_into` family — backed by a
+//!   reusable [`Workspace`] scratch-buffer pool so the solvers' hot loops allocate
+//!   nothing,
 //! * an intra-solve worker pool ([`ThreadPool`], module [`parallel`]): the `*_with`
 //!   kernel variants ([`Matrix::gemm_with`], [`LuDecomposition::from_matrix_with`],
 //!   [`LuDecomposition::solve_right_matrix_into_with`], …) partition independent
 //!   output rows across workers while keeping every per-element accumulation order
 //!   fixed, so results are **bit-identical at any thread count**.
+//!
+//! Every kernel works in real arithmetic.  The queueing model's mode process is
+//! reversible, so its resolvents symmetrise and its characteristic roots are real;
+//! [`Complex`] survives only as the scalar type of eigenvalues, of Laplace-transform
+//! values and of the one non-real case of
+//! [`QuadraticEigenProblem::left_eigenvector`], which it solves through the real
+//! `2s × 2s` embedding `[[Re, −Im], [Im, Re]]`.
 //!
 //! Everything is implemented from scratch on top of `std`; no external BLAS/LAPACK
 //! bindings are used, which keeps the workspace buildable in fully offline
@@ -43,12 +49,13 @@
 //!
 //! | API | Role in the reproduction |
 //! |---|---|
-//! | [`Matrix::gemm`] / [`CMatrix::gemm`] | tiled multiply-accumulate behind every solver product (§3.1 matrices are sparse bands — zero rows are skipped) |
-//! | [`LuDecomposition`] / [`CluDecomposition`] | blocked LU with partial pivoting; `solve_into` / `solve_matrix_into` / `solve_right_matrix_into` replace every explicit inverse |
+//! | [`Matrix::gemm`] | tiled multiply-accumulate behind every solver product (§3.1 matrices are sparse bands — zero rows are skipped), including the response-time level recursion |
+//! | [`LuDecomposition`] | blocked LU with partial pivoting; `solve_into` / `solve_matrix_into` / `solve_right_matrix_into` replace every explicit inverse; `null_vector` is the dense eigenvector fallback |
+//! | [`symmetric_eigen`] | deterministic cyclic-Jacobi eigenpairs of the symmetrised response-time resolvents, so each transform evaluation is a diagonal scaling between real products |
 //! | [`Workspace`] | scratch-buffer pool so the `R`-matrix logarithmic reduction and the boundary elimination allocate nothing per iteration |
 //! | [`ThreadPool`] + the `*_with` kernels | row-banded parallel gemm, trailing-update LU and right-solves; panels and pivoting stay serial, bands are disjoint, accumulation order is fixed — the pool changes wall time, never bits (pinned by the `parallel_equivalence` and `properties` suites) |
-//! | [`BandedMatrix`]/[`BandedLu`], [`CBandedMatrix`]/[`CBandedLu`] | packed storage for the QBD generator bands (§3's `Q(z)` blocks have bandwidth `N + 1` inside `s = (N+1)(N+2)/2` modes); banded matvec/gemm/LU/solves bit-identical to dense on the same pattern, gated by [`banded_profitable`] |
-//! | [`QuadraticEigenProblem::left_eigenvector`] | eigenvector extraction by shifted inverse iteration on one banded LU of `Q(z)ᵀ` per eigenvalue (dense null-space fallback), replacing the `O(s⁴)` per-eigenvalue Gaussian null-space sweep |
+//! | [`BandedMatrix`]/[`BandedLu`] | packed storage for the QBD generator bands (§3's `Q(z)` blocks have bandwidth `N + 1` inside `s = (N+1)(N+2)/2` modes); banded matvec/gemm/LU/solves bit-identical to dense on the same pattern, gated by [`banded_profitable`] |
+//! | [`QuadraticEigenProblem::real_left_eigenvector`] | eigenvector extraction at a real root by shifted inverse iteration on one real banded LU of `Q(z)ᵀ` (dense null-vector fallback), replacing the `O(s⁴)` per-eigenvalue Gaussian null-space sweep |
 //! | [`RealBlockTridiagonal`] | the boundary elimination shared by both exact solvers once the repeating levels are summarised by a real rate matrix `R`; the couplings `B = λI` and `C_j` are packed diagonals, so each Schur update is an `O(s²)` column scaling |
 //!
 //! # Example
@@ -71,9 +78,6 @@
 
 mod banded;
 mod blocktri;
-mod cbanded;
-mod clu;
-mod cmatrix;
 mod complex;
 mod error;
 mod lu;
@@ -86,11 +90,8 @@ pub mod parallel;
 
 pub use banded::{BandedLu, BandedMatrix, MMatrixLu, ZMatrixLu};
 pub use blocktri::RealBlockTridiagonal;
-pub use cbanded::{CBandedLu, CBandedMatrix};
-pub use clu::CluDecomposition;
-pub use cmatrix::CMatrix;
 pub use complex::Complex;
-pub use eigen::{eigenvalues, EigenOptions};
+pub use eigen::{eigenvalues, symmetric_eigen, EigenOptions, SymmetricEigen};
 pub use error::LinalgError;
 pub use lu::LuDecomposition;
 pub use matrix::Matrix;
@@ -103,7 +104,8 @@ pub type Result<T> = std::result::Result<T, LinalgError>;
 
 /// Crossover rule for the structured kernels: `true` when an `n × n` system
 /// with `kl` subdiagonals and `ku` superdiagonals is worth routing through the
-/// banded [`BandedLu`]/[`CBandedLu`] path instead of the dense one.
+/// banded [`BandedLu`] path instead of the dense one.  The spectral solver's
+/// eigenvector extraction and the QBD skeleton's banded recommendation consult it.
 ///
 /// The banded factorisation does `O(n·(kl + ku + kl·min(kl+ku, n−1)))` work
 /// against the dense `O(n³/3)`, but the dense kernels are blocked and skip

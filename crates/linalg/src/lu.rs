@@ -494,6 +494,55 @@ impl LuDecomposition {
     pub fn inverse(&self) -> Result<Matrix> {
         self.solve_matrix(&Matrix::identity(self.dim()))
     }
+
+    /// A right null vector `x` (`A x ≈ 0`) of a numerically singular matrix,
+    /// normalised to unit maximum modulus.
+    ///
+    /// The vector is obtained by back-substitution through `U`, treating the
+    /// smallest pivot as exactly zero.  For a matrix evaluated at an accurate
+    /// eigenvalue this is the standard and numerically adequate way to recover
+    /// the eigenvector.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::InvalidInput`] if the back-substitution produces a
+    /// zero or non-finite vector (the matrix was not actually near-singular).
+    pub fn null_vector(&self) -> Result<Vec<f64>> {
+        let n = self.dim();
+        let diagonal = self.lu.diagonal();
+        let smallest = diagonal.iter().enumerate().min_by(|a, b| a.1.abs().total_cmp(&b.1.abs()));
+        let k = smallest.map_or(0, |(i, _)| i);
+        let mut x = vec![0.0; n];
+        if let Some(xk) = x.get_mut(k) {
+            *xk = 1.0;
+        }
+        // Solve U[0..k, 0..k]·x[0..k] = −U[0..k, k] by back-substitution.
+        for (i, row) in self.lu.as_slice().chunks_exact(n).enumerate().take(k).rev() {
+            let (Some(&pivot), Some(&u_ik), Some(between)) =
+                (row.get(i), row.get(k), row.get(i + 1..k))
+            else {
+                continue;
+            };
+            let mut sum = -u_ik;
+            for (u, xj) in between.iter().zip(x.iter().skip(i + 1)) {
+                sum -= u * xj;
+            }
+            if let Some(xi) = x.get_mut(i) {
+                // A second tiny pivot: treat this component as free.
+                *xi = if pivot.abs() < PIVOT_EPS { 0.0 } else { sum / pivot };
+            }
+        }
+        let max = x.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+        if !(max.is_finite() && max > 0.0) {
+            return Err(LinalgError::InvalidInput(
+                "null-vector extraction failed: matrix is not numerically singular".into(),
+            ));
+        }
+        for v in &mut x {
+            *v /= max;
+        }
+        Ok(x)
+    }
 }
 
 /// Phase 2b of the blocked elimination: `A22 ← A22 − L21·U12` over a band of rows
@@ -763,6 +812,31 @@ fn substitute_row(xi: &mut [f64], rhs_rows: &[f64], coeffs: &[f64], w: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn singular_detection_and_null_vector() {
+        // Rank-1 matrix: rows (1, 2) and (2, 4).
+        let a = Matrix::from_rows(&[&[1.0, 2.0][..], &[2.0, 4.0][..]]).unwrap();
+        assert!(LuDecomposition::new(&a).is_err());
+        let x = LuDecomposition::new_allow_singular(&a).unwrap().null_vector().unwrap();
+        assert!(a.matvec(&x).unwrap().iter().all(|v| v.abs() < 1e-12));
+    }
+
+    #[test]
+    fn left_null_vector_annihilates_rows() {
+        // Row 2 = row 0 + row 1, so the matrix is row-rank deficient.
+        let a = Matrix::from_rows(&[
+            &[1.0, 2.0, 3.0][..],
+            &[0.5, -1.0, -0.5][..],
+            &[1.5, 1.0, 2.5][..],
+        ])
+        .unwrap();
+        // A left null vector of `a` is a right null vector of `aᵀ`.
+        let u = LuDecomposition::new_allow_singular(&a.transpose()).unwrap().null_vector().unwrap();
+        let ua = a.vecmat(&u).unwrap();
+        assert!(ua.iter().all(|v| v.abs() < 1e-12), "u A = {ua:?}");
+        assert!((u.iter().fold(0.0_f64, |m, v| m.max(v.abs())) - 1.0).abs() < 1e-15);
+    }
 
     fn reconstruct(lu: &LuDecomposition, n: usize) -> Matrix {
         // Rebuild P^T * L * U to compare against A.

@@ -9,8 +9,8 @@ use crate::parallel::ThreadPool;
 use crate::Result;
 
 /// Work (in multiply-adds) below which a parallel kernel call is not worth the
-/// scoped-thread spawn and falls back to the serial path.  Shared by the real and
-/// complex gemm and by the right-solve row fan-outs.
+/// scoped-thread spawn and falls back to the serial path.  Shared by gemm, the
+/// blocked LU trailing updates and the right-solve row fan-outs.
 pub(crate) const MIN_PAR_WORK: usize = 32 * 1024;
 
 /// Rows per parallel band when partitioning `m` output rows of an `m×k · k×n`

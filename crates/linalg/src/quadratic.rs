@@ -18,14 +18,12 @@
 //! * otherwise `Q0` invertible → companion matrix of the *reversed* polynomial in
 //!   `ζ = 1/z`; eigenvalues `ζ = 0` correspond to infinite `z` and are discarded.
 
-use crate::banded::BandedMatrix;
+use crate::banded::{BandedLu, BandedMatrix};
 use crate::banded_profitable;
-use crate::cbanded::{CBandedLu, CBandedMatrix};
-use crate::clu::left_null_vector_of;
-use crate::cmatrix::CMatrix;
 use crate::complex::Complex;
 use crate::eigen::{eigenvalues_with, EigenOptions};
 use crate::error::LinalgError;
+use crate::lu::LuDecomposition;
 use crate::matrix::Matrix;
 use crate::Result;
 
@@ -117,32 +115,6 @@ impl QuadraticEigenProblem {
         self.q0.rows()
     }
 
-    /// Evaluates `Q(z)` at a complex point.
-    pub fn evaluate(&self, z: Complex) -> CMatrix {
-        let s = self.order();
-        let z2 = z * z;
-        let mut out = CMatrix::zeros(s, s);
-        for (((o, &c0), &c1), &c2) in out
-            .as_mut_slice()
-            .iter_mut()
-            .zip(self.q0.as_slice())
-            .zip(self.q1.as_slice())
-            .zip(self.q2.as_slice())
-        {
-            *o = Complex::from_real(c0) + z * c1 + z2 * c2;
-        }
-        out
-    }
-
-    /// Evaluates `det Q(z)` at a complex point (useful for verifying eigenvalues).
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from the complex LU factorisation.
-    pub fn determinant_at(&self, z: Complex) -> Result<Complex> {
-        self.evaluate(z).determinant()
-    }
-
     /// Computes every *finite* eigenvalue of the polynomial.
     ///
     /// The number of finite eigenvalues is `2s` minus the degree deficiency caused by a
@@ -208,33 +180,36 @@ impl QuadraticEigenProblem {
         banded_profitable(self.order(), self.ku, self.kl)
     }
 
-    /// Evaluates `Q(z)ᵀ` directly into packed banded storage.
-    ///
-    /// The transpose swaps the bandwidths: `Q(z)` has `(kl, ku)`, so `Q(z)ᵀ` has
-    /// `(ku, kl)`.  Each stored element is computed with exactly the same
-    /// expression as [`evaluate`](Self::evaluate) (`c0 + z·c1 + z²·c2`), so the
-    /// banded operator agrees bitwise with the dense one on the shared pattern.
-    fn evaluate_transposed_banded(&self, z: Complex) -> CBandedMatrix {
-        let z2 = z * z;
-        CBandedMatrix::from_fn(self.order(), self.ku, self.kl, |i, j| {
-            // Element (i, j) of Q(z)ᵀ is element (j, i) of Q(z).
-            // urs-analyze: allow(slice_index, reason = "from_fn supplies (i, j) within the validated matrix dimensions")
-            Complex::from_real(self.q0[(j, i)]) + z * self.q1[(j, i)] + z2 * self.q2[(j, i)]
-        })
+    /// The coefficient `(i, j)` of `Q(z)` at a real point.
+    fn coefficient(&self, i: usize, j: usize, z: f64) -> f64 {
+        let entry = |m: &Matrix| m.get(i, j).unwrap_or(0.0);
+        entry(&self.q0) + z * entry(&self.q1) + z * z * entry(&self.q2)
+    }
+
+    /// `Q(z)ᵀ` at a real point, dense.
+    fn evaluate_transposed(&self, z: f64) -> Matrix {
+        let s = self.order();
+        Matrix::from_fn(s, s, |i, j| self.coefficient(j, i, z))
+    }
+
+    /// `Q(z)ᵀ` at a real point, evaluated straight into packed banded storage.  The
+    /// transpose swaps the bandwidths: `Q(z)` has `(kl, ku)`, so `Q(z)ᵀ` has
+    /// `(ku, kl)`.
+    fn evaluate_transposed_banded(&self, z: f64) -> BandedMatrix {
+        BandedMatrix::from_fn(self.order(), self.ku, self.kl, |i, j| self.coefficient(j, i, z))
     }
 
     /// Left null vector of `Q(z)` by shifted inverse iteration on the banded
     /// factorisation of `Q(z)ᵀ`.  Returns `None` whenever the banded path cannot
     /// certify the answer — the caller then falls back to the dense extraction.
-    fn left_eigenvector_banded(&self, z: Complex) -> Option<Vec<Complex>> {
+    fn left_eigenvector_banded(&self, z: f64) -> Option<Vec<f64>> {
         let s = self.order();
         let m = self.evaluate_transposed_banded(z);
         let scale = m.max_abs();
-        // urs-analyze: allow(float_cmp, reason = "exact-zero test: a zero operator has no usable null direction")
-        if !scale.is_finite() || scale == 0.0 {
+        if !(scale.is_finite() && scale > 0.0) {
             return None;
         }
-        let lu = CBandedLu::new_allow_singular(&m).ok()?;
+        let lu = BandedLu::new_allow_singular(&m).ok()?;
         if lu.smallest_pivot() < BANDED_PIVOT_EPS {
             // Exactly singular within the band: the skipped elimination steps make
             // the factors unreliable, so let the dense extraction handle it.
@@ -245,26 +220,23 @@ impl QuadraticEigenProblem {
         // into the classical regularised inverse-iteration step — one application
         // blows up the null direction by ~1/ε while leaving the rest O(1).
         let floor = scale * f64::EPSILON;
-        let mut x = vec![Complex::ONE; s];
-        let mut y = vec![Complex::ZERO; s];
-        let mut r = vec![Complex::ZERO; s];
+        let mut x = vec![1.0; s];
+        let mut y = vec![0.0; s];
+        let mut r = vec![0.0; s];
         let mut best_resid = f64::INFINITY;
         let mut best = Vec::new();
         for _ in 0..INVERSE_ITERATION_MAX {
             lu.solve_regularized_into(&x, &mut y, floor).ok()?;
             let max = y.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-            // urs-analyze: allow(float_cmp, reason = "exact-zero test: an identically zero iterate cannot be normalised")
-            if !max.is_finite() || max == 0.0 {
+            if !(max.is_finite() && max > 0.0) {
                 return None;
             }
             for v in &mut y {
-                *v = *v / max;
+                *v /= max;
             }
             std::mem::swap(&mut x, &mut y);
-            if m.matvec_into(&x, &mut r).is_err() {
-                return None;
-            }
-            let resid = r.iter().fold(0.0_f64, |m, c| m.max(c.abs()));
+            m.matvec_into(&x, &mut r).ok()?;
+            let resid = r.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
             if resid <= 1e-9 * scale {
                 return Some(x);
             }
@@ -282,9 +254,8 @@ impl QuadraticEigenProblem {
         }
     }
 
-    /// Left null vector `u` of `Q(z)` at the given eigenvalue: `u Q(z) ≈ 0`.
-    ///
-    /// The vector is normalised to unit maximum modulus.
+    /// Left null vector `u` of `Q(z)` at a real eigenvalue `z`: `u Q(z) ≈ 0`,
+    /// normalised to unit maximum modulus.
     ///
     /// When the coefficients are banded and [`crate::banded_profitable`] approves
     /// the shape, the vector is extracted by shifted inverse iteration on one
@@ -296,34 +267,100 @@ impl QuadraticEigenProblem {
     ///
     /// # Errors
     ///
-    /// Propagates errors from the complex factorisation; in particular the call fails
-    /// if `z` is not actually (close to) an eigenvalue.
-    pub fn left_eigenvector(&self, z: Complex) -> Result<Vec<Complex>> {
+    /// Propagates errors from the factorisation; in particular the call fails if
+    /// `z` is not actually (close to) an eigenvalue.
+    pub fn real_left_eigenvector(&self, z: f64) -> Result<Vec<f64>> {
         if self.uses_banded_extraction() {
             if let Some(u) = self.left_eigenvector_banded(z) {
                 return Ok(u);
             }
         }
-        left_null_vector_of(&self.evaluate(z))
+        LuDecomposition::new_allow_singular(&self.evaluate_transposed(z))?.null_vector()
     }
 
-    /// Residual `‖u Q(z)‖_∞` for a candidate eigenpair; small values confirm accuracy.
+    /// Left null vector `u` of `Q(z)` at any eigenvalue: `u Q(z) ≈ 0`, normalised
+    /// to unit maximum modulus.
     ///
-    /// Routed through the banded evaluation of `Q(z)ᵀ` when the problem is
-    /// banded-profitable, avoiding the dense `O(s²)` materialisation.
+    /// A real `z` takes the [`real_left_eigenvector`](Self::real_left_eigenvector)
+    /// path.  A non-real `z = a + ib` is handled in real arithmetic too: the complex
+    /// system `Q(z)ᵀ·(x + iy) = 0` is the real `2s × 2s` system
+    /// `[[Re, −Im], [Im, Re]]·[x; y] = 0`, whose dense null vector gives `u = x + iy`.
+    ///
+    /// # Errors
+    ///
+    /// As [`real_left_eigenvector`](Self::real_left_eigenvector).
+    pub fn left_eigenvector(&self, z: Complex) -> Result<Vec<Complex>> {
+        if z.im.abs() <= 0.0 {
+            return Ok(self
+                .real_left_eigenvector(z.re)?
+                .into_iter()
+                .map(Complex::from_real)
+                .collect());
+        }
+        let s = self.order();
+        // Q(z)ᵀ = (Q0 + z·Q1 + z²·Q2)ᵀ split into real and imaginary parts.
+        let z2 = z * z;
+        let embedding = Matrix::from_fn(2 * s, 2 * s, |i, j| {
+            let entry = |m: &Matrix| m.get(j % s, i % s).unwrap_or(0.0);
+            let re = entry(&self.q0) + z.re * entry(&self.q1) + z2.re * entry(&self.q2);
+            let im = z.im * entry(&self.q1) + z2.im * entry(&self.q2);
+            match (i < s, j < s) {
+                (true, false) => -im,
+                (false, true) => im,
+                _ => re,
+            }
+        });
+        let xy = LuDecomposition::new_allow_singular(&embedding)?.null_vector()?;
+        let (x, y) = xy.split_at(s);
+        let mut u: Vec<Complex> = x.iter().zip(y).map(|(&re, &im)| Complex::new(re, im)).collect();
+        let max = u.iter().fold(0.0_f64, |m, c| m.max(c.abs()));
+        for c in &mut u {
+            *c = *c / max;
+        }
+        Ok(u)
+    }
+
+    /// Residual `‖u Q(z)‖_∞` for a candidate eigenpair; small values confirm
+    /// accuracy.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if `u` has the wrong length.
     pub fn residual(&self, z: Complex, u: &[Complex]) -> Result<f64> {
-        if self.uses_banded_extraction() {
-            let m = self.evaluate_transposed_banded(z);
-            let mut r = vec![Complex::ZERO; self.order()];
-            m.matvec_into(u, &mut r)?;
-            return Ok(r.iter().fold(0.0_f64, |m, c| m.max(c.abs())));
+        let s = self.order();
+        if u.len() != s {
+            return Err(LinalgError::DimensionMismatch {
+                operation: "quadratic eigenpair residual",
+                left: (1, u.len()),
+                right: (s, s),
+            });
         }
-        let uq = self.evaluate(z).vecmat(u)?;
-        Ok(uq.iter().fold(0.0_f64, |m, c| m.max(c.abs())))
+        let z2 = z * z;
+        let mut out = vec![Complex::ZERO; s];
+        let rows = self
+            .q0
+            .as_slice()
+            .chunks_exact(s)
+            .zip(self.q1.as_slice().chunks_exact(s))
+            .zip(self.q2.as_slice().chunks_exact(s));
+        for (((r0, r1), r2), &ui) in rows.zip(u) {
+            for (o, ((&c0, &c1), &c2)) in out.iter_mut().zip(r0.iter().zip(r1).zip(r2)) {
+                *o += ui * (Complex::from_real(c0) + z * c1 + z2 * c2);
+            }
+        }
+        Ok(out.iter().fold(0.0_f64, |m, c| m.max(c.abs())))
+    }
+
+    /// [`residual`](Self::residual) of a real eigenpair.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] if `u` has the wrong length.
+    pub fn real_residual(&self, z: f64, u: &[f64]) -> Result<f64> {
+        let m = self.evaluate_transposed_banded(z);
+        let mut r = vec![0.0; self.order()];
+        m.matvec_into(u, &mut r)?;
+        Ok(r.iter().fold(0.0_f64, |m, v| m.max(v.abs())))
     }
 }
 
@@ -395,7 +432,7 @@ mod tests {
     }
 
     #[test]
-    fn eigenvalues_verify_against_determinant() {
+    fn eigenvalues_verify_against_eigenpair_residuals() {
         let q0 = Matrix::from_rows(&[&[1.5, 0.2][..], &[0.1, 2.0][..]]).unwrap();
         let q1 = Matrix::from_rows(&[&[-3.0, 0.5][..], &[0.3, -4.0][..]]).unwrap();
         let q2 = Matrix::from_rows(&[&[1.0, 0.1][..], &[0.0, 1.0][..]]).unwrap();
@@ -403,8 +440,25 @@ mod tests {
         let eig = p.finite_eigenvalues().unwrap();
         assert_eq!(eig.len(), 4);
         for e in &eig {
-            let det = p.determinant_at(e.z).unwrap();
-            assert!(det.abs() < 1e-6, "det Q({}) = {det}", e.z);
+            let u = p.left_eigenvector(e.z).unwrap();
+            let residual = p.residual(e.z, &u).unwrap();
+            assert!(residual < 1e-9, "‖u Q({})‖ = {residual}", e.z);
+        }
+    }
+
+    #[test]
+    fn complex_eigenvalues_use_the_real_embedding() {
+        // Q(z) = z²·I + R with R a rotation by 90°: roots z² = ±i, all non-real.
+        let q0 = Matrix::from_rows(&[&[0.0, -1.0][..], &[1.0, 0.0][..]]).unwrap();
+        let p = QuadraticEigenProblem::new(q0, Matrix::zeros(2, 2), Matrix::identity(2)).unwrap();
+        let eig = p.finite_eigenvalues().unwrap();
+        assert_eq!(eig.len(), 4);
+        for e in &eig {
+            assert!(e.z.im.abs() > 0.1, "non-real root expected, got {}", e.z);
+            let u = p.left_eigenvector(e.z).unwrap();
+            let max = u.iter().fold(0.0_f64, |m, c| m.max(c.abs()));
+            assert!((max - 1.0).abs() < 1e-12, "max modulus {max}");
+            assert!(p.residual(e.z, &u).unwrap() < 1e-9);
         }
     }
 
@@ -472,20 +526,21 @@ mod tests {
         let eig = p.finite_eigenvalues().unwrap();
         assert!(!eig.is_empty());
         for e in eig.iter().take(8) {
-            let u = p.left_eigenvector(e.z).unwrap();
+            assert!(e.z.im.abs() < 1e-12, "the test problem has a real spectrum, got {}", e.z);
+            let z = e.z.re;
+            let u = p.real_left_eigenvector(z).unwrap();
             // Normalised to unit maximum modulus, residual certified small.
-            let max = u.iter().fold(0.0_f64, |m, c| m.max(c.abs()));
+            let max = u.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
             assert!((max - 1.0).abs() < 1e-12, "max modulus {max}");
-            let dense = p.evaluate(e.z);
+            let dense = p.evaluate_transposed(z);
             let scale = dense.max_abs();
-            assert!(p.residual(e.z, &u).unwrap() <= 1e-7 * scale);
-            // Same null direction as the dense extraction, up to a complex scalar.
-            let v = left_null_vector_of(&dense).unwrap();
-            let k =
-                (0..u.len()).max_by(|&a, &b| u[a].abs().partial_cmp(&u[b].abs()).unwrap()).unwrap();
+            assert!(p.real_residual(z, &u).unwrap() <= 1e-7 * scale);
+            // Same null direction as the dense extraction, up to a scalar.
+            let v = LuDecomposition::new_allow_singular(&dense).unwrap().null_vector().unwrap();
+            let k = (0..u.len()).max_by(|&a, &b| u[a].abs().total_cmp(&u[b].abs())).unwrap();
             let ratio = v[k] / u[k];
             for (a, b) in u.iter().zip(&v) {
-                assert!((*a * ratio - *b).abs() < 1e-7, "direction mismatch");
+                assert!((a * ratio - b).abs() < 1e-7, "direction mismatch");
             }
         }
     }
@@ -500,6 +555,8 @@ mod tests {
             assert_eq!(x.re.to_bits(), y.re.to_bits());
             assert_eq!(x.im.to_bits(), y.im.to_bits());
         }
+        let real = p.real_left_eigenvector(z.re).unwrap();
+        assert!(a.iter().zip(&real).all(|(c, r)| c.re.to_bits() == r.to_bits()));
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Reusable scratch buffers for allocation-free hot loops.
 
-use crate::cmatrix::CMatrix;
-use crate::complex::Complex;
 use crate::matrix::Matrix;
 
 /// A pool of reusable scratch buffers backing the `_into` kernel family.
@@ -11,9 +9,9 @@ use crate::matrix::Matrix;
 /// iteration*.  Allocating them fresh each time dominates the runtime of small systems
 /// and fragments the heap for large ones.  A `Workspace` hands out buffers and takes
 /// them back, so a steady-state loop performs no heap allocation at all: acquire with
-/// [`real_matrix`](Self::real_matrix)/[`complex_matrix`](Self::complex_matrix) (or the
-/// raw-buffer variants), release with the matching `release_*` call, and the storage is
-/// recycled for the next request of any shape with sufficient capacity.
+/// [`real_matrix`](Self::real_matrix) (or [`real_buffer`](Self::real_buffer)), release
+/// with the matching `release_*` call, and the storage is recycled for the next request
+/// of any shape with sufficient capacity.
 ///
 /// The pool is deliberately *not* thread-safe: each worker of a parallel sweep owns its
 /// own workspace, which keeps the hot path free of synchronisation.
@@ -36,7 +34,6 @@ use crate::matrix::Matrix;
 #[derive(Debug, Default)]
 pub struct Workspace {
     real: Vec<Vec<f64>>,
-    complex: Vec<Vec<Complex>>,
 }
 
 impl Workspace {
@@ -62,23 +59,6 @@ impl Workspace {
         self.real.push(buf);
     }
 
-    /// Hands out a zeroed complex buffer of the given length, reusing pooled storage.
-    pub fn complex_buffer(&mut self, len: usize) -> Vec<Complex> {
-        match self.complex.pop() {
-            Some(mut buf) => {
-                buf.clear();
-                buf.resize(len, Complex::ZERO);
-                buf
-            }
-            None => vec![Complex::ZERO; len],
-        }
-    }
-
-    /// Returns a complex buffer to the pool.
-    pub fn release_complex_buffer(&mut self, buf: Vec<Complex>) {
-        self.complex.push(buf);
-    }
-
     /// Hands out a zeroed `rows × cols` real matrix backed by pooled storage.
     pub fn real_matrix(&mut self, rows: usize, cols: usize) -> Matrix {
         let buf = self.real_buffer(rows * cols);
@@ -91,21 +71,9 @@ impl Workspace {
         self.real.push(m.into_vec());
     }
 
-    /// Hands out a zeroed `rows × cols` complex matrix backed by pooled storage.
-    pub fn complex_matrix(&mut self, rows: usize, cols: usize) -> CMatrix {
-        let buf = self.complex_buffer(rows * cols);
-        // urs-analyze: allow(no_panic, reason = "complex_buffer returns exactly rows*cols elements on the line above")
-        CMatrix::from_vec(rows, cols, buf).expect("buffer length matches by construction")
-    }
-
-    /// Returns a complex matrix's storage to the pool.
-    pub fn release_complex_matrix(&mut self, m: CMatrix) {
-        self.complex.push(m.into_vec());
-    }
-
-    /// Number of pooled (currently idle) buffers, real plus complex.
+    /// Number of pooled (currently idle) buffers.
     pub fn pooled(&self) -> usize {
-        self.real.len() + self.complex.len()
+        self.real.len()
     }
 }
 
@@ -131,10 +99,10 @@ mod tests {
     #[test]
     fn released_buffers_come_back_zeroed() {
         let mut ws = Workspace::new();
-        let mut m = ws.complex_matrix(2, 2);
-        m[(0, 0)] = Complex::ONE;
-        ws.release_complex_matrix(m);
-        let again = ws.complex_matrix(2, 2);
-        assert_eq!(again[(0, 0)], Complex::ZERO);
+        let mut m = ws.real_matrix(2, 2);
+        m[(0, 0)] = 1.0;
+        ws.release_real_matrix(m);
+        let again = ws.real_matrix(2, 2);
+        assert_eq!(again.as_slice(), &[0.0; 4]);
     }
 }

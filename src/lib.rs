@@ -21,8 +21,8 @@
 //!   period distributions;
 //! * [`data`] (`urs-data`) — synthetic Sun-like breakdown traces and the Section-2
 //!   empirical analysis pipeline;
-//! * [`linalg`] (`urs-linalg`) — the dense real/complex linear algebra and eigenvalue
-//!   machinery everything else is built on.
+//! * [`linalg`] (`urs-linalg`) — the real dense and banded linear algebra and
+//!   eigenvalue machinery everything else is built on.
 //!
 //! Parameter sweeps and simulation replications run in parallel by default on
 //! [`core::ThreadPool`] (scoped threads, deterministic result order — set

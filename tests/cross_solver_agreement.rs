@@ -171,7 +171,9 @@ fn engine_answers_agree_with_spectral_expansion() {
         ("hyperexponential lifecycle", SystemConfig::new(4, 2.8, 1.0, hyperexponential).unwrap()),
         ("two-class mixed fleet", SystemConfig::heterogeneous(3.0, mixed_fleet).unwrap()),
     ];
-    let engine = Engine::with_parts(SolverCache::shared(), ThreadPool::serial());
+    // The engine's default pool (`URS_THREADS` or every core): its percentile
+    // queries fan the quadrature nodes out across it.
+    let engine = Engine::new();
     let tolerance = 1e-10;
     for (name, config) in configs {
         let servers = config.servers();
@@ -237,6 +239,25 @@ fn engine_answers_agree_with_spectral_expansion() {
         for ((fraction, got), want) in fractions.iter().zip(&report.percentiles).zip(&reference) {
             let gap = relative_gap(*got, *want);
             assert!(gap < 1e-8, "{name}: P{} off by {gap:e}", 100.0 * fraction);
+        }
+    }
+}
+
+/// The mode chain is reversible, so the characteristic polynomial is hyperbolic: its
+/// in-disk roots are real and lie in `(0, 1)` (see the `spectral` module docs).  The
+/// companion QR reports them with no imaginary part on every certifier case — the
+/// property the real-arithmetic spectral expansion relies on.
+#[test]
+fn in_disk_eigenvalues_are_real() {
+    let margin = SpectralOptions::default().unit_disk_margin;
+    for config in certifier_cases() {
+        let qbd = QbdMatrices::new(&config).unwrap();
+        let problem = QuadraticEigenProblem::new(qbd.q0(), qbd.q1(), qbd.q2()).unwrap();
+        let inside = problem.eigenvalues_inside_unit_disk(margin).unwrap();
+        assert_eq!(inside.len(), qbd.order(), "{config:?}: in-disk root count");
+        for e in inside {
+            assert_eq!(e.z.im, 0.0, "{config:?}: non-real root {}", e.z);
+            assert!(e.z.re > 0.0 && e.z.re < 1.0, "{config:?}: root {} outside (0, 1)", e.z);
         }
     }
 }
