@@ -3,8 +3,9 @@
 //!
 //! `analyze-baseline.toml` records, per `(file, rule)`, the number of findings
 //! that existed when the entry was written, plus a human reason.  The check
-//! passes while the current count stays at or below the recorded count; any
-//! *new* finding pushes a group over its budget and fails the run.  Counts —
+//! passes only while every current count equals its recorded count: any *new*
+//! finding pushes a group over its budget, and any fixed one leaves the entry
+//! stale, and either fails the run.  Counts —
 //! not line numbers — keep the baseline stable under unrelated edits.
 //!
 //! The file is a deliberately tiny TOML subset (`[[entry]]` tables with

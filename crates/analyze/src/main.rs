@@ -8,8 +8,8 @@
 //! cargo run -p urs-analyze -- --root DIR --baseline FILE
 //! ```
 //!
-//! Exit codes: 0 = clean (or fully baselined), 1 = findings over budget,
-//! 2 = usage or I/O error.
+//! Exit codes: 0 = clean (every baseline budget matches its current count),
+//! 1 = findings over budget or stale baseline entries, 2 = usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -122,7 +122,7 @@ fn main() -> ExitCode {
     }
     for (file, rule, budget, current) in &report.stale {
         eprintln!(
-            "note: stale baseline entry {file} [{rule}]: budget {budget}, current {current} — \
+            "error: stale baseline entry {file} [{rule}]: budget {budget}, current {current} — \
              run with --write-baseline to ratchet down"
         );
     }

@@ -2,7 +2,7 @@
 //! `fixtures/` with known findings at known lines; the analyzer must report
 //! exactly those `(rule, line)` pairs — no more, no fewer.
 
-use urs_analyze::{analyze_source, FileKind, Rule};
+use urs_analyze::{analyze_source, check, rebuild_baseline, Baseline, FileFinding, FileKind, Rule};
 
 fn findings(fixture: &str) -> Vec<(Rule, u32)> {
     let path = format!("{}/fixtures/{fixture}", env!("CARGO_MANIFEST_DIR"));
@@ -82,4 +82,30 @@ fn bin_files_skip_the_panic_family_only() {
     let bin: Vec<(Rule, u32)> =
         analyze_source(FileKind::Bin, &source).into_iter().map(|f| (f.rule, f.line)).collect();
     assert_eq!(bin, vec![]);
+}
+
+#[test]
+fn stale_baseline_entries_fail_the_gate() {
+    let path = format!("{}/fixtures/no_panic.rs", env!("CARGO_MANIFEST_DIR"));
+    let findings: Vec<FileFinding> =
+        analyze_source(FileKind::Lib, &std::fs::read_to_string(&path).unwrap())
+            .into_iter()
+            .map(|finding| FileFinding { file: "no_panic.rs".into(), finding })
+            .collect();
+    // The fixture has four `no_panic` findings and one `slice_index` finding; the
+    // `slice_index` budget of 2 is what a fix that forgot the baseline leaves.
+    let entry = |rule: &str, count: usize| {
+        format!(
+            "[[entry]]\nfile = \"no_panic.rs\"\nrule = \"{rule}\"\n\
+                 count = {count}\nreason = \"r\"\n"
+        )
+    };
+    let stale = Baseline::parse(&(entry("no_panic", 4) + &entry("slice_index", 2))).unwrap();
+    let report = check(&findings, &stale);
+    assert!(report.over_budget.is_empty());
+    assert_eq!(report.stale, vec![("no_panic.rs".into(), "slice_index".into(), 2, 1)]);
+    assert!(!report.passed(), "a budget above the current count must fail the gate");
+    let lowered = rebuild_baseline(&findings, &stale);
+    assert_eq!(lowered.allowance("no_panic.rs", "slice_index"), 1);
+    assert!(check(&findings, &lowered).passed());
 }

@@ -321,13 +321,12 @@ fn bench_sweeps(c: &mut Criterion) {
 }
 
 /// The fleet-mix search of `urs_core::mix` under its two execution strategies on the
-/// identical candidate space: the all-exact exhaustive path versus approximation
-/// screening with exact verification of the shortlist.  Screening trades one cheap
-/// approximate solve per candidate — a bracket search for the decay rate over
-/// unpivoted banded LUs, no eigensolve — for restricting the exact matrix-geometric
-/// solves to the slack-band shortlist; the gap widens with the candidate space, so the full
-/// run uses a three-class fleet (285 compositions, ≤ 32 verified) while the smoke
-/// run shrinks to a CI-sized two-class space.
+/// identical candidate space: the all-exact exhaustive path versus branch and bound,
+/// which solves compositions in order of a closed-form cost bound and stops once no
+/// remaining bound can beat the best exact cost.  Both return the same optimum; the
+/// bound costs O(n) per candidate, so the gap is the exact solves it rules out.  The
+/// full run uses a three-class fleet (285 compositions) while the smoke run shrinks to
+/// a CI-sized two-class space.
 fn bench_mix(c: &mut Criterion) {
     let mut group = c.benchmark_group("mix");
     group.sample_size(10);
@@ -351,9 +350,9 @@ fn bench_mix(c: &mut Criterion) {
     group.bench_function("search_exhaustive", |b| {
         b.iter(|| black_box(search.run_exhaustive().unwrap()))
     });
-    let screened =
+    let pruned =
         search.clone().with_options(MixSearchOptions { exhaustive_limit: 0, ..Default::default() });
-    group.bench_function("search_screened", |b| b.iter(|| black_box(screened.run().unwrap())));
+    group.bench_function("search_pruned", |b| b.iter(|| black_box(pruned.run().unwrap())));
     group.finish();
 }
 

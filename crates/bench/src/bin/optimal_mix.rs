@@ -7,11 +7,9 @@
 //! (µ = 1.5, mean operative period 10, mean repair time 0.5, price 1.4) — and asks
 //! which composition `(N_fast, N_steady)` minimises `C = c₁·L + Σ_j c₂ⱼ·Nⱼ` under a
 //! fleet-size bound, with and without a hardware budget.  Both search strategies are
-//! run and compared: exhaustive exact evaluation, and approximation screening with
-//! exact verification of the shortlist (sharing one `SolverCache`, so verification
-//! reuses the skeletons screening already built).  Screening finds each
-//! composition's decay rate by a bracket search over real LU factorisations, not an
-//! eigensolve, so it costs a fraction of an exact solve.
+//! run and compared: exhaustive exact evaluation, and branch and bound, which solves
+//! compositions in order of a closed-form lower bound on their cost and stops once no
+//! remaining bound can beat the best exact cost.  The two must agree exactly.
 //!
 //! Run with `URS_SMOKE=1` for a CI-sized instance.
 
@@ -64,26 +62,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         exact.skipped_unstable()
     );
 
-    // Screened path on the same space: approximation ranks, exact verifies top-k.
+    // Pruned path on the same space: solve in bound order, stop at the incumbent.
     let cache = SolverCache::shared();
-    let screened = search
+    let pruned = search
         .clone()
         .with_cache(Arc::clone(&cache))
         .with_options(MixSearchOptions { exhaustive_limit: 0, ..Default::default() })
         .run()?;
-    let screened_best = screened.optimum().ok_or("screening lost every candidate")?;
-    let stats = cache.stats();
+    let pruned_best = pruned.optimum().ok_or("pruning lost every candidate")?;
     println!(
-        "screened optimum:   {} fast + {} steady (C = {:.4}; {} candidates verified, \
-         {} skeleton reuses)",
-        screened_best.counts()[0],
-        screened_best.counts()[1],
-        screened_best.cost(),
-        screened.ranked().len(),
-        stats.skeleton_hits
+        "pruned optimum:     {} fast + {} steady (C = {:.4}; {} of {} stable candidates solved)",
+        pruned_best.counts()[0],
+        pruned_best.counts()[1],
+        pruned_best.cost(),
+        cache.stats().solution_misses,
+        pruned.candidates() - pruned.skipped_unstable()
     );
-    if screened_best.counts() != best.counts() {
-        return Err("screened optimum diverged from the exhaustive optimum".into());
+    if pruned_best != best {
+        return Err("pruned optimum diverged from the exhaustive optimum".into());
     }
 
     // The same question under a hardware budget: the optimiser must trade holding

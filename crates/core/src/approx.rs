@@ -69,9 +69,9 @@ const MAX_SEARCH_STEPS: usize = 128;
 /// ```
 ///
 /// When the approximation runs next to an exact solver on the same grid (Figures 8
-/// and 9, or the screening pass of a [`MixSearch`](crate::MixSearch)), attach the
-/// *same* [`SolverCache`] to both with [`with_cache`](Self::with_cache): they then
-/// build each λ-independent QBD skeleton once between them.
+/// and 9), attach the *same* [`SolverCache`] to both with
+/// [`with_cache`](Self::with_cache): they then build each λ-independent QBD skeleton
+/// once between them.
 #[derive(Debug, Clone, Default)]
 pub struct GeometricApproximation {
     cache: Option<Arc<SolverCache>>,

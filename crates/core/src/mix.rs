@@ -4,28 +4,23 @@
 //! of servers.  Once the fleet may mix [`ServerClass`]es with different speeds,
 //! lifecycles and prices (the heterogeneous extension flagged as future work), the
 //! decision space becomes the set of *compositions* `(N₁, …, N_k)` and the cost model
-//! the per-class [`ClassCostModel`] `C = c₁·L + Σ_j c₂ⱼ·Nⱼ`.  [`MixSearch`] optimises
-//! over that space under fleet-size and hardware-budget bounds:
+//! the per-class [`ClassCostModel`] `C = c₁·L + Σ_j c₂ⱼ·Nⱼ`.  [`MixSearch`] returns
+//! the exact optimum over that space under fleet-size and hardware-budget bounds.
+//! Every stable composition gets a closed-form lower bound on its cost,
+//! `b = c₁·L_rel + Σ_j c₂ⱼ·Nⱼ` (see [`MixSearch::queue_length_bound`]), and is solved
+//! exactly by the [`MatrixGeometricSolver`] in ascending order of `b`.  Spaces of
+//! more than [`MixSearchOptions::exhaustive_limit`] compositions are pruned by
+//! branch and bound: the search stops before the first composition whose bound is
+//! strictly greater than the best exact cost so far.  Smaller spaces, and
+//! [`MixSearch::run_exhaustive`], solve every stable composition.
 //!
-//! * **small spaces** are enumerated exhaustively and every stable composition is
-//!   solved exactly by the [`MatrixGeometricSolver`];
-//! * **large spaces** are screened first with the cheap [`GeometricApproximation`],
-//!   and only the shortlisted candidates — everything within a relative slack band of
-//!   the approximate best, bounded by [`MixSearchOptions`] — are verified exactly.
-//!   Screening costs about 20 unpivoted banded LUs per composition (the
-//!   approximation brackets its decay rate rather than solving an eigenproblem), a
-//!   fraction of one exact solve.  Screening and verification share one
-//!   [`SolverCache`], so the exact pass reuses the QBD skeletons the approximation
-//!   already built instead of repeating them.
-//!   Screening is a heuristic: the approximation's error is load-dependent, and a
-//!   mix whose approximate cost lies far outside the slack band is never verified —
-//!   [`MixSearch::run_exhaustive`] is the exact reference when certainty matters
-//!   more than time.
-//!
-//! Candidates are evaluated in parallel on a [`ThreadPool`], and the winner is chosen
-//! deterministically: lowest cost, then lowest fleet size, then lexicographically
-//! smallest composition.  Compositions whose cost evaluates to NaN or ±∞ are skipped,
-//! mirroring [`CostSweep::optimum`](crate::CostSweep::optimum).
+//! Candidates are solved in parallel on a [`ThreadPool`], the pruned path in waves
+//! of one composition per worker.  The winner is chosen deterministically: lowest
+//! cost, then lowest fleet size, then lexicographically smallest composition.  Only
+//! compositions whose bound does not exceed the optimum's cost are reported, and
+//! every schedule solves those, so the result does not depend on the thread count.
+//! Compositions whose cost evaluates to NaN or ±∞ are skipped, mirroring
+//! [`CostSweep::optimum`](crate::CostSweep::optimum).
 //!
 //! # Example
 //!
@@ -49,7 +44,6 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use crate::approx::GeometricApproximation;
 use crate::cache::SolverCache;
 use crate::config::{ServerClass, SystemConfig};
 use crate::cost::ClassCostModel;
@@ -144,22 +138,9 @@ impl MixBounds {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MixSearchOptions {
     /// Feasible spaces of at most this many compositions are solved exactly in full;
-    /// larger spaces go through approximation screening.  Setting this to 0 forces
-    /// screening even for tiny spaces (used by the equivalence tests).
+    /// larger spaces are pruned by the cost bound.  Setting this to 0 prunes even
+    /// tiny spaces (used by the equivalence tests).
     pub exhaustive_limit: usize,
-    /// Minimum number of screened candidates verified exactly (clamped to at least 1).
-    pub screen_top_k: usize,
-    /// Relative width of the verification band: every candidate whose *approximate*
-    /// cost lies within `(1 + screen_slack)` of the approximate best is shortlisted
-    /// for exact verification (up to [`screen_max_verified`](Self::screen_max_verified)).
-    /// The approximation mis-ranks near-ties — its error is load-dependent, so two
-    /// mixes a few percent apart in approximate cost can swap places exactly — and a
-    /// fixed top-k cut would drop the true optimum in exactly those cases.  Negative
-    /// values are treated as 0.
-    pub screen_slack: f64,
-    /// Upper bound on the number of exactly verified candidates, so a wide slack band
-    /// on a huge space cannot degenerate into an accidental exhaustive pass.
-    pub screen_max_verified: usize,
     /// Hard cap on the enumerated space: searches whose bounds admit more
     /// compositions fail fast instead of grinding through an unintended explosion.
     pub max_candidates: usize,
@@ -167,13 +148,7 @@ pub struct MixSearchOptions {
 
 impl Default for MixSearchOptions {
     fn default() -> Self {
-        MixSearchOptions {
-            exhaustive_limit: 256,
-            screen_top_k: 8,
-            screen_slack: 0.25,
-            screen_max_verified: 32,
-            max_candidates: 50_000,
-        }
+        MixSearchOptions { exhaustive_limit: 256, max_candidates: 50_000 }
     }
 }
 
@@ -234,8 +209,9 @@ impl MixSearchResult {
         self.evaluated.first()
     }
 
-    /// Every exactly evaluated composition, best first.  The exhaustive path ranks
-    /// the whole feasible space; the screened path ranks the verified `top_k`.
+    /// Exactly evaluated compositions, best first.  The exhaustive path ranks the
+    /// whole feasible space; the pruned path ranks every composition whose cost
+    /// bound does not exceed the optimum's cost.
     pub fn ranked(&self) -> &[MixCandidate] {
         &self.evaluated
     }
@@ -245,8 +221,9 @@ impl MixSearchResult {
         self.candidates
     }
 
-    /// `true` when the approximation-screening path was taken, `false` when every
-    /// feasible composition was solved exactly.
+    /// `true` when the space exceeded [`MixSearchOptions::exhaustive_limit`] and the
+    /// search pruned by the cost bound, `false` when every stable composition was
+    /// solved.
     pub fn was_screened(&self) -> bool {
         self.screened
     }
@@ -256,24 +233,32 @@ impl MixSearchResult {
         self.skipped_unstable
     }
 
-    /// Compositions skipped because their cost evaluated to NaN or ±∞.
+    /// Compositions skipped because their cost evaluated to NaN or ±∞ (counted over
+    /// the compositions [`ranked`](Self::ranked) could have reported).
     pub fn skipped_non_finite(&self) -> usize {
         self.skipped_non_finite
     }
 
     /// Compositions dropped because a solver failed numerically on them (the search
-    /// continues with the remaining candidates rather than failing outright).
+    /// continues with the remaining candidates rather than failing outright; counted
+    /// like [`skipped_non_finite`](Self::skipped_non_finite)).
     pub fn dropped_failures(&self) -> usize {
         self.dropped_failures
     }
 }
 
-/// How a single composition fared during an evaluation pass.
+/// How a single composition fared when solved exactly.
 enum Outcome {
     Evaluated(MixCandidate),
-    Unstable,
     NonFinite,
     Failed,
+}
+
+/// A stable composition awaiting its exact solve, with its cost bound.
+struct Pending {
+    counts: Vec<usize>,
+    config: SystemConfig,
+    bound: f64,
 }
 
 /// A cost-aware search over multi-class fleet compositions — see the
@@ -344,7 +329,7 @@ impl MixSearch {
     }
 
     /// Attaches an external [`SolverCache`] (shared with other analyses); by default
-    /// each run creates a private cache sized to the candidate space.
+    /// the search solves without one.
     pub fn with_cache(mut self, cache: Arc<SolverCache>) -> Self {
         self.cache = Some(cache);
         self
@@ -422,8 +407,13 @@ impl MixSearch {
         Ok(())
     }
 
-    /// Builds the [`SystemConfig`] of one composition.
-    fn config_for(&self, counts: &[usize]) -> Result<SystemConfig> {
+    /// Builds the [`SystemConfig`] of one composition (`counts` aligned with
+    /// [`classes`](Self::classes)).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::InvalidParameter`] when every count is zero.
+    pub fn config(&self, counts: &[usize]) -> Result<SystemConfig> {
         let classes = self
             .classes
             .iter()
@@ -434,20 +424,53 @@ impl MixSearch {
         SystemConfig::heterogeneous(self.arrival_rate, classes)
     }
 
-    /// Evaluates one composition with the given solver, classifying numeric solver
-    /// failures as droppable instead of fatal (an ill-conditioned candidate must not
-    /// sink the whole search).
-    fn evaluate(
-        &self,
-        counts: &[usize],
-        solve: &dyn Fn(&SystemConfig) -> Result<f64>,
-    ) -> Result<Outcome> {
-        let config = self.config_for(counts)?;
-        if !config.is_stable() {
-            return Ok(Outcome::Unstable);
+    /// A lower bound on the mean queue length `L` of one composition, in closed form.
+    ///
+    /// With every server counted as operative, at most `min(j, n)` servers are busy
+    /// at level `j`, so the departure rate there is at most `g(j)`, the sum of the
+    /// `min(j, n)` largest service rates in the composition.  `g` never decreases,
+    /// so the birth–death chain with birth rate `λ` and death rates `g(j)` is
+    /// stochastically smaller than the queue's level process (Stoyan 1983), and its
+    /// mean `L_rel ≤ L`.  Its stationary probabilities are `pⱼ ∝ Π_{i ≤ j} λ/g(i)`,
+    /// geometric with ratio `λ/G` from level `n` on, where `G` is the total rate.
+    /// The bound costs O(n) and is finite for every stable composition, because
+    /// `λ < Σ availability·rate ≤ G`; it is `+∞` when `λ ≥ G`.
+    ///
+    /// `counts` is aligned with [`classes`](Self::classes).
+    pub fn queue_length_bound(&self, counts: &[usize]) -> f64 {
+        let mut rates: Vec<f64> = self
+            .classes
+            .iter()
+            .zip(counts)
+            .flat_map(|(class, &count)| std::iter::repeat_n(class.service_rate(), count))
+            .collect();
+        rates.sort_by(|a, b| b.total_cmp(a));
+        let lambda = self.arrival_rate;
+        // Unnormalised level probabilities q_j = Π_{i ≤ j} λ/g(i): their mass and
+        // first moment over the levels below n, then the geometric tail from q_n.
+        let (mut mass, mut moment, mut q, mut g) = (0.0, 0.0, 1.0, 0.0);
+        for (level, rate) in rates.iter().enumerate() {
+            mass += q;
+            moment += level as f64 * q;
+            g += rate;
+            q *= lambda / g;
         }
-        let mean_queue_length = match solve(&config) {
-            Ok(l) => l,
+        if lambda >= g {
+            return f64::INFINITY;
+        }
+        let ratio = lambda / g;
+        let n = rates.len() as f64;
+        mass += q / (1.0 - ratio);
+        moment += q * (n / (1.0 - ratio) + ratio / ((1.0 - ratio) * (1.0 - ratio)));
+        moment / mass
+    }
+
+    /// Solves one composition exactly, classifying numeric solver failures as
+    /// droppable instead of fatal (an ill-conditioned candidate must not sink the
+    /// whole search).
+    fn evaluate(&self, pending: &Pending, solver: &MatrixGeometricSolver) -> Result<Outcome> {
+        let mean_queue_length = match solver.solve_shared(&pending.config) {
+            Ok(solution) => solution.mean_queue_length(),
             Err(
                 ModelError::SpectralFailure(_)
                 | ModelError::NoConvergence { .. }
@@ -455,11 +478,12 @@ impl MixSearch {
             ) => return Ok(Outcome::Failed),
             Err(e) => return Err(e),
         };
-        let cost = self.cost_model.evaluate(mean_queue_length, counts);
+        let cost = self.cost_model.evaluate(mean_queue_length, &pending.counts);
         if !cost.is_finite() {
             return Ok(Outcome::NonFinite);
         }
-        Ok(Outcome::Evaluated(MixCandidate { counts: counts.to_vec(), mean_queue_length, cost }))
+        let counts = pending.counts.clone();
+        Ok(Outcome::Evaluated(MixCandidate { counts, mean_queue_length, cost }))
     }
 
     /// Runs the search on the default [`ThreadPool`].
@@ -471,22 +495,20 @@ impl MixSearch {
         self.run_with(&ThreadPool::default())
     }
 
-    /// Runs the search on an explicit pool, choosing the exhaustive or the screened
-    /// path by comparing the space against [`MixSearchOptions::exhaustive_limit`].
+    /// Runs the search on an explicit pool, pruning by the cost bound when the space
+    /// exceeds [`MixSearchOptions::exhaustive_limit`].
     ///
     /// # Errors
     ///
     /// Propagates enumeration-cap and non-numeric solver errors.
     pub fn run_with(&self, pool: &ThreadPool) -> Result<MixSearchResult> {
         let mixes = self.candidate_mixes()?;
-        if mixes.len() <= self.options.exhaustive_limit {
-            return self.run_exhaustive_on(pool, mixes);
-        }
-        self.run_screened_on(pool, mixes)
+        let prune = mixes.len() > self.options.exhaustive_limit;
+        self.run_on(pool, mixes, prune)
     }
 
-    /// Forces the all-exact path regardless of the space size (the reference the
-    /// screened path is validated against), on the default pool.
+    /// Solves every stable composition regardless of the space size (the reference
+    /// the pruned path is validated against), on the default pool.
     ///
     /// # Errors
     ///
@@ -502,124 +524,87 @@ impl MixSearch {
     /// Propagates enumeration-cap and non-numeric solver errors.
     pub fn run_exhaustive_with(&self, pool: &ThreadPool) -> Result<MixSearchResult> {
         let mixes = self.candidate_mixes()?;
-        self.run_exhaustive_on(pool, mixes)
+        self.run_on(pool, mixes, false)
     }
 
-    /// How many of the approximately ranked candidates to verify exactly: everything
-    /// inside the relative `screen_slack` band above the approximate best, but at
-    /// least `screen_top_k` and at most `screen_max_verified`.
-    fn shortlist_len(&self, ranked: &[MixCandidate]) -> usize {
-        let Some(best) = ranked.first() else { return 0 };
-        let cutoff = best.cost + self.options.screen_slack.max(0.0) * best.cost.abs();
-        let qualified = ranked.iter().take_while(|c| c.cost <= cutoff).count();
-        let floor = self.options.screen_top_k.max(1).min(ranked.len());
-        let ceiling = self.options.screen_max_verified.max(floor);
-        qualified.clamp(floor, ceiling)
-    }
-
-    /// A cache for one run: the attached one, or a private cache whose capacities
-    /// cover the candidate space, so the exact verification pass still finds the
-    /// skeletons the screening pass built.
-    fn run_cache(&self, candidates: usize) -> Arc<SolverCache> {
-        match &self.cache {
-            Some(cache) => Arc::clone(cache),
-            None => {
-                let capacity = candidates.clamp(64, 4096);
-                Arc::new(SolverCache::with_capacities(capacity, capacity))
+    /// The one search loop: solve the stable compositions in ascending bound order,
+    /// one wave per `pool.threads()` compositions, and — when `prune` is set — stop
+    /// before the first whose bound strictly exceeds the best exact cost so far.
+    /// Without a bound (no pruning, or `c₁ < 0`) every bound is `−∞`, so everything
+    /// is solved in one wave.
+    fn run_on(
+        &self,
+        pool: &ThreadPool,
+        mixes: Vec<Vec<usize>>,
+        prune: bool,
+    ) -> Result<MixSearchResult> {
+        // A lower bound on L bounds the cost only when c₁ ≥ 0; otherwise every
+        // composition gets b = −∞, which means "solve it".
+        let prune_by_bound = prune && self.cost_model.holding_cost() >= 0.0;
+        let candidates = mixes.len();
+        let mut pending = Vec::with_capacity(candidates);
+        for counts in mixes {
+            let config = self.config(&counts)?;
+            if config.is_stable() {
+                let bound = if prune_by_bound {
+                    self.cost_model.evaluate(self.queue_length_bound(&counts), &counts)
+                } else {
+                    f64::NEG_INFINITY
+                };
+                pending.push(Pending { counts, config, bound });
             }
         }
-    }
+        let skipped_unstable = candidates - pending.len();
+        pending.sort_by(|a, b| {
+            let servers = |p: &Pending| p.counts.iter().sum::<usize>();
+            a.bound
+                .total_cmp(&b.bound)
+                .then_with(|| servers(a).cmp(&servers(b)))
+                .then_with(|| a.counts.cmp(&b.counts))
+        });
 
-    fn run_exhaustive_on(
-        &self,
-        pool: &ThreadPool,
-        mixes: Vec<Vec<usize>>,
-    ) -> Result<MixSearchResult> {
-        // Distinct compositions have distinct cache keys, so within one exhaustive
-        // run the cache only hits when duplicate template classes make two count
-        // vectors describe the same fleet — those solves then cost one lookup
-        // instead of a repeat.  The per-solve lookup overhead is a few mutex
-        // acquisitions against solves that cost milliseconds.
-        let cache = self.run_cache(mixes.len());
-        let solver = MatrixGeometricSolver::default().with_cache(cache);
-        let solve = |config: &SystemConfig| -> Result<f64> {
-            Ok(solver.solve_shared(config)?.mean_queue_length())
+        let solver = match &self.cache {
+            Some(cache) => MatrixGeometricSolver::default().with_cache(Arc::clone(cache)),
+            None => MatrixGeometricSolver::default(),
         };
-        let outcomes = pool.try_par_map(&mixes, |counts| self.evaluate(counts, &solve))?;
-        Ok(assemble(outcomes, mixes.len(), false, None))
-    }
+        let wave = if prune_by_bound { pool.threads() } else { pending.len() };
+        let mut incumbent = f64::INFINITY;
+        let mut solved = Vec::new();
+        for chunk in pending.chunks(wave.max(1)) {
+            let width = chunk.iter().take_while(|p| p.bound <= incumbent).count();
+            let (batch, pruned) = chunk.split_at(width);
+            let outcomes = pool.try_par_map(batch, |p| self.evaluate(p, &solver))?;
+            for (p, outcome) in batch.iter().zip(outcomes) {
+                if let Outcome::Evaluated(candidate) = &outcome {
+                    incumbent = incumbent.min(candidate.cost);
+                }
+                solved.push((p.bound, outcome));
+            }
+            if !pruned.is_empty() {
+                break;
+            }
+        }
 
-    fn run_screened_on(
-        &self,
-        pool: &ThreadPool,
-        mixes: Vec<Vec<usize>>,
-    ) -> Result<MixSearchResult> {
-        let cache = self.run_cache(mixes.len());
-        // Screening: rank every feasible composition with the cheap approximation.
-        let approx = GeometricApproximation::default().with_cache(Arc::clone(&cache));
-        let screen = |config: &SystemConfig| -> Result<f64> {
-            Ok(approx.solve_detailed(config)?.mean_queue_length())
-        };
-        let outcomes = pool.try_par_map(&mixes, |counts| self.evaluate(counts, &screen))?;
-        let mut screening = MixSearchResult {
+        // Report only what every schedule solves: the compositions whose bound does
+        // not exceed the optimum's cost (all of them when nothing was pruned).
+        let mut result = MixSearchResult {
             evaluated: Vec::new(),
-            candidates: mixes.len(),
-            screened: true,
-            skipped_unstable: 0,
+            candidates,
+            screened: prune,
+            skipped_unstable,
             skipped_non_finite: 0,
             dropped_failures: 0,
         };
-        let mut ranked: Vec<MixCandidate> = Vec::new();
-        for outcome in outcomes {
+        for (_, outcome) in solved.into_iter().filter(|(bound, _)| *bound <= incumbent) {
             match outcome {
-                Outcome::Evaluated(candidate) => ranked.push(candidate),
-                Outcome::Unstable => screening.skipped_unstable += 1,
-                Outcome::NonFinite => screening.skipped_non_finite += 1,
-                Outcome::Failed => screening.dropped_failures += 1,
+                Outcome::Evaluated(candidate) => result.evaluated.push(candidate),
+                Outcome::NonFinite => result.skipped_non_finite += 1,
+                Outcome::Failed => result.dropped_failures += 1,
             }
         }
-        ranked.sort_by(candidate_order);
-        ranked.truncate(self.shortlist_len(&ranked));
-
-        // Verification: solve the shortlisted compositions exactly.  The shared
-        // cache hands the matrix-geometric solver the skeletons the screening pass
-        // already built for exactly these configurations.
-        let solver = MatrixGeometricSolver::default().with_cache(cache);
-        let solve = |config: &SystemConfig| -> Result<f64> {
-            Ok(solver.solve_shared(config)?.mean_queue_length())
-        };
-        let shortlist: Vec<Vec<usize>> = ranked.into_iter().map(|c| c.counts).collect();
-        let outcomes = pool.try_par_map(&shortlist, |counts| self.evaluate(counts, &solve))?;
-        Ok(assemble(outcomes, mixes.len(), true, Some(screening)))
+        result.evaluated.sort_by(candidate_order);
+        Ok(result)
     }
-}
-
-/// Folds evaluation outcomes into a sorted result, merging the counters of an
-/// earlier screening pass when one happened.
-fn assemble(
-    outcomes: Vec<Outcome>,
-    candidates: usize,
-    screened: bool,
-    screening: Option<MixSearchResult>,
-) -> MixSearchResult {
-    let mut result = screening.unwrap_or_else(|| MixSearchResult {
-        evaluated: Vec::new(),
-        candidates,
-        screened,
-        skipped_unstable: 0,
-        skipped_non_finite: 0,
-        dropped_failures: 0,
-    });
-    for outcome in outcomes {
-        match outcome {
-            Outcome::Evaluated(candidate) => result.evaluated.push(candidate),
-            Outcome::Unstable => result.skipped_unstable += 1,
-            Outcome::NonFinite => result.skipped_non_finite += 1,
-            Outcome::Failed => result.dropped_failures += 1,
-        }
-    }
-    result.evaluated.sort_by(candidate_order);
-    result
 }
 
 #[cfg(test)]
@@ -728,34 +713,6 @@ mod tests {
             Ordering::Less,
             "cost dominates the tie-breakers"
         );
-    }
-
-    #[test]
-    fn shortlist_widens_with_the_slack_band_but_stays_capped() {
-        let search = two_class_search(3).with_options(MixSearchOptions {
-            screen_top_k: 2,
-            screen_slack: 0.5,
-            screen_max_verified: 4,
-            ..Default::default()
-        });
-        let candidate =
-            |cost: f64| MixCandidate { counts: vec![1, 0], mean_queue_length: 0.0, cost };
-        // Costs 10, 12, 14, 16, 18: slack 0.5 admits <= 15, i.e. 3 candidates.
-        let ranked: Vec<MixCandidate> = [10.0, 12.0, 14.0, 16.0, 18.0].map(candidate).to_vec();
-        assert_eq!(search.shortlist_len(&ranked), 3);
-        // The floor applies when the band is narrow …
-        let narrow = MixSearch {
-            options: MixSearchOptions { screen_slack: 0.0, ..search.options },
-            ..search.clone()
-        };
-        assert_eq!(narrow.shortlist_len(&ranked), 2);
-        // … and the cap when it is wide.
-        let wide = MixSearch {
-            options: MixSearchOptions { screen_slack: 10.0, ..search.options },
-            ..search.clone()
-        };
-        assert_eq!(wide.shortlist_len(&ranked), 4);
-        assert_eq!(search.shortlist_len(&[]), 0);
     }
 
     #[test]

@@ -392,20 +392,26 @@ impl QueueSolution for SpectralSolution {
             return 0.0;
         }
         if level < self.servers {
-            self.boundary[level][mode]
+            self.boundary.get(level).and_then(|v| v.get(mode)).copied().unwrap_or(0.0)
         } else {
             // Levels past the `u32` exponent range carry no mass.
             let Ok(power) = u32::try_from(level - self.servers) else { return 0.0 };
-            self.terms.iter().map(|t| t.weighted_vector[mode] * powu(t.z, power)).sum()
+            self.terms
+                .iter()
+                .filter_map(|t| t.weighted_vector.get(mode).map(|w| w * powu(t.z, power)))
+                .sum()
         }
     }
 
     fn mode_marginal(&self) -> Vec<f64> {
         (0..self.mode_count)
             .map(|mode| {
-                let boundary: f64 = self.boundary.iter().map(|v| v[mode]).sum();
-                let tail: f64 =
-                    self.terms.iter().map(|t| t.weighted_vector[mode] / (1.0 - t.z)).sum();
+                let boundary: f64 = self.boundary.iter().filter_map(|v| v.get(mode)).sum();
+                let tail: f64 = self
+                    .terms
+                    .iter()
+                    .filter_map(|t| t.weighted_vector.get(mode).map(|w| w / (1.0 - t.z)))
+                    .sum();
                 boundary + tail
             })
             .collect()

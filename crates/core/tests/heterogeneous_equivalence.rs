@@ -259,9 +259,9 @@ fn approximation_reuses_its_cached_skeleton() {
 
 #[test]
 fn spectral_reuses_the_approximations_skeleton_bit_identically() {
-    // Approximation-first order — the screening pass of a mix search.  The spectral
-    // verification must find the skeleton the approximation built (one skeleton hit,
-    // no second build) and still produce the bit-identical solution.
+    // Approximation-first order, the reverse of the Figure 8 and 9 sweeps.  The
+    // spectral solve must find the skeleton the approximation built (one skeleton
+    // hit, no second build) and still produce the bit-identical solution.
     let cache = SolverCache::shared();
     let approx = GeometricApproximation::default().with_cache(Arc::clone(&cache));
     let spectral = SpectralExpansionSolver::default().with_cache(Arc::clone(&cache));

@@ -1,14 +1,14 @@
 //! Integration tests of the cost-aware fleet-mix optimisation: the search must agree
-//! with brute-force enumeration, the approximation-screened path must agree with the
-//! all-exact path, and the cost/provisioning sweeps must handle heterogeneous base
-//! configurations by uniform scaling.
+//! with brute-force enumeration, the bound-pruned path must agree with the all-exact
+//! path, adding a server must lower the queue, and the cost/provisioning sweeps must
+//! handle heterogeneous base configurations by uniform scaling.
 
 use std::sync::Arc;
 
 use urs_core::{
     ClassCostModel, CostModel, CostSweep, MatrixGeometricSolver, MixBounds, MixSearch,
-    MixSearchOptions, ProvisioningSweep, QueueSolver, ServerClass, ServerLifecycle, SolverCache,
-    SpectralExpansionSolver, SystemConfig,
+    MixSearchOptions, MixSearchResult, ProvisioningSweep, QueueSolver, ServerClass,
+    ServerLifecycle, SolverCache, SpectralExpansionSolver, SystemConfig,
 };
 
 fn fast_class() -> ServerClass {
@@ -36,14 +36,7 @@ fn brute_force_optimum(search: &MixSearch) -> (Vec<usize>, f64) {
     let solver = MatrixGeometricSolver::default();
     let mut best: Option<(Vec<usize>, f64, usize)> = None;
     for counts in search.candidate_mixes().unwrap() {
-        let classes: Vec<ServerClass> = search
-            .classes()
-            .iter()
-            .zip(&counts)
-            .filter(|(_, &n)| n > 0)
-            .map(|(c, &n)| c.with_count(n).unwrap())
-            .collect();
-        let config = SystemConfig::heterogeneous(2.5, classes).unwrap();
+        let config = search.config(&counts).unwrap();
         if !config.is_stable() {
             continue;
         }
@@ -85,49 +78,85 @@ fn search_matches_brute_force_enumeration() {
     assert_eq!(exhaustive.optimum(), result.optimum());
 }
 
-#[test]
-fn screened_path_agrees_with_the_all_exact_path_on_the_top_candidate() {
-    let search = two_class_search(2.5, 6);
-    let exact = search.run_exhaustive().unwrap();
-
-    // Force the screening path on the same (small) space.
-    let screened = search
-        .clone()
-        .with_options(MixSearchOptions { exhaustive_limit: 0, ..Default::default() })
-        .run()
-        .unwrap();
-    assert!(screened.was_screened());
-    assert!(screened.ranked().len() <= MixSearchOptions::default().screen_max_verified);
-    assert!(screened.ranked().len() < screened.candidates(), "screening must actually prune");
-
-    let exact_best = exact.optimum().unwrap();
-    let screened_best = screened.optimum().unwrap();
-    assert_eq!(screened_best.counts(), exact_best.counts());
-    // The shortlisted candidates are verified exactly, so the winning cost is the
-    // same number, not merely close.
-    assert_eq!(screened_best.cost().to_bits(), exact_best.cost().to_bits());
-    assert_eq!(
-        screened_best.mean_queue_length().to_bits(),
-        exact_best.mean_queue_length().to_bits()
-    );
+/// Runs the search with pruning forced on and a fresh cache, returning the result
+/// and the number of exact solves it made.
+fn run_pruned(search: MixSearch) -> (MixSearchResult, u64) {
+    let cache = SolverCache::shared();
+    let options = MixSearchOptions { exhaustive_limit: 0, ..Default::default() };
+    let result = search.with_cache(Arc::clone(&cache)).with_options(options).run().unwrap();
+    assert!(result.was_screened());
+    (result, cache.stats().solution_misses)
 }
 
 #[test]
-fn screening_reuses_the_cached_factorisations_for_verification() {
-    let cache = SolverCache::shared();
-    let search = two_class_search(2.5, 6)
-        .with_cache(Arc::clone(&cache))
-        .with_options(MixSearchOptions { exhaustive_limit: 0, ..Default::default() });
-    let result = search.run().unwrap();
-    let stats = cache.stats();
-    // Every composition the verification pass touched had already been screened, so
-    // the exact pass found its skeleton in the shared cache instead of rebuilding it:
-    // each verification solve (one solution miss) is exactly one skeleton hit, and
-    // the screening pass, which sees every composition once, contributes none.
-    assert!(stats.skeleton_hits >= 1, "stats: {stats:?}");
-    assert_eq!(stats.solution_misses, result.ranked().len() as u64, "stats: {stats:?}");
-    assert_eq!(stats.skeleton_hits, stats.solution_misses, "stats: {stats:?}");
-    assert_eq!(stats.skeleton_evictions, 0, "the run cache must hold the whole space");
+fn pruned_path_matches_the_exhaustive_path_for_either_sign_of_holding_cost() {
+    // `Debug` prints every f64 in its shortest round-trip form, so equal strings mean
+    // equal bits.
+    let search = two_class_search(2.5, 6);
+    let exact = search.run_exhaustive().unwrap();
+    let stable = (exact.candidates() - exact.skipped_unstable()) as u64;
+    let (pruned, solves) = run_pruned(search.clone());
+    assert!(solves < stable, "the bound must rule out some of {stable} candidates");
+    assert_eq!(format!("{:?}", pruned.optimum()), format!("{:?}", exact.optimum()));
+
+    // With c₁ < 0 a lower bound on L bounds nothing: every stable candidate is
+    // solved and the result is the exhaustive one.
+    let classes = search.classes().to_vec();
+    let cost = ClassCostModel::new(-0.5, vec![1.4, 1.0]).unwrap();
+    let search = MixSearch::new(2.5, classes, cost, MixBounds::up_to(6).unwrap()).unwrap();
+    let exact = search.run_exhaustive().unwrap();
+    let (pruned, solves) = run_pruned(search);
+    assert_eq!(solves, stable);
+    assert_eq!(format!("{:?}", pruned.ranked()), format!("{:?}", exact.ranked()));
+    assert_eq!(pruned.ranked().len() as u64, stable);
+    let counters = |r: &MixSearchResult| {
+        (r.candidates(), r.skipped_unstable(), r.skipped_non_finite(), r.dropped_failures())
+    };
+    assert_eq!(counters(&pruned), counters(&exact));
+}
+
+#[test]
+fn adding_a_server_strictly_lowers_the_queue() {
+    // The four `large-fleet` classes and a paper-lifecycle class at µ = 0.8: from
+    // every stable composition of at most four servers, one more server of any
+    // class must lower L.
+    let mut classes: Vec<ServerClass> = (0..4)
+        .map(|j| {
+            let j = f64::from(j);
+            let lifecycle = ServerLifecycle::exponential(0.05 + 0.05 * j, 1.0).unwrap();
+            ServerClass::new(1, 1.0 + 0.3 * j, lifecycle).unwrap()
+        })
+        .collect();
+    classes.push(ServerClass::new(1, 0.8, ServerLifecycle::paper_fitted().unwrap()).unwrap());
+    let solver = MatrixGeometricSolver::default().with_cache(SolverCache::shared());
+    let (mut pairs, mut smallest_drop) = (0, f64::INFINITY);
+    for arrival_rate in [2.0, 3.5, 4.5] {
+        let search = MixSearch::new(
+            arrival_rate,
+            classes.clone(),
+            ClassCostModel::new(1.0, vec![1.0; classes.len()]).unwrap(),
+            MixBounds::up_to(4).unwrap(),
+        )
+        .unwrap();
+        let l = |counts: &[usize]| {
+            solver.solve(&search.config(counts).unwrap()).unwrap().mean_queue_length()
+        };
+        for counts in search.candidate_mixes().unwrap() {
+            if !search.config(&counts).unwrap().is_stable() {
+                continue;
+            }
+            for class in 0..classes.len() {
+                let mut larger = counts.clone();
+                larger[class] += 1;
+                let (before, after) = (l(&counts), l(&larger));
+                assert!(after < before, "λ = {arrival_rate}: {larger:?} {after} vs {counts:?}");
+                smallest_drop = smallest_drop.min(1.0 - after / before);
+                pairs += 1;
+            }
+        }
+    }
+    println!("{pairs} pairs, smallest relative drop {smallest_drop:.4}");
+    assert_eq!(pairs, 1240);
 }
 
 #[test]

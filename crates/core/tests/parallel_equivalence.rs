@@ -13,9 +13,9 @@ use urs_core::sweeps::{
     queue_length_vs_load_with, queue_length_vs_operative_scv_with, queue_length_vs_repair_time_with,
 };
 use urs_core::{
-    CostModel, CostSweep, GeometricApproximation, MatrixGeometricSolver, ProvisioningSweep,
-    QueueSolution, ResponseAnalysis, ServerLifecycle, SolverCache, SpectralExpansionSolver,
-    SystemConfig, ThreadPool, TruncatedCtmcSolver,
+    ClassCostModel, CostModel, CostSweep, GeometricApproximation, MatrixGeometricSolver, MixBounds,
+    MixSearch, ProvisioningSweep, QueueSolution, ResponseAnalysis, ServerClass, ServerLifecycle,
+    SolverCache, SpectralExpansionSolver, SystemConfig, ThreadPool, TruncatedCtmcSolver,
 };
 use urs_dist::HyperExponential;
 use urs_linalg::{LuDecomposition, Matrix, RealBlockTridiagonal, Workspace};
@@ -383,6 +383,34 @@ fn response_time_percentile_is_bit_identical_across_the_thread_matrix() {
         );
         assert_eq!(mean.to_bits(), pooled.mean_response_time().to_bits());
         assert_eq!(cdf.to_bits(), pooled.response_time_cdf(2.0 * mean).unwrap().to_bits());
+    }
+}
+
+#[test]
+fn mix_search_is_bit_identical_across_pools() {
+    // The `large-fleet` space: four classes, at most seven servers, 329 compositions.
+    // The pruned path solves in waves of one composition per worker, so how far it
+    // gets past the optimum depends on the pool — the reported result must not.
+    let classes = (0..4)
+        .map(|j| {
+            let j = f64::from(j);
+            let lifecycle = ServerLifecycle::exponential(0.05 + 0.05 * j, 1.0).unwrap();
+            ServerClass::new(1, 1.0 + 0.3 * j, lifecycle).unwrap()
+        })
+        .collect();
+    let cost = ClassCostModel::new(4.0, (0..4).map(|j| 1.0 + 0.4 * f64::from(j)).collect());
+    let search = MixSearch::new(4.0, classes, cost.unwrap(), MixBounds::up_to(7).unwrap()).unwrap();
+    let pruned = search.run_with(&ThreadPool::serial()).unwrap();
+    let exhaustive = search.run_exhaustive_with(&ThreadPool::serial()).unwrap();
+    assert!(pruned.was_screened(), "329 compositions exceed the exhaustive limit");
+    assert_eq!(pruned.optimum(), exhaustive.optimum(), "pruning changed the optimum");
+    // `Debug` prints every f64 in its shortest round-trip form, so equal strings
+    // mean equal bits in the optimum, every ranked candidate and every counter.
+    for threads in THREAD_MATRIX {
+        let pool = ThreadPool::new(threads);
+        let (p, e) = (search.run_with(&pool).unwrap(), search.run_exhaustive_with(&pool).unwrap());
+        assert_eq!(format!("{p:?}"), format!("{pruned:?}"), "{threads} threads changed pruning");
+        assert_eq!(format!("{e:?}"), format!("{exhaustive:?}"), "{threads} threads: exhaustive");
     }
 }
 

@@ -14,6 +14,9 @@
 //!   `{"error":…,"type":"error"}` responses; so do queries the model layer
 //!   rejects.  A bad query never disturbs its batch-mates and never poisons the
 //!   engine.
+//! * **Bounded lines.**  [`read_bounded_line`] never buffers a line much past
+//!   [`MAX_LINE_BYTES`]; a longer line gets one error response, and the stream
+//!   keeps answering from the next newline on.
 //! * **Byte-identical replay.**  For every query except `stats`, the response is a
 //!   deterministic function of the query alone: replaying a trace against a fresh
 //!   process — at any `URS_THREADS`, with any batch boundaries — reproduces the
@@ -33,6 +36,7 @@
 #![deny(missing_debug_implementations)]
 
 use std::collections::{BTreeMap, VecDeque};
+use std::io::{self, BufRead, Read};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -43,6 +47,39 @@ use urs_core::Engine;
 /// Upper bound on how many in-flight lines the binary coalesces into one
 /// [`Server::respond_batch`] call (and therefore one engine plan).
 pub const MAX_BATCH: usize = 64;
+
+/// The longest protocol line the server accepts, in bytes, excluding its newline
+/// (1 MiB, far above any query the grammar can express usefully).  Longer lines
+/// are answered with an error instead of being buffered.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Reads one line like [`BufRead::lines`], but holds at most [`MAX_LINE_BYTES`] + 1
+/// bytes of it.  A longer line is skipped to its newline and returned as that
+/// (lossily decoded) prefix, which [`Server::respond_batch`] answers with the
+/// line-length error.  Returns `None` at end of input.
+///
+/// # Errors
+///
+/// Propagates read errors, and reports [`io::ErrorKind::InvalidData`] for a line
+/// that is not UTF-8 (as [`BufRead::lines`] does).
+pub fn read_bounded_line(reader: &mut impl BufRead) -> io::Result<Option<String>> {
+    let mut line = Vec::new();
+    reader.by_ref().take(MAX_LINE_BYTES as u64 + 1).read_until(b'\n', &mut line)?;
+    if line.last() == Some(&b'\n') {
+        line.pop();
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+    } else if line.len() > MAX_LINE_BYTES {
+        reader.skip_until(b'\n')?;
+        return Ok(Some(String::from_utf8_lossy(&line).into_owned()));
+    } else if line.is_empty() {
+        return Ok(None);
+    }
+    String::from_utf8(line)
+        .map(Some)
+        .map_err(|error| io::Error::new(io::ErrorKind::InvalidData, error))
+}
 
 /// Rendered responses memoised by canonical query key.  Sized so a steady serving
 /// mix of sweeps and solves stays resident; beyond that the oldest entry is evicted.
@@ -292,17 +329,23 @@ impl Server {
     /// remaining queries are planned together ([`urs_core::engine::plan`]) so
     /// batch-mates with the same QBD skeleton share cache entries and one pool
     /// fan-out; results are bit-identical to answering each line alone.  Malformed
-    /// lines and failing queries yield `{"error":…,"type":"error"}` without
-    /// affecting their neighbours.  Never panics.
+    /// lines, lines over [`MAX_LINE_BYTES`] and failing queries yield
+    /// `{"error":…,"type":"error"}` without affecting their neighbours.  Never
+    /// panics.
     pub fn respond_batch(&self, lines: &[String]) -> Vec<String> {
         let mut responses: Vec<Option<String>> = lines.iter().map(|_| None).collect();
         let mut pending: Vec<(usize, Query, Option<u64>)> = Vec::with_capacity(lines.len());
         for (index, line) in lines.iter().enumerate() {
-            let query = match Query::parse_line(line) {
+            let parsed = if line.len() > MAX_LINE_BYTES {
+                Err(format!("line exceeds the {MAX_LINE_BYTES}-byte limit"))
+            } else {
+                Query::parse_line(line).map_err(|error| error.to_string())
+            };
+            let query = match parsed {
                 Ok(query) => query,
-                Err(error) => {
+                Err(message) => {
                     if let Some(slot) = responses.get_mut(index) {
-                        *slot = Some(error_response(&error.to_string()));
+                        *slot = Some(error_response(&message));
                     }
                     continue;
                 }
@@ -404,6 +447,22 @@ mod tests {
         assert_eq!(snapshot.requests, 4);
         assert_eq!(snapshot.errors, 3);
         assert_eq!(snapshot.batches, 1);
+    }
+
+    #[test]
+    fn over_long_lines_are_cut_off_at_the_cap() {
+        let long = "x".repeat(MAX_LINE_BYTES + 1);
+        let exact = "y".repeat(MAX_LINE_BYTES);
+        let input = format!("a\r\n{long}\nb\n{exact}\n\ntail");
+        // A small buffer makes lines span many `fill_buf` calls.
+        let mut reader = io::BufReader::with_capacity(7, input.as_bytes());
+        let mut lines = Vec::new();
+        while let Some(line) = read_bounded_line(&mut reader).unwrap() {
+            lines.push(line);
+        }
+        // The over-long line comes back as its first MAX_LINE_BYTES + 1 bytes.
+        assert_eq!(lines, ["a", long.as_str(), "b", exact.as_str(), "", "tail"]);
+        assert!(read_bounded_line(&mut &b"\xff\n"[..]).is_err());
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //! In-flight queries are coalesced into batches of up to `MAX_BATCH` lines: a batch
 //! is whatever has already arrived when the previous batch finished, so batching
 //! boundaries depend on timing — but responses never do (the byte-identical replay
-//! contract of `urs_server`).  `URS_THREADS` bounds the worker pool.
+//! contract of `urs_server`).  `URS_THREADS` bounds the worker pool.  Lines are
+//! read with `urs_server::read_bounded_line`, so an over-long line is never
+//! buffered whole.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::{Receiver, SyncSender, TryRecvError};
 use std::sync::Arc;
@@ -22,7 +24,7 @@ use std::thread;
 // urs-analyze: allow(wall_clock, reason = "request latency metrics, reporting only; results never depend on the clock")
 use std::time::Instant;
 
-use urs_server::{Server, MAX_BATCH};
+use urs_server::{read_bounded_line, Server, MAX_BATCH};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -84,10 +86,9 @@ fn serve_connection(server: &Arc<Server>, stream: TcpStream) {
 
 /// Forwards lines from `reader` into the channel until EOF or a read error; the
 /// sender hanging up ends the pump loop.
-fn spawn_reader<R: Read + Send + 'static>(reader: BufReader<R>, tx: SyncSender<String>) {
+fn spawn_reader<R: Read + Send + 'static>(mut reader: BufReader<R>, tx: SyncSender<String>) {
     thread::spawn(move || {
-        for line in reader.lines() {
-            let Ok(line) = line else { break };
+        while let Ok(Some(line)) = read_bounded_line(&mut reader) {
             if tx.send(line).is_err() {
                 break;
             }

@@ -6,7 +6,7 @@
 //!   leak into answers).
 //! * **Malformed-input robustness** — a fuzz pile of broken lines gets one error
 //!   response each, the process never panics, and queries after garbage still
-//!   answer correctly.
+//!   answer correctly; so does a line far over the length cap.
 
 use std::io::Write;
 use std::process::{Child, Command, Stdio};
@@ -140,6 +140,8 @@ fn malformed_input_fuzz_never_panics_and_always_answers() {
         format!("{}{}", "[".repeat(2000), "]".repeat(2000)),
         "9".repeat(5000),
         format!("{{\"type\":\"solve\",\"padding\":\"{}\"}}", "x".repeat(100_000)),
+        // A 10 MB line, ten times the server's line cap.
+        "x".repeat(10_000_000),
     ];
     // Interleave a known-good query so we can check the server stays healthy
     // after every piece of garbage.
@@ -163,6 +165,7 @@ fn malformed_input_fuzz_never_panics_and_always_answers() {
         let expected = good_response.get_or_insert(good.to_string()).clone();
         assert_eq!(*good, expected, "the good query's answer drifted");
     }
+    assert!(responses[responses.len() - 2].contains("byte limit"), "the cap did not answer");
 }
 
 #[test]

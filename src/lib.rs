@@ -26,9 +26,10 @@
 //!
 //! Parameter sweeps and simulation replications run in parallel by default on
 //! [`core::ThreadPool`] (scoped threads, deterministic result order — set
-//! `URS_THREADS=1` to force the serial path), and [`core::SolverCache`] lets repeated
-//! or λ-only-varying solves reuse the expensive spectral factorisation state; both are
-//! bit-identity-preserving.  See the README's "Performance" section.
+//! `URS_THREADS=1` to force the serial path), and [`core::SolverCache`] memoises three
+//! levels — λ-independent QBD skeletons, complete matrix-geometric solutions and
+//! response-time transforms — so repeated or λ-only-varying solves skip that work; both
+//! are bit-identity-preserving.  See the README's "Performance" section.
 //!
 //! This umbrella crate simply re-exports the sub-crates under convenient names so that
 //! an application can depend on a single crate:
@@ -45,7 +46,8 @@
 //! ```
 //!
 //! The runnable examples in `examples/` and the experiment binaries in `crates/bench`
-//! reproduce every figure of the paper; see `EXPERIMENTS.md` at the repository root.
+//! reproduce every figure of the paper; see the README's "Reproducing the paper"
+//! section.
 
 #![deny(missing_docs)]
 

@@ -12,10 +12,10 @@ use std::sync::Arc;
 
 use unreliable_servers::core::{
     consistency_violations, ClassCostModel, CostModel, Engine, GeometricApproximation,
-    GeometricSolution, MatrixGeometricSolver, MixBounds, MixCandidate, MixSearch, MixSearchOptions,
-    QbdMatrices, Query, QueryResult, QueueSolution, QueueSolver, ResponseAnalysis, ResponseOptions,
-    ServerClass, ServerLifecycle, SolverCache, SpectralExpansionSolver, SpectralOptions,
-    SystemConfig, ThreadPool, TruncatedCtmcSolver, TruncatedOptions,
+    GeometricSolution, MatrixGeometricSolver, MixBounds, MixCandidate, MixSearch, QbdMatrices,
+    Query, QueryResult, QueueSolution, QueueSolver, ResponseAnalysis, ResponseOptions, ServerClass,
+    ServerLifecycle, SolverCache, SpectralExpansionSolver, SpectralOptions, SystemConfig,
+    ThreadPool, TruncatedCtmcSolver, TruncatedOptions,
 };
 use unreliable_servers::dist::HyperExponential;
 use unreliable_servers::linalg::QuadraticEigenProblem;
@@ -384,84 +384,33 @@ fn root_search_agrees_with_the_companion_qr() {
     }
 }
 
-/// One verified composition: counts, exact mean queue length, cost.
-type Verified = (Vec<usize>, f64, f64);
-
-/// The screened mix search's result as QR-ranked screening would produce it: every
-/// stable composition ranked by the approximate cost from the companion-QR η, cut by
-/// the default slack band, verified by the matrix-geometric solver and sorted.
-fn qr_screened_ranking(search: &MixSearch, arrival_rate: f64) -> Vec<Verified> {
-    let options = MixSearchOptions::default();
-    let config_for = |counts: &[usize]| {
-        let classes = search
-            .classes()
-            .iter()
-            .zip(counts)
-            .filter(|(_, &n)| n > 0)
-            .map(|(c, &n)| c.with_count(n).unwrap())
-            .collect();
-        SystemConfig::heterogeneous(arrival_rate, classes).unwrap()
-    };
-    let order = |a: &Verified, b: &Verified| {
-        let servers = |c: &[usize]| c.iter().sum::<usize>();
-        a.2.total_cmp(&b.2).then(servers(&a.0).cmp(&servers(&b.0))).then(a.0.cmp(&b.0))
-    };
-    let mut screened: Vec<Verified> = search
-        .candidate_mixes()
-        .unwrap()
-        .into_iter()
-        .filter(|counts| config_for(counts).is_stable())
-        .map(|counts| {
-            let (eta, _) = qr_dominant_pair(&config_for(&counts));
-            let l = eta / (1.0 - eta);
-            let cost = search.cost_model().evaluate(l, &counts);
-            (counts, l, cost)
-        })
-        .filter(|(_, _, cost)| cost.is_finite())
-        .collect();
-    screened.sort_by(order);
-    let best = screened[0].2;
-    let cutoff = best + options.screen_slack * best.abs();
-    let qualified = screened.iter().take_while(|(_, _, cost)| *cost <= cutoff).count();
-    let floor = options.screen_top_k.min(screened.len());
-    screened.truncate(qualified.clamp(floor, options.screen_max_verified.max(floor)));
-    let solver = MatrixGeometricSolver::default();
-    let mut verified: Vec<Verified> = screened
-        .into_iter()
-        .map(|(counts, _, _)| {
-            let l = solver.solve(&config_for(&counts)).unwrap().mean_queue_length();
-            let cost = search.cost_model().evaluate(l, &counts);
-            (counts, l, cost)
-        })
-        .collect();
-    verified.sort_by(order);
-    verified
-}
-
 #[test]
-fn screened_mix_search_verifies_the_qr_shortlist() {
+fn pruned_mix_search_returns_the_exhaustive_optimum() {
+    // `Debug` prints every f64 in its shortest round-trip form, so equal strings mean
+    // equal counts, L bits and cost bits.
     let (classes, cost) = large_fleet_classes();
-    let bits = |v: &Verified| (v.0.clone(), v.1.to_bits(), v.2.to_bits());
-    let candidate_bits = |c: &MixCandidate| {
-        (c.counts().to_vec(), c.mean_queue_length().to_bits(), c.cost().to_bits())
-    };
     for arrival_rate in [3.5, 4.0, 4.5] {
-        let search = MixSearch::new(
-            arrival_rate,
-            classes.clone(),
-            cost.clone(),
-            MixBounds::up_to(7).unwrap(),
-        )
-        .unwrap();
-        let result = search.run().unwrap();
-        assert!(result.was_screened(), "λ = {arrival_rate}: {} candidates", result.candidates());
-        let reference = qr_screened_ranking(&search, arrival_rate);
-        let ranked: Vec<_> = result.ranked().iter().map(candidate_bits).collect();
-        assert_eq!(ranked, reference.iter().map(bits).collect::<Vec<_>>(), "λ = {arrival_rate}");
-        assert_eq!(
-            result.optimum().map(candidate_bits),
-            reference.first().map(bits),
-            "λ = {arrival_rate}"
-        );
+        let bounds = MixBounds::up_to(7).unwrap();
+        let search = MixSearch::new(arrival_rate, classes.clone(), cost.clone(), bounds).unwrap();
+        let cache = SolverCache::shared();
+        let result = search.clone().with_cache(Arc::clone(&cache)).run().unwrap();
+        let exhaustive = search.run_exhaustive().unwrap();
+        let name = format!("λ = {arrival_rate}");
+        assert!(result.was_screened(), "{name}: {} candidates", result.candidates());
+        assert_eq!(format!("{:?}", result.optimum()), format!("{:?}", exhaustive.optimum()));
+        let optimum = result.optimum().expect("a stable mix exists");
+        assert!(arrival_rate != 4.0 || optimum.counts() == [1, 0, 1, 3], "{name}");
+        // The bound holds on every stable candidate, and the pruned ranking is the
+        // exhaustive one cut to the candidates the bound could not rule out.
+        let bound = |c: &&MixCandidate| {
+            let l_rel = search.queue_length_bound(c.counts());
+            assert!(l_rel <= c.mean_queue_length(), "{name} {:?}: {l_rel}", c.counts());
+            search.cost_model().evaluate(l_rel, c.counts()) <= optimum.cost()
+        };
+        let expected: Vec<&MixCandidate> = exhaustive.ranked().iter().filter(bound).collect();
+        assert_eq!(format!("{:?}", result.ranked()), format!("{expected:?}"), "{name}");
+        let stable = result.candidates() - result.skipped_unstable();
+        let solves = cache.stats().solution_misses;
+        println!("{name}: {solves} of {stable} stable candidates solved, optimum {optimum:?}");
     }
 }
