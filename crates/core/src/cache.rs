@@ -26,12 +26,17 @@
 //! hits return the stored value unchanged, so cached and uncached runs are
 //! bit-identical.
 //!
-//! Every level is a **size-capped LRU**: heterogeneous server classes multiply the
-//! key space combinatorially, so the unbounded maps of the original design would
-//! grow without limit under class-mix sweeps.  When a map reaches its capacity the
-//! least-recently-used entry is evicted (and counted in [`CacheStats`]).  The
-//! defaults are generous enough that the paper-scale sweeps never evict; tighten
-//! them with [`SolverCache::with_capacities`] for long-running services.
+//! Every level is a **byte-budgeted LRU**: heterogeneous server classes multiply the
+//! key space combinatorially, and one dense large-fleet entry weighs hundreds of
+//! kilobytes, so neither unbounded maps nor entry-count caps bound the memory of a
+//! standing server.  Each entry is charged the heap bytes of its matrices and
+//! vectors; after an insert its level evicts least-recently-used entries (counted in
+//! [`CacheStats`]) until the level fits its budget again, and an entry larger than
+//! the level's whole budget is handed back uncached.  The default [`CACHE_BYTES`]
+//! (4 MiB: 1 MiB of skeletons, 2 MiB of solutions, 1 MiB of transforms) keeps a
+//! recent working set; [`SolverCache::with_byte_budget`] sets another total.
+//! Recency is counted in level operations, never wall time, so a given sequence of
+//! lookups evicts identically on every run.
 //!
 //! # Example
 //!
@@ -73,14 +78,32 @@ use crate::qbd::QbdSkeleton;
 use crate::response::ResponseTransform;
 use crate::Result;
 
-/// Default capacity of the skeleton map (skeletons are the largest entries).
-const DEFAULT_SKELETON_CAPACITY: usize = 64;
-/// Default capacity of the full-solution map.
-const DEFAULT_SOLUTION_CAPACITY: usize = 4096;
-/// Default capacity of the response-transform map.  A transform holds one `s × s`
-/// eigenbasis transfer per level up to `N`, up to `N` skeletons' worth, so 32 keep
-/// the level's footprint below what 64 single-block transforms took.
-const DEFAULT_TRANSFORM_CAPACITY: usize = 32;
+/// Byte budget of a default [`SolverCache`]: 1 MiB of skeletons, 2 MiB of solutions
+/// and 1 MiB of response transforms.  That holds a recent working set; one dense
+/// large-fleet entry (the 231 × 231 `R` at paper N = 20) alone is ~0.43 MB.
+pub const CACHE_BYTES: usize = 4 << 20;
+
+/// Bytes the allocator spends on one heap allocation beyond its payload: glibc
+/// malloc's chunk header plus its 16-byte rounding, on average.
+pub(crate) const ALLOCATION_HEADER: usize = 16;
+
+/// Heap bytes of one allocation holding `items`: the payload plus its header.
+pub(crate) fn allocation_bytes<T>(items: &[T]) -> usize {
+    size_of_val(items) + ALLOCATION_HEADER
+}
+
+/// Bytes charged per cached entry beyond its value's own `heap_bytes`: the key
+/// (a copy of the class list's nested vectors), the `Arc` counts and the entry's
+/// slot in its shard's map, with their allocation headers (measured at 0.5–1 KB
+/// per entry for fleets of N ≤ 12).
+const ENTRY_OVERHEAD: usize = 512;
+
+/// Splits a cache's byte budget into `[skeletons, solutions, transforms]`: half
+/// for solutions, a quarter for each of the other two levels.
+fn level_budgets(bytes: usize) -> [usize; 3] {
+    let quarter = bytes / 4;
+    [quarter, bytes - 2 * quarter, quarter]
+}
 
 /// Deterministic digest of an arbitrary hashable key (FNV-1a over its `Hash`
 /// bytes) — the same stable hash that assigns cache shards, reused by the query
@@ -98,6 +121,28 @@ pub(crate) fn digest_of<K: Hash>(key: &K) -> u64 {
 /// Rejects configurations with non-finite parameters (no sound cache key).
 pub(crate) fn skeleton_digest(config: &SystemConfig) -> Result<u64> {
     Ok(digest_of(&SkeletonKey::new(config)?))
+}
+
+/// Appends the canonical words of a server-class list — the class count, then per
+/// class its server count, service-rate bits and the `(weight, rate)` bits of both
+/// period distributions, each list prefixed by its length — to `words`.  Two class
+/// lists append equal words exactly when they have equal skeleton keys, and no word
+/// sequence is a prefix of another, so the words can be followed by further fields.
+///
+/// # Errors
+///
+/// Rejects non-finite parameters (no sound key).
+pub(crate) fn push_class_words(classes: &[ServerClass], words: &mut Vec<u64>) -> Result<()> {
+    words.push(classes.len() as u64);
+    for class in classes {
+        let ClassKey { count, service_rate, lifecycle } = ClassKey::new(class)?;
+        words.extend([count as u64, service_rate]);
+        for phases in [&lifecycle.operative, &lifecycle.inoperative] {
+            words.push(phases.len() as u64);
+            words.extend(phases.iter().flat_map(|&(weight, rate)| [weight, rate]));
+        }
+    }
+    Ok(())
 }
 
 /// Bit pattern of an `f64` for use inside a cache key: signed zero is normalised
@@ -220,10 +265,10 @@ impl TransformKey {
     }
 }
 
-/// Number of lock shards per cache level.  Each shard is an independent
-/// mutex-protected LRU, so concurrent workers contend only when their keys hash to
-/// the same shard instead of serialising on one coarse lock per level.
-const DEFAULT_SHARDS: usize = 8;
+/// Number of lock shards per cache level.  Each shard is an independently locked
+/// map, so concurrent workers contend only when their keys hash to the same shard
+/// instead of serialising on one coarse lock per level.
+const SHARDS: usize = 8;
 
 /// A deterministic FNV-1a hasher used to assign keys to shards.  The standard
 /// library's `RandomState` is seeded per process, which would make shard
@@ -256,59 +301,55 @@ impl Hasher for Fnv1a {
     }
 }
 
-/// A `BTreeMap` with a recency stamp per entry and least-recently-used
-/// eviction once `capacity` is reached.  Eviction scans are `O(len)`, which is
-/// negligible against the cost of the solves being cached.  An ordered map (rather
-/// than a hash map) keeps eviction order — and therefore hit/miss statistics —
-/// independent of hasher seeding across runs and processes.
+/// One cached value with the bytes it is charged and the level-clock stamp of its
+/// last use.
 #[derive(Debug)]
-struct LruMap<K, V> {
-    map: BTreeMap<K, (V, u64)>,
-    capacity: usize,
-    clock: u64,
+struct Entry<V> {
+    value: V,
+    bytes: usize,
+    last_used: u64,
 }
 
-impl<K: Ord + Clone, V> LruMap<K, V> {
-    fn new(capacity: usize) -> Self {
-        LruMap { map: BTreeMap::new(), capacity: capacity.max(1), clock: 0 }
+/// One shard of a level: a `BTreeMap` of entries plus the bytes they are charged.
+/// An ordered map (rather than a hash map) keeps the least-recently-used scan — and
+/// therefore eviction order and hit/miss statistics — independent of hasher seeding
+/// across runs and processes.
+#[derive(Debug)]
+struct LruMap<K, V> {
+    map: BTreeMap<K, Entry<V>>,
+    bytes: usize,
+}
+
+impl<K: Ord, V> LruMap<K, V> {
+    fn new() -> Self {
+        LruMap { map: BTreeMap::new(), bytes: 0 }
     }
 
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
+    fn get(&mut self, key: &K, stamp: u64) -> Option<&V> {
+        let entry = self.map.get_mut(key)?;
+        entry.last_used = stamp;
+        Some(&entry.value)
     }
 
-    fn get(&mut self, key: &K) -> Option<&V> {
-        let stamp = self.tick();
-        match self.map.get_mut(key) {
-            Some((value, last_used)) => {
-                *last_used = stamp;
-                Some(value)
-            }
-            None => None,
-        }
+    /// Stores an entry the caller has just looked up and found absent.
+    fn insert(&mut self, key: K, value: V, bytes: usize, stamp: u64) {
+        self.bytes += bytes;
+        self.map.insert(key, Entry { value, bytes, last_used: stamp });
     }
 
-    /// Inserts (or replaces) an entry; returns the *recency age* of any entry that
-    /// had to be evicted — how many operations ago the victim was last touched.
-    /// The age is measured on the map's own operation clock (never wall time), so
-    /// eviction reporting stays deterministic.
-    fn insert(&mut self, key: K, value: V) -> Option<u64> {
-        let stamp = self.tick();
-        let mut evicted_age = None;
-        if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
-            if let Some((victim, age)) = self
-                .map
-                .iter()
-                .min_by_key(|(_, (_, used))| *used)
-                .map(|(k, (_, used))| (k.clone(), stamp.saturating_sub(*used)))
-            {
-                self.map.remove(&victim);
-                evicted_age = Some(age);
-            }
-        }
-        self.map.insert(key, (value, stamp));
-        evicted_age
+    /// Stamp of the least recently used entry.  The scan is `O(len)`, negligible
+    /// against the cost of the solves being cached.
+    fn oldest(&self) -> Option<u64> {
+        self.map.values().map(|entry| entry.last_used).min()
+    }
+
+    /// Removes the least recently used entry (stamps are unique within a level),
+    /// returning its stamp.
+    fn evict_oldest(&mut self) -> Option<u64> {
+        let (stamp, bytes) = self.map.values().map(|entry| (entry.last_used, entry.bytes)).min()?;
+        self.map.retain(|_, entry| entry.last_used != stamp);
+        self.bytes -= bytes;
+        Some(stamp)
     }
 
     fn len(&self) -> usize {
@@ -317,35 +358,58 @@ impl<K: Ord + Clone, V> LruMap<K, V> {
 
     fn clear(&mut self) {
         self.map.clear();
+        self.bytes = 0;
     }
 }
 
-/// A sharded, poison-recovering LRU: `shards` independent [`LruMap`]s, each behind
-/// its own mutex, with keys assigned by the deterministic [`Fnv1a`] hash.  The
-/// requested capacity is split evenly across shards (each shard holds at least one
-/// entry), so eviction decisions are per shard — two hot keys in different shards
-/// never evict each other, at the price of the LRU order being approximate across
-/// the whole level.
+/// A byte-budgeted, sharded, poison-recovering LRU level: `shards` independent
+/// [`LruMap`]s, each behind its own mutex, with keys assigned by the deterministic
+/// [`Fnv1a`] hash.  Lookups lock one shard.  The budget covers the **whole level**:
+/// after an insert the level evicts its least recently used entries, across all
+/// shards, until the bytes charged to them fit again.  Recency stamps come from one
+/// level-wide operation counter (never the wall clock), so a single-threaded
+/// sequence of lookups and inserts evicts in the same order on every run.  An entry
+/// larger than the whole budget is handed back to the caller without being stored.
 ///
 /// Locking never panics on a poisoned mutex: a worker that panicked while holding a
 /// shard leaves that shard's contents suspect, so the shard is **cleared and reused**
 /// (recover-and-continue) and the recovery is counted.  One crashed worker can
 /// therefore never wedge a standing server — the worst case is a few cold keys.
+///
+/// The level counts its own hits, misses, evictions (with their recency ages) and
+/// oversized entries; [`snapshot`](Self::snapshot) reports them with the level's
+/// bytes and budget.
 #[derive(Debug)]
 struct ShardedLru<K, V> {
     shards: Vec<Mutex<LruMap<K, V>>>,
+    budget: usize,
+    clock: AtomicU64,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evictions: AtomicU64,
+    eviction_age: AtomicU64,
+    oversized: AtomicU64,
     poison_recoveries: AtomicU64,
 }
 
-impl<K: Ord + Clone + Hash, V: Clone> ShardedLru<K, V> {
-    fn new(capacity: usize, shards: usize) -> Self {
-        let capacity = capacity.max(1);
-        let shards = shards.clamp(1, capacity);
-        let per_shard = capacity.div_ceil(shards);
+impl<K: Ord + Hash, V: Clone> ShardedLru<K, V> {
+    fn new(budget: usize, shards: usize) -> Self {
         ShardedLru {
-            shards: (0..shards).map(|_| Mutex::new(LruMap::new(per_shard))).collect(),
+            shards: (0..shards.max(1)).map(|_| Mutex::new(LruMap::new())).collect(),
+            budget,
+            clock: AtomicU64::new(0),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+            eviction_age: AtomicU64::new(0),
+            oversized: AtomicU64::new(0),
             poison_recoveries: AtomicU64::new(0),
         }
+    }
+
+    /// The next stamp of the level's operation clock.
+    fn tick(&self) -> u64 {
+        self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// The shard index a key hashes to (stable across runs).
@@ -359,7 +423,7 @@ impl<K: Ord + Clone + Hash, V: Clone> ShardedLru<K, V> {
         let Some(mutex) = self.shards.get(index) else {
             // The constructor guarantees at least one shard; reaching this branch
             // would be a bug, but a scratch map keeps the path panic-free.
-            return f(&mut LruMap::new(1));
+            return f(&mut LruMap::new());
         };
         let mut guard = match mutex.lock() {
             Ok(guard) => guard,
@@ -376,31 +440,75 @@ impl<K: Ord + Clone + Hash, V: Clone> ShardedLru<K, V> {
         f(&mut guard)
     }
 
+    /// Looks `key` up, counting a hit or a miss.
     fn get(&self, key: &K) -> Option<V> {
-        self.with_shard_at(self.shard_index(key), |map| map.get(key).cloned())
+        let stamp = self.tick();
+        let found = self.with_shard_at(self.shard_index(key), |map| map.get(key, stamp).cloned());
+        let counter = if found.is_some() { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
-    /// Inserts, returning the recency age of any evicted victim.
-    fn insert(&self, key: K, value: V) -> Option<u64> {
-        let index = self.shard_index(&key);
-        self.with_shard_at(index, |map| map.insert(key, value))
-    }
-
-    /// Inserts unless another thread already stored the key (the racing winner is
-    /// returned unchanged, so racing builders converge on one shared value).
-    fn insert_or_get(&self, key: K, value: V) -> (V, Option<u64>) {
-        let index = self.shard_index(&key);
-        self.with_shard_at(index, |map| {
-            if let Some(winner) = map.get(&key) {
-                return (winner.clone(), None);
+    /// Inserts `value`, charged `bytes`, unless another thread already stored the
+    /// key (the racing winner is returned unchanged, so racing builders converge on
+    /// one shared value), then evicts down to the budget.  A value over the whole
+    /// budget is returned without being stored, and counted.
+    fn insert_or_get(&self, key: K, value: V, bytes: usize) -> V {
+        let bytes = bytes + ENTRY_OVERHEAD;
+        if bytes > self.budget {
+            self.oversized.fetch_add(1, Ordering::Relaxed);
+            return value;
+        }
+        let stamp = self.tick();
+        let winner = self.with_shard_at(self.shard_index(&key), |map| {
+            if let Some(winner) = map.get(&key, stamp) {
+                return Some(winner.clone());
             }
-            let evicted = map.insert(key, value.clone());
-            (value, evicted)
-        })
+            map.insert(key, value.clone(), bytes, stamp);
+            None
+        });
+        if let Some(winner) = winner {
+            return winner;
+        }
+        self.evict_to_budget();
+        value
+    }
+
+    /// Evicts the level's least recently used entries until its bytes fit the
+    /// budget.  Shards are locked one at a time, never two at once.
+    fn evict_to_budget(&self) {
+        loop {
+            let mut bytes = 0;
+            let mut victim: Option<(u64, usize)> = None;
+            for index in 0..self.shards.len() {
+                let (shard_bytes, oldest) =
+                    self.with_shard_at(index, |map| (map.bytes, map.oldest()));
+                bytes += shard_bytes;
+                if let Some(stamp) = oldest {
+                    if victim.is_none_or(|(oldest, _)| stamp < oldest) {
+                        victim = Some((stamp, index));
+                    }
+                }
+            }
+            if bytes <= self.budget {
+                return;
+            }
+            let Some((_, index)) = victim else { return };
+            let now = self.clock.load(Ordering::Relaxed);
+            if let Some(stamp) = self.with_shard_at(index, LruMap::evict_oldest) {
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+                self.eviction_age.fetch_add(now.saturating_sub(stamp), Ordering::Relaxed);
+            }
+        }
     }
 
     fn len(&self) -> usize {
         (0..self.shards.len()).map(|i| self.with_shard_at(i, |map| map.len())).sum()
+    }
+
+    /// Bytes charged to the level's entries.
+    fn bytes(&self) -> usize {
+        (0..self.shards.len()).map(|i| self.with_shard_at(i, |map| map.bytes)).sum()
     }
 
     fn clear(&self) {
@@ -409,8 +517,18 @@ impl<K: Ord + Clone + Hash, V: Clone> ShardedLru<K, V> {
         }
     }
 
-    fn poison_recoveries(&self) -> u64 {
-        self.poison_recoveries.load(Ordering::Relaxed)
+    /// The level's counters, bytes and budget under the name `level`.
+    fn snapshot(&self, level: &'static str) -> CacheLevelStats {
+        CacheLevelStats {
+            level,
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+            eviction_age_total: self.eviction_age.load(Ordering::Relaxed),
+            oversized: self.oversized.load(Ordering::Relaxed),
+            bytes: self.bytes() as u64,
+            budget_bytes: self.budget as u64,
+        }
     }
 }
 
@@ -427,9 +545,16 @@ pub struct CacheLevelStats {
     pub misses: u64,
     /// Entries evicted by the LRU policy.
     pub evictions: u64,
-    /// Sum of the recency ages (shard operations since last touch) of all evicted
+    /// Sum of the recency ages (level operations since last touch) of all evicted
     /// entries; divide by `evictions` for the mean via [`mean_eviction_age`](Self::mean_eviction_age).
     pub eviction_age_total: u64,
+    /// Computed entries larger than the level's whole budget, returned to their
+    /// caller without being stored.
+    pub oversized: u64,
+    /// Bytes charged to the entries the level holds now.
+    pub bytes: u64,
+    /// The level's byte budget.
+    pub budget_bytes: u64,
 }
 
 impl CacheLevelStats {
@@ -448,9 +573,9 @@ impl CacheLevelStats {
         self.hits as f64 / lookups as f64
     }
 
-    /// Mean recency age of evicted entries, in shard operations (`0.0` when nothing
+    /// Mean recency age of evicted entries, in level operations (`0.0` when nothing
     /// was evicted).  A small mean means the level is thrashing — entries are
-    /// evicted soon after their last use — and its capacity should grow.
+    /// evicted soon after their last use — and its budget should grow.
     pub fn mean_eviction_age(&self) -> f64 {
         if self.evictions == 0 {
             return 0.0;
@@ -459,7 +584,8 @@ impl CacheLevelStats {
     }
 }
 
-/// Hit/miss/eviction counters of a [`SolverCache`], for reporting and tests.
+/// Hit/miss/eviction counters and byte occupancy of a [`SolverCache`], for
+/// reporting and tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Skeleton lookups answered from the cache.
@@ -488,6 +614,24 @@ pub struct CacheStats {
     pub solution_eviction_age: u64,
     /// Cumulative recency age of evicted response transforms.
     pub transform_eviction_age: u64,
+    /// Skeletons built but not stored because they exceed the level's budget.
+    pub skeleton_oversized: u64,
+    /// Solutions computed but not stored because they exceed the level's budget.
+    pub solution_oversized: u64,
+    /// Transforms assembled but not stored because they exceed the level's budget.
+    pub transform_oversized: u64,
+    /// Bytes charged to the cached skeletons.
+    pub skeleton_bytes: u64,
+    /// Bytes charged to the cached solutions.
+    pub solution_bytes: u64,
+    /// Bytes charged to the cached response transforms.
+    pub transform_bytes: u64,
+    /// Byte budget of the skeleton level.
+    pub skeleton_budget_bytes: u64,
+    /// Byte budget of the solution level.
+    pub solution_budget_bytes: u64,
+    /// Byte budget of the response-transform level.
+    pub transform_budget_bytes: u64,
     /// Shards cleared after a worker panicked while holding their lock
     /// (recover-and-continue; see the poisoning policy in the [`SolverCache`] docs).
     pub poison_recoveries: u64,
@@ -495,8 +639,8 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// The per-level view: `[skeletons, solutions, transforms]`, each with its hit
-    /// rate and eviction-age diagnostics — the shape a serving process's `stats`
-    /// endpoint reports.
+    /// rate, eviction-age diagnostics and bytes against budget — the shape a
+    /// serving process's `stats` endpoint reports.
     pub fn levels(&self) -> [CacheLevelStats; 3] {
         [
             CacheLevelStats {
@@ -505,6 +649,9 @@ impl CacheStats {
                 misses: self.skeleton_misses,
                 evictions: self.skeleton_evictions,
                 eviction_age_total: self.skeleton_eviction_age,
+                oversized: self.skeleton_oversized,
+                bytes: self.skeleton_bytes,
+                budget_bytes: self.skeleton_budget_bytes,
             },
             CacheLevelStats {
                 level: "solutions",
@@ -512,6 +659,9 @@ impl CacheStats {
                 misses: self.solution_misses,
                 evictions: self.solution_evictions,
                 eviction_age_total: self.solution_eviction_age,
+                oversized: self.solution_oversized,
+                bytes: self.solution_bytes,
+                budget_bytes: self.solution_budget_bytes,
             },
             CacheLevelStats {
                 level: "transforms",
@@ -519,6 +669,9 @@ impl CacheStats {
                 misses: self.transform_misses,
                 evictions: self.transform_evictions,
                 eviction_age_total: self.transform_eviction_age,
+                oversized: self.transform_oversized,
+                bytes: self.transform_bytes,
+                budget_bytes: self.transform_budget_bytes,
             },
         ]
     }
@@ -555,8 +708,8 @@ impl CacheOccupancy {
     }
 }
 
-/// A thread-safe, size-capped LRU cache of QBD skeletons, complete matrix-geometric
-/// solutions and response-time transforms.
+/// A thread-safe, byte-budgeted LRU cache of QBD skeletons, complete
+/// matrix-geometric solutions and response-time transforms.
 ///
 /// The [`Engine`](crate::Engine) attaches its one cache to a
 /// [`MatrixGeometricSolver`](crate::MatrixGeometricSolver) with
@@ -567,6 +720,14 @@ impl CacheOccupancy {
 /// `with_cache` method reuses the skeletons, so solvers compared on the same grid
 /// (Figures 8 and 9) build each one once between them.  See the example above in
 /// the module docs.
+///
+/// # Byte budgets
+///
+/// Each entry is charged the heap bytes of its matrices and vectors, and each level
+/// evicts least-recently-used entries until it fits its share of the cache's budget
+/// ([`CACHE_BYTES`] by default, set with [`with_byte_budget`](Self::with_byte_budget)).
+/// An entry larger than its level's whole budget is returned to the caller
+/// uncached and counted as oversized.
 ///
 /// # Sharding and poisoning
 ///
@@ -583,18 +744,6 @@ pub struct SolverCache {
     skeletons: ShardedLru<SkeletonKey, Arc<QbdSkeleton>>,
     solutions: ShardedLru<SolutionKey, Arc<MatrixGeometricSolution>>,
     transforms: ShardedLru<TransformKey, Arc<ResponseTransform>>,
-    skeleton_hits: AtomicU64,
-    skeleton_misses: AtomicU64,
-    solution_hits: AtomicU64,
-    solution_misses: AtomicU64,
-    transform_hits: AtomicU64,
-    transform_misses: AtomicU64,
-    skeleton_evictions: AtomicU64,
-    solution_evictions: AtomicU64,
-    transform_evictions: AtomicU64,
-    skeleton_eviction_age: AtomicU64,
-    solution_eviction_age: AtomicU64,
-    transform_eviction_age: AtomicU64,
 }
 
 impl Default for SolverCache {
@@ -604,43 +753,21 @@ impl Default for SolverCache {
 }
 
 impl SolverCache {
-    /// Creates an empty cache with the default capacities (64 skeletons, 4096
-    /// solutions, 32 response transforms — ample for every sweep in this repository).
+    /// Creates an empty cache with the default budget of [`CACHE_BYTES`] (1 MiB of
+    /// skeletons, 2 MiB of solutions, 1 MiB of response transforms).
     pub fn new() -> Self {
-        SolverCache::with_capacities(DEFAULT_SKELETON_CAPACITY, DEFAULT_SOLUTION_CAPACITY)
+        SolverCache::with_byte_budget(CACHE_BYTES)
     }
 
-    /// Creates an empty cache with explicit LRU capacities (each clamped to at least
-    /// one) for skeletons and solutions respectively.  The response-transform map
-    /// keeps its default capacity; transforms are rebuilt cheaply from cached
-    /// solutions, so a dedicated knob has not been needed.
-    ///
-    /// Each capacity is split across the level's lock shards, so the bound is
-    /// enforced per shard (a level holds at most `capacity` entries, with eviction
-    /// decisions local to each shard).
-    pub fn with_capacities(skeletons: usize, solutions: usize) -> Self {
-        SolverCache::with_layout(skeletons, solutions, DEFAULT_TRANSFORM_CAPACITY, DEFAULT_SHARDS)
-    }
-
-    /// Full layout control: per-level capacities plus the shard count (tests use a
-    /// single shard to pin exact global-LRU eviction order).
-    fn with_layout(skeletons: usize, solutions: usize, transforms: usize, shards: usize) -> Self {
+    /// Creates an empty cache holding at most `bytes` of entries, split across the
+    /// levels as the default is: a quarter for skeletons, half for solutions and a
+    /// quarter for response transforms.  A budget of `0` caches nothing.
+    pub fn with_byte_budget(bytes: usize) -> Self {
+        let [skeletons, solutions, transforms] = level_budgets(bytes);
         SolverCache {
-            skeletons: ShardedLru::new(skeletons, shards),
-            solutions: ShardedLru::new(solutions, shards),
-            transforms: ShardedLru::new(transforms, shards),
-            skeleton_hits: AtomicU64::new(0),
-            skeleton_misses: AtomicU64::new(0),
-            solution_hits: AtomicU64::new(0),
-            solution_misses: AtomicU64::new(0),
-            transform_hits: AtomicU64::new(0),
-            transform_misses: AtomicU64::new(0),
-            skeleton_evictions: AtomicU64::new(0),
-            solution_evictions: AtomicU64::new(0),
-            transform_evictions: AtomicU64::new(0),
-            skeleton_eviction_age: AtomicU64::new(0),
-            solution_eviction_age: AtomicU64::new(0),
-            transform_eviction_age: AtomicU64::new(0),
+            skeletons: ShardedLru::new(skeletons, SHARDS),
+            solutions: ShardedLru::new(solutions, SHARDS),
+            transforms: ShardedLru::new(transforms, SHARDS),
         }
     }
 
@@ -648,14 +775,6 @@ impl SolverCache {
     /// between solvers and threads.
     pub fn shared() -> Arc<Self> {
         Arc::new(SolverCache::new())
-    }
-
-    /// Records an eviction on the given counters, if one happened.
-    fn record_eviction(evictions: &AtomicU64, ages: &AtomicU64, evicted_age: Option<u64>) {
-        if let Some(age) = evicted_age {
-            evictions.fetch_add(1, Ordering::Relaxed);
-            ages.fetch_add(age, Ordering::Relaxed);
-        }
     }
 
     /// Returns the QBD skeleton for the server classes of the configuration, building
@@ -673,14 +792,11 @@ impl SolverCache {
     pub fn skeleton(&self, config: &SystemConfig) -> Result<Arc<QbdSkeleton>> {
         let key = SkeletonKey::new(config)?;
         if let Some(hit) = self.skeletons.get(&key) {
-            self.skeleton_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(hit);
         }
-        self.skeleton_misses.fetch_add(1, Ordering::Relaxed);
-        let built = Arc::new(QbdSkeleton::for_classes(config.classes())?);
-        let (winner, evicted) = self.skeletons.insert_or_get(key, built);
-        Self::record_eviction(&self.skeleton_evictions, &self.skeleton_eviction_age, evicted);
-        Ok(winner)
+        let built = QbdSkeleton::for_classes(config.classes())?;
+        let bytes = built.heap_bytes();
+        Ok(self.skeletons.insert_or_get(key, Arc::new(built), bytes))
     }
 
     /// Looks up a complete solution for the configuration and options.
@@ -689,13 +805,7 @@ impl SolverCache {
         config: &SystemConfig,
         options: &MatrixGeometricOptions,
     ) -> Result<Option<Arc<MatrixGeometricSolution>>> {
-        let key = SolutionKey::new(config, options)?;
-        let found = self.solutions.get(&key);
-        match &found {
-            Some(_) => self.solution_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.solution_misses.fetch_add(1, Ordering::Relaxed),
-        };
-        Ok(found)
+        Ok(self.solutions.get(&SolutionKey::new(config, options)?))
     }
 
     /// Stores a freshly computed solution.
@@ -705,9 +815,8 @@ impl SolverCache {
         options: &MatrixGeometricOptions,
         solution: Arc<MatrixGeometricSolution>,
     ) -> Result<()> {
-        let key = SolutionKey::new(config, options)?;
-        let evicted = self.solutions.insert(key, solution);
-        Self::record_eviction(&self.solution_evictions, &self.solution_eviction_age, evicted);
+        let bytes = solution.heap_bytes();
+        self.solutions.insert_or_get(SolutionKey::new(config, options)?, solution, bytes);
         Ok(())
     }
 
@@ -718,13 +827,7 @@ impl SolverCache {
         options: &MatrixGeometricOptions,
         tail_epsilon: f64,
     ) -> Result<Option<Arc<ResponseTransform>>> {
-        let key = TransformKey::new(config, options, tail_epsilon)?;
-        let found = self.transforms.get(&key);
-        match &found {
-            Some(_) => self.transform_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.transform_misses.fetch_add(1, Ordering::Relaxed),
-        };
-        Ok(found)
+        Ok(self.transforms.get(&TransformKey::new(config, options, tail_epsilon)?))
     }
 
     /// Stores a freshly assembled response-time transform.
@@ -735,30 +838,44 @@ impl SolverCache {
         tail_epsilon: f64,
         transform: Arc<ResponseTransform>,
     ) -> Result<()> {
+        let bytes = transform.heap_bytes();
         let key = TransformKey::new(config, options, tail_epsilon)?;
-        let evicted = self.transforms.insert(key, transform);
-        Self::record_eviction(&self.transform_evictions, &self.transform_eviction_age, evicted);
+        self.transforms.insert_or_get(key, transform, bytes);
         Ok(())
     }
 
-    /// Current hit/miss/eviction counters.
+    /// Current counters and byte occupancy.
     pub fn stats(&self) -> CacheStats {
+        let [skeletons, solutions, transforms] = [
+            self.skeletons.snapshot("skeletons"),
+            self.solutions.snapshot("solutions"),
+            self.transforms.snapshot("transforms"),
+        ];
         CacheStats {
-            skeleton_hits: self.skeleton_hits.load(Ordering::Relaxed),
-            skeleton_misses: self.skeleton_misses.load(Ordering::Relaxed),
-            solution_hits: self.solution_hits.load(Ordering::Relaxed),
-            solution_misses: self.solution_misses.load(Ordering::Relaxed),
-            transform_hits: self.transform_hits.load(Ordering::Relaxed),
-            transform_misses: self.transform_misses.load(Ordering::Relaxed),
-            skeleton_evictions: self.skeleton_evictions.load(Ordering::Relaxed),
-            solution_evictions: self.solution_evictions.load(Ordering::Relaxed),
-            transform_evictions: self.transform_evictions.load(Ordering::Relaxed),
-            skeleton_eviction_age: self.skeleton_eviction_age.load(Ordering::Relaxed),
-            solution_eviction_age: self.solution_eviction_age.load(Ordering::Relaxed),
-            transform_eviction_age: self.transform_eviction_age.load(Ordering::Relaxed),
-            poison_recoveries: self.skeletons.poison_recoveries()
-                + self.solutions.poison_recoveries()
-                + self.transforms.poison_recoveries(),
+            skeleton_hits: skeletons.hits,
+            skeleton_misses: skeletons.misses,
+            solution_hits: solutions.hits,
+            solution_misses: solutions.misses,
+            transform_hits: transforms.hits,
+            transform_misses: transforms.misses,
+            skeleton_evictions: skeletons.evictions,
+            solution_evictions: solutions.evictions,
+            transform_evictions: transforms.evictions,
+            skeleton_eviction_age: skeletons.eviction_age_total,
+            solution_eviction_age: solutions.eviction_age_total,
+            transform_eviction_age: transforms.eviction_age_total,
+            skeleton_oversized: skeletons.oversized,
+            solution_oversized: solutions.oversized,
+            transform_oversized: transforms.oversized,
+            skeleton_bytes: skeletons.bytes,
+            solution_bytes: solutions.bytes,
+            transform_bytes: transforms.bytes,
+            skeleton_budget_bytes: skeletons.budget_bytes,
+            solution_budget_bytes: solutions.budget_bytes,
+            transform_budget_bytes: transforms.budget_bytes,
+            poison_recoveries: self.skeletons.poison_recoveries.load(Ordering::Relaxed)
+                + self.solutions.poison_recoveries.load(Ordering::Relaxed)
+                + self.transforms.poison_recoveries.load(Ordering::Relaxed),
         }
     }
 
@@ -793,6 +910,17 @@ mod tests {
 
     fn config(servers: usize, lambda: f64) -> SystemConfig {
         SystemConfig::new(servers, lambda, 1.0, ServerLifecycle::paper_fitted().unwrap()).unwrap()
+    }
+
+    /// Bytes a paper-lifecycle skeleton of `servers` servers is charged.
+    fn skeleton_bytes(servers: usize) -> usize {
+        let skeleton = QbdSkeleton::for_classes(config(servers, 1.0).classes()).unwrap();
+        skeleton.heap_bytes() + ENTRY_OVERHEAD
+    }
+
+    /// A cache whose skeleton level (a quarter of the total) holds exactly `bytes`.
+    fn with_skeleton_budget(bytes: usize) -> SolverCache {
+        SolverCache::with_byte_budget(4 * bytes)
     }
 
     #[test]
@@ -867,7 +995,7 @@ mod tests {
             .map(|&n| config(n, 1.0 + n as f64 / 10.0))
             .collect();
         let run = || {
-            let cache = SolverCache::with_capacities(3, 4);
+            let cache = with_skeleton_budget(skeleton_bytes(5) + skeleton_bytes(6));
             for cfg in &workload {
                 cache.skeleton(cfg).unwrap();
             }
@@ -875,6 +1003,7 @@ mod tests {
         };
         let (stats_a, len_a) = run();
         let (stats_b, len_b) = run();
+        assert!(stats_a.skeleton_evictions > 0, "the workload must run under eviction pressure");
         assert_eq!(stats_a, stats_b);
         assert_eq!(len_a, len_b);
     }
@@ -904,9 +1033,9 @@ mod tests {
 
     #[test]
     fn lru_evicts_the_least_recently_used_skeleton() {
-        // A single shard pins the exact global-LRU eviction order; with several
-        // shards the order is only approximate (per shard).
-        let cache = SolverCache::with_layout(2, 4, 4, 1);
+        // The budget fits A with either B or C, never all three.  Eviction is by
+        // level-wide recency, whichever shards the keys hash to.
+        let cache = with_skeleton_budget(skeleton_bytes(2) + skeleton_bytes(4));
         let a = config(2, 1.0);
         let b = config(3, 1.0);
         let c = config(4, 1.0);
@@ -925,15 +1054,25 @@ mod tests {
 
     #[test]
     fn lru_capacity_bounds_the_solution_map() {
-        let cache = SolverCache::with_layout(4, 2, 4, 1);
+        // Every N = 3 solution is charged the same bytes; the solution level (half
+        // the total) holds exactly two of them.
         let options = MatrixGeometricOptions::default();
-        for lambda in [1.0, 1.25, 1.5, 1.75, 2.0] {
-            let cfg = config(3, lambda);
-            let solution = MatrixGeometricSolver::default().solve_shared(&cfg).unwrap();
+        let solutions: Vec<_> = [1.0, 1.25, 1.5, 1.75, 2.0]
+            .iter()
+            .map(|&lambda| {
+                let cfg = config(3, lambda);
+                (MatrixGeometricSolver::default().solve_shared(&cfg).unwrap(), cfg)
+            })
+            .collect();
+        let entry = solutions[0].0.heap_bytes() + ENTRY_OVERHEAD;
+        let cache = SolverCache::with_byte_budget(4 * entry);
+        for (solution, cfg) in solutions {
+            assert_eq!(solution.heap_bytes() + ENTRY_OVERHEAD, entry);
             cache.store_solution(&cfg, &options, solution).unwrap();
         }
-        assert_eq!(cache.len().solutions, 2, "solution map must stay at its capacity");
+        assert_eq!(cache.len().solutions, 2, "solution map must stay at its budget");
         assert_eq!(cache.stats().solution_evictions, 3);
+        assert_eq!(cache.stats().solution_bytes, 2 * entry as u64);
     }
 
     #[test]
@@ -974,8 +1113,9 @@ mod tests {
         // shard in every process — eviction behaviour and statistics depend on it.
         let configs: Vec<SystemConfig> =
             (2..10).map(|n| config(n, 1.0 + n as f64 * 0.25)).collect();
-        let first = SolverCache::with_capacities(4, 8);
-        let second = SolverCache::with_capacities(4, 8);
+        let budget = skeleton_bytes(8) + skeleton_bytes(9);
+        let first = with_skeleton_budget(budget);
+        let second = with_skeleton_budget(budget);
         for cfg in &configs {
             first.skeleton(cfg).unwrap();
             second.skeleton(cfg).unwrap();
@@ -986,17 +1126,70 @@ mod tests {
 
     #[test]
     fn sharded_capacity_bounds_the_level() {
-        // 16 distinct skeleton keys against a capacity-4 level: whatever the shard
-        // layout, the level never exceeds its requested capacity by more than the
-        // per-shard rounding slack and evictions account for the remainder.
-        let cache = SolverCache::with_capacities(4, 64);
+        // 16 distinct skeleton keys against a level that holds the four largest:
+        // whatever shards the keys hash to, the level-wide bytes never exceed the
+        // budget, and evictions account for every entry no longer held.
+        let budget: usize = (14..18).map(skeleton_bytes).sum();
+        let cache = with_skeleton_budget(budget);
         for n in 2..18 {
             cache.skeleton(&config(n, 1.0)).unwrap();
+            assert!(cache.stats().skeleton_bytes <= budget as u64, "budget exceeded at N = {n}");
         }
         let stats = cache.stats();
-        assert!(cache.len().skeletons <= 4, "requested capacity must bound the level");
+        assert_eq!(stats.skeleton_budget_bytes, budget as u64);
         assert_eq!(stats.skeleton_evictions + cache.len().skeletons as u64, 16);
         assert!(stats.skeleton_eviction_age > 0, "evictions must report recency ages");
+    }
+
+    #[test]
+    fn every_level_stays_within_its_byte_budget() {
+        // Paper-lifecycle skeletons and solutions for N = 3..20 in a fixed order,
+        // against the default budgets: large-N entries force evictions, and after
+        // every insert each level fits its budget.
+        let cache = SolverCache::shared();
+        let solver = MatrixGeometricSolver::default().with_cache(Arc::clone(&cache));
+        for n in 3..=20 {
+            solver.solve_shared(&config(n, 0.5 * n as f64)).unwrap();
+            let stats = cache.stats();
+            for level in stats.levels() {
+                assert!(
+                    level.bytes <= level.budget_bytes,
+                    "{} over budget at N = {n}",
+                    level.level
+                );
+            }
+        }
+        let stats = cache.stats();
+        assert_eq!(
+            [
+                stats.skeleton_budget_bytes,
+                stats.solution_budget_bytes,
+                stats.transform_budget_bytes
+            ],
+            [1 << 20, 2 << 20, 1 << 20]
+        );
+        assert!(stats.skeleton_evictions > 0 && stats.solution_evictions > 0);
+        assert_eq!(stats.skeleton_oversized + stats.solution_oversized, 0);
+    }
+
+    #[test]
+    fn an_entry_over_its_level_budget_is_returned_but_not_stored() {
+        let small = config(2, 1.0);
+        let large = config(6, 1.0);
+        let cache = with_skeleton_budget(skeleton_bytes(2));
+        cache.skeleton(&small).unwrap();
+        let occupancy = cache.len();
+        let built = cache.skeleton(&large).unwrap();
+        assert_eq!(built.servers(), 6, "the oversized skeleton still reaches its caller");
+        assert_eq!(cache.len(), occupancy, "an oversized entry must not be stored");
+        let stats = cache.stats();
+        assert_eq!((stats.skeleton_misses, stats.skeleton_oversized), (2, 1));
+        assert_eq!(stats.skeleton_evictions, 0, "an oversized entry evicts nothing");
+        // Looking it up again is another miss; the small entry is still a hit.
+        cache.skeleton(&large).unwrap();
+        cache.skeleton(&small).unwrap();
+        let stats = cache.stats();
+        assert_eq!((stats.skeleton_misses, stats.skeleton_hits), (3, 1));
     }
 
     #[test]

@@ -62,7 +62,9 @@ use std::sync::Arc;
 
 use urs_dist::HyperExponential;
 
-use crate::cache::{digest_of, skeleton_digest, CacheOccupancy, CacheStats, SolverCache};
+use crate::cache::{
+    digest_of, push_class_words, skeleton_digest, CacheOccupancy, CacheStats, SolverCache,
+};
 use crate::config::{canonical_bits, ServerClass, ServerLifecycle, SystemConfig};
 use crate::cost::{ClassCostModel, CostModel, CostPoint, CostSweep};
 use crate::error::ModelError;
@@ -145,16 +147,40 @@ pub enum Query {
     Stats,
 }
 
-/// The canonical, hashable identity of a [`Query`] — equal keys mean "same analysis,
-/// answerable by one cache entry".  Derived with the same deterministic FNV-1a hash
-/// that assigns cache shards, so keys are stable across runs and processes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct QueryKey(u64);
+/// The canonical identity of a [`Query`] — equal keys mean "same analysis,
+/// answerable by one cache entry".
+///
+/// The key carries the query's canonical words in full (type tag, skeleton key,
+/// `f64` bit patterns, ranges, each list prefixed by its length), so two distinct
+/// analyses never compare equal.  Its [`digest`](Self::digest) is a deterministic
+/// FNV-1a hash of the words, stable across runs and processes; it may collide and
+/// is used for grouping and display only, never as the identity.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct QueryKey {
+    digest: u64,
+    words: Vec<u64>,
+}
 
 impl QueryKey {
-    /// The digest value.
+    fn new(words: Vec<u64>) -> Self {
+        QueryKey { digest: digest_of(&words), words }
+    }
+
+    /// A key with an arbitrary digest, so a test can give two distinct keys the
+    /// same digest and check that nothing mistakes the digest for the identity.
+    #[doc(hidden)]
+    pub fn with_digest(words: Vec<u64>, digest: u64) -> Self {
+        QueryKey { digest, words }
+    }
+
+    /// The 64-bit digest of the key (for grouping and display; may collide).
     pub fn digest(&self) -> u64 {
-        self.0
+        self.digest
+    }
+
+    /// Heap bytes held by the key's words.
+    pub fn heap_bytes(&self) -> usize {
+        size_of_val(self.words.as_slice())
     }
 }
 
@@ -297,21 +323,19 @@ fn config_to_json(config: &SystemConfig) -> Value {
     ])
 }
 
-/// Hashable identity of one server class, from public accessors only.
-fn class_bits(class: &ServerClass) -> (usize, u64, Vec<u64>, Vec<u64>) {
-    let phase_bits = |dist: &HyperExponential| -> Vec<u64> {
-        dist.weights().iter().chain(dist.rates()).map(|&x| canonical_bits(x)).collect()
-    };
-    (
-        class.count(),
-        canonical_bits(class.service_rate()),
-        phase_bits(class.lifecycle().operative()),
-        phase_bits(class.lifecycle().inoperative()),
-    )
+/// Appends a query's type tag, its configuration's class words and its arrival
+/// rate bits.
+fn push_config_words(words: &mut Vec<u64>, tag: u64, config: &SystemConfig) -> Result<()> {
+    words.push(tag);
+    push_class_words(config.classes(), words)?;
+    words.push(canonical_bits(config.arrival_rate()));
+    Ok(())
 }
 
-fn classes_bits(classes: &[ServerClass]) -> Vec<(usize, u64, Vec<u64>, Vec<u64>)> {
-    classes.iter().map(class_bits).collect()
+/// Appends a length-prefixed list of canonical `f64` bit patterns.
+fn push_f64_words(words: &mut Vec<u64>, values: &[f64]) {
+    words.push(values.len() as u64);
+    words.extend(values.iter().map(|&v| canonical_bits(v)));
 }
 
 impl Query {
@@ -530,52 +554,46 @@ impl Query {
     /// Rejects queries whose configuration admits no sound cache key (non-finite
     /// parameters).
     pub fn canonical_key(&self) -> Result<QueryKey> {
-        let digest = match self {
-            Query::Solve { config } => {
-                digest_of(&(0u8, skeleton_digest(config)?, canonical_bits(config.arrival_rate())))
+        let mut words = Vec::new();
+        match self {
+            Query::Solve { config } => push_config_words(&mut words, 0, config)?,
+            Query::CostSweep { config, cost, min_servers, max_servers } => {
+                push_config_words(&mut words, 1, config)?;
+                words.extend([
+                    canonical_bits(cost.holding_cost()),
+                    canonical_bits(cost.server_cost()),
+                    *min_servers as u64,
+                    *max_servers as u64,
+                ]);
             }
-            Query::CostSweep { config, cost, min_servers, max_servers } => digest_of(&(
-                1u8,
-                skeleton_digest(config)?,
-                canonical_bits(config.arrival_rate()),
-                canonical_bits(cost.holding_cost()),
-                canonical_bits(cost.server_cost()),
-                *min_servers,
-                *max_servers,
-            )),
-            Query::Provisioning { config, min_servers, max_servers } => digest_of(&(
-                2u8,
-                skeleton_digest(config)?,
-                canonical_bits(config.arrival_rate()),
-                *min_servers,
-                *max_servers,
-            )),
-            Query::Percentiles { config, fractions } => digest_of(&(
-                3u8,
-                skeleton_digest(config)?,
-                canonical_bits(config.arrival_rate()),
-                fractions.iter().map(|&f| canonical_bits(f)).collect::<Vec<u64>>(),
-            )),
-            Query::SlaSweep { config, server_counts, fractions } => digest_of(&(
-                4u8,
-                skeleton_digest(config)?,
-                canonical_bits(config.arrival_rate()),
-                server_counts.clone(),
-                fractions.iter().map(|&f| canonical_bits(f)).collect::<Vec<u64>>(),
-            )),
-            Query::MixSearch { arrival_rate, classes, cost, bounds } => digest_of(&(
-                5u8,
-                canonical_bits(*arrival_rate),
-                classes_bits(classes),
-                canonical_bits(cost.holding_cost()),
-                cost.server_costs().iter().map(|&c| canonical_bits(c)).collect::<Vec<u64>>(),
-                bounds.min_servers(),
-                bounds.max_servers(),
-                bounds.budget().map(canonical_bits),
-            )),
-            Query::Stats => digest_of(&6u8),
-        };
-        Ok(QueryKey(digest))
+            Query::Provisioning { config, min_servers, max_servers } => {
+                push_config_words(&mut words, 2, config)?;
+                words.extend([*min_servers as u64, *max_servers as u64]);
+            }
+            Query::Percentiles { config, fractions } => {
+                push_config_words(&mut words, 3, config)?;
+                push_f64_words(&mut words, fractions);
+            }
+            Query::SlaSweep { config, server_counts, fractions } => {
+                push_config_words(&mut words, 4, config)?;
+                words.push(server_counts.len() as u64);
+                words.extend(server_counts.iter().map(|&n| n as u64));
+                push_f64_words(&mut words, fractions);
+            }
+            Query::MixSearch { arrival_rate, classes, cost, bounds } => {
+                words.extend([5, canonical_bits(*arrival_rate)]);
+                push_class_words(classes, &mut words)?;
+                words.push(canonical_bits(cost.holding_cost()));
+                push_f64_words(&mut words, cost.server_costs());
+                words.extend([bounds.min_servers() as u64, bounds.max_servers() as u64]);
+                match bounds.budget() {
+                    Some(budget) => words.extend([1, canonical_bits(budget)]),
+                    None => words.push(0),
+                }
+            }
+            Query::Stats => words.push(6),
+        }
+        Ok(QueryKey::new(words))
     }
 
     /// The skeleton-identity digest used for plan grouping: queries with equal
@@ -588,7 +606,11 @@ impl Query {
             | Query::Provisioning { config, .. }
             | Query::Percentiles { config, .. }
             | Query::SlaSweep { config, .. } => skeleton_digest(config).ok(),
-            Query::MixSearch { classes, .. } => Some(digest_of(&classes_bits(classes))),
+            Query::MixSearch { classes, .. } => {
+                let mut words = Vec::new();
+                push_class_words(classes, &mut words).ok()?;
+                Some(digest_of(&words))
+            }
             Query::Stats => None,
         }
     }
@@ -745,6 +767,9 @@ fn level_stats_to_json(stats: &CacheStats) -> Value {
                     ("hit_rate", Value::Number(level.hit_rate())),
                     ("evictions", Value::Number(level.evictions as f64)),
                     ("mean_eviction_age", Value::Number(level.mean_eviction_age())),
+                    ("oversized", Value::Number(level.oversized as f64)),
+                    ("bytes", Value::Number(level.bytes as f64)),
+                    ("budget_bytes", Value::Number(level.budget_bytes as f64)),
                 ])
             })
             .collect(),
@@ -1222,5 +1247,53 @@ mod tests {
         let rendered = QueryResult::Stats(stats).to_json().serialise();
         assert!(rendered.contains("\"total_hit_rate\""));
         assert!(rendered.contains("\"poison_recoveries\""));
+        let value = Value::parse(&rendered).unwrap();
+        let levels = value.get("levels").and_then(Value::as_array).unwrap();
+        for level in levels {
+            let field = |name: &str| level.get(name).and_then(Value::as_f64).unwrap();
+            assert!(field("bytes") <= field("budget_bytes"), "{rendered}");
+        }
+        let solutions = levels.get(1).unwrap();
+        assert!(solutions.get("bytes").and_then(Value::as_f64).unwrap() > 0.0);
+        assert_eq!(solutions.get("budget_bytes").and_then(Value::as_f64), Some((2 << 20) as f64));
+    }
+
+    #[test]
+    fn a_query_computes_each_entry_once_even_when_the_cache_keeps_nothing() {
+        // With a zero budget nothing is stored, so a second lookup of anything the
+        // query computed would miss again: the engine must hold its handles.
+        let engine =
+            Engine::with_parts(Arc::new(SolverCache::with_byte_budget(0)), ThreadPool::serial());
+        let query = Query::Percentiles { config: paper_config(4, 2.0), fractions: vec![0.5, 0.9] };
+        let QueryResult::Percentiles(report) = engine.execute(&query).unwrap() else {
+            panic!("expected percentiles")
+        };
+        let stats = engine.cache().stats();
+        assert_eq!(
+            (stats.skeleton_misses, stats.solution_misses, stats.transform_misses),
+            (1, 1, 1),
+            "{stats:?}"
+        );
+        assert_eq!(stats.skeleton_hits + stats.solution_hits + stats.transform_hits, 0);
+        assert!(engine.cache().is_empty());
+        // The answer is the one a default cache gives.
+        let QueryResult::Percentiles(reference) = Engine::new().execute(&query).unwrap() else {
+            panic!("expected percentiles")
+        };
+        assert_eq!(report, reference);
+    }
+
+    #[test]
+    fn canonical_keys_carry_the_full_words() {
+        let a = Query::Solve { config: paper_config(4, 2.0) };
+        let b = Query::Solve { config: paper_config(4, 2.5) };
+        let (key_a, key_b) = (a.canonical_key().unwrap(), b.canonical_key().unwrap());
+        // Same length (same skeleton), different final word: the arrival rate.
+        assert_eq!(key_a.words.len(), key_b.words.len());
+        assert_eq!(key_a.words.last(), Some(&2.0f64.to_bits()));
+        assert_eq!(key_a.heap_bytes(), 8 * key_a.words.len());
+        // Equal digests never make distinct keys equal.
+        let forged = QueryKey::with_digest(key_b.words.clone(), key_a.digest());
+        assert_ne!(forged, key_a);
     }
 }

@@ -63,7 +63,7 @@
 //!   Intra-solve parallelism is strictly opt-in (defaults stay serial) and is
 //!   pinned bit-identical across thread counts by the `parallel_equivalence`
 //!   thread-matrix suite.
-//! * [`SolverCache`] — a shared, thread-safe, size-capped LRU cache with three
+//! * [`SolverCache`] — a shared, thread-safe, byte-budgeted LRU cache with three
 //!   levels: λ-independent QBD skeletons, complete matrix-geometric solutions and
 //!   response-time transforms.  [`MatrixGeometricSolver::with_cache`] reuses
 //!   skeletons and memoises solutions; [`SpectralExpansionSolver::with_cache`] and
@@ -72,7 +72,8 @@
 //!   eigensystem: it brackets its decay rate with unpivoted real LUs.)  Each
 //!   level is split into independently locked shards (deterministic FNV-1a shard
 //!   assignment), poisoned shards recover by clearing rather than propagating, and
-//!   [`CacheStats::levels`] reports per-level hit rates and eviction ages.
+//!   [`CacheStats::levels`] reports per-level hit rates, eviction ages and bytes
+//!   held against each level's share of [`CACHE_BYTES`].
 //! * [`Engine`] — the standing query engine over both: parses [`engine::Query`]
 //!   values from a newline-delimited JSON protocol, plans batches so queries with
 //!   the same QBD skeleton share cache entries and one pool fan-out, and executes
@@ -125,7 +126,7 @@ pub mod response;
 pub mod sweeps;
 
 pub use approx::{dominant_eigenvalue, GeometricApproximation, GeometricSolution};
-pub use cache::{CacheLevelStats, CacheOccupancy, CacheStats, SolverCache};
+pub use cache::{CacheLevelStats, CacheOccupancy, CacheStats, SolverCache, CACHE_BYTES};
 pub use config::{ServerClass, ServerLifecycle, SystemConfig};
 pub use cost::{ClassCostModel, CostModel, CostPoint, CostSweep};
 pub use engine::{Engine, Query, QueryResult};

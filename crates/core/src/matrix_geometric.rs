@@ -32,11 +32,11 @@ use urs_linalg::{
     RealBlockTridiagonal, Workspace,
 };
 
-use crate::cache::SolverCache;
+use crate::cache::{allocation_bytes, SolverCache};
 use crate::config::SystemConfig;
 use crate::error::ModelError;
 use crate::parallel::ThreadPool;
-use crate::qbd::QbdMatrices;
+use crate::qbd::{QbdMatrices, QbdSkeleton};
 use crate::solution::{arrival_truncation_stalled, QueueSolution, QueueSolver, MAX_ARRIVAL_LEVELS};
 use crate::Result;
 
@@ -292,7 +292,21 @@ impl MatrixGeometricSolver {
         if let Some(hit) = cache.lookup_solution(config, &self.options)? {
             return Ok(hit);
         }
-        let qbd = QbdMatrices::with_skeleton(cache.skeleton(config)?, config.arrival_rate());
+        self.solve_and_store(config, cache, cache.skeleton(config)?)
+    }
+
+    /// Solves `config` on a skeleton the caller already holds and offers the
+    /// solution to `cache`.  The returned [`Arc`] is the caller's to keep: under a
+    /// tight byte budget the cache may not retain it, so a caller that needs the
+    /// skeleton or solution again within one query holds on to these handles
+    /// rather than looking them up a second time.
+    pub(crate) fn solve_and_store(
+        &self,
+        config: &SystemConfig,
+        cache: &SolverCache,
+        skeleton: Arc<QbdSkeleton>,
+    ) -> Result<Arc<MatrixGeometricSolution>> {
+        let qbd = QbdMatrices::with_skeleton(skeleton, config.arrival_rate());
         let solution = Arc::new(self.solve_qbd(config, &qbd)?);
         cache.store_solution(config, &self.options, Arc::clone(&solution))?;
         Ok(solution)
@@ -500,6 +514,18 @@ impl MatrixGeometricSolution {
     /// configuration.
     pub fn reduction_depth(&self) -> usize {
         self.reduction_depth
+    }
+
+    /// Heap footprint the [`SolverCache`](crate::SolverCache) charges for this
+    /// solution: the struct, the boundary level vectors, `R` and the two tail
+    /// vectors.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        size_of::<Self>()
+            + allocation_bytes(&self.levels)
+            + self.levels.iter().map(|v| allocation_bytes(v)).sum::<usize>()
+            + allocation_bytes(self.rate_matrix.as_slice())
+            + allocation_bytes(&self.tail_weights)
+            + allocation_bytes(&self.tail_marginal)
     }
 
     /// Probability vector of level `j` (computed through `v_N·R^{j−N}` for `j > N`).

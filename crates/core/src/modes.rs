@@ -11,6 +11,7 @@
 use std::collections::BTreeMap;
 use std::ops::Range;
 
+use crate::cache::ALLOCATION_HEADER;
 use crate::config::{binomial, ServerClass, ServerLifecycle};
 use crate::error::ModelError;
 use crate::Result;
@@ -226,6 +227,16 @@ impl ModeSpace {
     /// Number of modes `s`.
     pub fn len(&self) -> usize {
         self.modes.len()
+    }
+
+    /// Estimated heap footprint: each mode and its two occupancy vectors, held
+    /// once in the enumeration and once as a key of the index map, plus the index
+    /// map's slot, counted twice because B-tree nodes run about half full.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let phases = self.operative_phases + self.inoperative_phases;
+        let per_copy = size_of::<Mode>() + phases * size_of::<usize>() + 2 * ALLOCATION_HEADER;
+        let index_slot = 2 * (size_of::<Mode>() + size_of::<usize>());
+        self.modes.len() * (2 * per_copy + index_slot)
     }
 
     /// Returns `true` if the space has no modes (never the case after construction).

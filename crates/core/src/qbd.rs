@@ -32,6 +32,7 @@ use std::sync::Arc;
 
 use urs_linalg::{banded_profitable, BandedMatrix, Matrix};
 
+use crate::cache::allocation_bytes;
 use crate::config::{ServerClass, ServerLifecycle, SystemConfig};
 use crate::modes::{Mode, ModeSpace};
 use crate::{ModelError, Result};
@@ -188,6 +189,19 @@ impl QbdSkeleton {
     /// Number of operational modes `s`.
     pub fn order(&self) -> usize {
         self.modes.len()
+    }
+
+    /// Heap footprint the [`SolverCache`](crate::SolverCache) charges for this
+    /// skeleton: the struct, the mode space, the class list, the dense `A` and the
+    /// diagonal blocks.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        size_of::<Self>()
+            + self.modes.heap_bytes()
+            + allocation_bytes(&self.classes)
+            + allocation_bytes(self.a.as_slice())
+            + allocation_bytes(&self.da)
+            + allocation_bytes(&self.c_levels)
+            + self.c_levels.iter().map(|c| allocation_bytes(c)).sum::<usize>()
     }
 
     /// Number of servers `N`.

@@ -79,7 +79,7 @@ use std::sync::Arc;
 
 use urs_linalg::{symmetric_eigen, Complex, LinalgError, Matrix, Workspace};
 
-use crate::cache::SolverCache;
+use crate::cache::{allocation_bytes, SolverCache};
 use crate::config::SystemConfig;
 use crate::error::ModelError;
 use crate::matrix_geometric::{MatrixGeometricOptions, MatrixGeometricSolver};
@@ -473,6 +473,18 @@ impl ResponseTransform {
         self.arrival_levels.rows()
     }
 
+    /// Heap footprint the [`SolverCache`](crate::SolverCache) charges for this
+    /// transform: the struct, the per-level eigenvalues, transfers, completion
+    /// rates and the projected arrival-state distribution.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        size_of::<Self>()
+            + allocation_bytes(&self.eigenvalues)
+            + allocation_bytes(&self.transfers)
+            + self.transfers.iter().map(|t| allocation_bytes(t.as_slice())).sum::<usize>()
+            + allocation_bytes(&self.completions)
+            + allocation_bytes(self.arrival_levels.as_slice())
+    }
+
     /// Stationary mass beyond the truncation — the bound on the transform error.
     pub fn residual_mass(&self) -> f64 {
         self.residual_mass
@@ -740,36 +752,12 @@ impl ResponseAnalysis {
     ) -> Result<Self> {
         Self::validate_config(config)?;
         options.validate()?;
-        let solver_options = &options.matrix_geometric;
         let transform = match cache {
-            Some(cache) => {
-                if let Some(hit) =
-                    cache.lookup_transform(config, solver_options, options.tail_epsilon)?
-                {
-                    hit
-                } else {
-                    let solver =
-                        MatrixGeometricSolver::new(*solver_options).with_cache(Arc::clone(cache));
-                    let solution = solver.solve_shared(config)?;
-                    let skeleton = cache.skeleton(config)?;
-                    let transform = Arc::new(ResponseTransform::assemble(
-                        &skeleton,
-                        &solution,
-                        options.tail_epsilon,
-                    )?);
-                    cache.store_transform(
-                        config,
-                        solver_options,
-                        options.tail_epsilon,
-                        Arc::clone(&transform),
-                    )?;
-                    transform
-                }
-            }
+            Some(cache) => Self::cached_transform(config, &options, cache)?,
             None => {
                 let qbd = QbdMatrices::new(config)?;
                 let solution =
-                    MatrixGeometricSolver::new(*solver_options).solve_qbd(config, &qbd)?;
+                    MatrixGeometricSolver::new(options.matrix_geometric).solve_qbd(config, &qbd)?;
                 Arc::new(ResponseTransform::assemble(
                     qbd.skeleton(),
                     &solution,
@@ -778,6 +766,33 @@ impl ResponseAnalysis {
             }
         };
         Ok(ResponseAnalysis { transform, options, pool: ThreadPool::serial() })
+    }
+
+    /// The transform for `config` from `cache`, assembled and offered to it on a
+    /// miss.  One lookup per level: the skeleton and solution handles are held for
+    /// the assembly, never fetched again, so even a cache that keeps nothing
+    /// computes each of them once.
+    fn cached_transform(
+        config: &SystemConfig,
+        options: &ResponseOptions,
+        cache: &Arc<SolverCache>,
+    ) -> Result<Arc<ResponseTransform>> {
+        let (solver_options, epsilon) = (&options.matrix_geometric, options.tail_epsilon);
+        if let Some(hit) = cache.lookup_transform(config, solver_options, epsilon)? {
+            return Ok(hit);
+        }
+        let skeleton = cache.skeleton(config)?;
+        let solution = match cache.lookup_solution(config, solver_options)? {
+            Some(hit) => hit,
+            None => MatrixGeometricSolver::new(*solver_options).solve_and_store(
+                config,
+                cache,
+                Arc::clone(&skeleton),
+            )?,
+        };
+        let transform = Arc::new(ResponseTransform::assemble(&skeleton, &solution, epsilon)?);
+        cache.store_transform(config, solver_options, epsilon, Arc::clone(&transform))?;
+        Ok(transform)
     }
 
     /// The assembled transform skeleton (levels kept, residual mass, …).

@@ -3,10 +3,10 @@
 //! one long-lived solver cache.
 //!
 //! The library owns everything that must be **panic-free**: line parsing, batch
-//! assembly, response rendering and the metrics bookkeeping.  The `urs-server`
-//! binary is a thin I/O loop (stdin/stdout or TCP) that feeds batches of raw lines
-//! to [`Server::respond_batch`] and measures wall-clock latency — the only thing
-//! the library cannot do deterministically.
+//! assembly, response rendering, batch writing and the metrics bookkeeping.  The
+//! `urs-server` binary is a thin I/O loop (stdin/stdout or TCP) that feeds batches
+//! of raw lines to [`Server::respond_batch`] and measures wall-clock latency — the
+//! only thing the library cannot do deterministically.
 //!
 //! # Contracts
 //!
@@ -26,9 +26,16 @@
 //! Two cache layers serve a repeated query: the engine's [`SolverCache`]
 //! (skeletons, solutions, transforms) makes *related* queries cheap,
 //! and the server's response memo answers an *exactly repeated* query — keyed by
-//! its canonical parameter digest, so whitespace and key order don't matter — from
-//! the stored bytes of its first response.  Memoisation cannot break replay: the
-//! first rendering is deterministic, and the memo returns those exact bytes.
+//! its full canonical key, so whitespace and key order don't matter and no two
+//! distinct queries can share an entry — from the stored bytes of its first
+//! response.  Memoisation cannot break replay: the first rendering is deterministic,
+//! and the memo returns those exact bytes.  Both layers are byte-budgeted
+//! ([`urs_core::CACHE_BYTES`], [`RESPONSE_MEMO_BYTES`]), so a standing process's
+//! memory stays flat however many distinct queries it answers.
+//!
+//! Responses leave a batch at a time through [`write_batch`]: one write per batch,
+//! so on a socket with Nagle's algorithm off no response line is split across two
+//! segments.
 //!
 //! [`SolverCache`]: urs_core::SolverCache
 
@@ -36,12 +43,12 @@
 #![deny(missing_debug_implementations)]
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{self, BufRead, Read};
+use std::io::{self, BufRead, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use urs_core::engine::json::{self, Value};
-use urs_core::engine::{Query, QueryResult};
+use urs_core::engine::{Query, QueryKey, QueryResult};
 use urs_core::Engine;
 
 /// Upper bound on how many in-flight lines the binary coalesces into one
@@ -81,9 +88,37 @@ pub fn read_bounded_line(reader: &mut impl BufRead) -> io::Result<Option<String>
         .map_err(|error| io::Error::new(io::ErrorKind::InvalidData, error))
 }
 
-/// Rendered responses memoised by canonical query key.  Sized so a steady serving
-/// mix of sweeps and solves stays resident; beyond that the oldest entry is evicted.
-const RESPONSE_MEMO_CAPACITY: usize = 4096;
+/// Byte budget of the response memo: each entry is charged its key's words (held
+/// twice, in the map and in the FIFO order), its response bytes and its
+/// bookkeeping.  The oldest entries are evicted to fit a new one; a response over
+/// the whole budget is not memoised.
+pub const RESPONSE_MEMO_BYTES: usize = 1 << 20;
+
+/// Bytes charged per memo entry beyond its key words and response text: the two
+/// key headers (map and FIFO order) and the string header, one allocator header
+/// (16 bytes) for each of the three allocations, and the map slot again for B-tree
+/// nodes running about half full.
+const MEMO_ENTRY_OVERHEAD: usize = 3 * size_of::<QueryKey>() + 2 * size_of::<String>() + 3 * 16;
+
+/// Writes a batch's responses as one buffer — each response followed by `\n` — with
+/// a single `write_all`, then flushes.
+///
+/// One write per batch is the wire contract: on a socket with Nagle's algorithm
+/// off, a response never waits on the client's delayed ACK of an earlier segment
+/// of itself.  Response bytes are exactly those of writing each line in turn.
+///
+/// # Errors
+///
+/// Propagates the writer's errors (a client that hung up).
+pub fn write_batch(out: &mut impl Write, responses: &[String]) -> io::Result<()> {
+    let mut buffer = Vec::with_capacity(responses.iter().map(|r| r.len() + 1).sum());
+    for response in responses {
+        buffer.extend_from_slice(response.as_bytes());
+        buffer.push(b'\n');
+    }
+    out.write_all(&buffer)?;
+    out.flush()
+}
 
 /// Number of power-of-two latency buckets (bucket `i` holds samples whose
 /// microsecond latency has `i` significant bits, i.e. `[2^(i-1), 2^i)`).
@@ -191,8 +226,10 @@ impl Metrics {
         }
     }
 
-    /// The snapshot as a JSON object (embedded in `stats` responses).
-    pub fn to_json(&self) -> Value {
+    /// The snapshot as a JSON object (embedded in `stats` responses), with
+    /// `memo_bytes` — the bytes the response memo holds — beside the memo's hit
+    /// counters.
+    pub fn to_json(&self, memo_bytes: usize) -> Value {
         let snapshot = self.snapshot();
         let memo_lookups = snapshot.response_hits + snapshot.response_misses;
         let memo_hit_rate = if memo_lookups > 0 {
@@ -210,6 +247,7 @@ impl Metrics {
                     ("hits", Value::Number(snapshot.response_hits as f64)),
                     ("misses", Value::Number(snapshot.response_misses as f64)),
                     ("hit_rate", Value::Number(memo_hit_rate)),
+                    ("bytes", Value::Number(memo_bytes as f64)),
                 ]),
             ),
             (
@@ -224,55 +262,84 @@ impl Metrics {
     }
 }
 
-/// A bounded FIFO memo of rendered response lines, keyed by the query's canonical
-/// parameter digest ([`Query::canonical_key`]).
+/// A byte-budgeted FIFO memo of rendered response lines, keyed by the query's full
+/// canonical key ([`Query::canonical_key`]) — never by its digest alone, so two
+/// distinct queries can never share an answer.
 ///
 /// One mutex guards both the map and the insertion order; the critical section is
 /// a lookup or an insert, so contention is negligible next to the engine work a
 /// miss implies.  A poisoned lock (a panicking thread mid-insert, which the
 /// panic-free contract should make unreachable) is recovered by clearing the memo:
 /// losing memoised responses only costs recomputation, never correctness.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct ResponseMemo {
+    budget: usize,
     inner: Mutex<MemoState>,
 }
 
 #[derive(Debug, Default)]
 struct MemoState {
-    map: BTreeMap<u64, String>,
-    order: VecDeque<u64>,
+    map: BTreeMap<QueryKey, String>,
+    order: VecDeque<QueryKey>,
+    bytes: usize,
+}
+
+impl Default for ResponseMemo {
+    fn default() -> Self {
+        ResponseMemo::with_budget(RESPONSE_MEMO_BYTES)
+    }
 }
 
 impl ResponseMemo {
+    fn with_budget(budget: usize) -> Self {
+        ResponseMemo { budget, inner: Mutex::default() }
+    }
+
+    /// Bytes an entry is charged: its key twice (map and order), the response and
+    /// [`MEMO_ENTRY_OVERHEAD`].
+    fn entry_bytes(key: &QueryKey, response: &str) -> usize {
+        2 * key.heap_bytes() + response.len() + MEMO_ENTRY_OVERHEAD
+    }
+
     fn lock(&self) -> MutexGuard<'_, MemoState> {
         match self.inner.lock() {
             Ok(guard) => guard,
             Err(poison) => {
                 self.inner.clear_poison();
                 let mut guard = poison.into_inner();
-                guard.map.clear();
-                guard.order.clear();
+                *guard = MemoState::default();
                 guard
             }
         }
     }
 
-    fn lookup(&self, key: u64) -> Option<String> {
-        self.lock().map.get(&key).cloned()
+    fn lookup(&self, key: &QueryKey) -> Option<String> {
+        self.lock().map.get(key).cloned()
     }
 
-    fn store(&self, key: u64, response: &str) {
-        let mut state = self.lock();
-        if state.map.contains_key(&key) {
+    fn store(&self, key: &QueryKey, response: &str) {
+        let bytes = Self::entry_bytes(key, response);
+        if bytes > self.budget {
             return;
         }
-        if state.map.len() >= RESPONSE_MEMO_CAPACITY {
-            if let Some(oldest) = state.order.pop_front() {
-                state.map.remove(&oldest);
+        let mut state = self.lock();
+        if state.map.contains_key(key) {
+            return;
+        }
+        while state.bytes + bytes > self.budget {
+            let Some(oldest) = state.order.pop_front() else { break };
+            if let Some(evicted) = state.map.remove(&oldest) {
+                state.bytes -= Self::entry_bytes(&oldest, &evicted);
             }
         }
-        state.map.insert(key, response.to_string());
-        state.order.push_back(key);
+        state.map.insert(key.clone(), response.to_string());
+        state.order.push_back(key.clone());
+        state.bytes += bytes;
+    }
+
+    /// Bytes charged to the memoised entries.
+    fn bytes(&self) -> usize {
+        self.lock().bytes
     }
 }
 
@@ -334,7 +401,7 @@ impl Server {
     /// panics.
     pub fn respond_batch(&self, lines: &[String]) -> Vec<String> {
         let mut responses: Vec<Option<String>> = lines.iter().map(|_| None).collect();
-        let mut pending: Vec<(usize, Query, Option<u64>)> = Vec::with_capacity(lines.len());
+        let mut pending: Vec<(usize, Query, Option<QueryKey>)> = Vec::with_capacity(lines.len());
         for (index, line) in lines.iter().enumerate() {
             let parsed = if line.len() > MAX_LINE_BYTES {
                 Err(format!("line exceeds the {MAX_LINE_BYTES}-byte limit"))
@@ -350,14 +417,10 @@ impl Server {
                     continue;
                 }
             };
-            // `stats` responses are live, never memoised; a query whose key cannot
-            // be digested is simply computed without memoisation.
-            let key = if matches!(query, Query::Stats) {
-                None
-            } else {
-                query.canonical_key().ok().map(|key| key.digest())
-            };
-            if let Some(key) = key {
+            // `stats` responses are live, never memoised; a query with no sound
+            // key is simply computed without memoisation.
+            let key = if matches!(query, Query::Stats) { None } else { query.canonical_key().ok() };
+            if let Some(key) = &key {
                 if let Some(hit) = self.memo.lookup(key) {
                     self.metrics.response_hits.fetch_add(1, Ordering::Relaxed);
                     if let Some(slot) = responses.get_mut(index) {
@@ -376,7 +439,7 @@ impl Server {
                 Ok(result) => {
                     let response = self.render(query, result);
                     if let Some(key) = key {
-                        self.memo.store(*key, &response);
+                        self.memo.store(key, &response);
                     }
                     response
                 }
@@ -401,7 +464,7 @@ impl Server {
         let mut value = result.to_json();
         if matches!(query, Query::Stats) {
             if let Value::Object(members) = &mut value {
-                members.insert("server".to_string(), self.metrics.to_json());
+                members.insert("server".to_string(), self.metrics.to_json(self.memo.bytes()));
             }
         }
         value.serialise()
@@ -520,15 +583,84 @@ mod tests {
         assert_eq!(snapshot.response_misses, 0);
     }
 
+    fn key(word: u64) -> QueryKey {
+        QueryKey::with_digest(vec![word], word)
+    }
+
     #[test]
     fn the_memo_evicts_its_oldest_entry_at_capacity() {
-        let memo = ResponseMemo::default();
-        for key in 0..RESPONSE_MEMO_CAPACITY as u64 + 1 {
-            memo.store(key, "response");
+        // Room for exactly four entries: the fifth store evicts the oldest one.
+        let entry = ResponseMemo::entry_bytes(&key(0), "response");
+        let memo = ResponseMemo::with_budget(4 * entry);
+        for word in 0..5 {
+            memo.store(&key(word), "response");
+            assert!(memo.bytes() <= 4 * entry, "the memo must stay within its budget");
         }
-        assert!(memo.lookup(0).is_none(), "oldest entry should have been evicted");
-        assert!(memo.lookup(1).is_some());
-        assert_eq!(memo.lock().map.len(), RESPONSE_MEMO_CAPACITY);
+        assert!(memo.lookup(&key(0)).is_none(), "oldest entry should have been evicted");
+        assert!(memo.lookup(&key(1)).is_some());
+        assert_eq!(memo.lock().map.len(), 4);
+        assert_eq!(memo.bytes(), 4 * entry);
+        // A response larger than the whole budget is not memoised and evicts nothing.
+        memo.store(&key(9), &"x".repeat(4 * entry));
+        assert!(memo.lookup(&key(9)).is_none());
+        assert_eq!(memo.lock().map.len(), 4);
+    }
+
+    #[test]
+    fn the_memo_keys_on_the_full_key_not_its_digest() {
+        let memo = ResponseMemo::default();
+        let stored = QueryKey::with_digest(vec![0, 1, 2], 7);
+        let colliding = QueryKey::with_digest(vec![0, 1, 3], 7);
+        assert_eq!(stored.digest(), colliding.digest());
+        memo.store(&stored, "first answer");
+        assert_eq!(memo.lookup(&stored).as_deref(), Some("first answer"));
+        assert!(memo.lookup(&colliding).is_none(), "a shared digest must not share an answer");
+    }
+
+    #[test]
+    fn stats_report_the_memo_bytes() {
+        let server = Server::new();
+        let response = server.respond_line(&solve_line(4, 2.0));
+        let stats = json::Value::parse(&server.respond_line("{\"type\":\"stats\"}")).unwrap();
+        let bytes = stats
+            .get("server")
+            .and_then(|s| s.get("response_memo"))
+            .and_then(|m| m.get("bytes"))
+            .and_then(json::Value::as_f64)
+            .expect("response_memo.bytes");
+        let key = Query::parse_line(&solve_line(4, 2.0)).unwrap().canonical_key().unwrap();
+        assert_eq!(bytes as usize, ResponseMemo::entry_bytes(&key, &response));
+    }
+
+    /// A writer that accepts everything and counts its `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_batch_goes_out_in_one_write() {
+        for size in [1, MAX_BATCH] {
+            let responses: Vec<String> = (0..size).map(|i| format!("{{\"n\":{i}}}")).collect();
+            let mut out = CountingWriter::default();
+            write_batch(&mut out, &responses).unwrap();
+            assert_eq!(out.writes, 1, "batch of {size} took {} writes", out.writes);
+            let expected: String = responses.iter().map(|r| format!("{r}\n")).collect();
+            assert_eq!(out.bytes, expected.as_bytes(), "bytes must match line-by-line output");
+        }
     }
 
     #[test]

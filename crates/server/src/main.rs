@@ -14,7 +14,9 @@
 //! boundaries depend on timing — but responses never do (the byte-identical replay
 //! contract of `urs_server`).  `URS_THREADS` bounds the worker pool.  Lines are
 //! read with `urs_server::read_bounded_line`, so an over-long line is never
-//! buffered whole.
+//! buffered whole.  A batch's responses go out in one write
+//! (`urs_server::write_batch`), and TCP connections set `TCP_NODELAY`, so a reply
+//! never waits on the client's delayed ACK.
 
 use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -24,7 +26,7 @@ use std::thread;
 // urs-analyze: allow(wall_clock, reason = "request latency metrics, reporting only; results never depend on the clock")
 use std::time::Instant;
 
-use urs_server::{read_bounded_line, Server, MAX_BATCH};
+use urs_server::{read_bounded_line, write_batch, Server, MAX_BATCH};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -78,6 +80,11 @@ fn serve_tcp(server: &Arc<Server>, addr: &str) {
 }
 
 fn serve_connection(server: &Arc<Server>, stream: TcpStream) {
+    // Each batch is one write, so Nagle's algorithm has nothing to coalesce; left
+    // on, it would hold a reply's tail segment until the client ACKs its head.
+    if stream.set_nodelay(true).is_err() {
+        return;
+    }
     let Ok(reader) = stream.try_clone() else { return };
     let (tx, rx) = std::sync::mpsc::sync_channel(MAX_BATCH * 4);
     spawn_reader(BufReader::new(reader), tx);
@@ -97,7 +104,7 @@ fn spawn_reader<R: Read + Send + 'static>(mut reader: BufReader<R>, tx: SyncSend
 }
 
 /// The serve loop: block for one line, drain whatever else has already arrived
-/// (up to `MAX_BATCH`), answer the batch, flush, repeat.
+/// (up to `MAX_BATCH`), answer the batch, write it in one go, repeat.
 fn pump(server: &Arc<Server>, rx: &Receiver<String>, mut out: impl Write) {
     while let Ok(first) = rx.recv() {
         let mut batch = vec![first];
@@ -112,13 +119,8 @@ fn pump(server: &Arc<Server>, rx: &Receiver<String>, mut out: impl Write) {
         let responses = server.respond_batch(&batch);
         let micros = started.elapsed().as_micros() as u64 / batch.len().max(1) as u64;
         server.metrics().record_latency(micros, batch.len() as u64);
-        for response in &responses {
-            if writeln!(out, "{response}").is_err() {
-                return; // client hung up
-            }
-        }
-        if out.flush().is_err() {
-            return;
+        if write_batch(&mut out, &responses).is_err() {
+            return; // client hung up
         }
     }
 }

@@ -7,9 +7,13 @@
 //! * **Malformed-input robustness** — a fuzz pile of broken lines gets one error
 //!   response each, the process never panics, and queries after garbage still
 //!   answer correctly; so does a line far over the length cap.
+//! * **No delayed-ACK stall** — sequential one-line round trips over TCP answer in
+//!   compute time, not in multiples of the client's delayed-ACK timer.
 
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn spawn_server(threads: &str) -> Child {
     Command::new(env!("CARGO_BIN_EXE_urs-server"))
@@ -180,11 +184,8 @@ fn stats_queries_report_cache_and_latency_metrics() {
     assert!(last.contains("\"p99_micros\""));
 }
 
-#[test]
-fn tcp_mode_answers_over_a_socket() {
-    use std::io::{BufRead, BufReader};
-    use std::net::TcpStream;
-
+/// Starts `urs-server --tcp` on an ephemeral port and returns it with its address.
+fn spawn_tcp_server() -> (Child, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_urs-server"))
         .args(["--tcp", "127.0.0.1:0"])
         .env("URS_THREADS", "1")
@@ -197,7 +198,12 @@ fn tcp_mode_answers_over_a_socket() {
     let mut banner = String::new();
     BufReader::new(stdout).read_line(&mut banner).expect("read listen banner");
     let addr = banner.trim().strip_prefix("listening on ").expect("listen banner").to_string();
+    (child, addr)
+}
 
+#[test]
+fn tcp_mode_answers_over_a_socket() {
+    let (mut child, addr) = spawn_tcp_server();
     let mut stream = TcpStream::connect(&addr).expect("connect to urs-server");
     let good = "{\"type\":\"solve\",\"config\":{\"servers\":3,\"arrival_rate\":1.0,\
                 \"service_rate\":1.0,\"lifecycle\":\"paper\"}}\n";
@@ -213,4 +219,27 @@ fn tcp_mode_answers_over_a_socket() {
 
     child.kill().expect("stop server");
     let _ = child.wait();
+}
+
+#[test]
+fn sequential_tcp_round_trips_do_not_wait_on_delayed_acks() {
+    // One query in flight at a time, the client's Nagle left on: a server that
+    // split a response across two writes would stall each reply on the client's
+    // delayed ACK (~40 ms), i.e. 40 round trips would take well over 1.6 s.
+    let (mut child, addr) = spawn_tcp_server();
+    let mut stream = TcpStream::connect(&addr).expect("connect to urs-server");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let started = Instant::now();
+    for i in 0..40 {
+        let lambda = 0.5 + 0.01 * i as f64;
+        let query = format!("{{\"type\":\"solve\",\"config\":{}}}\n", config(3, lambda, 0));
+        stream.write_all(query.as_bytes()).expect("send query");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read reply");
+        assert!(reply.contains("\"type\":\"solution\""), "unexpected reply: {reply}");
+    }
+    let elapsed = started.elapsed();
+    child.kill().expect("stop server");
+    let _ = child.wait();
+    assert!(elapsed < Duration::from_millis(400), "40 round trips took {elapsed:?}");
 }
