@@ -357,10 +357,11 @@ fn bench_mix(c: &mut Criterion) {
 }
 
 /// The response-time distribution pipeline of `urs_core::response`: building the
-/// transform from a solved model, one certified CDF evaluation (two independent
-/// inversions plus the agreement check), and a certified three-percentile query.
-/// The cached variant re-runs the percentile query against a warm [`SolverCache`],
-/// isolating the cost of inversion itself from the transform assembly it reuses.
+/// absorption chain from a solved model, one certified CDF evaluation (a fresh
+/// cursor stepped to the Poisson window plus its two-sided bound), and a certified
+/// three-percentile query.  The cached variant re-runs the percentile query against
+/// a warm [`SolverCache`], isolating the cost of the stepping itself from the chain
+/// build it reuses.
 fn bench_response(c: &mut Criterion) {
     let mut group = c.benchmark_group("response");
     group.sample_size(10);

@@ -4,7 +4,7 @@
 //! response time but not its distribution (e.g. the 90th percentile) and leaves that
 //! as future work.  This experiment now answers the question twice for the Figure 9
 //! setting (λ = 7.5, fitted lifecycle): **analytically**, via the certified
-//! Laplace-transform inversion of `urs_core::response` (the `percentile_vs_servers`
+//! uniformised absorption chain of `urs_core::response` (the `percentile_vs_servers`
 //! SLA sweep), and **empirically**, via independent simulation replications with 95%
 //! confidence intervals.  Every percentile is printed side by side; if any analytic
 //! value falls outside three half-widths of its simulated interval the run reports
@@ -49,7 +49,7 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
     )?;
 
     print_header(
-        "Response-time percentiles: certified inversion vs simulation (lambda = 7.5)",
+        "Response-time percentiles: certified uniformisation vs simulation (lambda = 7.5)",
         &["N", "W exact", "P90 exact", "P90 sim", "P95 exact", "P95 sim", "P99 exact", "P99 sim"],
     );
     let mut divergences = Vec::new();
@@ -91,7 +91,7 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
     if divergences.is_empty() {
         println!(
             "\nAll analytic percentiles fall inside the simulated 95% intervals; every value \
-             above was additionally certified by the Euler/Talbot agreement check."
+             above was additionally certified by its two-sided CDF bound."
         );
         Ok(ExitCode::SUCCESS)
     } else {

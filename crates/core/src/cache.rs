@@ -13,8 +13,9 @@
 //!    twice (re-running a cost sweep with a different cost model, a percentile query
 //!    after a solve, interactive exploration).  Hits hand out the stored [`Arc`].
 //!
-//! [`SolverCache`] memoises both — plus a third level, the response-time transform
-//! skeletons of [`response`](crate::response) — behind `f64`-bit-exact keys.  Key
+//! [`SolverCache`] memoises both — plus a third level, the `transforms` level, which
+//! holds the response-time absorption chains of [`response`](crate::response) —
+//! behind `f64`-bit-exact keys.  Key
 //! construction normalises signed zero (`-0.0` and `0.0` hash identically) and
 //! rejects non-finite values, so NaN can never be admitted as a silently-unequal
 //! cache key.  The cache is `Sync` — each level is split into independently locked
@@ -75,7 +76,7 @@ use crate::config::{canonical_bits, ServerClass, SystemConfig};
 use crate::error::ModelError;
 use crate::matrix_geometric::{MatrixGeometricOptions, MatrixGeometricSolution};
 use crate::qbd::QbdSkeleton;
-use crate::response::ResponseTransform;
+use crate::response::AbsorptionChain;
 use crate::Result;
 
 /// Byte budget of a default [`SolverCache`]: 1 MiB of skeletons, 2 MiB of solutions
@@ -241,11 +242,11 @@ impl SolutionKey {
     }
 }
 
-/// Key of a cached response-time transform skeleton: the underlying solution key plus
-/// the tail-truncation threshold (the transform stores the arrival-state distribution
+/// Key of a cached response-time absorption chain: the underlying solution key plus
+/// the tail-truncation threshold (the chain stores the arrival-state distribution
 /// truncated at that mass, so different thresholds yield different — if numerically
-/// close — transforms).  The inversion options are deliberately *not* part of the
-/// key: they affect only how the transform is evaluated, never its contents.
+/// close — chains).  The certification tolerances are deliberately *not* part of the
+/// key: they affect only how the chain is evaluated, never its contents.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 struct TransformKey {
     solution: SolutionKey,
@@ -596,11 +597,11 @@ pub struct CacheStats {
     pub solution_hits: u64,
     /// Matrix-geometric solution lookups that had to run the solver.
     pub solution_misses: u64,
-    /// Response-transform lookups answered from the cache: repeated percentile or CDF
+    /// Response-chain lookups answered from the cache: repeated percentile or CDF
     /// queries against the same configuration (an SLA sweep evaluating P90/P95/P99,
-    /// say) skip both the stationary solve and the transform assembly.
+    /// say) skip both the stationary solve and the chain build.
     pub transform_hits: u64,
-    /// Response-transform lookups that had to assemble the transform.
+    /// Response-chain lookups that had to build the chain.
     pub transform_misses: u64,
     /// Skeletons evicted by the LRU policy.
     pub skeleton_evictions: u64,
@@ -618,7 +619,7 @@ pub struct CacheStats {
     pub skeleton_oversized: u64,
     /// Solutions computed but not stored because they exceed the level's budget.
     pub solution_oversized: u64,
-    /// Transforms assembled but not stored because they exceed the level's budget.
+    /// Response chains built but not stored because they exceed the level's budget.
     pub transform_oversized: u64,
     /// Bytes charged to the cached skeletons.
     pub skeleton_bytes: u64,
@@ -743,7 +744,7 @@ impl CacheOccupancy {
 pub struct SolverCache {
     skeletons: ShardedLru<SkeletonKey, Arc<QbdSkeleton>>,
     solutions: ShardedLru<SolutionKey, Arc<MatrixGeometricSolution>>,
-    transforms: ShardedLru<TransformKey, Arc<ResponseTransform>>,
+    transforms: ShardedLru<TransformKey, Arc<AbsorptionChain>>,
 }
 
 impl Default for SolverCache {
@@ -820,27 +821,27 @@ impl SolverCache {
         Ok(())
     }
 
-    /// Looks up a response-time transform for `(config, solver options, tail ε)`.
+    /// Looks up a response-time absorption chain for `(config, solver options, tail ε)`.
     pub(crate) fn lookup_transform(
         &self,
         config: &SystemConfig,
         options: &MatrixGeometricOptions,
         tail_epsilon: f64,
-    ) -> Result<Option<Arc<ResponseTransform>>> {
+    ) -> Result<Option<Arc<AbsorptionChain>>> {
         Ok(self.transforms.get(&TransformKey::new(config, options, tail_epsilon)?))
     }
 
-    /// Stores a freshly assembled response-time transform.
+    /// Stores a freshly built response-time absorption chain.
     pub(crate) fn store_transform(
         &self,
         config: &SystemConfig,
         options: &MatrixGeometricOptions,
         tail_epsilon: f64,
-        transform: Arc<ResponseTransform>,
+        chain: Arc<AbsorptionChain>,
     ) -> Result<()> {
-        let bytes = transform.heap_bytes();
+        let bytes = chain.heap_bytes();
         let key = TransformKey::new(config, options, tail_epsilon)?;
-        self.transforms.insert_or_get(key, transform, bytes);
+        self.transforms.insert_or_get(key, chain, bytes);
         Ok(())
     }
 

@@ -915,8 +915,7 @@ impl Engine {
             }
             Query::Percentiles { config, fractions } => {
                 let analysis =
-                    ResponseAnalysis::with_cache(config, ResponseOptions::default(), &self.cache)?
-                        .with_pool(self.pool.clone());
+                    ResponseAnalysis::with_cache(config, ResponseOptions::default(), &self.cache)?;
                 Ok(QueryResult::Percentiles(PercentileReport {
                     mean_response_time: analysis.mean_response_time(),
                     fractions: fractions.clone(),

@@ -37,18 +37,17 @@ pub enum ModelError {
         /// Iterations performed.
         iterations: usize,
     },
-    /// The two independent Laplace-transform inversion methods (Euler summation and
-    /// fixed Talbot) disagree beyond the declared tolerance, so neither value can be
-    /// certified.  Produced by the runtime accuracy check of
-    /// [`response`](crate::response).
-    InversionDivergence {
-        /// The time point at which the inverted values disagree.
+    /// The two-sided bound on a response-time CDF value is wider than the declared
+    /// tolerance, so the value cannot be certified.  Produced by the runtime
+    /// certification of [`response`](crate::response).
+    BoundViolation {
+        /// The time point at which the bound is too wide.
         time: f64,
-        /// Value produced by Euler summation.
-        euler: f64,
-        /// Value produced by the fixed-Talbot contour.
-        talbot: f64,
-        /// The declared agreement tolerance that was exceeded.
+        /// Lower bound on the CDF at `time`.
+        lower: f64,
+        /// Upper bound on the CDF at `time`.
+        upper: f64,
+        /// The declared tolerance on the bound's width that was exceeded.
         tolerance: f64,
     },
     /// A broken internal invariant that would previously have panicked.  Seeing
@@ -76,10 +75,10 @@ impl fmt::Display for ModelError {
             ModelError::NoConvergence { algorithm, iterations } => {
                 write!(f, "{algorithm} did not converge after {iterations} iterations")
             }
-            ModelError::InversionDivergence { time, euler, talbot, tolerance } => write!(
+            ModelError::BoundViolation { time, lower, upper, tolerance } => write!(
                 f,
-                "transform inversion methods disagree at t = {time}: Euler {euler:.12e} vs \
-                 Talbot {talbot:.12e} exceeds tolerance {tolerance:.3e}"
+                "response-time CDF bounds at t = {time} are [{lower:.12e}, {upper:.12e}], \
+                 wider than tolerance {tolerance:.3e}"
             ),
             ModelError::Internal(invariant) => {
                 write!(f, "internal invariant violated (please report): {invariant}")
@@ -136,9 +135,8 @@ mod tests {
             .contains("missing eigenvalue"));
         let e = ModelError::NoConvergence { algorithm: "R iteration", iterations: 500 };
         assert!(e.to_string().contains("R iteration"));
-        let e =
-            ModelError::InversionDivergence { time: 2.0, euler: 0.5, talbot: 0.6, tolerance: 1e-8 };
-        assert!(e.to_string().contains("disagree"));
+        let e = ModelError::BoundViolation { time: 2.0, lower: 0.5, upper: 0.6, tolerance: 1e-8 };
+        assert!(e.to_string().contains("wider than tolerance"));
     }
 
     #[test]

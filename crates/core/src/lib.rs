@@ -55,8 +55,7 @@
 //!   input order, so parallel sweeps are bit-identical to serial ones.  All sweep
 //!   helpers fan out over it; pass [`ThreadPool::serial`] (or set `URS_THREADS=1`) to
 //!   force the serial path.  The same pool also parallelises *inside* a single
-//!   solve: [`SpectralExpansionSolver::with_pool`] extracts eigenvectors and
-//!   [`response::ResponseAnalysis::with_pool`] evaluates quadrature nodes
+//!   solve: [`SpectralExpansionSolver::with_pool`] extracts eigenvectors
 //!   concurrently, while [`MatrixGeometricSolver::with_pool`] and
 //!   [`TruncatedCtmcSolver::with_pool`] hand the pool to `urs-linalg`'s row-banded
 //!   gemm/LU/right-solve kernels.
@@ -65,7 +64,7 @@
 //!   thread-matrix suite.
 //! * [`SolverCache`] — a shared, thread-safe, byte-budgeted LRU cache with three
 //!   levels: λ-independent QBD skeletons, complete matrix-geometric solutions and
-//!   response-time transforms.  [`MatrixGeometricSolver::with_cache`] reuses
+//!   response-time absorption chains (the `transforms` level).  [`MatrixGeometricSolver::with_cache`] reuses
 //!   skeletons and memoises solutions; [`SpectralExpansionSolver::with_cache`] and
 //!   [`GeometricApproximation::with_cache`] reuse skeletons, so solvers compared on
 //!   one grid build each skeleton once between them.  (The approximation needs no
@@ -140,8 +139,8 @@ pub use parallel::{ThreadPool, WorkerPanic};
 pub use provisioning::{min_servers_for_response_time, ProvisioningPoint, ProvisioningSweep};
 pub use qbd::{QbdMatrices, QbdSkeleton};
 pub use response::{
-    invert_lst, invert_lst_cdf, InversionMethod, InversionOptions, ResponseAnalysis,
-    ResponseOptions, ResponseTransform,
+    invert_lst, invert_lst_cdf, AbsorptionChain, InversionOptions, ResponseAnalysis,
+    ResponseOptions,
 };
 pub use solution::{consistency_violations, QueueSolution, QueueSolver};
 pub use spectral::{SpectralExpansionSolver, SpectralOptions, SpectralSolution};

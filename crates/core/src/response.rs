@@ -1,86 +1,108 @@
-//! Analytic response-time distribution via Laplace-transform inversion.
+//! Analytic response-time distribution by uniformising the tagged customer's
+//! absorption chain.
 //!
 //! Section 5 of the paper stops at the *mean* response time `W = L/λ`; the
 //! distribution — the quantity an SLA is actually written against (P99 of response
 //! time versus fleet size) — is left open, and until this module existed the repository
 //! answered it only by simulation.  The analytic path has three stages:
 //!
-//! 1. **Transform assembly** ([`ResponseTransform`]).  By PASTA, an arriving customer
+//! 1. **The absorption chain** ([`AbsorptionChain`]).  By PASTA, an arriving customer
 //!    sees the stationary state `(mode m, level j)`.  Under FCFS with homogeneous
 //!    servers and preempted jobs resuming in their original queue position, the tagged
-//!    customer's remaining response time depends only on the jobs *ahead* of it, so the
-//!    conditional Laplace–Stieltjes transform `φ_a[m] = E[e^{−sT} | a ahead, mode m]`
-//!    satisfies a first-step recursion on the existing QBD blocks:
+//!    customer's remaining response time depends only on the jobs *ahead* of it, so it
+//!    is the absorption time of a continuous-time chain on `(a ahead, mode m)`:
+//!
+//!    - the mode changes at the rates of `A`, leaving `a` alone;
+//!    - a job ahead departs at rate `C_{min(a, N)}[m]`, moving the chain to `a − 1`;
+//!    - for `a < N` the tagged customer itself completes at rate
+//!      `(C_{a+1} − C_a)[m]` (non-zero exactly when a server is free for it), and the
+//!      chain is absorbed.
+//!
+//!    Equivalently, the conditional Laplace–Stieltjes transform
+//!    `φ_a[m] = E[e^{−sT} | a ahead, mode m]` satisfies the first-step recursion
 //!
 //!    ```text
 //!    (sI + Dᴬ + C_{a+1} − A) φ_a = C_a φ_{a−1} + diag(C_{a+1} − C_a) · 1,   a < N
 //!    (sI + Dᴬ + C_N    − A) φ_a = C_N φ_{a−1},                              a ≥ N
 //!    ```
 //!
-//!    `diag(C_a)` is the departure rate of the jobs ahead of the tagged customer and
-//!    `diag(C_{a+1} − C_a)` the tagged customer's own completion rate (non-zero exactly
-//!    when a server is free for it).  The unconditional transform is
-//!    `W*(s) = Σ_{j,m} π(m,j) φ_j[m]`, truncated where the stationary tail mass drops
-//!    below [`ResponseOptions::tail_epsilon`] (since `|φ| ≤ 1` for `Re s ≥ 0`, the
-//!    truncation error is bounded by that mass).
+//!    The chain starts from the arrival distribution `π(m, j)`, truncated where the
+//!    stationary tail mass drops below [`ResponseOptions::tail_epsilon`].  The jobs
+//!    ahead only ever decrease, so no level above the truncation is ever entered and
+//!    the truncation loses exactly the tail mass, never more.  The chain — its
+//!    per-level transition probabilities and the truncated arrival distribution — is
+//!    immutable and is what [`SolverCache`] memoises for each configuration.
 //!
-//!    **Every resolvent is symmetric in disguise.**  Each server alternates between
-//!    operative and inoperative phases, and the one-server phase chain is a star
-//!    (exponential repair) or a complete bipartite graph with product-form rates
-//!    (hyperexponential periods), so Kolmogorov's criterion makes it reversible.
-//!    Independent servers, and the lumping of exchangeable ones into occupancy counts,
-//!    keep it so: the mode chain `A` satisfies detailed balance `π_i·A_ij = π_j·A_ji`.
-//!    With `W = diag(√π)` every resolvent base is then similar to a real symmetric
-//!    matrix, `W·(Dᴬ + C − A)·W⁻¹ = diag(Dᴬ + C) − S` with `S_ij = √(A_ij·A_ji)`, and
-//!    has a real orthonormal eigenbasis `V` with eigenvalues `λ_k ≥ 0` (it is a
-//!    generator plus a non-negative diagonal).  Assembly computes the weights from
-//!    detailed balance along a spanning tree (an irreversible chain is an error),
-//!    diagonalises the `N` distinct bases once with [`urs_linalg::symmetric_eigen`],
-//!    and rewrites the recursion in the eigen-coordinates `χ_a = Vᵀ·W·φ_a`:
+//! 2. **Uniformisation** (Jensen 1953; Grassmann 1977).  With
+//!    `γ = maxₘ (Dᴬ − Aₘₘ + C_N)[m]` the chain becomes a discrete one stepped at the
+//!    events of a Poisson process of rate `γ`.  One step keeps the fraction
+//!    `1 − (Dᴬ − Aₘₘ + C_{min(a+1,N)})/γ` of each level's mass, moves mass between
+//!    modes through `A`'s off-diagonals `/ γ`, brings mass down from level `a + 1` at
+//!    `C_{min(a+1,N)}/γ`, and absorbs `(C_{a+1} − C_a)/γ` for `a < N`.  With `B_k` the
+//!    mass absorbed within `k` steps,
 //!
 //!    ```text
-//!    χ_a = (sI + Λ_a)⁻¹ · (V_aᵀ C_a V_{a−1} · χ_{a−1} + V_aᵀ W diag(C_{a+1} − C_a) 1)
-//!    W*(s) = Σ_a (V_aᵀ W⁻¹ π_a) · χ_a
+//!    F(t) = Σ_k Pois(k; γt) · B_k,      f(t) = γ · Σ_k Pois(k; γt) · (B_{k+1} − B_k)
 //!    ```
 //!
-//!    The transfer matrices `V_aᵀ C_a V_{a−1}`, the completion vectors and the
-//!    projected arrival levels are real and `s`-independent, so each evaluation costs
-//!    one real [`Matrix::gemm`] per level (real and imaginary parts side by side as a
-//!    2×s block) plus a diagonal complex scaling by `1/(s + λ_k)` — no factorisation
-//!    at any node, and one code path for every model size.
+//!    so one `B` sequence serves every `t` and every percentile fraction.  Every
+//!    term is non-negative, which makes the evaluation **two-sided**: the lower bound
+//!    sums the Poisson weights outward from the mode (Fox & Glynn 1988) until they
+//!    fall below `1e-16`; the upper bound adds the Poisson mass left out (bounded by a
+//!    geometric tail), the stationary mass lost to the truncation and the mass of the
+//!    drained top levels the stepping stopped carrying (each dropped once its mass
+//!    falls below `tail_epsilon / levels`, so at most `tail_epsilon` in all).  A value
+//!    is **certified** when `upper − lower ≤`
+//!    [`agreement_tolerance`](ResponseOptions::agreement_tolerance); a wider bracket
+//!    is the deterministic error [`ModelError::BoundViolation`].  Each query steps a
+//!    private cursor that extends `B` only as far as the Poisson window it needs; the
+//!    stepping is serial, so every value is bit-identical on every pool and
+//!    independent of what the cursor computed before.
 //!
-//! 2. **Numerical inversion** by two *independent* methods: Euler summation on the
-//!    Bromwich line (Abate & Whitt, "Numerical inversion of Laplace transforms of
-//!    probability distributions", ORSA J. Computing 7, 1995) and the fixed-Talbot
-//!    contour (Abate & Valkó, Int. J. Numer. Meth. Eng. 60, 2004).  The two share no
-//!    nodes, no weights and no failure modes, so their agreement — enforced at runtime
-//!    by [`ResponseAnalysis::response_time_cdf`], violations surfacing as
-//!    [`ModelError::InversionDivergence`] — certifies the result instead of trusting
-//!    either method blindly.
+//! 3. **Percentiles** by bracket expansion from the mean plus a safeguarded Newton
+//!    iteration on the lower bound, whose density is a by-product of the same window;
+//!    ascending fractions share one cursor, and each answer is certified by its own
+//!    bracket.
 //!
-//! 3. **Percentiles** by a safeguarded Newton root-find on the inverted CDF: the
-//!    density comes for free from the same transform evaluations as the CDF (the CDF
-//!    inverts `W*(s)/s`, the density inverts `W*(s)` at the identical nodes), so each
-//!    Newton step costs one inversion sweep, and the final answer is re-certified by
-//!    the dual-method check.
+//! **The independent certifier.**  The transform of stage 1 can also be evaluated
+//! directly ([`ResponseAnalysis::lst`]) and inverted by Euler summation on the
+//! Bromwich line (Abate & Whitt, ORSA J. Computing 7, 1995) through the generic
+//! [`invert_lst`] / [`invert_lst_cdf`].  That path shares nothing with the stepping
+//! but the QBD blocks and the arrival distribution, and the test suites hold the
+//! uniformised values to it; the engine never runs it.  It rests on one structural
+//! fact: each server's phase chain is a star (exponential repair) or a complete
+//! bipartite graph with product-form rates (hyperexponential periods), so Kolmogorov's
+//! criterion makes it reversible, and independent servers, lumped into occupancy
+//! counts, keep it so — the mode chain `A` satisfies detailed balance
+//! `π_i·A_ij = π_j·A_ji`.  With `W = diag(√π)` every resolvent base is similar to the
+//! real symmetric `W·(Dᴬ + C − A)·W⁻¹ = diag(Dᴬ + C) − S`, `S_ij = √(A_ij·A_ji)`, with
+//! a real orthonormal eigenbasis `V` and eigenvalues `λ_k ≥ 0`.  The transform
+//! diagonalises the `N` distinct bases once with [`urs_linalg::symmetric_eigen`] and
+//! runs the recursion in the eigen-coordinates `χ_a = Vᵀ·W·φ_a`:
 //!
-//! The generic inverters [`invert_lst`] / [`invert_lst_cdf`] are exposed for arbitrary
-//! transforms; the property-based round-trip suite in `tests/` pins them against the
-//! closed-form distributions of `urs_dist`.
+//! ```text
+//! χ_a = (sI + Λ_a)⁻¹ · (V_aᵀ C_a V_{a−1} · χ_{a−1} + V_aᵀ W diag(C_{a+1} − C_a) 1)
+//! W*(s) = Σ_a (V_aᵀ W⁻¹ π_a) · χ_a
+//! ```
+//!
+//! — one real [`Matrix::gemm`] per level and no factorisation at any node.  It is
+//! assembled on the first [`ResponseAnalysis::lst`] call and kept by that analysis
+//! only.  The property-based round-trip suite in `tests/` pins the Euler inverter against
+//! the closed-form distributions of `urs_dist`.
 //!
 //! Heterogeneous fleets are rejected: with class-dependent service rates the jobs
 //! *behind* the tagged customer influence which server it eventually obtains, the
-//! ahead-count recursion above no longer closes, and the conditioning needs the full
-//! order of the queue.  Extending the transform to that case is tracked in the
+//! ahead-count chain above no longer closes, and the conditioning needs the full
+//! order of the queue.  Extending the analysis to that case is tracked in the
 //! ROADMAP.
 
 use std::f64::consts::PI;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use urs_linalg::{symmetric_eigen, Complex, LinalgError, Matrix, Workspace};
 
 use crate::cache::{allocation_bytes, SolverCache};
-use crate::config::SystemConfig;
+use crate::config::{ServerClass, SystemConfig};
 use crate::error::ModelError;
 use crate::matrix_geometric::{MatrixGeometricOptions, MatrixGeometricSolver};
 use crate::parallel::ThreadPool;
@@ -88,25 +110,7 @@ use crate::qbd::{QbdMatrices, QbdSkeleton};
 use crate::solution::QueueSolution;
 use crate::Result;
 
-/// The numerical Laplace-inversion method to apply.
-///
-/// Both invert the same transform; they are implemented independently so that their
-/// agreement can serve as a runtime accuracy certificate (see
-/// [`ResponseAnalysis::response_time_cdf`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InversionMethod {
-    /// Euler-accelerated trapezoidal discretisation of the Bromwich integral
-    /// (Abate–Whitt).  Nodes lie on a vertical line in the right half-plane, so the
-    /// transform is only ever evaluated where the resolvent is guaranteed
-    /// non-singular; this is the method of record.
-    EulerSummation,
-    /// The fixed-Talbot deformed contour (Abate–Valkó).  Nodes follow a cotangent
-    /// contour that wraps into the left half-plane, giving steep error decay per
-    /// node; used as the independent cross-check.
-    FixedTalbot,
-}
-
-/// Tuning knobs of the two inversion quadratures.
+/// Tuning knobs of the Euler inversion quadrature.
 ///
 /// The defaults reproduce the standard published parameter choices and give roughly
 /// ten significant digits for the smooth, bounded transforms this crate produces;
@@ -120,9 +124,6 @@ pub struct InversionOptions {
     pub euler_burn_in: usize,
     /// Partial sums combined by the binomial (Euler) average.
     pub euler_average: usize,
-    /// Number of Talbot contour nodes `M`; the error decays like `10^{−0.6M}` while
-    /// every singularity of the transform stays inside the contour.
-    pub talbot_nodes: usize,
 }
 
 impl Default for InversionOptions {
@@ -132,7 +133,6 @@ impl Default for InversionOptions {
             euler_decay: 23.025_850_929_940_457,
             euler_burn_in: 21,
             euler_average: 13,
-            talbot_nodes: 36,
         }
     }
 }
@@ -153,26 +153,12 @@ impl InversionOptions {
                 constraint: "at least one partial sum must enter the Euler average",
             });
         }
-        if self.talbot_nodes < 2 {
-            return Err(ModelError::InvalidParameter {
-                name: "talbot_nodes",
-                value: self.talbot_nodes as f64,
-                constraint: "the Talbot contour needs at least 2 nodes",
-            });
-        }
         Ok(())
     }
 
-    /// The quadrature rule of `method` at time `t`: pairs `(sₖ, wₖ)` such that
-    /// `f(t) ≈ Σₖ Re(wₖ · F(sₖ))`.
-    fn quadrature(&self, method: InversionMethod, t: f64) -> Vec<(Complex, Complex)> {
-        match method {
-            InversionMethod::EulerSummation => self.euler_quadrature(t),
-            InversionMethod::FixedTalbot => self.talbot_quadrature(t),
-        }
-    }
-
-    fn euler_quadrature(&self, t: f64) -> Vec<(Complex, Complex)> {
+    /// The Euler quadrature rule at time `t`: pairs `(sₖ, wₖ)` on the Bromwich line
+    /// `Re s = A/(2t)` such that `f(t) ≈ Σₖ Re(wₖ · F(sₖ))`.
+    fn quadrature(&self, t: f64) -> Vec<(Complex, Complex)> {
         let a = self.euler_decay;
         let n = self.euler_burn_in;
         let m = self.euler_average;
@@ -204,26 +190,6 @@ impl InversionOptions {
         }
         nodes
     }
-
-    fn talbot_quadrature(&self, t: f64) -> Vec<(Complex, Complex)> {
-        let m = self.talbot_nodes;
-        let r = 2.0 * m as f64 / (5.0 * t);
-        let mut nodes = Vec::with_capacity(m);
-        // θ = 0: the contour crosses the real axis at s = r with half weight.
-        nodes.push((
-            Complex::from_real(r),
-            Complex::from_real(0.5 * (r / m as f64) * (r * t).exp()),
-        ));
-        for k in 1..m {
-            let theta = k as f64 * PI / m as f64;
-            let cot = theta.cos() / theta.sin();
-            let s = Complex::new(r * theta * cot, r * theta);
-            let sigma = theta + (theta * cot - 1.0) * cot;
-            let weight = (s * t).exp() * Complex::new(1.0, sigma) * (r / m as f64);
-            nodes.push((s, weight));
-        }
-        nodes
-    }
 }
 
 fn validate_time(t: f64) -> Result<()> {
@@ -231,14 +197,15 @@ fn validate_time(t: f64) -> Result<()> {
         return Err(ModelError::InvalidParameter {
             name: "t",
             value: t,
-            constraint: "transform inversion requires a finite time t > 0",
+            constraint: "response-time evaluation requires a finite time t > 0",
         });
     }
     Ok(())
 }
 
-/// Inverts a Laplace transform `F(s) = ∫ e^{−st} f(t) dt` at `t > 0` with the chosen
-/// method, evaluating the transform through the supplied closure.
+/// Inverts a Laplace transform `F(s) = ∫ e^{−st} f(t) dt` at `t > 0` by Euler
+/// summation on the Bromwich line (Abate–Whitt), evaluating the transform through the
+/// supplied closure.
 ///
 /// The closure may fail (a resolvent solve hitting a singular matrix, say); the error
 /// is propagated unchanged.
@@ -247,19 +214,14 @@ fn validate_time(t: f64) -> Result<()> {
 ///
 /// Rejects non-positive or non-finite `t` and invalid options, and propagates
 /// evaluation failures.
-pub fn invert_lst<F>(
-    mut transform: F,
-    t: f64,
-    method: InversionMethod,
-    options: &InversionOptions,
-) -> Result<f64>
+pub fn invert_lst<F>(mut transform: F, t: f64, options: &InversionOptions) -> Result<f64>
 where
     F: FnMut(Complex) -> Result<Complex>,
 {
     validate_time(t)?;
     options.validate()?;
     let mut value = 0.0;
-    for (s, w) in options.quadrature(method, t) {
+    for (s, w) in options.quadrature(t) {
         value += (w * transform(s)?).re;
     }
     Ok(value)
@@ -275,12 +237,7 @@ where
 /// # Errors
 ///
 /// Rejects non-finite `t` and invalid options, and propagates evaluation failures.
-pub fn invert_lst_cdf<F>(
-    mut transform: F,
-    t: f64,
-    method: InversionMethod,
-    options: &InversionOptions,
-) -> Result<f64>
+pub fn invert_lst_cdf<F>(mut transform: F, t: f64, options: &InversionOptions) -> Result<f64>
 where
     F: FnMut(Complex) -> Result<Complex>,
 {
@@ -294,26 +251,25 @@ where
         }
         return Ok(0.0);
     }
-    let raw = invert_lst(|s| Ok(transform(s)? * s.recip()), t, method, options)?;
+    let raw = invert_lst(|s| Ok(transform(s)? * s.recip()), t, options)?;
     Ok(raw.clamp(0.0, 1.0))
 }
 
-/// Options of the response-time analysis: the inversion quadratures, the runtime
-/// certification tolerances, the stationary-tail truncation and the options of the
+/// Options of the response-time analysis: the certification and percentile
+/// tolerances, the stationary-tail truncation and the options of the
 /// matrix-geometric solve that yields the arrival-state distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResponseOptions {
-    /// Quadrature parameters of both inversion methods.
-    pub inversion: InversionOptions,
-    /// Maximum tolerated disagreement between the Euler and Talbot CDF values before
-    /// [`ModelError::InversionDivergence`] is raised.  The default `1e-7` sits three
-    /// orders of magnitude above the methods' own accuracy, so a triggered check
-    /// signals a genuine breakdown rather than roundoff.
+    /// Largest width `upper − lower` of the two-sided CDF bound at which a value is
+    /// certified; a wider bound raises [`ModelError::BoundViolation`].  The width is
+    /// the truncated and dropped mass (at most `2·tail_epsilon`) plus the Poisson
+    /// mass left out of the window (below `1e-15`), so the default `1e-7` leaves
+    /// orders of magnitude of slack at the default `tail_epsilon`.
     pub agreement_tolerance: f64,
     /// Relative width at which the percentile bracket is considered converged.
     pub percentile_tolerance: f64,
     /// Stationary tail mass at which the arrival-state distribution is truncated;
-    /// also the bound on the resulting transform error (|φ| ≤ 1 on `Re s ≥ 0`).
+    /// the truncated mass enters the upper bound of every CDF value.
     pub tail_epsilon: f64,
     /// Options of the matrix-geometric solve producing the stationary distribution.
     pub matrix_geometric: MatrixGeometricOptions,
@@ -322,7 +278,6 @@ pub struct ResponseOptions {
 impl Default for ResponseOptions {
     fn default() -> Self {
         ResponseOptions {
-            inversion: InversionOptions::default(),
             agreement_tolerance: 1e-7,
             percentile_tolerance: 1e-10,
             tail_epsilon: 1e-12,
@@ -333,7 +288,6 @@ impl Default for ResponseOptions {
 
 impl ResponseOptions {
     fn validate(&self) -> Result<()> {
-        self.inversion.validate()?;
         if !(self.agreement_tolerance.is_finite() && self.agreement_tolerance > 0.0) {
             return Err(ModelError::InvalidParameter {
                 name: "agreement_tolerance",
@@ -359,38 +313,61 @@ impl ResponseOptions {
     }
 }
 
-/// The assembled per-configuration transform: the level recursion of the module docs
-/// in the eigenbases of the symmetrised resolvents — eigenvalues per distinct base,
-/// transfer matrices between consecutive bases, completion vectors and the projected
-/// arrival-state distribution, all real.
+/// Poisson weights below this are left out of a window; the mass beyond the cut is
+/// bounded by a geometric tail and added to the upper bound.
+const POISSON_CUTOFF: f64 = 1e-16;
+
+/// Most uniformised steps one evaluation may need (`γt` stays below it), and the
+/// most level-mode updates one cursor may make: a CDF asked for further out, or of a
+/// chain too large to step that far, is a deterministic error, not an unbounded
+/// loop.  Legitimate SLA questions stay far below both (P999 at N = 8, ρ = 0.95
+/// takes ~3,600 steps and ~10⁸ updates).
+const MAX_STEPS: usize = 1 << 20;
+const MAX_UPDATES: u64 = 1 << 32;
+
+/// Below this mode the Poisson weight is computed as a direct product; from it on,
+/// through Stirling's series, whose truncation error is then below `1e-16`.
+const STIRLING_FROM: usize = 64;
+
+/// The tagged customer's absorption chain of one configuration, uniformised (stages 1
+/// and 2 of the module docs): per-level step probabilities, the mode changes gathered
+/// by destination, and the truncated arrival-state distribution.
 ///
-/// Everything here is λ-and-lifecycle-specific but *inversion-independent*, which is
-/// why [`SolverCache`] memoises values of this type: every CDF or percentile query
-/// against the same configuration reuses one assembly.
+/// Immutable and shared: it is what the [`SolverCache`]'s `transforms` level holds,
+/// charged at its real heap size.  Queries step private cursors over it, so it never
+/// grows.
 #[derive(Debug)]
-pub struct ResponseTransform {
+pub struct AbsorptionChain {
     order: usize,
     servers: usize,
     mean_response_time: f64,
-    /// Eigenvalues `λ_k` of the symmetrised base of levels `a = 0..N−1`, `s` per
-    /// level; the last base `Dᴬ + C_N − A` also serves every repeating level.
-    eigenvalues: Vec<f64>,
-    /// Transposed transfer matrices `(V_aᵀ C_a V_{a−1})ᵀ` for `a = 1..N−1`, then the
-    /// repeating-level one `(V_{N−1}ᵀ C_N V_{N−1})ᵀ`.
-    transfers: Vec<Matrix>,
-    /// `V_aᵀ W diag(C_{a+1} − C_a) 1` for `a = 0..N−1`, `s` per level: the tagged
-    /// job's completion rates in eigen-coordinates.
-    completions: Vec<f64>,
-    /// Row `a` is `V_aᵀ W⁻¹ π_a` for each retained level `a`: the truncated
-    /// arrival-state distribution (PASTA) projected onto the level's eigenbasis.
-    arrival_levels: Matrix,
+    /// The uniformisation rate `γ`.
+    rate: f64,
+    /// Per mode, `N` entries for the levels `a = 0..N−1`:
+    /// `1 − (Dᴬ − Aₘₘ + C_{a+1})/γ`, the chance of staying put.  The last entry also
+    /// serves every level above.
+    stay: Vec<f64>,
+    /// Per mode, `C_{a+1}/γ` for `a = 0..N−1`: the chance that a job ahead departs
+    /// and brings mass from level `a + 1` down to `a`.  The last entry also serves
+    /// every level above.
+    down: Vec<f64>,
+    /// Per mode, `(C_{a+1} − C_a)/γ` for `a = 0..N−1`: the chance that the tagged
+    /// customer completes.
+    absorb: Vec<f64>,
+    /// The mode changes `(m, i, A_im/γ)` for every `i ≠ m` moving into `m`,
+    /// ascending in `m`, then in `i`.
+    moves: Vec<(usize, usize, f64)>,
+    /// The truncated arrival-state distribution `π(m, a)`, level-major, `s` per level.
+    arrivals: Vec<f64>,
     residual_mass: f64,
+    /// Largest mass of a drained top level the stepping may drop.
+    drop_mass: f64,
 }
 
-impl ResponseTransform {
-    /// Assembles the transform from a QBD skeleton and any stationary solution of the
-    /// same model (matrix-geometric or spectral).
-    pub(crate) fn assemble(
+impl AbsorptionChain {
+    /// Builds the chain from a QBD skeleton and any stationary solution of the same
+    /// model (matrix-geometric or spectral).
+    pub(crate) fn build(
         skeleton: &QbdSkeleton,
         solution: &dyn QueueSolution,
         tail_epsilon: f64,
@@ -403,6 +380,361 @@ impl ResponseTransform {
                 constraint: "the solution must describe the same mode space as the skeleton",
             });
         }
+        let servers = skeleton.servers();
+        let a = skeleton.a();
+        let rate_of = |i: usize, j: usize| a.get(i, j).unwrap_or(0.0);
+        let outflow: Vec<f64> =
+            skeleton.da().iter().enumerate().map(|(m, d)| d - rate_of(m, m)).collect();
+        let rate = outflow
+            .iter()
+            .zip(skeleton.c())
+            .fold(0.0_f64, |largest, (out, departures)| largest.max(out + departures));
+        if !(rate.is_finite() && rate > 0.0) {
+            return Err(ModelError::Internal("the absorption chain has no positive event rate"));
+        }
+        let departures =
+            |level: usize, m: usize| skeleton.c_level(level).get(m).copied().unwrap_or(0.0);
+        let capacity = order * servers;
+        let (mut stay, mut down, mut absorb) = (
+            Vec::with_capacity(capacity),
+            Vec::with_capacity(capacity),
+            Vec::with_capacity(capacity),
+        );
+        for (m, out) in outflow.iter().enumerate() {
+            for level in 0..servers {
+                let (here, next) = (departures(level, m), departures(level + 1, m));
+                stay.push(1.0 - (out + next) / rate);
+                down.push(next / rate);
+                absorb.push((next - here) / rate);
+            }
+        }
+        let moves = (0..order)
+            .flat_map(|m| (0..order).map(move |i| (m, i)))
+            .filter(|&(m, i)| i != m && rate_of(i, m) > 0.0)
+            .map(|(m, i)| (m, i, rate_of(i, m) / rate))
+            .collect();
+        // Always keep at least one repeating level so the shared repeating rows are
+        // exercised even when the boundary already holds nearly all the mass.
+        let (levels, residual_mass) =
+            solution.arrival_state_distribution(tail_epsilon, servers + 1)?;
+        let drop_mass = tail_epsilon / levels.len() as f64;
+        Ok(AbsorptionChain {
+            order,
+            servers,
+            mean_response_time: solution.mean_response_time(),
+            rate,
+            stay,
+            down,
+            absorb,
+            moves,
+            arrivals: levels.concat(),
+            residual_mass,
+            drop_mass,
+        })
+    }
+
+    /// Number of stationary levels retained by the tail truncation.
+    pub fn truncation_levels(&self) -> usize {
+        self.arrivals.len() / self.order.max(1)
+    }
+
+    /// Stationary mass beyond the truncation; it enters every upper bound.
+    pub fn residual_mass(&self) -> f64 {
+        self.residual_mass
+    }
+
+    /// Mean response time of the underlying solution (Little's law), used to seed
+    /// the percentile bracket.
+    pub fn mean_response_time(&self) -> f64 {
+        self.mean_response_time
+    }
+
+    /// Heap footprint the [`SolverCache`] charges for this chain: the struct, the
+    /// step probabilities, the mode-change lists and the arrival distribution.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        size_of::<Self>()
+            + allocation_bytes(&self.stay)
+            + allocation_bytes(&self.down)
+            + allocation_bytes(&self.absorb)
+            + allocation_bytes(&self.moves)
+            + allocation_bytes(&self.arrivals)
+    }
+
+    /// One uniformised step of the levels `0..top` from `mass` into `next`, both
+    /// mode-major with `levels` entries per mode; returns the mass absorbed by it.
+    ///
+    /// Each pass runs along the levels of one mode, so every term is a contiguous
+    /// multiply-add, and every entry receives its terms in a fixed order: staying
+    /// put, the mode changes (ascending `(to, from)`), arrival from above.
+    fn step(&self, mass: &[f64], next: &mut [f64], levels: usize, top: usize) -> f64 {
+        let servers = self.servers;
+        let span = |m: usize, lo: usize, hi: usize| m * levels + lo..m * levels + hi;
+        // urs-analyze: begin(no_alloc)
+        for (m, stay) in self.stay.chunks_exact(servers).enumerate() {
+            if let (Some(out), Some(here)) =
+                (next.get_mut(span(m, 0, top)), mass.get(span(m, 0, top)))
+            {
+                per_level(out, here, stay, |x, c, y| *x = c * y);
+            }
+        }
+        for &(to, from, p) in &self.moves {
+            if let (Some(out), Some(here)) =
+                (next.get_mut(span(to, 0, top)), mass.get(span(from, 0, top)))
+            {
+                for (x, h) in out.iter_mut().zip(here) {
+                    *x += p * h;
+                }
+            }
+        }
+        // Every level but the top receives mass from the level above it.
+        let below = top - 1;
+        for (m, down) in self.down.chunks_exact(servers).enumerate() {
+            if let (Some(out), Some(above)) =
+                (next.get_mut(span(m, 0, below)), mass.get(span(m, 1, top)))
+            {
+                per_level(out, above, down, |x, c, y| *x += c * y);
+            }
+        }
+        let mut absorbed = 0.0;
+        for level in 0..top.min(servers) {
+            for (row, completions) in
+                mass.chunks_exact(levels).zip(self.absorb.chunks_exact(servers))
+            {
+                if let (Some(x), Some(p)) = (row.get(level), completions.get(level)) {
+                    absorbed += p * x;
+                }
+            }
+        }
+        // urs-analyze: end(no_alloc)
+        absorbed
+    }
+}
+
+/// Applies `apply(out[a], c_a, src[a])` along the levels `a` of one mode, where `c_a`
+/// is entry `a` of `coefficients` (one per level below `N`, the last also serving
+/// every level above).  Splitting the run at `N` up front keeps both loops plain
+/// element-wise passes.
+fn per_level(
+    out: &mut [f64],
+    src: &[f64],
+    coefficients: &[f64],
+    apply: impl Fn(&mut f64, f64, f64),
+) {
+    let (near, far) = out.split_at_mut(coefficients.len().min(out.len()));
+    for ((x, &y), &c) in near.iter_mut().zip(src).zip(coefficients) {
+        apply(x, c, y);
+    }
+    let c = coefficients.last().copied().unwrap_or(0.0);
+    for (x, &y) in far.iter_mut().zip(src.get(near.len()..).unwrap_or_default()) {
+        apply(x, c, y);
+    }
+}
+
+/// Two-sided bounds on the response-time CDF at one `t`, with the density of the
+/// lower bound.
+struct Bounds {
+    lower: f64,
+    upper: f64,
+    density: f64,
+}
+
+/// A query's private walk over an [`AbsorptionChain`]: the level masses after the
+/// steps taken so far and, after each of them, the mass absorbed and the mass
+/// dropped with drained top levels.
+///
+/// It only ever extends, so every value it returns is a function of the chain and the
+/// argument alone, never of what the cursor computed before.
+struct Cursor<'a> {
+    chain: &'a AbsorptionChain,
+    /// Retained levels: `mass` and `next` hold this many entries per mode.
+    levels: usize,
+    mass: Vec<f64>,
+    next: Vec<f64>,
+    /// Levels still carried; the ones above were drained and dropped.
+    top: usize,
+    /// `(B_k, dropped mass)` after `k = 0..` steps.
+    history: Vec<(f64, f64)>,
+    /// Level-mode updates made so far, against [`MAX_UPDATES`].
+    updates: u64,
+    /// Scratch for the Poisson window of one evaluation.
+    weights: Vec<f64>,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(chain: &'a AbsorptionChain) -> Self {
+        let levels = chain.truncation_levels();
+        let mut mass = vec![0.0; chain.arrivals.len()];
+        for (level, probabilities) in chain.arrivals.chunks_exact(chain.order).enumerate() {
+            for (m, p) in probabilities.iter().enumerate() {
+                if let Some(x) = mass.get_mut(m * levels + level) {
+                    *x = *p;
+                }
+            }
+        }
+        let mut cursor = Cursor {
+            chain,
+            levels,
+            next: vec![0.0; mass.len()],
+            mass,
+            top: levels,
+            history: Vec::new(),
+            updates: 0,
+            weights: Vec::new(),
+        };
+        let dropped = cursor.drop_drained(0.0);
+        cursor.history.push((0.0, dropped));
+        cursor
+    }
+
+    /// Drops top levels whose mass fell to `drop_mass`; nothing re-enters them, as
+    /// mass only moves down.  Returns the running dropped mass.
+    fn drop_drained(&mut self, mut dropped: f64) -> f64 {
+        while let Some(level) = self.top.checked_sub(1) {
+            let mass: f64 =
+                self.mass.chunks_exact(self.levels).map(|row| row.get(level).unwrap_or(&0.0)).sum();
+            if mass > self.chain.drop_mass {
+                break;
+            }
+            dropped += mass;
+            self.top = level;
+        }
+        dropped
+    }
+
+    /// Steps until `B_k` is known, or every level has drained (`B` is then constant).
+    fn extend_to(&mut self, k: usize) -> Result<()> {
+        while self.history.len() <= k && self.top > 0 {
+            self.updates += (self.top * self.chain.order) as u64;
+            if self.updates > MAX_UPDATES {
+                return Err(ModelError::NoConvergence {
+                    algorithm: "uniformised absorption stepping",
+                    iterations: self.history.len(),
+                });
+            }
+            let absorbed = self.chain.step(&self.mass, &mut self.next, self.levels, self.top);
+            std::mem::swap(&mut self.mass, &mut self.next);
+            let (total, dropped) = self.history.last().copied().unwrap_or_default();
+            let dropped = self.drop_drained(dropped);
+            self.history.push((total + absorbed, dropped));
+        }
+        Ok(())
+    }
+
+    /// `(B_k, dropped mass)` after `k` steps; past a full drain both stay constant.
+    fn after(&self, k: usize) -> (f64, f64) {
+        self.history.get(k).or(self.history.last()).copied().unwrap_or((0.0, 0.0))
+    }
+
+    /// The two-sided bounds of the module docs at `t > 0`.
+    fn bounds(&mut self, t: f64) -> Result<Bounds> {
+        validate_time(t)?;
+        let x = self.chain.rate * t;
+        if x >= MAX_STEPS as f64 {
+            return Err(ModelError::NoConvergence {
+                algorithm: "uniformised absorption stepping",
+                iterations: MAX_STEPS,
+            });
+        }
+        let (first, omitted) = poisson_window(x, &mut self.weights);
+        let last = first + self.weights.len().saturating_sub(1);
+        self.extend_to(last + 1)?;
+        let (mut lower, mut density) = (0.0, 0.0);
+        for (k, w) in (first..).zip(&self.weights) {
+            let (b, _) = self.after(k);
+            let (b_next, _) = self.after(k + 1);
+            lower += w * b;
+            density += w * (b_next - b);
+        }
+        let (_, dropped) = self.after(last);
+        let upper = lower + omitted + self.chain.residual_mass + dropped;
+        Ok(Bounds { lower, upper, density: self.chain.rate * density })
+    }
+}
+
+/// The Poisson weights `Pois(k; x)` from the mode outward until they fall below
+/// [`POISSON_CUTOFF`], written to `weights` in ascending `k`; returns the first `k`
+/// and a bound on the mass left out on both sides.
+fn poisson_window(x: f64, weights: &mut Vec<f64>) -> (usize, f64) {
+    // x < MAX_STEPS, so the mode fits a usize exactly.
+    let mode = x.floor() as usize;
+    let peak = poisson_mode_weight(x, mode);
+    weights.clear();
+    let (mut k, mut w, mut omitted) = (mode, peak, 0.0);
+    // Left of the mode the ratio p_{j−1}/p_j = j/x falls as j falls, so the mass
+    // below the cut is at most p_{k−1}/(1 − (k−1)/x).
+    while k > 0 {
+        let below = w * k as f64 / x;
+        if below < POISSON_CUTOFF {
+            omitted += below / (1.0 - (k - 1) as f64 / x);
+            break;
+        }
+        weights.push(below);
+        w = below;
+        k -= 1;
+    }
+    let first = k;
+    weights.reverse();
+    weights.push(peak);
+    // Right of the mode p_{j+1}/p_j = x/(j+1) falls too: the mass above the cut is at
+    // most p_{k+1}/(1 − x/(k+2)).
+    let (mut k, mut w) = (mode, peak);
+    loop {
+        let above = w * x / (k + 1) as f64;
+        if above < POISSON_CUTOFF {
+            omitted += above / (1.0 - x / (k + 2) as f64);
+            break;
+        }
+        weights.push(above);
+        w = above;
+        k += 1;
+    }
+    (first, omitted)
+}
+
+/// `Pois(mode; x)` for `mode = ⌊x⌋`, computed in log space for large modes:
+/// `m·ln(1 + δ/m) − δ − ½ln(2πm) − (1/(12m) − 1/(360m³) + 1/(1260m⁵))` with
+/// `δ = x − m`, which never forms the huge `e^{−x}` or `x^m/m!`.
+fn poisson_mode_weight(x: f64, mode: usize) -> f64 {
+    if mode < STIRLING_FROM {
+        return (1..=mode).fold((-x).exp(), |p, k| p * x / k as f64);
+    }
+    let m = mode as f64;
+    let delta = x - m;
+    let inverse = 1.0 / m;
+    let squared = inverse * inverse;
+    let series = inverse * (1.0 / 12.0 - squared * (1.0 / 360.0 - squared / 1260.0));
+    (m * (delta / m).ln_1p() - delta - 0.5 * (2.0 * PI * m).ln() - series).exp()
+}
+
+/// The transform of the module docs in the eigenbases of the symmetrised resolvents —
+/// eigenvalues per distinct base, transfer matrices between consecutive bases,
+/// completion vectors and the projected arrival-state distribution, all real.
+///
+/// The independent certifier's half of the analysis: assembled on the first
+/// [`ResponseAnalysis::lst`] call, never on the percentile path.
+#[derive(Debug)]
+pub(crate) struct ResponseTransform {
+    order: usize,
+    servers: usize,
+    /// Eigenvalues `λ_k` of the symmetrised base of levels `a = 0..N−1`, `s` per
+    /// level; the last base `Dᴬ + C_N − A` also serves every repeating level.
+    eigenvalues: Vec<f64>,
+    /// Transposed transfer matrices `(V_aᵀ C_a V_{a−1})ᵀ` for `a = 1..N−1`, then the
+    /// repeating-level one `(V_{N−1}ᵀ C_N V_{N−1})ᵀ`.
+    transfers: Vec<Matrix>,
+    /// `V_aᵀ W diag(C_{a+1} − C_a) 1` for `a = 0..N−1`, `s` per level: the tagged
+    /// job's completion rates in eigen-coordinates.
+    completions: Vec<f64>,
+    /// Row `a` is `V_aᵀ W⁻¹ π_a` for each retained level `a`: the truncated
+    /// arrival-state distribution (PASTA) projected onto the level's eigenbasis.
+    arrival_levels: Matrix,
+}
+
+impl ResponseTransform {
+    /// Assembles the transform from a QBD skeleton and the truncated arrival-state
+    /// distribution `arrivals` (level-major, `s` per level) of the same model.
+    fn assemble(skeleton: &QbdSkeleton, arrivals: &[f64]) -> Result<Self> {
+        let order = skeleton.order();
         let servers = skeleton.servers();
         let a = skeleton.a();
         let weights = reversible_weights(a)?;
@@ -445,55 +777,21 @@ impl ResponseTransform {
             transfer.gemm(1.0, &left, next, 0.0)?;
             transfers.push(transfer);
         }
-        // Always keep at least one repeating level so the shared repeating transfer is
-        // exercised even when the boundary already holds nearly all the mass.
-        let (levels, residual_mass) =
-            solution.arrival_state_distribution(tail_epsilon, servers + 1)?;
-        let mut arrival_levels = Vec::with_capacity(levels.len() * order);
-        for (level, probabilities) in levels.iter().enumerate() {
+        let mut arrival_levels = Vec::with_capacity(arrivals.len());
+        for (level, probabilities) in arrivals.chunks_exact(order).enumerate() {
             let weighted: Vec<f64> =
                 probabilities.iter().zip(&weights).map(|(p, w)| p / w).collect();
             arrival_levels.extend(basis(level).ok_or_else(missing)?.vecmat(&weighted)?);
         }
-        let arrival_levels = Matrix::from_vec(levels.len(), order, arrival_levels)?;
+        let arrival_levels = Matrix::from_vec(arrivals.len() / order, order, arrival_levels)?;
         Ok(ResponseTransform {
             order,
             servers,
-            mean_response_time: solution.mean_response_time(),
             eigenvalues,
             transfers,
             completions,
             arrival_levels,
-            residual_mass,
         })
-    }
-
-    /// Number of stationary levels retained by the tail truncation.
-    pub fn truncation_levels(&self) -> usize {
-        self.arrival_levels.rows()
-    }
-
-    /// Heap footprint the [`SolverCache`](crate::SolverCache) charges for this
-    /// transform: the struct, the per-level eigenvalues, transfers, completion
-    /// rates and the projected arrival-state distribution.
-    pub(crate) fn heap_bytes(&self) -> usize {
-        size_of::<Self>()
-            + allocation_bytes(&self.eigenvalues)
-            + allocation_bytes(&self.transfers)
-            + self.transfers.iter().map(|t| allocation_bytes(t.as_slice())).sum::<usize>()
-            + allocation_bytes(&self.completions)
-            + allocation_bytes(self.arrival_levels.as_slice())
-    }
-
-    /// Stationary mass beyond the truncation — the bound on the transform error.
-    pub fn residual_mass(&self) -> f64 {
-        self.residual_mass
-    }
-
-    /// Mean response time of the underlying solution (Little's law), used to seed
-    /// the percentile bracket.
-    pub fn mean_response_time(&self) -> f64 {
-        self.mean_response_time
     }
 
     /// Evaluates the unconditional response-time LST `W*(s) = E[e^{−sT}]` with
@@ -509,7 +807,7 @@ impl ResponseTransform {
     ///
     /// [`ModelError::Linalg`] when `s` hits a singularity `s = −λ_k` of a resolvent
     /// (only possible on the negative real axis, which no quadrature node visits).
-    pub fn lst_with(&self, s: Complex, workspace: &mut Workspace) -> Result<Complex> {
+    fn lst_with(&self, s: Complex, workspace: &mut Workspace) -> Result<Complex> {
         let mut inverse = workspace.real_buffer(2 * self.eigenvalues.len());
         let mut chi = workspace.real_matrix(2, self.order);
         let mut next = workspace.real_matrix(2, self.order);
@@ -567,38 +865,6 @@ impl ResponseTransform {
         }
         Ok(total)
     }
-
-    /// The raw (unclamped) CDF and density at `t`, sharing one transform evaluation
-    /// per node: the CDF inverts `W*(s)/s` and the density `W*(s)` at identical
-    /// nodes, so the Newton percentile iteration pays nothing extra for derivatives.
-    ///
-    /// The nodes fan out across `pool`, each evaluated whole by one worker with its
-    /// own workspace, and the weighted values are summed in node order — so the
-    /// result is bit-identical at any thread count.
-    fn cdf_density_at(
-        &self,
-        t: f64,
-        method: InversionMethod,
-        options: &InversionOptions,
-        pool: &ThreadPool,
-    ) -> Result<(f64, f64)> {
-        validate_time(t)?;
-        let nodes = options.quadrature(method, t);
-        let mut values: Vec<Result<Complex>> = vec![Ok(Complex::ZERO); nodes.len()];
-        pool.par_chunks_mut_with(&mut values, 1, Workspace::new, |workspace, index, slot| {
-            if let (Some(value), Some(&(s, _))) = (slot.first_mut(), nodes.get(index)) {
-                *value = self.lst_with(s, workspace);
-            }
-        })?;
-        let mut cdf = 0.0;
-        let mut density = 0.0;
-        for ((s, w), value) in nodes.into_iter().zip(values) {
-            let weighted = w * value?;
-            cdf += (weighted * s.recip()).re;
-            density += weighted.re;
-        }
-        Ok((cdf, density))
-    }
 }
 
 /// The symmetrising weights `w = √π` of the mode chain `A`, normalised to a largest
@@ -650,11 +916,11 @@ fn reversible_weights(a: &Matrix) -> Result<Vec<f64>> {
 
 /// The analytic response-time distribution of one system configuration.
 ///
-/// Construction solves the stationary model once and assembles the
-/// [`ResponseTransform`]; afterwards every query — [`response_time_cdf`], a
+/// Construction solves the stationary model once and builds the
+/// [`AbsorptionChain`]; afterwards every query — [`response_time_cdf`], a
 /// [`response_time_percentile`], the raw [`lst`] — is pure numerics with no further
 /// stationary solves.  Use [`with_cache`] to share both the stationary solution and
-/// the assembled transform across repeated queries and across threads.
+/// the chain across repeated queries and across threads.
 ///
 /// [`response_time_cdf`]: Self::response_time_cdf
 /// [`response_time_percentile`]: Self::response_time_percentile
@@ -662,9 +928,12 @@ fn reversible_weights(a: &Matrix) -> Result<Vec<f64>> {
 /// [`with_cache`]: Self::with_cache
 #[derive(Debug, Clone)]
 pub struct ResponseAnalysis {
-    transform: Arc<ResponseTransform>,
+    chain: Arc<AbsorptionChain>,
     options: ResponseOptions,
-    pool: ThreadPool,
+    /// The fleet, kept to rebuild the skeleton for the transform on demand.
+    classes: Vec<ServerClass>,
+    /// The eigen-basis transform, assembled by the first [`lst`](Self::lst) call.
+    transform: OnceLock<Arc<ResponseTransform>>,
 }
 
 impl ResponseAnalysis {
@@ -673,7 +942,7 @@ impl ResponseAnalysis {
     ///
     /// # Errors
     ///
-    /// Rejects unstable and heterogeneous configurations (the conditional transform
+    /// Rejects unstable and heterogeneous configurations (the absorption chain
     /// requires identical servers; see the module docs) and propagates solver
     /// failures.
     pub fn new(config: &SystemConfig) -> Result<Self> {
@@ -690,7 +959,7 @@ impl ResponseAnalysis {
     }
 
     /// Analyses `config`, publishing (and reusing) the stationary solution *and* the
-    /// assembled transform through `cache`.
+    /// absorption chain through `cache`.
     ///
     /// # Errors
     ///
@@ -719,18 +988,29 @@ impl ResponseAnalysis {
         Self::validate_config(config)?;
         options.validate()?;
         let skeleton = QbdSkeleton::for_classes(config.classes())?;
-        let transform =
-            Arc::new(ResponseTransform::assemble(&skeleton, solution, options.tail_epsilon)?);
-        Ok(ResponseAnalysis { transform, options, pool: ThreadPool::serial() })
+        let chain = Arc::new(AbsorptionChain::build(&skeleton, solution, options.tail_epsilon)?);
+        Ok(Self::around(chain, config, options))
     }
 
-    /// Fans the quadrature nodes of every subsequent CDF, density and percentile
-    /// evaluation out across `pool`.  Each node is evaluated whole by one worker and
-    /// the weighted values are summed in node order, so results are bit-identical to
-    /// the serial analysis at any thread count.
-    pub fn with_pool(mut self, pool: ThreadPool) -> Self {
-        self.pool = pool;
+    /// Accepts a worker pool for API compatibility.  The uniformised stepping is
+    /// serial — which is what makes every value bit-identical on every pool — so
+    /// the pool changes nothing; fan whole analyses out instead, as the SLA sweep
+    /// does with its server counts.
+    pub fn with_pool(self, _pool: ThreadPool) -> Self {
         self
+    }
+
+    fn around(
+        chain: Arc<AbsorptionChain>,
+        config: &SystemConfig,
+        options: ResponseOptions,
+    ) -> Self {
+        ResponseAnalysis {
+            chain,
+            options,
+            classes: config.classes().to_vec(),
+            transform: OnceLock::new(),
+        }
     }
 
     fn validate_config(config: &SystemConfig) -> Result<()> {
@@ -738,7 +1018,7 @@ impl ResponseAnalysis {
             return Err(ModelError::InvalidParameter {
                 name: "classes",
                 value: config.classes().len() as f64,
-                constraint: "the response-time transform requires homogeneous servers \
+                constraint: "the response-time analysis requires homogeneous servers \
                              (heterogeneous conditioning is a tracked follow-up)",
             });
         }
@@ -752,31 +1032,27 @@ impl ResponseAnalysis {
     ) -> Result<Self> {
         Self::validate_config(config)?;
         options.validate()?;
-        let transform = match cache {
-            Some(cache) => Self::cached_transform(config, &options, cache)?,
+        let chain = match cache {
+            Some(cache) => Self::cached_chain(config, &options, cache)?,
             None => {
                 let qbd = QbdMatrices::new(config)?;
                 let solution =
                     MatrixGeometricSolver::new(options.matrix_geometric).solve_qbd(config, &qbd)?;
-                Arc::new(ResponseTransform::assemble(
-                    qbd.skeleton(),
-                    &solution,
-                    options.tail_epsilon,
-                )?)
+                Arc::new(AbsorptionChain::build(qbd.skeleton(), &solution, options.tail_epsilon)?)
             }
         };
-        Ok(ResponseAnalysis { transform, options, pool: ThreadPool::serial() })
+        Ok(Self::around(chain, config, options))
     }
 
-    /// The transform for `config` from `cache`, assembled and offered to it on a
-    /// miss.  One lookup per level: the skeleton and solution handles are held for
-    /// the assembly, never fetched again, so even a cache that keeps nothing
-    /// computes each of them once.
-    fn cached_transform(
+    /// The chain for `config` from `cache`, built and offered to it on a miss.  One
+    /// lookup per level: the skeleton and solution handles are held for the build,
+    /// never fetched again, so even a cache that keeps nothing computes each of them
+    /// once.
+    fn cached_chain(
         config: &SystemConfig,
         options: &ResponseOptions,
         cache: &Arc<SolverCache>,
-    ) -> Result<Arc<ResponseTransform>> {
+    ) -> Result<Arc<AbsorptionChain>> {
         let (solver_options, epsilon) = (&options.matrix_geometric, options.tail_epsilon);
         if let Some(hit) = cache.lookup_transform(config, solver_options, epsilon)? {
             return Ok(hit);
@@ -790,14 +1066,15 @@ impl ResponseAnalysis {
                 Arc::clone(&skeleton),
             )?,
         };
-        let transform = Arc::new(ResponseTransform::assemble(&skeleton, &solution, epsilon)?);
-        cache.store_transform(config, solver_options, epsilon, Arc::clone(&transform))?;
-        Ok(transform)
+        let chain = Arc::new(AbsorptionChain::build(&skeleton, &solution, epsilon)?);
+        cache.store_transform(config, solver_options, epsilon, Arc::clone(&chain))?;
+        Ok(chain)
     }
 
-    /// The assembled transform skeleton (levels kept, residual mass, …).
-    pub fn transform(&self) -> &ResponseTransform {
-        &self.transform
+    /// The absorption chain behind every answer (levels kept, residual mass, …) —
+    /// the object the cache's `transforms` level holds.
+    pub fn transform(&self) -> &AbsorptionChain {
+        &self.chain
     }
 
     /// The options this analysis was built with.
@@ -807,92 +1084,110 @@ impl ResponseAnalysis {
 
     /// Mean response time of the underlying stationary solution (Little's law).
     pub fn mean_response_time(&self) -> f64 {
-        self.transform.mean_response_time()
+        self.chain.mean_response_time()
     }
 
-    /// Evaluates the response-time LST `W*(s) = E[e^{−sT}]` directly.
+    /// Evaluates the response-time LST `W*(s) = E[e^{−sT}]` directly, through the
+    /// eigen-basis transform of the module docs (assembled on the first call and kept
+    /// by this analysis).  Inverting it with [`invert_lst_cdf`] is the independent
+    /// check on the uniformised CDF.
     ///
     /// # Errors
     ///
-    /// Propagates resolvent failures; `s` in the right half-plane always succeeds.
+    /// Propagates the assembly's failures (an irreversible mode chain, an
+    /// eigensolver failure) and resolvent singularities; `s` in the right half-plane
+    /// always evaluates.
     pub fn lst(&self, s: Complex) -> Result<Complex> {
-        self.transform.lst_with(s, &mut Workspace::new())
+        self.eigen_transform()?.lst_with(s, &mut Workspace::new())
     }
 
-    /// The CDF `P(T ≤ t)` of response time, **certified**: both inversion methods are
-    /// evaluated and must agree within
-    /// [`agreement_tolerance`](ResponseOptions::agreement_tolerance).
+    fn eigen_transform(&self) -> Result<&ResponseTransform> {
+        if let Some(transform) = self.transform.get() {
+            return Ok(transform);
+        }
+        let skeleton = QbdSkeleton::for_classes(&self.classes)?;
+        let transform = Arc::new(ResponseTransform::assemble(&skeleton, &self.chain.arrivals)?);
+        // A concurrent caller may have won the race; both assembled the same value.
+        Ok(self.transform.get_or_init(|| transform))
+    }
+
+    /// The CDF `P(T ≤ t)` of response time, **certified**: the lower bound of the
+    /// uniformised evaluation, returned only when the upper bound lies within
+    /// [`agreement_tolerance`](ResponseOptions::agreement_tolerance) of it.
     ///
     /// # Errors
     ///
-    /// [`ModelError::InversionDivergence`] when the methods disagree — the value
-    /// cannot be trusted and no number is returned.  `t ≤ 0` yields 0.
+    /// [`ModelError::BoundViolation`] when the bounds are wider than the tolerance —
+    /// the value cannot be trusted and no number is returned.  `t ≤ 0` yields 0.
     pub fn response_time_cdf(&self, t: f64) -> Result<f64> {
-        if t <= 0.0 {
-            return if t.is_nan() {
-                Err(ModelError::InvalidParameter {
-                    name: "t",
-                    value: t,
-                    constraint: "the CDF argument must not be NaN",
-                })
-            } else {
-                Ok(0.0)
-            };
-        }
-        let (euler, _) = self.raw_cdf(t, InversionMethod::EulerSummation)?;
-        self.certify(t, euler)
-    }
-
-    /// The raw CDF and density at `t` by `method`, on the analysis's pool.
-    fn raw_cdf(&self, t: f64, method: InversionMethod) -> Result<(f64, f64)> {
-        self.transform.cdf_density_at(t, method, &self.options.inversion, &self.pool)
-    }
-
-    /// Cross-checks an already-computed Euler CDF value against a fresh Talbot
-    /// evaluation and returns the certified (clamped) value.
-    fn certify(&self, t: f64, euler: f64) -> Result<f64> {
-        let (talbot, _) = self.raw_cdf(t, InversionMethod::FixedTalbot)?;
-        if (euler - talbot).abs() > self.options.agreement_tolerance {
-            return Err(ModelError::InversionDivergence {
-                time: t,
-                euler,
-                talbot,
-                tolerance: self.options.agreement_tolerance,
-            });
-        }
-        Ok(euler.clamp(0.0, 1.0))
-    }
-
-    /// The CDF by one specific method, uncertified (clamped to `[0, 1]`).  Exposed so
-    /// validation suites can compare the methods individually.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation failures; `t ≤ 0` yields 0.
-    pub fn cdf_with_method(&self, t: f64, method: InversionMethod) -> Result<f64> {
-        if t <= 0.0 {
+        if Self::before_arrival(t)? {
             return Ok(0.0);
         }
-        let (value, _) = self.raw_cdf(t, method)?;
-        Ok(value.clamp(0.0, 1.0))
+        let bounds = Cursor::new(&self.chain).bounds(t)?;
+        self.certify(t, &bounds)
+    }
+
+    /// Two-sided bounds `(lower, upper)` on `P(T ≤ t)`, uncertified and clamped to
+    /// `[0, 1]`: the true CDF lies between them (up to rounding) however wide they
+    /// are.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a NaN `t` and a `t` beyond the stepping budget; `t ≤ 0` yields
+    /// `(0, 0)`.
+    pub fn response_time_cdf_bounds(&self, t: f64) -> Result<(f64, f64)> {
+        if Self::before_arrival(t)? {
+            return Ok((0.0, 0.0));
+        }
+        let bounds = Cursor::new(&self.chain).bounds(t)?;
+        Ok((bounds.lower.clamp(0.0, 1.0), bounds.upper.clamp(0.0, 1.0)))
+    }
+
+    /// `true` for `t ≤ 0`, where the CDF is 0; an error for NaN.
+    fn before_arrival(t: f64) -> Result<bool> {
+        if t.is_nan() {
+            return Err(ModelError::InvalidParameter {
+                name: "t",
+                value: t,
+                constraint: "the CDF argument must not be NaN",
+            });
+        }
+        Ok(t <= 0.0)
+    }
+
+    /// The certified (clamped) lower bound, or the bound violation.
+    fn certify(&self, t: f64, bounds: &Bounds) -> Result<f64> {
+        let tolerance = self.options.agreement_tolerance;
+        let width = bounds.upper - bounds.lower;
+        if width.is_nan() || width > tolerance {
+            return Err(ModelError::BoundViolation {
+                time: t,
+                lower: bounds.lower,
+                upper: bounds.upper,
+                tolerance,
+            });
+        }
+        Ok(bounds.lower.clamp(0.0, 1.0))
     }
 
     /// The `fraction`-percentile of response time (`fraction = 0.99` for P99): the
-    /// root of `P(T ≤ t) = fraction`, located by bracket expansion from the mean plus
-    /// a safeguarded Newton iteration (the density is a free by-product of each CDF
-    /// sweep), and certified by the dual-method check at the final point.
+    /// root of `P(T ≤ t) = fraction` on the lower bound, located by bracket
+    /// expansion from the mean plus a safeguarded Newton iteration (the density is a
+    /// by-product of each evaluation), and certified by the bounds at the answer.
     ///
     /// # Errors
     ///
     /// Rejects fractions outside `(0, 1)`; propagates
-    /// [`ModelError::InversionDivergence`] from the final certification and
-    /// [`ModelError::NoConvergence`] if bracketing or refinement stalls.
+    /// [`ModelError::BoundViolation`] from the final certification and
+    /// [`ModelError::NoConvergence`] if bracketing or refinement stalls or the
+    /// answer lies beyond the stepping budget.
     pub fn response_time_percentile(&self, fraction: f64) -> Result<f64> {
-        self.percentile_with(fraction, None)
+        self.percentile_with(fraction, None, &mut Cursor::new(&self.chain))
     }
 
     /// Several percentiles in one call, ascending ones warm-starting from their
-    /// predecessors; results are returned in the order of `fractions`.
+    /// predecessors and sharing one cursor; results are returned in the order of
+    /// `fractions`.
     ///
     /// # Errors
     ///
@@ -902,8 +1197,9 @@ impl ResponseAnalysis {
         order.sort_by(|a, b| a.1.total_cmp(&b.1));
         let mut results = vec![0.0; fractions.len()];
         let mut warm: Option<(f64, f64)> = None;
+        let mut cursor = Cursor::new(&self.chain);
         for &(index, fraction) in &order {
-            let t = self.percentile_with(fraction, warm)?;
+            let t = self.percentile_with(fraction, warm, &mut cursor)?;
             if let Some(slot) = results.get_mut(index) {
                 *slot = t;
             }
@@ -912,7 +1208,12 @@ impl ResponseAnalysis {
         Ok(results)
     }
 
-    fn percentile_with(&self, fraction: f64, warm: Option<(f64, f64)>) -> Result<f64> {
+    fn percentile_with(
+        &self,
+        fraction: f64,
+        warm: Option<(f64, f64)>,
+        cursor: &mut Cursor<'_>,
+    ) -> Result<f64> {
         if !(fraction > 0.0 && fraction < 1.0) {
             return Err(ModelError::InvalidParameter {
                 name: "fraction",
@@ -920,25 +1221,23 @@ impl ResponseAnalysis {
                 constraint: "percentile fractions must lie strictly between 0 and 1",
             });
         }
-        let raw_cdf = |t: f64| self.raw_cdf(t, InversionMethod::EulerSummation);
         // Bracket the root, starting from the warm point (a lower percentile of the
         // same distribution) or the mean response time.
         let (mut lo, mut f_lo) = match warm {
             Some((t, f)) if f < fraction && t > 0.0 => (t, f),
             _ => (0.0, 0.0),
         };
-        let mut hi = if lo > 0.0 { lo * 1.5 } else { self.transform.mean_response_time() };
+        let mut hi = if lo > 0.0 { lo * 1.5 } else { self.chain.mean_response_time() };
         if hi.is_nan() || hi <= 0.0 {
             hi = 1.0;
         }
-        let (mut f_hi, _) = raw_cdf(hi)?;
+        let mut f_hi = cursor.bounds(hi)?.lower;
         let mut expansions = 0usize;
         while f_hi < fraction {
             lo = hi;
             f_lo = f_hi;
             hi *= 2.0;
-            let (value, _) = raw_cdf(hi)?;
-            f_hi = value;
+            f_hi = cursor.bounds(hi)?.lower;
             expansions += 1;
             if expansions > 200 {
                 return Err(ModelError::NoConvergence {
@@ -947,9 +1246,9 @@ impl ResponseAnalysis {
                 });
             }
         }
-        // Safeguarded Newton: each iteration costs one Euler sweep yielding both the
-        // CDF value and the density, and the bracket guarantees progress when the
-        // Newton step misbehaves.
+        // Safeguarded Newton: each iteration costs one window of the lower bound,
+        // yielding both its value and its density, and the bracket guarantees
+        // progress when the Newton step misbehaves.
         let tolerance = self.options.percentile_tolerance;
         let span = f_hi - f_lo;
         let mut x = if span > 0.0 {
@@ -957,36 +1256,31 @@ impl ResponseAnalysis {
         } else {
             0.5 * (lo + hi)
         };
-        let mut converged = false;
         for _ in 0..128 {
-            let (f, density) = raw_cdf(x)?;
+            let bounds = cursor.bounds(x)?;
+            let f = bounds.lower;
             if f >= fraction {
                 hi = x;
             } else {
                 lo = x;
             }
             if (f - fraction).abs() <= 1e-13 || hi - lo <= tolerance * hi.max(tolerance) {
-                converged = true;
-                break;
+                // Certify the answer: its bracket must be narrow (and the clamp
+                // cannot move an interior CDF value).
+                self.certify(x, &bounds)?;
+                return Ok(x);
             }
-            let newton = x - (f - fraction) / density;
-            x = if density > 0.0 && newton.is_finite() && newton > lo && newton < hi {
+            let newton = x - (f - fraction) / bounds.density;
+            x = if bounds.density > 0.0 && newton.is_finite() && newton > lo && newton < hi {
                 newton
             } else {
                 0.5 * (lo + hi)
             };
         }
-        if !converged {
-            return Err(ModelError::NoConvergence {
-                algorithm: "percentile Newton refinement",
-                iterations: 128,
-            });
-        }
-        // Certify the answer: the Euler value at x must survive the Talbot
-        // cross-check (and the clamp cannot move an interior CDF value).
-        let (euler, _) = raw_cdf(x)?;
-        self.certify(x, euler)?;
-        Ok(x)
+        Err(ModelError::NoConvergence {
+            algorithm: "percentile Newton refinement",
+            iterations: 128,
+        })
     }
 }
 
@@ -997,35 +1291,27 @@ mod tests {
     use crate::solution::QueueSolver;
     use crate::spectral::SpectralExpansionSolver;
 
-    const METHODS: [InversionMethod; 2] =
-        [InversionMethod::EulerSummation, InversionMethod::FixedTalbot];
-
     /// A lifecycle so reliable (breakdown rate 1e-9, repair rate 1e3) that the model
     /// is an M/M/N queue to within ~1e-12.
     fn no_breakdown() -> ServerLifecycle {
         ServerLifecycle::exponential(1e-9, 1e3).unwrap()
     }
 
+    /// The Euler inversion of the eigen-basis transform: the independent certifier.
+    fn euler_cdf(analysis: &ResponseAnalysis, t: f64) -> f64 {
+        invert_lst_cdf(|s| analysis.lst(s), t, &InversionOptions::default()).unwrap()
+    }
+
     #[test]
-    fn both_methods_invert_an_exponential_transform() {
+    fn euler_inverts_an_exponential_transform() {
         let options = InversionOptions::default();
-        for method in METHODS {
-            for t in [0.1, 0.5, 1.0, 2.5, 7.0] {
-                // f(t) = e^{-t}  ⇔  F(s) = 1/(s+1).
-                let inverted = invert_lst(|s| Ok((s + 1.0).recip()), t, method, &options).unwrap();
-                assert!(
-                    (inverted - (-t).exp()).abs() < 1e-9,
-                    "{method:?} at t={t}: {inverted} vs {}",
-                    (-t).exp()
-                );
-                // LST of Exp(2): E[e^{-sX}] = 2/(s+2); CDF 1 - e^{-2t}.
-                let cdf =
-                    invert_lst_cdf(|s| Ok((s + 2.0).recip() * 2.0), t, method, &options).unwrap();
-                assert!(
-                    (cdf - (1.0 - (-2.0 * t).exp())).abs() < 1e-9,
-                    "{method:?} CDF at t={t}: {cdf}"
-                );
-            }
+        for t in [0.1, 0.5, 1.0, 2.5, 7.0] {
+            // f(t) = e^{-t}  ⇔  F(s) = 1/(s+1).
+            let inverted = invert_lst(|s| Ok((s + 1.0).recip()), t, &options).unwrap();
+            assert!((inverted - (-t).exp()).abs() < 1e-9, "at t={t}: {inverted} vs {}", (-t).exp());
+            // LST of Exp(2): E[e^{-sX}] = 2/(s+2); CDF 1 - e^{-2t}.
+            let cdf = invert_lst_cdf(|s| Ok((s + 2.0).recip() * 2.0), t, &options).unwrap();
+            assert!((cdf - (1.0 - (-2.0 * t).exp())).abs() < 1e-9, "CDF at t={t}: {cdf}");
         }
     }
 
@@ -1033,18 +1319,15 @@ mod tests {
     fn inverter_rejects_bad_arguments() {
         let ok = |s: Complex| -> Result<Complex> { Ok(s.recip()) };
         let options = InversionOptions::default();
-        assert!(invert_lst(ok, 0.0, InversionMethod::EulerSummation, &options).is_err());
-        assert!(invert_lst(ok, -1.0, InversionMethod::FixedTalbot, &options).is_err());
-        assert!(invert_lst(ok, f64::NAN, InversionMethod::EulerSummation, &options).is_err());
-        assert_eq!(
-            invert_lst_cdf(ok, -1.0, InversionMethod::EulerSummation, &options).unwrap(),
-            0.0
-        );
-        assert!(invert_lst_cdf(ok, f64::NAN, InversionMethod::EulerSummation, &options).is_err());
-        let bad = InversionOptions { talbot_nodes: 1, ..Default::default() };
-        assert!(invert_lst(ok, 1.0, InversionMethod::FixedTalbot, &bad).is_err());
+        assert!(invert_lst(ok, 0.0, &options).is_err());
+        assert!(invert_lst(ok, -1.0, &options).is_err());
+        assert!(invert_lst(ok, f64::NAN, &options).is_err());
+        assert_eq!(invert_lst_cdf(ok, -1.0, &options).unwrap(), 0.0);
+        assert!(invert_lst_cdf(ok, f64::NAN, &options).is_err());
+        let bad = InversionOptions { euler_average: 0, ..Default::default() };
+        assert!(invert_lst(ok, 1.0, &bad).is_err());
         let bad = InversionOptions { euler_decay: f64::INFINITY, ..Default::default() };
-        assert!(invert_lst(ok, 1.0, InversionMethod::EulerSummation, &bad).is_err());
+        assert!(invert_lst(ok, 1.0, &bad).is_err());
     }
 
     #[test]
@@ -1052,7 +1335,7 @@ mod tests {
         let failing = |_s: Complex| -> Result<Complex> {
             Err(ModelError::SpectralFailure("deliberate".into()))
         };
-        let err = invert_lst(failing, 1.0, InversionMethod::EulerSummation, &Default::default());
+        let err = invert_lst(failing, 1.0, &Default::default());
         assert!(matches!(err, Err(ModelError::SpectralFailure(_))));
     }
 
@@ -1064,13 +1347,10 @@ mod tests {
         let rate: f64 = 1.0 - 0.6;
         for t in [0.25f64, 0.5, 1.0, 2.0, 5.0, 10.0] {
             let exact = 1.0 - (-rate * t).exp();
-            for method in METHODS {
-                let value = analysis.cdf_with_method(t, method).unwrap();
-                assert!((value - exact).abs() < 1e-8, "{method:?} at t={t}: {value} vs {exact}");
-            }
-            // The certified path agrees too (and does not divergence-error).
             let certified = analysis.response_time_cdf(t).unwrap();
-            assert!((certified - exact).abs() < 1e-8);
+            assert!((certified - exact).abs() < 1e-8, "at t={t}: {certified} vs {exact}");
+            let euler = euler_cdf(&analysis, t);
+            assert!((euler - exact).abs() < 1e-8, "Euler at t={t}: {euler} vs {exact}");
         }
         for p in [0.5f64, 0.9, 0.99] {
             let exact = -(1.0 - p).ln() / rate;
@@ -1111,10 +1391,11 @@ mod tests {
         let analysis = ResponseAnalysis::new(&config).unwrap();
         for t in [0.2, 0.5, 1.0, 2.0, 4.0, 8.0] {
             let exact = mmc_response_cdf(servers, lambda, mu, t);
-            for method in METHODS {
-                let value = analysis.cdf_with_method(t, method).unwrap();
-                assert!((value - exact).abs() < 1e-8, "{method:?} at t={t}: {value} vs {exact}");
-            }
+            let (lower, upper) = analysis.response_time_cdf_bounds(t).unwrap();
+            assert!(lower - 1e-12 <= exact && exact <= upper + 1e-12, "at t={t}: {exact}");
+            assert!((lower - exact).abs() < 1e-8, "at t={t}: {lower} vs {exact}");
+            let euler = euler_cdf(&analysis, t);
+            assert!((euler - exact).abs() < 1e-8, "Euler at t={t}: {euler} vs {exact}");
         }
         // Percentiles: invert the closed form by bisection to 1e-13 and compare.
         for p in [0.5, 0.9, 0.95, 0.99] {
@@ -1238,8 +1519,10 @@ mod tests {
         assert_eq!(stats.transform_misses, 1);
         assert_eq!(stats.transform_hits, 1);
         assert_eq!(cache.len().transforms, 1);
-        assert!(Arc::ptr_eq(&first.transform, &second.transform));
-        // A different tail threshold is a different transform.
+        assert!(Arc::ptr_eq(&first.chain, &second.chain));
+        // The cache charges the chain's real footprint.
+        assert_eq!(stats.transform_bytes as usize, first.chain.heap_bytes() + 512);
+        // A different tail threshold is a different chain.
         let looser = ResponseOptions { tail_epsilon: 1e-9, ..options };
         ResponseAnalysis::with_cache(&config, looser, &cache).unwrap();
         assert_eq!(cache.stats().transform_misses, 2);
@@ -1255,18 +1538,90 @@ mod tests {
             ResponseOptions { tail_epsilon: 1e-13, ..Default::default() },
         )
         .unwrap();
-        let loose = ResponseAnalysis::with_options(
-            &config,
-            ResponseOptions { tail_epsilon: 1e-6, ..Default::default() },
-        )
-        .unwrap();
+        let loose_options = ResponseOptions { tail_epsilon: 1e-6, ..Default::default() };
+        let loose = ResponseAnalysis::with_options(&config, loose_options).unwrap();
         assert!(tight.transform().residual_mass() <= 1e-13);
         assert!(loose.transform().residual_mass() <= 1e-6);
         assert!(tight.transform().truncation_levels() > loose.transform().truncation_levels());
+        // The truncated mass widens the bound: the loose chain cannot certify to the
+        // default 1e-7, only to a tolerance above its tail mass.
+        assert!(matches!(loose.response_time_cdf(2.0), Err(ModelError::BoundViolation { .. })));
+        let loose = ResponseAnalysis::with_options(
+            &config,
+            ResponseOptions { agreement_tolerance: 1e-5, ..loose_options },
+        )
+        .unwrap();
         // Both truncations agree on the CDF to far better than the loose tail mass.
         let a = tight.response_time_cdf(2.0).unwrap();
         let b = loose.response_time_cdf(2.0).unwrap();
         assert!((a - b).abs() < 1e-6);
+    }
+
+    #[test]
+    fn poisson_windows_hold_all_but_the_bounded_tail() {
+        let mut weights = Vec::new();
+        for x in [1e-3, 0.5, 7.0, 63.9, 64.2, 1_000.0, 123_456.7] {
+            let (first, omitted) = poisson_window(x, &mut weights);
+            let total: f64 = weights.iter().sum();
+            assert!(omitted < 1e-14, "x = {x}: omitted {omitted:e}");
+            assert!((total + omitted - 1.0).abs() < 1e-13, "x = {x}: mass {total}");
+            // The window is ascending in k and holds the mode.
+            let mode = x.floor() as usize;
+            assert!(first <= mode && mode < first + weights.len(), "x = {x}");
+        }
+        // The mode weight is continuous across the switch to Stirling's series.
+        let direct = poisson_mode_weight(63.999_999, 63);
+        let stirling = poisson_mode_weight(64.0, 64);
+        assert!((direct / stirling - 1.0).abs() < 1e-2, "{direct} vs {stirling}");
+        let exact: f64 = (1..=64).fold((-64.0f64).exp(), |p, k| p * 64.0 / k as f64);
+        assert!((stirling / exact - 1.0).abs() < 1e-13, "{stirling} vs {exact}");
+    }
+
+    #[test]
+    fn uniformised_cdf_is_bracketed_and_matches_euler_inversion() {
+        let paper = ServerLifecycle::paper_fitted().unwrap();
+        let hyper = ServerLifecycle::with_exponential_repair(
+            urs_dist::HyperExponential::with_mean_and_scv(34.62, 4.6).unwrap(),
+            0.2,
+        )
+        .unwrap();
+        let configs = [
+            SystemConfig::new(3, 2.0, 1.0, paper.clone()).unwrap(),
+            SystemConfig::new(5, 3.5, 1.0, paper).unwrap(),
+            SystemConfig::new(4, 2.8, 1.0, ServerLifecycle::exponential(0.05, 1.0).unwrap())
+                .unwrap(),
+            SystemConfig::new(3, 1.6, 1.0, hyper).unwrap(),
+        ];
+        for config in configs {
+            let analysis = ResponseAnalysis::new(&config).unwrap();
+            let mean = analysis.mean_response_time();
+            for t in [0.25 * mean, mean, 4.0 * mean] {
+                let (lower, upper) = analysis.response_time_cdf_bounds(t).unwrap();
+                assert!(upper - lower < 1e-11, "{config:?} at t = {t}: [{lower}, {upper}]");
+                let euler = euler_cdf(&analysis, t);
+                assert!((lower - euler).abs() < 1e-8, "t = {t}: {lower} vs Euler {euler}");
+            }
+        }
+    }
+
+    #[test]
+    fn cdf_values_do_not_depend_on_the_cursor_history() {
+        let config =
+            SystemConfig::new(4, 3.0, 1.0, ServerLifecycle::paper_fitted().unwrap()).unwrap();
+        let analysis = ResponseAnalysis::new(&config).unwrap();
+        let times = [9.0, 0.3, 2.0, 30.0, 1.0];
+        let mut shared = Cursor::new(&analysis.chain);
+        for t in times {
+            let walked = shared.bounds(t).unwrap();
+            let fresh = Cursor::new(&analysis.chain).bounds(t).unwrap();
+            assert_eq!(walked.lower.to_bits(), fresh.lower.to_bits(), "t = {t}");
+            assert_eq!(walked.upper.to_bits(), fresh.upper.to_bits(), "t = {t}");
+            assert_eq!(walked.density.to_bits(), fresh.density.to_bits(), "t = {t}");
+        }
+        // Far out every level has drained: the values stay put and stay certified.
+        let late = analysis.response_time_cdf(2e3).unwrap();
+        assert!(late > 1.0 - 1e-11);
+        assert!(matches!(analysis.response_time_cdf(1e9), Err(ModelError::NoConvergence { .. })));
     }
 
     /// Independent reference for [`ResponseTransform::lst_with`]: the level recursion
@@ -1322,20 +1677,17 @@ mod tests {
         for config in configs {
             let qbd = QbdMatrices::new(&config).unwrap();
             let solution = MatrixGeometricSolver::default().solve_qbd(&config, &qbd).unwrap();
-            let transform =
-                ResponseTransform::assemble(qbd.skeleton(), &solution, tail_epsilon).unwrap();
             let (levels, _) =
                 solution.arrival_state_distribution(tail_epsilon, config.servers() + 1).unwrap();
-            let mean = transform.mean_response_time();
+            let transform = ResponseTransform::assemble(qbd.skeleton(), &levels.concat()).unwrap();
+            let mean = solution.mean_response_time();
             let mut workspace = Workspace::new();
             let mut worst = 0.0_f64;
             for t in [0.5 * mean, 2.0 * mean, 8.0 * mean] {
-                for method in METHODS {
-                    for (s, _) in inversion.quadrature(method, t) {
-                        let got = transform.lst_with(s, &mut workspace).unwrap();
-                        let want = reference_lst(qbd.skeleton(), &levels, s);
-                        worst = worst.max((got - want).abs() / want.abs());
-                    }
+                for (s, _) in inversion.quadrature(t) {
+                    let got = transform.lst_with(s, &mut workspace).unwrap();
+                    let want = reference_lst(qbd.skeleton(), &levels, s);
+                    worst = worst.max((got - want).abs() / want.abs());
                 }
             }
             assert!(worst <= 1e-12, "N = {}: relative gap {worst:e}", config.servers());
@@ -1347,7 +1699,7 @@ mod tests {
         let config =
             SystemConfig::new(3, 2.0, 1.0, ServerLifecycle::paper_fitted().unwrap()).unwrap();
         let analysis = ResponseAnalysis::new(&config).unwrap();
-        for &lambda in &analysis.transform().eigenvalues {
+        for &lambda in &analysis.eigen_transform().unwrap().eigenvalues {
             let at_pole = analysis.lst(Complex::from_real(-lambda));
             assert!(
                 matches!(

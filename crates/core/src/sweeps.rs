@@ -262,14 +262,15 @@ pub struct SlaPoint {
 /// Server counts for which the system is unstable are skipped, like the unstable
 /// counts of a [`CostSweep`](crate::CostSweep).
 ///
-/// Every percentile is certified by the dual-method inversion check of
-/// [`ResponseAnalysis`](crate::response::ResponseAnalysis); a divergence anywhere fails the whole sweep rather than
-/// returning an untrustworthy number.
+/// Every percentile is certified by the two-sided bound of
+/// [`ResponseAnalysis`](crate::response::ResponseAnalysis); a bound wider than the
+/// tolerance anywhere fails the whole sweep rather than returning an untrustworthy
+/// number.
 ///
 /// # Errors
 ///
-/// Propagates construction, solver and inversion errors (first failing grid point);
-/// rejects heterogeneous base configurations.
+/// Propagates construction, solver and certification errors (first failing grid
+/// point); rejects heterogeneous base configurations.
 pub fn percentile_vs_servers(
     base_config: &SystemConfig,
     server_counts: &[usize],

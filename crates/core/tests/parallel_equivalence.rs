@@ -10,12 +10,14 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use urs_core::sweeps::{
-    queue_length_vs_load_with, queue_length_vs_operative_scv_with, queue_length_vs_repair_time_with,
+    percentile_vs_servers_with, queue_length_vs_load_with, queue_length_vs_operative_scv_with,
+    queue_length_vs_repair_time_with,
 };
 use urs_core::{
     ClassCostModel, CostModel, CostSweep, GeometricApproximation, MatrixGeometricSolver, MixBounds,
-    MixSearch, ProvisioningSweep, QueueSolution, ResponseAnalysis, ServerClass, ServerLifecycle,
-    SolverCache, SpectralExpansionSolver, SystemConfig, ThreadPool, TruncatedCtmcSolver,
+    MixSearch, ProvisioningSweep, QueueSolution, ResponseAnalysis, ResponseOptions, ServerClass,
+    ServerLifecycle, SolverCache, SpectralExpansionSolver, SystemConfig, ThreadPool,
+    TruncatedCtmcSolver,
 };
 use urs_dist::HyperExponential;
 use urs_linalg::{LuDecomposition, Matrix, RealBlockTridiagonal, Workspace};
@@ -369,20 +371,42 @@ fn truncated_solver_is_bit_identical_across_the_thread_matrix() {
 
 #[test]
 fn response_time_percentile_is_bit_identical_across_the_thread_matrix() {
+    // The analysis steps its absorption chain serially; an SLA sweep fans its server
+    // counts out across the pool, each with its own cursor.  Neither the pool nor a
+    // shared cache may move a bit.
     let config = paper_base(5, 4.2, 25.0);
     let serial = ResponseAnalysis::new(&config).unwrap();
     let p95 = serial.response_time_percentile(0.95).unwrap();
     let mean = serial.mean_response_time();
     let cdf = serial.response_time_cdf(2.0 * mean).unwrap();
+    let fractions = [0.9, 0.95, 0.99];
+    let sweep = |pool: &ThreadPool| {
+        let cache = SolverCache::shared();
+        percentile_vs_servers_with(
+            &config,
+            &[5, 6, 7, 8],
+            &fractions,
+            Default::default(),
+            &cache,
+            pool,
+        )
+        .unwrap()
+    };
+    let reference = sweep(&ThreadPool::serial());
+    let at_five = reference.first().expect("N = 5 is stable");
+    assert_eq!(at_five.percentiles, serial.response_time_percentiles(&fractions).unwrap());
     for threads in THREAD_MATRIX {
-        let pooled = ResponseAnalysis::new(&config).unwrap().with_pool(ThreadPool::new(threads));
-        assert_eq!(
-            p95.to_bits(),
-            pooled.response_time_percentile(0.95).unwrap().to_bits(),
-            "{threads} threads changed the 95th percentile",
-        );
-        assert_eq!(mean.to_bits(), pooled.mean_response_time().to_bits());
-        assert_eq!(cdf.to_bits(), pooled.response_time_cdf(2.0 * mean).unwrap().to_bits());
+        let pool = ThreadPool::new(threads);
+        let cached = ResponseAnalysis::with_cache(
+            &config,
+            ResponseOptions::default(),
+            &SolverCache::shared(),
+        )
+        .unwrap();
+        assert_eq!(p95.to_bits(), cached.response_time_percentile(0.95).unwrap().to_bits());
+        assert_eq!(mean.to_bits(), cached.mean_response_time().to_bits());
+        assert_eq!(cdf.to_bits(), cached.response_time_cdf(2.0 * mean).unwrap().to_bits());
+        assert_eq!(reference, sweep(&pool), "{threads} threads changed the SLA sweep");
     }
 }
 

@@ -1,7 +1,7 @@
 //! Blocked LU factorisation with partial pivoting for real matrices.
 
 use crate::error::LinalgError;
-use crate::matrix::{par_band_rows, Matrix};
+use crate::matrix::{gemm_rows4_panel, par_band_rows, Matrix};
 use crate::parallel::ThreadPool;
 use crate::workspace::Workspace;
 use crate::Result;
@@ -548,6 +548,12 @@ impl LuDecomposition {
 /// Phase 2b of the blocked elimination: `A22 ← A22 − L21·U12` over a band of rows
 /// below the panel.  Serial and parallel paths both call this on contiguous row
 /// bands, so each row's arithmetic order never depends on the thread count.
+///
+/// Quads of rows whose factors are all non-zero, under a panel whose columns all
+/// produced pivots, go through the fused four-row gemm kernel with `alpha = −1`:
+/// `x + (−l)·u` equals `x − l·u` exactly in IEEE arithmetic and the kernel keeps
+/// the ascending-`k` order, so it changes wall time, never bits.  Every other row
+/// takes [`lu_trailing_row`], which skips zero factors and inactive columns.
 // urs-analyze: begin(no_alloc)
 fn lu_trailing_update(
     rows: &mut [f64],
@@ -557,19 +563,53 @@ fn lu_trailing_update(
     k_end: usize,
     n: usize,
 ) {
-    for row in rows.chunks_exact_mut(n) {
-        for k in kk..k_end {
-            if !active[k - kk] {
-                continue;
+    let all_active = active.iter().take(k_end - kk).all(|&a| a);
+    let mut quads = rows.chunks_exact_mut(4 * n);
+    for quad in &mut quads {
+        let dense = all_active
+            && quad.chunks_exact(n).all(|row| {
+                // urs-analyze: allow(float_cmp, reason = "exact zero gates the zero-skip path; bitwise test is part of the bit-identity contract")
+                row.get(kk..k_end).is_some_and(|factors| factors.iter().all(|&f| f != 0.0))
+            });
+        if !dense {
+            for row in quad.chunks_exact_mut(n) {
+                lu_trailing_row(row, panel_rows, active, kk, k_end, n);
             }
-            let factor = row[k];
-            if factor == 0.0 {
-                continue;
-            }
-            let u_row = &panel_rows[k * n + k_end..(k + 1) * n];
-            for (x, &u) in row[k_end..].iter_mut().zip(u_row) {
-                *x -= factor * u;
-            }
+            continue;
+        }
+        let (r0, rest) = quad.split_at_mut(n);
+        let (r1, rest) = rest.split_at_mut(n);
+        let (r2, r3) = rest.split_at_mut(n);
+        let (l0, u0) = r0.split_at_mut(k_end);
+        let (l1, u1) = r1.split_at_mut(k_end);
+        let (l2, u2) = r2.split_at_mut(k_end);
+        let (l3, u3) = r3.split_at_mut(k_end);
+        let tiles = [&*l0, &*l1, &*l2, &*l3].map(|l| l.get(kk..).unwrap_or_default());
+        gemm_rows4_panel([u0, u1, u2, u3], tiles, panel_rows, -1.0, kk, k_end, n, n);
+    }
+    for row in quads.into_remainder().chunks_exact_mut(n) {
+        lu_trailing_row(row, panel_rows, active, kk, k_end, n);
+    }
+}
+
+/// One row of [`lu_trailing_update`], eliminating column by column.
+fn lu_trailing_row(
+    row: &mut [f64],
+    panel_rows: &[f64],
+    active: &[bool; PANEL],
+    kk: usize,
+    k_end: usize,
+    n: usize,
+) {
+    let (factors, trailing) = row.split_at_mut(k_end);
+    for ((k, &factor), &on) in (kk..).zip(factors.get(kk..).unwrap_or_default()).zip(active) {
+        // urs-analyze: allow(float_cmp, reason = "exact-zero skip gate, part of the bit-identity contract")
+        if !on || factor == 0.0 {
+            continue;
+        }
+        let u_row = panel_rows.get(k * n + k_end..(k + 1) * n).unwrap_or_default();
+        for (x, &u) in trailing.iter_mut().zip(u_row) {
+            *x -= factor * u;
         }
     }
 }

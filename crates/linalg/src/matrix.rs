@@ -714,7 +714,7 @@ fn gemm_row_panel(
 /// adds of [`gemm_row_panel`]'s dense branch in the same ascending-`k` order —
 /// rows never read each other, so the fusion changes wall time, not bits.
 #[allow(clippy::too_many_arguments)]
-fn gemm_rows4_panel(
+pub(crate) fn gemm_rows4_panel(
     c_rows: [&mut [f64]; 4],
     a_tiles: [&[f64]; 4],
     b: &[f64],

@@ -7,6 +7,8 @@
 //! * **Malformed-input robustness** — a fuzz pile of broken lines gets one error
 //!   response each, the process never panics, and queries after garbage still
 //!   answer correctly; so does a line far over the length cap.
+//! * **SLA loads answer** — a P99 at utilisation 0.9 comes back as a number, the
+//!   same bytes at 1 and 4 workers.
 //! * **No delayed-ACK stall** — sequential one-line round trips over TCP answer in
 //!   compute time, not in multiples of the client's delayed-ACK timer.
 
@@ -110,6 +112,25 @@ fn replaying_a_trace_is_byte_identical_across_restarts_and_thread_counts() {
     // Fresh process, four workers: parallel fan-out must not change a byte.
     let parallel = run_server("4", input);
     assert_eq!(reference, parallel, "URS_THREADS=4 changed the response log");
+}
+
+#[test]
+fn percentiles_at_utilisation_nine_tenths_are_answered_identically_at_any_thread_count() {
+    // Three paper-lifecycle servers at ρ = 0.9: this line used to get an error.
+    let line = "{\"type\":\"percentiles\",\"config\":{\"servers\":3,\
+                \"arrival_rate\":2.6968840990503935,\"service_rate\":1.0,\
+                \"lifecycle\":\"paper\"},\"fractions\":[0.9,0.99]}\n";
+    let serial = run_server("1", line.repeat(2));
+    let (first, repeat) = serial.split_once('\n').expect("two responses");
+    assert_eq!(format!("{first}\n"), repeat, "a replay changed the answer");
+    let percentiles = first
+        .split_once("\"percentiles\":[")
+        .and_then(|(_, rest)| rest.split_once(']'))
+        .map(|(values, _)| values.split(',').map(|v| v.parse::<f64>().unwrap()).collect::<Vec<_>>())
+        .unwrap_or_else(|| panic!("no percentiles in {first}"));
+    assert_eq!(percentiles.len(), 2, "{first}");
+    assert!((percentiles[1] - 15.8852).abs() < 1e-4, "P99 = {}", percentiles[1]);
+    assert_eq!(serial, run_server("4", line.repeat(2)), "URS_THREADS=4 changed the answer");
 }
 
 #[test]

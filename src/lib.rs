@@ -12,7 +12,7 @@
 //!   expansion and approximately by the heavy-traffic geometric approximation, plus
 //!   matrix-geometric and truncated-chain cross-checks, cost optimisation, capacity
 //!   planning, cost-aware fleet-mix search over heterogeneous server classes, and the
-//!   certified response-time *distribution* (dual Laplace-transform inversion) the
+//!   certified response-time *distribution* (a uniformised absorption chain) the
 //!   paper leaves as an open problem;
 //! * [`dist`] (`urs-dist`) — exponential/hyperexponential/Erlang/deterministic
 //!   distributions, empirical statistics, Kolmogorov–Smirnov testing and

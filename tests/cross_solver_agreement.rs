@@ -6,16 +6,18 @@
 //! that follows; the brute-force truncated CTMC shares nothing with either beyond the
 //! generator matrices.  Agreement across all three is strong evidence that each of
 //! them is implemented correctly.  The query engine serves the matrix-geometric
-//! answers, so its queries are certified here against the spectral expansion too.
+//! answers, so its queries are certified here against the spectral expansion too,
+//! and its response-time percentiles against the Euler inversion of the transform.
 
 use std::sync::Arc;
 
 use unreliable_servers::core::{
-    consistency_violations, ClassCostModel, CostModel, Engine, GeometricApproximation,
-    GeometricSolution, MatrixGeometricSolver, MixBounds, MixCandidate, MixSearch, QbdMatrices,
-    Query, QueryResult, QueueSolution, QueueSolver, ResponseAnalysis, ResponseOptions, ServerClass,
-    ServerLifecycle, SolverCache, SpectralExpansionSolver, SpectralOptions, SystemConfig,
-    ThreadPool, TruncatedCtmcSolver, TruncatedOptions,
+    consistency_violations, invert_lst_cdf, ClassCostModel, CostModel, Engine,
+    GeometricApproximation, GeometricSolution, InversionOptions, MatrixGeometricSolver, MixBounds,
+    MixCandidate, MixSearch, QbdMatrices, Query, QueryResult, QueueSolution, QueueSolver,
+    ResponseAnalysis, ResponseOptions, ServerClass, ServerLifecycle, SolverCache,
+    SpectralExpansionSolver, SpectralOptions, SystemConfig, ThreadPool, TruncatedCtmcSolver,
+    TruncatedOptions,
 };
 use unreliable_servers::dist::HyperExponential;
 use unreliable_servers::linalg::QuadraticEigenProblem;
@@ -171,8 +173,8 @@ fn engine_answers_agree_with_spectral_expansion() {
         ("hyperexponential lifecycle", SystemConfig::new(4, 2.8, 1.0, hyperexponential).unwrap()),
         ("two-class mixed fleet", SystemConfig::heterogeneous(3.0, mixed_fleet).unwrap()),
     ];
-    // The engine's default pool (`URS_THREADS` or every core): its percentile
-    // queries fan the quadrature nodes out across it.
+    // The engine's default pool (`URS_THREADS` or every core): its sweeps fan their
+    // grid points out across it.
     let engine = Engine::new();
     let tolerance = 1e-10;
     for (name, config) in configs {
@@ -231,14 +233,18 @@ fn engine_answers_agree_with_spectral_expansion() {
             panic!("{name}: expected percentiles")
         };
         let spectral = SpectralExpansionSolver::default().solve(&config).unwrap();
-        let reference =
+        let analysis =
             ResponseAnalysis::from_solution(&config, spectral.as_ref(), ResponseOptions::default())
-                .unwrap()
-                .response_time_percentiles(&fractions)
                 .unwrap();
+        let reference = analysis.response_time_percentiles(&fractions).unwrap();
         for ((fraction, got), want) in fractions.iter().zip(&report.percentiles).zip(&reference) {
             let gap = relative_gap(*got, *want);
             assert!(gap < 1e-8, "{name}: P{} off by {gap:e}", 100.0 * fraction);
+            // The independent certifier: Euler inversion of the response-time
+            // transform of the spectral solution reads the fraction back.
+            let euler =
+                invert_lst_cdf(|s| analysis.lst(s), *got, &InversionOptions::default()).unwrap();
+            assert!((euler - fraction).abs() < 1e-7, "{name}: F(P{}) = {euler}", 100.0 * fraction);
         }
     }
 }

@@ -2,21 +2,18 @@
 //!
 //! The response-time distribution of `urs_core::response` is produced by numerically
 //! inverting a Laplace–Stieltjes transform, so the inverter itself must be trusted
-//! before any queueing result built on it can be.  These tests feed both inversion
-//! methods (Euler summation and the fixed Talbot contour) the *analytic* LSTs of
-//! distributions whose CDFs are known in closed form — exponential, hyperexponential
-//! and Erlang mixtures with randomised parameters — and require the inverted values
-//! to reproduce the exact CDFs pointwise.  Because the two quadratures share no
-//! machinery beyond complex arithmetic, their joint agreement with the closed forms
-//! also certifies the runtime Euler-vs-Talbot check used by `ResponseAnalysis`.
+//! before it can certify anything built on it.  These tests feed the Euler inverter
+//! the *analytic* LSTs of distributions whose CDFs are known in closed form —
+//! exponential, hyperexponential and Erlang mixtures with randomised parameters —
+//! and require the inverted values to reproduce the exact CDFs pointwise.  Euler
+//! inversion of the response-time transform is the independent check the test
+//! suites hold `ResponseAnalysis`'s uniformised CDF to, so this is the ground it
+//! stands on.
 
 use proptest::prelude::*;
-use unreliable_servers::core::{invert_lst_cdf, InversionMethod, InversionOptions};
+use unreliable_servers::core::{invert_lst_cdf, InversionOptions};
 use unreliable_servers::dist::{ContinuousDistribution, Exponential, HyperExponential};
 use unreliable_servers::linalg::Complex;
-
-const METHODS: [InversionMethod; 2] =
-    [InversionMethod::EulerSummation, InversionMethod::FixedTalbot];
 
 /// Pointwise tolerance for the inverted CDF values.  Euler summation with the default
 /// decay parameter carries a discretisation error of roughly `1e-10`; `1e-7` leaves
@@ -53,66 +50,60 @@ fn hyperexp_strategy() -> impl Strategy<Value = HyperExponential> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `Exp(rate)` has LST `rate/(s + rate)`; both methods must recover
+    /// `Exp(rate)` has LST `rate/(s + rate)`; Euler inversion must recover
     /// `1 − e^{−rate·t}` across three decades of rates and a wide span of times.
     #[test]
-    fn exponential_round_trips_under_both_methods(
+    fn exponential_round_trips_under_euler_inversion(
         rate in 0.02_f64..20.0,
         factor in 0.05_f64..4.0,
     ) {
         let dist = Exponential::new(rate).unwrap();
         let t = factor / rate;
-        for method in METHODS {
-            let inverted = invert_lst_cdf(
-                |s| Ok((s + rate).recip() * rate),
-                t,
-                method,
-                &InversionOptions::default(),
-            ).unwrap();
-            prop_assert!(
-                (inverted - dist.cdf(t)).abs() < TOLERANCE,
-                "{method:?}: {inverted} vs exact {} at t = {t}", dist.cdf(t)
-            );
-        }
+        let inverted = invert_lst_cdf(
+            |s| Ok((s + rate).recip() * rate),
+            t,
+            &InversionOptions::default(),
+        ).unwrap();
+        prop_assert!(
+            (inverted - dist.cdf(t)).abs() < TOLERANCE,
+            "{inverted} vs exact {} at t = {t}", dist.cdf(t)
+        );
     }
 
     /// A hyperexponential has LST `Σ wᵢ rᵢ/(s + rᵢ)` — the same family the paper fits
     /// to the Sun trace, so this is the transform shape the response analysis feeds
-    /// the inverter in production.
+    /// the inverter.
     #[test]
-    fn hyperexponential_round_trips_under_both_methods(
+    fn hyperexponential_round_trips_under_euler_inversion(
         dist in hyperexp_strategy(),
         factor in 0.05_f64..4.0,
     ) {
         let t = factor * dist.mean();
         let weights = dist.weights().to_vec();
         let rates = dist.rates().to_vec();
-        for method in METHODS {
-            let inverted = invert_lst_cdf(
-                |s| {
-                    let mut lst = Complex::ZERO;
-                    for (w, r) in weights.iter().zip(&rates) {
-                        lst += (s + *r).recip() * (w * r);
-                    }
-                    Ok(lst)
-                },
-                t,
-                method,
-                &InversionOptions::default(),
-            ).unwrap();
-            prop_assert!(
-                (inverted - dist.cdf(t)).abs() < TOLERANCE,
-                "{method:?}: {inverted} vs exact {} at t = {t}", dist.cdf(t)
-            );
-        }
+        let inverted = invert_lst_cdf(
+            |s| {
+                let mut lst = Complex::ZERO;
+                for (w, r) in weights.iter().zip(&rates) {
+                    lst += (s + *r).recip() * (w * r);
+                }
+                Ok(lst)
+            },
+            t,
+            &InversionOptions::default(),
+        ).unwrap();
+        prop_assert!(
+            (inverted - dist.cdf(t)).abs() < TOLERANCE,
+            "{inverted} vs exact {} at t = {t}", dist.cdf(t)
+        );
     }
 
     /// A two-component Erlang mixture `w·Erlang(k₁, r₁) + (1−w)·Erlang(k₂, r₂)` has
     /// LST `w(r₁/(s+r₁))^{k₁} + (1−w)(r₂/(s+r₂))^{k₂}`.  Erlang CDFs have an inflection
     /// away from the origin (unlike everything monotone-density above), so this
-    /// exercises the quadratures on a qualitatively different shape.
+    /// exercises the quadrature on a qualitatively different shape.
     #[test]
-    fn erlang_mixtures_round_trip_under_both_methods(
+    fn erlang_mixtures_round_trip_under_euler_inversion(
         k1 in 1_u32..=6,
         k2 in 1_u32..=6,
         r1 in 0.1_f64..10.0,
@@ -123,25 +114,15 @@ proptest! {
         let mean = weight * k1 as f64 / r1 + (1.0 - weight) * k2 as f64 / r2;
         let t = factor * mean;
         let exact = weight * erlang_cdf(k1, r1, t) + (1.0 - weight) * erlang_cdf(k2, r2, t);
-        let mut values = [0.0_f64; 2];
-        for (slot, method) in values.iter_mut().zip(METHODS) {
-            *slot = invert_lst_cdf(
-                |s| {
-                    let e1 = ((s + r1).recip() * r1).powi(k1);
-                    let e2 = ((s + r2).recip() * r2).powi(k2);
-                    Ok(e1 * weight + e2 * (1.0 - weight))
-                },
-                t,
-                method,
-                &InversionOptions::default(),
-            ).unwrap();
-            prop_assert!(
-                (*slot - exact).abs() < TOLERANCE,
-                "{method:?}: {slot} vs exact {exact} at t = {t}"
-            );
-        }
-        // The two independent quadratures also agree with each other, which is the
-        // property the runtime certification of `ResponseAnalysis` relies on.
-        prop_assert!((values[0] - values[1]).abs() < TOLERANCE);
+        let inverted = invert_lst_cdf(
+            |s| {
+                let e1 = ((s + r1).recip() * r1).powi(k1);
+                let e2 = ((s + r2).recip() * r2).powi(k2);
+                Ok(e1 * weight + e2 * (1.0 - weight))
+            },
+            t,
+            &InversionOptions::default(),
+        ).unwrap();
+        prop_assert!((inverted - exact).abs() < TOLERANCE, "{inverted} vs exact {exact} at t = {t}");
     }
 }
