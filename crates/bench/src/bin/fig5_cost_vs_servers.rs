@@ -38,10 +38,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
         }
     }
-    let stats = cache.stats();
+    let [skeletons, ..] = cache.stats().levels;
     println!(
         "\nsolver cache: {} skeleton builds reused {} times",
-        stats.skeleton_misses, stats.skeleton_hits
+        skeletons.misses, skeletons.hits
     );
     Ok(())
 }

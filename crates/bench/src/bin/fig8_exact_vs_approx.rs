@@ -34,11 +34,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let rel_error = (p.comparison - p.reference).abs() / p.reference;
         print_row(&[p.utilisation, p.reference, p.comparison, rel_error]);
     }
-    let stats = cache.stats();
+    let [skeletons, ..] = cache.stats().levels;
     println!(
         "\ncache: {} skeleton build(s), {} skeleton reuse(s) across {} grid points",
-        stats.skeleton_misses,
-        stats.skeleton_hits,
+        skeletons.misses,
+        skeletons.hits,
         points.len()
     );
     println!("Paper: the approximation becomes more accurate as the load increases.");

@@ -40,10 +40,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Some(n) => println!("minimum N with W <= 1.5 (approximation): {n}"),
         None => println!("the approximation finds no feasible count in the range"),
     }
-    let stats = cache.stats();
+    let [skeletons, ..] = cache.stats().levels;
     println!(
         "cache: {} skeleton reuse(s) across {} server counts",
-        stats.skeleton_hits,
+        skeletons.hits,
         exact.points().len()
     );
     Ok(())

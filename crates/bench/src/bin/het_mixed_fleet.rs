@@ -75,11 +75,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_cache(cache.clone())
         .solve(&config)?
         .mean_queue_length();
-    let stats = cache.stats();
+    let [skeletons, ..] = cache.stats().levels;
     println!(
         "\ncache: {} skeleton build(s), {} skeleton reuse(s) across {} mixes",
-        stats.skeleton_misses,
-        stats.skeleton_hits,
+        skeletons.misses,
+        skeletons.hits,
         exact.len()
     );
     // Build the simulated classes from the *same* ServerClass objects as the analytic

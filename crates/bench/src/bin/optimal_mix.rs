@@ -70,12 +70,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_options(MixSearchOptions { exhaustive_limit: 0, ..Default::default() })
         .run()?;
     let pruned_best = pruned.optimum().ok_or("pruning lost every candidate")?;
+    let [_, solutions, _] = cache.stats().levels;
     println!(
         "pruned optimum:     {} fast + {} steady (C = {:.4}; {} of {} stable candidates solved)",
         pruned_best.counts()[0],
         pruned_best.counts()[1],
         pruned_best.cost(),
-        cache.stats().solution_misses,
+        solutions.misses,
         pruned.candidates() - pruned.skipped_unstable()
     );
     if pruned_best != best {

@@ -21,10 +21,10 @@
 //! (serial and pooled), and the worker count — machine-readable so CI can upload the
 //! artifact and regressions can be diffed without parsing the table.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use urs_bench::{figure5_lifecycle, smoke, system};
+use urs_core::engine::json::{self, Value};
 use urs_core::{
     GeometricApproximation, MatrixGeometricSolver, QueueSolver, SpectralExpansionSolver, ThreadPool,
 };
@@ -46,66 +46,34 @@ struct Tracked {
     runs: Vec<(usize, usize, f64, f64, Option<f64>)>,
 }
 
-/// Minimal JSON string escape (quotes, backslashes, control characters).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Hand-rolled JSON artifact (the workspace deliberately has no serde dependency).
+/// The JSON artifact: the sweep's settings, then per solver its maximum practical
+/// N, why it was retired and every per-N measurement.
 fn scaling_json(solvers: &[Tracked], budget: f64, workers: usize) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"utilisation\": 0.9,");
-    let _ = writeln!(out, "  \"budget_seconds\": {budget},");
-    let _ = writeln!(out, "  \"threads\": {workers},");
-    let _ = writeln!(out, "  \"solvers\": [");
-    for (i, tracked) in solvers.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{}\",", json_escape(tracked.name));
-        match tracked.max_practical {
-            Some(n) => {
-                let _ = writeln!(out, "      \"max_practical_n\": {n},");
-            }
-            None => {
-                let _ = writeln!(out, "      \"max_practical_n\": null,");
-            }
-        }
-        match &tracked.retired {
-            Some(reason) => {
-                let _ = writeln!(out, "      \"retired\": \"{}\",", json_escape(reason));
-            }
-            None => {
-                let _ = writeln!(out, "      \"retired\": null,");
-            }
-        }
-        let _ = writeln!(out, "      \"runs\": [");
-        for (j, (n, modes, mean, serial, pooled)) in tracked.runs.iter().enumerate() {
-            let pooled_cell = pooled.map(|p| format!("{p}")).unwrap_or_else(|| "null".to_string());
-            let _ = write!(
-                out,
-                "        {{\"n\": {n}, \"modes\": {modes}, \"mean_queue_length\": {mean}, \
-                 \"serial_seconds\": {serial}, \"pooled_seconds\": {pooled_cell}}}"
-            );
-            let _ = writeln!(out, "{}", if j + 1 < tracked.runs.len() { "," } else { "" });
-        }
-        let _ = writeln!(out, "      ]");
-        let _ = writeln!(out, "    }}{}", if i + 1 < solvers.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
+    let optional = |value: Option<f64>| value.map_or(Value::Null, Value::Number);
+    let solver_json = |tracked: &Tracked| {
+        let runs = tracked.runs.iter().map(|&(n, modes, mean, serial, pooled)| {
+            json::object([
+                ("n", Value::Number(n as f64)),
+                ("modes", Value::Number(modes as f64)),
+                ("mean_queue_length", Value::Number(mean)),
+                ("serial_seconds", Value::Number(serial)),
+                ("pooled_seconds", optional(pooled)),
+            ])
+        });
+        json::object([
+            ("name", Value::String(tracked.name.to_string())),
+            ("max_practical_n", optional(tracked.max_practical.map(|n| n as f64))),
+            ("retired", tracked.retired.clone().map_or(Value::Null, Value::String)),
+            ("runs", Value::Array(runs.collect())),
+        ])
+    };
+    let artifact = json::object([
+        ("utilisation", Value::Number(0.9)),
+        ("budget_seconds", Value::Number(budget)),
+        ("threads", Value::Number(workers as f64)),
+        ("solvers", Value::Array(solvers.iter().map(solver_json).collect())),
+    ]);
+    artifact.serialise() + "\n"
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -18,6 +18,7 @@
 use std::time::Instant;
 
 use urs_bench::smoke;
+use urs_core::engine::json::{self, Value};
 use urs_server::Server;
 
 fn lifecycle(index: usize) -> String {
@@ -127,10 +128,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let warm_qps = queries as f64 / warm_seconds;
     let speedup = warm_qps / cold_qps;
     let hit_rate = server.engine().cache().stats().total_hit_rate();
-    let snapshot = server.metrics().snapshot();
-    let memo_lookups = snapshot.response_hits + snapshot.response_misses;
-    let memo_hit_rate =
-        if memo_lookups > 0 { snapshot.response_hits as f64 / memo_lookups as f64 } else { 0.0 };
+    let memo_hit_rate = server.memo_stats().hit_rate();
 
     let mut sorted_cold = cold_latencies;
     sorted_cold.sort_unstable();
@@ -159,20 +157,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("Every warm response was byte-identical to its cold twin.");
 
-    let json = format!(
-        "{{\n  \"queries_per_pass\": {queries},\n  \"batch_size\": {batch_size},\n  \
-         \"cold_seconds\": {cold_seconds},\n  \"warm_seconds\": {warm_seconds},\n  \
-         \"cold_queries_per_sec\": {cold_qps},\n  \"warm_queries_per_sec\": {warm_qps},\n  \
-         \"warm_speedup\": {speedup},\n  \"cache_hit_rate\": {hit_rate},\n  \
-         \"response_memo_hit_rate\": {memo_hit_rate},\n  \
-         \"cold_p50_micros\": {},\n  \"cold_p99_micros\": {},\n  \
-         \"warm_p50_micros\": {},\n  \"warm_p99_micros\": {}\n}}\n",
-        quantile(&sorted_cold, 0.50),
-        quantile(&sorted_cold, 0.99),
-        quantile(&sorted_warm, 0.50),
-        quantile(&sorted_warm, 0.99),
-    );
-    std::fs::write("BENCH_serving.json", json)?;
+    let micros = |sorted: &[u64], fraction| Value::Number(quantile(sorted, fraction) as f64);
+    let artifact = json::object([
+        ("queries_per_pass", Value::Number(queries as f64)),
+        ("batch_size", Value::Number(batch_size as f64)),
+        ("cold_seconds", Value::Number(cold_seconds)),
+        ("warm_seconds", Value::Number(warm_seconds)),
+        ("cold_queries_per_sec", Value::Number(cold_qps)),
+        ("warm_queries_per_sec", Value::Number(warm_qps)),
+        ("warm_speedup", Value::Number(speedup)),
+        ("cache_hit_rate", Value::Number(hit_rate)),
+        ("response_memo_hit_rate", Value::Number(memo_hit_rate)),
+        ("cold_p50_micros", micros(&sorted_cold, 0.50)),
+        ("cold_p99_micros", micros(&sorted_cold, 0.99)),
+        ("warm_p50_micros", micros(&sorted_warm, 0.50)),
+        ("warm_p99_micros", micros(&sorted_warm, 0.99)),
+    ]);
+    std::fs::write("BENCH_serving.json", artifact.serialise() + "\n")?;
     println!("Wrote machine-readable results to BENCH_serving.json.");
 
     if speedup < 2.0 {

@@ -15,29 +15,32 @@
 //!
 //! [`SolverCache`] memoises both — plus a third level, the `transforms` level, which
 //! holds the response-time absorption chains of [`response`](crate::response) —
-//! behind `f64`-bit-exact keys.  Key
-//! construction normalises signed zero (`-0.0` and `0.0` hash identically) and
-//! rejects non-finite values, so NaN can never be admitted as a silently-unequal
-//! cache key.  The cache is `Sync` — each level is split into independently locked
-//! shards keyed by a deterministic hash — so a single cache can be shared by every
-//! worker thread of a [`ThreadPool`](crate::ThreadPool) during a parallel sweep (or
-//! by every request of a standing `urs-server` process) with contention per shard
-//! rather than per level.  A shard poisoned by a panicking worker is cleared and
-//! reused (counted in [`CacheStats::poison_recoveries`]), never propagated.  Cached
-//! hits return the stored value unchanged, so cached and uncached runs are
-//! bit-identical.
+//! behind `f64`-bit-exact keys.  Every key is a list of canonical `u64` words: the
+//! class words of a skeleton, then for a solution the bits of λ and the solver
+//! tolerance and the iteration budget, then for a transform the bits of the tail
+//! threshold.  Key construction normalises signed zero (`-0.0` and `0.0` key
+//! identically) and rejects non-finite values, so NaN can never be admitted as a
+//! silently-unequal cache key.  Cached hits return the stored value unchanged, so
+//! cached and uncached runs are bit-identical.
 //!
-//! Every level is a **byte-budgeted LRU**: heterogeneous server classes multiply the
+//! Every level — and the response memo of `urs-server` — is one [`ByteLru`], a
+//! **byte-budgeted LRU** behind one lock: heterogeneous server classes multiply the
 //! key space combinatorially, and one dense large-fleet entry weighs hundreds of
 //! kilobytes, so neither unbounded maps nor entry-count caps bound the memory of a
-//! standing server.  Each entry is charged the heap bytes of its matrices and
-//! vectors; after an insert its level evicts least-recently-used entries (counted in
-//! [`CacheStats`]) until the level fits its budget again, and an entry larger than
-//! the level's whole budget is handed back uncached.  The default [`CACHE_BYTES`]
-//! (4 MiB: 1 MiB of skeletons, 2 MiB of solutions, 1 MiB of transforms) keeps a
-//! recent working set; [`SolverCache::with_byte_budget`] sets another total.
-//! Recency is counted in level operations, never wall time, so a given sequence of
-//! lookups evicts identically on every run.
+//! standing server.  Each entry is charged the heap bytes of its value, its key
+//! words and a fixed per-entry overhead; after an insert the LRU evicts its least
+//! recently used entries (counted in [`CacheLevelStats`]) until it fits its budget
+//! again, and an entry larger than the whole budget is handed back uncached.  The
+//! default [`CACHE_BYTES`] (4 MiB: 1 MiB of skeletons, 2 MiB of solutions, 1 MiB of
+//! transforms) keeps a recent working set; [`SolverCache::with_byte_budget`] sets
+//! another total.  Recency is counted in level operations, never wall time, so a
+//! given sequence of lookups evicts identically on every run.
+//!
+//! The cache is `Sync`, so one cache can be shared by every worker thread of a
+//! [`ThreadPool`](crate::ThreadPool) during a parallel sweep (or by every request
+//! of a standing `urs-server` process).  A lock poisoned by a panicking worker is
+//! cleared and reused (counted in [`CacheStats::poison_recoveries`]), never
+//! propagated.
 //!
 //! # Example
 //!
@@ -53,24 +56,21 @@
 //! // Two arrival rates, same (N, µ, lifecycle): the skeleton is built once.
 //! solver.solve_detailed(&base)?;
 //! solver.solve_detailed(&base.with_arrival_rate(8.5)?)?;
-//! assert_eq!(cache.stats().skeleton_misses, 1);
-//! assert_eq!(cache.stats().skeleton_hits, 1);
+//! let [skeletons, ..] = cache.stats().levels;
+//! assert_eq!((skeletons.misses, skeletons.hits), (1, 1));
 //!
 //! // Solving the identical configuration again is a pure cache hit.
 //! let first = solver.solve_shared(&base)?;
 //! let again = solver.solve_shared(&base)?;
 //! assert!(Arc::ptr_eq(&first, &again));
-//! assert_eq!(cache.stats().solution_hits, 2);
+//! let [_, solutions, _] = cache.stats().levels;
+//! assert_eq!(solutions.hits, 2);
 //! # Ok(())
 //! # }
 //! ```
 
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-use urs_dist::HyperExponential;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::config::{canonical_bits, ServerClass, SystemConfig};
 use crate::error::ModelError;
@@ -93,11 +93,16 @@ pub(crate) fn allocation_bytes<T>(items: &[T]) -> usize {
     size_of_val(items) + ALLOCATION_HEADER
 }
 
-/// Bytes charged per cached entry beyond its value's own `heap_bytes`: the key
-/// (a copy of the class list's nested vectors), the `Arc` counts and the entry's
-/// slot in its shard's map, with their allocation headers (measured at 0.5–1 KB
-/// per entry for fleets of N ≤ 12).
-const ENTRY_OVERHEAD: usize = 512;
+/// Bytes a [`ByteLru`] charges per entry beyond its value's heap bytes and its key
+/// words: the allocation headers of the key's two copies (map and recency index),
+/// the entry's slots in both B-trees, and the value's handle (an `Arc`'s counts or
+/// a `String`'s allocation).  Measured with a counting global allocator (payload
+/// plus [`ALLOCATION_HEADER`] per live allocation) over 10 000 inserts of 14-word
+/// keys, with and without evictions: 221–226 bytes per held entry for `Vec<u64>`
+/// keys with `Arc` values (the solver cache), 261–269 for `QueryKey` keys with
+/// `String` values (the response memo).  The constant is the larger, rounded up to
+/// 16 bytes, so neither store is undercharged.
+const ENTRY_OVERHEAD: usize = 272;
 
 /// Splits a cache's byte budget into `[skeletons, solutions, transforms]`: half
 /// for solutions, a quarter for each of the other two levels.
@@ -106,28 +111,34 @@ fn level_budgets(bytes: usize) -> [usize; 3] {
     [quarter, bytes - 2 * quarter, quarter]
 }
 
-/// Deterministic digest of an arbitrary hashable key (FNV-1a over its `Hash`
-/// bytes) — the same stable hash that assigns cache shards, reused by the query
-/// planner to group compatible queries.
-pub(crate) fn digest_of<K: Hash>(key: &K) -> u64 {
-    Fnv1a::hash_of(key)
+/// Deterministic digest of a list of canonical words: FNV-1a over the
+/// little-endian bytes of the list's length and then of each word.  Stable across
+/// runs, processes and platforms (no hasher seeding); it may collide, so it groups
+/// and labels keys but never identifies them.
+pub(crate) fn digest_of(words: &[u64]) -> u64 {
+    const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    std::iter::once(words.len() as u64)
+        .chain(words.iter().copied())
+        .flat_map(u64::to_le_bytes)
+        .fold(OFFSET_BASIS, |hash, byte| (hash ^ u64::from(byte)).wrapping_mul(PRIME))
 }
 
-/// Deterministic digest of the λ-independent skeleton identity of a configuration:
-/// two configurations with equal digests share their QBD skeleton, which is what
-/// makes their queries batchable.
+/// Deterministic digest of the λ-independent skeleton identity of a class list —
+/// the digest of its [`push_class_words`]: two class lists with equal digests
+/// share their QBD skeleton, which is what makes their queries batchable.
 ///
 /// # Errors
 ///
-/// Rejects configurations with non-finite parameters (no sound cache key).
-pub(crate) fn skeleton_digest(config: &SystemConfig) -> Result<u64> {
-    Ok(digest_of(&SkeletonKey::new(config)?))
+/// Rejects classes with non-finite parameters (no sound cache key).
+pub(crate) fn skeleton_digest(classes: &[ServerClass]) -> Result<u64> {
+    Ok(digest_of(&skeleton_key(classes)?))
 }
 
 /// Appends the canonical words of a server-class list — the class count, then per
 /// class its server count, service-rate bits and the `(weight, rate)` bits of both
 /// period distributions, each list prefixed by its length — to `words`.  Two class
-/// lists append equal words exactly when they have equal skeleton keys, and no word
+/// lists append equal words exactly when they share a skeleton, and no word
 /// sequence is a prefix of another, so the words can be followed by further fields.
 ///
 /// # Errors
@@ -136,11 +147,12 @@ pub(crate) fn skeleton_digest(config: &SystemConfig) -> Result<u64> {
 pub(crate) fn push_class_words(classes: &[ServerClass], words: &mut Vec<u64>) -> Result<()> {
     words.push(classes.len() as u64);
     for class in classes {
-        let ClassKey { count, service_rate, lifecycle } = ClassKey::new(class)?;
-        words.extend([count as u64, service_rate]);
-        for phases in [&lifecycle.operative, &lifecycle.inoperative] {
-            words.push(phases.len() as u64);
-            words.extend(phases.iter().flat_map(|&(weight, rate)| [weight, rate]));
+        words.extend([class.count() as u64, key_bits("service_rate", class.service_rate())?]);
+        for phases in [class.lifecycle().operative(), class.lifecycle().inoperative()] {
+            words.push(phases.weights().len() as u64);
+            for (&weight, &rate) in phases.weights().iter().zip(phases.rates()) {
+                words.extend([key_bits("phase weight", weight)?, key_bits("phase rate", rate)?]);
+            }
         }
     }
     Ok(())
@@ -161,384 +173,252 @@ fn key_bits(name: &'static str, value: f64) -> Result<u64> {
     Ok(canonical_bits(value))
 }
 
-/// Bit-exact identity of the two period distributions of a lifecycle.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-struct LifecycleKey {
-    operative: Vec<(u64, u64)>,
-    inoperative: Vec<(u64, u64)>,
+/// Key of the λ-independent skeleton: the words of the canonical class list.
+fn skeleton_key(classes: &[ServerClass]) -> Result<Vec<u64>> {
+    let mut words = Vec::new();
+    push_class_words(classes, &mut words)?;
+    Ok(words)
 }
 
-impl LifecycleKey {
-    fn new(lifecycle: &crate::config::ServerLifecycle) -> Result<Self> {
-        fn phases(dist: &HyperExponential) -> Result<Vec<(u64, u64)>> {
-            dist.weights()
-                .iter()
-                .zip(dist.rates())
-                .map(|(w, r)| Ok((key_bits("phase weight", *w)?, key_bits("phase rate", *r)?)))
-                .collect()
-        }
-        Ok(LifecycleKey {
-            operative: phases(lifecycle.operative())?,
-            inoperative: phases(lifecycle.inoperative())?,
-        })
+/// Key of a complete matrix-geometric solution: the skeleton key plus the bits of
+/// the arrival rate and the solver options (the tolerance moves where the reduction
+/// stops, the iteration budget whether it fails).
+fn solution_key(config: &SystemConfig, options: &MatrixGeometricOptions) -> Result<Vec<u64>> {
+    // Exhaustive destructuring: adding a field to MatrixGeometricOptions must break
+    // this line rather than silently conflating solutions computed under different
+    // options.
+    let MatrixGeometricOptions { tolerance, max_iterations } = *options;
+    let mut words = skeleton_key(config.classes())?;
+    words.extend([
+        key_bits("arrival_rate", config.arrival_rate())?,
+        key_bits("tolerance", tolerance)?,
+        max_iterations as u64,
+    ]);
+    Ok(words)
+}
+
+/// Key of a cached response-time absorption chain: the solution key plus the bits
+/// of the tail-truncation threshold (the chain stores the arrival-state
+/// distribution truncated at that mass, so different thresholds yield different —
+/// if numerically close — chains).  The certification tolerances are deliberately
+/// *not* part of the key: they affect only how the chain is evaluated, never its
+/// contents.
+pub(crate) fn transform_key(
+    config: &SystemConfig,
+    options: &MatrixGeometricOptions,
+    tail_epsilon: f64,
+) -> Result<Vec<u64>> {
+    let mut words = solution_key(config, options)?;
+    words.push(key_bits("tail_epsilon", tail_epsilon)?);
+    Ok(words)
+}
+
+/// A key of a [`ByteLru`]: ordered, cloneable (the recency index holds a copy) and
+/// made of canonical words whose heap bytes each entry is charged.
+pub trait CacheKey: Ord + Clone {
+    /// Heap bytes held by the key's words.
+    fn heap_bytes(&self) -> usize;
+}
+
+impl CacheKey for Vec<u64> {
+    fn heap_bytes(&self) -> usize {
+        size_of_val(self.as_slice())
     }
 }
 
-/// Bit-exact identity of one server class: `(count, µ, lifecycle)`.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-struct ClassKey {
-    count: usize,
-    service_rate: u64,
-    lifecycle: LifecycleKey,
-}
-
-impl ClassKey {
-    fn new(class: &ServerClass) -> Result<Self> {
-        Ok(ClassKey {
-            count: class.count(),
-            service_rate: key_bits("service_rate", class.service_rate())?,
-            lifecycle: LifecycleKey::new(class.lifecycle())?,
-        })
-    }
-}
-
-/// Key of the λ-independent skeleton: the canonical server-class list.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-struct SkeletonKey {
-    classes: Vec<ClassKey>,
-}
-
-impl SkeletonKey {
-    fn new(config: &SystemConfig) -> Result<Self> {
-        Ok(SkeletonKey {
-            classes: config.classes().iter().map(ClassKey::new).collect::<Result<_>>()?,
-        })
-    }
-}
-
-/// Key of a complete matrix-geometric solution: skeleton key plus arrival rate and
-/// solver options (the tolerance moves where the reduction stops, the iteration
-/// budget whether it fails).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-struct SolutionKey {
-    skeleton: SkeletonKey,
-    arrival_rate: u64,
-    tolerance: u64,
-    max_iterations: usize,
-}
-
-impl SolutionKey {
-    fn new(config: &SystemConfig, options: &MatrixGeometricOptions) -> Result<Self> {
-        // Exhaustive destructuring: adding a field to MatrixGeometricOptions must break
-        // this line rather than silently conflating solutions computed under different
-        // options.
-        let MatrixGeometricOptions { tolerance, max_iterations } = *options;
-        Ok(SolutionKey {
-            skeleton: SkeletonKey::new(config)?,
-            arrival_rate: key_bits("arrival_rate", config.arrival_rate())?,
-            tolerance: key_bits("tolerance", tolerance)?,
-            max_iterations,
-        })
-    }
-}
-
-/// Key of a cached response-time absorption chain: the underlying solution key plus
-/// the tail-truncation threshold (the chain stores the arrival-state distribution
-/// truncated at that mass, so different thresholds yield different — if numerically
-/// close — chains).  The certification tolerances are deliberately *not* part of the
-/// key: they affect only how the chain is evaluated, never its contents.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-struct TransformKey {
-    solution: SolutionKey,
-    tail_epsilon: u64,
-}
-
-impl TransformKey {
-    fn new(
-        config: &SystemConfig,
-        options: &MatrixGeometricOptions,
-        tail_epsilon: f64,
-    ) -> Result<Self> {
-        Ok(TransformKey {
-            solution: SolutionKey::new(config, options)?,
-            tail_epsilon: key_bits("tail_epsilon", tail_epsilon)?,
-        })
-    }
-}
-
-/// Number of lock shards per cache level.  Each shard is an independently locked
-/// map, so concurrent workers contend only when their keys hash to the same shard
-/// instead of serialising on one coarse lock per level.
-const SHARDS: usize = 8;
-
-/// A deterministic FNV-1a hasher used to assign keys to shards.  The standard
-/// library's `RandomState` is seeded per process, which would make shard
-/// assignment — and therefore eviction behaviour and statistics — differ between
-/// runs; FNV-1a over the derived `Hash` bytes is stable across runs, processes and
-/// platforms, which the restart-determinism contract of `urs-server` relies on.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    fn hash_of<K: Hash>(key: &K) -> u64 {
-        let mut hasher = Fnv1a(Fnv1a::OFFSET_BASIS);
-        key.hash(&mut hasher);
-        hasher.finish()
-    }
-}
-
-impl Hasher for Fnv1a {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for byte in bytes {
-            self.0 ^= u64::from(*byte);
-            self.0 = self.0.wrapping_mul(Fnv1a::PRIME);
-        }
-    }
-}
-
-/// One cached value with the bytes it is charged and the level-clock stamp of its
-/// last use.
+/// One cached value, the bytes it is charged and the stamp of its last use (its
+/// position in the recency index).
 #[derive(Debug)]
 struct Entry<V> {
     value: V,
     bytes: usize,
-    last_used: u64,
+    stamp: u64,
 }
 
-/// One shard of a level: a `BTreeMap` of entries plus the bytes they are charged.
-/// An ordered map (rather than a hash map) keeps the least-recently-used scan — and
-/// therefore eviction order and hit/miss statistics — independent of hasher seeding
-/// across runs and processes.
+/// Everything a [`ByteLru`]'s lock guards: the entries, the recency index, the
+/// bytes charged, the operation clock and the counters.  Ordered maps (rather than
+/// hash maps) keep eviction order — and so every counter — independent of hasher
+/// seeding across runs and processes.
 #[derive(Debug)]
-struct LruMap<K, V> {
+struct LruState<K, V> {
     map: BTreeMap<K, Entry<V>>,
+    /// Every key under the stamp of its last use: the first entry is the least
+    /// recently used.
+    order: BTreeMap<u64, K>,
     bytes: usize,
+    clock: u64,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+    eviction_age: u64,
+    oversized: u64,
+    poison_recoveries: u64,
 }
 
-impl<K: Ord, V> LruMap<K, V> {
-    fn new() -> Self {
-        LruMap { map: BTreeMap::new(), bytes: 0 }
-    }
-
-    fn get(&mut self, key: &K, stamp: u64) -> Option<&V> {
+impl<K: CacheKey, V: Clone> LruState<K, V> {
+    /// Advances the operation clock and looks `key` up; a found entry becomes the
+    /// most recently used, under the new stamp.
+    fn touch(&mut self, key: &K) -> Option<V> {
+        self.clock += 1;
         let entry = self.map.get_mut(key)?;
-        entry.last_used = stamp;
-        Some(&entry.value)
+        if let Some(key) = self.order.remove(&entry.stamp) {
+            self.order.insert(self.clock, key);
+        }
+        entry.stamp = self.clock;
+        Some(entry.value.clone())
     }
 
-    /// Stores an entry the caller has just looked up and found absent.
-    fn insert(&mut self, key: K, value: V, bytes: usize, stamp: u64) {
-        self.bytes += bytes;
-        self.map.insert(key, Entry { value, bytes, last_used: stamp });
-    }
-
-    /// Stamp of the least recently used entry.  The scan is `O(len)`, negligible
-    /// against the cost of the solves being cached.
-    fn oldest(&self) -> Option<u64> {
-        self.map.values().map(|entry| entry.last_used).min()
-    }
-
-    /// Removes the least recently used entry (stamps are unique within a level),
-    /// returning its stamp.
-    fn evict_oldest(&mut self) -> Option<u64> {
-        let (stamp, bytes) = self.map.values().map(|entry| (entry.last_used, entry.bytes)).min()?;
-        self.map.retain(|_, entry| entry.last_used != stamp);
-        self.bytes -= bytes;
-        Some(stamp)
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
+    /// Drops every entry; the clock and the counters keep running.
     fn clear(&mut self) {
         self.map.clear();
+        self.order.clear();
         self.bytes = 0;
     }
 }
 
-/// A byte-budgeted, sharded, poison-recovering LRU level: `shards` independent
-/// [`LruMap`]s, each behind its own mutex, with keys assigned by the deterministic
-/// [`Fnv1a`] hash.  Lookups lock one shard.  The budget covers the **whole level**:
-/// after an insert the level evicts its least recently used entries, across all
-/// shards, until the bytes charged to them fit again.  Recency stamps come from one
-/// level-wide operation counter (never the wall clock), so a single-threaded
-/// sequence of lookups and inserts evicts in the same order on every run.  An entry
-/// larger than the whole budget is handed back to the caller without being stored.
+/// A byte-budgeted, poison-recovering LRU map: the one cache implementation behind
+/// every [`SolverCache`] level and the response memo of `urs-server`.
 ///
-/// Locking never panics on a poisoned mutex: a worker that panicked while holding a
-/// shard leaves that shard's contents suspect, so the shard is **cleared and reused**
-/// (recover-and-continue) and the recovery is counted.  One crashed worker can
-/// therefore never wedge a standing server — the worst case is a few cold keys.
+/// One mutex guards the entries, a recency index from last-use stamp to key, and the
+/// counters, so a lookup, an insert and each eviction cost `O(log n)`.  Each entry
+/// is charged [`charge`](Self::charge) bytes — its value's heap bytes, its key
+/// words twice (map and recency index) and a fixed per-entry overhead; after an
+/// insert the least recently used entries are evicted until the charged bytes fit
+/// the budget again.  Stamps come from an operation clock (never the wall clock),
+/// so a single-threaded sequence of lookups and inserts evicts in the same order on
+/// every run.  An entry larger than the whole budget is handed back to the caller
+/// without being stored.
 ///
-/// The level counts its own hits, misses, evictions (with their recency ages) and
-/// oversized entries; [`snapshot`](Self::snapshot) reports them with the level's
-/// bytes and budget.
+/// Locking never panics on a poisoned mutex: a worker that panicked while holding
+/// the lock leaves the contents suspect, so they are **cleared and reused**
+/// (recover-and-continue) and the recovery is counted.  The map only ever stores
+/// complete, immutable values, so one crashed worker can never wedge a standing
+/// server — the worst case is a few cold keys.
 #[derive(Debug)]
-struct ShardedLru<K, V> {
-    shards: Vec<Mutex<LruMap<K, V>>>,
+pub struct ByteLru<K, V> {
     budget: usize,
-    clock: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    eviction_age: AtomicU64,
-    oversized: AtomicU64,
-    poison_recoveries: AtomicU64,
+    state: Mutex<LruState<K, V>>,
 }
 
-impl<K: Ord + Hash, V: Clone> ShardedLru<K, V> {
-    fn new(budget: usize, shards: usize) -> Self {
-        ShardedLru {
-            shards: (0..shards.max(1)).map(|_| Mutex::new(LruMap::new())).collect(),
+impl<K: CacheKey, V: Clone> ByteLru<K, V> {
+    /// An empty LRU holding at most `budget` charged bytes (`0` stores nothing).
+    pub fn new(budget: usize) -> Self {
+        ByteLru {
             budget,
-            clock: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            eviction_age: AtomicU64::new(0),
-            oversized: AtomicU64::new(0),
-            poison_recoveries: AtomicU64::new(0),
+            state: Mutex::new(LruState {
+                map: BTreeMap::new(),
+                order: BTreeMap::new(),
+                bytes: 0,
+                clock: 0,
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+                eviction_age: 0,
+                oversized: 0,
+                poison_recoveries: 0,
+            }),
         }
     }
 
-    /// The next stamp of the level's operation clock.
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed) + 1
+    /// Bytes an entry under `key` with a value of `value_bytes` heap bytes is
+    /// charged: the value, the key's words twice (map and recency index) and the
+    /// per-entry overhead.
+    pub fn charge(key: &K, value_bytes: usize) -> usize {
+        value_bytes + 2 * key.heap_bytes() + ENTRY_OVERHEAD
     }
 
-    /// The shard index a key hashes to (stable across runs).
-    fn shard_index(&self, key: &K) -> usize {
-        (Fnv1a::hash_of(key) % self.shards.len().max(1) as u64) as usize
-    }
-
-    /// Runs `f` with the shard at `index` locked, recovering a poisoned shard by
-    /// clearing it first.
-    fn with_shard_at<R>(&self, index: usize, f: impl FnOnce(&mut LruMap<K, V>) -> R) -> R {
-        let Some(mutex) = self.shards.get(index) else {
-            // The constructor guarantees at least one shard; reaching this branch
-            // would be a bug, but a scratch map keeps the path panic-free.
-            return f(&mut LruMap::new());
-        };
-        let mut guard = match mutex.lock() {
+    /// Locks the state, recovering a poisoned lock by clearing the entries.
+    fn lock(&self) -> MutexGuard<'_, LruState<K, V>> {
+        match self.state.lock() {
             Ok(guard) => guard,
             Err(poisoned) => {
+                // Clear the flag too, so the recovery is counted once rather than on
+                // every later lock.
+                self.state.clear_poison();
                 let mut guard = poisoned.into_inner();
                 guard.clear();
-                // Clear the flag too, so the recovery is counted once rather than on
-                // every subsequent lock of this shard.
-                mutex.clear_poison();
-                self.poison_recoveries.fetch_add(1, Ordering::Relaxed);
+                guard.poison_recoveries += 1;
                 guard
             }
-        };
-        f(&mut guard)
+        }
     }
 
-    /// Looks `key` up, counting a hit or a miss.
-    fn get(&self, key: &K) -> Option<V> {
-        let stamp = self.tick();
-        let found = self.with_shard_at(self.shard_index(key), |map| map.get(key, stamp).cloned());
-        let counter = if found.is_some() { &self.hits } else { &self.misses };
-        counter.fetch_add(1, Ordering::Relaxed);
+    /// Looks `key` up, counting a hit or a miss; a hit becomes the most recently
+    /// used entry.
+    pub fn get(&self, key: &K) -> Option<V> {
+        let mut state = self.lock();
+        let found = state.touch(key);
+        if found.is_some() {
+            state.hits += 1;
+        } else {
+            state.misses += 1;
+        }
         found
     }
 
-    /// Inserts `value`, charged `bytes`, unless another thread already stored the
-    /// key (the racing winner is returned unchanged, so racing builders converge on
-    /// one shared value), then evicts down to the budget.  A value over the whole
-    /// budget is returned without being stored, and counted.
-    fn insert_or_get(&self, key: K, value: V, bytes: usize) -> V {
-        let bytes = bytes + ENTRY_OVERHEAD;
+    /// Inserts `value`, whose heap bytes are `value_bytes`, unless another thread
+    /// already stored the key (the racing winner is returned unchanged, so racing
+    /// builders converge on one shared value), then evicts down to the budget.  A
+    /// value over the whole budget is returned without being stored, and counted.
+    pub fn insert_or_get(&self, key: K, value: V, value_bytes: usize) -> V {
+        let bytes = Self::charge(&key, value_bytes);
+        let mut state = self.lock();
         if bytes > self.budget {
-            self.oversized.fetch_add(1, Ordering::Relaxed);
+            state.oversized += 1;
             return value;
         }
-        let stamp = self.tick();
-        let winner = self.with_shard_at(self.shard_index(&key), |map| {
-            if let Some(winner) = map.get(&key, stamp) {
-                return Some(winner.clone());
-            }
-            map.insert(key, value.clone(), bytes, stamp);
-            None
-        });
-        if let Some(winner) = winner {
+        if let Some(winner) = state.touch(&key) {
             return winner;
         }
-        self.evict_to_budget();
+        let stamp = state.clock;
+        state.order.insert(stamp, key.clone());
+        state.map.insert(key, Entry { value: value.clone(), bytes, stamp });
+        state.bytes += bytes;
+        while state.bytes > self.budget {
+            let Some((oldest, key)) = state.order.pop_first() else { break };
+            if let Some(evicted) = state.map.remove(&key) {
+                state.bytes -= evicted.bytes;
+            }
+            state.evictions += 1;
+            state.eviction_age += stamp.saturating_sub(oldest);
+        }
         value
     }
 
-    /// Evicts the level's least recently used entries until its bytes fit the
-    /// budget.  Shards are locked one at a time, never two at once.
-    fn evict_to_budget(&self) {
-        loop {
-            let mut bytes = 0;
-            let mut victim: Option<(u64, usize)> = None;
-            for index in 0..self.shards.len() {
-                let (shard_bytes, oldest) =
-                    self.with_shard_at(index, |map| (map.bytes, map.oldest()));
-                bytes += shard_bytes;
-                if let Some(stamp) = oldest {
-                    if victim.is_none_or(|(oldest, _)| stamp < oldest) {
-                        victim = Some((stamp, index));
-                    }
-                }
-            }
-            if bytes <= self.budget {
-                return;
-            }
-            let Some((_, index)) = victim else { return };
-            let now = self.clock.load(Ordering::Relaxed);
-            if let Some(stamp) = self.with_shard_at(index, LruMap::evict_oldest) {
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                self.eviction_age.fetch_add(now.saturating_sub(stamp), Ordering::Relaxed);
-            }
-        }
+    /// Drops every entry; the counters keep accumulating.
+    pub fn clear(&self) {
+        self.lock().clear();
     }
 
-    fn len(&self) -> usize {
-        (0..self.shards.len()).map(|i| self.with_shard_at(i, |map| map.len())).sum()
-    }
-
-    /// Bytes charged to the level's entries.
-    fn bytes(&self) -> usize {
-        (0..self.shards.len()).map(|i| self.with_shard_at(i, |map| map.bytes)).sum()
-    }
-
-    fn clear(&self) {
-        for i in 0..self.shards.len() {
-            self.with_shard_at(i, |map| map.clear());
-        }
-    }
-
-    /// The level's counters, bytes and budget under the name `level`.
-    fn snapshot(&self, level: &'static str) -> CacheLevelStats {
+    /// The counters, entries, bytes and budget, under the name `level`.
+    pub fn stats(&self, level: &'static str) -> CacheLevelStats {
+        let state = self.lock();
         CacheLevelStats {
             level,
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            eviction_age_total: self.eviction_age.load(Ordering::Relaxed),
-            oversized: self.oversized.load(Ordering::Relaxed),
-            bytes: self.bytes() as u64,
+            hits: state.hits,
+            misses: state.misses,
+            evictions: state.evictions,
+            eviction_age_total: state.eviction_age,
+            oversized: state.oversized,
+            entries: state.map.len() as u64,
+            bytes: state.bytes as u64,
             budget_bytes: self.budget as u64,
         }
     }
+
+    /// Poisoned locks cleared and reused so far.
+    pub fn poison_recoveries(&self) -> u64 {
+        self.lock().poison_recoveries
+    }
 }
 
-/// Hit/miss/eviction counters of one cache level, derived from [`CacheStats`] by
-/// [`CacheStats::levels`] — the per-level view a serving process reports on its
-/// metrics endpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Hit/miss/eviction counters and occupancy of one [`ByteLru`] — one level of a
+/// [`SolverCache`], or the response memo — as a serving process reports them on
+/// its metrics endpoint.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheLevelStats {
-    /// Level name: `"skeletons"`, `"solutions"` or `"transforms"`.
+    /// Level name: `"skeletons"`, `"solutions"` or `"transforms"` for the cache,
+    /// `"response_memo"` for the server's memo.
     pub level: &'static str,
     /// Lookups answered from the cache.
     pub hits: u64,
@@ -552,6 +432,8 @@ pub struct CacheLevelStats {
     /// Computed entries larger than the level's whole budget, returned to their
     /// caller without being stored.
     pub oversized: u64,
+    /// Entries the level holds now.
+    pub entries: u64,
     /// Bytes charged to the entries the level holds now.
     pub bytes: u64,
     /// The level's byte budget.
@@ -585,127 +467,27 @@ impl CacheLevelStats {
     }
 }
 
-/// Hit/miss/eviction counters and byte occupancy of a [`SolverCache`], for
-/// reporting and tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Counters and occupancy of a [`SolverCache`], per level, for reporting and tests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Skeleton lookups answered from the cache.
-    pub skeleton_hits: u64,
-    /// Skeleton lookups that had to build the skeleton.
-    pub skeleton_misses: u64,
-    /// Matrix-geometric solution lookups answered from the cache.
-    pub solution_hits: u64,
-    /// Matrix-geometric solution lookups that had to run the solver.
-    pub solution_misses: u64,
-    /// Response-chain lookups answered from the cache: repeated percentile or CDF
-    /// queries against the same configuration (an SLA sweep evaluating P90/P95/P99,
-    /// say) skip both the stationary solve and the chain build.
-    pub transform_hits: u64,
-    /// Response-chain lookups that had to build the chain.
-    pub transform_misses: u64,
-    /// Skeletons evicted by the LRU policy.
-    pub skeleton_evictions: u64,
-    /// Solutions evicted by the LRU policy.
-    pub solution_evictions: u64,
-    /// Response transforms evicted by the LRU policy.
-    pub transform_evictions: u64,
-    /// Cumulative recency age of evicted skeletons (see [`CacheLevelStats::eviction_age_total`]).
-    pub skeleton_eviction_age: u64,
-    /// Cumulative recency age of evicted solutions.
-    pub solution_eviction_age: u64,
-    /// Cumulative recency age of evicted response transforms.
-    pub transform_eviction_age: u64,
-    /// Skeletons built but not stored because they exceed the level's budget.
-    pub skeleton_oversized: u64,
-    /// Solutions computed but not stored because they exceed the level's budget.
-    pub solution_oversized: u64,
-    /// Response chains built but not stored because they exceed the level's budget.
-    pub transform_oversized: u64,
-    /// Bytes charged to the cached skeletons.
-    pub skeleton_bytes: u64,
-    /// Bytes charged to the cached solutions.
-    pub solution_bytes: u64,
-    /// Bytes charged to the cached response transforms.
-    pub transform_bytes: u64,
-    /// Byte budget of the skeleton level.
-    pub skeleton_budget_bytes: u64,
-    /// Byte budget of the solution level.
-    pub solution_budget_bytes: u64,
-    /// Byte budget of the response-transform level.
-    pub transform_budget_bytes: u64,
-    /// Shards cleared after a worker panicked while holding their lock
+    /// The levels `[skeletons, solutions, transforms]`, each with its hit rate,
+    /// eviction-age diagnostics, entries and bytes against budget — the shape a
+    /// serving process's `stats` endpoint reports.
+    pub levels: [CacheLevelStats; 3],
+    /// Locks cleared after a worker panicked while holding them
     /// (recover-and-continue; see the poisoning policy in the [`SolverCache`] docs).
     pub poison_recoveries: u64,
 }
 
 impl CacheStats {
-    /// The per-level view: `[skeletons, solutions, transforms]`, each with its hit
-    /// rate, eviction-age diagnostics and bytes against budget — the shape a
-    /// serving process's `stats` endpoint reports.
-    pub fn levels(&self) -> [CacheLevelStats; 3] {
-        [
-            CacheLevelStats {
-                level: "skeletons",
-                hits: self.skeleton_hits,
-                misses: self.skeleton_misses,
-                evictions: self.skeleton_evictions,
-                eviction_age_total: self.skeleton_eviction_age,
-                oversized: self.skeleton_oversized,
-                bytes: self.skeleton_bytes,
-                budget_bytes: self.skeleton_budget_bytes,
-            },
-            CacheLevelStats {
-                level: "solutions",
-                hits: self.solution_hits,
-                misses: self.solution_misses,
-                evictions: self.solution_evictions,
-                eviction_age_total: self.solution_eviction_age,
-                oversized: self.solution_oversized,
-                bytes: self.solution_bytes,
-                budget_bytes: self.solution_budget_bytes,
-            },
-            CacheLevelStats {
-                level: "transforms",
-                hits: self.transform_hits,
-                misses: self.transform_misses,
-                evictions: self.transform_evictions,
-                eviction_age_total: self.transform_eviction_age,
-                oversized: self.transform_oversized,
-                bytes: self.transform_bytes,
-                budget_bytes: self.transform_budget_bytes,
-            },
-        ]
-    }
-
     /// Overall hit rate across all three levels (`0.0` before the first lookup).
     pub fn total_hit_rate(&self) -> f64 {
-        let hits = self.skeleton_hits + self.solution_hits + self.transform_hits;
-        let lookups = hits + self.skeleton_misses + self.solution_misses + self.transform_misses;
+        let hits: u64 = self.levels.iter().map(|level| level.hits).sum();
+        let lookups: u64 = self.levels.iter().map(CacheLevelStats::lookups).sum();
         if lookups == 0 {
             return 0.0;
         }
         hits as f64 / lookups as f64
-    }
-}
-
-/// Number of entries cached per level, as reported by [`SolverCache::len`].
-///
-/// (Previously a bare 4-tuple; the named form keeps the serving stats endpoint's
-/// shape self-describing and extensible.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheOccupancy {
-    /// Cached QBD skeletons.
-    pub skeletons: usize,
-    /// Cached complete matrix-geometric solutions.
-    pub solutions: usize,
-    /// Cached response-time transforms.
-    pub transforms: usize,
-}
-
-impl CacheOccupancy {
-    /// Total entries across all three levels.
-    pub fn total(&self) -> usize {
-        self.skeletons + self.solutions + self.transforms
     }
 }
 
@@ -724,27 +506,28 @@ impl CacheOccupancy {
 ///
 /// # Byte budgets
 ///
-/// Each entry is charged the heap bytes of its matrices and vectors, and each level
-/// evicts least-recently-used entries until it fits its share of the cache's budget
+/// Each entry is charged the heap bytes of its matrices and vectors plus its key
+/// words and a fixed overhead ([`ByteLru::charge`]), and each level evicts
+/// least-recently-used entries until it fits its share of the cache's budget
 /// ([`CACHE_BYTES`] by default, set with [`with_byte_budget`](Self::with_byte_budget)).
 /// An entry larger than its level's whole budget is returned to the caller
 /// uncached and counted as oversized.
 ///
-/// # Sharding and poisoning
+/// # Locking and poisoning
 ///
-/// Each level is split into 8 independently locked shards keyed by
-/// a deterministic hash, so the worker threads of a parallel sweep (or the request
-/// threads of a standing server) contend per shard rather than per level.  A shard
-/// whose lock was poisoned by a panicking worker is **cleared and reused** rather
-/// than propagating the poison: the cache only ever stores complete, immutable
-/// entries, so the sole risk after a panic is staleness of that shard's bookkeeping
-/// — dropping its entries restores a sound (cold) state and the recovery is counted
-/// in [`CacheStats::poison_recoveries`].
+/// Each level is one [`ByteLru`] behind one lock, held only for a map lookup or
+/// insert (values are built outside it), so the worker threads of a parallel sweep
+/// (or the request threads of a standing server) wait on each other only for those
+/// `O(log n)` steps.  A level whose lock was poisoned by a panicking worker is
+/// **cleared and reused** rather than propagating the poison: the cache only ever
+/// stores complete, immutable entries, so the sole risk after a panic is staleness
+/// of that level's bookkeeping — dropping its entries restores a sound (cold) state
+/// and the recovery is counted in [`CacheStats::poison_recoveries`].
 #[derive(Debug)]
 pub struct SolverCache {
-    skeletons: ShardedLru<SkeletonKey, Arc<QbdSkeleton>>,
-    solutions: ShardedLru<SolutionKey, Arc<MatrixGeometricSolution>>,
-    transforms: ShardedLru<TransformKey, Arc<AbsorptionChain>>,
+    skeletons: ByteLru<Vec<u64>, Arc<QbdSkeleton>>,
+    solutions: ByteLru<Vec<u64>, Arc<MatrixGeometricSolution>>,
+    transforms: ByteLru<Vec<u64>, Arc<AbsorptionChain>>,
 }
 
 impl Default for SolverCache {
@@ -766,9 +549,9 @@ impl SolverCache {
     pub fn with_byte_budget(bytes: usize) -> Self {
         let [skeletons, solutions, transforms] = level_budgets(bytes);
         SolverCache {
-            skeletons: ShardedLru::new(skeletons, SHARDS),
-            solutions: ShardedLru::new(solutions, SHARDS),
-            transforms: ShardedLru::new(transforms, SHARDS),
+            skeletons: ByteLru::new(skeletons),
+            solutions: ByteLru::new(solutions),
+            transforms: ByteLru::new(transforms),
         }
     }
 
@@ -781,17 +564,17 @@ impl SolverCache {
     /// Returns the QBD skeleton for the server classes of the configuration, building
     /// and caching it on first use.
     ///
-    /// The skeleton is built outside the shard lock, so concurrent sweeps never stall
-    /// behind a build; if two threads race on the same key the first inserted skeleton
-    /// wins and both threads share it (the builds are deterministic, so the values are
-    /// interchangeable).
+    /// The skeleton is built outside the level's lock, so concurrent sweeps never
+    /// stall behind a build; if two threads race on the same key the first inserted
+    /// skeleton wins and both threads share it (the builds are deterministic, so the
+    /// values are interchangeable).
     ///
     /// # Errors
     ///
     /// Propagates skeleton-construction errors and rejects configurations whose
     /// parameters cannot form a sound cache key (non-finite values).
     pub fn skeleton(&self, config: &SystemConfig) -> Result<Arc<QbdSkeleton>> {
-        let key = SkeletonKey::new(config)?;
+        let key = skeleton_key(config.classes())?;
         if let Some(hit) = self.skeletons.get(&key) {
             return Ok(hit);
         }
@@ -806,7 +589,7 @@ impl SolverCache {
         config: &SystemConfig,
         options: &MatrixGeometricOptions,
     ) -> Result<Option<Arc<MatrixGeometricSolution>>> {
-        Ok(self.solutions.get(&SolutionKey::new(config, options)?))
+        Ok(self.solutions.get(&solution_key(config, options)?))
     }
 
     /// Stores a freshly computed solution.
@@ -817,7 +600,7 @@ impl SolverCache {
         solution: Arc<MatrixGeometricSolution>,
     ) -> Result<()> {
         let bytes = solution.heap_bytes();
-        self.solutions.insert_or_get(SolutionKey::new(config, options)?, solution, bytes);
+        self.solutions.insert_or_get(solution_key(config, options)?, solution, bytes);
         Ok(())
     }
 
@@ -828,7 +611,7 @@ impl SolverCache {
         options: &MatrixGeometricOptions,
         tail_epsilon: f64,
     ) -> Result<Option<Arc<AbsorptionChain>>> {
-        Ok(self.transforms.get(&TransformKey::new(config, options, tail_epsilon)?))
+        Ok(self.transforms.get(&transform_key(config, options, tail_epsilon)?))
     }
 
     /// Stores a freshly built response-time absorption chain.
@@ -840,58 +623,28 @@ impl SolverCache {
         chain: Arc<AbsorptionChain>,
     ) -> Result<()> {
         let bytes = chain.heap_bytes();
-        let key = TransformKey::new(config, options, tail_epsilon)?;
+        let key = transform_key(config, options, tail_epsilon)?;
         self.transforms.insert_or_get(key, chain, bytes);
         Ok(())
     }
 
-    /// Current counters and byte occupancy.
+    /// Current counters and occupancy, per level.
     pub fn stats(&self) -> CacheStats {
-        let [skeletons, solutions, transforms] = [
-            self.skeletons.snapshot("skeletons"),
-            self.solutions.snapshot("solutions"),
-            self.transforms.snapshot("transforms"),
-        ];
         CacheStats {
-            skeleton_hits: skeletons.hits,
-            skeleton_misses: skeletons.misses,
-            solution_hits: solutions.hits,
-            solution_misses: solutions.misses,
-            transform_hits: transforms.hits,
-            transform_misses: transforms.misses,
-            skeleton_evictions: skeletons.evictions,
-            solution_evictions: solutions.evictions,
-            transform_evictions: transforms.evictions,
-            skeleton_eviction_age: skeletons.eviction_age_total,
-            solution_eviction_age: solutions.eviction_age_total,
-            transform_eviction_age: transforms.eviction_age_total,
-            skeleton_oversized: skeletons.oversized,
-            solution_oversized: solutions.oversized,
-            transform_oversized: transforms.oversized,
-            skeleton_bytes: skeletons.bytes,
-            solution_bytes: solutions.bytes,
-            transform_bytes: transforms.bytes,
-            skeleton_budget_bytes: skeletons.budget_bytes,
-            solution_budget_bytes: solutions.budget_bytes,
-            transform_budget_bytes: transforms.budget_bytes,
-            poison_recoveries: self.skeletons.poison_recoveries.load(Ordering::Relaxed)
-                + self.solutions.poison_recoveries.load(Ordering::Relaxed)
-                + self.transforms.poison_recoveries.load(Ordering::Relaxed),
+            levels: [
+                self.skeletons.stats("skeletons"),
+                self.solutions.stats("solutions"),
+                self.transforms.stats("transforms"),
+            ],
+            poison_recoveries: self.skeletons.poison_recoveries()
+                + self.solutions.poison_recoveries()
+                + self.transforms.poison_recoveries(),
         }
     }
 
-    /// Number of cached entries per level.
-    pub fn len(&self) -> CacheOccupancy {
-        CacheOccupancy {
-            skeletons: self.skeletons.len(),
-            solutions: self.solutions.len(),
-            transforms: self.transforms.len(),
-        }
-    }
-
-    /// Returns `true` if nothing is cached yet.
+    /// Returns `true` if nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.len().total() == 0
+        self.stats().levels.iter().all(|level| level.entries == 0)
     }
 
     /// Drops every cached entry; the counters keep accumulating.
@@ -915,13 +668,19 @@ mod tests {
 
     /// Bytes a paper-lifecycle skeleton of `servers` servers is charged.
     fn skeleton_bytes(servers: usize) -> usize {
-        let skeleton = QbdSkeleton::for_classes(config(servers, 1.0).classes()).unwrap();
-        skeleton.heap_bytes() + ENTRY_OVERHEAD
+        let cfg = config(servers, 1.0);
+        let skeleton = QbdSkeleton::for_classes(cfg.classes()).unwrap();
+        ByteLru::<_, ()>::charge(&skeleton_key(cfg.classes()).unwrap(), skeleton.heap_bytes())
     }
 
     /// A cache whose skeleton level (a quarter of the total) holds exactly `bytes`.
     fn with_skeleton_budget(bytes: usize) -> SolverCache {
         SolverCache::with_byte_budget(4 * bytes)
+    }
+
+    /// The `[skeletons, solutions, transforms]` counters of `cache`.
+    fn levels(cache: &SolverCache) -> [CacheLevelStats; 3] {
+        cache.stats().levels
     }
 
     #[test]
@@ -932,9 +691,9 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &again), "λ must not affect the skeleton key");
         let other = cache.skeleton(&config(5, 2.0)).unwrap();
         assert!(!Arc::ptr_eq(&first, &other));
-        let stats = cache.stats();
-        assert_eq!((stats.skeleton_hits, stats.skeleton_misses), (1, 2));
-        assert_eq!(cache.len().skeletons, 2);
+        let [skeletons, ..] = levels(&cache);
+        assert_eq!((skeletons.hits, skeletons.misses), (1, 2));
+        assert_eq!(skeletons.entries, 2);
     }
 
     #[test]
@@ -944,7 +703,7 @@ mod tests {
         let exp = ServerLifecycle::exponential(0.1, 2.0).unwrap();
         let b = cache.skeleton(&SystemConfig::new(3, 2.0, 1.0, exp).unwrap()).unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.stats().skeleton_misses, 2);
+        assert_eq!(levels(&cache)[0].misses, 2);
     }
 
     #[test]
@@ -958,9 +717,9 @@ mod tests {
         for level in 0..=cfg.servers() + 2 {
             assert_eq!(fresh.level_vector(level), cached.level_vector(level));
         }
-        let stats = cache.stats();
-        assert_eq!(stats.solution_hits, 1);
-        assert_eq!(stats.solution_misses, 1);
+        let [_, solutions, _] = levels(&cache);
+        assert_eq!(solutions.hits, 1);
+        assert_eq!(solutions.misses, 1);
     }
 
     #[test]
@@ -982,14 +741,38 @@ mod tests {
         for s in &skeletons {
             assert!(Arc::ptr_eq(s, &skeletons[0]));
         }
-        assert_eq!(cache.len().skeletons, 1);
+        assert_eq!(levels(&cache)[0].entries, 1);
+    }
+
+    #[test]
+    fn concurrent_evictions_stay_within_the_budget() {
+        // Four workers insert 16 distinct skeleton keys into a level that holds
+        // only the four largest: the one lock keeps the bytes within the budget,
+        // and every miss is either still held or was evicted.
+        use crate::parallel::ThreadPool;
+        let budget: usize = (14..18).map(skeleton_bytes).sum();
+        let cache = with_skeleton_budget(budget);
+        let configs: Vec<SystemConfig> = (2..18).map(|n| config(n, 1.0)).collect();
+        ThreadPool::new(4)
+            .try_par_map(&configs, |cfg| {
+                cache.skeleton(cfg)?;
+                let [skeletons, ..] = levels(&cache);
+                assert!(skeletons.bytes <= budget as u64, "budget exceeded");
+                Ok::<_, ModelError>(())
+            })
+            .unwrap();
+        let [skeletons, ..] = levels(&cache);
+        assert!(skeletons.bytes <= budget as u64);
+        assert_eq!(skeletons.misses, 16);
+        assert!(skeletons.evictions > 0, "the workload must run under eviction pressure");
+        assert_eq!(skeletons.evictions + skeletons.entries, skeletons.misses);
     }
 
     #[test]
     fn cache_statistics_are_run_to_run_deterministic() {
         // Two independent caches fed the same workload under eviction pressure
         // must report identical statistics and occupancy.  With a hash map this
-        // held only by accident of hasher seeding; the ordered map makes
+        // held only by accident of hasher seeding; the ordered maps make
         // eviction order — and so every hit/miss counter — reproducible.
         let workload: Vec<SystemConfig> = [2, 3, 4, 2, 5, 3, 2, 6, 4, 5]
             .iter()
@@ -1000,13 +783,11 @@ mod tests {
             for cfg in &workload {
                 cache.skeleton(cfg).unwrap();
             }
-            (cache.stats(), cache.len())
+            cache.stats()
         };
-        let (stats_a, len_a) = run();
-        let (stats_b, len_b) = run();
-        assert!(stats_a.skeleton_evictions > 0, "the workload must run under eviction pressure");
+        let (stats_a, stats_b) = (run(), run());
+        assert!(stats_a.levels[0].evictions > 0, "the workload must run under eviction pressure");
         assert_eq!(stats_a, stats_b);
-        assert_eq!(len_a, len_b);
     }
 
     #[test]
@@ -1034,8 +815,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_the_least_recently_used_skeleton() {
-        // The budget fits A with either B or C, never all three.  Eviction is by
-        // level-wide recency, whichever shards the keys hash to.
+        // The budget fits A with either B or C, never all three.
         let cache = with_skeleton_budget(skeleton_bytes(2) + skeleton_bytes(4));
         let a = config(2, 1.0);
         let b = config(3, 1.0);
@@ -1044,13 +824,13 @@ mod tests {
         cache.skeleton(&b).unwrap();
         cache.skeleton(&a).unwrap(); // A is now more recently used than B
         cache.skeleton(&c).unwrap(); // evicts B
-        assert_eq!(cache.len().skeletons, 2);
-        assert_eq!(cache.stats().skeleton_evictions, 1);
+        let [skeletons, ..] = levels(&cache);
+        assert_eq!((skeletons.entries, skeletons.evictions), (2, 1));
         // A survives (hit), B was evicted (miss rebuilds it).
         cache.skeleton(&a).unwrap();
-        assert_eq!(cache.stats().skeleton_hits, 2);
+        assert_eq!(levels(&cache)[0].hits, 2);
         cache.skeleton(&b).unwrap();
-        assert_eq!(cache.stats().skeleton_misses, 4);
+        assert_eq!(levels(&cache)[0].misses, 4);
     }
 
     #[test]
@@ -1065,15 +845,20 @@ mod tests {
                 (MatrixGeometricSolver::default().solve_shared(&cfg).unwrap(), cfg)
             })
             .collect();
-        let entry = solutions[0].0.heap_bytes() + ENTRY_OVERHEAD;
+        let charge = |solution: &MatrixGeometricSolution, cfg: &SystemConfig| {
+            let key = solution_key(cfg, &options).unwrap();
+            ByteLru::<_, ()>::charge(&key, solution.heap_bytes())
+        };
+        let entry = charge(&solutions[0].0, &solutions[0].1);
         let cache = SolverCache::with_byte_budget(4 * entry);
         for (solution, cfg) in solutions {
-            assert_eq!(solution.heap_bytes() + ENTRY_OVERHEAD, entry);
+            assert_eq!(charge(&solution, &cfg), entry);
             cache.store_solution(&cfg, &options, solution).unwrap();
         }
-        assert_eq!(cache.len().solutions, 2, "solution map must stay at its budget");
-        assert_eq!(cache.stats().solution_evictions, 3);
-        assert_eq!(cache.stats().solution_bytes, 2 * entry as u64);
+        let [_, solutions, _] = levels(&cache);
+        assert_eq!(solutions.entries, 2, "solution map must stay at its budget");
+        assert_eq!(solutions.evictions, 3);
+        assert_eq!(solutions.bytes, 2 * entry as u64);
     }
 
     #[test]
@@ -1108,38 +893,22 @@ mod tests {
         let s3 = cache.skeleton(&other).unwrap();
         assert!(!Arc::ptr_eq(&s1, &s3));
     }
-    #[test]
-    fn shard_assignment_is_deterministic_across_caches() {
-        // FNV-1a over the derived Hash bytes must send the same key to the same
-        // shard in every process — eviction behaviour and statistics depend on it.
-        let configs: Vec<SystemConfig> =
-            (2..10).map(|n| config(n, 1.0 + n as f64 * 0.25)).collect();
-        let budget = skeleton_bytes(8) + skeleton_bytes(9);
-        let first = with_skeleton_budget(budget);
-        let second = with_skeleton_budget(budget);
-        for cfg in &configs {
-            first.skeleton(cfg).unwrap();
-            second.skeleton(cfg).unwrap();
-        }
-        assert_eq!(first.stats(), second.stats());
-        assert_eq!(first.len(), second.len());
-    }
 
     #[test]
     fn sharded_capacity_bounds_the_level() {
         // 16 distinct skeleton keys against a level that holds the four largest:
-        // whatever shards the keys hash to, the level-wide bytes never exceed the
-        // budget, and evictions account for every entry no longer held.
+        // the level's bytes never exceed the budget, and evictions account for
+        // every entry no longer held.
         let budget: usize = (14..18).map(skeleton_bytes).sum();
         let cache = with_skeleton_budget(budget);
         for n in 2..18 {
             cache.skeleton(&config(n, 1.0)).unwrap();
-            assert!(cache.stats().skeleton_bytes <= budget as u64, "budget exceeded at N = {n}");
+            assert!(levels(&cache)[0].bytes <= budget as u64, "budget exceeded at N = {n}");
         }
-        let stats = cache.stats();
-        assert_eq!(stats.skeleton_budget_bytes, budget as u64);
-        assert_eq!(stats.skeleton_evictions + cache.len().skeletons as u64, 16);
-        assert!(stats.skeleton_eviction_age > 0, "evictions must report recency ages");
+        let [skeletons, ..] = levels(&cache);
+        assert_eq!(skeletons.budget_bytes, budget as u64);
+        assert_eq!(skeletons.evictions + skeletons.entries, 16);
+        assert!(skeletons.eviction_age_total > 0, "evictions must report recency ages");
     }
 
     #[test]
@@ -1151,8 +920,7 @@ mod tests {
         let solver = MatrixGeometricSolver::default().with_cache(Arc::clone(&cache));
         for n in 3..=20 {
             solver.solve_shared(&config(n, 0.5 * n as f64)).unwrap();
-            let stats = cache.stats();
-            for level in stats.levels() {
+            for level in levels(&cache) {
                 assert!(
                     level.bytes <= level.budget_bytes,
                     "{} over budget at N = {n}",
@@ -1160,17 +928,13 @@ mod tests {
                 );
             }
         }
-        let stats = cache.stats();
+        let [skeletons, solutions, transforms] = levels(&cache);
         assert_eq!(
-            [
-                stats.skeleton_budget_bytes,
-                stats.solution_budget_bytes,
-                stats.transform_budget_bytes
-            ],
+            [skeletons.budget_bytes, solutions.budget_bytes, transforms.budget_bytes],
             [1 << 20, 2 << 20, 1 << 20]
         );
-        assert!(stats.skeleton_evictions > 0 && stats.solution_evictions > 0);
-        assert_eq!(stats.skeleton_oversized + stats.solution_oversized, 0);
+        assert!(skeletons.evictions > 0 && solutions.evictions > 0);
+        assert_eq!(skeletons.oversized + solutions.oversized, 0);
     }
 
     #[test]
@@ -1179,18 +943,17 @@ mod tests {
         let large = config(6, 1.0);
         let cache = with_skeleton_budget(skeleton_bytes(2));
         cache.skeleton(&small).unwrap();
-        let occupancy = cache.len();
         let built = cache.skeleton(&large).unwrap();
         assert_eq!(built.servers(), 6, "the oversized skeleton still reaches its caller");
-        assert_eq!(cache.len(), occupancy, "an oversized entry must not be stored");
-        let stats = cache.stats();
-        assert_eq!((stats.skeleton_misses, stats.skeleton_oversized), (2, 1));
-        assert_eq!(stats.skeleton_evictions, 0, "an oversized entry evicts nothing");
+        let [skeletons, ..] = levels(&cache);
+        assert_eq!(skeletons.entries, 1, "an oversized entry must not be stored");
+        assert_eq!((skeletons.misses, skeletons.oversized), (2, 1));
+        assert_eq!(skeletons.evictions, 0, "an oversized entry evicts nothing");
         // Looking it up again is another miss; the small entry is still a hit.
         cache.skeleton(&large).unwrap();
         cache.skeleton(&small).unwrap();
-        let stats = cache.stats();
-        assert_eq!((stats.skeleton_misses, stats.skeleton_hits), (3, 1));
+        let [skeletons, ..] = levels(&cache);
+        assert_eq!((skeletons.misses, skeletons.hits), (3, 1));
     }
 
     #[test]
@@ -1199,51 +962,54 @@ mod tests {
         let cfg = config(3, 1.0);
         cache.skeleton(&cfg).unwrap();
         assert_eq!(cache.stats().poison_recoveries, 0);
-        // Poison the shard holding the key by panicking while its lock is held.
-        let index = cache.skeletons.shard_index(&SkeletonKey::new(&cfg).unwrap());
+        // Poison the skeleton level's lock by panicking while it is held.
         let poison = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cache.skeletons.with_shard_at(index, |_| panic!("worker died mid-update"));
+            let _guard = cache.skeletons.lock();
+            panic!("worker died mid-update");
         }));
         assert!(poison.is_err());
-        // The next touch recovers: the shard is cleared (cold miss), counted, and
+        // The next touch recovers: the level is cleared (cold miss), counted, and
         // the cache keeps serving.
         cache.skeleton(&cfg).unwrap();
         assert_eq!(cache.stats().poison_recoveries, 1);
-        assert_eq!(cache.stats().skeleton_misses, 2, "recovered shard restarts cold");
+        assert_eq!(levels(&cache)[0].misses, 2, "recovered level restarts cold");
         cache.skeleton(&cfg).unwrap();
-        assert_eq!(cache.stats().skeleton_hits, 1, "cache serves normally after recovery");
+        assert_eq!(levels(&cache)[0].hits, 1, "cache serves normally after recovery");
     }
 
     #[test]
     fn level_stats_report_hit_rates_and_eviction_ages() {
-        let stats = CacheStats {
-            skeleton_hits: 3,
-            skeleton_misses: 1,
-            skeleton_evictions: 2,
-            skeleton_eviction_age: 10,
-            ..CacheStats::default()
+        let skeletons = CacheLevelStats {
+            level: "skeletons",
+            hits: 3,
+            misses: 1,
+            evictions: 2,
+            eviction_age_total: 10,
+            ..CacheLevelStats::default()
         };
-        let levels = stats.levels();
-        assert_eq!(levels[0].level, "skeletons");
-        assert_eq!(levels[0].lookups(), 4);
-        assert_eq!(levels[0].hit_rate().to_bits(), 0.75f64.to_bits());
-        assert_eq!(levels[0].mean_eviction_age().to_bits(), 5.0f64.to_bits());
+        let solutions = CacheLevelStats { level: "solutions", ..CacheLevelStats::default() };
+        let stats = CacheStats { levels: [skeletons, solutions, solutions], poison_recoveries: 0 };
+        assert_eq!(skeletons.lookups(), 4);
+        assert_eq!(skeletons.hit_rate().to_bits(), 0.75f64.to_bits());
+        assert_eq!(skeletons.mean_eviction_age().to_bits(), 5.0f64.to_bits());
         // Untouched levels divide by zero nowhere.
-        assert_eq!(levels[1].hit_rate().to_bits(), 0.0f64.to_bits());
-        assert_eq!(levels[1].mean_eviction_age().to_bits(), 0.0f64.to_bits());
+        assert_eq!(solutions.hit_rate().to_bits(), 0.0f64.to_bits());
+        assert_eq!(solutions.mean_eviction_age().to_bits(), 0.0f64.to_bits());
         assert_eq!(stats.total_hit_rate().to_bits(), 0.75f64.to_bits());
     }
 
     #[test]
     fn occupancy_totals_the_levels() {
-        let occupancy = CacheOccupancy { skeletons: 1, solutions: 2, transforms: 4 };
-        assert_eq!(occupancy.total(), 7);
-        let cache = SolverCache::new();
+        let cache = SolverCache::shared();
         assert!(cache.is_empty());
-        cache.skeleton(&config(2, 1.0)).unwrap();
+        let solver = MatrixGeometricSolver::default().with_cache(Arc::clone(&cache));
+        solver.solve_shared(&config(2, 1.0)).unwrap();
+        solver.solve_shared(&config(2, 1.5)).unwrap();
+        let entries = levels(&cache).map(|level| level.entries);
+        assert_eq!(entries, [1, 2, 0]);
         assert!(!cache.is_empty());
         cache.clear();
         assert!(cache.is_empty());
-        assert_eq!(cache.len(), CacheOccupancy::default());
+        assert_eq!(levels(&cache).map(|level| level.bytes), [0, 0, 0]);
     }
 }

@@ -63,7 +63,7 @@ use std::sync::Arc;
 use urs_dist::HyperExponential;
 
 use crate::cache::{
-    digest_of, push_class_words, skeleton_digest, CacheOccupancy, CacheStats, SolverCache,
+    digest_of, push_class_words, skeleton_digest, CacheKey, CacheStats, SolverCache,
 };
 use crate::config::{canonical_bits, ServerClass, ServerLifecycle, SystemConfig};
 use crate::cost::{ClassCostModel, CostModel, CostPoint, CostSweep};
@@ -177,9 +177,10 @@ impl QueryKey {
     pub fn digest(&self) -> u64 {
         self.digest
     }
+}
 
-    /// Heap bytes held by the key's words.
-    pub fn heap_bytes(&self) -> usize {
+impl CacheKey for QueryKey {
+    fn heap_bytes(&self) -> usize {
         size_of_val(self.words.as_slice())
     }
 }
@@ -605,12 +606,8 @@ impl Query {
             | Query::CostSweep { config, .. }
             | Query::Provisioning { config, .. }
             | Query::Percentiles { config, .. }
-            | Query::SlaSweep { config, .. } => skeleton_digest(config).ok(),
-            Query::MixSearch { classes, .. } => {
-                let mut words = Vec::new();
-                push_class_words(classes, &mut words).ok()?;
-                Some(digest_of(&words))
-            }
+            | Query::SlaSweep { config, .. } => skeleton_digest(config.classes()).ok(),
+            Query::MixSearch { classes, .. } => skeleton_digest(classes).ok(),
             Query::Stats => None,
         }
     }
@@ -693,10 +690,8 @@ pub struct PercentileReport {
 /// Cache statistics as reported by a [`Query::Stats`] query.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineStats {
-    /// Counter snapshot of the shared cache.
+    /// Counter and occupancy snapshot of the shared cache.
     pub cache: CacheStats,
-    /// Entries currently cached per level.
-    pub occupancy: CacheOccupancy,
 }
 
 /// The deterministic result of a query, serialisable via [`QueryResult::to_json`].
@@ -757,7 +752,7 @@ fn mix_candidate_to_json(candidate: &MixCandidate) -> Value {
 fn level_stats_to_json(stats: &CacheStats) -> Value {
     Value::Array(
         stats
-            .levels()
+            .levels
             .iter()
             .map(|level| {
                 json::object([
@@ -831,11 +826,12 @@ impl QueryResult {
                 ("poison_recoveries", Value::Number(stats.cache.poison_recoveries as f64)),
                 (
                     "occupancy",
-                    json::object([
-                        ("skeletons", Value::Number(stats.occupancy.skeletons as f64)),
-                        ("solutions", Value::Number(stats.occupancy.solutions as f64)),
-                        ("transforms", Value::Number(stats.occupancy.transforms as f64)),
-                    ]),
+                    json::object(
+                        stats
+                            .cache
+                            .levels
+                            .map(|level| (level.level, Value::Number(level.entries as f64))),
+                    ),
                 ),
             ]),
         }
@@ -847,9 +843,10 @@ impl QueryResult {
 ///
 /// The engine executes queries through exactly the same `exec` functions that the
 /// legacy `CostSweep::evaluate_with` / `sweeps::*_with` wrappers call, so its
-/// results are bit-identical to the batch API.  It is `Sync`: the cache is sharded
-/// and the pool's scoped fan-outs are index-deterministic, so concurrent callers
-/// sharing one engine observe the same values a serial caller would.
+/// results are bit-identical to the batch API.  It is `Sync`: each cache level is
+/// one lock-guarded LRU and the pool's scoped fan-outs are index-deterministic, so
+/// concurrent callers sharing one engine observe the same values a serial caller
+/// would.
 #[derive(Debug)]
 pub struct Engine {
     cache: Arc<SolverCache>,
@@ -939,10 +936,7 @@ impl Engine {
                         .with_cache(Arc::clone(&self.cache));
                 Ok(QueryResult::MixSearch(search.run_with(&self.pool)?))
             }
-            Query::Stats => Ok(QueryResult::Stats(EngineStats {
-                cache: self.cache.stats(),
-                occupancy: self.cache.len(),
-            })),
+            Query::Stats => Ok(QueryResult::Stats(EngineStats { cache: self.cache.stats() })),
         }
     }
 
@@ -1242,7 +1236,8 @@ mod tests {
         let QueryResult::Stats(stats) = engine.execute(&Query::Stats).unwrap() else {
             panic!("expected stats")
         };
-        assert!(stats.occupancy.total() > 0, "solve should have populated the cache");
+        let entries: u64 = stats.cache.levels.iter().map(|level| level.entries).sum();
+        assert!(entries > 0, "solve should have populated the cache");
         let rendered = QueryResult::Stats(stats).to_json().serialise();
         assert!(rendered.contains("\"total_hit_rate\""));
         assert!(rendered.contains("\"poison_recoveries\""));
@@ -1268,12 +1263,7 @@ mod tests {
             panic!("expected percentiles")
         };
         let stats = engine.cache().stats();
-        assert_eq!(
-            (stats.skeleton_misses, stats.solution_misses, stats.transform_misses),
-            (1, 1, 1),
-            "{stats:?}"
-        );
-        assert_eq!(stats.skeleton_hits + stats.solution_hits + stats.transform_hits, 0);
+        assert_eq!(stats.levels.map(|level| (level.misses, level.hits)), [(1, 0); 3], "{stats:?}");
         assert!(engine.cache().is_empty());
         // The answer is the one a default cache gives.
         let QueryResult::Percentiles(reference) = Engine::new().execute(&query).unwrap() else {

@@ -69,10 +69,11 @@
 //!   [`GeometricApproximation::with_cache`] reuse skeletons, so solvers compared on
 //!   one grid build each skeleton once between them.  (The approximation needs no
 //!   eigensystem: it brackets its decay rate with unpivoted real LUs.)  Each
-//!   level is split into independently locked shards (deterministic FNV-1a shard
-//!   assignment), poisoned shards recover by clearing rather than propagating, and
-//!   [`CacheStats::levels`] reports per-level hit rates, eviction ages and bytes
-//!   held against each level's share of [`CACHE_BYTES`].
+//!   level is one [`ByteLru`] — the byte-budgeted LRU behind one lock, keyed on
+//!   canonical `u64` words, that also holds `urs-server`'s response memo — whose
+//!   poisoned lock recovers by clearing rather than propagating, and
+//!   [`CacheStats::levels`] reports per-level hit rates, eviction ages, entries and
+//!   bytes held against each level's share of [`CACHE_BYTES`].
 //! * [`Engine`] — the standing query engine over both: parses [`engine::Query`]
 //!   values from a newline-delimited JSON protocol, plans batches so queries with
 //!   the same QBD skeleton share cache entries and one pool fan-out, and executes
@@ -125,7 +126,7 @@ pub mod response;
 pub mod sweeps;
 
 pub use approx::{dominant_eigenvalue, GeometricApproximation, GeometricSolution};
-pub use cache::{CacheLevelStats, CacheOccupancy, CacheStats, SolverCache, CACHE_BYTES};
+pub use cache::{ByteLru, CacheKey, CacheLevelStats, CacheStats, SolverCache, CACHE_BYTES};
 pub use config::{ServerClass, ServerLifecycle, SystemConfig};
 pub use cost::{ClassCostModel, CostModel, CostPoint, CostSweep};
 pub use engine::{Engine, Query, QueryResult};

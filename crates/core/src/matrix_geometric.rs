@@ -783,9 +783,8 @@ mod tests {
         let looser = MatrixGeometricOptions { tolerance: 1e-10, ..Default::default() };
         let other = MatrixGeometricSolver::new(looser).with_cache(Arc::clone(&cache));
         assert!(!Arc::ptr_eq(&first, &other.solve_shared(&config).unwrap()));
-        let stats = cache.stats();
-        assert_eq!((stats.solution_hits, stats.solution_misses), (1, 2));
-        assert_eq!(cache.len().solutions, 2);
+        let [_, solutions, _] = cache.stats().levels;
+        assert_eq!((solutions.hits, solutions.misses, solutions.entries), (1, 2, 2));
     }
 
     #[test]

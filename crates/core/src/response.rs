@@ -1287,6 +1287,7 @@ impl ResponseAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{transform_key, ByteLru};
     use crate::config::ServerLifecycle;
     use crate::solution::QueueSolver;
     use crate::spectral::SpectralExpansionSolver;
@@ -1515,18 +1516,18 @@ mod tests {
         let options = ResponseOptions::default();
         let first = ResponseAnalysis::with_cache(&config, options, &cache).unwrap();
         let second = ResponseAnalysis::with_cache(&config, options, &cache).unwrap();
-        let stats = cache.stats();
-        assert_eq!(stats.transform_misses, 1);
-        assert_eq!(stats.transform_hits, 1);
-        assert_eq!(cache.len().transforms, 1);
+        let [_, _, transforms] = cache.stats().levels;
+        assert_eq!((transforms.misses, transforms.hits, transforms.entries), (1, 1, 1));
         assert!(Arc::ptr_eq(&first.chain, &second.chain));
-        // The cache charges the chain's real footprint.
-        assert_eq!(stats.transform_bytes as usize, first.chain.heap_bytes() + 512);
+        // The cache charges the chain's real footprint plus its key.
+        let key = transform_key(&config, &options.matrix_geometric, options.tail_epsilon).unwrap();
+        let charge = ByteLru::<_, ()>::charge(&key, first.chain.heap_bytes());
+        assert_eq!(transforms.bytes as usize, charge);
         // A different tail threshold is a different chain.
         let looser = ResponseOptions { tail_epsilon: 1e-9, ..options };
         ResponseAnalysis::with_cache(&config, looser, &cache).unwrap();
-        assert_eq!(cache.stats().transform_misses, 2);
-        assert_eq!(cache.len().transforms, 2);
+        let [_, _, transforms] = cache.stats().levels;
+        assert_eq!((transforms.misses, transforms.entries), (2, 2));
     }
 
     #[test]

@@ -111,7 +111,7 @@ fn repeated_execution_on_a_warm_cache_returns_identical_bytes() {
         queries.iter().map(|q| engine.execute(q).unwrap().to_json().serialise()).collect();
     assert_eq!(cold, warm, "a cache hit changed an answer");
     let stats = engine.cache().stats();
-    assert!(stats.solution_hits > 0, "warm pass should hit the solution cache");
+    assert!(stats.levels[1].hits > 0, "warm pass should hit the solution cache");
 }
 
 #[test]
@@ -138,7 +138,7 @@ fn stats_are_the_only_nondeterministic_result() {
     let (QueryResult::Stats(first), QueryResult::Stats(second)) = (first, second) else {
         panic!("expected stats results")
     };
-    assert!(second.cache.solution_hits > first.cache.solution_hits);
+    assert!(second.cache.levels[1].hits > first.cache.levels[1].hits);
     // …and the stats JSON still parses as well-formed, deterministic-key JSON.
     let rendered = QueryResult::Stats(second).to_json().serialise();
     json::Value::parse(&rendered).expect("stats JSON must round-trip");

@@ -85,7 +85,7 @@ fn run_pruned(search: MixSearch) -> (MixSearchResult, u64) {
     let options = MixSearchOptions { exhaustive_limit: 0, ..Default::default() };
     let result = search.with_cache(Arc::clone(&cache)).with_options(options).run().unwrap();
     assert!(result.was_screened());
-    (result, cache.stats().solution_misses)
+    (result, cache.stats().levels[1].misses)
 }
 
 #[test]

@@ -145,10 +145,10 @@ fn cached_solver_is_bit_identical_to_uncached() {
         }
     }
     let stats = cached.cache().unwrap().stats();
-    assert_eq!(stats.skeleton_misses, 1, "one lifecycle, one skeleton build");
+    assert_eq!(stats.levels[0].misses, 1, "one lifecycle, one skeleton build");
     let stats = mg_cache.stats();
-    assert_eq!(stats.skeleton_misses, 1, "one lifecycle, one skeleton build");
-    assert_eq!(stats.solution_hits, 3);
+    assert_eq!(stats.levels[0].misses, 1, "one lifecycle, one skeleton build");
+    assert_eq!(stats.levels[1].hits, 3);
 }
 
 #[test]
@@ -165,7 +165,7 @@ fn cached_sweep_matches_uncached_sweep() {
     assert_eq!(without, with);
     // The whole sweep shares one skeleton.  (Assert on the cache contents, not the
     // miss counter: threads racing through the empty-cache window each count a miss.)
-    assert_eq!(cached.cache().unwrap().len().skeletons, 1);
+    assert_eq!(cached.cache().unwrap().stats().levels[0].entries, 1);
 }
 
 #[test]
@@ -194,9 +194,9 @@ fn shared_cache_works_across_solvers_and_threads() {
     assert_eq!(a, b);
     // One skeleton in the cache (the miss counter can exceed 1 when threads race
     // through the empty-cache window, so assert on the contents).
-    assert_eq!(cache.len().skeletons, 1);
+    assert_eq!(cache.stats().levels[0].entries, 1);
     // The second, serial sweep re-solves the identical configurations: all hits.
-    assert!(cache.stats().solution_hits >= grid.len() as u64);
+    assert!(cache.stats().levels[1].hits >= grid.len() as u64);
 }
 
 // ---------------------------------------------------------------------------

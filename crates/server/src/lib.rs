@@ -29,27 +29,27 @@
 //! its full canonical key, so whitespace and key order don't matter and no two
 //! distinct queries can share an entry — from the stored bytes of its first
 //! response.  Memoisation cannot break replay: the first rendering is deterministic,
-//! and the memo returns those exact bytes.  Both layers are byte-budgeted
-//! ([`urs_core::CACHE_BYTES`], [`RESPONSE_MEMO_BYTES`]), so a standing process's
-//! memory stays flat however many distinct queries it answers.
+//! and the memo returns those exact bytes.  Both layers are the same byte-budgeted
+//! LRU, [`ByteLru`] ([`urs_core::CACHE_BYTES`], [`RESPONSE_MEMO_BYTES`]), so a
+//! standing process's memory stays flat however many distinct queries it answers,
+//! and a memo hit keeps a popular answer from being evicted.
 //!
 //! Responses leave a batch at a time through [`write_batch`]: one write per batch,
 //! so on a socket with Nagle's algorithm off no response line is split across two
 //! segments.
 //!
 //! [`SolverCache`]: urs_core::SolverCache
+//! [`ByteLru`]: urs_core::ByteLru
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufRead, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
 
 use urs_core::engine::json::{self, Value};
 use urs_core::engine::{Query, QueryKey, QueryResult};
-use urs_core::Engine;
+use urs_core::{ByteLru, CacheLevelStats, Engine};
 
 /// Upper bound on how many in-flight lines the binary coalesces into one
 /// [`Server::respond_batch`] call (and therefore one engine plan).
@@ -88,17 +88,11 @@ pub fn read_bounded_line(reader: &mut impl BufRead) -> io::Result<Option<String>
         .map_err(|error| io::Error::new(io::ErrorKind::InvalidData, error))
 }
 
-/// Byte budget of the response memo: each entry is charged its key's words (held
-/// twice, in the map and in the FIFO order), its response bytes and its
-/// bookkeeping.  The oldest entries are evicted to fit a new one; a response over
-/// the whole budget is not memoised.
+/// Byte budget of the response memo: each entry is charged its response bytes
+/// plus what [`ByteLru::charge`] adds for its key words and bookkeeping.  The
+/// least recently used entries are evicted to fit a new one; a response over the
+/// whole budget is not memoised.
 pub const RESPONSE_MEMO_BYTES: usize = 1 << 20;
-
-/// Bytes charged per memo entry beyond its key words and response text: the two
-/// key headers (map and FIFO order) and the string header, one allocator header
-/// (16 bytes) for each of the three allocations, and the map slot again for B-tree
-/// nodes running about half full.
-const MEMO_ENTRY_OVERHEAD: usize = 3 * size_of::<QueryKey>() + 2 * size_of::<String>() + 3 * 16;
 
 /// Writes a batch's responses as one buffer — each response followed by `\n` — with
 /// a single `write_all`, then flushes.
@@ -134,8 +128,6 @@ pub struct Metrics {
     requests: AtomicU64,
     errors: AtomicU64,
     batches: AtomicU64,
-    response_hits: AtomicU64,
-    response_misses: AtomicU64,
     latency_buckets: [AtomicU64; LATENCY_BUCKETS],
 }
 
@@ -145,8 +137,6 @@ impl Default for Metrics {
             requests: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             batches: AtomicU64::new(0),
-            response_hits: AtomicU64::new(0),
-            response_misses: AtomicU64::new(0),
             latency_buckets: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
@@ -161,10 +151,6 @@ pub struct MetricsSnapshot {
     pub errors: u64,
     /// Number of batches executed.
     pub batches: u64,
-    /// Queries answered verbatim from the response memo.
-    pub response_hits: u64,
-    /// Cacheable queries that had to be computed (and were then memoised).
-    pub response_misses: u64,
     /// Latency samples recorded so far.
     pub latency_samples: u64,
     /// Median per-request latency in microseconds (upper bucket bound).
@@ -218,25 +204,16 @@ impl Metrics {
             requests: self.requests.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
-            response_hits: self.response_hits.load(Ordering::Relaxed),
-            response_misses: self.response_misses.load(Ordering::Relaxed),
             latency_samples: samples,
             p50_micros: Self::quantile(&counts, p50_rank),
             p99_micros: Self::quantile(&counts, p99_rank),
         }
     }
 
-    /// The snapshot as a JSON object (embedded in `stats` responses), with
-    /// `memo_bytes` — the bytes the response memo holds — beside the memo's hit
-    /// counters.
-    pub fn to_json(&self, memo_bytes: usize) -> Value {
+    /// The snapshot as a JSON object (embedded in `stats` responses), with the
+    /// response memo's hits, misses, hit rate and bytes from its counters `memo`.
+    pub fn to_json(&self, memo: &CacheLevelStats) -> Value {
         let snapshot = self.snapshot();
-        let memo_lookups = snapshot.response_hits + snapshot.response_misses;
-        let memo_hit_rate = if memo_lookups > 0 {
-            snapshot.response_hits as f64 / memo_lookups as f64
-        } else {
-            0.0
-        };
         json::object([
             ("requests", Value::Number(snapshot.requests as f64)),
             ("errors", Value::Number(snapshot.errors as f64)),
@@ -244,10 +221,10 @@ impl Metrics {
             (
                 "response_memo",
                 json::object([
-                    ("hits", Value::Number(snapshot.response_hits as f64)),
-                    ("misses", Value::Number(snapshot.response_misses as f64)),
-                    ("hit_rate", Value::Number(memo_hit_rate)),
-                    ("bytes", Value::Number(memo_bytes as f64)),
+                    ("hits", Value::Number(memo.hits as f64)),
+                    ("misses", Value::Number(memo.misses as f64)),
+                    ("hit_rate", Value::Number(memo.hit_rate())),
+                    ("bytes", Value::Number(memo.bytes as f64)),
                 ]),
             ),
             (
@@ -262,94 +239,17 @@ impl Metrics {
     }
 }
 
-/// A byte-budgeted FIFO memo of rendered response lines, keyed by the query's full
-/// canonical key ([`Query::canonical_key`]) — never by its digest alone, so two
-/// distinct queries can never share an answer.
-///
-/// One mutex guards both the map and the insertion order; the critical section is
-/// a lookup or an insert, so contention is negligible next to the engine work a
-/// miss implies.  A poisoned lock (a panicking thread mid-insert, which the
-/// panic-free contract should make unreachable) is recovered by clearing the memo:
-/// losing memoised responses only costs recomputation, never correctness.
-#[derive(Debug)]
-struct ResponseMemo {
-    budget: usize,
-    inner: Mutex<MemoState>,
-}
-
-#[derive(Debug, Default)]
-struct MemoState {
-    map: BTreeMap<QueryKey, String>,
-    order: VecDeque<QueryKey>,
-    bytes: usize,
-}
-
-impl Default for ResponseMemo {
-    fn default() -> Self {
-        ResponseMemo::with_budget(RESPONSE_MEMO_BYTES)
-    }
-}
-
-impl ResponseMemo {
-    fn with_budget(budget: usize) -> Self {
-        ResponseMemo { budget, inner: Mutex::default() }
-    }
-
-    /// Bytes an entry is charged: its key twice (map and order), the response and
-    /// [`MEMO_ENTRY_OVERHEAD`].
-    fn entry_bytes(key: &QueryKey, response: &str) -> usize {
-        2 * key.heap_bytes() + response.len() + MEMO_ENTRY_OVERHEAD
-    }
-
-    fn lock(&self) -> MutexGuard<'_, MemoState> {
-        match self.inner.lock() {
-            Ok(guard) => guard,
-            Err(poison) => {
-                self.inner.clear_poison();
-                let mut guard = poison.into_inner();
-                *guard = MemoState::default();
-                guard
-            }
-        }
-    }
-
-    fn lookup(&self, key: &QueryKey) -> Option<String> {
-        self.lock().map.get(key).cloned()
-    }
-
-    fn store(&self, key: &QueryKey, response: &str) {
-        let bytes = Self::entry_bytes(key, response);
-        if bytes > self.budget {
-            return;
-        }
-        let mut state = self.lock();
-        if state.map.contains_key(key) {
-            return;
-        }
-        while state.bytes + bytes > self.budget {
-            let Some(oldest) = state.order.pop_front() else { break };
-            if let Some(evicted) = state.map.remove(&oldest) {
-                state.bytes -= Self::entry_bytes(&oldest, &evicted);
-            }
-        }
-        state.map.insert(key.clone(), response.to_string());
-        state.order.push_back(key.clone());
-        state.bytes += bytes;
-    }
-
-    /// Bytes charged to the memoised entries.
-    fn bytes(&self) -> usize {
-        self.lock().bytes
-    }
-}
-
 /// The serving core: one [`Engine`] (one shared cache) plus request metrics and
 /// the response memo.
+///
+/// The memo maps a query's full canonical key ([`Query::canonical_key`]) — never
+/// its digest alone, so two distinct queries can never share an answer — to the
+/// rendered response line, within [`RESPONSE_MEMO_BYTES`].
 #[derive(Debug)]
 pub struct Server {
     engine: Engine,
     metrics: Metrics,
-    memo: ResponseMemo,
+    memo: ByteLru<QueryKey, String>,
 }
 
 impl Default for Server {
@@ -367,7 +267,7 @@ impl Server {
 
     /// A server over an existing engine.
     pub fn with_engine(engine: Engine) -> Self {
-        Server { engine, metrics: Metrics::new(), memo: ResponseMemo::default() }
+        Server { engine, metrics: Metrics::new(), memo: ByteLru::new(RESPONSE_MEMO_BYTES) }
     }
 
     /// The underlying engine.
@@ -378,6 +278,11 @@ impl Server {
     /// The request metrics (fed by the binary's latency measurements).
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
+    }
+
+    /// The response memo's hits, misses, evictions, entries and bytes.
+    pub fn memo_stats(&self) -> CacheLevelStats {
+        self.memo.stats("response_memo")
     }
 
     /// Answers one line; equivalent to a one-line batch.
@@ -420,32 +325,31 @@ impl Server {
             // `stats` responses are live, never memoised; a query with no sound
             // key is simply computed without memoisation.
             let key = if matches!(query, Query::Stats) { None } else { query.canonical_key().ok() };
-            if let Some(key) = &key {
-                if let Some(hit) = self.memo.lookup(key) {
-                    self.metrics.response_hits.fetch_add(1, Ordering::Relaxed);
-                    if let Some(slot) = responses.get_mut(index) {
-                        *slot = Some(hit);
-                    }
-                    continue;
+            if let Some(hit) = key.as_ref().and_then(|key| self.memo.get(key)) {
+                if let Some(slot) = responses.get_mut(index) {
+                    *slot = Some(hit);
                 }
-                self.metrics.response_misses.fetch_add(1, Ordering::Relaxed);
+                continue;
             }
             pending.push((index, query, key));
         }
         let queries: Vec<Query> = pending.iter().map(|(_, q, _)| q.clone()).collect();
         let results = self.engine.execute_batch(&queries);
-        for ((index, query, key), result) in pending.iter().zip(results) {
+        for ((index, query, key), result) in pending.into_iter().zip(results) {
             let response = match result {
                 Ok(result) => {
-                    let response = self.render(query, result);
-                    if let Some(key) = key {
-                        self.memo.store(key, &response);
+                    let response = self.render(&query, result);
+                    match key {
+                        Some(key) => {
+                            let bytes = response.len();
+                            self.memo.insert_or_get(key, response, bytes)
+                        }
+                        None => response,
                     }
-                    response
                 }
                 Err(error) => error_response(&error.to_string()),
             };
-            if let Some(slot) = responses.get_mut(*index) {
+            if let Some(slot) = responses.get_mut(index) {
                 *slot = Some(response);
             }
         }
@@ -464,7 +368,7 @@ impl Server {
         let mut value = result.to_json();
         if matches!(query, Query::Stats) {
             if let Value::Object(members) = &mut value {
-                members.insert("server".to_string(), self.metrics.to_json(self.memo.bytes()));
+                members.insert("server".to_string(), self.metrics.to_json(&self.memo_stats()));
             }
         }
         value.serialise()
@@ -557,9 +461,8 @@ mod tests {
         let first = server.respond_line(&solve_line(4, 2.0));
         let second = server.respond_line(&solve_line(4, 2.0));
         assert_eq!(first, second);
-        let snapshot = server.metrics().snapshot();
-        assert_eq!(snapshot.response_misses, 1);
-        assert_eq!(snapshot.response_hits, 1);
+        let memo = server.memo_stats();
+        assert_eq!((memo.misses, memo.hits), (1, 1));
     }
 
     #[test]
@@ -570,7 +473,7 @@ mod tests {
         let reordered = "{ \"config\": {\"arrival_rate\": 2.0, \"lifecycle\": \"paper\", \
                           \"servers\": 4, \"service_rate\": 1.0}, \"type\": \"solve\" }";
         server.respond_line(reordered);
-        assert_eq!(server.metrics().snapshot().response_hits, 1);
+        assert_eq!(server.memo_stats().hits, 1);
     }
 
     #[test]
@@ -578,43 +481,63 @@ mod tests {
         let server = Server::new();
         server.respond_line("{\"type\":\"stats\"}");
         server.respond_line("{\"type\":\"stats\"}");
-        let snapshot = server.metrics().snapshot();
-        assert_eq!(snapshot.response_hits, 0);
-        assert_eq!(snapshot.response_misses, 0);
+        assert_eq!(server.memo_stats().lookups(), 0);
     }
 
     fn key(word: u64) -> QueryKey {
         QueryKey::with_digest(vec![word], word)
     }
 
+    type Memo = ByteLru<QueryKey, String>;
+
+    /// Stores `"response"` under `key(word)`.
+    fn store(memo: &Memo, word: u64) {
+        memo.insert_or_get(key(word), "response".to_string(), "response".len());
+    }
+
     #[test]
     fn the_memo_evicts_its_oldest_entry_at_capacity() {
         // Room for exactly four entries: the fifth store evicts the oldest one.
-        let entry = ResponseMemo::entry_bytes(&key(0), "response");
-        let memo = ResponseMemo::with_budget(4 * entry);
+        let entry = Memo::charge(&key(0), "response".len());
+        let memo = Memo::new(4 * entry);
         for word in 0..5 {
-            memo.store(&key(word), "response");
-            assert!(memo.bytes() <= 4 * entry, "the memo must stay within its budget");
+            store(&memo, word);
+            assert!(memo.stats("memo").bytes <= 4 * entry as u64, "the memo must stay in budget");
         }
-        assert!(memo.lookup(&key(0)).is_none(), "oldest entry should have been evicted");
-        assert!(memo.lookup(&key(1)).is_some());
-        assert_eq!(memo.lock().map.len(), 4);
-        assert_eq!(memo.bytes(), 4 * entry);
+        assert!(memo.get(&key(0)).is_none(), "oldest entry should have been evicted");
+        assert!(memo.get(&key(1)).is_some());
+        let stats = memo.stats("memo");
+        assert_eq!((stats.entries, stats.bytes), (4, 4 * entry as u64));
         // A response larger than the whole budget is not memoised and evicts nothing.
-        memo.store(&key(9), &"x".repeat(4 * entry));
-        assert!(memo.lookup(&key(9)).is_none());
-        assert_eq!(memo.lock().map.len(), 4);
+        let large = "x".repeat(4 * entry);
+        memo.insert_or_get(key(9), large.clone(), large.len());
+        assert!(memo.get(&key(9)).is_none());
+        assert_eq!(memo.stats("memo").entries, 4);
+    }
+
+    #[test]
+    fn a_memo_hit_refreshes_its_entry() {
+        // Room for four entries; the hit on key 0 makes key 1 the least recently
+        // used, so storing a fifth entry evicts key 1 and keeps key 0.
+        let memo = Memo::new(4 * Memo::charge(&key(0), "response".len()));
+        for word in 0..4 {
+            store(&memo, word);
+        }
+        assert!(memo.get(&key(0)).is_some());
+        store(&memo, 4);
+        assert!(memo.get(&key(1)).is_none(), "the least recently used entry is evicted");
+        assert!(memo.get(&key(0)).is_some(), "a hit keeps its entry");
     }
 
     #[test]
     fn the_memo_keys_on_the_full_key_not_its_digest() {
-        let memo = ResponseMemo::default();
+        let memo = Memo::new(RESPONSE_MEMO_BYTES);
         let stored = QueryKey::with_digest(vec![0, 1, 2], 7);
         let colliding = QueryKey::with_digest(vec![0, 1, 3], 7);
         assert_eq!(stored.digest(), colliding.digest());
-        memo.store(&stored, "first answer");
-        assert_eq!(memo.lookup(&stored).as_deref(), Some("first answer"));
-        assert!(memo.lookup(&colliding).is_none(), "a shared digest must not share an answer");
+        memo.insert_or_get(stored.clone(), "first answer".to_string(), 12);
+        assert_eq!(memo.get(&stored).as_deref(), Some("first answer"));
+        assert!(memo.get(&colliding).is_none(), "a shared digest must not share an answer");
     }
 
     #[test]
@@ -629,7 +552,7 @@ mod tests {
             .and_then(json::Value::as_f64)
             .expect("response_memo.bytes");
         let key = Query::parse_line(&solve_line(4, 2.0)).unwrap().canonical_key().unwrap();
-        assert_eq!(bytes as usize, ResponseMemo::entry_bytes(&key, &response));
+        assert_eq!(bytes as usize, Memo::charge(&key, response.len()));
     }
 
     /// A writer that accepts everything and counts its `write` calls.
