@@ -2,7 +2,7 @@
 //! linear-algebra kernels they stand on.
 //!
 //! Measures the wall-clock cost of the exact spectral expansion, the matrix-geometric
-//! method (logarithmic reduction) and the geometric approximation for increasing
+//! method (cyclic reduction) and the geometric approximation for increasing
 //! numbers of servers (and hence operational modes), quantifying the complexity
 //! argument behind the paper's recommendation of the approximation for large systems.
 //! The `kernels` group pins the blocked/tiled production kernels against naive
@@ -18,12 +18,12 @@ use urs_core::{
     MixSearch, MixSearchOptions, QueueSolver, ResponseAnalysis, ResponseOptions, ServerClass,
     ServerLifecycle, SolverCache, SpectralExpansionSolver, ThreadPool,
 };
-use urs_linalg::{BandedLu, BandedMatrix, LuDecomposition, Matrix};
+use urs_linalg::{BandedLu, BandedMatrix, Cholesky, LuDecomposition, Matrix, Workspace};
 
 fn bench_solvers(c: &mut Criterion) {
     let mut group = c.benchmark_group("solvers");
     group.sample_size(10);
-    // The logarithmic-reduction rewrite pushed the practical range of both exact
+    // The reduction rewrites pushed the practical range of both exact
     // solvers to N = 32 (561 modes); smoke runs keep the historical small sizes.
     let sizes: &[usize] = if smoke() { &[4, 8] } else { &[4, 8, 12, 16, 24, 32] };
     for &servers in sizes {
@@ -133,6 +133,18 @@ fn bench_kernels(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("lu_blocked", n), &a, |bench, a| {
             bench.iter(|| black_box(LuDecomposition::new(a).unwrap()))
+        });
+        // The cyclic-reduction step's own kernels on a symmetric positive-definite
+        // `A·Aᵀ`: the Cholesky factor and the lower solve `L⁻¹·B` with `n` columns.
+        let spd = a.matmul(&a.transpose()).unwrap();
+        group.bench_with_input(BenchmarkId::new("cholesky_blocked", n), &spd, |bench, spd| {
+            bench.iter(|| black_box(Cholesky::new(spd).unwrap()))
+        });
+        let cholesky = Cholesky::new(&spd).unwrap();
+        let mut ws = Workspace::new();
+        let mut z = Matrix::zeros(n, n);
+        group.bench_with_input(BenchmarkId::new("trsm_lower", n), &b, |bench, b| {
+            bench.iter(|| cholesky.solve_lower_into(b, &mut z, &mut ws).unwrap())
         });
     }
     group.finish();

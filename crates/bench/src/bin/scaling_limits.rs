@@ -10,7 +10,7 @@
 //! CI thread-matrix leg runs this binary for under `URS_SMOKE=1`.  Each solver is
 //! retired from the sweep once it fails or its faster execution exceeds a per-solve
 //! time budget, and the run closes with the **maximum practical N** reached by every
-//! solver — the headline number the logarithmic-reduction and blocked-kernel rewrite
+//! solver — the headline number the reduction and blocked-kernel rewrites
 //! moved (both exact solvers now clear N = 32; see README "Performance").
 //!
 //! Usage: `scaling_limits [max_n] [budget_seconds]`.  `URS_SMOKE=1` shrinks the sweep
@@ -205,6 +205,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Every pooled solve above was verified bit-identical to its serial run.");
     println!("\nPaper: for N greater than about 24 the exact solution warns of ill-conditioned");
     println!("matrices while the approximation shows no such problems; with the blocked");
-    println!("kernels and logarithmic reduction both exact solvers now clear the sweep.");
+    println!("kernels and cyclic reduction both exact solvers now clear the sweep.");
     Ok(())
 }

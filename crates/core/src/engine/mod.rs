@@ -18,7 +18,7 @@
 //!   engine results are **bit-identical** to the batch API (pinned by the
 //!   `engine_equivalence` suite).  Every exact answer — solves, sweeps, percentiles,
 //!   mix-search evaluations — comes from the cached [`MatrixGeometricSolver`], whose
-//!   solves take about 2.5× less time than the spectral expansion's companion QR;
+//!   solves take 2.4–5.3× less time than the spectral expansion's companion QR;
 //!   the spectral expansion, the paper's own method, certifies it in the
 //!   `cross_solver_agreement` suite (mean queue length within 1e-10 relative);
 //! * [`QueryResult`] — deterministic result values serialisable to JSON via the

@@ -82,10 +82,11 @@
 //!
 //! Underneath both, every solver runs on `urs-linalg`'s allocation-free kernels
 //! (tiled `gemm`, blocked LU, `Workspace`-recycled scratch), and
-//! [`MatrixGeometricSolver`] computes its `R` matrix by Latouche–Ramaswamy
-//! logarithmic reduction — quadratic convergence with a single up-front LU of `Q1`
-//! instead of the classical fixed point's per-step inverse (the achieved depth is
-//! reported by [`MatrixGeometricSolution::reduction_depth`]).
+//! [`MatrixGeometricSolver`] computes its `R` matrix by symmetric cyclic reduction
+//! — quadratic convergence, one Cholesky factorisation per step in the frame where
+//! the reversible mode chain makes every block symmetric, instead of the classical
+//! fixed point's per-step inverse (the achieved depth is reported by
+//! [`MatrixGeometricSolution::reduction_depth`]).
 //!
 //! # Quick start
 //!

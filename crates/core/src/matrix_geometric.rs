@@ -6,29 +6,35 @@
 //! follow from the level-`0..N` balance equations.  The paper's reference [6]
 //! (Mitrani & Chakka 1995) compares the two methods.  Here the matrix-geometric solver
 //! is the exact path of the query [`Engine`](crate::Engine) — a whole solve takes
-//! about 2.5× less time than one through the companion-matrix QR of the spectral
-//! expansion — and the spectral expansion, the paper's own method, is its certifier.
-//! The two obtain `R` independently — logarithmic reduction here, `U⁻¹·Z·U` from the
-//! eigenpairs there — and then run the same boundary elimination over levels `0..N`,
-//! so they must agree to within numerical accuracy on every probability, which the
-//! integration tests verify.
+//! 2.4–5.3× less time than one through the companion-matrix QR of the spectral
+//! expansion (paper lifecycle, `N = 4..20` at 80% load, one core of a shared 2-vCPU
+//! x86-64 host) — and the spectral expansion, the paper's own method, is its
+//! certifier.  The two obtain `R` independently — cyclic reduction here, `U⁻¹·Z·U`
+//! from the eigenpairs there — and then run the same boundary elimination over
+//! levels `0..N`, so they must agree to within numerical accuracy on every
+//! probability, which the integration tests verify.
 //!
-//! `R` is computed by **Latouche–Ramaswamy logarithmic reduction**: the first-passage
-//! matrix `G` (minimal solution of `Q2 + Q1·G + Q0·G² = 0`) is built by a doubling
-//! recursion that squares the effective step every iteration — quadratic convergence,
-//! so a dozen iterations replace the thousands of linear-convergence steps of the
-//! natural fixed point `R ← −(Q0 + R²·Q2)·Q1⁻¹`, which survives here only as the
-//! reference implementation [`MatrixGeometricSolver::rate_matrix_fixed_point`].  All
-//! inner products run on the in-place [`gemm`](Matrix::gemm)/LU-solve kernels of
-//! `urs-linalg` with a single [`Workspace`], so the iteration allocates nothing and
-//! no explicit matrix inverse is ever formed — neither there nor in the solution,
-//! which keeps only `R`, the boundary levels and two vectors derived from one LU of
-//! `I − R`.
+//! `R` is computed by **symmetric cyclic reduction** (Bini & Meini, SIAM J. Matrix
+//! Anal. Appl. 17, 1996).  The mode chain is reversible, so with the skeleton's
+//! weights `W = diag(√π)` the three blocks `A₋₁ = C`, `A₀ = Q1`, `A₁ = λI` become
+//! symmetric, and every reduction step keeps them so: `−A₀` stays a symmetric
+//! M-matrix, hence positive definite, and each step is one Cholesky factorisation,
+//! two lower solves and three products of which two are Gram products that compute
+//! one triangle — about 6⅓·s³ flops, against 16⅔·s³ for a step of the
+//! Latouche–Ramaswamy logarithmic reduction this replaced.  Step `k` folds `2^k`
+//! levels of the process, so the convergence is quadratic: a dozen steps replace the
+//! thousands of linear-convergence steps of the natural fixed point
+//! `R ← −(Q0 + R²·Q2)·Q1⁻¹`, which survives here only as the reference
+//! implementation [`MatrixGeometricSolver::rate_matrix_fixed_point`].  Every product
+//! runs on the in-place kernels of `urs-linalg` with a single [`Workspace`], so the
+//! iteration allocates nothing and no explicit matrix inverse is formed but the
+//! banded `(−Q1)⁻¹` of step 0 — neither there nor in the solution, which keeps only
+//! `R`, the boundary levels and two vectors derived from one LU of `I − R`.
 
 use std::sync::Arc;
 
 use urs_linalg::{
-    banded_profitable, BandedLu, BandedMatrix, LinalgError, LuDecomposition, Matrix,
+    banded_profitable, BandedLu, BandedMatrix, Cholesky, LuDecomposition, Matrix,
     RealBlockTridiagonal, Workspace,
 };
 
@@ -43,12 +49,14 @@ use crate::Result;
 /// Options for the `R`-matrix computation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MatrixGeometricOptions {
-    /// Convergence tolerance: the logarithmic reduction stops once the first-passage
-    /// matrix `G` is stochastic to this accuracy (or the accumulated correction term
-    /// underflows it); the fixed-point reference stops on the max-norm change of `R`.
+    /// Convergence tolerance.  The cyclic reduction stops once every probability of
+    /// climbing the `2^(k+1)` levels its next step would fold — the up block `A₁`
+    /// divided by `λ`, read in the original frame — is below this value: every
+    /// increment still to come is then smaller still.  The fixed-point reference
+    /// stops on the max-norm change of `R`.
     pub tolerance: f64,
-    /// Maximum number of iterations (reduction doublings, or fixed-point steps for
-    /// the reference implementation).
+    /// Maximum number of iterations (cyclic-reduction steps, step 0 included, or
+    /// fixed-point steps for the reference implementation).
     pub max_iterations: usize,
 }
 
@@ -105,8 +113,8 @@ impl MatrixGeometricSolver {
         self
     }
 
-    /// Runs the solver's dense kernels — the `gemm` products and blocked-LU trailing
-    /// updates of the logarithmic reduction plus the boundary elimination — on
+    /// Runs the solver's dense kernels — the Cholesky trailing updates, lower solves
+    /// and products of the cyclic reduction plus the boundary elimination — on
     /// `pool`.  Every parallel path preserves the serial accumulation order, so the
     /// solution is bit-identical to the serial solver at any thread count.
     pub fn with_pool(mut self, pool: ThreadPool) -> Self {
@@ -115,7 +123,7 @@ impl MatrixGeometricSolver {
     }
 
     /// Computes the minimal non-negative solution of `Q0 + R·Q1 + R²·Q2 = 0` by
-    /// logarithmic reduction.
+    /// cyclic reduction (see [`rate_matrix_with_depth`](Self::rate_matrix_with_depth)).
     ///
     /// # Errors
     ///
@@ -125,105 +133,144 @@ impl MatrixGeometricSolver {
         Ok(self.rate_matrix_with_depth(qbd)?.0)
     }
 
-    /// Computes `R` by Latouche–Ramaswamy logarithmic reduction, returning the
-    /// reduction depth alongside (the number of doubling steps; step `k` covers
-    /// `2^k` levels of the underlying first-passage expansion).
+    /// Computes `R` by symmetric cyclic reduction, returning the reduction depth
+    /// alongside: the number of cyclic-reduction steps, step 0 included.  Step `k`
+    /// folds `2^k` levels of the process into the blocks, so the depth is about the
+    /// base-2 logarithm of the equivalent fixed-point iteration count.
     ///
-    /// The only factorisations are one up-front LU of `−Q1` (reused for both initial
-    /// solves) and one LU of `I − U_k` per doubling step; every product runs on the
-    /// in-place kernels with workspace-recycled buffers.
+    /// The reduction runs in the frame symmetrised by the skeleton's weights
+    /// ([`QbdSkeleton::log_weights`]): there `A₋₁ = C`, `A₀ = Q1` and
+    /// `A₁ = λI` are symmetric, and every step keeps them so.  Step 0 takes
+    /// `(−Q1)⁻¹` from one banded (or, for small orders, dense) LU and applies
+    /// diagonal scalings; every later step is one Cholesky factorisation
+    /// `−A₀ = L·Lᵀ`, two lower solves `Z₋ = L⁻¹·A₋₁`, `Z₊ = L⁻¹·A₁`, the Gram
+    /// products `A₋₁ ← Z₋ᵀ·Z₋`, `A₁ ← Z₊ᵀ·Z₊` and one product `X = Z₊ᵀ·Z₋`, with
+    /// `A₀ += X + Xᵀ` and `Â₀ += X`.  Then `R = W⁻¹·λ·(−Â₀)⁻¹·W` from one more LU.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::NoConvergence`] if the reduction does not converge within
-    /// the configured budget.
+    /// the configured budget, [`ModelError::InvalidParameter`] if the mode chain
+    /// cannot be symmetrised, or a linear-algebra error if a factorisation fails.
     pub fn rate_matrix_with_depth(&self, qbd: &QbdMatrices) -> Result<(Matrix, usize)> {
         let s = qbd.order();
-        let q0 = qbd.q0();
-        let q2 = qbd.q2();
+        let lambda = qbd.arrival_rate();
+        let c = qbd.c();
+        let skeleton = qbd.skeleton();
+        let log_weights = skeleton.log_weights()?;
+        let pool = &self.pool;
+        let no_convergence = |iterations| ModelError::NoConvergence {
+            algorithm: "matrix-geometric cyclic reduction",
+            iterations,
+        };
+        if self.options.max_iterations == 0 {
+            return Err(no_convergence(0));
+        }
         let mut ws = Workspace::new();
 
-        // One up-front LU of −Q1 (a strictly diagonally dominant M-matrix), reused
-        // via solves for both starting blocks — no explicit inverse.  −Q1 is a band
-        // matrix in the mode ordering (|i−j| ≤ N+1), so when the bandwidth clears
-        // the crossover the factorisation runs on the packed banded kernel — the
-        // banded LU is bit-identical to the dense one on the same pattern, so this
-        // routing never changes `R`.
-        let mut neg_q1 = qbd.q1();
-        neg_q1.scale_mut(-1.0);
-        let mut h = ws.real_matrix(s, s); // H_k: "up" block, starts (−Q1)⁻¹·Q0
-        let mut l = ws.real_matrix(s, s); // L_k: "down" block, starts (−Q1)⁻¹·Q2
+        // Step 0.  −Q1 = diag(Dᴬ + C + λ) − S is a band matrix in the mode ordering
+        // (|i−j| ≤ N+1), so its inverse M comes from the packed banded LU when the
+        // bandwidth clears the crossover; M is then made exactly symmetric.
+        let shift: Vec<f64> = c.iter().map(|ci| ci + lambda).collect();
+        let neg_q1 = skeleton.symmetric_generator(&shift)?;
+        let mut m = ws.real_matrix(s, s);
+        let eye = Matrix::identity(s);
         let (kl, ku) = qbd.q1_bandwidths();
         if banded_profitable(s, kl, ku) {
             let banded = BandedMatrix::from_dense(&neg_q1, kl, ku)?;
-            let q1_lu = BandedLu::new_pooled(&banded, &mut ws)?;
-            q1_lu.solve_matrix_into(&q0, &mut h)?;
-            q1_lu.solve_matrix_into(&q2, &mut l)?;
-            q1_lu.recycle(&mut ws);
+            let lu = BandedLu::new_pooled(&banded, &mut ws)?;
+            lu.solve_matrix_into(&eye, &mut m)?;
+            lu.recycle(&mut ws);
         } else {
-            let q1_lu = LuDecomposition::from_matrix_with(neg_q1, &self.pool)?;
-            q1_lu.solve_matrix_into(&q0, &mut h)?;
-            q1_lu.solve_matrix_into(&q2, &mut l)?;
+            let lu = LuDecomposition::from_matrix_with(neg_q1.clone(), pool)?;
+            lu.solve_matrix_into(&eye, &mut m)?;
         }
-
-        let mut g = l.clone(); // G accumulates the first-passage matrix
-        let mut t = h.clone(); // T_k = H_0·H_1⋯H_{k-1}
-        let mut u = ws.real_matrix(s, s);
-        let mut m = ws.real_matrix(s, s);
-        let mut tmp = ws.real_matrix(s, s);
-
-        let mut depth = 0;
-        let mut converged = false;
-        while depth < self.options.max_iterations {
-            depth += 1;
-            // U_k = H·L + L·H, then factor I − U_k once for both updates.
-            u.gemm_with(1.0, &h, &l, 0.0, &self.pool)?;
-            u.gemm_with(1.0, &l, &h, 1.0, &self.pool)?;
-            let mut eye_minus_u = ws.real_matrix(s, s);
-            eye_minus_u.copy_from(&u)?;
-            identity_minus(&mut eye_minus_u);
-            let iu_lu = LuDecomposition::from_matrix_with(eye_minus_u, &self.pool)?;
-            // H ← (I−U)⁻¹·H², L ← (I−U)⁻¹·L².
-            m.gemm_with(1.0, &h, &h, 0.0, &self.pool)?;
-            iu_lu.solve_matrix_into(&m, &mut h)?;
-            m.gemm_with(1.0, &l, &l, 0.0, &self.pool)?;
-            iu_lu.solve_matrix_into(&m, &mut l)?;
-            ws.release_real_matrix(iu_lu.into_matrix());
-            // G ← G + T·L, T ← T·H.
-            g.gemm_with(1.0, &t, &l, 1.0, &self.pool)?;
-            tmp.gemm_with(1.0, &t, &h, 0.0, &self.pool)?;
-            std::mem::swap(&mut t, &mut tmp);
-            // For an ergodic queue G is stochastic; the correction term T decays
-            // quadratically, so either criterion detects convergence scale-free.
-            let mut residual = 0.0_f64;
-            for row in g.as_slice().chunks_exact(s) {
-                residual = residual.max((1.0 - row.iter().sum::<f64>()).abs());
+        symmetrise(&mut m);
+        // A₋₁ = C·M·C, A₁ = λ²·M, X = A₁·(−A₀)⁻¹·A₋₁ = λ·M·C; the blocks are kept
+        // as −A₀ and −Â₀, the matrices that get factorised.
+        let lambda_squared = lambda * lambda;
+        let mut down = ws.real_matrix(s, s);
+        let mut up = ws.real_matrix(s, s);
+        let mut x = ws.real_matrix(s, s);
+        let rows = m.as_slice().chunks_exact(s).zip(c);
+        let blocks =
+            down.as_mut_slice().chunks_exact_mut(s).zip(up.as_mut_slice().chunks_exact_mut(s));
+        for ((m_row, &c_i), ((down_row, up_row), x_row)) in
+            rows.zip(blocks.zip(x.as_mut_slice().chunks_exact_mut(s)))
+        {
+            for (((&m_ij, &c_j), (d, u)), x_ij) in
+                m_row.iter().zip(c).zip(down_row.iter_mut().zip(up_row.iter_mut())).zip(x_row)
+            {
+                *d = c_i * m_ij * c_j;
+                *u = lambda_squared * m_ij;
+                *x_ij = lambda * m_ij * c_j;
             }
-            if residual < self.options.tolerance || t.max_abs() < self.options.tolerance {
-                converged = true;
+        }
+        ws.release_real_matrix(m);
+        ws.release_real_matrix(eye);
+        let mut neg_local = neg_q1.clone();
+        let mut neg_hat = neg_q1;
+        subtract_increment(&mut neg_local, &mut neg_hat, &x);
+
+        // The stopping bound `tolerance·λ` on the up block in the original frame,
+        // `A₁_ij·w_j/w_i`, is `tolerance·λ·w_i/w_j` on the symmetrised entry; formed
+        // once, in logarithms, so no weight ratio leaves the floating-point range
+        // (a bound of 0 or ∞ then compares exactly as the true one would).
+        let log_bound = (self.options.tolerance * lambda).ln();
+        let mut bound = ws.real_matrix(s, s);
+        for (row, &l_i) in bound.as_mut_slice().chunks_exact_mut(s).zip(log_weights) {
+            for (b, &l_j) in row.iter_mut().zip(log_weights) {
+                *b = (log_bound + l_i - l_j).exp();
+            }
+        }
+        let mut z_down = ws.real_matrix(s, s);
+        let mut z_up = ws.real_matrix(s, s);
+        let mut z_down_t = ws.real_matrix(s, s);
+        let mut z_up_t = ws.real_matrix(s, s);
+        let mut scratch = ws.real_matrix(s, s);
+        let mut depth = 1;
+        loop {
+            // After step k the up block is `A₁ = λ·T` in the original frame, where
+            // `T_ij` is the probability of climbing 2^(k+1) levels from mode i
+            // before first returning, ending in mode j: once T is negligible, so is
+            // every increment still to come.
+            if up.as_slice().iter().zip(bound.as_slice()).all(|(u, b)| u.abs() <= *b) {
                 break;
             }
-        }
-        if !converged {
-            return Err(ModelError::NoConvergence {
-                algorithm: "matrix-geometric logarithmic reduction",
-                iterations: depth,
-            });
+            if depth >= self.options.max_iterations {
+                return Err(no_convergence(depth));
+            }
+            depth += 1;
+            scratch.copy_from(&neg_local)?;
+            let cholesky = Cholesky::from_matrix_with(scratch, pool)?;
+            cholesky.solve_lower_into_with(&down, &mut z_down, &mut ws, pool)?;
+            cholesky.solve_lower_into_with(&up, &mut z_up, &mut ws, pool)?;
+            scratch = cholesky.into_matrix();
+            z_down.transpose_into(&mut z_down_t)?;
+            down.gram_with(&z_down_t, &z_down, pool)?;
+            z_up.transpose_into(&mut z_up_t)?;
+            up.gram_with(&z_up_t, &z_up, pool)?;
+            x.gemm_with(1.0, &z_up_t, &z_down, 0.0, pool)?;
+            subtract_increment(&mut neg_local, &mut neg_hat, &x);
         }
 
-        // R = Q0·(−U)⁻¹ with U = Q1 + Q0·G: one more LU, one right solve.
-        let mut neg_u = qbd.q1();
-        neg_u.scale_mut(-1.0);
-        neg_u.gemm_with(-1.0, &q0, &g, 1.0, &self.pool)?;
-        let u_lu = LuDecomposition::from_matrix_with(neg_u, &self.pool)?;
+        // R' = λ·(−Â₀)⁻¹ by one right solve, then R = W⁻¹·R'·W.
+        let hat_lu = LuDecomposition::from_matrix_with(neg_hat, pool)?;
         let mut r = Matrix::zeros(s, s);
-        u_lu.solve_right_matrix_into_with(&q0, &mut r, &mut ws, &self.pool)?;
+        hat_lu.solve_right_diagonal_into_with(&vec![lambda; s], &mut r, &mut ws, pool)?;
+        for (row, &l_i) in r.as_mut_slice().chunks_exact_mut(s).zip(log_weights) {
+            for (r_ij, &l_j) in row.iter_mut().zip(log_weights) {
+                // In logarithms, so that neither a weight ratio beyond the
+                // floating-point range nor a subnormal intermediate ever forms.
+                *r_ij = (r_ij.abs().ln() + l_j - l_i).exp().copysign(*r_ij);
+            }
+        }
         Ok((r, depth))
     }
 
     /// The natural fixed-point iteration `R ← −(Q0 + R²·Q2)·Q1⁻¹`, kept as the
     /// linear-convergence reference implementation that the equivalence tests pin
-    /// the logarithmic reduction against.  Returns `R` and the number of iterations.
+    /// the cyclic reduction against.  Returns `R` and the number of iterations.
     ///
     /// Even here no explicit inverse is formed: `Q1` is factorised once up front and
     /// every step performs one right solve against the factors.
@@ -385,6 +432,42 @@ impl QueueSolver for MatrixGeometricSolver {
     }
 }
 
+/// Replaces the square matrix `m` by `(m + mᵀ)/2`, exactly symmetric.
+fn symmetrise(m: &mut Matrix) {
+    let n = m.cols();
+    let data = m.as_mut_slice();
+    for i in 1..n {
+        let (upper, lower) = data.split_at_mut(i * n);
+        for (column, x) in upper.chunks_exact_mut(n).zip(lower.iter_mut().take(i)) {
+            if let Some(y) = column.get_mut(i) {
+                let mean = 0.5 * (*x + *y);
+                *x = mean;
+                *y = mean;
+            }
+        }
+    }
+}
+
+/// One cyclic-reduction update of the local blocks, kept negated: `−A₀ −= X + Xᵀ`
+/// (each pair summed first, so `−A₀` stays exactly symmetric) and `−Â₀ −= X`.
+fn subtract_increment(neg_local: &mut Matrix, neg_hat: &mut Matrix, x: &Matrix) {
+    let n = x.cols();
+    let xs = x.as_slice();
+    let rows = neg_local
+        .as_mut_slice()
+        .chunks_exact_mut(n)
+        .zip(neg_hat.as_mut_slice().chunks_exact_mut(n));
+    for (i, ((local_row, hat_row), x_row)) in rows.zip(xs.chunks_exact(n)).enumerate() {
+        let column = xs.iter().skip(i).step_by(n);
+        for (((local, hat), &x_ij), &x_ji) in
+            local_row.iter_mut().zip(hat_row).zip(x_row).zip(column)
+        {
+            *local -= x_ij + x_ji;
+            *hat -= x_ij;
+        }
+    }
+}
+
 /// Overwrites the square matrix `m` with `I − m`.
 fn identity_minus(m: &mut Matrix) {
     let n = m.cols();
@@ -406,13 +489,14 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// un-normalised `v_0..=v_N`.
 ///
 /// This is the boundary of *both* exact solvers: the matrix-geometric method obtains
-/// `R` by logarithmic reduction, spectral expansion as `U⁻¹·Z·U` from its eigenpairs.
+/// `R` by cyclic reduction, spectral expansion as `U⁻¹·Z·U` from its eigenpairs.
 /// Substituting `v_{N+1} = v_N·R` into the level-`N` equation leaves a real
 /// block-tridiagonal system whose couplings `−B = −λI` and `−C_j` are diagonal, so it
-/// runs on the packed-coupling [`RealBlockTridiagonal`] elimination, with a dense
-/// solve as the fallback for a singular pivot block.  Any single balance equation is
-/// redundant, so the level-0 equation of the skeleton's pin mode (largest stationary
-/// environment probability) is replaced by `v_0[pin] = 1`; the caller normalises.
+/// runs on the packed-coupling [`RealBlockTridiagonal`] elimination; a singular pivot
+/// block is a deterministic [`LinalgError::Singular`](urs_linalg::LinalgError)
+/// error.  Any single balance equation is redundant, so the level-0 equation of the
+/// skeleton's pin mode (largest stationary environment probability) is replaced by
+/// `v_0[pin] = 1`; the caller normalises.
 pub(crate) fn solve_boundary(
     qbd: &QbdMatrices,
     r: &Matrix,
@@ -475,11 +559,7 @@ pub(crate) fn solve_boundary(
         system.set_diagonal(j, diag)?;
         system.set_rhs(j, rhs)?;
     }
-    match system.solve_with(pool) {
-        Ok(levels) => Ok(levels),
-        Err(LinalgError::Singular { .. }) => Ok(system.solve_dense()?),
-        Err(e) => Err(e.into()),
-    }
+    Ok(system.solve_with(pool)?)
 }
 
 /// The steady-state solution produced by [`MatrixGeometricSolver`]: boundary vectors
@@ -497,7 +577,7 @@ pub struct MatrixGeometricSolution {
     /// `v_N·(I−R)⁻¹`: the mode marginal of the levels `j ≥ N`.
     tail_marginal: Vec<f64>,
     mean_queue_length: f64,
-    /// Number of logarithmic-reduction doublings that produced `R`.
+    /// Number of cyclic-reduction steps, step 0 included, that produced `R`.
     reduction_depth: usize,
 }
 
@@ -507,9 +587,10 @@ impl MatrixGeometricSolution {
         &self.rate_matrix
     }
 
-    /// Number of logarithmic-reduction doubling steps it took to compute `R`; step
-    /// `k` covers `2^k` levels of the first-passage expansion, so this is the base-2
-    /// logarithm of the equivalent fixed-point iteration count.  Exposed for
+    /// Number of cyclic-reduction steps it took to compute `R`, step 0 included;
+    /// step `k` folds `2^k` levels of the process, so this is about the base-2
+    /// logarithm of the equivalent fixed-point iteration count (one more than the
+    /// doubling count of the logarithmic reduction it replaced).  Exposed for
     /// observability: a depth creeping towards the budget signals a near-unstable
     /// configuration.
     pub fn reduction_depth(&self) -> usize {

@@ -68,6 +68,9 @@ pub struct QbdSkeleton {
     /// `A` — λ-independent, computed once here so every solver can route to the
     /// structured kernels without rescanning.
     q1_bandwidths: (usize, usize),
+    /// The logarithms of the symmetrising weights `w = √π` of the mode chain (see
+    /// [`log_weights`](Self::log_weights)), or the error that rules them out.
+    log_weights: Result<Vec<f64>>,
 }
 
 impl QbdSkeleton {
@@ -164,6 +167,7 @@ impl QbdSkeleton {
             .max_by(|a, b| a.1.total_cmp(b.1))
             .map(|(i, _)| i)
             .unwrap_or(0);
+        let log_weights = reversible_log_weights(&a);
         Ok(QbdSkeleton {
             modes,
             classes: classes.to_vec(),
@@ -173,6 +177,7 @@ impl QbdSkeleton {
             c_levels,
             pin_mode,
             q1_bandwidths,
+            log_weights,
         })
     }
 
@@ -202,6 +207,7 @@ impl QbdSkeleton {
             + allocation_bytes(&self.da)
             + allocation_bytes(&self.c_levels)
             + self.c_levels.iter().map(|c| allocation_bytes(c)).sum::<usize>()
+            + self.log_weights.as_ref().map_or(0, |w| allocation_bytes(w))
     }
 
     /// Number of servers `N`.
@@ -252,6 +258,49 @@ impl QbdSkeleton {
         self.q1_bandwidths
     }
 
+    /// The logarithms `ln w` of the weights `w = √π` that symmetrise the mode
+    /// chain, largest 0: with `W = diag(w)`, `W·A·W⁻¹` has the symmetric
+    /// off-diagonal `S_ij = √(A_ij·A_ji)` (see
+    /// [`symmetric_generator`](Self::symmetric_generator)).  They are kept as
+    /// logarithms because the stationary distribution of very reliable servers in
+    /// a large fleet spans more decades than a floating-point number: only weight
+    /// ratios `e^(ln w_j − ln w_i)` are ever formed from them.
+    ///
+    /// Each server's phase chain is a star or a complete bipartite graph with
+    /// product-form rates, so Kolmogorov's criterion makes it reversible, and the
+    /// lumped product of independent servers stays so.  The weights are λ-independent
+    /// and computed once, when the skeleton is built.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::InvalidParameter`] when the chain is reducible or not
+    /// reversible, which rules out the symmetrised frame.
+    pub fn log_weights(&self) -> Result<&[f64]> {
+        self.log_weights.as_deref().map_err(Clone::clone)
+    }
+
+    /// The symmetrised diagonal-plus-mode-change matrix `diag(Dᴬ + shift) − S`,
+    /// `S_ij = √(A_ij·A_ji)` — similar, through `W = diag(w)`, to
+    /// `Dᴬ + diag(shift) − A`.  The response-time transform diagonalises it with
+    /// `shift = C_j`; the cyclic reduction of the matrix-geometric solver factorises
+    /// it with `shift = C + λ` (that is `−Q1`).
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::Internal`] unless `shift` has one entry per mode.
+    pub fn symmetric_generator(&self, shift: &[f64]) -> Result<Matrix> {
+        let order = self.order();
+        if shift.len() != order {
+            return Err(ModelError::Internal("diagonal shift does not match the mode count"));
+        }
+        let a = &self.a;
+        let rate = |i: usize, j: usize| a.get(i, j).unwrap_or(0.0);
+        Ok(Matrix::from_fn(order, order, |i, j| match (self.da.get(i), shift.get(i)) {
+            (Some(d), Some(c)) if i == j => d + c - rate(i, i),
+            _ => -(rate(i, j) * rate(j, i)).sqrt(),
+        }))
+    }
+
     /// `true` when the solvers should route repeating-level factorisations through
     /// the packed banded kernels (see [`urs_linalg::banded_profitable`]): the
     /// bandwidth reported by [`q1_bandwidths`](Self::q1_bandwidths) clears the
@@ -278,6 +327,61 @@ fn departure_rate(modes: &ModeSpace, classes: &[ServerClass], mode: usize, level
         remaining -= busy;
     }
     rate
+}
+
+/// The logarithms of the symmetrising weights `w = √π` of the mode chain `A`,
+/// largest 0: detailed balance `π_j = π_i·A_ij/A_ji` along a breadth-first
+/// spanning tree from mode 0, then verified on every transition.  The tree runs on
+/// `ln w`, so no product of rate ratios can overflow.
+///
+/// # Errors
+///
+/// [`ModelError::InvalidParameter`] when the chain is reducible or not reversible —
+/// a transition without its reverse, or a cycle violating Kolmogorov's criterion.
+pub(crate) fn reversible_log_weights(a: &Matrix) -> Result<Vec<f64>> {
+    let order = a.rows();
+    let rate = |i: usize, j: usize| if i == j { 0.0 } else { a.get(i, j).unwrap_or(0.0) };
+    let invalid = |value: f64| ModelError::InvalidParameter {
+        name: "mode_chain",
+        value,
+        constraint: "the symmetrised solvers need a reversible, irreducible mode chain",
+    };
+    // Transitions only link modes within the band of `A`.
+    let (kl, ku) = BandedMatrix::bandwidths_of(a);
+    let reach = kl.max(ku);
+    let band = |i: usize| i.saturating_sub(reach)..(i + reach + 1).min(order);
+    // `ln w` along the tree rooted at mode 0; `None` marks a mode not reached yet.
+    let mut logs: Vec<Option<f64>> = (0..order).map(|i| (i == 0).then_some(0.0)).collect();
+    let mut queue = std::collections::VecDeque::from([0usize]);
+    while let Some(i) = queue.pop_front() {
+        let log_i = logs.get(i).copied().flatten().unwrap_or(0.0);
+        for j in band(i) {
+            let (forward, back) = (rate(i, j), rate(j, i));
+            if let Some(log_j) = logs.get_mut(j).filter(|w| forward > 0.0 && w.is_none()) {
+                if back <= 0.0 {
+                    return Err(invalid(forward));
+                }
+                *log_j = Some(log_i + 0.5 * (forward.ln() - back.ln()));
+                queue.push_back(j);
+            }
+        }
+    }
+    let logs: Vec<f64> = logs.into_iter().collect::<Option<_>>().ok_or_else(|| invalid(0.0))?;
+    for (i, log_i) in logs.iter().enumerate() {
+        for (j, log_j) in logs.iter().enumerate().take(i).skip(i.saturating_sub(reach)) {
+            let (forward, back) = (rate(i, j), rate(j, i));
+            if forward <= 0.0 && back <= 0.0 {
+                continue;
+            }
+            // ln(π_i·A_ij / π_j·A_ji); a missing reverse makes it infinite.
+            let gap = (forward / back).ln() - 2.0 * (log_j - log_i);
+            if gap.abs() > 1e-8 {
+                return Err(invalid(-(-gap.abs()).exp_m1()));
+            }
+        }
+    }
+    let largest = logs.iter().fold(f64::NEG_INFINITY, |m, l| m.max(*l));
+    Ok(logs.into_iter().map(|l| l - largest).collect())
 }
 
 /// The generator matrices of the queue's quasi-birth-death representation: a shared

@@ -75,7 +75,8 @@
 //! criterion makes it reversible, and independent servers, lumped into occupancy
 //! counts, keep it so — the mode chain `A` satisfies detailed balance
 //! `π_i·A_ij = π_j·A_ji`.  With `W = diag(√π)` every resolvent base is similar to the
-//! real symmetric `W·(Dᴬ + C − A)·W⁻¹ = diag(Dᴬ + C) − S`, `S_ij = √(A_ij·A_ji)`, with
+//! real symmetric `W·(Dᴬ + C − A)·W⁻¹ = diag(Dᴬ + C) − S`, `S_ij = √(A_ij·A_ji)`
+//! ([`QbdSkeleton::symmetric_generator`], weights cached with the skeleton), with
 //! a real orthonormal eigenbasis `V` and eigenvalues `λ_k ≥ 0`.  The transform
 //! diagonalises the `N` distinct bases once with [`urs_linalg::symmetric_eigen`] and
 //! runs the recursion in the eigen-coordinates `χ_a = Vᵀ·W·φ_a`:
@@ -736,18 +737,24 @@ impl ResponseTransform {
     fn assemble(skeleton: &QbdSkeleton, arrivals: &[f64]) -> Result<Self> {
         let order = skeleton.order();
         let servers = skeleton.servers();
-        let a = skeleton.a();
-        let weights = reversible_weights(a)?;
-        let rate = |i: usize, j: usize| a.get(i, j).unwrap_or(0.0);
+        // The weights themselves, largest 1; a distribution spanning more than the
+        // floating-point range underflows some of them, and the transform, which
+        // scales by them directly, rules that out.
+        let log_weights = skeleton.log_weights()?;
+        let weights: Vec<f64> = log_weights.iter().map(|l| l.exp()).collect();
+        if let Some((&log, _)) = log_weights.iter().zip(&weights).find(|(_, w)| **w <= 0.0) {
+            return Err(ModelError::InvalidParameter {
+                name: "mode_chain",
+                value: log,
+                constraint: "the response-time transform needs symmetrising weights \
+                             within the floating-point range",
+            });
+        }
         // One symmetric eigensystem per distinct base `diag(Dᴬ + C_{a+1}) − S`.
         let mut eigenvalues = Vec::with_capacity(servers * order);
         let mut bases = Vec::with_capacity(servers);
         for level in 1..=servers {
-            let (da, departures) = (skeleton.da(), skeleton.c_level(level));
-            let base = Matrix::from_fn(order, order, |i, j| match (da.get(i), departures.get(i)) {
-                (Some(d), Some(c)) if i == j => d + c - rate(i, i),
-                _ => -(rate(i, j) * rate(j, i)).sqrt(),
-            });
+            let base = skeleton.symmetric_generator(skeleton.c_level(level))?;
             let eigen = symmetric_eigen(&base)?;
             eigenvalues.extend(eigen.values);
             bases.push(eigen.vectors);
@@ -865,53 +872,6 @@ impl ResponseTransform {
         }
         Ok(total)
     }
-}
-
-/// The symmetrising weights `w = √π` of the mode chain `A`, normalised to a largest
-/// weight of 1: detailed balance `π_j = π_i·A_ij/A_ji` along a breadth-first spanning
-/// tree from mode 0, then verified on every transition.
-///
-/// # Errors
-///
-/// [`ModelError::InvalidParameter`] when the chain is reducible or not reversible —
-/// a transition without its reverse, or a cycle violating Kolmogorov's criterion.
-fn reversible_weights(a: &Matrix) -> Result<Vec<f64>> {
-    let order = a.rows();
-    let rate = |i: usize, j: usize| if i == j { 0.0 } else { a.get(i, j).unwrap_or(0.0) };
-    let irreversible = |value: f64| ModelError::InvalidParameter {
-        name: "mode_chain",
-        value,
-        constraint: "the response-time transform needs a reversible, irreducible mode chain",
-    };
-    // The tree is rooted at mode 0; zero marks a mode it has not reached yet.
-    let mut weights: Vec<f64> = (0..order).map(|i| if i == 0 { 1.0 } else { 0.0 }).collect();
-    let mut queue = std::collections::VecDeque::from([0usize]);
-    while let Some(i) = queue.pop_front() {
-        let w_i = weights.get(i).copied().unwrap_or(0.0);
-        for j in 0..order {
-            let (forward, back) = (rate(i, j), rate(j, i));
-            if let Some(w_j) = weights.get_mut(j).filter(|w| forward > 0.0 && **w <= 0.0) {
-                if back <= 0.0 {
-                    return Err(irreversible(forward));
-                }
-                *w_j = w_i * (forward / back).sqrt();
-                queue.push_back(j);
-            }
-        }
-    }
-    if weights.iter().any(|w| *w <= 0.0) {
-        return Err(irreversible(0.0));
-    }
-    for (i, w_i) in weights.iter().enumerate() {
-        for (j, w_j) in weights.iter().enumerate().take(i) {
-            let (flow, reverse) = (w_i * w_i * rate(i, j), w_j * w_j * rate(j, i));
-            if (flow - reverse).abs() > 1e-8 * flow.max(reverse) {
-                return Err(irreversible((flow - reverse) / flow.max(reverse)));
-            }
-        }
-    }
-    let largest = weights.iter().fold(0.0_f64, |m, w| m.max(*w));
-    Ok(weights.into_iter().map(|w| w / largest).collect())
 }
 
 /// The analytic response-time distribution of one system configuration.
@@ -1289,6 +1249,7 @@ mod tests {
     use super::*;
     use crate::cache::{transform_key, ByteLru};
     use crate::config::ServerLifecycle;
+    use crate::qbd::reversible_log_weights;
     use crate::solution::QueueSolver;
     use crate::spectral::SpectralExpansionSolver;
 
@@ -1717,7 +1678,7 @@ mod tests {
         // A 3-cycle 0 → 1 → 2 → 0 has no reverse transitions.
         let cycle = Matrix::from_fn(3, 3, |i, j| if j == (i + 1) % 3 { 1.0 } else { 0.0 });
         assert!(matches!(
-            reversible_weights(&cycle),
+            reversible_log_weights(&cycle),
             Err(ModelError::InvalidParameter { name: "mode_chain", .. })
         ));
         // Reverse rates that break Kolmogorov's criterion around the cycle.
@@ -1726,15 +1687,30 @@ mod tests {
             2 => 1.0,
             _ => 0.0,
         });
-        assert!(reversible_weights(&skewed).is_err());
+        assert!(reversible_log_weights(&skewed).is_err());
         // A birth–death chain is reversible; its weights are √π up to scale.
         let chain =
             Matrix::from_rows(&[&[0.0, 2.0, 0.0][..], &[1.0, 0.0, 3.0][..], &[0.0, 1.5, 0.0][..]])
                 .unwrap();
-        let w = reversible_weights(&chain).unwrap();
+        let w: Vec<f64> = reversible_log_weights(&chain).unwrap().iter().map(|l| l.exp()).collect();
         let pi: Vec<f64> = w.iter().map(|x| x * x).collect();
         assert!((pi[0] * 2.0 - pi[1] * 1.0).abs() < 1e-15);
         assert!((pi[1] * 3.0 - pi[2] * 1.5).abs() < 1e-15);
         assert_eq!(w.iter().fold(0.0_f64, |m, x| m.max(*x)), 1.0);
+    }
+
+    #[test]
+    fn transform_rejects_weights_beyond_the_floating_point_range() {
+        // 60 servers that fail 1e12 times less often than they are repaired: the
+        // all-down mode has probability ~1e-720, so its weight underflows, and the
+        // transform, which scales by the weights themselves, must say so.
+        let lifecycle = ServerLifecycle::exponential(1e-9, 1e3).unwrap();
+        let classes = [ServerClass::new(60, 1.0, lifecycle).unwrap()];
+        let skeleton = QbdSkeleton::for_classes(&classes).unwrap();
+        assert!(skeleton.log_weights().is_ok());
+        assert!(matches!(
+            ResponseTransform::assemble(&skeleton, &vec![0.0; skeleton.order()]),
+            Err(ModelError::InvalidParameter { name: "mode_chain", .. })
+        ));
     }
 }

@@ -328,8 +328,8 @@ fn spectral_solver_is_bit_identical_across_the_thread_matrix() {
 #[test]
 fn matrix_geometric_solver_is_bit_identical_across_the_thread_matrix() {
     // 7 servers with a 2-phase operative + 1-phase repair lifecycle give
-    // C(9,2) = 36 modes, so the 36×36 gemm and LU calls inside the logarithmic
-    // reduction are past the parallel cut-over and actually split into bands.
+    // C(9,2) = 36 modes, so the 36×36 gemm of the cyclic reduction and the
+    // boundary kernels are past the parallel cut-over and actually split into bands.
     let config = paper_base(7, 4.0, 25.0);
     let serial = MatrixGeometricSolver::default().solve_detailed(&config).unwrap();
     for threads in THREAD_MATRIX {

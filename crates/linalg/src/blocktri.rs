@@ -199,7 +199,7 @@ impl RealBlockTridiagonal {
     /// # Errors
     ///
     /// Returns [`LinalgError::Singular`] if a pivot block becomes singular during the
-    /// elimination (callers may then fall back to [`solve_dense`](Self::solve_dense)).
+    /// elimination.
     pub fn solve(&self) -> Result<Vec<Vec<f64>>> {
         self.solve_with(&ThreadPool::serial())
     }
@@ -304,8 +304,8 @@ impl RealBlockTridiagonal {
     }
 
     /// Solves the system through a dense real LU factorisation — an
-    /// `O((K·s)³)` numerically independent cross-check and the fallback for a
-    /// singular pivot block.
+    /// `O((K·s)³)` numerically independent cross-check for the tests, with no memory
+    /// bound of its own (`(K·s)²` numbers), so no solver path calls it.
     ///
     /// # Errors
     ///

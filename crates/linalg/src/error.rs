@@ -33,6 +33,12 @@ pub enum LinalgError {
         /// Index of the pivot at which singularity was detected.
         pivot: usize,
     },
+    /// A Cholesky factorisation met a pivot that is not positive: the matrix is not
+    /// (numerically) positive definite.
+    NotPositiveDefinite {
+        /// Index of the first non-positive pivot.
+        pivot: usize,
+    },
     /// An iterative algorithm did not converge within its iteration budget.
     NoConvergence {
         /// Name of the algorithm.
@@ -66,6 +72,9 @@ impl fmt::Display for LinalgError {
             }
             LinalgError::Singular { pivot } => {
                 write!(f, "matrix is singular to working precision (pivot {pivot})")
+            }
+            LinalgError::NotPositiveDefinite { pivot } => {
+                write!(f, "matrix is not positive definite (pivot {pivot})")
             }
             LinalgError::NoConvergence { algorithm, iterations } => {
                 write!(f, "{algorithm} did not converge after {iterations} iterations")
@@ -101,6 +110,8 @@ mod tests {
     fn display_singular_and_not_square() {
         assert!(LinalgError::Singular { pivot: 2 }.to_string().contains("pivot 2"));
         assert!(LinalgError::NotSquare { rows: 2, cols: 3 }.to_string().contains("2x3"));
+        let text = LinalgError::NotPositiveDefinite { pivot: 4 }.to_string();
+        assert!(text.contains("positive definite") && text.contains("pivot 4"));
     }
 
     #[test]

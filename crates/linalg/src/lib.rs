@@ -7,6 +7,9 @@
 //!
 //! * real matrices with LU factorisation, determinants, inverses, linear solves and
 //!   null-vector extraction ([`Matrix`], [`LuDecomposition`]),
+//! * the Cholesky factorisation of symmetric positive-definite matrices with its
+//!   lower solve ([`Cholesky`]) and the one-triangle Gram product
+//!   ([`Matrix::gram_with`]), the kernels of the symmetric cyclic reduction,
 //! * eigenvalues of general real matrices via balancing, Householder Hessenberg
 //!   reduction and the Francis implicit double-shift QR iteration ([`eigenvalues`]),
 //!   and eigenpairs of real symmetric matrices by cyclic Jacobi ([`symmetric_eigen`]),
@@ -52,7 +55,8 @@
 //! | [`Matrix::gemm`] | tiled multiply-accumulate behind every solver product (§3.1 matrices are sparse bands — zero rows are skipped), including the response-time level recursion |
 //! | [`LuDecomposition`] | blocked LU with partial pivoting; `solve_into` / `solve_matrix_into` / `solve_right_matrix_into` replace every explicit inverse; `null_vector` is the dense eigenvector fallback |
 //! | [`symmetric_eigen`] | deterministic cyclic-Jacobi eigenpairs of the symmetrised response-time resolvents, so each transform evaluation is a diagonal scaling between real products |
-//! | [`Workspace`] | scratch-buffer pool so the `R`-matrix logarithmic reduction and the boundary elimination allocate nothing per iteration |
+//! | [`Cholesky`] + [`Matrix::gram_with`] | blocked Cholesky `−A₀ = L·Lᵀ`, the column-banded lower solve `L⁻¹·B` and the Gram product `Zᵀ·Z` computed as one triangle (bitwise equal to the full `gemm`): one symmetric cyclic-reduction step of the `R` matrix at ≈ 6⅓·s³ flops |
+//! | [`Workspace`] | scratch-buffer pool so the `R`-matrix cyclic reduction and the boundary elimination allocate nothing per iteration |
 //! | [`ThreadPool`] + the `*_with` kernels | row-banded parallel gemm, trailing-update LU and right-solves; panels and pivoting stay serial, bands are disjoint, accumulation order is fixed — the pool changes wall time, never bits (pinned by the `parallel_equivalence` and `properties` suites) |
 //! | [`BandedMatrix`]/[`BandedLu`] | packed storage for the QBD generator bands (§3's `Q(z)` blocks have bandwidth `N + 1` inside `s = (N+1)(N+2)/2` modes); banded matvec/gemm/LU/solves bit-identical to dense on the same pattern, gated by [`banded_profitable`] |
 //! | [`QuadraticEigenProblem::real_left_eigenvector`] | eigenvector extraction at a real root by shifted inverse iteration on one real banded LU of `Q(z)ᵀ` (dense null-vector fallback), replacing the `O(s⁴)` per-eigenvalue Gaussian null-space sweep |
@@ -78,6 +82,7 @@
 
 mod banded;
 mod blocktri;
+mod cholesky;
 mod complex;
 mod error;
 mod lu;
@@ -90,6 +95,7 @@ pub mod parallel;
 
 pub use banded::{BandedLu, BandedMatrix, MMatrixLu, ZMatrixLu};
 pub use blocktri::RealBlockTridiagonal;
+pub use cholesky::Cholesky;
 pub use complex::Complex;
 pub use eigen::{eigenvalues, symmetric_eigen, EigenOptions, SymmetricEigen};
 pub use error::LinalgError;

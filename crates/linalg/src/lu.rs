@@ -327,7 +327,7 @@ impl LuDecomposition {
     ///
     /// All right-hand-side columns are eliminated simultaneously by whole-row
     /// operations, so the row-major layout is traversed contiguously — this is the
-    /// multi-RHS kernel behind the logarithmic-reduction solver.
+    /// multi-RHS kernel behind the solvers' explicit `(−Q1)⁻¹` and right solves.
     ///
     /// # Errors
     ///
@@ -791,7 +791,7 @@ fn right_solve_row(row: &mut [f64], d: &[f64], perm: &[usize], scratch: &mut [f6
 /// `xi` — the same multiplies and subtractions in the same per-element order (no
 /// fusion, no reassociation), so the result is bit-identical while the `xi`
 /// load/store traffic drops to a quarter.
-fn substitute_row(xi: &mut [f64], rhs_rows: &[f64], coeffs: &[f64], w: usize) {
+pub(crate) fn substitute_row(xi: &mut [f64], rhs_rows: &[f64], coeffs: &[f64], w: usize) {
     let mut j = 0;
     while j + 4 <= coeffs.len() {
         // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")

@@ -228,7 +228,27 @@ impl Matrix {
 
     /// Transpose.
     pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
+        let mut out = Matrix::zeros(self.cols, self.rows);
+        transpose_tiles(&self.data, self.cols, &mut out.data);
+        out
+    }
+
+    /// Writes the transpose of `self` into `out`, in place (no allocation).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] unless `out` is
+    /// `self.cols() × self.rows()`.
+    pub fn transpose_into(&self, out: &mut Matrix) -> Result<()> {
+        if out.shape() != (self.cols, self.rows) {
+            return Err(LinalgError::DimensionMismatch {
+                operation: "matrix transpose",
+                left: self.shape(),
+                right: out.shape(),
+            });
+        }
+        transpose_tiles(&self.data, self.cols, &mut out.data);
+        Ok(())
     }
 
     /// Applies a function to every element, returning a new matrix.
@@ -301,14 +321,75 @@ impl Matrix {
         let (m, k, n) = (a.rows, a.cols, b.cols);
         let band_rows = par_band_rows(m, k, n, pool.threads());
         if band_rows >= m {
-            gemm_band(&mut self.data, &a.data, &b.data, alpha, beta, k, n);
+            gemm_band(&mut self.data, &a.data, &b.data, alpha, beta, k, n, None);
             return Ok(());
         }
         pool.par_chunks_mut(&mut self.data, band_rows * n, |band, c_rows| {
             let row0 = band * band_rows;
             let rows = c_rows.len() / n;
-            gemm_band(c_rows, &a.data[row0 * k..(row0 + rows) * k], &b.data, alpha, beta, k, n);
+            let a_rows = a.data.get(row0 * k..(row0 + rows) * k).unwrap_or_default();
+            gemm_band(c_rows, a_rows, &b.data, alpha, beta, k, n, None);
         })?;
+        Ok(())
+    }
+
+    /// The Gram matrix `self ← zᵀ·z`, computing one triangle and mirroring it.
+    ///
+    /// Serial form of [`gram_with`](Self::gram_with).
+    ///
+    /// # Errors
+    ///
+    /// As [`gram_with`](Self::gram_with).
+    pub fn gram(&mut self, zt: &Matrix, z: &Matrix) -> Result<()> {
+        self.gram_with(zt, z, &ThreadPool::serial())
+    }
+
+    /// The Gram matrix `self ← zᵀ·z` from `z` and its transpose `zt`, with the
+    /// output rows partitioned across the workers of `pool`.  The caller supplies
+    /// `zt`, which it typically needs for other products too; if `zt` is not
+    /// `zᵀ` the result is the lower triangle of `zt·z` mirrored.
+    ///
+    /// Only the lower triangle is accumulated — the [`gemm`](Self::gemm) tiling
+    /// clipped at the diagonal — and then mirrored, so the product costs half a
+    /// `gemm`.  Each element still receives its `k` terms in ascending order from
+    /// zero, and `z_ki·z_kj` equals `z_kj·z_ki` bit for bit, so the result is
+    /// bitwise equal to `gemm(1, zᵀ, z, 0)`, exactly symmetric, and the same at
+    /// every thread count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] unless `z` is `k × n`, `zt` is
+    /// `n × k` and `self` is `n × n`, or [`LinalgError::WorkerPanic`] if a worker
+    /// panicked.
+    pub fn gram_with(&mut self, zt: &Matrix, z: &Matrix, pool: &ThreadPool) -> Result<()> {
+        let (k, n) = z.shape();
+        if zt.shape() != (n, k) || self.shape() != (n, n) {
+            return Err(LinalgError::DimensionMismatch {
+                operation: "Gram product",
+                left: zt.shape(),
+                right: z.shape(),
+            });
+        }
+        let band_rows = par_band_rows(n, k, n.div_ceil(2), pool.threads());
+        if band_rows >= n {
+            gemm_band(&mut self.data, &zt.data, &z.data, 1.0, 0.0, k, n, Some(0));
+        } else {
+            pool.par_chunks_mut(&mut self.data, band_rows * n, |band, c_rows| {
+                let row0 = band * band_rows;
+                let rows = c_rows.len() / n;
+                let a_rows = zt.data.get(row0 * k..(row0 + rows) * k).unwrap_or_default();
+                gemm_band(c_rows, a_rows, &z.data, 1.0, 0.0, k, n, Some(row0));
+            })?;
+        }
+        // Mirror the lower triangle onto the upper.
+        for i in 1..n {
+            let (upper, lower) = self.data.split_at_mut(i * n);
+            for (column, &v) in upper.chunks_exact_mut(n).zip(lower.iter().take(i)) {
+                if let Some(x) = column.get_mut(i) {
+                    *x = v;
+                }
+            }
+        }
         Ok(())
     }
 
@@ -527,13 +608,28 @@ impl Matrix {
 /// output rows: `c ← alpha·a·b + beta·c`, where `c` and `a` hold the same
 /// `c.len() / n` consecutive rows of the output and left operand.
 ///
+/// With `lower = Some(row0)` (the band's first row in the whole output) each row
+/// stops at the diagonal: row `i` accumulates columns `0..=i` only — a quad of
+/// rows runs to its last row's diagonal — which is what [`Matrix::gram_with`]
+/// needs; the columns computed receive exactly the operations of the full kernel.
+///
 /// Tile sizes are chosen so a KB×JB slab of `b` (≤ 128 KiB) fits in L2 while the
 /// accumulation order over `k` stays ascending (tiles are visited in order).  The
 /// serial kernel is exactly this function applied to the full row range, so a banded
 /// parallel run — which only re-partitions `i`, never the per-element `k` order —
 /// reproduces it bit for bit.
 // urs-analyze: begin(no_alloc)
-fn gemm_band(c: &mut [f64], a: &[f64], b: &[f64], alpha: f64, beta: f64, k: usize, n: usize) {
+#[allow(clippy::too_many_arguments)]
+fn gemm_band(
+    c: &mut [f64],
+    a: &[f64],
+    b: &[f64],
+    alpha: f64,
+    beta: f64,
+    k: usize,
+    n: usize,
+    lower: Option<usize>,
+) {
     if beta == 0.0 {
         c.fill(0.0);
     } else if beta != 1.0 {
@@ -550,7 +646,11 @@ fn gemm_band(c: &mut [f64], a: &[f64], b: &[f64], alpha: f64, beta: f64, k: usiz
     for kk in (0..k).step_by(KB) {
         let k_end = (kk + KB).min(k);
         for jj in (0..n).step_by(JB) {
-            let j_end = (jj + JB).min(n);
+            // The column window of a group of rows whose last row is `last`.
+            let window_end = |last: usize| match lower {
+                Some(row0) => (jj + JB).min(n).min(row0 + last + 1),
+                None => (jj + JB).min(n),
+            };
             // Quads of output rows whose `a` panels are fully dense run the
             // fused four-row kernel, which reads each `b` row once for all four
             // accumulator rows; everything else takes the per-row panel kernel.
@@ -558,6 +658,11 @@ fn gemm_band(c: &mut [f64], a: &[f64], b: &[f64], alpha: f64, beta: f64, k: usiz
             // sequence either way, so the grouping changes wall time, not bits.
             let mut i0 = 0;
             while i0 + 4 <= m {
+                let j_end = window_end(i0 + 3);
+                if j_end <= jj {
+                    i0 += 4;
+                    continue;
+                }
                 // urs-analyze: allow(slice_index, reason = "a panels for rows i0..i0+3 with i0+3 < m; window kk..k_end ≤ k")
                 let t0 = &a[i0 * k + kk..i0 * k + k_end];
                 // urs-analyze: allow(slice_index, reason = "a panel for row i0+1, in range as above")
@@ -615,6 +720,10 @@ fn gemm_band(c: &mut [f64], a: &[f64], b: &[f64], alpha: f64, beta: f64, k: usiz
                 i0 += 4;
             }
             for i in i0..m {
+                let j_end = window_end(i);
+                if j_end <= jj {
+                    continue;
+                }
                 // urs-analyze: allow(slice_index, reason = "tile offsets bounded by the blocking loop limits; fused gemm hot loop")
                 let a_tile = &a[i * k + kk..i * k + k_end];
                 // urs-analyze: allow(slice_index, reason = "tile offsets bounded by the blocking loop limits; fused gemm hot loop")
@@ -825,6 +934,30 @@ pub(crate) fn gemm_rows4_panel(
             *x1 += a1 * v;
             *x2 += a2 * v;
             *x3 += a3 * v;
+        }
+    }
+}
+
+/// Writes the transpose of the row-major `src` (`cols` wide) into `dst`, in square
+/// tiles so both the reads and the strided writes stay cache-resident.
+fn transpose_tiles(src: &[f64], cols: usize, dst: &mut [f64]) {
+    const TILE: usize = 16;
+    if cols == 0 {
+        return;
+    }
+    let rows = src.len() / cols;
+    for r0 in (0..rows).step_by(TILE) {
+        let r_end = (r0 + TILE).min(rows);
+        for c0 in (0..cols).step_by(TILE) {
+            let c_end = (c0 + TILE).min(cols);
+            for r in r0..r_end {
+                let row = src.get(r * cols + c0..r * cols + c_end).unwrap_or_default();
+                for (c, &v) in (c0..c_end).zip(row) {
+                    if let Some(x) = dst.get_mut(c * rows + r) {
+                        *x = v;
+                    }
+                }
+            }
         }
     }
 }

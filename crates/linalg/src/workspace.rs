@@ -4,7 +4,7 @@ use crate::matrix::Matrix;
 
 /// A pool of reusable scratch buffers backing the `_into` kernel family.
 ///
-/// Iterative solvers — the logarithmic-reduction `R` computation, the block-tridiagonal
+/// Iterative solvers — the cyclic-reduction `R` computation, the block-tridiagonal
 /// boundary elimination — need a handful of temporary matrices and vectors *per
 /// iteration*.  Allocating them fresh each time dominates the runtime of small systems
 /// and fragments the heap for large ones.  A `Workspace` hands out buffers and takes

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use urs_linalg::{
-    eigenvalues, BandedLu, BandedMatrix, Complex, LinalgError, LuDecomposition, Matrix,
+    eigenvalues, BandedLu, BandedMatrix, Cholesky, Complex, LinalgError, LuDecomposition, Matrix,
     QuadraticEigenProblem, ThreadPool, Workspace,
 };
 
@@ -370,6 +370,129 @@ proptest! {
             matrix_bits(&serial.into_matrix()),
             matrix_bits(&pooled.into_matrix())
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Cholesky factor, lower solve and Gram product — the kernels of the symmetric
+// cyclic reduction.  Sizes cross the 48-row panel boundary; `band` thins the
+// operands so the zero-skipping paths run beside the fused dense ones.
+// ---------------------------------------------------------------------------
+
+/// A symmetric positive-definite `B·Bᵀ + n·I` with `B` zero outside `|i − j| ≤ band`.
+fn spd_matrix(n: usize, band: usize, seed: u64) -> Matrix {
+    let mut next = lcg(seed.wrapping_mul(0xD1342543DE82EF95).wrapping_add(3));
+    let b = Matrix::from_fn(n, n, |i, j| if i.abs_diff(j) <= band { next() } else { 0.0 });
+    let mut a = b.matmul(&b.transpose()).unwrap();
+    for i in 0..n {
+        a[(i, i)] += n as f64;
+    }
+    a
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `L·Lᵀ` rebuilds `A`, `L` is lower triangular with a positive diagonal, and
+    /// an indefinite matrix is an error at the first bad pivot, not a panic.
+    #[test]
+    fn cholesky_reconstructs_and_rejects_indefinite_input(
+        n in 1usize..110,
+        band in 0usize..120,
+        flip in 0usize..110,
+        seed in 0u64..1_000_000,
+    ) {
+        let a = spd_matrix(n, band, seed);
+        let l = Cholesky::new(&a).unwrap().lower();
+        for i in 0..n {
+            prop_assert!(l[(i, i)] > 0.0);
+            for j in i + 1..n {
+                prop_assert_eq!(l[(i, j)], 0.0);
+            }
+        }
+        let rebuilt = l.matmul(&l.transpose()).unwrap();
+        prop_assert!(max_rel_diff(&rebuilt, &a) < 1e-13, "{}", max_rel_diff(&rebuilt, &a));
+        // A negative diagonal entry makes the matrix indefinite; the pivots before
+        // it depend only on the leading block, so the factor fails exactly there.
+        let k = flip % n;
+        let mut indefinite = a.clone();
+        indefinite[(k, k)] = -1.0;
+        let outcome = Cholesky::new(&indefinite);
+        prop_assert!(
+            matches!(outcome, Err(LinalgError::NotPositiveDefinite { pivot }) if pivot == k),
+            "{outcome:?}"
+        );
+    }
+
+    /// `Z = L⁻¹·B` satisfies `L·Z = B` to a small residual.
+    #[test]
+    fn lower_solve_has_a_small_residual(
+        n in 1usize..110,
+        m in 1usize..70,
+        band in 0usize..120,
+        seed in 0u64..1_000_000,
+    ) {
+        let a = spd_matrix(n, band, seed);
+        let cholesky = Cholesky::new(&a).unwrap();
+        let mut next = lcg(seed ^ 0xABCDEF);
+        let b = Matrix::from_fn(n, m, |_, _| next());
+        let mut z = Matrix::zeros(n, m);
+        cholesky.solve_lower_into(&b, &mut z, &mut Workspace::new()).unwrap();
+        let residual = &cholesky.lower().matmul(&z).unwrap() - &b;
+        prop_assert!(residual.max_abs() < 1e-13, "residual {}", residual.max_abs());
+    }
+
+    /// The one-triangle Gram product equals `gemm(Zᵀ, Z)` bit for bit and is
+    /// exactly symmetric.
+    #[test]
+    fn gram_product_is_the_gemm_bit_for_bit(
+        k in 0usize..90,
+        n in 0usize..110,
+        sparse in 0usize..3,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut next = lcg(seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(5));
+        let z = Matrix::from_fn(k, n, |i, j| {
+            let v = next();
+            if sparse > 0 && (i + j) % (sparse + 2) == 0 { 0.0 } else { v }
+        });
+        let mut gemm = Matrix::zeros(n, n);
+        gemm.gemm(1.0, &z.transpose(), &z, 0.0).unwrap();
+        let mut gram = Matrix::filled(n, n, f64::NAN);
+        gram.gram(&z.transpose(), &z).unwrap();
+        prop_assert_eq!(matrix_bits(&gram), matrix_bits(&gemm));
+        prop_assert_eq!(matrix_bits(&gram), matrix_bits(&gram.transpose()));
+    }
+
+    /// The pooled factor, lower solve and Gram product are bitwise equal to the
+    /// serial ones at 1, 2 and 4 threads.
+    #[test]
+    fn pooled_cholesky_kernels_are_bitwise_equal_to_serial(
+        n in 1usize..130,
+        m in 1usize..90,
+        band in 0usize..140,
+        seed in 0u64..1_000_000,
+    ) {
+        let a = spd_matrix(n, band, seed);
+        let mut next = lcg(seed ^ 0x5151);
+        let b = Matrix::from_fn(n, m, |_, _| next());
+        let mut ws = Workspace::new();
+        let serial = Cholesky::new(&a).unwrap();
+        let mut serial_z = Matrix::zeros(n, m);
+        serial.solve_lower_into(&b, &mut serial_z, &mut ws).unwrap();
+        let mut serial_gram = Matrix::zeros(m, m);
+        serial_gram.gram(&serial_z.transpose(), &serial_z).unwrap();
+        for threads in [1, 2, 4] {
+            let pool = ThreadPool::new(threads);
+            let pooled = Cholesky::from_matrix_with(a.clone(), &pool).unwrap();
+            prop_assert_eq!(matrix_bits(&pooled.lower()), matrix_bits(&serial.lower()));
+            let mut z = Matrix::zeros(n, m);
+            pooled.solve_lower_into_with(&b, &mut z, &mut ws, &pool).unwrap();
+            prop_assert_eq!(matrix_bits(&z), matrix_bits(&serial_z));
+            let mut gram = Matrix::zeros(m, m);
+            gram.gram_with(&z.transpose(), &z, &pool).unwrap();
+            prop_assert_eq!(matrix_bits(&gram), matrix_bits(&serial_gram));
+        }
     }
 }
 

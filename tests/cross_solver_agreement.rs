@@ -2,7 +2,7 @@
 //!
 //! The spectral expansion and the matrix-geometric method obtain the repeating-level
 //! rate matrix `R` independently — from the eigenpairs of the characteristic
-//! polynomial versus logarithmic reduction — and share only the boundary elimination
+//! polynomial versus cyclic reduction — and share only the boundary elimination
 //! that follows; the brute-force truncated CTMC shares nothing with either beyond the
 //! generator matrices.  Agreement across all three is strong evidence that each of
 //! them is implemented correctly.  The query engine serves the matrix-geometric
