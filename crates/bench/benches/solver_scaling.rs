@@ -12,10 +12,11 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use urs_bench::{figure5_lifecycle, smoke, system};
+use urs_core::engine::Query;
 use urs_core::sweeps::queue_length_vs_load_with;
 use urs_core::{
-    ClassCostModel, CostModel, CostSweep, GeometricApproximation, MatrixGeometricSolver, MixBounds,
-    MixSearch, MixSearchOptions, QueueSolver, ResponseAnalysis, ResponseOptions, ServerClass,
+    ClassCostModel, CostModel, CostSweep, Engine, GeometricApproximation, MatrixGeometricSolver,
+    MixBounds, MixSearch, MixSearchOptions, QueueSolver, ResponseAnalysis, ServerClass,
     ServerLifecycle, SolverCache, SpectralExpansionSolver, ThreadPool,
 };
 use urs_linalg::{BandedLu, BandedMatrix, Cholesky, LuDecomposition, Matrix, Workspace};
@@ -297,8 +298,8 @@ fn bench_sweeps(c: &mut Criterion) {
     });
 
     // Re-running a cost sweep with a different cost model re-solves the identical
-    // configurations: with a shared cache the second sweep is answered from the
-    // matrix-geometric solution memo.
+    // configurations: sent as two queries of one engine batch, the second sweep is
+    // answered from the plan's shared solutions.
     group.bench_function("cost_resweep_uncached", |b| {
         let solver = MatrixGeometricSolver::default();
         b.iter(|| {
@@ -315,17 +316,20 @@ fn bench_sweeps(c: &mut Criterion) {
         })
     });
     group.bench_function("cost_resweep_cached", |b| {
+        let queries: Vec<Query> =
+            [CostModel::new(4.0, 1.0).unwrap(), CostModel::new(2.0, 1.0).unwrap()]
+                .into_iter()
+                .map(|cost| Query::CostSweep {
+                    config: base.clone(),
+                    cost,
+                    min_servers: *cost_range.start(),
+                    max_servers: *cost_range.end(),
+                })
+                .collect();
         b.iter(|| {
-            let solver = MatrixGeometricSolver::default().with_cache(SolverCache::shared());
-            for cost in [CostModel::new(4.0, 1.0).unwrap(), CostModel::new(2.0, 1.0).unwrap()] {
-                CostSweep::evaluate_with(
-                    &solver,
-                    &base,
-                    &cost,
-                    cost_range.clone(),
-                    &ThreadPool::serial(),
-                )
-                .unwrap();
+            let engine = Engine::with_parts(SolverCache::shared(), ThreadPool::serial());
+            for result in engine.execute_batch(&queries) {
+                black_box(result.unwrap());
             }
         })
     });
@@ -371,9 +375,7 @@ fn bench_mix(c: &mut Criterion) {
 /// The response-time distribution pipeline of `urs_core::response`: building the
 /// absorption chain from a solved model, one certified CDF evaluation (a fresh
 /// cursor stepped to the Poisson window plus its two-sided bound), and a certified
-/// three-percentile query.  The cached variant re-runs the percentile query against
-/// a warm [`SolverCache`], isolating the cost of the stepping itself from the chain
-/// build it reuses.
+/// three-percentile query.
 fn bench_response(c: &mut Criterion) {
     let mut group = c.benchmark_group("response");
     group.sample_size(10);
@@ -392,16 +394,6 @@ fn bench_response(c: &mut Criterion) {
     });
     group.bench_function("percentiles", |b| {
         b.iter(|| black_box(analysis.response_time_percentiles(&fractions).unwrap()))
-    });
-    group.bench_function("percentiles_cached_transform", |b| {
-        let cache = SolverCache::shared();
-        // Warm the cache so every iteration measures lookup + inversion, not assembly.
-        ResponseAnalysis::with_cache(&config, ResponseOptions::default(), &cache).unwrap();
-        b.iter(|| {
-            let analysis =
-                ResponseAnalysis::with_cache(&config, ResponseOptions::default(), &cache).unwrap();
-            black_box(analysis.response_time_percentiles(&fractions).unwrap())
-        })
     });
     group.finish();
 }

@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
         }
     }
-    let [skeletons, ..] = cache.stats().levels;
+    let skeletons = cache.stats();
     println!(
         "\nsolver cache: {} skeleton builds reused {} times",
         skeletons.misses, skeletons.hits

@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let rel_error = (p.comparison - p.reference).abs() / p.reference;
         print_row(&[p.utilisation, p.reference, p.comparison, rel_error]);
     }
-    let [skeletons, ..] = cache.stats().levels;
+    let skeletons = cache.stats();
     println!(
         "\ncache: {} skeleton build(s), {} skeleton reuse(s) across {} grid points",
         skeletons.misses,

@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Some(n) => println!("minimum N with W <= 1.5 (approximation): {n}"),
         None => println!("the approximation finds no feasible count in the range"),
     }
-    let [skeletons, ..] = cache.stats().levels;
+    let skeletons = cache.stats();
     println!(
         "cache: {} skeleton reuse(s) across {} server counts",
         skeletons.hits,

@@ -75,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_cache(cache.clone())
         .solve(&config)?
         .mean_queue_length();
-    let [skeletons, ..] = cache.stats().levels;
+    let skeletons = cache.stats();
     println!(
         "\ncache: {} skeleton build(s), {} skeleton reuse(s) across {} mixes",
         skeletons.misses,

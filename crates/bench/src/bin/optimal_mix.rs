@@ -70,13 +70,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_options(MixSearchOptions { exhaustive_limit: 0, ..Default::default() })
         .run()?;
     let pruned_best = pruned.optimum().ok_or("pruning lost every candidate")?;
-    let [_, solutions, _] = cache.stats().levels;
+    // Each composition has its own skeleton, looked up once per exact solve, so the
+    // skeleton misses count the solves exactly when nothing hit.
+    let skeletons = cache.stats();
+    if skeletons.hits != 0 {
+        return Err("a composition's skeleton was looked up twice".into());
+    }
     println!(
         "pruned optimum:     {} fast + {} steady (C = {:.4}; {} of {} stable candidates solved)",
         pruned_best.counts()[0],
         pruned_best.counts()[1],
         pruned_best.cost(),
-        solutions.misses,
+        skeletons.misses,
         pruned.candidates() - pruned.skipped_unstable()
     );
     if pruned_best != best {

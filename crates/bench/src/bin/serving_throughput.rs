@@ -5,13 +5,14 @@
 //! [`urs_server::Server`] twice:
 //!
 //! * **cold** — a fresh server, every skeleton/solution/transform computed;
-//! * **warm** — the same server again, so the shared cache answers most of the work.
+//! * **warm** — the same server again, so the response memo answers every query
+//!   from the bytes of its cold response.
 //!
 //! Reports queries/sec for both passes, per-query latency quantiles, and the
-//! cache hit rate after the warm pass, and writes the machine-readable summary to
-//! `BENCH_serving.json` (uploaded as a CI artifact; regressions diff on it).  The
-//! warm/cold ratio is the serving story in one number: a standing process with one
-//! long-lived cache versus batch-style solve-and-exit.
+//! skeleton-cache and memo hit rates after the warm pass, and writes the
+//! machine-readable summary to `BENCH_serving.json` (uploaded as a CI artifact;
+//! regressions diff on it).  The warm/cold ratio is a cache number: a standing
+//! process replaying answers it has already rendered, versus computing them.
 //!
 //! Usage: `serving_throughput [queries]`.  `URS_SMOKE=1` shrinks the trace for CI.
 
@@ -43,7 +44,7 @@ fn config(servers: usize, lambda: f64, lifecycle_index: usize) -> String {
 /// The same deterministic shape as the server's replay suite — mixed query types
 /// over a few skeleton families — but with the arrival rate swept continuously
 /// across the trace so every query is distinct.  The cold pass therefore computes
-/// every solution; the warm replay answers entirely from the shared cache.
+/// every solution; the response memo answers the warm replay.
 fn trace(n: usize) -> Vec<String> {
     let mut lines = Vec::with_capacity(n);
     for i in 0..n {
@@ -127,7 +128,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cold_qps = queries as f64 / cold_seconds;
     let warm_qps = queries as f64 / warm_seconds;
     let speedup = warm_qps / cold_qps;
-    let hit_rate = server.engine().cache().stats().total_hit_rate();
+    let hit_rate = server.engine().cache().stats().hit_rate();
     let memo_hit_rate = server.memo_stats().hit_rate();
 
     let mut sorted_cold = cold_latencies;
@@ -150,7 +151,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!(
-        "\nWarm over cold: {speedup:.1}x queries/sec; solver cache hit rate {:.1}%, \
+        "\nWarm over cold: {speedup:.1}x queries/sec; skeleton cache hit rate {:.1}%, \
          response memo hit rate {:.1}%.",
         hit_rate * 100.0,
         memo_hit_rate * 100.0,
@@ -178,7 +179,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     if speedup < 2.0 {
         return Err(format!(
-            "warm pass only {speedup:.2}x cold — the shared cache should at least halve \
+            "warm pass only {speedup:.2}x cold — the response memo should at least halve \
              the serving cost of a repeated trace"
         )
         .into());

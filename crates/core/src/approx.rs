@@ -37,7 +37,7 @@ use std::sync::Arc;
 
 use urs_linalg::{BandedMatrix, MMatrixLu, Workspace, ZMatrixLu};
 
-use crate::cache::SolverCache;
+use crate::cache::{qbd_matrices, SolverCache};
 use crate::config::SystemConfig;
 use crate::error::ModelError;
 use crate::qbd::QbdSkeleton;
@@ -98,11 +98,8 @@ impl GeometricApproximation {
     /// within its step budget.
     pub fn solve_detailed(&self, config: &SystemConfig) -> Result<GeometricSolution> {
         config.ensure_stable()?;
-        let skeleton = match &self.cache {
-            Some(cache) => cache.skeleton(config)?,
-            None => Arc::new(QbdSkeleton::for_classes(config.classes())?),
-        };
-        let root = DominantRoot::search(&skeleton, config.arrival_rate())?;
+        let qbd = qbd_matrices(self.cache.as_ref(), config)?;
+        let root = DominantRoot::search(qbd.skeleton(), config.arrival_rate())?;
         let mut mode_distribution = root.vector;
         // The last entry is 1 and none is negative, so the sum is at least 1.
         let sum: f64 = mode_distribution.iter().sum();

@@ -1,46 +1,27 @@
-//! Keyed caching of the expensive, reusable pieces of the exact solutions.
+//! Keyed caching of the λ-independent QBD skeletons, and the byte-budgeted LRU
+//! behind every cache in the workspace.
 //!
-//! Profiling the sweeps behind the paper's Figures 5–9 shows that every grid point
-//! used to rebuild two kinds of state from scratch:
+//! The sweeps behind the paper's Figures 5–9 reuse one piece of state across grid
+//! points: the **QBD skeleton** — the mode enumeration and the generator blocks `A`,
+//! `Dᴬ`, `C_0..C_N` — which depends only on the server classes (`N`, `µ`, lifecycle
+//! per class), not on the arrival rate.  [`SolverCache`] keeps skeletons, shared
+//! across solvers, threads and requests.  Solutions and response-time absorption
+//! chains pay only between the queries of one plan, so the [`Engine`](crate::Engine)
+//! keeps them in a store that lives for one plan.
 //!
-//! 1. the **QBD skeleton** — the mode enumeration and the generator blocks `A`, `Dᴬ`,
-//!    `C_0..C_N` — which depends only on the server classes (`N`, `µ`, lifecycle per
-//!    class) and not on the arrival rate, so a load sweep (Figure 8) rebuilds the
-//!    identical skeleton at every point, and every solver that looks at the same
-//!    fleet (the exact solvers, the geometric approximation) needs the same one;
-//! 2. the **full matrix-geometric solution** — the exact answer the query engine
-//!    serves — which is repeated verbatim whenever the same configuration is solved
-//!    twice (re-running a cost sweep with a different cost model, a percentile query
-//!    after a solve, interactive exploration).  Hits hand out the stored [`Arc`].
+//! Both key on canonical `u64` words built here: the class words of a skeleton, then
+//! for a solution the bits of λ, the solver tolerance and the iteration budget, then
+//! for a chain the bits of the tail threshold.  Key construction normalises signed
+//! zero (`-0.0` and `0.0` key identically) and rejects non-finite values, so NaN can
+//! never be admitted as a silently-unequal cache key.  Hits return the stored value
+//! unchanged, so cached and uncached runs are bit-identical.
 //!
-//! [`SolverCache`] memoises both — plus a third level, the `transforms` level, which
-//! holds the response-time absorption chains of [`response`](crate::response) —
-//! behind `f64`-bit-exact keys.  Every key is a list of canonical `u64` words: the
-//! class words of a skeleton, then for a solution the bits of λ and the solver
-//! tolerance and the iteration budget, then for a transform the bits of the tail
-//! threshold.  Key construction normalises signed zero (`-0.0` and `0.0` key
-//! identically) and rejects non-finite values, so NaN can never be admitted as a
-//! silently-unequal cache key.  Cached hits return the stored value unchanged, so
-//! cached and uncached runs are bit-identical.
-//!
-//! Every level — and the response memo of `urs-server` — is one [`ByteLru`], a
+//! Both — and the response memo of `urs-server` — are one [`ByteLru`], a
 //! **byte-budgeted LRU** behind one lock: heterogeneous server classes multiply the
 //! key space combinatorially, and one dense large-fleet entry weighs hundreds of
 //! kilobytes, so neither unbounded maps nor entry-count caps bound the memory of a
-//! standing server.  Each entry is charged the heap bytes of its value, its key
-//! words and a fixed per-entry overhead; after an insert the LRU evicts its least
-//! recently used entries (counted in [`CacheLevelStats`]) until it fits its budget
-//! again, and an entry larger than the whole budget is handed back uncached.  The
-//! default [`CACHE_BYTES`] (4 MiB: 1 MiB of skeletons, 2 MiB of solutions, 1 MiB of
-//! transforms) keeps a recent working set; [`SolverCache::with_byte_budget`] sets
-//! another total.  Recency is counted in level operations, never wall time, so a
-//! given sequence of lookups evicts identically on every run.
-//!
-//! The cache is `Sync`, so one cache can be shared by every worker thread of a
-//! [`ThreadPool`](crate::ThreadPool) during a parallel sweep (or by every request
-//! of a standing `urs-server` process).  A lock poisoned by a panicking worker is
-//! cleared and reused (counted in [`CacheStats::poison_recoveries`]), never
-//! propagated.
+//! standing server.  Recency is counted in operations, never wall time, so a given
+//! sequence of lookups evicts identically on every run.
 //!
 //! # Example
 //!
@@ -56,15 +37,8 @@
 //! // Two arrival rates, same (N, µ, lifecycle): the skeleton is built once.
 //! solver.solve_detailed(&base)?;
 //! solver.solve_detailed(&base.with_arrival_rate(8.5)?)?;
-//! let [skeletons, ..] = cache.stats().levels;
+//! let skeletons = cache.stats();
 //! assert_eq!((skeletons.misses, skeletons.hits), (1, 1));
-//!
-//! // Solving the identical configuration again is a pure cache hit.
-//! let first = solver.solve_shared(&base)?;
-//! let again = solver.solve_shared(&base)?;
-//! assert!(Arc::ptr_eq(&first, &again));
-//! let [_, solutions, _] = cache.stats().levels;
-//! assert_eq!(solutions.hits, 2);
 //! # Ok(())
 //! # }
 //! ```
@@ -74,15 +48,14 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::config::{canonical_bits, ServerClass, SystemConfig};
 use crate::error::ModelError;
-use crate::matrix_geometric::{MatrixGeometricOptions, MatrixGeometricSolution};
-use crate::qbd::QbdSkeleton;
-use crate::response::AbsorptionChain;
+use crate::matrix_geometric::MatrixGeometricOptions;
+use crate::qbd::{QbdMatrices, QbdSkeleton};
 use crate::Result;
 
-/// Byte budget of a default [`SolverCache`]: 1 MiB of skeletons, 2 MiB of solutions
-/// and 1 MiB of response transforms.  That holds a recent working set; one dense
-/// large-fleet entry (the 231 × 231 `R` at paper N = 20) alone is ~0.43 MB.
-pub const CACHE_BYTES: usize = 4 << 20;
+/// Byte budget of a default [`SolverCache`]: 1 MiB of skeletons.  That holds a
+/// recent working set; one dense large-fleet skeleton (the 231 × 231 `A` at paper
+/// N = 20) alone is ~0.43 MB.
+pub const CACHE_BYTES: usize = 1 << 20;
 
 /// Bytes the allocator spends on one heap allocation beyond its payload: glibc
 /// malloc's chunk header plus its 16-byte rounding, on average.
@@ -103,13 +76,6 @@ pub(crate) fn allocation_bytes<T>(items: &[T]) -> usize {
 /// `String` values (the response memo).  The constant is the larger, rounded up to
 /// 16 bytes, so neither store is undercharged.
 const ENTRY_OVERHEAD: usize = 272;
-
-/// Splits a cache's byte budget into `[skeletons, solutions, transforms]`: half
-/// for solutions, a quarter for each of the other two levels.
-fn level_budgets(bytes: usize) -> [usize; 3] {
-    let quarter = bytes / 4;
-    [quarter, bytes - 2 * quarter, quarter]
-}
 
 /// Deterministic digest of a list of canonical words: FNV-1a over the
 /// little-endian bytes of the list's length and then of each word.  Stable across
@@ -183,7 +149,10 @@ fn skeleton_key(classes: &[ServerClass]) -> Result<Vec<u64>> {
 /// Key of a complete matrix-geometric solution: the skeleton key plus the bits of
 /// the arrival rate and the solver options (the tolerance moves where the reduction
 /// stops, the iteration budget whether it fails).
-fn solution_key(config: &SystemConfig, options: &MatrixGeometricOptions) -> Result<Vec<u64>> {
+pub(crate) fn solution_key(
+    config: &SystemConfig,
+    options: &MatrixGeometricOptions,
+) -> Result<Vec<u64>> {
     // Exhaustive destructuring: adding a field to MatrixGeometricOptions must break
     // this line rather than silently conflating solutions computed under different
     // options.
@@ -197,7 +166,7 @@ fn solution_key(config: &SystemConfig, options: &MatrixGeometricOptions) -> Resu
     Ok(words)
 }
 
-/// Key of a cached response-time absorption chain: the solution key plus the bits
+/// Key of a response-time absorption chain: the solution key plus the bits
 /// of the tail-truncation threshold (the chain stores the arrival-state
 /// distribution truncated at that mass, so different thresholds yield different —
 /// if numerically close — chains).  The certification tolerances are deliberately
@@ -277,7 +246,8 @@ impl<K: CacheKey, V: Clone> LruState<K, V> {
 }
 
 /// A byte-budgeted, poison-recovering LRU map: the one cache implementation behind
-/// every [`SolverCache`] level and the response memo of `urs-server`.
+/// the [`SolverCache`], the engine's plan store and the response memo of
+/// `urs-server`.
 ///
 /// One mutex guards the entries, a recency index from last-use stamp to key, and the
 /// counters, so a lookup, an insert and each eviction cost `O(log n)`.  Each entry
@@ -327,6 +297,11 @@ impl<K: CacheKey, V: Clone> ByteLru<K, V> {
         value_bytes + 2 * key.heap_bytes() + ENTRY_OVERHEAD
     }
 
+    /// The most charged bytes the LRU holds.
+    pub(crate) fn budget(&self) -> usize {
+        self.budget
+    }
+
     /// Locks the state, recovering a poisoned lock by clearing the entries.
     fn lock(&self) -> MutexGuard<'_, LruState<K, V>> {
         match self.state.lock() {
@@ -361,6 +336,18 @@ impl<K: CacheKey, V: Clone> ByteLru<K, V> {
     /// builders converge on one shared value), then evicts down to the budget.  A
     /// value over the whole budget is returned without being stored, and counted.
     pub fn insert_or_get(&self, key: K, value: V, value_bytes: usize) -> V {
+        self.insert_or_get_with(key, value, value_bytes, |_, _| {})
+    }
+
+    /// [`insert_or_get`](Self::insert_or_get), calling `evicted` under the lock with
+    /// each value it evicts and that value's recency age.
+    pub(crate) fn insert_or_get_with(
+        &self,
+        key: K,
+        value: V,
+        value_bytes: usize,
+        mut evicted: impl FnMut(&V, u64),
+    ) -> V {
         let bytes = Self::charge(&key, value_bytes);
         let mut state = self.lock();
         if bytes > self.budget {
@@ -376,11 +363,13 @@ impl<K: CacheKey, V: Clone> ByteLru<K, V> {
         state.bytes += bytes;
         while state.bytes > self.budget {
             let Some((oldest, key)) = state.order.pop_first() else { break };
-            if let Some(evicted) = state.map.remove(&key) {
-                state.bytes -= evicted.bytes;
+            let age = stamp.saturating_sub(oldest);
+            if let Some(entry) = state.map.remove(&key) {
+                state.bytes -= entry.bytes;
+                evicted(&entry.value, age);
             }
             state.evictions += 1;
-            state.eviction_age += stamp.saturating_sub(oldest);
+            state.eviction_age += age;
         }
         value
     }
@@ -412,13 +401,13 @@ impl<K: CacheKey, V: Clone> ByteLru<K, V> {
     }
 }
 
-/// Hit/miss/eviction counters and occupancy of one [`ByteLru`] — one level of a
-/// [`SolverCache`], or the response memo — as a serving process reports them on
-/// its metrics endpoint.
+/// Hit/miss/eviction counters and occupancy of one cache level — the
+/// [`SolverCache`]'s skeletons, one result kind of the engine's plan stores, or the
+/// response memo — as a serving process reports them on its metrics endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheLevelStats {
-    /// Level name: `"skeletons"`, `"solutions"` or `"transforms"` for the cache,
-    /// `"response_memo"` for the server's memo.
+    /// Level name: `"skeletons"` for the cache, `"solutions"` or `"transforms"`
+    /// for the plan stores' results, `"response_memo"` for the server's memo.
     pub level: &'static str,
     /// Lookups answered from the cache.
     pub hits: u64,
@@ -467,15 +456,18 @@ impl CacheLevelStats {
     }
 }
 
-/// Counters and occupancy of a [`SolverCache`], per level, for reporting and tests.
+/// Counters and occupancy of an [`Engine`](crate::Engine)'s caches, per level, for
+/// reporting and tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// The levels `[skeletons, solutions, transforms]`, each with its hit rate,
     /// eviction-age diagnostics, entries and bytes against budget — the shape a
-    /// serving process's `stats` endpoint reports.
+    /// serving process's `stats` endpoint reports.  The skeleton row is the shared
+    /// [`SolverCache`]; the two result rows sum the counters of every plan store
+    /// the engine has run, and hold no entries or bytes between plans.
     pub levels: [CacheLevelStats; 3],
-    /// Locks cleared after a worker panicked while holding them
-    /// (recover-and-continue; see the poisoning policy in the [`SolverCache`] docs).
+    /// Skeleton-cache locks cleared after a worker panicked while holding them
+    /// (recover-and-continue; see the poisoning policy in the [`ByteLru`] docs).
     pub poison_recoveries: u64,
 }
 
@@ -491,43 +483,26 @@ impl CacheStats {
     }
 }
 
-/// A thread-safe, byte-budgeted LRU cache of QBD skeletons, complete
-/// matrix-geometric solutions and response-time transforms.
+/// A thread-safe, byte-budgeted LRU cache of QBD skeletons.
 ///
-/// The [`Engine`](crate::Engine) attaches its one cache to a
-/// [`MatrixGeometricSolver`](crate::MatrixGeometricSolver) with
-/// [`with_cache`](crate::MatrixGeometricSolver::with_cache), which reuses skeletons
-/// and memoises whole solutions.  A
-/// [`SpectralExpansionSolver`](crate::SpectralExpansionSolver) or a
-/// [`GeometricApproximation`](crate::GeometricApproximation) attached with its
-/// `with_cache` method reuses the skeletons, so solvers compared on the same grid
-/// (Figures 8 and 9) build each one once between them.  See the example above in
-/// the module docs.
+/// Attach one cache to any of the solvers with its `with_cache` method —
+/// [`MatrixGeometricSolver`](crate::MatrixGeometricSolver),
+/// [`SpectralExpansionSolver`](crate::SpectralExpansionSolver),
+/// [`GeometricApproximation`](crate::GeometricApproximation),
+/// [`ResponseAnalysis`](crate::ResponseAnalysis) or
+/// [`MixSearch`](crate::MixSearch) — and each reuses its skeletons, so solvers
+/// compared on the same grid (Figures 8 and 9) build each one once between them.
+/// See the example above in the module docs.
 ///
-/// # Byte budgets
-///
-/// Each entry is charged the heap bytes of its matrices and vectors plus its key
-/// words and a fixed overhead ([`ByteLru::charge`]), and each level evicts
-/// least-recently-used entries until it fits its share of the cache's budget
-/// ([`CACHE_BYTES`] by default, set with [`with_byte_budget`](Self::with_byte_budget)).
-/// An entry larger than its level's whole budget is returned to the caller
-/// uncached and counted as oversized.
-///
-/// # Locking and poisoning
-///
-/// Each level is one [`ByteLru`] behind one lock, held only for a map lookup or
-/// insert (values are built outside it), so the worker threads of a parallel sweep
-/// (or the request threads of a standing server) wait on each other only for those
-/// `O(log n)` steps.  A level whose lock was poisoned by a panicking worker is
-/// **cleared and reused** rather than propagating the poison: the cache only ever
-/// stores complete, immutable entries, so the sole risk after a panic is staleness
-/// of that level's bookkeeping — dropping its entries restores a sound (cold) state
-/// and the recovery is counted in [`CacheStats::poison_recoveries`].
+/// The cache is one [`ByteLru`] within [`CACHE_BYTES`] by default (set with
+/// [`with_byte_budget`](Self::with_byte_budget)); see there for how entries are
+/// charged and evicted, and how a poisoned lock is cleared and reused.  Skeletons
+/// are built outside the lock, so the worker threads of a parallel sweep (or the
+/// request threads of a standing server) wait on each other only for `O(log n)`
+/// map steps.
 #[derive(Debug)]
 pub struct SolverCache {
     skeletons: ByteLru<Vec<u64>, Arc<QbdSkeleton>>,
-    solutions: ByteLru<Vec<u64>, Arc<MatrixGeometricSolution>>,
-    transforms: ByteLru<Vec<u64>, Arc<AbsorptionChain>>,
 }
 
 impl Default for SolverCache {
@@ -537,22 +512,15 @@ impl Default for SolverCache {
 }
 
 impl SolverCache {
-    /// Creates an empty cache with the default budget of [`CACHE_BYTES`] (1 MiB of
-    /// skeletons, 2 MiB of solutions, 1 MiB of response transforms).
+    /// Creates an empty cache with the default budget of [`CACHE_BYTES`].
     pub fn new() -> Self {
         SolverCache::with_byte_budget(CACHE_BYTES)
     }
 
-    /// Creates an empty cache holding at most `bytes` of entries, split across the
-    /// levels as the default is: a quarter for skeletons, half for solutions and a
-    /// quarter for response transforms.  A budget of `0` caches nothing.
+    /// Creates an empty cache holding at most `bytes` of skeletons.  A budget of `0`
+    /// caches nothing.
     pub fn with_byte_budget(bytes: usize) -> Self {
-        let [skeletons, solutions, transforms] = level_budgets(bytes);
-        SolverCache {
-            skeletons: ByteLru::new(skeletons),
-            solutions: ByteLru::new(solutions),
-            transforms: ByteLru::new(transforms),
-        }
+        SolverCache { skeletons: ByteLru::new(bytes) }
     }
 
     /// Creates an empty cache already wrapped in an [`Arc`], ready to be shared
@@ -564,8 +532,8 @@ impl SolverCache {
     /// Returns the QBD skeleton for the server classes of the configuration, building
     /// and caching it on first use.
     ///
-    /// The skeleton is built outside the level's lock, so concurrent sweeps never
-    /// stall behind a build; if two threads race on the same key the first inserted
+    /// The skeleton is built outside the lock, so concurrent sweeps never stall
+    /// behind a build; if two threads race on the same key the first inserted
     /// skeleton wins and both threads share it (the builds are deterministic, so the
     /// values are interchangeable).
     ///
@@ -583,75 +551,43 @@ impl SolverCache {
         Ok(self.skeletons.insert_or_get(key, Arc::new(built), bytes))
     }
 
-    /// Looks up a complete solution for the configuration and options.
-    pub(crate) fn lookup_solution(
-        &self,
-        config: &SystemConfig,
-        options: &MatrixGeometricOptions,
-    ) -> Result<Option<Arc<MatrixGeometricSolution>>> {
-        Ok(self.solutions.get(&solution_key(config, options)?))
+    /// Current counters and occupancy.
+    pub fn stats(&self) -> CacheLevelStats {
+        self.skeletons.stats("skeletons")
     }
 
-    /// Stores a freshly computed solution.
-    pub(crate) fn store_solution(
-        &self,
-        config: &SystemConfig,
-        options: &MatrixGeometricOptions,
-        solution: Arc<MatrixGeometricSolution>,
-    ) -> Result<()> {
-        let bytes = solution.heap_bytes();
-        self.solutions.insert_or_get(solution_key(config, options)?, solution, bytes);
-        Ok(())
-    }
-
-    /// Looks up a response-time absorption chain for `(config, solver options, tail ε)`.
-    pub(crate) fn lookup_transform(
-        &self,
-        config: &SystemConfig,
-        options: &MatrixGeometricOptions,
-        tail_epsilon: f64,
-    ) -> Result<Option<Arc<AbsorptionChain>>> {
-        Ok(self.transforms.get(&transform_key(config, options, tail_epsilon)?))
-    }
-
-    /// Stores a freshly built response-time absorption chain.
-    pub(crate) fn store_transform(
-        &self,
-        config: &SystemConfig,
-        options: &MatrixGeometricOptions,
-        tail_epsilon: f64,
-        chain: Arc<AbsorptionChain>,
-    ) -> Result<()> {
-        let bytes = chain.heap_bytes();
-        let key = transform_key(config, options, tail_epsilon)?;
-        self.transforms.insert_or_get(key, chain, bytes);
-        Ok(())
-    }
-
-    /// Current counters and occupancy, per level.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            levels: [
-                self.skeletons.stats("skeletons"),
-                self.solutions.stats("solutions"),
-                self.transforms.stats("transforms"),
-            ],
-            poison_recoveries: self.skeletons.poison_recoveries()
-                + self.solutions.poison_recoveries()
-                + self.transforms.poison_recoveries(),
-        }
+    /// Poisoned locks cleared and reused so far.
+    pub fn poison_recoveries(&self) -> u64 {
+        self.skeletons.poison_recoveries()
     }
 
     /// Returns `true` if nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.stats().levels.iter().all(|level| level.entries == 0)
+        self.stats().entries == 0
     }
 
-    /// Drops every cached entry; the counters keep accumulating.
+    /// Drops every cached skeleton; the counters keep accumulating.
     pub fn clear(&self) {
         self.skeletons.clear();
-        self.solutions.clear();
-        self.transforms.clear();
+    }
+}
+
+/// The QBD matrices of `config`, stamped from the skeleton in `cache` when a cache is
+/// attached and from a freshly built one otherwise — what `with_cache` means on
+/// every solver.
+///
+/// # Errors
+///
+/// As [`SolverCache::skeleton`].
+pub(crate) fn qbd_matrices(
+    cache: Option<&Arc<SolverCache>>,
+    config: &SystemConfig,
+) -> Result<QbdMatrices> {
+    match cache {
+        Some(cache) => {
+            Ok(QbdMatrices::with_skeleton(cache.skeleton(config)?, config.arrival_rate()))
+        }
+        None => QbdMatrices::new(config),
     }
 }
 
@@ -660,7 +596,6 @@ mod tests {
     use super::*;
     use crate::config::ServerLifecycle;
     use crate::matrix_geometric::MatrixGeometricSolver;
-    use crate::solution::QueueSolution as _;
 
     fn config(servers: usize, lambda: f64) -> SystemConfig {
         SystemConfig::new(servers, lambda, 1.0, ServerLifecycle::paper_fitted().unwrap()).unwrap()
@@ -673,16 +608,6 @@ mod tests {
         ByteLru::<_, ()>::charge(&skeleton_key(cfg.classes()).unwrap(), skeleton.heap_bytes())
     }
 
-    /// A cache whose skeleton level (a quarter of the total) holds exactly `bytes`.
-    fn with_skeleton_budget(bytes: usize) -> SolverCache {
-        SolverCache::with_byte_budget(4 * bytes)
-    }
-
-    /// The `[skeletons, solutions, transforms]` counters of `cache`.
-    fn levels(cache: &SolverCache) -> [CacheLevelStats; 3] {
-        cache.stats().levels
-    }
-
     #[test]
     fn skeletons_are_shared_per_lifecycle_and_server_count() {
         let cache = SolverCache::new();
@@ -691,7 +616,7 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &again), "λ must not affect the skeleton key");
         let other = cache.skeleton(&config(5, 2.0)).unwrap();
         assert!(!Arc::ptr_eq(&first, &other));
-        let [skeletons, ..] = levels(&cache);
+        let skeletons = cache.stats();
         assert_eq!((skeletons.hits, skeletons.misses), (1, 2));
         assert_eq!(skeletons.entries, 2);
     }
@@ -703,23 +628,7 @@ mod tests {
         let exp = ServerLifecycle::exponential(0.1, 2.0).unwrap();
         let b = cache.skeleton(&SystemConfig::new(3, 2.0, 1.0, exp).unwrap()).unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(levels(&cache)[0].misses, 2);
-    }
-
-    #[test]
-    fn solutions_are_memoised_bit_identically() {
-        let cache = SolverCache::shared();
-        let solver = MatrixGeometricSolver::default().with_cache(Arc::clone(&cache));
-        let cfg = config(4, 2.5);
-        let fresh = solver.solve_detailed(&cfg).unwrap();
-        let cached = solver.solve_detailed(&cfg).unwrap();
-        assert_eq!(fresh.mean_queue_length().to_bits(), cached.mean_queue_length().to_bits());
-        for level in 0..=cfg.servers() + 2 {
-            assert_eq!(fresh.level_vector(level), cached.level_vector(level));
-        }
-        let [_, solutions, _] = levels(&cache);
-        assert_eq!(solutions.hits, 1);
-        assert_eq!(solutions.misses, 1);
+        assert_eq!(cache.stats().misses, 2);
     }
 
     #[test]
@@ -741,7 +650,7 @@ mod tests {
         for s in &skeletons {
             assert!(Arc::ptr_eq(s, &skeletons[0]));
         }
-        assert_eq!(levels(&cache)[0].entries, 1);
+        assert_eq!(cache.stats().entries, 1);
     }
 
     #[test]
@@ -751,17 +660,17 @@ mod tests {
         // and every miss is either still held or was evicted.
         use crate::parallel::ThreadPool;
         let budget: usize = (14..18).map(skeleton_bytes).sum();
-        let cache = with_skeleton_budget(budget);
+        let cache = SolverCache::with_byte_budget(budget);
         let configs: Vec<SystemConfig> = (2..18).map(|n| config(n, 1.0)).collect();
         ThreadPool::new(4)
             .try_par_map(&configs, |cfg| {
                 cache.skeleton(cfg)?;
-                let [skeletons, ..] = levels(&cache);
+                let skeletons = cache.stats();
                 assert!(skeletons.bytes <= budget as u64, "budget exceeded");
                 Ok::<_, ModelError>(())
             })
             .unwrap();
-        let [skeletons, ..] = levels(&cache);
+        let skeletons = cache.stats();
         assert!(skeletons.bytes <= budget as u64);
         assert_eq!(skeletons.misses, 16);
         assert!(skeletons.evictions > 0, "the workload must run under eviction pressure");
@@ -779,14 +688,14 @@ mod tests {
             .map(|&n| config(n, 1.0 + n as f64 / 10.0))
             .collect();
         let run = || {
-            let cache = with_skeleton_budget(skeleton_bytes(5) + skeleton_bytes(6));
+            let cache = SolverCache::with_byte_budget(skeleton_bytes(5) + skeleton_bytes(6));
             for cfg in &workload {
                 cache.skeleton(cfg).unwrap();
             }
             cache.stats()
         };
         let (stats_a, stats_b) = (run(), run());
-        assert!(stats_a.levels[0].evictions > 0, "the workload must run under eviction pressure");
+        assert!(stats_a.evictions > 0, "the workload must run under eviction pressure");
         assert_eq!(stats_a, stats_b);
     }
 
@@ -806,17 +715,16 @@ mod tests {
         }
         // A NaN smuggled in through the solver options must be rejected, not admitted
         // as a key that can never be found again.
-        let cache = SolverCache::new();
         let bad_options = MatrixGeometricOptions { tolerance: f64::NAN, ..Default::default() };
-        assert!(cache.lookup_solution(&config(2, 1.0), &bad_options).is_err());
-        let bad_epsilon = cache.lookup_transform(&config(2, 1.0), &Default::default(), f64::NAN);
+        assert!(solution_key(&config(2, 1.0), &bad_options).is_err());
+        let bad_epsilon = transform_key(&config(2, 1.0), &Default::default(), f64::NAN);
         assert!(bad_epsilon.is_err());
     }
 
     #[test]
     fn lru_evicts_the_least_recently_used_skeleton() {
         // The budget fits A with either B or C, never all three.
-        let cache = with_skeleton_budget(skeleton_bytes(2) + skeleton_bytes(4));
+        let cache = SolverCache::with_byte_budget(skeleton_bytes(2) + skeleton_bytes(4));
         let a = config(2, 1.0);
         let b = config(3, 1.0);
         let c = config(4, 1.0);
@@ -824,41 +732,13 @@ mod tests {
         cache.skeleton(&b).unwrap();
         cache.skeleton(&a).unwrap(); // A is now more recently used than B
         cache.skeleton(&c).unwrap(); // evicts B
-        let [skeletons, ..] = levels(&cache);
+        let skeletons = cache.stats();
         assert_eq!((skeletons.entries, skeletons.evictions), (2, 1));
         // A survives (hit), B was evicted (miss rebuilds it).
         cache.skeleton(&a).unwrap();
-        assert_eq!(levels(&cache)[0].hits, 2);
+        assert_eq!(cache.stats().hits, 2);
         cache.skeleton(&b).unwrap();
-        assert_eq!(levels(&cache)[0].misses, 4);
-    }
-
-    #[test]
-    fn lru_capacity_bounds_the_solution_map() {
-        // Every N = 3 solution is charged the same bytes; the solution level (half
-        // the total) holds exactly two of them.
-        let options = MatrixGeometricOptions::default();
-        let solutions: Vec<_> = [1.0, 1.25, 1.5, 1.75, 2.0]
-            .iter()
-            .map(|&lambda| {
-                let cfg = config(3, lambda);
-                (MatrixGeometricSolver::default().solve_shared(&cfg).unwrap(), cfg)
-            })
-            .collect();
-        let charge = |solution: &MatrixGeometricSolution, cfg: &SystemConfig| {
-            let key = solution_key(cfg, &options).unwrap();
-            ByteLru::<_, ()>::charge(&key, solution.heap_bytes())
-        };
-        let entry = charge(&solutions[0].0, &solutions[0].1);
-        let cache = SolverCache::with_byte_budget(4 * entry);
-        for (solution, cfg) in solutions {
-            assert_eq!(charge(&solution, &cfg), entry);
-            cache.store_solution(&cfg, &options, solution).unwrap();
-        }
-        let [_, solutions, _] = levels(&cache);
-        assert_eq!(solutions.entries, 2, "solution map must stay at its budget");
-        assert_eq!(solutions.evictions, 3);
-        assert_eq!(solutions.bytes, 2 * entry as u64);
+        assert_eq!(cache.stats().misses, 4);
     }
 
     #[test]
@@ -900,12 +780,12 @@ mod tests {
         // the level's bytes never exceed the budget, and evictions account for
         // every entry no longer held.
         let budget: usize = (14..18).map(skeleton_bytes).sum();
-        let cache = with_skeleton_budget(budget);
+        let cache = SolverCache::with_byte_budget(budget);
         for n in 2..18 {
             cache.skeleton(&config(n, 1.0)).unwrap();
-            assert!(levels(&cache)[0].bytes <= budget as u64, "budget exceeded at N = {n}");
+            assert!(cache.stats().bytes <= budget as u64, "budget exceeded at N = {n}");
         }
-        let [skeletons, ..] = levels(&cache);
+        let skeletons = cache.stats();
         assert_eq!(skeletons.budget_bytes, budget as u64);
         assert_eq!(skeletons.evictions + skeletons.entries, 16);
         assert!(skeletons.eviction_age_total > 0, "evictions must report recency ages");
@@ -913,46 +793,39 @@ mod tests {
 
     #[test]
     fn every_level_stays_within_its_byte_budget() {
-        // Paper-lifecycle skeletons and solutions for N = 3..20 in a fixed order,
-        // against the default budgets: large-N entries force evictions, and after
-        // every insert each level fits its budget.
+        // Paper-lifecycle solves for N = 3..20 in a fixed order, against the default
+        // budget: large-N skeletons force evictions, and after every insert the
+        // cache fits its budget.
         let cache = SolverCache::shared();
         let solver = MatrixGeometricSolver::default().with_cache(Arc::clone(&cache));
         for n in 3..=20 {
-            solver.solve_shared(&config(n, 0.5 * n as f64)).unwrap();
-            for level in levels(&cache) {
-                assert!(
-                    level.bytes <= level.budget_bytes,
-                    "{} over budget at N = {n}",
-                    level.level
-                );
-            }
+            solver.solve_detailed(&config(n, 0.5 * n as f64)).unwrap();
+            let skeletons = cache.stats();
+            assert!(skeletons.bytes <= skeletons.budget_bytes, "over budget at N = {n}");
         }
-        let [skeletons, solutions, transforms] = levels(&cache);
-        assert_eq!(
-            [skeletons.budget_bytes, solutions.budget_bytes, transforms.budget_bytes],
-            [1 << 20, 2 << 20, 1 << 20]
-        );
-        assert!(skeletons.evictions > 0 && solutions.evictions > 0);
-        assert_eq!(skeletons.oversized + solutions.oversized, 0);
+        let skeletons = cache.stats();
+        assert_eq!(skeletons.budget_bytes, CACHE_BYTES as u64);
+        assert_eq!(CACHE_BYTES, 1 << 20);
+        assert!(skeletons.evictions > 0);
+        assert_eq!(skeletons.oversized, 0);
     }
 
     #[test]
     fn an_entry_over_its_level_budget_is_returned_but_not_stored() {
         let small = config(2, 1.0);
         let large = config(6, 1.0);
-        let cache = with_skeleton_budget(skeleton_bytes(2));
+        let cache = SolverCache::with_byte_budget(skeleton_bytes(2));
         cache.skeleton(&small).unwrap();
         let built = cache.skeleton(&large).unwrap();
         assert_eq!(built.servers(), 6, "the oversized skeleton still reaches its caller");
-        let [skeletons, ..] = levels(&cache);
+        let skeletons = cache.stats();
         assert_eq!(skeletons.entries, 1, "an oversized entry must not be stored");
         assert_eq!((skeletons.misses, skeletons.oversized), (2, 1));
         assert_eq!(skeletons.evictions, 0, "an oversized entry evicts nothing");
         // Looking it up again is another miss; the small entry is still a hit.
         cache.skeleton(&large).unwrap();
         cache.skeleton(&small).unwrap();
-        let [skeletons, ..] = levels(&cache);
+        let skeletons = cache.stats();
         assert_eq!((skeletons.misses, skeletons.hits), (3, 1));
     }
 
@@ -961,7 +834,7 @@ mod tests {
         let cache = SolverCache::new();
         let cfg = config(3, 1.0);
         cache.skeleton(&cfg).unwrap();
-        assert_eq!(cache.stats().poison_recoveries, 0);
+        assert_eq!(cache.poison_recoveries(), 0);
         // Poison the skeleton level's lock by panicking while it is held.
         let poison = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _guard = cache.skeletons.lock();
@@ -971,10 +844,10 @@ mod tests {
         // The next touch recovers: the level is cleared (cold miss), counted, and
         // the cache keeps serving.
         cache.skeleton(&cfg).unwrap();
-        assert_eq!(cache.stats().poison_recoveries, 1);
-        assert_eq!(levels(&cache)[0].misses, 2, "recovered level restarts cold");
+        assert_eq!(cache.poison_recoveries(), 1);
+        assert_eq!(cache.stats().misses, 2, "recovered level restarts cold");
         cache.skeleton(&cfg).unwrap();
-        assert_eq!(levels(&cache)[0].hits, 1, "cache serves normally after recovery");
+        assert_eq!(cache.stats().hits, 1, "cache serves normally after recovery");
     }
 
     #[test]
@@ -1000,16 +873,17 @@ mod tests {
 
     #[test]
     fn occupancy_totals_the_levels() {
+        // Two arrival rates on one fleet hold one skeleton and no solution.
         let cache = SolverCache::shared();
         assert!(cache.is_empty());
         let solver = MatrixGeometricSolver::default().with_cache(Arc::clone(&cache));
-        solver.solve_shared(&config(2, 1.0)).unwrap();
-        solver.solve_shared(&config(2, 1.5)).unwrap();
-        let entries = levels(&cache).map(|level| level.entries);
-        assert_eq!(entries, [1, 2, 0]);
+        solver.solve_detailed(&config(2, 1.0)).unwrap();
+        solver.solve_detailed(&config(2, 1.5)).unwrap();
+        let skeletons = cache.stats();
+        assert_eq!((skeletons.entries, skeletons.misses, skeletons.hits), (1, 1, 1));
         assert!(!cache.is_empty());
         cache.clear();
         assert!(cache.is_empty());
-        assert_eq!(levels(&cache).map(|level| level.bytes), [0, 0, 0]);
+        assert_eq!(cache.stats().bytes, 0);
     }
 }

@@ -8,16 +8,13 @@
 //! is what keeps the engine bit-identical to the legacy batch API (pinned by the
 //! `parallel_equivalence` and `engine_equivalence` suites).
 
-use std::sync::Arc;
-
 use urs_dist::{ContinuousDistribution as _, HyperExponential};
 
-use crate::cache::SolverCache;
 use crate::config::{ServerClass, ServerLifecycle, SystemConfig};
 use crate::cost::{CostModel, CostPoint};
 use crate::parallel::ThreadPool;
 use crate::provisioning::ProvisioningPoint;
-use crate::response::{ResponseAnalysis, ResponseOptions};
+use crate::response::ResponseAnalysis;
 use crate::solution::QueueSolver;
 use crate::sweeps::{ClassMixPoint, LoadPoint, RepairTimePoint, SlaPoint, VariabilityPoint};
 use crate::Result;
@@ -179,14 +176,13 @@ pub(crate) fn class_mix_sweep(
     Ok(points.into_iter().flatten().collect())
 }
 
-/// SLA sweep: analytic response-time percentiles versus fleet size; unstable counts
-/// are skipped.
+/// SLA sweep: analytic response-time percentiles versus fleet size, each analysis
+/// from `analyse`; unstable counts are skipped.
 pub(crate) fn sla_sweep(
     base_config: &SystemConfig,
     server_counts: &[usize],
     fractions: &[f64],
-    options: ResponseOptions,
-    cache: &Arc<SolverCache>,
+    analyse: impl Fn(&SystemConfig) -> Result<ResponseAnalysis> + Sync,
     pool: &ThreadPool,
 ) -> Result<Vec<SlaPoint>> {
     let points = pool.try_par_map(server_counts, |&servers| -> Result<Option<SlaPoint>> {
@@ -194,7 +190,7 @@ pub(crate) fn sla_sweep(
         if !config.is_stable() {
             return Ok(None);
         }
-        let analysis = ResponseAnalysis::with_cache(&config, options, cache)?;
+        let analysis = analyse(&config)?;
         Ok(Some(SlaPoint {
             servers,
             mean_response_time: analysis.mean_response_time(),

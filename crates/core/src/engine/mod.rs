@@ -1,24 +1,25 @@
 //! The query engine: capacity-planning questions as data, planned and executed
-//! against one shared cache.
+//! against one shared skeleton cache.
 //!
 //! Everything below `urs_core` used to be reachable only as a *batch API*: a binary
-//! constructs a solver, calls a sweep, exits, and the memoised skeletons,
-//! solutions and response transforms die with the process.  This module
-//! restructures that path into **query → plan → execute**:
+//! constructs a solver, calls a sweep, exits, and the cached skeletons die with the
+//! process.  This module restructures that path into **query → plan → execute**:
 //!
 //! * [`Query`] — every analysis of the paper as a plain value (solve, cost sweep,
 //!   provisioning, percentiles, SLA sweep, mix search, stats), parseable from the
 //!   newline-delimited JSON protocol served by `urs-server` and canonically hashable
 //!   via [`Query::canonical_key`];
 //! * [`plan`] — groups compatible queries (same QBD-skeleton identity) so a batch
-//!   shares skeleton/solution/transform lookups and, for plain solves, one
-//!   [`ThreadPool`] fan-out;
-//! * [`Engine`] — owns the shared [`SolverCache`] and pool, executes queries through
-//!   the same `exec` grid executors that back the legacy `*_with` entry points, so
+//!   shares one [`ThreadPool`] fan-out for its plain solves;
+//! * [`Engine`] — owns the shared [`SolverCache`] of skeletons and the pool, runs
+//!   each plan's queries on the solutions and chains they share in a store dropped
+//!   with the plan, and executes them through the same `exec` grid executors that
+//!   back the legacy `*_with` entry points, so
 //!   engine results are **bit-identical** to the batch API (pinned by the
 //!   `engine_equivalence` suite).  Every exact answer — solves, sweeps, percentiles,
-//!   mix-search evaluations — comes from the cached [`MatrixGeometricSolver`], whose
-//!   solves take 2.4–5.3× less time than the spectral expansion's companion QR;
+//!   mix-search evaluations — comes from the
+//!   [`MatrixGeometricSolver`](crate::MatrixGeometricSolver), whose solves take
+//!   2.4–5.3× less time than the spectral expansion's companion QR;
 //!   the spectral expansion, the paper's own method, certifies it in the
 //!   `cross_solver_agreement` suite (mean queue length within 1e-10 relative);
 //! * [`QueryResult`] — deterministic result values serialisable to JSON via the
@@ -56,6 +57,7 @@
 pub mod json;
 
 pub(crate) mod exec;
+mod store;
 
 use std::fmt;
 use std::sync::Arc;
@@ -68,15 +70,15 @@ use crate::cache::{
 use crate::config::{canonical_bits, ServerClass, ServerLifecycle, SystemConfig};
 use crate::cost::{ClassCostModel, CostModel, CostPoint, CostSweep};
 use crate::error::ModelError;
-use crate::matrix_geometric::MatrixGeometricSolver;
 use crate::mix::{MixBounds, MixCandidate, MixSearch, MixSearchResult};
 use crate::parallel::ThreadPool;
 use crate::provisioning::{ProvisioningPoint, ProvisioningSweep};
-use crate::response::{ResponseAnalysis, ResponseOptions};
+use crate::response::ResponseOptions;
 use crate::sweeps::SlaPoint;
 use crate::Result;
 
 use json::Value;
+use store::{PlanCounters, PlanStore};
 
 /// A capacity-planning query: one of the paper's analyses as a plain value.
 ///
@@ -690,7 +692,7 @@ pub struct PercentileReport {
 /// Cache statistics as reported by a [`Query::Stats`] query.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineStats {
-    /// Counter and occupancy snapshot of the shared cache.
+    /// Counter and occupancy snapshot of the skeleton cache and the plan stores.
     pub cache: CacheStats,
 }
 
@@ -838,20 +840,22 @@ impl QueryResult {
     }
 }
 
-/// The standing query engine: one shared [`SolverCache`], one [`ThreadPool`], and
-/// the grid executors behind every sweep in the crate.
+/// The standing query engine: one shared [`SolverCache`] of skeletons, one
+/// [`ThreadPool`], and the grid executors behind every sweep in the crate.
 ///
 /// The engine executes queries through exactly the same `exec` functions that the
 /// legacy `CostSweep::evaluate_with` / `sweeps::*_with` wrappers call, so its
-/// results are bit-identical to the batch API.  It is `Sync`: each cache level is
-/// one lock-guarded LRU and the pool's scoped fan-outs are index-deterministic, so
-/// concurrent callers sharing one engine observe the same values a serial caller
-/// would.
+/// results are bit-identical to the batch API.  The queries of one
+/// [`execute_batch`](Self::execute_batch) call share their solutions and absorption
+/// chains (within 3 MiB); only skeletons outlive the call.  The engine is `Sync`:
+/// each store is one lock-guarded LRU and the pool's scoped fan-outs are
+/// index-deterministic, so concurrent callers sharing one engine observe the same
+/// values a serial caller would.
 #[derive(Debug)]
 pub struct Engine {
     cache: Arc<SolverCache>,
     pool: ThreadPool,
-    solver: MatrixGeometricSolver,
+    plans: PlanCounters,
 }
 
 impl Default for Engine {
@@ -870,11 +874,10 @@ impl Engine {
     /// An engine over an existing cache and pool — the form `urs-server` uses so the
     /// cache outlives every request.
     pub fn with_parts(cache: Arc<SolverCache>, pool: ThreadPool) -> Self {
-        let solver = MatrixGeometricSolver::default().with_cache(Arc::clone(&cache));
-        Engine { cache, pool, solver }
+        Engine { cache, pool, plans: PlanCounters::default() }
     }
 
-    /// The shared cache (alive across every query this engine answers).
+    /// The shared skeleton cache (alive across every query this engine answers).
     pub fn cache(&self) -> &Arc<SolverCache> {
         &self.cache
     }
@@ -884,7 +887,7 @@ impl Engine {
         &self.pool
     }
 
-    /// Executes one query.
+    /// Executes one query: a batch of one.
     ///
     /// # Errors
     ///
@@ -892,27 +895,33 @@ impl Engine {
     /// failures).  Errors are deterministic functions of the query and never poison
     /// the engine: subsequent queries are unaffected.
     pub fn execute(&self, query: &Query) -> Result<QueryResult> {
+        self.execute_batch(std::slice::from_ref(query))
+            .pop()
+            .unwrap_or(Err(ModelError::Internal("a batch of one returned no result")))
+    }
+
+    /// Executes one query of a plan against the plan's `store`.
+    fn run(&self, query: &Query, store: &PlanStore<'_>) -> Result<QueryResult> {
         match query {
             Query::Solve { config } => {
                 let mut summaries =
-                    exec::solve_grid(&self.solver, std::slice::from_ref(config), &self.pool)?;
+                    exec::solve_grid(store, std::slice::from_ref(config), &self.pool)?;
                 summaries.pop().map(QueryResult::Solution).ok_or(ModelError::Internal(
                     "solve_grid returned no summary for a one-point grid",
                 ))
             }
             Query::CostSweep { config, cost, min_servers, max_servers } => {
                 let counts = server_range(*min_servers, *max_servers)?;
-                let points = exec::cost_sweep(&self.solver, config, cost, &counts, &self.pool)?;
+                let points = exec::cost_sweep(store, config, cost, &counts, &self.pool)?;
                 Ok(QueryResult::CostSweep(CostSweep::from_points(points)))
             }
             Query::Provisioning { config, min_servers, max_servers } => {
                 let counts = server_range(*min_servers, *max_servers)?;
-                let points = exec::provisioning_sweep(&self.solver, config, &counts, &self.pool)?;
+                let points = exec::provisioning_sweep(store, config, &counts, &self.pool)?;
                 Ok(QueryResult::Provisioning(ProvisioningSweep::from_points(points)))
             }
             Query::Percentiles { config, fractions } => {
-                let analysis =
-                    ResponseAnalysis::with_cache(config, ResponseOptions::default(), &self.cache)?;
+                let analysis = store.analysis(config, ResponseOptions::default())?;
                 Ok(QueryResult::Percentiles(PercentileReport {
                     mean_response_time: analysis.mean_response_time(),
                     fractions: fractions.clone(),
@@ -920,14 +929,10 @@ impl Engine {
                 }))
             }
             Query::SlaSweep { config, server_counts, fractions } => {
-                let points = exec::sla_sweep(
-                    config,
-                    server_counts,
-                    fractions,
-                    ResponseOptions::default(),
-                    &self.cache,
-                    &self.pool,
-                )?;
+                let analyse =
+                    |config: &SystemConfig| store.analysis(config, ResponseOptions::default());
+                let points =
+                    exec::sla_sweep(config, server_counts, fractions, analyse, &self.pool)?;
                 Ok(QueryResult::SlaSweep(points))
             }
             Query::MixSearch { arrival_rate, classes, cost, bounds } => {
@@ -936,18 +941,27 @@ impl Engine {
                         .with_cache(Arc::clone(&self.cache));
                 Ok(QueryResult::MixSearch(search.run_with(&self.pool)?))
             }
-            Query::Stats => Ok(QueryResult::Stats(EngineStats { cache: self.cache.stats() })),
+            Query::Stats => {
+                let [solutions, transforms] = self.plans.stats();
+                let levels = [self.cache.stats(), solutions, transforms];
+                let poison_recoveries = self.cache.poison_recoveries();
+                Ok(QueryResult::Stats(EngineStats {
+                    cache: CacheStats { levels, poison_recoveries },
+                }))
+            }
         }
     }
 
     /// Executes a batch: plans it with [`plan`], shares one pool fan-out across each
-    /// group's plain solves, and returns per-query results in submission order.
+    /// group's plain solves and one store of solutions and chains across every
+    /// query, and returns per-query results in submission order.
     ///
     /// Values are bit-identical to executing every query individually — batching
     /// changes scheduling, never results — and one failing query never disturbs its
     /// batch-mates (each gets its own `Result`).
     pub fn execute_batch(&self, queries: &[Query]) -> Vec<Result<QueryResult>> {
         let plan = plan(queries);
+        let store = PlanStore::new(&self.cache, &self.plans);
         let mut slots: Vec<Option<Result<QueryResult>>> = queries.iter().map(|_| None).collect();
         for group in plan.groups() {
             // Batch the group's plain solves into one fan-out.
@@ -965,7 +979,7 @@ impl Engine {
                         _ => None,
                     })
                     .collect();
-                match exec::solve_grid(&self.solver, &configs, &self.pool) {
+                match exec::solve_grid(&store, &configs, &self.pool) {
                     Ok(summaries) => {
                         for (&i, summary) in solve_indices.iter().zip(summaries) {
                             if let Some(slot) = slots.get_mut(i) {
@@ -978,7 +992,7 @@ impl Engine {
                         // to per-query execution so its batch-mates still answer.
                         for &i in &solve_indices {
                             if let (Some(query), Some(slot)) = (queries.get(i), slots.get_mut(i)) {
-                                *slot = Some(self.execute(query));
+                                *slot = Some(self.run(query, &store));
                             }
                         }
                     }
@@ -986,7 +1000,7 @@ impl Engine {
             }
             for &i in group.indices() {
                 if let (Some(query), Some(slot @ None)) = (queries.get(i), slots.get_mut(i)) {
-                    *slot = Some(self.execute(query));
+                    *slot = Some(self.run(query, &store));
                 }
             }
         }
@@ -1014,6 +1028,7 @@ fn server_range(min_servers: usize, max_servers: usize) -> Result<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix_geometric::MatrixGeometricSolver;
 
     fn paper_config(servers: usize, lambda: f64) -> SystemConfig {
         SystemConfig::new(servers, lambda, 1.0, ServerLifecycle::paper_fitted().unwrap()).unwrap()
@@ -1243,13 +1258,59 @@ mod tests {
         assert!(rendered.contains("\"poison_recoveries\""));
         let value = Value::parse(&rendered).unwrap();
         let levels = value.get("levels").and_then(Value::as_array).unwrap();
-        for level in levels {
-            let field = |name: &str| level.get(name).and_then(Value::as_f64).unwrap();
-            assert!(field("bytes") <= field("budget_bytes"), "{rendered}");
+        let field = |level: usize, name: &str| {
+            levels.get(level).and_then(|level| level.get(name)).and_then(Value::as_f64).unwrap()
+        };
+        for level in 0..3 {
+            assert!(field(level, "bytes") <= field(level, "budget_bytes"), "{rendered}");
         }
-        let solutions = levels.get(1).unwrap();
-        assert!(solutions.get("bytes").and_then(Value::as_f64).unwrap() > 0.0);
-        assert_eq!(solutions.get("budget_bytes").and_then(Value::as_f64), Some((2 << 20) as f64));
+        // The skeleton stays cached; the plan's solution was counted and dropped.
+        assert!(field(0, "bytes") > 0.0);
+        assert_eq!(field(0, "budget_bytes"), crate::CACHE_BYTES as f64);
+        assert_eq!((field(1, "misses"), field(1, "bytes")), (1.0, 0.0));
+        assert_eq!(field(1, "budget_bytes"), (3 << 20) as f64);
+    }
+
+    #[test]
+    fn a_plan_shares_results_between_its_queries_and_drops_them_after() {
+        // A planning session on one fleet needs three solutions (N − 1, N, N + 1) and
+        // two chains (N, N + 1) between its five queries.
+        let config = paper_config(5, 3.0);
+        let session = vec![
+            Query::Solve { config: config.clone() },
+            Query::CostSweep {
+                config: config.clone(),
+                cost: CostModel::new(4.0, 1.0).unwrap(),
+                min_servers: 4,
+                max_servers: 6,
+            },
+            Query::Provisioning { config: config.clone(), min_servers: 4, max_servers: 6 },
+            Query::Percentiles { config: config.clone(), fractions: vec![0.9, 0.99] },
+            Query::SlaSweep { config, server_counts: vec![5, 6], fractions: vec![0.95] },
+        ];
+        let engine = Engine::with_parts(SolverCache::shared(), ThreadPool::serial());
+        let answer = || -> Vec<String> {
+            let results = engine.execute_batch(&session);
+            results.into_iter().map(|result| result.unwrap().to_json().serialise()).collect()
+        };
+        let levels = |engine: &Engine| {
+            let Ok(QueryResult::Stats(stats)) = engine.execute(&Query::Stats) else {
+                panic!("expected stats")
+            };
+            stats.cache.levels
+        };
+        let misses = |engine: &Engine| {
+            let [_, solutions, chains] = levels(engine);
+            (solutions.misses, chains.misses)
+        };
+        let first = answer();
+        assert_eq!(misses(&engine), (3, 2));
+        // Nothing outlives the plan: the same batch misses again, with the same bytes.
+        let second = answer();
+        assert_eq!(misses(&engine), (6, 4));
+        assert_eq!(first, second);
+        let [_, solutions, chains] = levels(&engine);
+        assert_eq!([solutions.entries, solutions.bytes, chains.entries, chains.bytes], [0; 4]);
     }
 
     #[test]
@@ -1262,8 +1323,11 @@ mod tests {
         let QueryResult::Percentiles(report) = engine.execute(&query).unwrap() else {
             panic!("expected percentiles")
         };
-        let stats = engine.cache().stats();
-        assert_eq!(stats.levels.map(|level| (level.misses, level.hits)), [(1, 0); 3], "{stats:?}");
+        let QueryResult::Stats(stats) = engine.execute(&Query::Stats).unwrap() else {
+            panic!("expected stats")
+        };
+        let levels = stats.cache.levels.map(|level| (level.misses, level.hits));
+        assert_eq!(levels, [(1, 0); 3], "{stats:?}");
         assert!(engine.cache().is_empty());
         // The answer is the one a default cache gives.
         let QueryResult::Percentiles(reference) = Engine::new().execute(&query).unwrap() else {

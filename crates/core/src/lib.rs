@@ -62,23 +62,23 @@
 //!   Intra-solve parallelism is strictly opt-in (defaults stay serial) and is
 //!   pinned bit-identical across thread counts by the `parallel_equivalence`
 //!   thread-matrix suite.
-//! * [`SolverCache`] — a shared, thread-safe, byte-budgeted LRU cache with three
-//!   levels: λ-independent QBD skeletons, complete matrix-geometric solutions and
-//!   response-time absorption chains (the `transforms` level).  [`MatrixGeometricSolver::with_cache`] reuses
-//!   skeletons and memoises solutions; [`SpectralExpansionSolver::with_cache`] and
-//!   [`GeometricApproximation::with_cache`] reuse skeletons, so solvers compared on
-//!   one grid build each skeleton once between them.  (The approximation needs no
-//!   eigensystem: it brackets its decay rate with unpivoted real LUs.)  Each
-//!   level is one [`ByteLru`] — the byte-budgeted LRU behind one lock, keyed on
-//!   canonical `u64` words, that also holds `urs-server`'s response memo — whose
-//!   poisoned lock recovers by clearing rather than propagating, and
-//!   [`CacheStats::levels`] reports per-level hit rates, eviction ages, entries and
-//!   bytes held against each level's share of [`CACHE_BYTES`].
+//! * [`SolverCache`] — a shared, thread-safe cache of λ-independent QBD skeletons
+//!   within [`CACHE_BYTES`].  [`MatrixGeometricSolver::with_cache`],
+//!   [`SpectralExpansionSolver::with_cache`], [`GeometricApproximation::with_cache`],
+//!   [`ResponseAnalysis::with_cache`] and [`MixSearch::with_cache`] all reuse its
+//!   skeletons, so solvers compared on one grid build each skeleton once between
+//!   them.  (The approximation needs no eigensystem: it brackets its decay rate
+//!   with unpivoted real LUs.)  The cache is one [`ByteLru`] — the byte-budgeted
+//!   LRU behind one lock, keyed on canonical `u64` words, that also holds the
+//!   engine's plan stores and `urs-server`'s response memo — whose poisoned lock
+//!   recovers by clearing rather than propagating.
 //! * [`Engine`] — the standing query engine over both: parses [`engine::Query`]
 //!   values from a newline-delimited JSON protocol, plans batches so queries with
-//!   the same QBD skeleton share cache entries and one pool fan-out, and executes
-//!   them bit-identically to the batch API.  The `urs-server` binary serves it over
-//!   stdin or TCP.
+//!   the same QBD skeleton share one pool fan-out, and executes them
+//!   bit-identically to the batch API.  The queries of one plan share their
+//!   solutions and absorption chains in a store dropped with the plan, and
+//!   [`CacheStats::levels`] reports the skeleton cache and those stores.  The
+//!   `urs-server` binary serves it over stdin or TCP.
 //!
 //! Underneath both, every solver runs on `urs-linalg`'s allocation-free kernels
 //! (tiled `gemm`, blocked LU, `Workspace`-recycled scratch), and

@@ -38,11 +38,11 @@ use urs_linalg::{
     RealBlockTridiagonal, Workspace,
 };
 
-use crate::cache::{allocation_bytes, SolverCache};
+use crate::cache::{allocation_bytes, qbd_matrices, SolverCache};
 use crate::config::SystemConfig;
 use crate::error::ModelError;
 use crate::parallel::ThreadPool;
-use crate::qbd::{QbdMatrices, QbdSkeleton};
+use crate::qbd::QbdMatrices;
 use crate::solution::{arrival_truncation_stalled, QueueSolution, QueueSolver, MAX_ARRIVAL_LEVELS};
 use crate::Result;
 
@@ -82,8 +82,7 @@ impl Default for MatrixGeometricOptions {
 /// ```
 ///
 /// Attach a shared [`SolverCache`] with [`with_cache`](Self::with_cache) to reuse the
-/// λ-independent QBD skeleton across arrival rates and to memoise whole solutions:
-/// a repeated configuration is answered with the stored [`Arc`], bit-identically.
+/// λ-independent QBD skeleton across arrival rates, bit-identically.
 #[derive(Debug, Clone)]
 pub struct MatrixGeometricSolver {
     options: MatrixGeometricOptions,
@@ -105,9 +104,8 @@ impl MatrixGeometricSolver {
         MatrixGeometricSolver { options, cache: None, pool: ThreadPool::serial() }
     }
 
-    /// Attaches a cache of QBD skeletons and complete solutions, keyed by skeleton,
-    /// λ and these options.  The same cache can be shared by several solvers and by
-    /// every thread of a parallel sweep.
+    /// Attaches a cache whose QBD skeletons the solver reuses.  The same cache can be
+    /// shared by several solvers and by every thread of a parallel sweep.
     pub fn with_cache(mut self, cache: Arc<SolverCache>) -> Self {
         self.cache = Some(cache);
         self
@@ -139,8 +137,8 @@ impl MatrixGeometricSolver {
     /// base-2 logarithm of the equivalent fixed-point iteration count.
     ///
     /// The reduction runs in the frame symmetrised by the skeleton's weights
-    /// ([`QbdSkeleton::log_weights`]): there `A₋₁ = C`, `A₀ = Q1` and
-    /// `A₁ = λI` are symmetric, and every step keeps them so.  Step 0 takes
+    /// ([`QbdSkeleton::log_weights`](crate::QbdSkeleton::log_weights)): there
+    /// `A₋₁ = C`, `A₀ = Q1` and `A₁ = λI` are symmetric, and every step keeps them so.  Step 0 takes
     /// `(−Q1)⁻¹` from one banded (or, for small orders, dense) LU and applies
     /// diagonal scalings; every later step is one Cholesky factorisation
     /// `−A₀ = L·Lᵀ`, two lower solves `Z₋ = L⁻¹·A₋₁`, `Z₊ = L⁻¹·A₁`, the Gram
@@ -311,52 +309,17 @@ impl MatrixGeometricSolver {
         })
     }
 
-    /// Solves the model, returning the concrete [`MatrixGeometricSolution`].  With a
-    /// cache attached this is [`solve_shared`](Self::solve_shared) plus a copy of the
-    /// memoised solution.
+    /// Solves the model, returning the concrete [`MatrixGeometricSolution`].
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::Unstable`] for non-ergodic configurations,
     /// [`ModelError::NoConvergence`] if the `R` computation stalls, or a
-    /// linear-algebra error from the boundary solve.
+    /// linear-algebra error from the boundary solve; with a cache attached, also
+    /// rejects parameters that cannot form a sound cache key (non-finite values).
     pub fn solve_detailed(&self, config: &SystemConfig) -> Result<MatrixGeometricSolution> {
-        Ok(Arc::unwrap_or_clone(self.solve_shared(config)?))
-    }
-
-    /// Solves the model behind an [`Arc`]: with a cache attached, a repeated
-    /// configuration returns the memoised solution itself rather than a copy.
-    ///
-    /// # Errors
-    ///
-    /// As [`solve_detailed`](Self::solve_detailed), plus rejection of parameters
-    /// that cannot form a sound cache key (non-finite values).
-    pub fn solve_shared(&self, config: &SystemConfig) -> Result<Arc<MatrixGeometricSolution>> {
         config.ensure_stable()?;
-        let Some(cache) = &self.cache else {
-            return Ok(Arc::new(self.solve_qbd(config, &QbdMatrices::new(config)?)?));
-        };
-        if let Some(hit) = cache.lookup_solution(config, &self.options)? {
-            return Ok(hit);
-        }
-        self.solve_and_store(config, cache, cache.skeleton(config)?)
-    }
-
-    /// Solves `config` on a skeleton the caller already holds and offers the
-    /// solution to `cache`.  The returned [`Arc`] is the caller's to keep: under a
-    /// tight byte budget the cache may not retain it, so a caller that needs the
-    /// skeleton or solution again within one query holds on to these handles
-    /// rather than looking them up a second time.
-    pub(crate) fn solve_and_store(
-        &self,
-        config: &SystemConfig,
-        cache: &SolverCache,
-        skeleton: Arc<QbdSkeleton>,
-    ) -> Result<Arc<MatrixGeometricSolution>> {
-        let qbd = QbdMatrices::with_skeleton(skeleton, config.arrival_rate());
-        let solution = Arc::new(self.solve_qbd(config, &qbd)?);
-        cache.store_solution(config, &self.options, Arc::clone(&solution))?;
-        Ok(solution)
+        self.solve_qbd(config, &qbd_matrices(self.cache.as_ref(), config)?)
     }
 
     /// Runs the method on prebuilt QBD matrices, bypassing the cache (the caller has
@@ -428,7 +391,7 @@ impl QueueSolver for MatrixGeometricSolver {
     }
 
     fn solve(&self, config: &SystemConfig) -> Result<Box<dyn QueueSolution>> {
-        Ok(Box::new(self.solve_shared(config)?))
+        Ok(Box::new(self.solve_detailed(config)?))
     }
 }
 
@@ -597,9 +560,8 @@ impl MatrixGeometricSolution {
         self.reduction_depth
     }
 
-    /// Heap footprint the [`SolverCache`](crate::SolverCache) charges for this
-    /// solution: the struct, the boundary level vectors, `R` and the two tail
-    /// vectors.
+    /// Heap footprint the engine's plan store charges for this solution: the
+    /// struct, the boundary level vectors, `R` and the two tail vectors.
     pub(crate) fn heap_bytes(&self) -> usize {
         size_of::<Self>()
             + allocation_bytes(&self.levels)
@@ -850,22 +812,6 @@ mod tests {
                 assert_eq!(walked_residual.to_bits(), default_residual.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn cached_hits_share_the_stored_solution() {
-        let cache = SolverCache::shared();
-        let solver = MatrixGeometricSolver::default().with_cache(Arc::clone(&cache));
-        let config = paper_config(3, 2.0);
-        let first = solver.solve_shared(&config).unwrap();
-        let again = solver.solve_shared(&config).unwrap();
-        assert!(Arc::ptr_eq(&first, &again), "a hit must hand out the memoised Arc");
-        // Other options are another question, with an entry of their own.
-        let looser = MatrixGeometricOptions { tolerance: 1e-10, ..Default::default() };
-        let other = MatrixGeometricSolver::new(looser).with_cache(Arc::clone(&cache));
-        assert!(!Arc::ptr_eq(&first, &other.solve_shared(&config).unwrap()));
-        let [_, solutions, _] = cache.stats().levels;
-        assert_eq!((solutions.hits, solutions.misses, solutions.entries), (1, 2, 2));
     }
 
     #[test]

@@ -328,8 +328,8 @@ impl MixSearch {
         self
     }
 
-    /// Attaches an external [`SolverCache`] (shared with other analyses); by default
-    /// the search solves without one.
+    /// Attaches an external [`SolverCache`] (shared with other analyses) whose QBD
+    /// skeletons the search reuses; by default it solves without one.
     pub fn with_cache(mut self, cache: Arc<SolverCache>) -> Self {
         self.cache = Some(cache);
         self
@@ -469,7 +469,7 @@ impl MixSearch {
     /// droppable instead of fatal (an ill-conditioned candidate must not sink the
     /// whole search).
     fn evaluate(&self, pending: &Pending, solver: &MatrixGeometricSolver) -> Result<Outcome> {
-        let mean_queue_length = match solver.solve_shared(&pending.config) {
+        let mean_queue_length = match solver.solve_detailed(&pending.config) {
             Ok(solution) => solution.mean_queue_length(),
             Err(
                 ModelError::SpectralFailure(_)

@@ -31,7 +31,7 @@
 //!    ahead only ever decrease, so no level above the truncation is ever entered and
 //!    the truncation loses exactly the tail mass, never more.  The chain — its
 //!    per-level transition probabilities and the truncated arrival distribution — is
-//!    immutable and is what [`SolverCache`] memoises for each configuration.
+//!    immutable, so the queries of one engine plan share it.
 //!
 //! 2. **Uniformisation** (Jensen 1953; Grassmann 1977).  With
 //!    `γ = maxₘ (Dᴬ − Aₘₘ + C_N)[m]` the chain becomes a discrete one stepped at the
@@ -102,12 +102,12 @@ use std::sync::{Arc, OnceLock};
 
 use urs_linalg::{symmetric_eigen, Complex, LinalgError, Matrix, Workspace};
 
-use crate::cache::{allocation_bytes, SolverCache};
+use crate::cache::{allocation_bytes, qbd_matrices, SolverCache};
 use crate::config::{ServerClass, SystemConfig};
 use crate::error::ModelError;
 use crate::matrix_geometric::{MatrixGeometricOptions, MatrixGeometricSolver};
 use crate::parallel::ThreadPool;
-use crate::qbd::{QbdMatrices, QbdSkeleton};
+use crate::qbd::QbdSkeleton;
 use crate::solution::QueueSolution;
 use crate::Result;
 
@@ -334,9 +334,9 @@ const STIRLING_FROM: usize = 64;
 /// and 2 of the module docs): per-level step probabilities, the mode changes gathered
 /// by destination, and the truncated arrival-state distribution.
 ///
-/// Immutable and shared: it is what the [`SolverCache`]'s `transforms` level holds,
-/// charged at its real heap size.  Queries step private cursors over it, so it never
-/// grows.
+/// Immutable and shared: the engine's plan store holds it for the queries of one
+/// plan, charged at its real heap size.  Queries step private cursors over it, so
+/// it never grows.
 #[derive(Debug)]
 pub struct AbsorptionChain {
     order: usize,
@@ -450,8 +450,8 @@ impl AbsorptionChain {
         self.mean_response_time
     }
 
-    /// Heap footprint the [`SolverCache`] charges for this chain: the struct, the
-    /// step probabilities, the mode-change lists and the arrival distribution.
+    /// Heap footprint the engine's plan store charges for this chain: the struct,
+    /// the step probabilities, the mode-change lists and the arrival distribution.
     pub(crate) fn heap_bytes(&self) -> usize {
         size_of::<Self>()
             + allocation_bytes(&self.stay)
@@ -879,8 +879,8 @@ impl ResponseTransform {
 /// Construction solves the stationary model once and builds the
 /// [`AbsorptionChain`]; afterwards every query — [`response_time_cdf`], a
 /// [`response_time_percentile`], the raw [`lst`] — is pure numerics with no further
-/// stationary solves.  Use [`with_cache`] to share both the stationary solution and
-/// the chain across repeated queries and across threads.
+/// stationary solves.  Use [`with_cache`] to reuse the QBD skeleton across
+/// configurations and threads.
 ///
 /// [`response_time_cdf`]: Self::response_time_cdf
 /// [`response_time_percentile`]: Self::response_time_percentile
@@ -918,8 +918,8 @@ impl ResponseAnalysis {
         Self::build(config, options, None)
     }
 
-    /// Analyses `config`, publishing (and reusing) the stationary solution *and* the
-    /// absorption chain through `cache`.
+    /// Analyses `config` on the QBD skeleton from `cache` (built and cached on first
+    /// use).
     ///
     /// # Errors
     ///
@@ -990,49 +990,29 @@ impl ResponseAnalysis {
         options: ResponseOptions,
         cache: Option<&Arc<SolverCache>>,
     ) -> Result<Self> {
+        Self::with_chain(config, options, |config, options| {
+            let qbd = qbd_matrices(cache, config)?;
+            let solution =
+                MatrixGeometricSolver::new(options.matrix_geometric).solve_qbd(config, &qbd)?;
+            Ok(Arc::new(AbsorptionChain::build(qbd.skeleton(), &solution, options.tail_epsilon)?))
+        })
+    }
+
+    /// Analyses `config` on the chain `chain` supplies once the configuration and the
+    /// options are validated — the engine's plan store passes the chain it shares.
+    pub(crate) fn with_chain(
+        config: &SystemConfig,
+        options: ResponseOptions,
+        chain: impl FnOnce(&SystemConfig, &ResponseOptions) -> Result<Arc<AbsorptionChain>>,
+    ) -> Result<Self> {
         Self::validate_config(config)?;
         options.validate()?;
-        let chain = match cache {
-            Some(cache) => Self::cached_chain(config, &options, cache)?,
-            None => {
-                let qbd = QbdMatrices::new(config)?;
-                let solution =
-                    MatrixGeometricSolver::new(options.matrix_geometric).solve_qbd(config, &qbd)?;
-                Arc::new(AbsorptionChain::build(qbd.skeleton(), &solution, options.tail_epsilon)?)
-            }
-        };
+        let chain = chain(config, &options)?;
         Ok(Self::around(chain, config, options))
     }
 
-    /// The chain for `config` from `cache`, built and offered to it on a miss.  One
-    /// lookup per level: the skeleton and solution handles are held for the build,
-    /// never fetched again, so even a cache that keeps nothing computes each of them
-    /// once.
-    fn cached_chain(
-        config: &SystemConfig,
-        options: &ResponseOptions,
-        cache: &Arc<SolverCache>,
-    ) -> Result<Arc<AbsorptionChain>> {
-        let (solver_options, epsilon) = (&options.matrix_geometric, options.tail_epsilon);
-        if let Some(hit) = cache.lookup_transform(config, solver_options, epsilon)? {
-            return Ok(hit);
-        }
-        let skeleton = cache.skeleton(config)?;
-        let solution = match cache.lookup_solution(config, solver_options)? {
-            Some(hit) => hit,
-            None => MatrixGeometricSolver::new(*solver_options).solve_and_store(
-                config,
-                cache,
-                Arc::clone(&skeleton),
-            )?,
-        };
-        let chain = Arc::new(AbsorptionChain::build(&skeleton, &solution, epsilon)?);
-        cache.store_transform(config, solver_options, epsilon, Arc::clone(&chain))?;
-        Ok(chain)
-    }
-
     /// The absorption chain behind every answer (levels kept, residual mass, …) —
-    /// the object the cache's `transforms` level holds.
+    /// the object the engine's plan store shares between the queries of a plan.
     pub fn transform(&self) -> &AbsorptionChain {
         &self.chain
     }
@@ -1247,9 +1227,9 @@ impl ResponseAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{transform_key, ByteLru};
     use crate::config::ServerLifecycle;
     use crate::qbd::reversible_log_weights;
+    use crate::qbd::QbdMatrices;
     use crate::solution::QueueSolver;
     use crate::spectral::SpectralExpansionSolver;
 
@@ -1467,28 +1447,6 @@ mod tests {
         for bad in [0.0, 1.0, -0.5, 1.5, f64::NAN] {
             assert!(analysis.response_time_percentile(bad).is_err(), "fraction {bad}");
         }
-    }
-
-    #[test]
-    fn transforms_are_cached_per_configuration() {
-        let cache = SolverCache::shared();
-        let config =
-            SystemConfig::new(3, 2.0, 1.0, ServerLifecycle::paper_fitted().unwrap()).unwrap();
-        let options = ResponseOptions::default();
-        let first = ResponseAnalysis::with_cache(&config, options, &cache).unwrap();
-        let second = ResponseAnalysis::with_cache(&config, options, &cache).unwrap();
-        let [_, _, transforms] = cache.stats().levels;
-        assert_eq!((transforms.misses, transforms.hits, transforms.entries), (1, 1, 1));
-        assert!(Arc::ptr_eq(&first.chain, &second.chain));
-        // The cache charges the chain's real footprint plus its key.
-        let key = transform_key(&config, &options.matrix_geometric, options.tail_epsilon).unwrap();
-        let charge = ByteLru::<_, ()>::charge(&key, first.chain.heap_bytes());
-        assert_eq!(transforms.bytes as usize, charge);
-        // A different tail threshold is a different chain.
-        let looser = ResponseOptions { tail_epsilon: 1e-9, ..options };
-        ResponseAnalysis::with_cache(&config, looser, &cache).unwrap();
-        let [_, _, transforms] = cache.stats().levels;
-        assert_eq!((transforms.misses, transforms.entries), (2, 2));
     }
 
     #[test]

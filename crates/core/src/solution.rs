@@ -104,9 +104,8 @@ pub trait QueueSolution: fmt::Debug {
     }
 }
 
-/// A shared solution — the form the [`SolverCache`](crate::SolverCache) memo hands
-/// out — answers every query through the solution it wraps, overridden default
-/// methods included.
+/// A shared solution — the form the engine's plan store hands out — answers every
+/// query through the solution it wraps, overridden default methods included.
 impl<T: QueueSolution + ?Sized> QueueSolution for Arc<T> {
     fn mode_count(&self) -> usize {
         (**self).mode_count()

@@ -41,7 +41,7 @@ use std::sync::Arc;
 
 use urs_linalg::{LuDecomposition, Matrix, Workspace};
 
-use crate::cache::SolverCache;
+use crate::cache::{qbd_matrices, SolverCache};
 use crate::config::SystemConfig;
 use crate::error::ModelError;
 use crate::matrix_geometric::solve_boundary;
@@ -93,9 +93,7 @@ impl Default for SpectralOptions {
 /// For parameter sweeps, attach a shared [`SolverCache`] with
 /// [`with_cache`](Self::with_cache): grid points that differ only in the arrival rate
 /// then reuse the λ-independent QBD skeleton, bit-identically, and so does a
-/// cache-sharing [`GeometricApproximation`](crate::GeometricApproximation).  Whole
-/// solutions are memoised only for the
-/// [`MatrixGeometricSolver`](crate::MatrixGeometricSolver), the engine's exact path.
+/// cache-sharing [`GeometricApproximation`](crate::GeometricApproximation).
 #[derive(Debug, Clone)]
 pub struct SpectralExpansionSolver {
     options: SpectralOptions,
@@ -150,13 +148,7 @@ impl SpectralExpansionSolver {
     /// situation the paper's geometric approximation is designed for).
     pub fn solve_detailed(&self, config: &SystemConfig) -> Result<SpectralSolution> {
         config.ensure_stable()?;
-        let qbd = match &self.cache {
-            Some(cache) => {
-                QbdMatrices::with_skeleton(cache.skeleton(config)?, config.arrival_rate())
-            }
-            None => QbdMatrices::new(config)?,
-        };
-        self.solve_qbd(config, &qbd)
+        self.solve_qbd(config, &qbd_matrices(self.cache.as_ref(), config)?)
     }
 
     /// Runs the spectral expansion on prebuilt QBD matrices.

@@ -17,7 +17,7 @@ use urs_dist::HyperExponential;
 use crate::cache::SolverCache;
 use crate::config::{ServerClass, SystemConfig};
 use crate::parallel::ThreadPool;
-use crate::response::ResponseOptions;
+use crate::response::{ResponseAnalysis, ResponseOptions};
 use crate::solution::QueueSolver;
 use crate::Result;
 
@@ -263,7 +263,7 @@ pub struct SlaPoint {
 /// counts of a [`CostSweep`](crate::CostSweep).
 ///
 /// Every percentile is certified by the two-sided bound of
-/// [`ResponseAnalysis`](crate::response::ResponseAnalysis); a bound wider than the
+/// [`ResponseAnalysis`]; a bound wider than the
 /// tolerance anywhere fails the whole sweep rather than returning an untrustworthy
 /// number.
 ///
@@ -289,8 +289,7 @@ pub fn percentile_vs_servers(
 /// [`percentile_vs_servers`] with explicit options, solver cache and worker pool.
 ///
 /// The cache is shared across the grid points (and any later queries), so repeated
-/// sweeps over overlapping fleets reuse both the stationary solutions and the
-/// assembled transforms.
+/// sweeps over overlapping fleets reuse their QBD skeletons.
 ///
 /// # Errors
 ///
@@ -303,7 +302,8 @@ pub fn percentile_vs_servers_with(
     cache: &Arc<SolverCache>,
     pool: &ThreadPool,
 ) -> Result<Vec<SlaPoint>> {
-    crate::engine::exec::sla_sweep(base_config, server_counts, fractions, options, cache, pool)
+    let analyse = |config: &SystemConfig| ResponseAnalysis::with_cache(config, options, cache);
+    crate::engine::exec::sla_sweep(base_config, server_counts, fractions, analyse, pool)
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! Pins the engine's concurrency contract: many threads hammering one shared
-//! [`Engine`] (one sharded cache, one pool) observe results bit-identical to a
+//! [`Engine`] (one skeleton cache, one pool) observe results bit-identical to a
 //! serial engine answering the same queries one at a time — cache races may change
 //! *who* computes an entry, never *what* it contains.
 
@@ -13,7 +13,8 @@ fn paper_config(servers: usize, lambda: f64) -> SystemConfig {
 }
 
 /// A mixed workload touching every cache level: plain solves at several arrival
-/// rates over few skeletons, sweeps, and percentile queries.
+/// rates over few skeletons, sweeps sharing their solutions within a plan, and
+/// percentile queries.
 fn workload() -> Vec<Query> {
     let mut queries = Vec::new();
     for servers in [4usize, 5, 6] {
@@ -51,7 +52,7 @@ fn concurrent_queries_on_one_shared_engine_are_bit_identical_to_serial() {
     let queries = workload();
     let expected = serial_answers(&queries);
 
-    // One engine, one sharded cache, hammered from 8 threads; every thread walks
+    // One engine, one skeleton cache, hammered from 8 threads; every thread walks
     // the workload in a different rotation so cache hits and misses interleave.
     let engine = Arc::new(Engine::with_parts(SolverCache::shared(), ThreadPool::serial()));
     let threads = 8;
@@ -107,11 +108,25 @@ fn repeated_execution_on_a_warm_cache_returns_identical_bytes() {
     let engine = Engine::with_parts(SolverCache::shared(), ThreadPool::serial());
     let cold: Vec<String> =
         queries.iter().map(|q| engine.execute(q).unwrap().to_json().serialise()).collect();
+    let built = engine.cache().stats().misses;
     let warm: Vec<String> =
         queries.iter().map(|q| engine.execute(q).unwrap().to_json().serialise()).collect();
     assert_eq!(cold, warm, "a cache hit changed an answer");
     let stats = engine.cache().stats();
-    assert!(stats.levels[1].hits > 0, "warm pass should hit the solution cache");
+    assert_eq!(stats.misses, built, "warm pass should find every skeleton in the cache");
+    assert!(stats.hits > 0);
+    // One plan for the whole workload: the provisioning sweep finds the cost
+    // sweep's solutions in the plan store, with the same bytes.
+    let batched: Vec<String> = engine
+        .execute_batch(&queries)
+        .into_iter()
+        .map(|result| result.unwrap().to_json().serialise())
+        .collect();
+    assert_eq!(batched, cold, "a plan-store hit changed an answer");
+    let QueryResult::Stats(after) = engine.execute(&Query::Stats).unwrap() else {
+        panic!("expected stats")
+    };
+    assert!(after.cache.levels[1].hits >= 4, "the plan should share the sweep's solutions");
 }
 
 #[test]
@@ -133,12 +148,12 @@ fn stats_are_the_only_nondeterministic_result() {
     let solve = Query::Solve { config: paper_config(4, 1.0) };
     engine.execute(&solve).unwrap();
     let first = engine.execute(&Query::Stats).unwrap();
-    engine.execute(&solve).unwrap(); // a hit changes the counters
+    engine.execute(&solve).unwrap(); // a skeleton hit changes the counters
     let second = engine.execute(&Query::Stats).unwrap();
     let (QueryResult::Stats(first), QueryResult::Stats(second)) = (first, second) else {
         panic!("expected stats results")
     };
-    assert!(second.cache.levels[1].hits > first.cache.levels[1].hits);
+    assert!(second.cache.levels[0].hits > first.cache.levels[0].hits);
     // …and the stats JSON still parses as well-formed, deterministic-key JSON.
     let rendered = QueryResult::Stats(second).to_json().serialise();
     json::Value::parse(&rendered).expect("stats JSON must round-trip");

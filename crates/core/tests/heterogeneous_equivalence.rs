@@ -226,8 +226,8 @@ fn shared_cache_builds_one_skeleton_for_both_solvers() {
     let stats = cache.stats();
     // Two solvers at four grid points make eight skeleton lookups: the first builds
     // the skeleton and the other seven — the approximation's four included — find it.
-    assert_eq!(stats.levels[0].misses, 1, "stats: {stats:?}");
-    assert_eq!(stats.levels[0].hits, 7, "stats: {stats:?}");
+    assert_eq!(stats.misses, 1, "stats: {stats:?}");
+    assert_eq!(stats.hits, 7, "stats: {stats:?}");
 
     // Bit-identical to the uncached approximation at every grid point.
     for point in &points {
@@ -237,7 +237,7 @@ fn shared_cache_builds_one_skeleton_for_both_solvers() {
         assert_eq!(cached.decay_rate().to_bits(), uncached.decay_rate().to_bits());
         assert_eq!(cached.mean_queue_length().to_bits(), uncached.mean_queue_length().to_bits());
     }
-    assert_eq!(cache.stats().levels[0].hits, 11, "each re-solve is one more skeleton hit");
+    assert_eq!(cache.stats().hits, 11, "each re-solve is one more skeleton hit");
 }
 
 #[test]
@@ -250,7 +250,7 @@ fn approximation_reuses_its_cached_skeleton() {
     let first = approx.solve_detailed(&config).unwrap();
     let second = approx.solve_detailed(&config).unwrap();
     let stats = cache.stats();
-    assert_eq!((stats.levels[0].misses, stats.levels[0].hits), (1, 1), "stats: {stats:?}");
+    assert_eq!((stats.misses, stats.hits), (1, 1), "stats: {stats:?}");
     let fresh = GeometricApproximation::default().solve_detailed(&config).unwrap();
     assert_eq!(first, fresh);
     assert_eq!(second, fresh);
@@ -267,10 +267,10 @@ fn spectral_reuses_the_approximations_skeleton_bit_identically() {
     let spectral = SpectralExpansionSolver::default().with_cache(Arc::clone(&cache));
     let config = SystemConfig::new(4, 3.1, 1.0, paper_lifecycle()).unwrap();
     approx.solve_detailed(&config).unwrap();
-    assert_eq!(cache.stats().levels[0].misses, 1);
+    assert_eq!(cache.stats().misses, 1);
     let cached = spectral.solve_detailed(&config).unwrap();
     let stats = cache.stats();
-    assert_eq!((stats.levels[0].misses, stats.levels[0].hits), (1, 1), "stats: {stats:?}");
+    assert_eq!((stats.misses, stats.hits), (1, 1), "stats: {stats:?}");
     let fresh = SpectralExpansionSolver::default().solve_detailed(&config).unwrap();
     assert_eq!(cached.mean_queue_length().to_bits(), fresh.mean_queue_length().to_bits());
     assert_eq!(cached.boundary_levels(), fresh.boundary_levels());

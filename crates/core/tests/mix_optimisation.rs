@@ -79,13 +79,17 @@ fn search_matches_brute_force_enumeration() {
 }
 
 /// Runs the search with pruning forced on and a fresh cache, returning the result
-/// and the number of exact solves it made.
+/// and the number of exact solves it made: each composition has its own skeleton,
+/// looked up once per solve, so the skeleton misses count the solves when nothing
+/// hit.
 fn run_pruned(search: MixSearch) -> (MixSearchResult, u64) {
     let cache = SolverCache::shared();
     let options = MixSearchOptions { exhaustive_limit: 0, ..Default::default() };
     let result = search.with_cache(Arc::clone(&cache)).with_options(options).run().unwrap();
     assert!(result.was_screened());
-    (result, cache.stats().levels[1].misses)
+    let skeletons = cache.stats();
+    assert_eq!(skeletons.hits, 0, "every solve builds its own composition's skeleton");
+    (result, skeletons.misses)
 }
 
 #[test]

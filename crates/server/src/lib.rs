@@ -23,16 +23,18 @@
 //!   response log byte for byte.  `stats` responses depend on cache and latency
 //!   history and are excluded from the contract.
 //!
-//! Two cache layers serve a repeated query: the engine's [`SolverCache`]
-//! (skeletons, solutions, transforms) makes *related* queries cheap,
-//! and the server's response memo answers an *exactly repeated* query — keyed by
-//! its full canonical key, so whitespace and key order don't matter and no two
-//! distinct queries can share an entry — from the stored bytes of its first
-//! response.  Memoisation cannot break replay: the first rendering is deterministic,
-//! and the memo returns those exact bytes.  Both layers are the same byte-budgeted
-//! LRU, [`ByteLru`] ([`urs_core::CACHE_BYTES`], [`RESPONSE_MEMO_BYTES`]), so a
-//! standing process's memory stays flat however many distinct queries it answers,
-//! and a memo hit keeps a popular answer from being evicted.
+//! Three stores serve related and repeated queries: the engine's [`SolverCache`]
+//! keeps QBD skeletons across requests, so *related* queries skip building them;
+//! each batch's plan store shares solutions and absorption chains between the
+//! queries of that batch and is dropped with it; and the server's response memo
+//! answers an *exactly repeated* query — keyed by its full canonical key, so
+//! whitespace and key order don't matter and no two distinct queries can share an
+//! entry — from the stored bytes of its first response.  Memoisation cannot break
+//! replay: the first rendering is deterministic, and the memo returns those exact
+//! bytes.  All are the same byte-budgeted LRU, [`ByteLru`] ([`urs_core::CACHE_BYTES`],
+//! [`RESPONSE_MEMO_BYTES`]), so a standing process's memory stays flat however many
+//! distinct queries it answers, and a memo hit keeps a popular answer from being
+//! evicted.
 //!
 //! Responses leave a batch at a time through [`write_batch`]: one write per batch,
 //! so on a socket with Nagle's algorithm off no response line is split across two

@@ -11,11 +11,17 @@
 //!   same bytes at 1 and 4 workers.
 //! * **No delayed-ACK stall** — sequential one-line round trips over TCP answer in
 //!   compute time, not in multiples of the client's delayed-ACK timer.
+//! * **Results live for one batch** — a batch's queries share their solutions and
+//!   absorption chains, and the next batch builds them again.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
+
+use urs_core::engine::json::Value;
+use urs_core::{Engine, SolverCache, ThreadPool};
+use urs_server::Server;
 
 fn spawn_server(threads: &str) -> Child {
     Command::new(env!("CARGO_BIN_EXE_urs-server"))
@@ -263,4 +269,61 @@ fn sequential_tcp_round_trips_do_not_wait_on_delayed_acks() {
     child.kill().expect("stop server");
     let _ = child.wait();
     assert!(elapsed < Duration::from_millis(400), "40 round trips took {elapsed:?}");
+}
+
+/// A planning session on one fleet: a solve, cost and provisioning sweeps over
+/// N − 1..N + 1, percentiles and an SLA sweep over [N, N + 1], with the cost model
+/// and the fractions as given.
+fn session(holding_cost: f64, fraction: f64) -> Vec<String> {
+    let fleet = config(5, 3.0, 0);
+    vec![
+        format!("{{\"type\":\"solve\",\"config\":{fleet}}}"),
+        format!(
+            "{{\"type\":\"cost_sweep\",\"config\":{fleet},\"holding_cost\":{holding_cost},\
+             \"server_cost\":1.0,\"min_servers\":4,\"max_servers\":6}}"
+        ),
+        format!(
+            "{{\"type\":\"provisioning\",\"config\":{fleet},\"min_servers\":4,\
+             \"max_servers\":6}}"
+        ),
+        format!("{{\"type\":\"percentiles\",\"config\":{fleet},\"fractions\":[{fraction}]}}"),
+        format!(
+            "{{\"type\":\"sla_sweep\",\"config\":{fleet},\"server_counts\":[5,6],\
+             \"fractions\":[{fraction}]}}"
+        ),
+    ]
+}
+
+/// The `(solutions, transforms)` misses a `stats` query reports.
+fn result_misses(server: &Server) -> (f64, f64) {
+    let stats = Value::parse(&server.respond_line("{\"type\":\"stats\"}")).expect("stats JSON");
+    let levels = stats.get("levels").and_then(Value::as_array).expect("levels");
+    let misses = |name: &str| {
+        levels
+            .iter()
+            .find(|level| level.get("level").and_then(Value::as_str) == Some(name))
+            .and_then(|level| level.get("misses"))
+            .and_then(Value::as_f64)
+            .unwrap_or_else(|| panic!("no {name} row in {stats:?}"))
+    };
+    (misses("solutions"), misses("transforms"))
+}
+
+#[test]
+fn a_batch_shares_its_results_and_the_next_batch_builds_them_again() {
+    let server =
+        Server::with_engine(Engine::with_parts(SolverCache::shared(), ThreadPool::serial()));
+    // Three solutions (N − 1, N, N + 1) and two chains (N, N + 1) between five queries.
+    let first = server.respond_batch(&session(4.0, 0.9));
+    assert!(first.iter().all(|response| !response.starts_with("{\"error\"")), "{first:?}");
+    assert_eq!(result_misses(&server), (3.0, 2.0));
+    // Other cost coefficients and fractions are new questions for the memo on the
+    // same solutions and chains: nothing outlived the first batch, so they are all
+    // built again, with the bytes a fresh server answers.
+    let second = server.respond_batch(&session(2.0, 0.95));
+    assert_eq!(result_misses(&server), (6.0, 4.0));
+    assert_eq!(second, Server::new().respond_batch(&session(2.0, 0.95)));
+    // An exact repeat is the memo's, byte for byte.
+    assert_eq!(server.respond_batch(&session(4.0, 0.9)), first);
+    assert_eq!(result_misses(&server), (6.0, 4.0));
 }

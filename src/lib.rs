@@ -26,10 +26,9 @@
 //!
 //! Parameter sweeps and simulation replications run in parallel by default on
 //! [`core::ThreadPool`] (scoped threads, deterministic result order — set
-//! `URS_THREADS=1` to force the serial path), and [`core::SolverCache`] memoises three
-//! levels — λ-independent QBD skeletons, complete matrix-geometric solutions and
-//! response-time transforms — so repeated or λ-only-varying solves skip that work; both
-//! are bit-identity-preserving.  See the README's "Performance" section.
+//! `URS_THREADS=1` to force the serial path), and [`core::SolverCache`] keeps the
+//! λ-independent QBD skeletons, so λ-only-varying solves skip building them; both are
+//! bit-identity-preserving.  See the README's "Performance" section.
 //!
 //! This umbrella crate simply re-exports the sub-crates under convenient names so that
 //! an application can depend on a single crate:

@@ -416,7 +416,10 @@ fn pruned_mix_search_returns_the_exhaustive_optimum() {
         let expected: Vec<&MixCandidate> = exhaustive.ranked().iter().filter(bound).collect();
         assert_eq!(format!("{:?}", result.ranked()), format!("{expected:?}"), "{name}");
         let stable = result.candidates() - result.skipped_unstable();
-        let solves = cache.stats().levels[1].misses;
+        // One skeleton per composition, built once per exact solve.
+        let skeletons = cache.stats();
+        assert_eq!(skeletons.hits, 0, "{name}");
+        let solves = skeletons.misses;
         println!("{name}: {solves} of {stable} stable candidates solved, optimum {optimum:?}");
     }
 }
