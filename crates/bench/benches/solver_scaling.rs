@@ -135,6 +135,18 @@ fn bench_kernels(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("lu_blocked", n), &a, |bench, a| {
             bench.iter(|| black_box(LuDecomposition::new(a).unwrap()))
         });
+        // The boundary elimination's right division `W = diag(l)·A⁻¹` (the tiled
+        // four-rows-by-four-factor-rows kernel), on the factors of `a`.
+        let lu = LuDecomposition::new(&a).unwrap();
+        let coupling: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64).collect();
+        let mut w = Matrix::zeros(n, n);
+        let mut right_ws = Workspace::new();
+        let serial = ThreadPool::serial();
+        group.bench_with_input(BenchmarkId::new("right_divide", n), &coupling, |bench, l| {
+            bench.iter(|| {
+                lu.solve_right_diagonal_into_with(l, &mut w, &mut right_ws, &serial).unwrap()
+            })
+        });
         // The cyclic-reduction step's own kernels on a symmetric positive-definite
         // `A·Aᵀ`: the Cholesky factor and the lower solve `L⁻¹·B` with `n` columns.
         let spd = a.matmul(&a.transpose()).unwrap();

@@ -460,11 +460,20 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// error.  Any single balance equation is redundant, so the level-0 equation of the
 /// skeleton's pin mode (largest stationary environment probability) is replaced by
 /// `v_0[pin] = 1`; the caller normalises.
+///
+/// The elimination consumes the system and factorises each level's block in place,
+/// so the solve holds `N + 1` dense `s × s` blocks; the assembly's own temporaries
+/// (the shared `−Aᵀ` and, for level `N`, `Rᵀ`) are dropped before it starts.
 pub(crate) fn solve_boundary(
     qbd: &QbdMatrices,
     r: &Matrix,
     pool: &ThreadPool,
 ) -> Result<Vec<Vec<f64>>> {
+    Ok(boundary_system(qbd, r)?.solve_with(pool)?)
+}
+
+/// The boundary system of [`solve_boundary`]: one block row per level `0..=N`.
+fn boundary_system(qbd: &QbdMatrices, r: &Matrix) -> Result<RealBlockTridiagonal> {
     let s = qbd.order();
     let servers = qbd.servers();
     let pin_mode = qbd.skeleton().pin_mode();
@@ -472,9 +481,6 @@ pub(crate) fn solve_boundary(
     let (a, da) = (qbd.a(), qbd.da());
     let block_rows = servers + 1;
     let mut system = RealBlockTridiagonal::new(block_rows, s)?;
-    // C is diagonal, so R·C is a column scaling — no dense product needed.
-    let mut r_c = r.clone();
-    r_c.scale_columns(qbd.c())?;
     // The level-local coefficient `(Dᴬ + B + C_j − A)ᵀ` varies between levels only on
     // its diagonal: build the off-diagonal `−Aᵀ` once and write the diagonal per level.
     let base_t = a.transpose().map(|x| 0.0 - x);
@@ -491,10 +497,13 @@ pub(crate) fn solve_boundary(
         }
         if j == servers {
             // Level N: v_N·(Dᴬ+B+C−A) − v_N·R·C  ⇒ coefficient (local(N) − R·C)ᵀ.
-            for row in 0..s {
-                for col in 0..s {
-                    // urs-analyze: allow(slice_index, reason = "indexes the s x s QBD blocks sized at build time")
-                    diag[(row, col)] -= r_c[(col, row)];
+            // C is diagonal, so (R·C)ᵀ = C·Rᵀ scales row i of Rᵀ by c_i: one
+            // transpose, then a contiguous pass with the products R_ki·c_i.
+            let r_t = r.transpose();
+            let rows = diag.as_mut_slice().chunks_exact_mut(s);
+            for ((d_row, r_row), &c) in rows.zip(r_t.as_slice().chunks_exact(s)).zip(qbd.c()) {
+                for (x, &v) in d_row.iter_mut().zip(r_row) {
+                    *x -= v * c;
                 }
             }
         } else {
@@ -522,7 +531,7 @@ pub(crate) fn solve_boundary(
         system.set_diagonal(j, diag)?;
         system.set_rhs(j, rhs)?;
     }
-    Ok(system.solve_with(pool)?)
+    Ok(system)
 }
 
 /// The steady-state solution produced by [`MatrixGeometricSolver`]: boundary vectors

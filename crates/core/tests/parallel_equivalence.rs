@@ -299,9 +299,9 @@ fn block_tridiagonal_solve_is_bit_identical_across_the_thread_matrix() {
         }
         system.set_rhs(i, diagonal(400 + i as u64)).unwrap();
     }
-    let serial = system.solve().unwrap();
+    let serial = system.clone().solve().unwrap();
     for threads in THREAD_MATRIX {
-        let parallel = system.solve_with(&ThreadPool::new(threads)).unwrap();
+        let parallel = system.clone().solve_with(&ThreadPool::new(threads)).unwrap();
         assert_eq!(serial.len(), parallel.len());
         for (xs, ys) in serial.iter().zip(&parallel) {
             assert_eq!(vec_bits(xs), vec_bits(ys), "{threads} threads changed the block solve");

@@ -8,6 +8,12 @@
 //! couplings between levels are the arrival matrix `B = λI` and the departure matrices
 //! `C_j`, all diagonal, so they are stored packed and each Schur-complement update is
 //! an `O(s²)` column scaling rather than an `O(s³)` product.
+//!
+//! The elimination consumes the system: each diagonal block is updated and
+//! factorised in its own storage, so a solve holds one set of `K` dense blocks (the
+//! factors), not the system's blocks and a copy of them.  On the QBD boundary the
+//! Schur updates fill every block after the first (the inverse of an irreducible
+//! M-matrix is entrywise positive), so the blocks are factorised dense.
 
 use crate::error::LinalgError;
 use crate::lu::LuDecomposition;
@@ -71,7 +77,8 @@ fn schur_diagonal_update(d_cur: &mut Matrix, w: &Matrix, u: &[f64], s: usize) {
 pub struct RealBlockTridiagonal {
     block_rows: usize,
     block_size: usize,
-    diagonal: Vec<Matrix>,
+    /// `None` until set: an unset diagonal block is zero.
+    diagonal: Vec<Option<Matrix>>,
     lower: Vec<Option<Vec<f64>>>,
     upper: Vec<Option<Vec<f64>>>,
     rhs: Vec<Vec<f64>>,
@@ -93,7 +100,7 @@ impl RealBlockTridiagonal {
         Ok(RealBlockTridiagonal {
             block_rows,
             block_size,
-            diagonal: vec![Matrix::zeros(block_size, block_size); block_rows],
+            diagonal: vec![None; block_rows],
             lower: vec![None; block_rows],
             upper: vec![None; block_rows],
             rhs: vec![vec![0.0; block_size]; block_rows],
@@ -134,7 +141,7 @@ impl RealBlockTridiagonal {
                 right: block.shape(),
             });
         }
-        *row_slot(&mut self.diagonal, row)? = block;
+        *row_slot(&mut self.diagonal, row)? = Some(block);
         Ok(())
     }
 
@@ -192,15 +199,19 @@ impl RealBlockTridiagonal {
     /// Solves the system by block forward elimination and back substitution,
     /// returning one vector per block row.
     ///
-    /// Each block row costs *one* LU factorisation: the `W = L_i·D'⁻¹` product reuses
-    /// the previous row's factors through a right solve, and all temporaries come from
-    /// one [`Workspace`].
+    /// The solve consumes the system.  Each block row costs *one* LU factorisation,
+    /// made in place: the diagonal block takes its Schur update in its own storage
+    /// and moves into its [`LuDecomposition`], so the `K` blocks of the system
+    /// become the `K` factors and no second set is held.  The `W = L_i·D'⁻¹` product
+    /// reuses the previous row's factors through a right solve, and the remaining
+    /// temporaries (one `s × s` block and a few vectors) come from one
+    /// [`Workspace`].  Clone the system first to solve it twice.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::Singular`] if a pivot block becomes singular during the
     /// elimination.
-    pub fn solve(&self) -> Result<Vec<Vec<f64>>> {
+    pub fn solve(self) -> Result<Vec<Vec<f64>>> {
         self.solve_with(&ThreadPool::serial())
     }
 
@@ -216,22 +227,20 @@ impl RealBlockTridiagonal {
     ///
     /// Same as [`solve`](Self::solve), plus [`LinalgError::WorkerPanic`] if a worker
     /// panicked.
-    pub fn solve_with(&self, pool: &ThreadPool) -> Result<Vec<Vec<f64>>> {
-        let k = self.block_rows;
-        let s = self.block_size;
+    pub fn solve_with(self, pool: &ThreadPool) -> Result<Vec<Vec<f64>>> {
+        let RealBlockTridiagonal { block_rows: k, block_size: s, diagonal, lower, upper, mut rhs } =
+            self;
         let mut ws = Workspace::new();
-        let mut rhs: Vec<Vec<f64>> = self.rhs.clone();
 
         let mut factorisations: Vec<LuDecomposition> = Vec::with_capacity(k);
         let mut w = ws.real_matrix(s, s);
         let mut coupled = ws.real_buffer(s);
         // Row i meets its own diagonal block and lower coupling and the previous
         // row's upper coupling.
-        let upper_above = std::iter::once(&None).chain(&self.upper);
-        let rows = self.diagonal.iter().zip(&self.lower).zip(upper_above).enumerate();
+        let upper_above = std::iter::once(&None).chain(&upper);
+        let rows = diagonal.into_iter().zip(&lower).zip(upper_above).enumerate();
         for (i, ((diagonal, lower), upper_above)) in rows {
-            let mut d_cur = ws.real_matrix(s, s);
-            d_cur.as_mut_slice().copy_from_slice(diagonal.as_slice());
+            let mut d_cur = diagonal.unwrap_or_else(|| Matrix::zeros(s, s));
             let (eliminated, pending) = rhs.split_at_mut(i);
             if let (Some(lower), Some(previous), Some(b_prev), Some(b_cur)) =
                 (lower, factorisations.last(), eliminated.last(), pending.first_mut())
@@ -256,7 +265,7 @@ impl RealBlockTridiagonal {
 
         // Back substitution, last block row first.
         let mut x: Vec<Vec<f64>> = Vec::with_capacity(k);
-        for ((lu, b_i), upper) in factorisations.iter().zip(&rhs).zip(&self.upper).rev() {
+        for ((lu, b_i), upper) in factorisations.iter().zip(&rhs).zip(&upper).rev() {
             let mut b = ws.real_buffer(s);
             b.copy_from_slice(b_i);
             if let (Some(u), Some(next)) = (upper, x.last()) {
@@ -273,7 +282,8 @@ impl RealBlockTridiagonal {
         Ok(x)
     }
 
-    /// Assembles the full dense system matrix (tests and fallback).
+    /// Assembles the full dense system matrix, for [`solve_dense`](Self::solve_dense)
+    /// and residual checks.
     pub fn to_dense(&self) -> Matrix {
         let s = self.block_size;
         let n = self.block_rows * s;
@@ -283,7 +293,7 @@ impl RealBlockTridiagonal {
         Matrix::from_fn(n, n, |row, col| {
             let (block_row, r, block_col, c) = (row / s, row % s, col / s, col % s);
             let entry = if block_row == block_col {
-                self.diagonal.get(block_row).and_then(|d| d.get(r, c))
+                self.diagonal.get(block_row).and_then(Option::as_ref).and_then(|d| d.get(r, c))
             } else if r != c {
                 None
             } else if block_col + 1 == block_row {
@@ -359,7 +369,7 @@ mod tests {
     }
 
     fn assert_matches_dense(sys: &RealBlockTridiagonal, residual_bound: f64, tolerance: f64) {
-        let x = sys.solve().unwrap();
+        let x = sys.clone().solve().unwrap();
         let res = residual(sys, &x);
         assert!(res < residual_bound, "residual {res}");
         for (a, b) in x.iter().zip(&sys.solve_dense().unwrap()) {
@@ -440,7 +450,7 @@ mod tests {
     #[test]
     fn real_system_parallel_matches_serial_bitwise() {
         let sys = random_system(6, 3, 23, 7.0);
-        let serial = sys.solve().unwrap();
+        let serial = sys.clone().solve().unwrap();
         let parallel = sys.solve_with(&ThreadPool::new(4)).unwrap();
         for (a, b) in serial.iter().zip(&parallel) {
             for (p, q) in a.iter().zip(b) {

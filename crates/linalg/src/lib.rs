@@ -60,7 +60,7 @@
 //! | [`ThreadPool`] + the `*_with` kernels | row-banded parallel gemm, trailing-update LU and right-solves; panels and pivoting stay serial, bands are disjoint, accumulation order is fixed — the pool changes wall time, never bits (pinned by the `parallel_equivalence` and `properties` suites) |
 //! | [`BandedMatrix`]/[`BandedLu`] | packed storage for the QBD generator bands (§3's `Q(z)` blocks have bandwidth `N + 1` inside `s = (N+1)(N+2)/2` modes); banded matvec/gemm/LU/solves bit-identical to dense on the same pattern, gated by [`banded_profitable`] |
 //! | [`QuadraticEigenProblem::real_left_eigenvector`] | eigenvector extraction at a real root by shifted inverse iteration on one real banded LU of `Q(z)ᵀ` (dense null-vector fallback), replacing the `O(s⁴)` per-eigenvalue Gaussian null-space sweep |
-//! | [`RealBlockTridiagonal`] | the boundary elimination shared by both exact solvers once the repeating levels are summarised by a real rate matrix `R`; the couplings `B = λI` and `C_j` are packed diagonals, so each Schur update is an `O(s²)` column scaling |
+//! | [`RealBlockTridiagonal`] | the boundary elimination shared by both exact solvers once the repeating levels are summarised by a real rate matrix `R`; the couplings `B = λI` and `C_j` are packed diagonals, so each Schur update is an `O(s²)` column scaling; `solve` consumes the system and factorises each diagonal block in place, one LU per block row, so a solve holds one set of `K` blocks |
 //!
 //! # Example
 //!

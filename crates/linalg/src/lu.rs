@@ -614,7 +614,7 @@ fn lu_trailing_row(
     }
 }
 
-/// Right-divides a band of rows: quads of rows go through the lockstep
+/// Right-divides a band of rows: quads of rows go through the tiled
 /// [`right_solve_rows4`] kernel, the remainder through the scalar
 /// [`right_solve_row`].  Rows of `X A = B` never exchange data, and both kernels
 /// perform the identical column-ordered substitution per row, so the grouping —
@@ -625,162 +625,261 @@ fn right_solve_band(band: &mut [f64], d: &[f64], perm: &[usize], scratch: &mut [
         let (r0, rest) = quad.split_at_mut(n);
         let (r1, rest) = rest.split_at_mut(n);
         let (r2, r3) = rest.split_at_mut(n);
-        right_solve_rows4(r0, r1, r2, r3, d, perm, scratch, n);
+        right_solve_rows4([r0, r1, r2, r3], d, perm, scratch, n);
     }
     for row in quads.into_remainder().chunks_exact_mut(n) {
         right_solve_row(row, d, perm, scratch, n);
     }
 }
 
-/// Four independent rows of the right division solved in lockstep: each column
-/// step loads row `j` of `U` (then `L`) once and advances four independent
-/// substitution chains with it.  Every row still performs exactly the multiplies
-/// and subtractions of [`right_solve_row`] in the same ascending-position order —
-/// rows never read each other — so the result is bit-identical while the factor
-/// traffic drops to a quarter and the chains hide each other's latency.
-#[allow(clippy::too_many_arguments)]
+/// Four rows of the right division, advanced four factor rows per pass.
+///
+/// A forward pass takes rows `j..j+4` of `U`, a backward pass rows `j−1` down to
+/// `j−4` of `L`.  Each output row first solves the 4×4 corner of those columns in
+/// the step order of [`right_solve_row`], which yields its four coefficients; one
+/// sweep over the remaining columns then applies the whole 4×4 tile of updates
+/// (see [`right_solve_tile`]).  The `n mod 4` steps left over take the scalar
+/// steps of `right_solve_row` itself.  Every element therefore sees exactly the
+/// multiplies and subtractions of `right_solve_row` in the same order, so the
+/// result is bit-identical, while each output element is loaded and stored once
+/// per four updates instead of once per update.
 fn right_solve_rows4(
-    r0: &mut [f64],
-    r1: &mut [f64],
-    r2: &mut [f64],
-    r3: &mut [f64],
+    mut rows: [&mut [f64]; 4],
     d: &[f64],
     perm: &[usize],
     scratch: &mut [f64],
     n: usize,
 ) {
-    // w U = b: forward over columns using row j of U.
-    for j in 0..n {
-        // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
-        let inv = d[j * n + j];
-        // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
-        let w0 = r0[j] / inv;
-        // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
-        r0[j] = w0;
-        // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
-        let w1 = r1[j] / inv;
-        // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
-        r1[j] = w1;
-        // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
-        let w2 = r2[j] / inv;
-        // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
-        r2[j] = w2;
-        // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
-        let w3 = r3[j] / inv;
-        // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
-        r3[j] = w3;
-        // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
-        let u_row = &d[j * n + j + 1..(j + 1) * n];
-        // urs-analyze: allow(float_cmp, reason = "exact-zero skip gate, mirroring right_solve_row")
-        if w0 != 0.0 && w1 != 0.0 && w2 != 0.0 && w3 != 0.0 {
-            for ((((&u, x0), x1), x2), x3) in u_row
-                .iter()
-                // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
-                .zip(&mut r0[j + 1..])
-                // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
-                .zip(&mut r1[j + 1..])
-                // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
-                .zip(&mut r2[j + 1..])
-                // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
-                .zip(&mut r3[j + 1..])
-            {
-                *x0 -= w0 * u;
-                *x1 -= w1 * u;
-                *x2 -= w2 * u;
-                *x3 -= w3 * u;
-            }
-        } else {
-            for (w, row) in [(w0, &mut *r0), (w1, &mut *r1), (w2, &mut *r2), (w3, &mut *r3)] {
-                // urs-analyze: allow(float_cmp, reason = "exact-zero skip gate, mirroring right_solve_row")
-                if w != 0.0 {
-                    // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
-                    for (x, &u) in row[j + 1..].iter_mut().zip(u_row) {
-                        *x -= w * u;
-                    }
-                }
-            }
+    // w U = b: forward, rows j..j+4 of U per pass.
+    let mut j = 0;
+    while j + 4 <= n {
+        let corner = factor_corner(d, n, j);
+        let w = forward_corners(rows.each_mut().map(|row| row.get_mut(j..j + 4)), &corner);
+        let u = [0, 1, 2, 3].map(|t| d.get((j + t) * n + j + 4..(j + t + 1) * n));
+        right_solve_tile(rows.each_mut().map(|row| row.get_mut(j + 4..)), &w, u);
+        j += 4;
+    }
+    for j in j..n {
+        for row in rows.iter_mut() {
+            forward_step(row, d, n, j);
         }
     }
-    // w L = w' (unit diagonal): backward over columns using row j of L.
-    for j in (0..n).rev() {
-        // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
-        let w0 = r0[j];
-        // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
-        let w1 = r1[j];
-        // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
-        let w2 = r2[j];
-        // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
-        let w3 = r3[j];
-        // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
-        let l_row = &d[j * n..j * n + j];
-        // urs-analyze: allow(float_cmp, reason = "exact-zero skip gate, mirroring right_solve_row")
-        if w0 != 0.0 && w1 != 0.0 && w2 != 0.0 && w3 != 0.0 {
-            for ((((&l, x0), x1), x2), x3) in l_row
-                .iter()
-                // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
-                .zip(&mut r0[..j])
-                // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
-                .zip(&mut r1[..j])
-                // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
-                .zip(&mut r2[..j])
-                // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
-                .zip(&mut r3[..j])
-            {
-                *x0 -= w0 * l;
-                *x1 -= w1 * l;
-                *x2 -= w2 * l;
-                *x3 -= w3 * l;
-            }
-        } else {
-            for (w, row) in [(w0, &mut *r0), (w1, &mut *r1), (w2, &mut *r2), (w3, &mut *r3)] {
-                // urs-analyze: allow(float_cmp, reason = "exact-zero skip gate, mirroring right_solve_row")
-                if w != 0.0 {
-                    // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
-                    for (x, &l) in row[..j].iter_mut().zip(l_row) {
-                        *x -= w * l;
-                    }
-                }
-            }
+    // w L = w' (unit diagonal): backward, rows j−1 down to j−4 of L per pass.
+    let mut j = n;
+    while j >= 4 {
+        let corner = factor_corner(d, n, j - 4);
+        let w = backward_corners(rows.each_mut().map(|row| row.get_mut(j - 4..j)), &corner);
+        let l = [1, 2, 3, 4].map(|t| d.get((j - t) * n..(j - t) * n + j - 4));
+        right_solve_tile(rows.each_mut().map(|row| row.get_mut(..j - 4)), &w, l);
+        j -= 4;
+    }
+    for j in (0..j).rev() {
+        for row in rows.iter_mut() {
+            backward_step(row, d, n, j);
         }
     }
     // X = W P: scatter within each row.
-    for row in [r0, r1, r2, r3] {
-        scratch.copy_from_slice(row);
-        for (k, &p) in perm.iter().enumerate() {
-            // urs-analyze: allow(slice_index, reason = "offsets bounded by the factor dimension n; lockstep substitution hot loop")
-            row[p] = scratch[k];
+    for row in rows {
+        scatter_row(row, perm, scratch);
+    }
+}
+
+/// The 4×4 block of the packed factors at rows and columns `j..j+4`.
+#[inline(always)]
+fn factor_corner(d: &[f64], n: usize, j: usize) -> [[f64; 4]; 4] {
+    [0, 1, 2, 3].map(|t| {
+        let row = d.get((j + t) * n + j..(j + t) * n + j + 4);
+        row.and_then(|r| <[f64; 4]>::try_from(r).ok()).unwrap_or_default()
+    })
+}
+
+/// The corners of a forward pass: columns `j..j+4` of each of the four rows
+/// solved against the corner `u` of `U`, the steps `j..j+4` of
+/// [`right_solve_row`] restricted to those columns.  Returns each row's
+/// coefficients `w_j..w_{j+3}`.
+#[inline(always)]
+fn forward_corners(mut rows: [Option<&mut [f64]>; 4], u: &[[f64; 4]; 4]) -> [[f64; 4]; 4] {
+    let mut x = rows.each_ref().map(load_corner);
+    for t in 0..4 {
+        // urs-analyze: allow(slice_index, reason = "constant indices below 4 into 4x4 arrays")
+        let pivot = u[t][t];
+        for xr in &mut x {
+            // urs-analyze: allow(slice_index, reason = "constant indices below 4 into 4x4 arrays")
+            xr[t] /= pivot;
         }
+        for xr in &mut x {
+            // urs-analyze: allow(slice_index, reason = "constant indices below 4 into 4x4 arrays")
+            let w = xr[t];
+            // urs-analyze: allow(float_cmp, reason = "exact-zero skip gate, mirroring right_solve_row")
+            if w != 0.0 {
+                for c in t + 1..4 {
+                    // urs-analyze: allow(slice_index, reason = "constant indices below 4 into 4x4 arrays")
+                    xr[c] -= w * u[t][c];
+                }
+            }
+        }
+    }
+    store_corners(&mut rows, &x);
+    x
+}
+
+/// The corners of a backward pass: columns `j..j+4` of each of the four rows
+/// against the corner `l` of `L`, the steps `j+3` down to `j` of
+/// [`right_solve_row`] restricted to those columns.  Returns each row's
+/// coefficients `w_{j+3}, …, w_j` in that (step) order.
+#[inline(always)]
+fn backward_corners(mut rows: [Option<&mut [f64]>; 4], l: &[[f64; 4]; 4]) -> [[f64; 4]; 4] {
+    let mut x = rows.each_ref().map(load_corner);
+    for t in (0..4).rev() {
+        for xr in &mut x {
+            // urs-analyze: allow(slice_index, reason = "constant indices below 4 into 4x4 arrays")
+            let w = xr[t];
+            // urs-analyze: allow(float_cmp, reason = "exact-zero skip gate, mirroring right_solve_row")
+            if w != 0.0 {
+                for c in 0..t {
+                    // urs-analyze: allow(slice_index, reason = "constant indices below 4 into 4x4 arrays")
+                    xr[c] -= w * l[t][c];
+                }
+            }
+        }
+    }
+    store_corners(&mut rows, &x);
+    x.map(|[w0, w1, w2, w3]| [w3, w2, w1, w0])
+}
+
+/// A four-column window of a row, copied out.
+#[inline(always)]
+fn load_corner(window: &Option<&mut [f64]>) -> [f64; 4] {
+    window.as_deref().and_then(|x| <[f64; 4]>::try_from(x).ok()).unwrap_or_default()
+}
+
+/// Writes solved corners back to the rows' four-column windows.
+#[inline(always)]
+fn store_corners(rows: &mut [Option<&mut [f64]>; 4], x: &[[f64; 4]; 4]) {
+    for (window, corner) in rows.iter_mut().zip(x) {
+        if let Some(window) = window {
+            window.copy_from_slice(corner);
+        }
+    }
+}
+
+/// One tile of a pass: `x −= w[r][0]·f₀; x −= w[r][1]·f₁; x −= w[r][2]·f₂;
+/// x −= w[r][3]·f₃` for every element `x` of output row `r`, with `f_t` the
+/// matching slice of the pass's factor row `t`.  With all sixteen coefficients
+/// non-zero the rows are swept in pairs, each pair taking all four factor rows in
+/// one sweep; a tile with a zero coefficient instead takes each row's non-zero
+/// coefficients one sweep at a time, the zero skip of [`right_solve_row`].  Either
+/// way each element's subtractions run in `t` order.
+#[inline(always)]
+fn right_solve_tile(
+    rows: [Option<&mut [f64]>; 4],
+    w: &[[f64; 4]; 4],
+    factors: [Option<&[f64]>; 4],
+) {
+    let [x0, x1, x2, x3] = rows.map(Option::unwrap_or_default);
+    let f = factors.map(Option::unwrap_or_default);
+    // urs-analyze: allow(float_cmp, reason = "exact-zero skip gate, mirroring right_solve_row")
+    if w.iter().flatten().all(|&c| c != 0.0) {
+        let [w0, w1, w2, w3] = w;
+        right_solve_sweep2(x0, x1, w0, w1, f);
+        right_solve_sweep2(x2, x3, w2, w3, f);
+        return;
+    }
+    for (row, coefficients) in [x0, x1, x2, x3].into_iter().zip(w) {
+        for (&c, f_t) in coefficients.iter().zip(f) {
+            // urs-analyze: allow(float_cmp, reason = "exact-zero skip gate, mirroring right_solve_row")
+            if c != 0.0 {
+                for (x, &v) in row.iter_mut().zip(f_t) {
+                    *x -= c * v;
+                }
+            }
+        }
+    }
+}
+
+/// Two rows of a dense tile in one sweep: each output element is loaded and
+/// stored once for its four subtractions.
+#[inline(always)]
+fn right_solve_sweep2(
+    x0: &mut [f64],
+    x1: &mut [f64],
+    w0: &[f64; 4],
+    w1: &[f64; 4],
+    factors: [&[f64]; 4],
+) {
+    let [f0, f1, f2, f3] = factors;
+    let [w00, w01, w02, w03] = *w0;
+    let [w10, w11, w12, w13] = *w1;
+    for (((((x0, x1), &v0), &v1), &v2), &v3) in
+        x0.iter_mut().zip(x1.iter_mut()).zip(f0).zip(f1).zip(f2).zip(f3)
+    {
+        let mut t = *x0;
+        t -= w00 * v0;
+        t -= w01 * v1;
+        t -= w02 * v2;
+        t -= w03 * v3;
+        *x0 = t;
+        let mut t = *x1;
+        t -= w10 * v0;
+        t -= w11 * v1;
+        t -= w12 * v2;
+        t -= w13 * v3;
+        *x1 = t;
     }
 }
 
 /// One row of the right division `X A = B`: solve `w U = b` forward, `w L = w'`
 /// backward, then scatter through the column permutation using `scratch` (length
-/// `n`).  Factored out so the serial loop and the per-worker parallel bands run the
-/// byte-for-byte identical routine.
+/// `n`).  The reference the tiled [`right_solve_rows4`] reproduces bit for bit,
+/// and the kernel of the rows a band has beyond its quads.
 fn right_solve_row(row: &mut [f64], d: &[f64], perm: &[usize], scratch: &mut [f64], n: usize) {
-    // w U = b: forward over columns using row j of U.
     for j in 0..n {
-        let wj = row[j] / d[j * n + j];
-        row[j] = wj;
-        if wj != 0.0 {
-            for (x, &u) in row[j + 1..].iter_mut().zip(&d[j * n + j + 1..(j + 1) * n]) {
-                *x -= wj * u;
-            }
-        }
+        forward_step(row, d, n, j);
     }
-    // w L = w' (unit diagonal): backward over columns using row j of L.
     for j in (0..n).rev() {
-        let wj = row[j];
-        if wj != 0.0 {
-            for (x, &l) in row[..j].iter_mut().zip(&d[j * n..j * n + j]) {
-                *x -= wj * l;
+        backward_step(row, d, n, j);
+    }
+    scatter_row(row, perm, scratch);
+}
+
+/// Step `j` of `w U = b`: `w_j = x_j / U_jj`, then, unless `w_j` is zero,
+/// `x_c −= w_j·U_jc` for every column `c > j`.
+fn forward_step(row: &mut [f64], d: &[f64], n: usize, j: usize) {
+    let (done, rest) = row.split_at_mut(j + 1);
+    let u_row = d.get(j * n + j..(j + 1) * n).and_then(<[f64]>::split_first);
+    if let (Some(w), Some((&pivot, u))) = (done.last_mut(), u_row) {
+        *w /= pivot;
+        // urs-analyze: allow(float_cmp, reason = "exact-zero skip gate of the reference substitution")
+        if *w != 0.0 {
+            for (x, &v) in rest.iter_mut().zip(u) {
+                *x -= *w * v;
             }
         }
     }
-    // X = W P: scatter within the row.
+}
+
+/// Step `j` of `w L = w'` (unit diagonal): unless `w_j` is zero,
+/// `x_c −= w_j·L_jc` for every column `c < j`.
+fn backward_step(row: &mut [f64], d: &[f64], n: usize, j: usize) {
+    let (rest, done) = row.split_at_mut(j);
+    if let Some(&w) = done.first() {
+        // urs-analyze: allow(float_cmp, reason = "exact-zero skip gate of the reference substitution")
+        if w != 0.0 {
+            for (x, &v) in rest.iter_mut().zip(d.get(j * n..j * n + j).unwrap_or_default()) {
+                *x -= w * v;
+            }
+        }
+    }
+}
+
+/// `X = W P` within one row: entry `k` of the solved row moves to column
+/// `perm[k]`, through `scratch` (length `n`).
+fn scatter_row(row: &mut [f64], perm: &[usize], scratch: &mut [f64]) {
     scratch.copy_from_slice(row);
-    for (k, &p) in perm.iter().enumerate() {
-        row[p] = scratch[k];
+    for (&v, &p) in scratch.iter().zip(perm) {
+        if let Some(x) = row.get_mut(p) {
+            *x = v;
+        }
     }
 }
 

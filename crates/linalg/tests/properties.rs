@@ -746,3 +746,172 @@ fn row_reversing_permutation_across_panels() {
     let recovered = xr.matmul(&a).unwrap();
     assert!(max_rel_diff(&recovered, &brow) < 1e-9);
 }
+
+// ---------------------------------------------------------------------------
+// Right division `X A = B`, bit for bit.  The production kernel advances four
+// output rows by four factor rows per pass; the reference below divides one row
+// at a time, one factor row per step, with the same exact-zero skips.  Both read
+// the same packed factors, recomputed here by the textbook unblocked elimination
+// (which the blocked LU reproduces bitwise), so any reordering of a single
+// multiply or subtraction in the tiled kernel shows up as a bit difference.
+// ---------------------------------------------------------------------------
+
+/// Textbook right-looking LU with partial pivoting (first strict maximum wins,
+/// zero multipliers skip their row update): the packed factors and the row
+/// permutation (`perm[i]` = original row of factor row `i`).
+fn unblocked_lu(a: &Matrix) -> (Vec<f64>, Vec<usize>) {
+    let n = a.rows();
+    let mut d = a.as_slice().to_vec();
+    let mut perm: Vec<usize> = (0..n).collect();
+    for k in 0..n {
+        let mut pivot_row = k;
+        let mut best = d[k * n + k].abs();
+        for i in k + 1..n {
+            if d[i * n + k].abs() > best {
+                best = d[i * n + k].abs();
+                pivot_row = i;
+            }
+        }
+        if pivot_row != k {
+            for j in 0..n {
+                d.swap(k * n + j, pivot_row * n + j);
+            }
+            perm.swap(k, pivot_row);
+        }
+        let pivot = d[k * n + k];
+        for i in k + 1..n {
+            let factor = d[i * n + k] / pivot;
+            d[i * n + k] = factor;
+            if factor != 0.0 {
+                for j in k + 1..n {
+                    d[i * n + j] -= factor * d[k * n + j];
+                }
+            }
+        }
+    }
+    (d, perm)
+}
+
+/// One row of `X A = B` by the scalar recurrence: `w U = b` forward one column at
+/// a time, `w L = w'` backward, then the column permutation.
+fn reference_right_divide(d: &[f64], perm: &[usize], row: &mut [f64]) {
+    let n = perm.len();
+    for j in 0..n {
+        let w = row[j] / d[j * n + j];
+        row[j] = w;
+        if w != 0.0 {
+            for c in j + 1..n {
+                row[c] -= w * d[j * n + c];
+            }
+        }
+    }
+    for j in (0..n).rev() {
+        let w = row[j];
+        if w != 0.0 {
+            for c in 0..j {
+                row[c] -= w * d[j * n + c];
+            }
+        }
+    }
+    let solved = row.to_vec();
+    for (k, &p) in perm.iter().enumerate() {
+        row[p] = solved[k];
+    }
+}
+
+/// A column-dominant `n × n` matrix with exact zeros off the diagonal (so the
+/// factors hold exact zeros too), its rows dealt out of order so partial pivoting
+/// must undo the shuffle at almost every step.
+fn pivoting_matrix_with_zeros(n: usize, seed: u64) -> Matrix {
+    let mut next = lcg(seed);
+    let m = Matrix::from_fn(n, n, |i, j| {
+        let v = next();
+        if i == j {
+            n as f64 + 1.0 + v
+        } else if (i * 5 + j * 3) % 7 == 0 {
+            0.0
+        } else {
+            v
+        }
+    });
+    // Row `i` of the result is row `(i·stride + 1) mod n` of `m`, with the stride
+    // coprime to `n`, so every row appears once.
+    let stride = (2..n.max(2)).find(|s| gcd(*s, n) == 1).unwrap_or(1);
+    Matrix::from_fn(n, n, |i, j| m[((i * stride + 1) % n, j)])
+}
+
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
+/// Right-hand sides with zeros in every pattern the tiled kernel distinguishes:
+/// whole zero rows, zero leading columns (the diagonal shape), isolated zeros
+/// and dense rows.  The row count is `n + 3`, so bands end in a ragged remainder.
+fn rhs_with_zeros(n: usize, seed: u64) -> Matrix {
+    let mut next = lcg(seed);
+    Matrix::from_fn(n + 3, n, |i, j| {
+        let v = next();
+        match i % 5 {
+            0 => v,
+            1 if i % 10 == 1 => 0.0,
+            2 if j < i.min(n) => 0.0,
+            3 if (i + j) % 3 == 0 => 0.0,
+            _ => v,
+        }
+    })
+}
+
+#[test]
+fn tiled_right_division_matches_the_row_reference_bitwise() {
+    for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 48, 49, 97] {
+        let a = pivoting_matrix_with_zeros(n, 31 + n as u64);
+        let lu = LuDecomposition::new(&a).unwrap();
+        let (d, perm) = unblocked_lu(&a);
+        assert_eq!(
+            matrix_bits(&lu.clone().into_matrix()),
+            d.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            "n = {n}: the blocked LU left the textbook elimination"
+        );
+        if n > 1 {
+            assert!(perm.iter().enumerate().any(|(i, &p)| i != p), "n = {n}: no pivoting");
+        }
+        assert!(n < 8 || d.contains(&0.0), "n = {n}: factors hold no exact zero");
+        let mut ws = Workspace::new();
+
+        // Dense right-hand side.
+        let b = rhs_with_zeros(n, 77 + n as u64);
+        let mut x = Matrix::zeros(b.rows(), n);
+        lu.solve_right_matrix_into(&b, &mut x, &mut ws).unwrap();
+        let mut expected = b.clone();
+        for row in expected.as_mut_slice().chunks_exact_mut(n) {
+            reference_right_divide(&d, &perm, row);
+        }
+        assert_eq!(matrix_bits(&x), matrix_bits(&expected), "n = {n}: dense right-hand side");
+
+        // Diagonal right-hand side, one entry an exact zero.
+        let mut next = lcg(5 + n as u64);
+        let diag: Vec<f64> = (0..n).map(|i| if i % 6 == 4 { 0.0 } else { next() }).collect();
+        let mut xd = Matrix::zeros(n, n);
+        lu.solve_right_diagonal_into_with(&diag, &mut xd, &mut ws, &ThreadPool::serial()).unwrap();
+        let mut expected = Matrix::from_diagonal(&diag);
+        for row in expected.as_mut_slice().chunks_exact_mut(n) {
+            reference_right_divide(&d, &perm, row);
+        }
+        assert_eq!(matrix_bits(&xd), matrix_bits(&expected), "n = {n}: diagonal right-hand side");
+
+        // Pooled bands run the same kernel per band: bitwise equal at every width.
+        for threads in [1, 2, 4] {
+            let pool = ThreadPool::new(threads);
+            let mut pooled = Matrix::zeros(b.rows(), n);
+            lu.solve_right_matrix_into_with(&b, &mut pooled, &mut ws, &pool).unwrap();
+            assert_eq!(matrix_bits(&pooled), matrix_bits(&x), "n = {n}, {threads} threads");
+            let mut pooled = Matrix::zeros(n, n);
+            lu.solve_right_diagonal_into_with(&diag, &mut pooled, &mut ws, &pool).unwrap();
+            assert_eq!(matrix_bits(&pooled), matrix_bits(&xd), "n = {n}, {threads} threads");
+        }
+    }
+}
