@@ -21,36 +21,29 @@
 //! off-diagonal part `A` is constant — only the diagonal
 //! `−K(z)ᵢᵢ = Dᴬᵢ + (1 − z)(Cᵢ − λ/z)` moves with `z`.  `η` is Neuts' caudal
 //! characteristic (*Matrix-Geometric Solutions in Stochastic Models*, 1981): `−K(z)` is
-//! a nonsingular M-matrix exactly on `η < z < 1`.  A Z-matrix is a nonsingular M-matrix
-//! iff every pivot of its *unpivoted* LU is positive (Berman & Plemmons, 1979), so
-//! [`BandedMatrix::m_matrix_lu`] is an exact predicate that brackets `η`, at
-//! `O(s·kl·ku)` per evaluation inside the band of `A`.  Just below `η` only the last
-//! pivot turns non-positive, so once both ends of the bracket carry a last pivot the
-//! search refines it by a safeguarded secant (Illinois regula falsi) on that pivot,
-//! falling back to bisection, until the bracket is a few ulps wide.
+//! a nonsingular M-matrix exactly on `η < z < 1`, which the pivots of one unpivoted
+//! banded LU decide.  [`CaudalFamily::dominant_root`] brackets `η` by that test from
+//! `(0, 1)` and closes the bracket by a safeguarded secant on the last pivot; the
+//! mode vector `u = e_sᵀ·L⁻¹` comes from the factors at the M-matrix end, and is
+//! non-negative by construction.
 //!
-//! The mode vector comes from the factors at the M-matrix end of the bracket:
-//! `u = e_sᵀ·L⁻¹` satisfies `u·(−K) = (0, …, 0, U_ss)` with `U_ss → 0`, and because
-//! `L⁻¹ ≥ 0` for an M-matrix factor it is non-negative by construction.
+//! The secant gains little at scale: on the paper lifecycle at ρ = 0.85 the search
+//! spends 27/47/42/49/51 factorisations at N = 4/8/12/16/20, against about
+//! `50 + log₂(1/η)` for bisection alone, so it is bisection-bound from N = 8 on.  Below
+//! `η` the last pivot is usable only above its pole at the largest root of the leading
+//! `s − 1` block, so the regula falsi rarely has a lower end.
+//!
+//! [`CaudalFamily::dominant_root`]: urs_linalg::CaudalFamily::dominant_root
 
 use std::sync::Arc;
 
-use urs_linalg::{BandedMatrix, MMatrixLu, Workspace, ZMatrixLu};
+use urs_linalg::LinalgError;
 
 use crate::cache::{qbd_matrices, SolverCache};
 use crate::config::SystemConfig;
 use crate::error::ModelError;
-use crate::qbd::QbdSkeleton;
 use crate::solution::{QueueSolution, QueueSolver};
 use crate::Result;
-
-/// Width, in units of `f64::EPSILON·η`, below which the root bracket has converged.
-const BRACKET_ULPS: f64 = 4.0;
-
-/// Most unpivoted factorisations one root search may spend.  Bisection alone
-/// narrows `(0, 1)` to a few ulps of `η` in about `50 + log₂(1/η)` steps; the
-/// secant usually needs about 20.
-const MAX_SEARCH_STEPS: usize = 128;
 
 /// The geometric approximation solver.
 ///
@@ -99,7 +92,13 @@ impl GeometricApproximation {
     pub fn solve_detailed(&self, config: &SystemConfig) -> Result<GeometricSolution> {
         config.ensure_stable()?;
         let qbd = qbd_matrices(self.cache.as_ref(), config)?;
-        let root = DominantRoot::search(qbd.skeleton(), config.arrival_rate())?;
+        let family = qbd.skeleton().caudal_family(config.arrival_rate())?;
+        let root = family.dominant_root().map_err(|e| match e {
+            LinalgError::NoConvergence { algorithm, iterations } => {
+                ModelError::NoConvergence { algorithm, iterations }
+            }
+            other => other.into(),
+        })?;
         let mut mode_distribution = root.vector;
         // The last entry is 1 and none is negative, so the sum is at least 1.
         let sum: f64 = mode_distribution.iter().sum();
@@ -112,157 +111,6 @@ impl GeometricApproximation {
             mode_distribution,
             search_steps: root.steps,
         })
-    }
-}
-
-/// The dominant root `η` of `det Q(z)` in `(0, 1)` with its (unnormalised, non-negative)
-/// left null vector, and the number of factorisations the search spent.
-struct DominantRoot {
-    eta: f64,
-    vector: Vec<f64>,
-    steps: usize,
-}
-
-/// The matrix family `−K(z)` of a skeleton at one arrival rate: the constant
-/// off-diagonal band `−A` and the diagonal `Dᴬ + (1 − z)(C − λ/z)`, rewritten per step.
-struct CaudalFamily<'a> {
-    minus_k: BandedMatrix,
-    da: &'a [f64],
-    c: &'a [f64],
-    lambda: f64,
-    ws: Workspace,
-    steps: usize,
-}
-
-impl<'a> CaudalFamily<'a> {
-    fn new(skeleton: &'a QbdSkeleton, lambda: f64) -> Self {
-        let (kl, ku) = skeleton.q1_bandwidths();
-        let a = skeleton.a();
-        let minus_k = BandedMatrix::from_fn(skeleton.order(), kl, ku, |i, j| {
-            if i == j {
-                0.0
-            } else {
-                -a.get(i, j).unwrap_or(0.0)
-            }
-        });
-        CaudalFamily {
-            minus_k,
-            da: skeleton.da(),
-            c: skeleton.c(),
-            lambda,
-            ws: Workspace::new(),
-            steps: 0,
-        }
-    }
-
-    /// The unpivoted elimination of `−K(z)`: factors when it is a nonsingular
-    /// M-matrix, the first non-positive pivot otherwise.
-    fn factor_at(&mut self, z: f64) -> Result<ZMatrixLu> {
-        self.steps += 1;
-        let lambda = self.lambda;
-        let diagonal = self.da.iter().zip(self.c).map(|(da, c)| da + (1.0 - z) * (c - lambda / z));
-        self.minus_k.set_diagonal(diagonal);
-        Ok(self.minus_k.m_matrix_lu(&mut self.ws)?)
-    }
-}
-
-/// One end of the root bracket: its abscissa, the secant variable there when known,
-/// and the Illinois weight halving a value the regula falsi keeps retaining.
-#[derive(Debug, Clone, Copy)]
-struct BracketEnd {
-    z: f64,
-    value: Option<f64>,
-    weight: f64,
-}
-
-impl BracketEnd {
-    fn new(z: f64, value: Option<f64>) -> Self {
-        BracketEnd { z, value, weight: 1.0 }
-    }
-
-    fn weighted(&self) -> Option<f64> {
-        self.value.map(|v| v * self.weight)
-    }
-}
-
-impl DominantRoot {
-    /// Brackets `η` between a point where `−K(z)` is not a nonsingular M-matrix (`lo`)
-    /// and one where it is (`hi`), starting from `(0, 1)` — see the module docs.
-    ///
-    /// The secant runs on the last pivot scaled by `z/(1 − z)`: that removes the
-    /// pivot's second zero at `z = 1` and its `1/z` pole, leaving a near-linear
-    /// function with a simple root at `η` (exactly `µz − λ` for a single mode).
-    fn search(skeleton: &QbdSkeleton, lambda: f64) -> Result<Self> {
-        let s = skeleton.order();
-        let mut family = CaudalFamily::new(skeleton, lambda);
-        let scaled = |z: f64, pivot: f64| pivot * z / (1.0 - z);
-        let mut lo = BracketEnd::new(0.0, None);
-        let mut hi = BracketEnd::new(1.0, None);
-        let mut hi_lu: Option<MMatrixLu> = None;
-        // The M-matrix point `hi` replaced, for a secant through two points above η
-        // while `lo` has no value yet.
-        let mut previous_hi: Option<(f64, f64)> = None;
-        let mut moved_hi_last: Option<bool> = None;
-        // Bracket widths before the last three steps: a secant that has not halved
-        // the bracket over three steps hands the next step to bisection.
-        let mut widths = [1.0_f64; 3];
-        loop {
-            let width = hi.z - lo.z;
-            let tolerance = BRACKET_ULPS * f64::EPSILON * hi.z;
-            if let Some(lu) = &hi_lu {
-                if width <= tolerance {
-                    let mut vector = vec![0.0; s];
-                    lu.last_row_of_l_inverse_into(&mut vector)?;
-                    return Ok(DominantRoot { eta: hi.z, vector, steps: family.steps });
-                }
-            }
-            if family.steps >= MAX_SEARCH_STEPS {
-                return Err(ModelError::NoConvergence {
-                    algorithm: "dominant-root bracket search",
-                    iterations: family.steps,
-                });
-            }
-            let [three_steps_ago, two_steps_ago, one_step_ago] = widths;
-            let stalled = width > 0.5 * three_steps_ago;
-            widths = [two_steps_ago, one_step_ago, width];
-            // Regula falsi across the bracket once both ends carry a value; until `lo`
-            // does, the secant through the last two M-matrix points (unweighted).
-            let secant = match (lo.weighted(), hi.weighted(), hi.value, previous_hi) {
-                _ if stalled => None,
-                (Some(f_lo), Some(f_hi), _, _) => Some(hi.z - f_hi * width / (f_hi - f_lo)),
-                (None, _, Some(f_hi), Some((z_prev, f_prev))) => {
-                    Some(hi.z - f_hi * (hi.z - z_prev) / (f_hi - f_prev))
-                }
-                _ => None,
-            };
-            // Every secant probe stays half a tolerance inside the bracket, so a
-            // secant converging from one side still closes the other.
-            let margin = 0.5 * tolerance;
-            let z = match secant {
-                Some(z) if z > lo.z && z < hi.z => z.max(lo.z + margin).min(hi.z - margin),
-                _ => lo.z + 0.5 * width,
-            };
-            match family.factor_at(z)? {
-                ZMatrixLu::MMatrix(lu) => {
-                    previous_hi = hi.value.map(|v| (hi.z, v));
-                    hi = BracketEnd::new(z, Some(scaled(z, lu.last_pivot())));
-                    if moved_hi_last == Some(true) {
-                        lo.weight *= 0.5;
-                    }
-                    moved_hi_last = Some(true);
-                    if let Some(old) = hi_lu.replace(lu) {
-                        old.recycle(&mut family.ws);
-                    }
-                }
-                ZMatrixLu::NonPositivePivot { index, value } => {
-                    lo = BracketEnd::new(z, (index + 1 == s).then(|| scaled(z, value)));
-                    if moved_hi_last == Some(false) {
-                        hi.weight *= 0.5;
-                    }
-                    moved_hi_last = Some(false);
-                }
-            }
-        }
     }
 }
 
@@ -439,7 +287,7 @@ mod tests {
         let first = GeometricApproximation::default().solve_detailed(&config).unwrap();
         let again = GeometricApproximation::default().solve_detailed(&config).unwrap();
         assert_eq!(first.search_steps(), again.search_steps());
-        assert!(first.search_steps() > 1 && first.search_steps() <= MAX_SEARCH_STEPS);
+        assert!(first.search_steps() > 1 && first.search_steps() <= 128);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   `engine_equivalence` suite).  Every exact answer — solves, sweeps, percentiles,
 //!   mix-search evaluations — comes from the
 //!   [`MatrixGeometricSolver`](crate::MatrixGeometricSolver), whose solves take
-//!   2.4–5.3× less time than the spectral expansion's companion QR;
+//!   2.4–3.2× less time than the spectral expansion with spectrum slicing;
 //!   the spectral expansion, the paper's own method, certifies it in the
 //!   `cross_solver_agreement` suite (mean queue length within 1e-10 relative);
 //! * [`QueryResult`] — deterministic result values serialisable to JSON via the

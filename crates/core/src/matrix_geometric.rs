@@ -6,10 +6,10 @@
 //! follow from the level-`0..N` balance equations.  The paper's reference [6]
 //! (Mitrani & Chakka 1995) compares the two methods.  Here the matrix-geometric solver
 //! is the exact path of the query [`Engine`](crate::Engine) — a whole solve takes
-//! 2.4–5.3× less time than one through the companion-matrix QR of the spectral
-//! expansion (paper lifecycle, `N = 4..20` at 80% load, one core of a shared 2-vCPU
-//! x86-64 host) — and the spectral expansion, the paper's own method, is its
-//! certifier.  The two obtain `R` independently — cyclic reduction here, `U⁻¹·Z·U`
+//! 2.4–3.2× less time than the spectral expansion with spectrum slicing (paper
+//! lifecycle, `N = 4..20` at 80% load, one core of a shared 2-vCPU x86-64 host;
+//! 2.4–5.3× against the companion-matrix QR that slicing replaced) — and the
+//! spectral expansion, the paper's own method, is its certifier.  The two obtain `R` independently — cyclic reduction here, `U⁻¹·Z·U`
 //! from the eigenpairs there — and then run the same boundary elimination over
 //! levels `0..N`, so they must agree to within numerical accuracy on every
 //! probability, which the integration tests verify.

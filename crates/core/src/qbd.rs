@@ -30,7 +30,7 @@
 
 use std::sync::Arc;
 
-use urs_linalg::{banded_profitable, BandedMatrix, Matrix};
+use urs_linalg::{banded_profitable, BandedMatrix, CaudalFamily, Matrix};
 
 use crate::cache::allocation_bytes;
 use crate::config::{ServerClass, ServerLifecycle, SystemConfig};
@@ -256,6 +256,19 @@ impl QbdSkeleton {
     /// `kl = ku = O(N)` against an order of `s = O(N²)`.
     pub fn q1_bandwidths(&self) -> (usize, usize) {
         self.q1_bandwidths
+    }
+
+    /// The spectrum-slicing family `−K(z) = −A + diag(Dᴬ + (1 − z)(C − λ/z))` of
+    /// the characteristic polynomial at arrival rate `lambda`, on the band of `A`
+    /// (see [`CaudalFamily`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::Linalg`] for a non-positive or non-finite `lambda`.
+    pub fn caudal_family(&self, lambda: f64) -> Result<CaudalFamily> {
+        let (kl, ku) = self.q1_bandwidths;
+        let a = BandedMatrix::from_fn(self.order(), kl, ku, |i, j| self.a.get(i, j).unwrap_or(0.0));
+        Ok(CaudalFamily::new(&a, &self.da, self.c(), &vec![lambda; self.order()])?)
     }
 
     /// The logarithms `ln w` of the weights `w = √π` that symmetrise the mode

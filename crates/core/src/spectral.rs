@@ -19,11 +19,12 @@
 //!
 //! Implementation notes:
 //!
-//! * the eigenvalues come from the companion linearisation in
-//!   [`urs_linalg::QuadraticEigenProblem`] (Francis QR under the hood).  Each
-//!   in-disk root is taken as real; one whose `|Im z|/|z|` exceeds
-//!   [`reality_tolerance`](SpectralOptions::reality_tolerance) is a
-//!   [`ModelError::SpectralFailure`];
+//! * the eigenvalues come from spectrum slicing of `−K(z) = −Q(z)/z`
+//!   ([`urs_linalg::CaudalFamily::roots_in_unit_interval`]): the negative pivots of
+//!   one unpivoted banded LU count the roots above a point, bisection on that count
+//!   isolates every root (each round's probes spread across the pool), and a secant
+//!   on `det(−K(z))` refines each isolated root to a bracket 4 ulps wide.  The roots
+//!   are real by construction; a family outside the hyperbolic class is an error;
 //! * the left eigenvectors come from real shifted inverse iteration on one banded
 //!   LU of `Q(z)ᵀ` per root ([`QuadraticEigenProblem::real_left_eigenvector`]);
 //! * the eigenpairs determine the rate matrix of the repeating levels,
@@ -53,24 +54,17 @@ use crate::Result;
 /// Options controlling the spectral-expansion solver.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpectralOptions {
-    /// Eigenvalues with `|z| < 1 − unit_disk_margin` are considered to lie inside the
-    /// unit disk.  The margin guards against the eigenvalue at 1 (which always exists
-    /// for the conservative generator) being misclassified due to rounding.
+    /// Every eigenvalue inside the unit disk must lie below `1 − unit_disk_margin`,
+    /// where the slicing count must be zero.  The margin keeps the search clear of
+    /// the eigenvalue at 1, which always exists for the conservative generator.
     pub unit_disk_margin: f64,
-    /// Maximum tolerated relative imaginary part `|Im z|/|z|` of an in-disk
-    /// eigenvalue before it counts as non-real.
-    pub reality_tolerance: f64,
     /// Maximum tolerated eigen-residual `‖u Q(z)‖∞` relative to the matrix scale.
     pub residual_tolerance: f64,
 }
 
 impl Default for SpectralOptions {
     fn default() -> Self {
-        SpectralOptions {
-            unit_disk_margin: 1e-9,
-            reality_tolerance: 1e-6,
-            residual_tolerance: 1e-6,
-        }
+        SpectralOptions { unit_disk_margin: 1e-9, residual_tolerance: 1e-6 }
     }
 }
 
@@ -122,8 +116,9 @@ impl SpectralExpansionSolver {
         self
     }
 
-    /// Runs the solver's internal kernels — eigenvector extraction, the LU of the
-    /// eigenvector matrix and the boundary block-tridiagonal elimination — on `pool`.
+    /// Runs the solver's internal kernels — the slicing probes and root refinements,
+    /// eigenvector extraction, the LU of the eigenvector matrix and the boundary
+    /// block-tridiagonal elimination — on `pool`.
     ///
     /// Every parallel path preserves the serial accumulation order, so the solution
     /// is bit-identical to the default serial solver at any thread count.
@@ -143,9 +138,10 @@ impl SpectralExpansionSolver {
     /// # Errors
     ///
     /// Returns [`ModelError::Unstable`] for non-ergodic configurations and
-    /// [`ModelError::SpectralFailure`] when the eigenvalue count or the residuals do
-    /// not meet expectations (typically for very large, ill-conditioned systems — the
-    /// situation the paper's geometric approximation is designed for).
+    /// [`ModelError::SpectralFailure`] when the residuals do not meet expectations
+    /// (typically for very large, ill-conditioned systems — the situation the
+    /// paper's geometric approximation is designed for), and [`ModelError::Linalg`]
+    /// when spectrum slicing does not find `s` roots below `1 − unit_disk_margin`.
     pub fn solve_detailed(&self, config: &SystemConfig) -> Result<SpectralSolution> {
         config.ensure_stable()?;
         self.solve_qbd(config, &qbd_matrices(self.cache.as_ref(), config)?)
@@ -155,32 +151,15 @@ impl SpectralExpansionSolver {
     fn solve_qbd(&self, config: &SystemConfig, qbd: &QbdMatrices) -> Result<SpectralSolution> {
         let s = qbd.order();
 
-        // 1. The (real) eigenvalues and left eigenvectors of Q(z) inside the unit disk.
+        // 1. The real eigenvalues of Q(z) inside the unit disk, ascending, by spectrum
+        // slicing, and their left eigenvectors.
+        let eigenvalues = qbd
+            .skeleton()
+            .caudal_family(qbd.arrival_rate())?
+            .roots_in_unit_interval(self.options.unit_disk_margin, &self.pool)?;
         let q1 = qbd.q1();
         let scale = q1.max_abs().max(1.0);
         let problem = urs_linalg::QuadraticEigenProblem::new(qbd.q0(), q1, qbd.q2())?;
-        let inside = problem.eigenvalues_inside_unit_disk(self.options.unit_disk_margin)?;
-        if inside.len() != s {
-            return Err(ModelError::SpectralFailure(format!(
-                "expected {s} eigenvalues strictly inside the unit disk, found {}",
-                inside.len()
-            )));
-        }
-        let mut max_imaginary_residue = 0.0_f64;
-        let mut eigenvalues = Vec::with_capacity(s);
-        for e in &inside {
-            let residue = e.z.im.abs() / e.z.abs();
-            if residue.is_nan() || residue > self.options.reality_tolerance {
-                return Err(ModelError::SpectralFailure(format!(
-                    "eigenvalue {} of a reversible mode chain is not real",
-                    e.z
-                )));
-            }
-            max_imaginary_residue = max_imaginary_residue.max(residue);
-            eigenvalues.push(e.z.re);
-        }
-        // Deterministic order: by modulus, then by value.
-        eigenvalues.sort_by(|a, b| a.abs().total_cmp(&b.abs()).then(a.total_cmp(b)));
         // Each eigenvector extraction is independent, so the sorted list fans out
         // across the pool.  `try_par_map` reports the smallest-indexed failure, which
         // is exactly the one a serial loop over the same sorted order would have hit
@@ -231,7 +210,7 @@ impl SpectralExpansionSolver {
                 SpectralTerm { z, weighted_vector, weighted_sum }
             })
             .collect();
-        SpectralSolution::assemble(config, qbd, levels, terms, max_imaginary_residue)
+        SpectralSolution::assemble(config, qbd, levels, terms)
     }
 }
 
@@ -277,7 +256,6 @@ pub struct SpectralSolution {
     boundary: Vec<Vec<f64>>,
     terms: Vec<SpectralTerm>,
     mean_queue_length: f64,
-    max_imaginary_residue: f64,
 }
 
 impl SpectralSolution {
@@ -288,7 +266,6 @@ impl SpectralSolution {
         qbd: &QbdMatrices,
         mut boundary: Vec<Vec<f64>>,
         mut terms: Vec<SpectralTerm>,
-        max_imaginary_residue: f64,
     ) -> Result<Self> {
         let s = qbd.order();
         let servers = qbd.servers();
@@ -335,7 +312,6 @@ impl SpectralSolution {
             boundary,
             terms,
             mean_queue_length,
-            max_imaginary_residue,
         })
     }
 
@@ -349,14 +325,6 @@ impl SpectralSolution {
     /// ergodic queue and governs the geometric tail decay.
     pub fn dominant_eigenvalue(&self) -> f64 {
         self.terms.last().map(|t| t.z).unwrap_or(0.0)
-    }
-
-    /// The largest relative imaginary part `|Im z|/|z|` the companion QR reported
-    /// among the in-disk eigenvalues before they were taken as real; a
-    /// solver-quality diagnostic, bounded by
-    /// [`reality_tolerance`](SpectralOptions::reality_tolerance).
-    pub fn max_imaginary_residue(&self) -> f64 {
-        self.max_imaginary_residue
     }
 
     /// Number of servers `N` of the solved configuration.
@@ -479,7 +447,6 @@ mod tests {
         let solution = solve(3, 2.0, ServerLifecycle::paper_fitted().unwrap());
         let violations = consistency_violations(&solution, 60, 1e-7);
         assert!(violations.is_empty(), "{violations:?}");
-        assert!(solution.max_imaginary_residue() < 1e-7);
         assert_eq!(solution.eigenvalues().len(), solution.mode_count());
         assert_eq!(solution.servers(), 3);
         assert_eq!(solution.boundary_levels().len(), 3);

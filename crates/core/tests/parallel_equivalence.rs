@@ -311,15 +311,18 @@ fn block_tridiagonal_solve_is_bit_identical_across_the_thread_matrix() {
 
 #[test]
 fn spectral_solver_is_bit_identical_across_the_thread_matrix() {
-    let config = paper_base(5, 4.2, 0.2);
-    let serial = SpectralExpansionSolver::default().solve_detailed(&config).unwrap();
-    for threads in THREAD_MATRIX {
-        let solver = SpectralExpansionSolver::default().with_pool(ThreadPool::new(threads));
-        let got = solver.solve_detailed(&config).unwrap();
-        assert_eq!(serial.mean_queue_length().to_bits(), got.mean_queue_length().to_bits());
-        assert_eq!(serial.boundary_levels(), got.boundary_levels());
-        assert_eq!(serial.eigenvalues(), got.eigenvalues());
-        assert_eq!(vec_bits(&serial.mode_marginal()), vec_bits(&got.mode_marginal()));
+    // At N = 12 (91 modes) spectrum slicing keeps dozens of isolation intervals and
+    // root refinements in flight at once across the pool.
+    for config in [paper_base(5, 4.2, 0.2), paper_base(12, 8.5, 0.2)] {
+        let serial = SpectralExpansionSolver::default().solve_detailed(&config).unwrap();
+        for threads in THREAD_MATRIX {
+            let solver = SpectralExpansionSolver::default().with_pool(ThreadPool::new(threads));
+            let got = solver.solve_detailed(&config).unwrap();
+            assert_eq!(serial.mean_queue_length().to_bits(), got.mean_queue_length().to_bits());
+            assert_eq!(serial.boundary_levels(), got.boundary_levels());
+            assert_eq!(serial.eigenvalues(), got.eigenvalues());
+            assert_eq!(vec_bits(&serial.mode_marginal()), vec_bits(&got.mode_marginal()));
+        }
     }
 }
 

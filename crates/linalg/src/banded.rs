@@ -355,13 +355,18 @@ impl BandedMatrix {
     /// The nonsingular M-matrix test for a Z-matrix (every off-diagonal entry
     /// `≤ 0`): an *unpivoted* LU, which succeeds with all pivots positive exactly
     /// when the matrix is a nonsingular M-matrix (Berman & Plemmons, *Nonnegative
-    /// Matrices in the Mathematical Sciences*, 1979, ch. 6).
+    /// Matrices in the Mathematical Sciences*, 1979, ch. 6).  The same elimination
+    /// also counts the negative pivots: for a matrix that a diagonal similarity makes
+    /// symmetric, that count is the number of negative eigenvalues (Sylvester's law
+    /// of inertia), which is what spectrum slicing reads.
     ///
     /// Without pivoting the factors stay inside the band — `L` has `kl`
     /// subdiagonals, `U` has `ku` superdiagonals — so the elimination costs
     /// `O(n·kl·ku)` and its working storage is one band-sized buffer from `ws`.
-    /// Elimination stops at the first pivot that is not positive; that buffer is
-    /// then returned to `ws` and the pivot's index and value are reported.
+    /// The elimination runs through negative pivots and stops early only at a zero
+    /// or non-finite pivot before the last, where the count is lost.  When some
+    /// pivot is not positive the buffer goes back to `ws` and the first such pivot
+    /// is reported with the [`Inertia`], if the elimination reached the end.
     /// Return the factors' storage with [`MMatrixLu::recycle`].
     ///
     /// # Errors
@@ -392,6 +397,7 @@ impl BandedMatrix {
         let mut data = ws.real_buffer(n * w);
         data.copy_from_slice(&self.data);
         let d = data.as_mut_slice();
+        let mut first_non_positive = None;
         // Right-looking elimination without interchanges: row k + t meets
         // column k at packed offset kl − t, and the pivot row's U-part spans
         // offsets kl + 1 ..= kl + ku of row k.
@@ -405,8 +411,13 @@ impl BandedMatrix {
             let pivot_row = &upper[k * w..];
             let pivot = pivot_row.get(kl).copied().unwrap_or(f64::NAN);
             if pivot.is_nan() || pivot <= 0.0 {
-                ws.release_real_buffer(data);
-                return Ok(ZMatrixLu::NonPositivePivot { index: k, value: pivot });
+                let (index, value) = *first_non_positive.get_or_insert((k, pivot));
+                // A non-finite pivot, or a zero one with rows left to divide by it,
+                // leaves nothing to count.
+                if !pivot.is_finite() || (bl > 0 && pivot >= 0.0) {
+                    ws.release_real_buffer(data);
+                    return Ok(ZMatrixLu::NonPositivePivot { index, value, inertia: None });
+                }
             }
             // urs-analyze: allow(slice_index, reason = "U-part of row k: offsets kl+1 ..= kl+u_extent with u_extent ≤ ku")
             let u_row = &pivot_row[kl + 1..kl + 1 + u_extent];
@@ -425,7 +436,15 @@ impl BandedMatrix {
             }
         }
         // urs-analyze: end(no_alloc)
-        Ok(ZMatrixLu::MMatrix(MMatrixLu { n, kl, w, data }))
+        let lu = MMatrixLu { n, kl, w, data };
+        match first_non_positive {
+            None => Ok(ZMatrixLu::MMatrix(lu)),
+            Some((index, value)) => {
+                let inertia = lu.inertia();
+                lu.recycle(ws);
+                Ok(ZMatrixLu::NonPositivePivot { index, value, inertia: Some(inertia) })
+            }
+        }
     }
 }
 
@@ -441,7 +460,41 @@ pub enum ZMatrixLu {
         index: usize,
         /// Its value.
         value: f64,
+        /// The signs of all the pivots, or `None` when a zero or non-finite pivot
+        /// before the last stopped the elimination.
+        inertia: Option<Inertia>,
     },
+}
+
+/// The pivots of an unpivoted elimination that ran to its end, summarised for
+/// spectrum slicing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Inertia {
+    /// How many pivots were negative.
+    pub negative: usize,
+    /// `ln |det|`, the sum of `ln |pivot|` over all pivots (`−∞` when the last
+    /// pivot is zero), kept as a logarithm because the determinant of a large
+    /// matrix over- or underflows.
+    pub log_abs_determinant: f64,
+    /// The largest sum `Σₖ |L[i, k]·U[k, i]|` of the updates a diagonal entry
+    /// received, relative to the largest diagonal entry of the matrix.  A tiny pivot
+    /// makes it huge, and the cancellation that follows can flip the sign of a later
+    /// pivot, so the count is only as good as `ε` times this growth allows.
+    pub growth: f64,
+}
+
+/// `ln Π|xᵢ|` without over- or underflow: the running product is folded into the
+/// logarithm whenever it leaves `[1e-150, 1e150]`.
+fn log_abs_product(values: impl Iterator<Item = f64>) -> f64 {
+    let (mut log, mut product) = (0.0, 1.0_f64);
+    for x in values {
+        product *= x.abs();
+        if !(1e-150..=1e150).contains(&product) {
+            log += product.ln();
+            product = 1.0;
+        }
+    }
+    log + product.ln()
 }
 
 /// The unpivoted factors `A = L·U` of a banded nonsingular M-matrix, `L` unit
@@ -466,6 +519,32 @@ impl MMatrixLu {
     /// M-matrix family approaches singularity.
     pub fn last_pivot(&self) -> f64 {
         self.data.get((self.n - 1) * self.w + self.kl).copied().unwrap_or(f64::NAN)
+    }
+
+    /// The [`Inertia`] of the pivots (none is negative for a nonsingular M-matrix).
+    pub(crate) fn inertia(&self) -> Inertia {
+        let (w, kl) = (self.w, self.kl);
+        let pivots = self.data.chunks_exact(w).filter_map(|row| row.get(kl));
+        // Row i's diagonal received the updates L[i, k]·U[k, i], k = i − t; U[k, i]
+        // sits at offset kl + t of row k.  Both sums and products are unchanged by
+        // a diagonal similarity.
+        let (mut updates, mut diagonal) = (0.0_f64, 0.0_f64);
+        for (i, row) in self.data.chunks_exact(w).enumerate() {
+            let (mut sum, mut signed) = (0.0, 0.0);
+            for t in 1..=kl.min(i) {
+                let l = row.get(kl - t).copied().unwrap_or(0.0);
+                let u = self.data.get((i - t) * w + kl + t).copied().unwrap_or(0.0);
+                sum += (l * u).abs();
+                signed += l * u;
+            }
+            updates = updates.max(sum);
+            diagonal = diagonal.max((row.get(kl).copied().unwrap_or(0.0) + signed).abs());
+        }
+        Inertia {
+            negative: pivots.clone().filter(|p| **p < 0.0).count(),
+            log_abs_determinant: log_abs_product(pivots.copied()),
+            growth: updates / diagonal,
+        }
     }
 
     /// Writes the row vector `u = e_{n−1}ᵀ·L⁻¹` into `out`, allocation-free.
@@ -739,6 +818,19 @@ impl BandedLu {
             det *= self.data[i * w + self.kl];
         }
         det
+    }
+
+    /// The determinant as `(sign, ln |det|)`, which neither over- nor underflows;
+    /// `(0, −∞)` for a singular matrix.
+    pub(crate) fn signed_log_determinant(&self) -> (f64, f64) {
+        if self.singular_at.is_some() {
+            return (0.0, f64::NEG_INFINITY);
+        }
+        let w = self.kl + self.bw + 1;
+        let pivots = || self.data.chunks_exact(w).filter_map(|row| row.get(self.kl)).copied();
+        let negative = pivots().filter(|p| *p < 0.0).count();
+        let sign = if negative % 2 == 0 { self.perm_sign } else { -self.perm_sign };
+        (sign, log_abs_product(pivots()))
     }
 
     fn ensure_regular(&self) -> Result<()> {
@@ -1099,11 +1191,13 @@ mod tests {
 
     /// `−K(z) = −(λI/z + Q1 + z·C)` of a small quasi-birth-death process: a
     /// tridiagonal mode-change generator `A` and per-mode service rates `C`.
-    /// Returns the band (off-diagonals `−A`, diagonal filled per `z`) and the
-    /// dominant root `η` of `det(λI + Q1·z + C·z²)` from the companion QR.  The
-    /// environment's mean service capacity is about 1.43, so `λ < 1.43` keeps the
-    /// queue stable and `η` inside `(0, 1)`.
-    fn qbd_family(lambda: f64) -> (BandedMatrix, Vec<f64>, Vec<f64>, f64) {
+    /// Returns the band (off-diagonals `−A`, diagonal filled per `z`), `Dᴬ`, `C`
+    /// and the in-disk roots of `det(λI + Q1·z + C·z²)` from spectrum slicing,
+    /// ascending, each certified independently: the dense pivoted determinant of
+    /// `Q(z)` changes sign across it and its dense null vector has a small
+    /// residual.  The environment's mean service capacity is about 1.43, so
+    /// `λ < 1.43` keeps the queue stable and the roots inside `(0, 1)`.
+    fn qbd_family(lambda: f64) -> (BandedMatrix, Vec<f64>, Vec<f64>, Vec<f64>) {
         use crate::quadratic::QuadraticEigenProblem;
         let n = 5;
         let a = BandedMatrix::from_fn(n, 1, 1, |i, j| {
@@ -1128,19 +1222,31 @@ mod tests {
                 }
             },
         );
+        let q = |z: f64| {
+            Matrix::from_fn(n, n, |i, j| {
+                q1[(i, j)] * z + if i == j { lambda + c[i] * z * z } else { 0.0 }
+            })
+        };
         let problem = QuadraticEigenProblem::new(
             Matrix::identity(n).scale(lambda),
-            q1,
+            q1.clone(),
             Matrix::from_diagonal(&c),
         )
         .unwrap();
-        let eta = problem
-            .eigenvalues_inside_unit_disk(1e-9)
-            .unwrap()
-            .iter()
-            .filter(|e| e.z.im.abs() < 1e-8 && e.z.re > 0.0)
-            .map(|e| e.z.re)
-            .fold(0.0, f64::max);
+        let roots: Vec<f64> =
+            problem.eigenvalues_inside_unit_disk(1e-9).unwrap().iter().map(|e| e.z.re).collect();
+        assert_eq!(roots.len(), n);
+        for &z in &roots {
+            let det = |z: f64| LuDecomposition::new_allow_singular(&q(z)).unwrap().determinant();
+            let (below, above) = (det(z * (1.0 - 1e-9)), det(z * (1.0 + 1e-9)));
+            assert!(below * above < 0.0, "no sign change across {z}: {below}, {above}");
+            let u = LuDecomposition::new_allow_singular(&q(z).transpose())
+                .unwrap()
+                .null_vector()
+                .unwrap();
+            let residual = q(z).transpose().matvec(&u).unwrap();
+            assert!(residual.iter().all(|r| r.abs() < 1e-9), "{z}: {residual:?}");
+        }
         let mut minus_k = BandedMatrix::zeros(n, 1, 1);
         for i in 0..n {
             for j in i.saturating_sub(1)..(i + 2).min(n) {
@@ -1149,30 +1255,35 @@ mod tests {
                 }
             }
         }
-        (minus_k, da, c, eta)
+        (minus_k, da, c, roots)
     }
 
     #[test]
     fn positive_pivots_bracket_the_dominant_root() {
         let lambda = 1.0;
-        let (mut minus_k, da, c, eta) = qbd_family(lambda);
+        let (mut minus_k, da, c, roots) = qbd_family(lambda);
+        let eta = roots.last().copied().unwrap();
         assert!(eta > 0.05 && eta < 0.999, "η = {eta}");
         let mut ws = Workspace::new();
         for step in 1..200 {
             let z = step as f64 / 200.0;
-            if (z - eta).abs() < 1e-9 {
+            if roots.iter().any(|r| (z - r).abs() < 1e-9) {
                 continue;
             }
             minus_k
                 .set_diagonal(da.iter().zip(&c).map(|(da, c)| da + (1.0 - z) * (c - lambda / z)));
+            // Sylvester: the negative pivots count the roots above z.
+            let above = roots.iter().filter(|r| **r > z).count();
             let positive = match minus_k.m_matrix_lu(&mut ws).unwrap() {
                 ZMatrixLu::MMatrix(lu) => {
                     assert!(lu.last_pivot() > 0.0);
+                    assert_eq!(lu.inertia().negative, 0);
                     lu.recycle(&mut ws);
                     true
                 }
-                ZMatrixLu::NonPositivePivot { value, .. } => {
+                ZMatrixLu::NonPositivePivot { value, inertia, .. } => {
                     assert!(value <= 0.0);
+                    assert_eq!(inertia.map(|i| i.negative), Some(above), "z = {z}");
                     false
                 }
             };
@@ -1185,8 +1296,8 @@ mod tests {
     #[test]
     fn last_row_of_l_inverse_is_a_non_negative_left_null_vector() {
         let lambda = 1.0;
-        let (mut minus_k, da, c, eta) = qbd_family(lambda);
-        let z = eta * (1.0 + 1e-12);
+        let (mut minus_k, da, c, roots) = qbd_family(lambda);
+        let z = roots.last().copied().unwrap() * (1.0 + 1e-12);
         minus_k.set_diagonal(da.iter().zip(&c).map(|(da, c)| da + (1.0 - z) * (c - lambda / z)));
         let ZMatrixLu::MMatrix(lu) = minus_k.m_matrix_lu(&mut Workspace::new()).unwrap() else {
             panic!("−K(z) must be an M-matrix just above η");
@@ -1224,12 +1335,46 @@ mod tests {
             _ => -1.0,
         });
         match singular.m_matrix_lu(&mut ws).unwrap() {
-            ZMatrixLu::NonPositivePivot { index, value } => {
+            ZMatrixLu::NonPositivePivot { index, value, inertia } => {
                 assert_eq!(index, 2);
                 assert!(value.abs() < 1e-15);
+                // The last pivot may be zero: the elimination still ran to its end.
+                assert_eq!(inertia.map(|i| i.negative), Some(0));
             }
             ZMatrixLu::MMatrix(_) => panic!("a singular matrix is not a nonsingular M-matrix"),
         }
+    }
+
+    #[test]
+    fn negative_pivots_are_counted_and_a_zero_pivot_stops_the_count() {
+        let mut ws = Workspace::new();
+        // diag(−1, 2, −3) plus a weak coupling: two negative pivots, |det| ≈ 6.
+        let a = BandedMatrix::from_fn(3, 1, 1, |i, j| match (i, j) {
+            (0, 0) => -1.0,
+            (1, 1) => 2.0,
+            (2, 2) => -3.0,
+            _ => -0.01,
+        });
+        let ZMatrixLu::NonPositivePivot { index, inertia: Some(inertia), .. } =
+            a.m_matrix_lu(&mut ws).unwrap()
+        else {
+            panic!("the elimination must run through negative pivots");
+        };
+        assert_eq!((index, inertia.negative), (0, 2));
+        let det = LuDecomposition::new(&a.to_dense()).unwrap().determinant();
+        assert!((inertia.log_abs_determinant - det.abs().ln()).abs() < 1e-14);
+        assert!(inertia.growth < 1e-3, "a weak coupling barely updates the diagonal");
+        // An exact zero pivot with rows still to eliminate leaves no count.
+        let mut zero = a.clone();
+        zero.set(0, 0, 0.0);
+        let ZMatrixLu::NonPositivePivot { index, value, inertia } =
+            zero.m_matrix_lu(&mut ws).unwrap()
+        else {
+            panic!("a zero pivot is not positive");
+        };
+        assert_eq!((index, value, inertia), (0, 0.0, None));
+        // Every buffer went back to the workspace.
+        assert_eq!(ws.pooled(), 1);
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //! * the Cholesky factorisation of symmetric positive-definite matrices with its
 //!   lower solve ([`Cholesky`]) and the one-triangle Gram product
 //!   ([`Matrix::gram_with`]), the kernels of the symmetric cyclic reduction,
-//! * eigenvalues of general real matrices via balancing, Householder Hessenberg
-//!   reduction and the Francis implicit double-shift QR iteration ([`eigenvalues`]),
-//!   and eigenpairs of real symmetric matrices by cyclic Jacobi ([`symmetric_eigen`]),
-//! * eigenvalues of quadratic matrix polynomials `Q0 + Q1 z + Q2 z^2` through
-//!   companion linearisation ([`QuadraticEigenProblem`]),
+//! * eigenpairs of real symmetric matrices by cyclic Jacobi ([`symmetric_eigen`]),
+//! * the roots of the characteristic quadratic `Q0 + Q1 z + Q2 z^2` of a
+//!   quasi-birth–death process in `(0, 1)` by spectrum slicing — one unpivoted banded
+//!   elimination counts the roots above a point, and each isolated root is refined
+//!   by a safeguarded secant ([`CaudalFamily`], [`QuadraticEigenProblem`]),
 //! * a real block-tridiagonal solver with diagonal couplings for the boundary
 //!   equations of quasi-birth-death processes ([`RealBlockTridiagonal`]),
 //! * packed band storage with banded matvec/gemm and banded LU
@@ -33,10 +33,9 @@
 //!
 //! Every kernel works in real arithmetic.  The queueing model's mode process is
 //! reversible, so its resolvents symmetrise and its characteristic roots are real;
-//! [`Complex`] survives only as the scalar type of eigenvalues, of Laplace-transform
-//! values and of the one non-real case of
-//! [`QuadraticEigenProblem::left_eigenvector`], which it solves through the real
-//! `2s × 2s` embedding `[[Re, −Im], [Im, Re]]`.
+//! [`Complex`] survives only as the scalar type of Laplace-transform values and of
+//! the roots [`QuadraticEigenProblem::eigenvalues_inside_unit_disk`] reports (with
+//! zero imaginary part).
 //!
 //! Everything is implemented from scratch on top of `std`; no external BLAS/LAPACK
 //! bindings are used, which keeps the workspace buildable in fully offline
@@ -59,20 +58,23 @@
 //! | [`Workspace`] | scratch-buffer pool so the `R`-matrix cyclic reduction and the boundary elimination allocate nothing per iteration |
 //! | [`ThreadPool`] + the `*_with` kernels | row-banded parallel gemm, trailing-update LU and right-solves; panels and pivoting stay serial, bands are disjoint, accumulation order is fixed — the pool changes wall time, never bits (pinned by the `parallel_equivalence` and `properties` suites) |
 //! | [`BandedMatrix`]/[`BandedLu`] | packed storage for the QBD generator bands (§3's `Q(z)` blocks have bandwidth `N + 1` inside `s = (N+1)(N+2)/2` modes); banded matvec/gemm/LU/solves bit-identical to dense on the same pattern, gated by [`banded_profitable`] |
+//! | [`CaudalFamily`] | spectrum slicing of `−K(z) = −Q(z)/z`: [`BandedMatrix::m_matrix_lu`] counts its negative pivots, which are the roots above `z`; the dominant root `η` of the §3.2 approximation by the M-matrix test, and all `s` roots of §3.1 by bisection on the count (rounds spread across the pool) and a per-root secant on `det(−K(z))` |
 //! | [`QuadraticEigenProblem::real_left_eigenvector`] | eigenvector extraction at a real root by shifted inverse iteration on one real banded LU of `Q(z)ᵀ` (dense null-vector fallback), replacing the `O(s⁴)` per-eigenvalue Gaussian null-space sweep |
 //! | [`RealBlockTridiagonal`] | the boundary elimination shared by both exact solvers once the repeating levels are summarised by a real rate matrix `R`; the couplings `B = λI` and `C_j` are packed diagonals, so each Schur update is an `O(s²)` column scaling; `solve` consumes the system and factorises each diagonal block in place, one LU per block row, so a solve holds one set of `K` blocks |
 //!
 //! # Example
 //!
 //! ```
-//! use urs_linalg::{Matrix, eigenvalues};
+//! use urs_linalg::{Matrix, QuadraticEigenProblem};
 //!
 //! # fn main() -> Result<(), urs_linalg::LinalgError> {
-//! // Companion matrix of z^2 - 3z + 2 = (z - 1)(z - 2).
-//! let m = Matrix::from_rows(&[&[0.0, 1.0][..], &[-2.0, 3.0][..]])?;
-//! let mut eig: Vec<f64> = eigenvalues(&m)?.into_iter().map(|z| z.re).collect();
-//! eig.sort_by(|a, b| a.partial_cmp(b).unwrap());
-//! assert!((eig[0] - 1.0).abs() < 1e-12 && (eig[1] - 2.0).abs() < 1e-12);
+//! // One mode with λ = 2, µ = 3 and no breakdowns: 2 − 5z + 3z² = (1 − z)(2 − 3z),
+//! // so the one root inside the unit disk is λ/µ.
+//! let scalar = |v: f64| Matrix::from_rows(&[&[v][..]]);
+//! let problem = QuadraticEigenProblem::new(scalar(2.0)?, scalar(-5.0)?, scalar(3.0)?)?;
+//! let inside = problem.eigenvalues_inside_unit_disk(1e-9)?;
+//! assert_eq!(inside.len(), 1);
+//! assert!((inside[0].z.re - 2.0 / 3.0).abs() < 1e-15 && inside[0].z.im == 0.0);
 //! # Ok(())
 //! # }
 //! ```
@@ -88,21 +90,23 @@ mod error;
 mod lu;
 mod matrix;
 mod quadratic;
+mod slicing;
 mod workspace;
 
 pub mod eigen;
 pub mod parallel;
 
-pub use banded::{BandedLu, BandedMatrix, MMatrixLu, ZMatrixLu};
+pub use banded::{BandedLu, BandedMatrix, Inertia, MMatrixLu, ZMatrixLu};
 pub use blocktri::RealBlockTridiagonal;
 pub use cholesky::Cholesky;
 pub use complex::Complex;
-pub use eigen::{eigenvalues, symmetric_eigen, EigenOptions, SymmetricEigen};
+pub use eigen::{symmetric_eigen, SymmetricEigen};
 pub use error::LinalgError;
 pub use lu::LuDecomposition;
 pub use matrix::Matrix;
 pub use parallel::{ThreadPool, WorkerPanic};
 pub use quadratic::{QuadraticEigenProblem, QuadraticEigenvalue};
+pub use slicing::{CaudalFamily, DominantRoot};
 pub use workspace::Workspace;
 
 /// Convenience result alias used throughout the crate.

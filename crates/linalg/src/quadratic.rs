@@ -1,30 +1,30 @@
-//! Eigenvalues and eigenvectors of quadratic matrix polynomials.
+//! Eigenvalues and eigenvectors of the characteristic quadratic of a QBD.
 //!
-//! The spectral-expansion method for Markov-modulated queues needs the *generalized
-//! eigenvalues* `z` and left eigenvectors `u` of the characteristic matrix polynomial
+//! The spectral-expansion method for Markov-modulated queues needs the roots `z` of
+//! `det Q(z)` inside the unit disk and their left eigenvectors `u` for the
+//! characteristic matrix polynomial
 //!
 //! ```text
 //! Q(z) = Q0 + Q1 z + Q2 z²,        u Q(z) = 0,   det Q(z) = 0.
 //! ```
 //!
-//! This module linearises the quadratic problem to an ordinary eigenvalue problem of a
-//! real companion matrix of twice the size and feeds it to the Francis QR solver in
-//! [`crate::eigen`].  Because the leading or trailing coefficient may be singular (in
-//! queueing applications `Q2` has zero rows for environment states with no operative
-//! server), the linearisation is performed on whichever end of the polynomial is
-//! invertible:
-//!
-//! * `Q2` invertible → companion matrix of the monic polynomial in `z`,
-//! * otherwise `Q0` invertible → companion matrix of the *reversed* polynomial in
-//!   `ζ = 1/z`; eigenvalues `ζ = 0` correspond to infinite `z` and are discarded.
+//! For a quasi-birth–death process `Q0` and `Q2` are diagonal and `Q1` is
+//! non-negative off its diagonal.  When the mode chain is reversible the problem is
+//! hyperbolic: every root is real and exactly `s` lie in `(0, 1)`.  The roots come
+//! from spectrum slicing of the family `−K(z) = −Q(z)/z` ([`CaudalFamily`]): one
+//! unpivoted banded elimination per probe counts the roots above the probe, and
+//! each isolated root is refined by a safeguarded secant.  A problem outside that
+//! class is an error, not a silently wrong answer.  Each left eigenvector then
+//! comes from shifted inverse iteration on one banded LU of `Q(z)ᵀ`.
 
 use crate::banded::{BandedLu, BandedMatrix};
 use crate::banded_profitable;
 use crate::complex::Complex;
-use crate::eigen::{eigenvalues_with, EigenOptions};
 use crate::error::LinalgError;
 use crate::lu::LuDecomposition;
 use crate::matrix::Matrix;
+use crate::parallel::ThreadPool;
+use crate::slicing::CaudalFamily;
 use crate::Result;
 
 /// Maximum number of shifted inverse-iteration refinements before falling back
@@ -36,10 +36,10 @@ const INVERSE_ITERATION_MAX: usize = 4;
 /// `PIVOT_EPS`).
 const BANDED_PIVOT_EPS: f64 = 1e-300;
 
-/// A single finite eigenvalue of a quadratic matrix polynomial.
+/// A single root of the characteristic polynomial, `det Q(z) = 0`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuadraticEigenvalue {
-    /// The eigenvalue `z` with `det Q(z) = 0`.
+    /// The eigenvalue `z`; real (`Im z = 0`) for every root this module reports.
     pub z: Complex,
 }
 
@@ -51,14 +51,14 @@ pub struct QuadraticEigenvalue {
 /// use urs_linalg::{Matrix, QuadraticEigenProblem};
 ///
 /// # fn main() -> Result<(), urs_linalg::LinalgError> {
-/// // Scalar case: 2 - 3z + z² = (z - 1)(z - 2).
-/// let q0 = Matrix::from_rows(&[&[2.0][..]])?;
-/// let q1 = Matrix::from_rows(&[&[-3.0][..]])?;
-/// let q2 = Matrix::from_rows(&[&[1.0][..]])?;
-/// let problem = QuadraticEigenProblem::new(q0, q1, q2)?;
-/// let mut roots: Vec<f64> = problem.finite_eigenvalues()?.iter().map(|e| e.z.re).collect();
-/// roots.sort_by(|a, b| a.partial_cmp(b).unwrap());
-/// assert!((roots[0] - 1.0).abs() < 1e-10 && (roots[1] - 2.0).abs() < 1e-10);
+/// // Two decoupled modes: 1 − 2.5z + z² = (z − 0.5)(z − 2) and
+/// // 1 − 10.1z + z² = (z − 0.1)(z − 10).
+/// let q0 = Matrix::from_diagonal(&[1.0, 1.0]);
+/// let q1 = Matrix::from_diagonal(&[-2.5, -10.1]);
+/// let problem = QuadraticEigenProblem::new(q0, q1, Matrix::identity(2))?;
+/// let roots: Vec<f64> =
+///     problem.eigenvalues_inside_unit_disk(1e-9)?.iter().map(|e| e.z.re).collect();
+/// assert!((roots[0] - 0.1).abs() < 1e-14 && (roots[1] - 0.5).abs() < 1e-14);
 /// # Ok(())
 /// # }
 /// ```
@@ -67,7 +67,6 @@ pub struct QuadraticEigenProblem {
     q0: Matrix,
     q1: Matrix,
     q2: Matrix,
-    options: EigenOptions,
     /// Union lower/upper bandwidth of the three coefficients: `Q(z)` has the
     /// same nonzero pattern for every `z`, so the banded extraction path can be
     /// chosen once at construction time.
@@ -101,13 +100,7 @@ impl QuadraticEigenProblem {
             kl = kl.max(l);
             ku = ku.max(u);
         }
-        Ok(QuadraticEigenProblem { q0, q1, q2, options: EigenOptions::default(), kl, ku })
-    }
-
-    /// Overrides the eigenvalue-iteration options.
-    pub fn with_options(mut self, options: EigenOptions) -> Self {
-        self.options = options;
-        self
+        Ok(QuadraticEigenProblem { q0, q1, q2, kl, ku })
     }
 
     /// Order `s` of the coefficient matrices.
@@ -115,57 +108,48 @@ impl QuadraticEigenProblem {
         self.q0.rows()
     }
 
-    /// Computes every *finite* eigenvalue of the polynomial.
-    ///
-    /// The number of finite eigenvalues is `2s` minus the degree deficiency caused by a
-    /// singular leading coefficient.
+    /// The slicing family `−K(z) = −Q(z)/z` of the problem: `A` is the off-diagonal
+    /// part of `Q1`, `c` and `λ` the diagonals of `Q2` and `Q0`, and
+    /// `Dᴬ = −diag(Q1) − c − λ`.
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::Singular`] when both `Q0` and `Q2` are singular (the
-    /// companion linearisation then does not exist in this simple form), or any error
-    /// from the underlying QR iteration.
-    pub fn finite_eigenvalues(&self) -> Result<Vec<QuadraticEigenvalue>> {
-        let s = self.order();
-        // Prefer the reversed linearisation on Q0 (always non-singular for the queueing
-        // application, where Q0 = λI); fall back to the direct one on Q2.  The two
-        // multi-right-hand-side solves land directly in the companion matrix's lower
-        // blocks — no intermediate `A0`/`A1` allocations.
-        let mut a0 = Matrix::zeros(s, s);
-        let mut a1 = Matrix::zeros(s, s);
-        if let Ok(q0_lu) = self.q0.lu() {
-            q0_lu.solve_matrix_into(&self.q2, &mut a0)?; // Q0^{-1} Q2
-            q0_lu.solve_matrix_into(&self.q1, &mut a1)?; // Q0^{-1} Q1
-            let companion = build_companion(&a0, &a1);
-            let zetas = eigenvalues_with(&companion, self.options)?;
-            // ζ = 1/z; ζ = 0 corresponds to an infinite eigenvalue.
-            let cutoff = zeta_zero_cutoff(&a0, &a1);
-            Ok(zetas
-                .into_iter()
-                .filter(|zeta| zeta.abs() > cutoff)
-                .map(|zeta| QuadraticEigenvalue { z: Complex::ONE / zeta })
-                .collect())
-        } else if let Ok(q2_lu) = self.q2.lu() {
-            q2_lu.solve_matrix_into(&self.q0, &mut a0)?; // Q2^{-1} Q0
-            q2_lu.solve_matrix_into(&self.q1, &mut a1)?; // Q2^{-1} Q1
-            let companion = build_companion(&a0, &a1);
-            let zs = eigenvalues_with(&companion, self.options)?;
-            Ok(zs.into_iter().map(|z| QuadraticEigenvalue { z }).collect())
-        } else {
-            Err(LinalgError::Singular { pivot: s })
+    /// Returns [`LinalgError::InvalidInput`] unless `Q0` and `Q2` are diagonal and
+    /// `Q0`'s diagonal is positive.  A `Q1` that is negative off its diagonal is
+    /// reported by the first elimination of the family.
+    pub fn caudal_family(&self) -> Result<CaudalFamily> {
+        if BandedMatrix::bandwidths_of(&self.q0) != (0, 0)
+            || BandedMatrix::bandwidths_of(&self.q2) != (0, 0)
+        {
+            return Err(LinalgError::InvalidInput("Q0 and Q2 must be diagonal".into()));
         }
+        let diagonal = |m: &Matrix| (0..m.rows()).map(|i| m.get(i, i).unwrap_or(0.0)).collect();
+        let (lambda, c, q1): (Vec<f64>, Vec<f64>, Vec<f64>) =
+            (diagonal(&self.q0), diagonal(&self.q2), diagonal(&self.q1));
+        let da: Vec<f64> = q1.iter().zip(&c).zip(&lambda).map(|((q, c), l)| -q - c - l).collect();
+        let a = BandedMatrix::from_fn(self.order(), self.kl, self.ku, |i, j| {
+            if i == j {
+                0.0
+            } else {
+                self.q1.get(i, j).unwrap_or(0.0)
+            }
+        });
+        CaudalFamily::new(&a, &da, &c, &lambda)
     }
 
-    /// Computes the eigenvalues strictly inside the unit disk, `|z| < 1 - tol`.
-    ///
-    /// For an ergodic Markov-modulated queue the spectral-expansion theory guarantees
-    /// exactly `s` such eigenvalues.
+    /// The `s` roots strictly inside the unit disk, `|z| < 1 − tol`, in ascending
+    /// order, by spectrum slicing ([`CaudalFamily::roots_in_unit_interval`] on a
+    /// serial pool).  Each comes back as a [`Complex`] with zero imaginary part.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`finite_eigenvalues`](Self::finite_eigenvalues).
+    /// The errors of [`caudal_family`](Self::caudal_family) and of
+    /// [`CaudalFamily::roots_in_unit_interval`]: in particular a problem outside
+    /// the hyperbolic class, or one with a root within `tol` of the unit circle, is
+    /// an error.
     pub fn eigenvalues_inside_unit_disk(&self, tol: f64) -> Result<Vec<QuadraticEigenvalue>> {
-        Ok(self.finite_eigenvalues()?.into_iter().filter(|e| e.z.abs() < 1.0 - tol).collect())
+        let roots = self.caudal_family()?.roots_in_unit_interval(tol, &ThreadPool::serial())?;
+        Ok(roots.into_iter().map(|z| QuadraticEigenvalue { z: Complex::from_real(z) }).collect())
     }
 
     /// Union `(kl, ku)` bandwidth of the three coefficient matrices — the nonzero
@@ -278,80 +262,23 @@ impl QuadraticEigenProblem {
         LuDecomposition::new_allow_singular(&self.evaluate_transposed(z))?.null_vector()
     }
 
-    /// Left null vector `u` of `Q(z)` at any eigenvalue: `u Q(z) ≈ 0`, normalised
-    /// to unit maximum modulus.
-    ///
-    /// A real `z` takes the [`real_left_eigenvector`](Self::real_left_eigenvector)
-    /// path.  A non-real `z = a + ib` is handled in real arithmetic too: the complex
-    /// system `Q(z)ᵀ·(x + iy) = 0` is the real `2s × 2s` system
-    /// `[[Re, −Im], [Im, Re]]·[x; y] = 0`, whose dense null vector gives `u = x + iy`.
+    /// [`real_left_eigenvector`](Self::real_left_eigenvector) at a root given as a
+    /// [`Complex`] with zero imaginary part, as
+    /// [`eigenvalues_inside_unit_disk`](Self::eigenvalues_inside_unit_disk) reports
+    /// it.
     ///
     /// # Errors
     ///
-    /// As [`real_left_eigenvector`](Self::real_left_eigenvector).
+    /// Returns [`LinalgError::InvalidInput`] for a non-real `z`, otherwise as
+    /// [`real_left_eigenvector`](Self::real_left_eigenvector).
     pub fn left_eigenvector(&self, z: Complex) -> Result<Vec<Complex>> {
-        if z.im.abs() <= 0.0 {
-            return Ok(self
-                .real_left_eigenvector(z.re)?
-                .into_iter()
-                .map(Complex::from_real)
-                .collect());
+        if z.im.abs() > 0.0 || z.im.is_nan() {
+            return Err(LinalgError::InvalidInput(format!("eigenvalue {z} is not real")));
         }
-        let s = self.order();
-        // Q(z)ᵀ = (Q0 + z·Q1 + z²·Q2)ᵀ split into real and imaginary parts.
-        let z2 = z * z;
-        let embedding = Matrix::from_fn(2 * s, 2 * s, |i, j| {
-            let entry = |m: &Matrix| m.get(j % s, i % s).unwrap_or(0.0);
-            let re = entry(&self.q0) + z.re * entry(&self.q1) + z2.re * entry(&self.q2);
-            let im = z.im * entry(&self.q1) + z2.im * entry(&self.q2);
-            match (i < s, j < s) {
-                (true, false) => -im,
-                (false, true) => im,
-                _ => re,
-            }
-        });
-        let xy = LuDecomposition::new_allow_singular(&embedding)?.null_vector()?;
-        let (x, y) = xy.split_at(s);
-        let mut u: Vec<Complex> = x.iter().zip(y).map(|(&re, &im)| Complex::new(re, im)).collect();
-        let max = u.iter().fold(0.0_f64, |m, c| m.max(c.abs()));
-        for c in &mut u {
-            *c = *c / max;
-        }
-        Ok(u)
+        Ok(self.real_left_eigenvector(z.re)?.into_iter().map(Complex::from_real).collect())
     }
 
-    /// Residual `‖u Q(z)‖_∞` for a candidate eigenpair; small values confirm
-    /// accuracy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `u` has the wrong length.
-    pub fn residual(&self, z: Complex, u: &[Complex]) -> Result<f64> {
-        let s = self.order();
-        if u.len() != s {
-            return Err(LinalgError::DimensionMismatch {
-                operation: "quadratic eigenpair residual",
-                left: (1, u.len()),
-                right: (s, s),
-            });
-        }
-        let z2 = z * z;
-        let mut out = vec![Complex::ZERO; s];
-        let rows = self
-            .q0
-            .as_slice()
-            .chunks_exact(s)
-            .zip(self.q1.as_slice().chunks_exact(s))
-            .zip(self.q2.as_slice().chunks_exact(s));
-        for (((r0, r1), r2), &ui) in rows.zip(u) {
-            for (o, ((&c0, &c1), &c2)) in out.iter_mut().zip(r0.iter().zip(r1).zip(r2)) {
-                *o += ui * (Complex::from_real(c0) + z * c1 + z2 * c2);
-            }
-        }
-        Ok(out.iter().fold(0.0_f64, |m, c| m.max(c.abs())))
-    }
-
-    /// [`residual`](Self::residual) of a real eigenpair.
+    /// Residual `‖u Q(z)‖_∞` of a real eigenpair; small values confirm accuracy.
     ///
     /// # Errors
     ///
@@ -364,30 +291,6 @@ impl QuadraticEigenProblem {
     }
 }
 
-/// Builds the block companion matrix `[[0, I], [-A0, -A1]]`.
-fn build_companion(a0: &Matrix, a1: &Matrix) -> Matrix {
-    let s = a0.rows();
-    let mut c = Matrix::zeros(2 * s, 2 * s);
-    for i in 0..s {
-        // urs-analyze: allow(slice_index, reason = "companion embedding writes within the 2s x 2s matrix")
-        c[(i, s + i)] = 1.0;
-    }
-    for i in 0..s {
-        for j in 0..s {
-            c[(s + i, j)] = -a0[(i, j)];
-            c[(s + i, s + j)] = -a1[(i, j)];
-        }
-    }
-    c
-}
-
-/// Threshold below which a companion eigenvalue ζ is treated as exactly zero
-/// (i.e. the corresponding eigenvalue of the original polynomial is infinite).
-fn zeta_zero_cutoff(a0: &Matrix, a1: &Matrix) -> f64 {
-    let scale = a0.max_abs().max(a1.max_abs()).max(1.0);
-    1e-9 / scale.max(1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,81 +299,131 @@ mod tests {
         Matrix::from_rows(&[&[v][..]]).unwrap()
     }
 
+    fn roots(p: &QuadraticEigenProblem) -> Vec<f64> {
+        p.eigenvalues_inside_unit_disk(1e-9).unwrap().iter().map(|e| e.z.re).collect()
+    }
+
+    /// The dense pivoted determinant of `Q(z)` changes sign across every root, and
+    /// its dense null vector has a small residual: a certificate that shares no
+    /// code with spectrum slicing.
+    fn assert_certified(p: &QuadraticEigenProblem, roots: &[f64]) {
+        for &z in roots {
+            let det = |z: f64| {
+                LuDecomposition::new_allow_singular(&p.evaluate_transposed(z))
+                    .unwrap()
+                    .determinant()
+            };
+            let (below, above) = (det(z * (1.0 - 1e-9)), det(z * (1.0 + 1e-9)));
+            assert!(below * above < 0.0, "no sign change across {z}: {below}, {above}");
+            let u = LuDecomposition::new_allow_singular(&p.evaluate_transposed(z))
+                .unwrap()
+                .null_vector()
+                .unwrap();
+            assert!(p.real_residual(z, &u).unwrap() < 1e-9, "residual at {z}");
+        }
+    }
+
     #[test]
     fn scalar_quadratic_roots() {
-        // 6 - 5z + z² = (z - 2)(z - 3)
-        let p = QuadraticEigenProblem::new(scalar(6.0), scalar(-5.0), scalar(1.0)).unwrap();
-        let mut roots: Vec<f64> = p.finite_eigenvalues().unwrap().iter().map(|e| e.z.re).collect();
-        roots.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert!((roots[0] - 2.0).abs() < 1e-9);
-        assert!((roots[1] - 3.0).abs() < 1e-9);
+        // 1 − 2.5z + z² = (z − 0.5)(z − 2): the one root inside the unit disk.
+        let p = QuadraticEigenProblem::new(scalar(1.0), scalar(-2.5), scalar(1.0)).unwrap();
+        let roots = roots(&p);
+        assert_eq!(roots.len(), 1);
+        assert!((roots[0] - 0.5).abs() < 1e-15);
+        assert_certified(&p, &roots);
     }
 
     #[test]
     fn scalar_with_zero_leading_coefficient_has_one_finite_root() {
-        // 2 - 4z + 0·z²: single finite root z = 0.5 (the other escapes to infinity).
+        // 2 − 4z + 0·z²: single finite root z = 0.5 (the other escapes to infinity).
         let p = QuadraticEigenProblem::new(scalar(2.0), scalar(-4.0), scalar(0.0)).unwrap();
-        let eig = p.finite_eigenvalues().unwrap();
-        assert_eq!(eig.len(), 1);
-        assert!((eig[0].z - Complex::from_real(0.5)).abs() < 1e-9);
+        let roots = roots(&p);
+        assert_eq!(roots.len(), 1);
+        assert!((roots[0] - 0.5).abs() < 1e-15);
     }
 
     #[test]
     fn diagonal_system_decouples() {
         // Two decoupled scalar quadratics:
-        //   (z-1)(z-4) = 4 - 5z + z²  and  (z-0.5)(z-2) = 1 - 2.5z + z²
-        let q0 = Matrix::from_diagonal(&[4.0, 1.0]);
-        let q1 = Matrix::from_diagonal(&[-5.0, -2.5]);
+        //   (z − 0.25)(z − 4) = 1 − 4.25z + z²  and  (z − 0.5)(z − 2) = 1 − 2.5z + z²
+        let q0 = Matrix::from_diagonal(&[1.0, 1.0]);
+        let q1 = Matrix::from_diagonal(&[-4.25, -2.5]);
         let q2 = Matrix::identity(2);
         let p = QuadraticEigenProblem::new(q0, q1, q2).unwrap();
-        let mut roots: Vec<f64> = p.finite_eigenvalues().unwrap().iter().map(|e| e.z.re).collect();
-        roots.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let expected = [0.5, 1.0, 2.0, 4.0];
-        for (r, e) in roots.iter().zip(expected) {
-            assert!((r - e).abs() < 1e-8, "roots {roots:?}");
+        let roots = roots(&p);
+        for (r, e) in roots.iter().zip([0.25, 0.5]) {
+            assert!((r - e).abs() < 1e-15, "roots {roots:?}");
         }
+        assert_certified(&p, &roots);
+    }
+
+    /// A coupled two-mode problem in the class: diagonal `Q0`/`Q2`, `Q1`
+    /// non-negative off its diagonal with rows that are stable at `z = 1`.
+    fn coupled_pair() -> QuadraticEigenProblem {
+        let q0 = Matrix::from_diagonal(&[1.5, 2.0]);
+        let q1 = Matrix::from_rows(&[&[-5.0, 0.5][..], &[0.3, -6.0][..]]).unwrap();
+        let q2 = Matrix::from_diagonal(&[3.0, 3.5]);
+        QuadraticEigenProblem::new(q0, q1, q2).unwrap()
     }
 
     #[test]
     fn eigenvalues_verify_against_eigenpair_residuals() {
-        let q0 = Matrix::from_rows(&[&[1.5, 0.2][..], &[0.1, 2.0][..]]).unwrap();
-        let q1 = Matrix::from_rows(&[&[-3.0, 0.5][..], &[0.3, -4.0][..]]).unwrap();
-        let q2 = Matrix::from_rows(&[&[1.0, 0.1][..], &[0.0, 1.0][..]]).unwrap();
-        let p = QuadraticEigenProblem::new(q0, q1, q2).unwrap();
-        let eig = p.finite_eigenvalues().unwrap();
-        assert_eq!(eig.len(), 4);
-        for e in &eig {
-            let u = p.left_eigenvector(e.z).unwrap();
-            let residual = p.residual(e.z, &u).unwrap();
-            assert!(residual < 1e-9, "‖u Q({})‖ = {residual}", e.z);
+        let p = coupled_pair();
+        let roots = roots(&p);
+        assert_eq!(roots.len(), 2);
+        assert!(roots.iter().all(|z| *z > 0.0 && *z < 1.0));
+        assert_certified(&p, &roots);
+        for &z in &roots {
+            let u = p.real_left_eigenvector(z).unwrap();
+            let residual = p.real_residual(z, &u).unwrap();
+            assert!(residual < 1e-9, "‖u Q({z})‖ = {residual}");
         }
     }
 
     #[test]
-    fn complex_eigenvalues_use_the_real_embedding() {
-        // Q(z) = z²·I + R with R a rotation by 90°: roots z² = ±i, all non-real.
+    fn non_real_points_and_problems_outside_the_class_are_errors() {
+        let p = coupled_pair();
+        assert!(matches!(
+            p.left_eigenvector(Complex::new(0.5, 0.1)),
+            Err(LinalgError::InvalidInput(_))
+        ));
+        // Q(z) = z²·I + R with R a rotation by 90°: no real roots, and Q0 is not diagonal.
         let q0 = Matrix::from_rows(&[&[0.0, -1.0][..], &[1.0, 0.0][..]]).unwrap();
-        let p = QuadraticEigenProblem::new(q0, Matrix::zeros(2, 2), Matrix::identity(2)).unwrap();
-        let eig = p.finite_eigenvalues().unwrap();
-        assert_eq!(eig.len(), 4);
-        for e in &eig {
-            assert!(e.z.im.abs() > 0.1, "non-real root expected, got {}", e.z);
-            let u = p.left_eigenvector(e.z).unwrap();
-            let max = u.iter().fold(0.0_f64, |m, c| m.max(c.abs()));
-            assert!((max - 1.0).abs() < 1e-12, "max modulus {max}");
-            assert!(p.residual(e.z, &u).unwrap() < 1e-9);
-        }
+        let rotation =
+            QuadraticEigenProblem::new(q0, Matrix::zeros(2, 2), Matrix::identity(2)).unwrap();
+        assert!(matches!(
+            rotation.eigenvalues_inside_unit_disk(1e-9),
+            Err(LinalgError::InvalidInput(_))
+        ));
+        // (z − 1.5)(z − 2): no root inside the unit disk, so the count just above 0
+        // is short of s.
+        let outside = QuadraticEigenProblem::new(scalar(3.0), scalar(-3.5), scalar(1.0)).unwrap();
+        assert!(matches!(
+            outside.eigenvalues_inside_unit_disk(1e-9),
+            Err(LinalgError::InvalidInput(_))
+        ));
+        // A negative off-diagonal rate in Q1 is not a Z-matrix family.
+        let q1 = Matrix::from_rows(&[&[-5.0, -0.5][..], &[0.3, -6.0][..]]).unwrap();
+        let negative = QuadraticEigenProblem::new(
+            Matrix::from_diagonal(&[1.5, 2.0]),
+            q1,
+            Matrix::from_diagonal(&[3.0, 3.5]),
+        )
+        .unwrap();
+        assert!(matches!(
+            negative.eigenvalues_inside_unit_disk(1e-9),
+            Err(LinalgError::InvalidInput(_))
+        ));
+        assert!(p.eigenvalues_inside_unit_disk(0.0).is_err());
     }
 
     #[test]
     fn left_eigenvector_has_small_residual() {
-        let q0 = Matrix::from_rows(&[&[2.0, 0.5][..], &[0.25, 1.0][..]]).unwrap();
-        let q1 = Matrix::from_rows(&[&[-4.0, 0.0][..], &[0.5, -3.0][..]]).unwrap();
-        let q2 = Matrix::identity(2);
-        let p = QuadraticEigenProblem::new(q0, q1, q2).unwrap();
-        for e in p.finite_eigenvalues().unwrap() {
-            let u = p.left_eigenvector(e.z).unwrap();
-            assert!(p.residual(e.z, &u).unwrap() < 1e-7);
+        let p = coupled_pair();
+        for e in p.eigenvalues_inside_unit_disk(1e-9).unwrap() {
+            assert_eq!(e.z.im, 0.0);
+            let u: Vec<f64> = p.left_eigenvector(e.z).unwrap().iter().map(|c| c.re).collect();
+            assert!(p.real_residual(e.z.re, &u).unwrap() < 1e-7);
         }
     }
 
@@ -483,8 +436,7 @@ mod tests {
         let p = QuadraticEigenProblem::new(q0, q1, q2).unwrap();
         let inside = p.eigenvalues_inside_unit_disk(1e-9).unwrap();
         assert_eq!(inside.len(), 2);
-        let mut vals: Vec<f64> = inside.iter().map(|e| e.z.re).collect();
-        vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let vals: Vec<f64> = inside.iter().map(|e| e.z.re).collect();
         assert!((vals[0] - 0.1).abs() < 1e-8);
         assert!((vals[1] - 0.5).abs() < 1e-8);
     }
@@ -523,11 +475,9 @@ mod tests {
         let p = banded_test_problem();
         assert_eq!(p.bandwidths(), (1, 1));
         assert!(p.uses_banded_extraction());
-        let eig = p.finite_eigenvalues().unwrap();
-        assert!(!eig.is_empty());
-        for e in eig.iter().take(8) {
-            assert!(e.z.im.abs() < 1e-12, "the test problem has a real spectrum, got {}", e.z);
-            let z = e.z.re;
+        let roots = roots(&p);
+        assert_eq!(roots.len(), 20);
+        for &z in roots.iter().rev().take(8) {
             let u = p.real_left_eigenvector(z).unwrap();
             // Normalised to unit maximum modulus, residual certified small.
             let max = u.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
@@ -543,12 +493,13 @@ mod tests {
                 assert!((a * ratio - b).abs() < 1e-7, "direction mismatch");
             }
         }
+        assert_certified(&p, &roots);
     }
 
     #[test]
     fn banded_extraction_is_deterministic() {
         let p = banded_test_problem();
-        let z = p.finite_eigenvalues().unwrap()[0].z;
+        let z = p.eigenvalues_inside_unit_disk(1e-9).unwrap()[0].z;
         let a = p.left_eigenvector(z).unwrap();
         let b = p.left_eigenvector(z).unwrap();
         for (x, y) in a.iter().zip(&b) {
@@ -562,13 +513,11 @@ mod tests {
     #[test]
     fn dense_fallback_used_for_small_or_full_problems() {
         // 2×2 problems stay on the dense path regardless of structure.
-        let q0 = Matrix::from_rows(&[&[2.0, 0.5][..], &[0.25, 1.0][..]]).unwrap();
-        let q1 = Matrix::from_rows(&[&[-4.0, 0.0][..], &[0.5, -3.0][..]]).unwrap();
-        let p = QuadraticEigenProblem::new(q0, q1, Matrix::identity(2)).unwrap();
+        let p = coupled_pair();
         assert!(!p.uses_banded_extraction());
-        for e in p.finite_eigenvalues().unwrap() {
-            let u = p.left_eigenvector(e.z).unwrap();
-            assert!(p.residual(e.z, &u).unwrap() < 1e-7);
+        for z in roots(&p) {
+            let u = p.real_left_eigenvector(z).unwrap();
+            assert!(p.real_residual(z, &u).unwrap() < 1e-7);
         }
     }
 
@@ -576,6 +525,6 @@ mod tests {
     fn both_ends_singular_rejected() {
         let z = Matrix::zeros(2, 2);
         let p = QuadraticEigenProblem::new(z.clone(), Matrix::identity(2), z).unwrap();
-        assert!(matches!(p.finite_eigenvalues(), Err(LinalgError::Singular { .. })));
+        assert!(matches!(p.eigenvalues_inside_unit_disk(1e-9), Err(LinalgError::InvalidInput(_))));
     }
 }
