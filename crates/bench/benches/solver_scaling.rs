@@ -119,24 +119,16 @@ fn kernel_matrix(n: usize, mut seed: u64) -> Matrix {
 fn bench_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernels");
     group.sample_size(10);
-    let sizes: &[usize] = if smoke() { &[48, 96] } else { &[64, 128, 256] };
+    // 91 and 231 are the paper lifecycle's block sizes at N = 12 and 20, so each
+    // kernel's rate relative to `gemm_blocked` at solver shapes reads off one run;
+    // 6 is a small-fleet right division (N = 2), where the row path runs.
+    let sizes: &[usize] = if smoke() { &[6, 48, 96] } else { &[6, 64, 91, 128, 231, 256] };
+    let naive_sizes: &[usize] = if smoke() { &[48, 96] } else { &[64, 128, 256] };
     for &n in sizes {
         let a = kernel_matrix(n, 7);
         let b = kernel_matrix(n, 11);
-        group.bench_with_input(BenchmarkId::new("gemm_naive", n), &(&a, &b), |bench, (a, b)| {
-            bench.iter(|| black_box(naive::matmul(a, b)))
-        });
-        group.bench_with_input(BenchmarkId::new("gemm_blocked", n), &(&a, &b), |bench, (a, b)| {
-            bench.iter(|| black_box(a.matmul(b).unwrap()))
-        });
-        group.bench_with_input(BenchmarkId::new("lu_naive", n), &a, |bench, a| {
-            bench.iter(|| black_box(naive::lu(a)))
-        });
-        group.bench_with_input(BenchmarkId::new("lu_blocked", n), &a, |bench, a| {
-            bench.iter(|| black_box(LuDecomposition::new(a).unwrap()))
-        });
-        // The boundary elimination's right division `W = diag(l)·A⁻¹` (the tiled
-        // four-rows-by-four-factor-rows kernel), on the factors of `a`.
+        // The boundary elimination's right division `W = diag(l)·A⁻¹`, on the
+        // factors of `a`.
         let lu = LuDecomposition::new(&a).unwrap();
         let coupling: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64).collect();
         let mut w = Matrix::zeros(n, n);
@@ -146,6 +138,27 @@ fn bench_kernels(c: &mut Criterion) {
             bench.iter(|| {
                 lu.solve_right_diagonal_into_with(l, &mut w, &mut right_ws, &serial).unwrap()
             })
+        });
+        if n < 8 {
+            continue;
+        }
+        if naive_sizes.contains(&n) {
+            group.bench_with_input(
+                BenchmarkId::new("gemm_naive", n),
+                &(&a, &b),
+                |bench, (a, b)| bench.iter(|| black_box(naive::matmul(a, b))),
+            );
+        }
+        group.bench_with_input(BenchmarkId::new("gemm_blocked", n), &(&a, &b), |bench, (a, b)| {
+            bench.iter(|| black_box(a.matmul(b).unwrap()))
+        });
+        if naive_sizes.contains(&n) {
+            group.bench_with_input(BenchmarkId::new("lu_naive", n), &a, |bench, a| {
+                bench.iter(|| black_box(naive::lu(a)))
+            });
+        }
+        group.bench_with_input(BenchmarkId::new("lu_blocked", n), &a, |bench, a| {
+            bench.iter(|| black_box(LuDecomposition::new(a).unwrap()))
         });
         // The cyclic-reduction step's own kernels on a symmetric positive-definite
         // `A·Aᵀ`: the Cholesky factor and the lower solve `L⁻¹·B` with `n` columns.

@@ -1,14 +1,25 @@
 //! Blocked Cholesky factorisation of real symmetric positive-definite matrices.
+//!
+//! The elimination runs in panels of `PANEL` (16) rows.  Only the panel's
+//! diagonal block is eliminated by the unblocked textbook step; the panel rows'
+//! part right of it is a forward substitution against that block
+//! (`lu::forward_rows`, quads of rows through the fused four-row kernel), and the
+//! rows below the panel take the trailing update through the same kernel.  Every
+//! element receives the textbook right-looking elimination's square root or
+//! division and its ascending-`k` subtractions with the same exact-zero skips, so
+//! the factor and the failing pivot of an indefinite input are the textbook's, bit
+//! for bit, at any thread count.
 
 use crate::error::LinalgError;
-use crate::lu::substitute_row;
-use crate::matrix::{gemm_rows4_panel, par_band_rows, Matrix};
+use crate::lu::{forward_rows, quad_rows, substitute_row};
+use crate::matrix::{gemm_row_panel, gemm_rows4, par_band_rows, Matrix};
 use crate::parallel::ThreadPool;
 use crate::workspace::Workspace;
 use crate::Result;
 
-/// Panel width of the blocked factorisation.
-const PANEL: usize = 48;
+/// Panel width of the blocked factorisation: wide enough that the trailing update
+/// streams long rows, narrow enough that the unblocked diagonal block stays small.
+const PANEL: usize = 16;
 
 /// Depth of the `k`-tiles of the lower solve's fused updates: the tile of earlier
 /// rows a quad streams past stays cache-resident, as in the gemm kernel.
@@ -22,10 +33,11 @@ const K_TILE: usize = 64;
 /// upper triangle of `A` only; the caller guarantees symmetry.
 ///
 /// Like [`LuDecomposition`](crate::LuDecomposition) the elimination is blocked:
-/// panels of rows are factorised and the trailing rows updated with the fused gemm
-/// kernel, and every element receives its updates in the ascending order of the
-/// textbook right-looking algorithm — the blocking and the worker partition change
-/// wall time, never bits.  At `n³/3` multiply-adds it costs half an LU.
+/// panels of rows are factorised, their right part solved and the trailing rows
+/// updated with the fused gemm kernel, and every element receives its updates in
+/// the ascending order of the textbook right-looking algorithm — the blocking and
+/// the worker partition change wall time, never bits.  At `n³/6` multiply-adds it
+/// costs half an LU.
 ///
 /// # Example
 ///
@@ -75,9 +87,9 @@ impl Cholesky {
     /// [`from_matrix`](Self::from_matrix) with the trailing-row updates of the
     /// blocked elimination fanned out across the workers of `pool`.
     ///
-    /// The panel stays serial; the rows below it are independent and are split into
-    /// bands, each row running the identical ascending-`k` update it runs serially, so
-    /// the factor is bit-identical at any thread count.
+    /// The panel and its right part stay serial; the rows below it are independent
+    /// and are split into bands, each row running the identical ascending-`k` update
+    /// it runs serially, so the factor is bit-identical at any thread count.
     ///
     /// # Errors
     ///
@@ -96,12 +108,12 @@ impl Cholesky {
         // urs-analyze: begin(no_alloc)
         for kk in (0..n).step_by(PANEL) {
             let k_end = (kk + PANEL).min(n);
-            // 1. The panel rows, unblocked over the full row width: row k becomes row k
-            //    of Lᵀ, and each later panel row stores its factor `Lᵀ_ki = L_ik` in its
-            //    own lower triangle before taking the update.
+            // 1. The panel's diagonal block, unblocked: row k becomes row k of Lᵀ
+            //    there, and each later panel row stores its factor `Lᵀ_ki = L_ik` in
+            //    its own lower triangle before taking the update.
             for k in kk..k_end {
                 let (head, tail) = d.split_at_mut((k + 1) * n);
-                let row_k = head.get_mut(k * n..).unwrap_or_default();
+                let row_k = head.get_mut(k * n..k * n + k_end).unwrap_or_default();
                 let Some((pivot, right)) = row_k.get_mut(k..).and_then(|r| r.split_first_mut())
                 else {
                     continue;
@@ -123,7 +135,9 @@ impl Cholesky {
                     // urs-analyze: allow(float_cmp, reason = "exact-zero skip gate, part of the bit-identity contract")
                     if factor != 0.0 {
                         let u_row = row_k.get(i..).unwrap_or_default();
-                        for (x, &u) in row.get_mut(i..).unwrap_or_default().iter_mut().zip(u_row) {
+                        for (x, &u) in
+                            row.get_mut(i..k_end).unwrap_or_default().iter_mut().zip(u_row)
+                        {
                             *x -= factor * u;
                         }
                     }
@@ -132,6 +146,10 @@ impl Cholesky {
             if k_end == n {
                 continue;
             }
+            // 1b. The panel rows right of the block: row k subtracts the rows above
+            //     it in the panel, `Lᵀ_k'k·Lᵀ_k'j`, then divides by its root — the
+            //     textbook's updates from the panel's columns, in its order.
+            forward_rows(d, n, kk, k_end, k_end, n, true);
             // 2. The rows below the panel, independent of one another: split into
             //    bands across the pool.
             let (panel_rows, trailing_rows) = d.split_at_mut(k_end * n);
@@ -253,10 +271,10 @@ impl Cholesky {
 /// factors `Lᵀ_ki` (column `i` of the panel rows) into its own lower triangle, then
 /// takes `a_ij ← a_ij − Σ_k Lᵀ_ki·Lᵀ_kj` over columns `j ≥ i`, `k` ascending.
 ///
-/// Quads of rows whose factors are all non-zero go through the fused four-row gemm
-/// kernel with `alpha = −1` over columns from the quad's first row on (the few lower
-/// entries this touches are overwritten by a later gather); `x + (−f)·u` equals
-/// `x − f·u` exactly, so the kernel changes wall time, never bits.
+/// Quads of rows go through [`gemm_rows4`] with `alpha = −1` over columns from the
+/// quad's first row on (the few lower entries this touches are overwritten by a
+/// later gather); `x + (−f)·u` equals `x − f·u` exactly and zero factors are
+/// skipped, so the grouping changes wall time, never bits.
 // urs-analyze: begin(no_alloc)
 fn trailing_update(
     rows: &mut [f64],
@@ -275,58 +293,27 @@ fn trailing_update(
     let mut quads = rows.chunks_exact_mut(4 * n);
     let mut i0 = first;
     for quad in &mut quads {
-        let dense = quad.chunks_exact(n).all(|row| {
-            // urs-analyze: allow(float_cmp, reason = "exact zero gates the zero-skip path; bitwise test is part of the bit-identity contract")
-            row.get(kk..k_end).is_some_and(|factors| factors.iter().all(|&f| f != 0.0))
-        });
-        if dense {
-            let (r0, rest) = quad.split_at_mut(n);
-            let (r1, rest) = rest.split_at_mut(n);
-            let (r2, r3) = rest.split_at_mut(n);
-            let (l0, u0) = r0.split_at_mut(i0);
-            let (l1, u1) = r1.split_at_mut(i0);
-            let (l2, u2) = r2.split_at_mut(i0);
-            let (l3, u3) = r3.split_at_mut(i0);
-            let tiles = [&*l0, &*l1, &*l2, &*l3].map(|l| l.get(kk..k_end).unwrap_or_default());
-            gemm_rows4_panel([u0, u1, u2, u3], tiles, panel_rows, -1.0, kk, i0, n, n);
-        } else {
-            for (i, row) in (i0..).zip(quad.chunks_exact_mut(n)) {
-                trailing_row(row, panel_rows, i, kk, k_end, n);
-            }
-        }
+        let [(l0, u0), (l1, u1), (l2, u2), (l3, u3)] =
+            quad_rows(quad, n).map(|row| row.split_at_mut(i0));
+        let tiles = [&*l0, &*l1, &*l2, &*l3].map(|l| l.get(kk..k_end).unwrap_or_default());
+        gemm_rows4([u0, u1, u2, u3], tiles, panel_rows, -1.0, kk, i0, n, n);
         i0 += 4;
     }
     for (i, row) in (i0..).zip(quads.into_remainder().chunks_exact_mut(n)) {
-        trailing_row(row, panel_rows, i, kk, k_end, n);
-    }
-}
-
-/// One row `i` of [`trailing_update`], column by column of the panel.
-fn trailing_row(row: &mut [f64], panel_rows: &[f64], i: usize, kk: usize, k_end: usize, n: usize) {
-    let (factors, upper) = row.split_at_mut(i);
-    let upper_len = upper.len();
-    for (k, &factor) in (kk..k_end).zip(factors.get(kk..k_end).unwrap_or_default()) {
-        // urs-analyze: allow(float_cmp, reason = "exact-zero skip gate, part of the bit-identity contract")
-        if factor == 0.0 {
-            continue;
-        }
-        let u_row = panel_rows.get(k * n + i..k * n + i + upper_len).unwrap_or_default();
-        for (x, &u) in upper.iter_mut().zip(u_row) {
-            *x -= factor * u;
-        }
+        let (factors, upper) = row.split_at_mut(i);
+        let factors = factors.get(kk..k_end).unwrap_or_default();
+        gemm_row_panel(upper, factors, panel_rows, -1.0, kk, i, n, n);
     }
 }
 
 /// `x ← L⁻¹·x` for a row-major `n × w` block `x`: row `i` subtracts `L_ik·x_k` for
 /// `k < i` ascending, then divides by `L_ii`.
 ///
-/// Rows go four at a time: the updates from the rows above a quad run through the
-/// fused four-row gemm kernel (`alpha = −1`, `k`-tiles of [`K_TILE`]) whenever the
-/// quad's coefficients are non-zero, so each earlier row is read once per quad
-/// rather than once per row; zero coefficients fall back to [`substitute_row`],
-/// which skips them as the kernel's sparse branch would.  Every element receives
-/// the same subtractions in the same order either way, so the grouping changes wall
-/// time, never bits.
+/// Rows go four at a time: the updates from the rows above a quad run through
+/// [`gemm_rows4`] (`alpha = −1`, `k`-tiles of [`K_TILE`]), so each earlier row is
+/// read once per quad rather than once per row, and zero coefficients are skipped.
+/// Every element receives the same subtractions in the same order either way, so
+/// the grouping changes wall time, never bits.
 fn forward_substitute(x: &mut [f64], l: &[f64], n: usize, w: usize) {
     let mut i0 = 0;
     while i0 + 4 <= n {
@@ -341,16 +328,16 @@ fn forward_substitute(x: &mut [f64], l: &[f64], n: usize, w: usize) {
         for kk in (0..i0).step_by(K_TILE) {
             let k_end = (kk + K_TILE).min(i0);
             let tiles = [0, 1, 2, 3].map(|t| coefficients(t, kk, k_end));
-            // urs-analyze: allow(float_cmp, reason = "exact zero gates the zero-skip path; bitwise test is part of the bit-identity contract")
-            if tiles.iter().all(|tile| tile.iter().all(|&c| c != 0.0)) {
-                let rows = [&mut *r0, &mut *r1, &mut *r2, &mut *r3];
-                gemm_rows4_panel(rows, tiles, previous, -1.0, kk, 0, w, w);
-            } else {
-                let above = previous.get(kk * w..).unwrap_or_default();
-                for (row, tile) in [&mut *r0, &mut *r1, &mut *r2, &mut *r3].into_iter().zip(tiles) {
-                    substitute_row(row, above, tile, w);
-                }
-            }
+            gemm_rows4(
+                [&mut *r0, &mut *r1, &mut *r2, &mut *r3],
+                tiles,
+                previous,
+                -1.0,
+                kk,
+                0,
+                w,
+                w,
+            );
         }
         // Inside the quad, each row waits for the finished rows before it.
         for t in 0..4 {

@@ -1,7 +1,19 @@
 //! Blocked LU factorisation with partial pivoting for real matrices.
+//!
+//! Above `SMALL` (32) rows the elimination runs in panels of `PANEL` (16) columns: the
+//! panel is eliminated column by column in a column-major copy (pivot search on
+//! the fully updated column, full-row swaps, the multipliers' divisions and the
+//! in-panel updates each run down one contiguous column), the panel rows solve
+//! for their part of `U` in row quads, and the rows below take
+//! `A22 ← A22 − L21·U12` through the fused four-row kernel (`gemm_rows4`), the
+//! only `O(n³)` work.  Every element still receives the textbook right-looking
+//! elimination's divisions and ascending-`k` subtractions, with its exact-zero
+//! skips and its inactive columns where a pivot underflows, so the factors,
+//! the permutation and the singular pivot are those of the textbook, bit for bit,
+//! at any thread count.  Smaller matrices take the textbook loop itself.
 
 use crate::error::LinalgError;
-use crate::matrix::{gemm_rows4_panel, par_band_rows, Matrix};
+use crate::matrix::{gemm_row_panel, gemm_rows4, par_band_rows, Matrix};
 use crate::parallel::ThreadPool;
 use crate::workspace::Workspace;
 use crate::Result;
@@ -11,9 +23,9 @@ use crate::Result;
 /// The factors are stored compactly: the strictly lower triangle of `lu` holds the
 /// multipliers of `L` (whose diagonal is implicitly 1) and the upper triangle holds `U`.
 ///
-/// The factorisation is *blocked*: columns are eliminated in panels and the trailing
-/// submatrix is updated with a tiled multiply-accumulate, so the working set stays
-/// cache-resident.  The arithmetic (and hence the result, bit for bit) is identical to
+/// The factorisation is *blocked*: columns are eliminated in narrow panels and the
+/// trailing submatrix is updated with the fused multiply-accumulate kernel (see the
+/// module docs).  The arithmetic (and hence the result, bit for bit) is identical to
 /// the textbook unblocked right-looking elimination — only the memory access order
 /// changes.  Solves come in allocating (`solve`, `solve_matrix`, `inverse`) and
 /// allocation-free (`solve_into`, `solve_matrix_into`, `solve_right_matrix_into`)
@@ -47,8 +59,18 @@ pub struct LuDecomposition {
 /// Relative threshold below which a pivot is considered zero.
 const PIVOT_EPS: f64 = 1e-300;
 
-/// Panel width of the blocked elimination.
-const PANEL: usize = 48;
+/// Panel width of the blocked elimination.  The fused kernel loads and stores
+/// each updated element once per four multipliers whatever the panel's depth, so
+/// a wider panel (or a recursive split of one) buys the trailing update nothing
+/// while the narrow updates inside the panel grow.
+const PANEL: usize = 16;
+
+/// Panel width when a pool of several workers runs the trailing updates.
+const POOLED_PANEL: usize = 32;
+
+/// Largest matrix factorised by the plain unblocked elimination: below this the
+/// blocked kernels' set-up costs more than their loops save.
+const SMALL: usize = 32;
 
 impl LuDecomposition {
     /// Factorises a square matrix.
@@ -78,11 +100,11 @@ impl LuDecomposition {
     /// [`from_matrix`](Self::from_matrix) with the trailing-submatrix updates of the
     /// blocked elimination fanned out across the workers of `pool`.
     ///
-    /// Panel factorisation (pivot search, swaps, multipliers) stays serial — it is a
-    /// sequential dependency chain — but phase 2b, the multiply-accumulate of the rows
-    /// *below* the panel, is row-independent and is partitioned into bands.  Every
-    /// row's update runs the identical ascending-`k` loop it runs serially, so the
-    /// factors are bit-identical at any thread count.
+    /// Panel factorisation (pivot search, swaps, multipliers) and the panel rows'
+    /// solve stay serial — they are sequential dependency chains — but the
+    /// multiply-accumulate of the rows *below* the panel is row-independent and is
+    /// partitioned into bands.  Every row's update runs the identical ascending-`k`
+    /// loop it runs serially, so the factors are bit-identical at any thread count.
     ///
     /// # Errors
     ///
@@ -130,97 +152,30 @@ impl LuDecomposition {
         }
         let n = a.rows();
         let mut lu = a;
-        let d = lu.as_mut_slice();
-        let mut perm: Vec<usize> = (0..n).collect();
-        let mut perm_sign = 1.0;
-        let mut singular_at = None;
-        // Tracks which panel columns produced usable pivots; columns whose pivot
-        // underflowed contribute nothing to the trailing update (matching the
-        // unblocked algorithm, which skips their elimination step entirely).
-        let mut active = [false; PANEL];
-
+        let blocked = n > SMALL;
+        // Each parallel trailing update spawns the pool's workers, so a pool takes
+        // wider panels and fewer updates.
+        let panel = if pool.threads() > 1 { POOLED_PANEL } else { PANEL };
+        let mut elimination = Elimination {
+            d: lu.as_mut_slice(),
+            n,
+            panel: if blocked { vec![0.0; panel * n] } else { Vec::new() },
+            perm: (0..n).collect(),
+            perm_sign: 1.0,
+            singular_at: None,
+        };
         // urs-analyze: begin(no_alloc)
-        for kk in (0..n).step_by(PANEL) {
-            let k_end = (kk + PANEL).min(n);
-            // 1. Factor the panel columns kk..k_end (unblocked, full-height pivoting).
-            for k in kk..k_end {
-                let mut pivot_row = k;
-                let mut pivot_val = d[k * n + k].abs();
-                for i in (k + 1)..n {
-                    let v = d[i * n + k].abs();
-                    if v > pivot_val {
-                        pivot_val = v;
-                        pivot_row = i;
-                    }
-                }
-                if pivot_row != k {
-                    for j in 0..n {
-                        d.swap(k * n + j, pivot_row * n + j);
-                    }
-                    perm.swap(k, pivot_row);
-                    perm_sign = -perm_sign;
-                }
-                let pivot = d[k * n + k];
-                if pivot.abs() < PIVOT_EPS {
-                    if singular_at.is_none() {
-                        singular_at = Some(k);
-                    }
-                    active[k - kk] = false;
-                    continue;
-                }
-                active[k - kk] = true;
-                // Multipliers plus the within-panel update of columns k+1..k_end.
-                let (pivot_rows, trail) = d.split_at_mut((k + 1) * n);
-                let u_row = &pivot_rows[k * n + (k + 1)..k * n + k_end];
-                for row in trail.chunks_exact_mut(n) {
-                    let factor = row[k] / pivot;
-                    row[k] = factor;
-                    if factor != 0.0 {
-                        for (x, &u) in row[k + 1..k_end].iter_mut().zip(u_row) {
-                            *x -= factor * u;
-                        }
-                    }
-                }
+        if blocked {
+            for kk in (0..n).step_by(panel) {
+                let k_end = (kk + panel).min(n);
+                elimination.factor_panel(kk, k_end);
+                elimination.eliminate(kk, k_end, pool)?;
             }
-            // 2. Deferred update of the trailing columns k_end..n.
-            if k_end == n {
-                continue;
-            }
-            // 2a. Rows inside the panel: sequential elimination (each row k' uses the
-            //     already-updated rows above it).
-            for k in kk..k_end {
-                if !active[k - kk] {
-                    continue;
-                }
-                let (upper, lower) = d.split_at_mut((k + 1) * n);
-                let u_row = &upper[k * n + k_end..(k + 1) * n];
-                for row in lower.chunks_exact_mut(n).take(k_end - k - 1) {
-                    let factor = row[k];
-                    if factor != 0.0 {
-                        for (x, &u) in row[k_end..].iter_mut().zip(u_row) {
-                            *x -= factor * u;
-                        }
-                    }
-                }
-            }
-            // 2b. Rows below the panel: a multiply-accumulate A22 ← A22 − L21·U12 with
-            //     the panel's U rows (≤ PANEL·n doubles) staying cache-hot.  Each row's
-            //     update is independent of every other row, so the rows can be split
-            //     into bands across the pool; within a row the ascending-k loop is the
-            //     same either way, keeping the factors bit-identical.
-            let (panel_rows, trailing_rows) = d.split_at_mut(k_end * n);
-            let trailing_count = trailing_rows.len() / n;
-            let band_rows = par_band_rows(trailing_count, k_end - kk, n - k_end, pool.threads());
-            if band_rows >= trailing_count {
-                lu_trailing_update(trailing_rows, panel_rows, &active, kk, k_end, n);
-            } else {
-                let panel_ref: &[f64] = panel_rows;
-                pool.par_chunks_mut(trailing_rows, band_rows * n, |_, band| {
-                    lu_trailing_update(band, panel_ref, &active, kk, k_end, n);
-                })?;
-            }
+        } else {
+            elimination.factor_unblocked();
         }
         // urs-analyze: end(no_alloc)
+        let Elimination { perm, perm_sign, singular_at, .. } = elimination;
         Ok(LuDecomposition { lu, perm, perm_sign, singular_at })
     }
 
@@ -232,6 +187,11 @@ impl LuDecomposition {
     /// Returns `true` if the matrix was found to be singular.
     pub fn is_singular(&self) -> bool {
         self.singular_at.is_some()
+    }
+
+    /// The row permutation: row `i` of `L·U` is row `permutation()[i]` of `A`.
+    pub fn permutation(&self) -> &[usize] {
+        &self.perm
     }
 
     /// Consumes the decomposition, returning the matrix that stores the packed
@@ -545,73 +505,220 @@ impl LuDecomposition {
     }
 }
 
-/// Phase 2b of the blocked elimination: `A22 ← A22 − L21·U12` over a band of rows
-/// below the panel.  Serial and parallel paths both call this on contiguous row
-/// bands, so each row's arithmetic order never depends on the thread count.
-///
-/// Quads of rows whose factors are all non-zero, under a panel whose columns all
-/// produced pivots, go through the fused four-row gemm kernel with `alpha = −1`:
-/// `x + (−l)·u` equals `x − l·u` exactly in IEEE arithmetic and the kernel keeps
-/// the ascending-`k` order, so it changes wall time, never bits.  Every other row
-/// takes [`lu_trailing_row`], which skips zero factors and inactive columns.
-// urs-analyze: begin(no_alloc)
-fn lu_trailing_update(
-    rows: &mut [f64],
-    panel_rows: &[f64],
-    active: &[bool; PANEL],
-    kk: usize,
-    k_end: usize,
+/// The elimination in progress: the row-major `n × n` matrix being overwritten by
+/// its packed factors, and the pivoting record.
+struct Elimination<'a> {
+    d: &'a mut [f64],
     n: usize,
-) {
-    let all_active = active.iter().take(k_end - kk).all(|&a| a);
-    let mut quads = rows.chunks_exact_mut(4 * n);
-    for quad in &mut quads {
-        let dense = all_active
-            && quad.chunks_exact(n).all(|row| {
-                // urs-analyze: allow(float_cmp, reason = "exact zero gates the zero-skip path; bitwise test is part of the bit-identity contract")
-                row.get(kk..k_end).is_some_and(|factors| factors.iter().all(|&f| f != 0.0))
-            });
-        if !dense {
-            for row in quad.chunks_exact_mut(n) {
-                lu_trailing_row(row, panel_rows, active, kk, k_end, n);
+    /// Column-major scratch for one panel: at most `POOLED_PANEL × n`.
+    panel: Vec<f64>,
+    perm: Vec<usize>,
+    perm_sign: f64,
+    singular_at: Option<usize>,
+}
+
+// urs-analyze: begin(no_alloc)
+impl Elimination<'_> {
+    /// The textbook right-looking elimination of the whole matrix, in place and
+    /// row by row: the small-matrix path.
+    fn factor_unblocked(&mut self) {
+        let n = self.n;
+        for k in 0..n {
+            let column = |row: &[f64]| row.get(k).map_or(0.0, |v| v.abs());
+            let mut pivot_row = k;
+            let mut pivot_val = self.d.get(k * n..).map_or(0.0, column);
+            for (i, row) in self.d.chunks_exact(n).enumerate().skip(k + 1) {
+                if column(row) > pivot_val {
+                    pivot_val = column(row);
+                    pivot_row = i;
+                }
             }
-            continue;
+            if pivot_row != k {
+                let (upper, lower) = self.d.split_at_mut(pivot_row * n);
+                if let (Some(row_k), Some(row_p)) =
+                    (upper.get_mut(k * n..(k + 1) * n), lower.get_mut(..n))
+                {
+                    row_k.swap_with_slice(row_p);
+                }
+                self.perm.swap(k, pivot_row);
+                self.perm_sign = -self.perm_sign;
+            }
+            let (pivot_rows, trail) = self.d.split_at_mut((k + 1) * n);
+            let Some((&pivot, u_row)) = pivot_rows.get(k * n + k..).and_then(<[f64]>::split_first)
+            else {
+                continue;
+            };
+            if pivot.abs() < PIVOT_EPS {
+                self.singular_at.get_or_insert(k);
+                continue;
+            }
+            for row in trail.chunks_exact_mut(n) {
+                let Some((l, rest)) = row.get_mut(k..).and_then(<[f64]>::split_first_mut) else {
+                    continue;
+                };
+                *l /= pivot;
+                // urs-analyze: allow(float_cmp, reason = "exact-zero skip gate, part of the bit-identity contract")
+                if *l != 0.0 {
+                    for (x, &u) in rest.iter_mut().zip(u_row) {
+                        *x -= *l * u;
+                    }
+                }
+            }
         }
-        let (r0, rest) = quad.split_at_mut(n);
-        let (r1, rest) = rest.split_at_mut(n);
-        let (r2, r3) = rest.split_at_mut(n);
-        let (l0, u0) = r0.split_at_mut(k_end);
-        let (l1, u1) = r1.split_at_mut(k_end);
-        let (l2, u2) = r2.split_at_mut(k_end);
-        let (l3, u3) = r3.split_at_mut(k_end);
-        let tiles = [&*l0, &*l1, &*l2, &*l3].map(|l| l.get(kk..).unwrap_or_default());
-        gemm_rows4_panel([u0, u1, u2, u3], tiles, panel_rows, -1.0, kk, k_end, n, n);
     }
-    for row in quads.into_remainder().chunks_exact_mut(n) {
-        lu_trailing_row(row, panel_rows, active, kk, k_end, n);
+
+    /// The textbook elimination of the panel columns `c0..c1`, confined to them:
+    /// each column's pivot search runs on the fully updated column, the pivot
+    /// row swaps over the full width, and a pivot below [`PIVOT_EPS`] leaves its
+    /// column inactive (no multipliers, no updates).
+    ///
+    /// The panel's rows `c0..n` are copied into [`panel`](Self::panel) column by
+    /// column first, so that the pivot search, the multipliers' divisions and
+    /// the column updates each run down one contiguous column, then copied back.
+    fn factor_panel(&mut self, c0: usize, c1: usize) {
+        let n = self.n;
+        let m = n - c0;
+        let panel = self.panel.get_mut(..(c1 - c0) * m).unwrap_or_default();
+        for (i, row) in self.d.chunks_exact(n).skip(c0).enumerate() {
+            for (column, &v) in panel.chunks_exact_mut(m).zip(row.get(c0..c1).unwrap_or_default()) {
+                if let Some(x) = column.get_mut(i) {
+                    *x = v;
+                }
+            }
+        }
+        for k in 0..c1 - c0 {
+            let column = panel.chunks_exact(m).nth(k).unwrap_or_default();
+            let mut pivot_row = k;
+            let mut pivot_val = column.get(k).map_or(0.0, |v| v.abs());
+            for (i, v) in column.iter().enumerate().skip(k + 1) {
+                if v.abs() > pivot_val {
+                    pivot_val = v.abs();
+                    pivot_row = i;
+                }
+            }
+            if pivot_row != k {
+                for column in panel.chunks_exact_mut(m) {
+                    column.swap(k, pivot_row);
+                }
+                // The whole rows in `d`: their panel columns there are stale until
+                // the copy back overwrites them.
+                let (upper, lower) = self.d.split_at_mut((c0 + pivot_row) * n);
+                if let (Some(row_k), Some(row_p)) =
+                    (upper.get_mut((c0 + k) * n..(c0 + k + 1) * n), lower.get_mut(..n))
+                {
+                    row_k.swap_with_slice(row_p);
+                }
+                self.perm.swap(c0 + k, c0 + pivot_row);
+                self.perm_sign = -self.perm_sign;
+            }
+            let (done, right) = panel.split_at_mut((k + 1) * m);
+            let Some((&mut pivot, multipliers)) =
+                done.get_mut(k * m + k..).and_then(<[f64]>::split_first_mut)
+            else {
+                continue;
+            };
+            if pivot.abs() < PIVOT_EPS {
+                self.singular_at.get_or_insert(c0 + k);
+                continue;
+            }
+            for l in multipliers.iter_mut() {
+                *l /= pivot;
+            }
+            let multipliers: &[f64] = multipliers;
+            for column in right.chunks_exact_mut(m) {
+                let Some((&mut u, below)) = column.get_mut(k..).and_then(<[f64]>::split_first_mut)
+                else {
+                    continue;
+                };
+                for (x, &l) in below.iter_mut().zip(multipliers) {
+                    // The textbook skips a zero multiplier's row update; the
+                    // select keeps that exact (a signed zero survives) while the
+                    // loop stays branch-free.
+                    // urs-analyze: allow(float_cmp, reason = "exact-zero skip gate, part of the bit-identity contract")
+                    *x = if l != 0.0 { *x - l * u } else { *x };
+                }
+            }
+        }
+        for (i, row) in self.d.chunks_exact_mut(n).skip(c0).enumerate() {
+            for (x, column) in
+                row.get_mut(c0..c1).unwrap_or_default().iter_mut().zip(panel.chunks_exact(m))
+            {
+                if let Some(&v) = column.get(i) {
+                    *x = v;
+                }
+            }
+        }
+    }
+
+    /// Applies the factorised panel columns `kk..k_end` to the columns right of
+    /// it: the panel rows solve `L11·U12 = A12` in row quads, then the rows below
+    /// take `A22 ← A22 − L21·U12`, in row bands across `pool`.  Both run through
+    /// the fused four-row kernel; each element still takes its subtractions in
+    /// ascending `k`, skipping zero multipliers and inactive columns, so neither
+    /// the blocking nor the bands change a bit.
+    fn eliminate(&mut self, kk: usize, k_end: usize, pool: &ThreadPool) -> Result<()> {
+        let n = self.n;
+        if k_end == n {
+            return Ok(());
+        }
+        // Columns from the first underflowed pivot on may be inactive; their
+        // multipliers are masked to zero, which the kernels skip.
+        let all_active = self.singular_at.is_none_or(|s| s >= k_end);
+        if all_active {
+            forward_rows(self.d, n, kk, k_end, k_end, n, false);
+        } else {
+            for i in kk..k_end {
+                let (done, rest) = self.d.split_at_mut(i * n);
+                if let Some(row) = rest.get_mut(..n) {
+                    masked_row_update(row, done, kk, i, k_end, n);
+                }
+            }
+        }
+        let (top, bottom) = self.d.split_at_mut(k_end * n);
+        let top: &[f64] = top;
+        let update = |band: &mut [f64]| {
+            if !all_active {
+                for row in band.chunks_exact_mut(n) {
+                    masked_row_update(row, top, kk, k_end, k_end, n);
+                }
+                return;
+            }
+            let mut quads = band.chunks_exact_mut(4 * n);
+            for quad in &mut quads {
+                let [(l0, x0), (l1, x1), (l2, x2), (l3, x3)] =
+                    quad_rows(quad, n).map(|row| row.split_at_mut(k_end));
+                let tiles = [&*l0, &*l1, &*l2, &*l3].map(|l| l.get(kk..).unwrap_or_default());
+                gemm_rows4([x0, x1, x2, x3], tiles, top, -1.0, kk, k_end, n, n);
+            }
+            for row in quads.into_remainder().chunks_exact_mut(n) {
+                masked_row_update(row, top, kk, k_end, k_end, n);
+            }
+        };
+        let rows = bottom.len() / n;
+        let band_rows = par_band_rows(rows, k_end - kk, n - k_end, pool.threads());
+        if band_rows >= rows {
+            update(bottom);
+        } else {
+            pool.par_chunks_mut(bottom, band_rows * n, |_, band| update(band))?;
+        }
+        Ok(())
     }
 }
 
-/// One row of [`lu_trailing_update`], eliminating column by column.
-fn lu_trailing_row(
-    row: &mut [f64],
-    panel_rows: &[f64],
-    active: &[bool; PANEL],
-    kk: usize,
-    k_end: usize,
-    n: usize,
-) {
-    let (factors, trailing) = row.split_at_mut(k_end);
-    for ((k, &factor), &on) in (kk..).zip(factors.get(kk..).unwrap_or_default()).zip(active) {
-        // urs-analyze: allow(float_cmp, reason = "exact-zero skip gate, part of the bit-identity contract")
-        if !on || factor == 0.0 {
-            continue;
-        }
-        let u_row = panel_rows.get(k * n + k_end..(k + 1) * n).unwrap_or_default();
-        for (x, &u) in trailing.iter_mut().zip(u_row) {
-            *x -= factor * u;
+/// One row's update from the factor rows `kk..k_end` of `above` (row `k` at
+/// offset `k·n`) over its columns `j0..n`: `x ← x − Σ_k l_k·u_k`, `k` ascending,
+/// with the multiplier of every column whose pivot underflowed read as zero.
+fn masked_row_update(row: &mut [f64], above: &[f64], kk: usize, k_end: usize, j0: usize, n: usize) {
+    let (left, window) = row.split_at_mut(j0);
+    let mut multipliers = [0.0; POOLED_PANEL];
+    let from_row = left.get(kk..k_end).unwrap_or_default();
+    for ((slot, &l), k) in multipliers.iter_mut().zip(from_row).zip(kk..) {
+        if above.get(k * n + k).is_some_and(|pivot| pivot.abs() >= PIVOT_EPS) {
+            *slot = l;
         }
     }
+    let tile = multipliers.get(..from_row.len()).unwrap_or_default();
+    gemm_row_panel(window, tile, above, -1.0, kk, j0, n, n);
 }
 
 /// Right-divides a band of rows: quads of rows go through the tiled
@@ -622,14 +729,19 @@ fn lu_trailing_row(
 fn right_solve_band(band: &mut [f64], d: &[f64], perm: &[usize], scratch: &mut [f64], n: usize) {
     let mut quads = band.chunks_exact_mut(4 * n);
     for quad in &mut quads {
-        let (r0, rest) = quad.split_at_mut(n);
-        let (r1, rest) = rest.split_at_mut(n);
-        let (r2, r3) = rest.split_at_mut(n);
-        right_solve_rows4([r0, r1, r2, r3], d, perm, scratch, n);
+        right_solve_rows4(quad_rows(quad, n), d, perm, scratch, n);
     }
     for row in quads.into_remainder().chunks_exact_mut(n) {
         right_solve_row(row, d, perm, scratch, n);
     }
+}
+
+/// The four `n`-wide rows of a `4·n` chunk.
+pub(crate) fn quad_rows(quad: &mut [f64], n: usize) -> [&mut [f64]; 4] {
+    let (r0, rest) = quad.split_at_mut(n);
+    let (r1, rest) = rest.split_at_mut(n);
+    let (r2, r3) = rest.split_at_mut(n);
+    [r0, r1, r2, r3]
 }
 
 /// Four rows of the right division, advanced four factor rows per pass.
@@ -883,6 +995,75 @@ fn scatter_row(row: &mut [f64], perm: &[usize], scratch: &mut [f64]) {
     }
 }
 
+/// Forward substitution in place on rows `r0..r1` of the row-major `n × n` matrix
+/// `d`: row `i`'s columns `j0..j1` take `x_i ← x_i − Σ_k d_ik·x_k` over the rows
+/// `r0 ≤ k < i`, `k` ascending and zero coefficients skipped, then, if `divide`,
+/// `x_i ← x_i / d_ii`.  The coefficients `d_ik` (and `d_ii`) lie left of `j0`.
+///
+/// Rows go four at a time: the updates from the rows above a quad run through
+/// [`gemm_rows4`] (`alpha = −1`, and `x + (−l)·u` equals `x − l·u` exactly), so
+/// each earlier row is read once per quad rather than once per row; inside the
+/// quad each row waits for the rows before it.  Every element receives the
+/// textbook's subtractions in the textbook's order, so the grouping changes wall
+/// time, never bits.  The LU's `U12` and the Cholesky panel's right part both
+/// solve this way.
+pub(crate) fn forward_rows(
+    d: &mut [f64],
+    n: usize,
+    r0: usize,
+    r1: usize,
+    j0: usize,
+    j1: usize,
+    divide: bool,
+) {
+    // The row at the head of a slice, split into its coefficients and its window.
+    fn split(row: &mut [f64], j0: usize, j1: usize) -> (&[f64], &mut [f64]) {
+        let (left, right) = row.split_at_mut(j0);
+        (left, right.get_mut(..j1 - j0).unwrap_or_default())
+    }
+    let finish = |left: &[f64], window: &mut [f64], i: usize| {
+        if divide {
+            let pivot = left.get(i).copied().unwrap_or(1.0);
+            for v in window.iter_mut() {
+                *v /= pivot;
+            }
+        }
+    };
+    let mut i0 = r0;
+    while i0 + 4 <= r1 {
+        let (above, rest) = d.split_at_mut(i0 * n);
+        let Some(quad) = rest.get_mut(..4 * n) else { return };
+        {
+            let [(l0, x0), (l1, x1), (l2, x2), (l3, x3)] =
+                quad_rows(quad, n).map(|q| split(q, j0, j1));
+            let tiles = [l0, l1, l2, l3].map(|l| l.get(r0..i0).unwrap_or_default());
+            gemm_rows4([x0, x1, x2, x3], tiles, above, -1.0, r0, j0, j1, n);
+        }
+        for t in 0..4 {
+            let (done, current) = quad.split_at_mut(t * n);
+            let (left, window) = split(current, j0, j1);
+            gemm_row_panel(
+                window,
+                left.get(i0..i0 + t).unwrap_or_default(),
+                done,
+                -1.0,
+                0,
+                j0,
+                j1,
+                n,
+            );
+            finish(left, window, i0 + t);
+        }
+        i0 += 4;
+    }
+    for i in i0..r1 {
+        let (above, rest) = d.split_at_mut(i * n);
+        let (left, window) = split(rest, j0, j1);
+        gemm_row_panel(window, left.get(r0..i).unwrap_or_default(), above, -1.0, r0, j0, j1, n);
+        finish(left, window, i);
+    }
+}
+
 /// One block-substitution row of the multi-RHS solves: `xi ← xi − Σ_j coeffs[j]·rows[j]`
 /// with `rows[j]` the `w`-wide RHS row at offset `j·w`, `j` ascending.  Zero
 /// coefficients are skipped exactly as the reference loop does; when four
@@ -1015,8 +1196,9 @@ mod tests {
 
     #[test]
     fn blocked_factorisation_crosses_panel_boundaries() {
-        // n > PANEL exercises the deferred trailing update; reconstruction must hold.
-        let n = PANEL + 13;
+        // n > SMALL takes the blocked path, across several panels and a ragged
+        // last one; reconstruction must hold.
+        let n = SMALL + 2 * PANEL + 5;
         let mut seed = 3_u64;
         let mut next = || {
             seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);

@@ -651,11 +651,7 @@ fn gemm_band(
                 Some(row0) => (jj + JB).min(n).min(row0 + last + 1),
                 None => (jj + JB).min(n),
             };
-            // Quads of output rows whose `a` panels are fully dense run the
-            // fused four-row kernel, which reads each `b` row once for all four
-            // accumulator rows; everything else takes the per-row panel kernel.
-            // Each output row receives the identical ascending-`k` operation
-            // sequence either way, so the grouping changes wall time, not bits.
+            // Quads of output rows go through `gemm_rows4`, the rest row by row.
             let mut i0 = 0;
             while i0 + 4 <= m {
                 let j_end = window_end(i0 + 3);
@@ -663,60 +659,15 @@ fn gemm_band(
                     i0 += 4;
                     continue;
                 }
-                // urs-analyze: allow(slice_index, reason = "a panels for rows i0..i0+3 with i0+3 < m; window kk..k_end ≤ k")
-                let t0 = &a[i0 * k + kk..i0 * k + k_end];
-                // urs-analyze: allow(slice_index, reason = "a panel for row i0+1, in range as above")
-                let t1 = &a[(i0 + 1) * k + kk..(i0 + 1) * k + k_end];
-                // urs-analyze: allow(slice_index, reason = "a panel for row i0+2, in range as above")
-                let t2 = &a[(i0 + 2) * k + kk..(i0 + 2) * k + k_end];
-                // urs-analyze: allow(slice_index, reason = "a panel for row i0+3, in range as above")
-                let t3 = &a[(i0 + 3) * k + kk..(i0 + 3) * k + k_end];
-                // urs-analyze: allow(float_cmp, reason = "exact-zero scan choosing between the skipping and branch-free loops; both compute the same sum")
-                let dense =
-                    // urs-analyze: allow(float_cmp, reason = "exact zero gates the zero-skip branch; bitwise test is part of the bit-identity contract")
-                    t0.iter().chain(t1).chain(t2).chain(t3).all(|&v| v != 0.0);
-                if dense {
-                    // urs-analyze: allow(slice_index, reason = "c rows i0..i0+3, in range since (i0+4)·n ≤ m·n = c.len()")
-                    let block = &mut c[i0 * n..(i0 + 4) * n];
-                    let (r0, rest) = block.split_at_mut(n);
-                    let (r1, rest) = rest.split_at_mut(n);
-                    let (r2, r3) = rest.split_at_mut(n);
-                    gemm_rows4_panel(
-                        [
-                            // urs-analyze: allow(slice_index, reason = "tile offsets bounded by the blocking loop limits; fused gemm hot loop")
-                            &mut r0[jj..j_end],
-                            // urs-analyze: allow(slice_index, reason = "tile offsets bounded by the blocking loop limits; fused gemm hot loop")
-                            &mut r1[jj..j_end],
-                            // urs-analyze: allow(slice_index, reason = "tile offsets bounded by the blocking loop limits; fused gemm hot loop")
-                            &mut r2[jj..j_end],
-                            // urs-analyze: allow(slice_index, reason = "tile offsets bounded by the blocking loop limits; fused gemm hot loop")
-                            &mut r3[jj..j_end],
-                        ],
-                        [t0, t1, t2, t3],
-                        b,
-                        alpha,
-                        kk,
-                        jj,
-                        j_end,
-                        n,
-                    );
-                } else {
-                    for i in i0..i0 + 4 {
-                        // urs-analyze: allow(slice_index, reason = "a panel and c row for i < m, windows bounded by k and n")
-                        gemm_row_panel(
-                            // urs-analyze: allow(slice_index, reason = "tile offsets bounded by the blocking loop limits; fused gemm hot loop")
-                            &mut c[i * n + jj..i * n + j_end],
-                            // urs-analyze: allow(slice_index, reason = "tile offsets bounded by the blocking loop limits; fused gemm hot loop")
-                            &a[i * k + kk..i * k + k_end],
-                            b,
-                            alpha,
-                            kk,
-                            jj,
-                            j_end,
-                            n,
-                        );
-                    }
-                }
+                // urs-analyze: allow(slice_index, reason = "c rows i0..i0+3, in range since (i0+4)·n ≤ m·n = c.len()")
+                let block = &mut c[i0 * n..(i0 + 4) * n];
+                let (r0, rest) = block.split_at_mut(n);
+                let (r1, rest) = rest.split_at_mut(n);
+                let (r2, r3) = rest.split_at_mut(n);
+                let rows = [r0, r1, r2, r3].map(|row| row.get_mut(jj..j_end).unwrap_or_default());
+                let tiles = [i0, i0 + 1, i0 + 2, i0 + 3]
+                    .map(|i| a.get(i * k + kk..i * k + k_end).unwrap_or_default());
+                gemm_rows4(rows, tiles, b, alpha, kk, jj, j_end, n);
                 i0 += 4;
             }
             for i in i0..m {
@@ -743,7 +694,7 @@ fn gemm_band(
 /// performs the identical ascending-`k` accumulation over the same nonzero
 /// terms, so the gate changes wall time, not bits.
 #[allow(clippy::too_many_arguments)]
-fn gemm_row_panel(
+pub(crate) fn gemm_row_panel(
     c_row: &mut [f64],
     a_tile: &[f64],
     b: &[f64],
@@ -812,6 +763,33 @@ fn gemm_row_panel(
             for (c, &bv) in c_row.iter_mut().zip(b_row) {
                 *c += aip * bv;
             }
+        }
+    }
+}
+
+/// Four output rows of a `gemm` panel: the fused [`gemm_rows4_panel`] when all
+/// four `a` tiles are fully dense, otherwise [`gemm_row_panel`] row by row, which
+/// skips zero coefficients.  Each output row receives the identical ascending-`k`
+/// operation sequence either way, so the choice changes wall time, not bits.  The
+/// one entry point of every blocked factorisation and substitution in the crate.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub(crate) fn gemm_rows4(
+    c_rows: [&mut [f64]; 4],
+    a_tiles: [&[f64]; 4],
+    b: &[f64],
+    alpha: f64,
+    kk: usize,
+    jj: usize,
+    j_end: usize,
+    n: usize,
+) {
+    // urs-analyze: allow(float_cmp, reason = "exact zero gates the zero-skip branch; bitwise test is part of the bit-identity contract")
+    if a_tiles.iter().all(|tile| tile.iter().all(|&v| v != 0.0)) {
+        gemm_rows4_panel(c_rows, a_tiles, b, alpha, kk, jj, j_end, n);
+    } else {
+        for (c_row, a_tile) in c_rows.into_iter().zip(a_tiles) {
+            gemm_row_panel(c_row, a_tile, b, alpha, kk, jj, j_end, n);
         }
     }
 }

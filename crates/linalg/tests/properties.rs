@@ -775,13 +775,24 @@ fn row_reversing_permutation_across_panels() {
 // multiply or subtraction in the tiled kernel shows up as a bit difference.
 // ---------------------------------------------------------------------------
 
-/// Textbook right-looking LU with partial pivoting (first strict maximum wins,
-/// zero multipliers skip their row update): the packed factors and the row
-/// permutation (`perm[i]` = original row of factor row `i`).
-fn unblocked_lu(a: &Matrix) -> (Vec<f64>, Vec<usize>) {
+/// The packed factors, row permutation (`perm[i]` = original row of factor row
+/// `i`), permutation sign and first underflowed pivot of the textbook elimination.
+struct TextbookLu {
+    d: Vec<f64>,
+    perm: Vec<usize>,
+    sign: f64,
+    singular_at: Option<usize>,
+}
+
+/// Textbook right-looking LU with partial pivoting: the first strict maximum wins,
+/// a pivot below `PIVOT_EPS` (1e-300) leaves its column inactive (no multipliers,
+/// no update), and zero multipliers skip their row update.
+fn unblocked_lu(a: &Matrix) -> TextbookLu {
     let n = a.rows();
     let mut d = a.as_slice().to_vec();
     let mut perm: Vec<usize> = (0..n).collect();
+    let mut sign = 1.0;
+    let mut singular_at = None;
     for k in 0..n {
         let mut pivot_row = k;
         let mut best = d[k * n + k].abs();
@@ -796,8 +807,13 @@ fn unblocked_lu(a: &Matrix) -> (Vec<f64>, Vec<usize>) {
                 d.swap(k * n + j, pivot_row * n + j);
             }
             perm.swap(k, pivot_row);
+            sign = -sign;
         }
         let pivot = d[k * n + k];
+        if pivot.abs() < 1e-300 {
+            singular_at.get_or_insert(k);
+            continue;
+        }
         for i in k + 1..n {
             let factor = d[i * n + k] / pivot;
             d[i * n + k] = factor;
@@ -808,7 +824,7 @@ fn unblocked_lu(a: &Matrix) -> (Vec<f64>, Vec<usize>) {
             }
         }
     }
-    (d, perm)
+    TextbookLu { d, perm, sign, singular_at }
 }
 
 /// One row of `X A = B` by the scalar recurrence: `w U = b` forward one column at
@@ -886,10 +902,12 @@ fn rhs_with_zeros(n: usize, seed: u64) -> Matrix {
 
 #[test]
 fn tiled_right_division_matches_the_row_reference_bitwise() {
-    for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 48, 49, 97] {
+    // Sizes straddle the small-n row path (n < 8), the four-column corners and the
+    // 64-column blocks of the substitutions.
+    for n in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 11, 48, 49, 63, 64, 65, 97, 128, 131] {
         let a = pivoting_matrix_with_zeros(n, 31 + n as u64);
         let lu = LuDecomposition::new(&a).unwrap();
-        let (d, perm) = unblocked_lu(&a);
+        let TextbookLu { d, perm, .. } = unblocked_lu(&a);
         assert_eq!(
             matrix_bits(&lu.clone().into_matrix()),
             d.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
@@ -931,6 +949,199 @@ fn tiled_right_division_matches_the_row_reference_bitwise() {
             let mut pooled = Matrix::zeros(n, n);
             lu.solve_right_diagonal_into_with(&diag, &mut pooled, &mut ws, &pool).unwrap();
             assert_eq!(matrix_bits(&pooled), matrix_bits(&xd), "n = {n}, {threads} threads");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The factorisations against their textbook unblocked eliminations, bit for bit.
+// The blocked kernels reorder only *which* element is updated when; every element
+// must still receive the textbook's divisions and ascending-k subtractions with
+// the same exact-zero skips, so the factors, the permutation, the determinant
+// and the singular pivot match the references above and below exactly, at every
+// thread count.
+// ---------------------------------------------------------------------------
+
+/// Square matrices for the textbook-LU comparison, by `case`:
+/// 0. dense with a boosted diagonal (few swaps, every multiplier non-zero);
+/// 1. exact zeros under forced pivoting ([`pivoting_matrix_with_zeros`]);
+/// 2. magnitudes growing 1.5× down each column, so every step swaps;
+/// 3. banded, so most multipliers are exact zeros and skip their updates; half
+///    the entries off the band are `−0.0`, which an update by a zero multiplier
+///    would turn into `+0.0`;
+/// 4. dense, with column 0 and one more column below `PIVOT_EPS`, so both stay
+///    inactive: column 0's pivot row is ~1e295 everywhere else, so one of its
+///    unscaled entries (~1e-302) acting as a multiplier would move other rows.
+fn textbook_lu_case(case: usize, n: usize, seed: u64) -> Matrix {
+    let mut next = lcg(seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(case as u64));
+    match case {
+        0 => Matrix::from_fn(n, n, |i, j| next() + if i == j { 4.0 } else { 0.0 }),
+        1 => pivoting_matrix_with_zeros(n, seed),
+        2 => Matrix::from_fn(n, n, |i, _| {
+            let sign = if next() > 0.0 { 1.0 } else { -1.0 };
+            (1.0 + next().abs()) * 1.5_f64.powi(i as i32) * sign
+        }),
+        3 => {
+            let band = 1 + (seed % 5) as usize;
+            Matrix::from_fn(n, n, |i, j| {
+                let v = next();
+                if i.abs_diff(j) > band {
+                    if (i + j) % 2 == 0 {
+                        0.0
+                    } else {
+                        -0.0
+                    }
+                } else if i == j {
+                    v + 0.25
+                } else {
+                    v
+                }
+            })
+        }
+        _ => {
+            let dead = (seed % n as u64) as usize;
+            let big = ((seed / 7) % n as u64) as usize;
+            Matrix::from_fn(n, n, |i, j| {
+                let v = next() + if i == j { 4.0 } else { 0.0 };
+                if j == 0 {
+                    if i == big {
+                        0.9e-300
+                    } else {
+                        v * 1e-302
+                    }
+                } else if j == dead {
+                    v * 1e-305
+                } else if i == big {
+                    v * 1e295
+                } else {
+                    v
+                }
+            })
+        }
+    }
+}
+
+/// Asserts that `lu` is the textbook elimination `expected` bit for bit.
+fn assert_textbook_lu(lu: &LuDecomposition, expected: &TextbookLu, what: &str) {
+    assert_eq!(lu.permutation(), &expected.perm[..], "{what}: permutation");
+    assert_eq!(lu.is_singular(), expected.singular_at.is_some(), "{what}: singularity");
+    let det = match expected.singular_at {
+        Some(_) => 0.0,
+        None => {
+            let n = expected.perm.len();
+            (0..n).fold(expected.sign, |det, i| det * expected.d[i * n + i])
+        }
+    };
+    assert_eq!(lu.determinant().to_bits(), det.to_bits(), "{what}: determinant");
+    let bits: Vec<u64> = expected.d.iter().map(|x| x.to_bits()).collect();
+    assert_eq!(matrix_bits(&lu.clone().into_matrix()), bits, "{what}: factors");
+}
+
+/// Textbook right-looking Cholesky on the upper triangle: row `k` becomes row `k`
+/// of `Lᵀ` (pivot `√a_kk`, the rest divided by it), each later row `i` stores its
+/// factor `Lᵀ_ki` below the diagonal and, unless it is zero, subtracts
+/// `Lᵀ_ki·Lᵀ_kj` from its columns `j ≥ i`.  `Err(k)` at the first pivot that is
+/// not positive.
+fn unblocked_cholesky(a: &Matrix) -> Result<Vec<f64>, usize> {
+    let n = a.rows();
+    let mut d = a.as_slice().to_vec();
+    for k in 0..n {
+        let pivot = d[k * n + k];
+        if pivot.is_nan() || pivot <= 0.0 {
+            return Err(k);
+        }
+        let root = pivot.sqrt();
+        d[k * n + k] = root;
+        for j in k + 1..n {
+            d[k * n + j] /= root;
+        }
+        for i in k + 1..n {
+            let factor = d[k * n + i];
+            d[i * n + k] = factor;
+            if factor != 0.0 {
+                for j in i..n {
+                    d[i * n + j] -= factor * d[k * n + j];
+                }
+            }
+        }
+    }
+    Ok(d)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The LU — factors, permutation, determinant sign and first singular pivot —
+    /// is the textbook elimination bit for bit, at sizes crossing every recursion
+    /// and panel boundary, on pools of 1, 2 and 4 threads.
+    #[test]
+    fn lu_is_the_textbook_elimination_bitwise(
+        size in 1usize..=100,
+        case in 0usize..5,
+        seed in 0u64..1_000_000,
+    ) {
+        let a = textbook_lu_case(case, size, seed);
+        let expected = unblocked_lu(&a);
+        if case == 4 {
+            prop_assert!(expected.singular_at.is_some(), "n = {size}: no pivot underflowed");
+        }
+        for threads in [1, 2, 4] {
+            let pool = ThreadPool::new(threads);
+            let what = format!("n = {size}, case {case}, {threads} threads");
+            let lu = LuDecomposition::new_allow_singular_with(&a, &pool).unwrap();
+            assert_textbook_lu(&lu, &expected, &what);
+            match (LuDecomposition::from_matrix_with(a.clone(), &pool), expected.singular_at) {
+                (Err(LinalgError::Singular { pivot }), Some(at)) => prop_assert_eq!(pivot, at),
+                (Ok(_), None) => {}
+                (outcome, at) => prop_assert!(false, "{what}: {outcome:?} vs singular at {at:?}"),
+            }
+        }
+    }
+
+    /// The Cholesky factor is the textbook elimination bit for bit, and an
+    /// indefinite input fails at the textbook's pivot, on pools of 1, 2 and 4
+    /// threads; `band` thins the input so the zero skips run beside dense rows.
+    #[test]
+    fn cholesky_is_the_textbook_elimination_bitwise(
+        n in 1usize..=100,
+        band in 0usize..110,
+        flip in 0usize..200,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut a = spd_matrix(n, band, seed);
+        // Half the cases break definiteness somewhere.
+        if flip < 100 {
+            let k = flip % n;
+            a[(k, k)] = -a[(k, k)];
+        }
+        let expected = unblocked_cholesky(&a);
+        for threads in [1, 2, 4] {
+            let pool = ThreadPool::new(threads);
+            match (Cholesky::from_matrix_with(a.clone(), &pool), &expected) {
+                (Ok(factor), Ok(d)) => prop_assert_eq!(
+                    matrix_bits(&factor.into_matrix()),
+                    d.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                ),
+                (Err(LinalgError::NotPositiveDefinite { pivot }), Err(k)) => {
+                    prop_assert_eq!(pivot, *k)
+                }
+                (outcome, expected) => {
+                    prop_assert!(false, "n = {n}: {:?} vs {expected:?}", outcome.map(|_| ()))
+                }
+            }
+        }
+    }
+}
+
+/// Every size from 1 to 100 once per LU case, so no recursion or panel boundary is
+/// left to the draw of the property test above.
+#[test]
+fn lu_is_the_textbook_elimination_at_every_size() {
+    for n in 1..=100 {
+        for case in 0..5 {
+            let a = textbook_lu_case(case, n, 1000 + n as u64);
+            let lu = LuDecomposition::new_allow_singular(&a).unwrap();
+            assert_textbook_lu(&lu, &unblocked_lu(&a), &format!("n = {n}, case {case}"));
         }
     }
 }
