@@ -121,7 +121,8 @@ fn bench_kernels(c: &mut Criterion) {
     group.sample_size(10);
     // 91 and 231 are the paper lifecycle's block sizes at N = 12 and 20, so each
     // kernel's rate relative to `gemm_blocked` at solver shapes reads off one run;
-    // 6 is a small-fleet right division (N = 2), where the row path runs.
+    // 6 is a small-fleet block size (N = 2), where the LU runs its unblocked loop
+    // and the right division mostly its scalar steps.
     let sizes: &[usize] = if smoke() { &[6, 48, 96] } else { &[6, 64, 91, 128, 231, 256] };
     let naive_sizes: &[usize] = if smoke() { &[48, 96] } else { &[64, 128, 256] };
     for &n in sizes {

@@ -52,7 +52,7 @@
 //! | API | Role in the reproduction |
 //! |---|---|
 //! | [`Matrix::gemm`] | tiled multiply-accumulate behind every solver product (§3.1 matrices are sparse bands — zero rows are skipped), including the response-time level recursion |
-//! | [`LuDecomposition`] | blocked LU with partial pivoting, the textbook elimination bit for bit: 16-column panels (32 on a pool) eliminated in a column-major copy, the panel rows' `U12` and the trailing `A22 − L21·U12` through the fused four-row kernel, the textbook loop itself up to 32 rows; `solve_into` / `solve_matrix_into` / `solve_right_matrix_into` replace every explicit inverse; `null_vector` is the dense eigenvector fallback |
+//! | [`LuDecomposition`] | blocked LU with partial pivoting, the textbook elimination bit for bit: 16-column panels (32 on a pool) eliminated in a column-major copy, the panel rows' `U12` and the trailing `A22 − L21·U12` through the fused four-row kernel, the textbook loop itself up to 40 rows (measured crossover); `solve_into` / `solve_matrix_into` / `solve_right_matrix_into` replace every explicit inverse; `null_vector` is the dense eigenvector fallback |
 //! | [`symmetric_eigen`] | deterministic cyclic-Jacobi eigenpairs of the symmetrised response-time resolvents, so each transform evaluation is a diagonal scaling between real products |
 //! | [`Cholesky`] + [`Matrix::gram_with`] | blocked Cholesky `−A₀ = L·Lᵀ` (16-row panels: only the diagonal block unblocked, the panel's right part and the trailing rows through the fused kernel), the column-banded lower solve `L⁻¹·B` and the Gram product `Zᵀ·Z` computed as one triangle (bitwise equal to the full `gemm`): one symmetric cyclic-reduction step of the `R` matrix at ≈ 6⅓·s³ flops |
 //! | [`Workspace`] | scratch-buffer pool so the `R`-matrix cyclic reduction and the boundary elimination allocate nothing per iteration |

@@ -1,6 +1,6 @@
 //! Blocked LU factorisation with partial pivoting for real matrices.
 //!
-//! Above `SMALL` (32) rows the elimination runs in panels of `PANEL` (16) columns: the
+//! Above `SMALL` (40) rows the elimination runs in panels of `PANEL` (16) columns: the
 //! panel is eliminated column by column in a column-major copy (pivot search on
 //! the fully updated column, full-row swaps, the multipliers' divisions and the
 //! in-panel updates each run down one contiguous column), the panel rows solve
@@ -59,18 +59,31 @@ pub struct LuDecomposition {
 /// Relative threshold below which a pivot is considered zero.
 const PIVOT_EPS: f64 = 1e-300;
 
+/// Whether a pivot leaves its column inactive (no multipliers, no updates): its
+/// magnitude is below [`PIVOT_EPS`].  A NaN pivot, which an overflowing
+/// elimination can produce from finite input, stays active.
+fn underflows(pivot: f64) -> bool {
+    pivot.abs() < PIVOT_EPS
+}
+
 /// Panel width of the blocked elimination.  The fused kernel loads and stores
 /// each updated element once per four multipliers whatever the panel's depth, so
 /// a wider panel (or a recursive split of one) buys the trailing update nothing
 /// while the narrow updates inside the panel grow.
 const PANEL: usize = 16;
 
-/// Panel width when a pool of several workers runs the trailing updates.
+/// Panel width when a pool of several workers runs the trailing updates.  Each
+/// parallel update spawns the pool's workers, so a pooled factorisation wants
+/// few of them: on two workers (2-vCPU host, interleaved runs, medians) 16-column
+/// panels took 1.5×, 1.35×, 1.37× and 1.06× the time of 32-column ones at
+/// n = 91, 153, 231 and 561.
 const POOLED_PANEL: usize = 32;
 
-/// Largest matrix factorised by the plain unblocked elimination: below this the
-/// blocked kernels' set-up costs more than their loops save.
-const SMALL: usize = 32;
+/// Largest matrix factorised by the plain unblocked elimination.  Serially
+/// (2-vCPU host, interleaved runs, best of seven) the blocked path took 1.6–2.3×
+/// the unblocked time at n = 4–12, 1.2–1.8× at 16–32, 1.1–1.2× at 36–40 and
+/// 0.74–1.03× at 44–64.
+const SMALL: usize = 40;
 
 impl LuDecomposition {
     /// Factorises a square matrix.
@@ -168,8 +181,8 @@ impl LuDecomposition {
         if blocked {
             for kk in (0..n).step_by(panel) {
                 let k_end = (kk + panel).min(n);
-                elimination.factor_panel(kk, k_end);
-                elimination.eliminate(kk, k_end, pool)?;
+                let all_active = elimination.factor_panel(kk, k_end);
+                elimination.eliminate(kk, k_end, all_active, pool)?;
             }
         } else {
             elimination.factor_unblocked();
@@ -548,7 +561,7 @@ impl Elimination<'_> {
             else {
                 continue;
             };
-            if pivot.abs() < PIVOT_EPS {
+            if underflows(pivot) {
                 self.singular_at.get_or_insert(k);
                 continue;
             }
@@ -575,7 +588,8 @@ impl Elimination<'_> {
     /// The panel's rows `c0..n` are copied into [`panel`](Self::panel) column by
     /// column first, so that the pivot search, the multipliers' divisions and
     /// the column updates each run down one contiguous column, then copied back.
-    fn factor_panel(&mut self, c0: usize, c1: usize) {
+    /// Returns whether every panel column stayed active.
+    fn factor_panel(&mut self, c0: usize, c1: usize) -> bool {
         let n = self.n;
         let m = n - c0;
         let panel = self.panel.get_mut(..(c1 - c0) * m).unwrap_or_default();
@@ -586,6 +600,7 @@ impl Elimination<'_> {
                 }
             }
         }
+        let mut all_active = true;
         for k in 0..c1 - c0 {
             let column = panel.chunks_exact(m).nth(k).unwrap_or_default();
             let mut pivot_row = k;
@@ -617,8 +632,9 @@ impl Elimination<'_> {
             else {
                 continue;
             };
-            if pivot.abs() < PIVOT_EPS {
+            if underflows(pivot) {
                 self.singular_at.get_or_insert(c0 + k);
+                all_active = false;
                 continue;
             }
             for l in multipliers.iter_mut() {
@@ -648,6 +664,7 @@ impl Elimination<'_> {
                 }
             }
         }
+        all_active
     }
 
     /// Applies the factorised panel columns `kk..k_end` to the columns right of
@@ -655,15 +672,19 @@ impl Elimination<'_> {
     /// take `A22 ← A22 − L21·U12`, in row bands across `pool`.  Both run through
     /// the fused four-row kernel; each element still takes its subtractions in
     /// ascending `k`, skipping zero multipliers and inactive columns, so neither
-    /// the blocking nor the bands change a bit.
-    fn eliminate(&mut self, kk: usize, k_end: usize, pool: &ThreadPool) -> Result<()> {
+    /// the blocking nor the bands change a bit.  Unless `all_active`, the
+    /// multipliers of the panel's inactive columns are masked to zero row by row.
+    fn eliminate(
+        &mut self,
+        kk: usize,
+        k_end: usize,
+        all_active: bool,
+        pool: &ThreadPool,
+    ) -> Result<()> {
         let n = self.n;
         if k_end == n {
             return Ok(());
         }
-        // Columns from the first underflowed pivot on may be inactive; their
-        // multipliers are masked to zero, which the kernels skip.
-        let all_active = self.singular_at.is_none_or(|s| s >= k_end);
         if all_active {
             forward_rows(self.d, n, kk, k_end, k_end, n, false);
         } else {
@@ -713,7 +734,7 @@ fn masked_row_update(row: &mut [f64], above: &[f64], kk: usize, k_end: usize, j0
     let mut multipliers = [0.0; POOLED_PANEL];
     let from_row = left.get(kk..k_end).unwrap_or_default();
     for ((slot, &l), k) in multipliers.iter_mut().zip(from_row).zip(kk..) {
-        if above.get(k * n + k).is_some_and(|pivot| pivot.abs() >= PIVOT_EPS) {
+        if above.get(k * n + k).is_some_and(|&pivot| !underflows(pivot)) {
             *slot = l;
         }
     }
